@@ -153,10 +153,15 @@ let hv_fault_conv =
       fun fmt f ->
         Format.pp_print_string fmt (Campaign.hv_fault_spec_to_string f) )
 
+(* The edge every artifact leaves by: [path = "-"] is stdout. *)
 let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  if path = "-" then print_string contents
+  else Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+(* JSON documents are pretty-printed for people; pass [~pretty:false]
+   for machine-only ones. *)
+let write_json ?(pretty = true) path v =
+  write_file path (Obs.Json.to_string ~pretty v ^ "\n")
 
 let trace_out_arg =
   Arg.(
@@ -204,7 +209,7 @@ let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
         dropped;
     (match trace_out with
     | Some path ->
-      write_file path (Obs.Export.chrome entries);
+      write_json ~pretty:false path (Obs.Export.chrome entries);
       Format.printf "trace written  : %s (chrome trace-event JSON)@." path
     | None -> ());
     let hists =
@@ -212,7 +217,7 @@ let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
     in
     (match metrics_out with
     | Some path ->
-      write_file path
+      write_json path
         (Obs.Export.metrics_json ?registry ~dropped (Lazy.force hists));
       Format.printf "metrics written: %s (%s)@." path Obs.Export.metrics_schema
     | None -> ());
@@ -564,17 +569,15 @@ let trace_cmd =
       end;
       (match chrome with
       | Some path ->
-        write_file path (Obs.Export.chrome entries);
+        write_json ~pretty:false path (Obs.Export.chrome entries);
         if not quiet then
           Format.printf "trace written  : %s (chrome trace-event JSON)@." path
       | None -> ());
       (match jsonl with
-      | Some "-" ->
-        print_string
-          (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs) entries)
       | Some path ->
         write_file path
-          (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs) entries);
+          (Obs.Json.to_lines
+             (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs) entries));
         if not quiet then
           Format.printf "trace written  : %s (%s JSONL)@." path
             Obs.Export.schema
@@ -643,52 +646,50 @@ let recovery_window_hist trials =
   h
 
 let chaos_summary_json ~workload ~seed ~trials (s : Campaign.summary) =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let sum f = List.fold_left (fun acc t -> acc + f t) 0 s.Campaign.trials in
+  let module J = Obs.Json in
+  let sum f =
+    J.int (List.fold_left (fun acc t -> acc + f t) 0 s.Campaign.trials)
+  in
   let h = recovery_window_hist s.Campaign.trials in
-  add "{\n";
-  add "  \"schema\": \"hftsim-chaos/1\",\n";
-  add "  \"workload\": \"%s\",\n" workload;
-  add "  \"seed\": %d,\n" seed;
-  add "  \"trials\": %d,\n" trials;
-  add "  \"passed\": %d,\n" (trials - List.length s.Campaign.failures);
-  add "  \"failed\": %d,\n" (List.length s.Campaign.failures);
-  add "  \"channel_faults\": %d,\n"
-    (sum (fun t -> t.Campaign.faults_injected));
-  add "  \"retransmits\": %d,\n" (sum (fun t -> t.Campaign.retransmits));
-  add "  \"hv_faults\": %d,\n" (sum (fun t -> t.Campaign.hv_injected));
-  add "  \"microreboots\": %d,\n" (sum (fun t -> t.Campaign.microreboots));
-  add "  \"recovery_escalations\": %d,\n"
-    (sum (fun t -> t.Campaign.recovery_escalations));
-  add "  \"reconciled_ios\": %d,\n" (sum (fun t -> t.Campaign.reconciled_ios));
-  add "  \"reconciled_msgs\": %d,\n"
-    (sum (fun t -> t.Campaign.reconciled_msgs));
-  add
-    "  \"recovery_window_us\": {\"count\": %d, \"p50\": %.3f, \"p99\": %.3f, \
-     \"max\": %.3f},\n"
-    (Obs.Hist.count h) (Obs.Hist.p50_us h) (Obs.Hist.p99_us h)
-    (Obs.Hist.max_us h);
-  add "  \"failures\": [";
-  List.iteri
-    (fun i ((t : Campaign.trial), shrunk) ->
-      if i > 0 then add ",";
-      let esc s =
-        String.concat ""
+  J.Obj
+    [
+      ("schema", J.Str "hftsim-chaos/1");
+      ("workload", J.Str workload);
+      ("seed", J.int seed);
+      ("trials", J.int trials);
+      ("passed", J.int (trials - List.length s.Campaign.failures));
+      ("failed", J.int (List.length s.Campaign.failures));
+      ("channel_faults", sum (fun t -> t.Campaign.faults_injected));
+      ("retransmits", sum (fun t -> t.Campaign.retransmits));
+      ("hv_faults", sum (fun t -> t.Campaign.hv_injected));
+      ("microreboots", sum (fun t -> t.Campaign.microreboots));
+      ("recovery_escalations", sum (fun t -> t.Campaign.recovery_escalations));
+      ("reconciled_ios", sum (fun t -> t.Campaign.reconciled_ios));
+      ("reconciled_msgs", sum (fun t -> t.Campaign.reconciled_msgs));
+      ( "recovery_window_us",
+        J.Obj
+          [
+            ("count", J.int (Obs.Hist.count h));
+            ("p50", J.fixed 3 (Obs.Hist.p50_us h));
+            ("p99", J.fixed 3 (Obs.Hist.p99_us h));
+            ("max", J.fixed 3 (Obs.Hist.max_us h));
+          ] );
+      ( "failures",
+        J.Arr
           (List.map
-             (function
-               | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-               | c -> String.make 1 c)
-             (List.init (String.length s) (String.get s)))
-      in
-      add "\n    {\"index\": %d, \"violation\": \"%s\", \"flags\": \"%s\"}"
-        t.Campaign.index
-        (esc (match t.Campaign.violations with v :: _ -> v | [] -> ""))
-        (esc (Campaign.flags shrunk)))
-    s.Campaign.failures;
-  if s.Campaign.failures <> [] then add "\n  ";
-  add "]\n}\n";
-  Buffer.contents b
+             (fun ((t : Campaign.trial), shrunk) ->
+               J.Obj
+                 [
+                   ("index", J.int t.Campaign.index);
+                   ( "violation",
+                     J.Str
+                       (match t.Campaign.violations with
+                       | v :: _ -> v
+                       | [] -> "") );
+                   ("flags", J.Str (Campaign.flags shrunk));
+                 ])
+             s.Campaign.failures) );
+    ]
 
 let chaos_cmd =
   let seed_arg =
@@ -898,7 +899,7 @@ let chaos_cmd =
       end;
       (match json with
       | Some path ->
-        write_file path
+        write_json path
           (chaos_summary_json ~workload:workload.Hft_guest.Workload.name
              ~seed ~trials summary);
         Format.printf "summary written: %s@." path
@@ -1233,185 +1234,144 @@ let lint_cmd =
     in
     (title, fs, manifest, embedded_status, drive)
   in
+  let module J = Obs.Json in
+  let module F = Hft_analysis.Finding in
+  let module M = Hft_analysis.Manifest in
   let lint_json runs =
-    let b = Buffer.create 1024 in
-    let esc s =
-      String.concat ""
-        (List.map
-           (function
-             | '"' -> "\\\""
-             | '\\' -> "\\\\"
-             | '\n' -> "\\n"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
+    let manifest_summary (m : M.t) =
+      J.Obj
+        [
+          ("image_hash", J.Str (Printf.sprintf "0x%x" m.M.image_hash));
+          ("instructions", J.int m.M.instructions);
+          ("blocks", J.int (List.length m.M.blocks));
+          ("certified_blocks", J.int (M.certified_blocks m));
+          ("superblocks", J.int (List.length m.M.superblocks));
+          ("certified_superblocks", J.int (M.certified_superblocks m));
+          ("static_coverage", J.fixed 4 (M.static_coverage m));
+          ("jr_sites", J.int m.M.jr_sites);
+          ("jr_unresolved", J.int m.M.jr_unresolved);
+          ("jr_resolved_by_vsa", J.int m.M.jr_resolved_by_vsa);
+          ("fixpoint_iterations", J.int m.M.fixpoint_iterations);
+          ("loops", J.int (M.loop_count m));
+          ("bounded_loops", J.int (M.bounded_loops m));
+          ("loop_bound_coverage", J.fixed 4 (M.loop_bound_coverage m));
+        ]
     in
-    let manifest_summary (m : Hft_analysis.Manifest.t) =
-      Printf.sprintf
-        "{\"image_hash\": \"0x%x\", \"instructions\": %d, \"blocks\": %d, \
-         \"certified_blocks\": %d, \"superblocks\": %d, \
-         \"certified_superblocks\": %d, \"static_coverage\": %.4f, \
-         \"jr_sites\": %d, \"jr_unresolved\": %d, \
-         \"jr_resolved_by_vsa\": %d, \"fixpoint_iterations\": %d, \
-         \"loops\": %d, \"bounded_loops\": %d, \
-         \"loop_bound_coverage\": %.4f}"
-        m.Hft_analysis.Manifest.image_hash
-        m.Hft_analysis.Manifest.instructions
-        (List.length m.Hft_analysis.Manifest.blocks)
-        (Hft_analysis.Manifest.certified_blocks m)
-        (List.length m.Hft_analysis.Manifest.superblocks)
-        (Hft_analysis.Manifest.certified_superblocks m)
-        (Hft_analysis.Manifest.static_coverage m)
-        m.Hft_analysis.Manifest.jr_sites
-        m.Hft_analysis.Manifest.jr_unresolved
-        m.Hft_analysis.Manifest.jr_resolved_by_vsa
-        m.Hft_analysis.Manifest.fixpoint_iterations
-        (Hft_analysis.Manifest.loop_count m)
-        (Hft_analysis.Manifest.bounded_loops m)
-        (Hft_analysis.Manifest.loop_bound_coverage m)
+    let finding (f : F.t) =
+      J.Obj
+        [
+          ("checker", J.Str f.F.checker);
+          ("severity", J.Str (F.severity_name f.F.severity));
+          ("addr", J.int f.F.addr);
+          ("where", J.Str f.F.where);
+          ("message", J.Str f.F.message);
+        ]
     in
-    Buffer.add_string b "{\n  \"schema\": \"hftsim-lint/3\",\n  \"images\": [";
-    List.iteri
-      (fun i (title, fs, manifest, _, _) ->
-        if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf "\n    {\"title\": \"%s\", \"findings\": [" (esc title));
-        List.iteri
-          (fun j f ->
-            if j > 0 then Buffer.add_string b ",";
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\n      {\"checker\": \"%s\", \"severity\": \"%s\", \
-                  \"addr\": %d, \"where\": \"%s\", \"message\": \"%s\"}"
-                 (esc f.Hft_analysis.Finding.checker)
-                 (Hft_analysis.Finding.severity_name
-                    f.Hft_analysis.Finding.severity)
-                 f.Hft_analysis.Finding.addr
-                 (esc f.Hft_analysis.Finding.where)
-                 (esc f.Hft_analysis.Finding.message)))
-          fs;
-        if fs <> [] then Buffer.add_string b "\n    ";
-        Buffer.add_string b "],\n     \"manifest\": ";
-        Buffer.add_string b (manifest_summary manifest);
-        Buffer.add_string b "}")
-      runs;
-    Buffer.add_string b "\n  ],\n";
     let all = List.concat_map (fun (_, fs, _, _, _) -> fs) runs in
-    let errors = List.length (Hft_analysis.Finding.errors all) in
-    let warnings = List.length (Hft_analysis.Finding.warnings all) in
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"summary\": {\"errors\": %d, \"warnings\": %d, \"findings\": %d}\n}\n"
-         errors warnings (List.length all));
-    Buffer.contents b
+    J.Obj
+      [
+        ("schema", J.Str "hftsim-lint/3");
+        ( "images",
+          J.Arr
+            (List.map
+               (fun (title, fs, manifest, _, _) ->
+                 J.Obj
+                   [
+                     ("title", J.Str title);
+                     ("findings", J.Arr (List.map finding fs));
+                     ("manifest", manifest_summary manifest);
+                   ])
+               runs) );
+        ( "summary",
+          J.Obj
+            [
+              ("errors", J.int (List.length (F.errors all)));
+              ("warnings", J.int (List.length (F.warnings all)));
+              ("findings", J.int (List.length all));
+            ] );
+      ]
   in
   (* SARIF 2.1.0: one run, one result per finding.  Guest images have
      no source files, so the artifact is the image title and the
      "line" is the guest instruction address plus one (SARIF lines are
      1-based). *)
   let sarif_json runs =
-    let b = Buffer.create 2048 in
-    let esc s =
-      String.concat ""
-        (List.map
-           (function
-             | '"' -> "\\\""
-             | '\\' -> "\\\\"
-             | '\n' -> "\\n"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    in
-    let level f =
-      match f.Hft_analysis.Finding.severity with
-      | Hft_analysis.Finding.Error -> "error"
-      | Hft_analysis.Finding.Warning -> "warning"
-      | Hft_analysis.Finding.Info -> "note"
+    let level (f : F.t) =
+      match f.F.severity with
+      | F.Error -> "error"
+      | F.Warning -> "warning"
+      | F.Info -> "note"
     in
     let rules =
       List.sort_uniq compare
         (List.concat_map
-           (fun (_, fs, _, _, _) ->
-             List.map (fun f -> f.Hft_analysis.Finding.checker) fs)
+           (fun (_, fs, _, _, _) -> List.map (fun (f : F.t) -> f.F.checker) fs)
            runs)
     in
-    Buffer.add_string b
-      "{\n\
-      \  \"$schema\": \
-       \"https://json.schemastore.org/sarif-2.1.0.json\",\n\
-      \  \"version\": \"2.1.0\",\n\
-      \  \"runs\": [\n\
-      \    {\"tool\": {\"driver\": {\"name\": \"hftsim-lint\",\n\
-      \       \"informationUri\": \
-       \"https://example.invalid/hftsim\",\n\
-      \       \"rules\": [";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf
-             "\n         {\"id\": \"%s\", \"shortDescription\": {\"text\": \
-              \"%s checker\"}}"
-             (esc r) (esc r)))
-      rules;
-    Buffer.add_string b "\n       ]}},\n     \"results\": [";
-    let first = ref true in
-    List.iter
-      (fun (title, fs, _, _, _) ->
-        List.iter
-          (fun f ->
-            if not !first then Buffer.add_string b ",";
-            first := false;
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\n\
-                 \       {\"ruleId\": \"%s\", \"level\": \"%s\",\n\
-                 \        \"message\": {\"text\": \"%s [%s]\"},\n\
-                 \        \"locations\": [{\"physicalLocation\": \
-                  {\"artifactLocation\": {\"uri\": \"%s\"}, \"region\": \
-                  {\"startLine\": %d}}}]}"
-                 (esc f.Hft_analysis.Finding.checker)
-                 (level f)
-                 (esc f.Hft_analysis.Finding.message)
-                 (esc f.Hft_analysis.Finding.where)
-                 (esc title)
-                 (f.Hft_analysis.Finding.addr + 1)))
-          fs)
-      runs;
-    Buffer.add_string b "\n     ]}\n  ]\n}\n";
-    Buffer.contents b
+    let text t = J.Obj [ ("text", J.Str t) ] in
+    let rule r =
+      J.Obj [ ("id", J.Str r); ("shortDescription", text (r ^ " checker")) ]
+    in
+    let result title (f : F.t) =
+      let location =
+        J.Obj
+          [
+            ("artifactLocation", J.Obj [ ("uri", J.Str title) ]);
+            ("region", J.Obj [ ("startLine", J.int (f.F.addr + 1)) ]);
+          ]
+      in
+      J.Obj
+        [
+          ("ruleId", J.Str f.F.checker);
+          ("level", J.Str (level f));
+          ("message", text (f.F.message ^ " [" ^ f.F.where ^ "]"));
+          ("locations", J.Arr [ J.Obj [ ("physicalLocation", location) ] ]);
+        ]
+    in
+    let driver =
+      J.Obj
+        [
+          ("name", J.Str "hftsim-lint");
+          ("informationUri", J.Str "https://example.invalid/hftsim");
+          ("rules", J.Arr (List.map rule rules));
+        ]
+    in
+    let results =
+      List.concat_map (fun (title, fs, _, _, _) -> List.map (result title) fs) runs
+    in
+    J.Obj
+      [
+        ("$schema", J.Str "https://json.schemastore.org/sarif-2.1.0.json");
+        ("version", J.Str "2.1.0");
+        ( "runs",
+          J.Arr
+            [
+              J.Obj
+                [
+                  ("tool", J.Obj [ ("driver", driver) ]);
+                  ("results", J.Arr results);
+                ];
+            ] );
+      ]
   in
   (* A committed manifest-set baseline: certification must not regress
      for any image present in both sets.  New images are fine (they
      extend the baseline); a disappeared image is a regression. *)
   let baseline_regressions ~path runs =
-    let module J = Hft_obs.Json in
-    let module M = Hft_analysis.Manifest in
-    let ic = open_in path in
-    let doc =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> In_channel.input_all ic)
-    in
-    match J.parse doc with
+    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
     | Error e -> [ Printf.sprintf "baseline %s: parse error: %s" path e ]
     | Ok j ->
-      let entries =
-        match J.member "images" j |> Option.map J.to_list_opt with
-        | Some (Some l) -> l
-        | _ -> []
-      in
       let baseline =
         List.filter_map
           (fun e ->
             match
-              ( J.member "title" e |> Option.map J.to_string_opt,
-                J.member "manifest" e )
+              ( Option.bind (J.member "title" e) J.to_string_opt,
+                Option.map M.of_json (J.member "manifest" e) )
             with
-            | Some (Some title), Some mj -> (
-              match M.of_json mj with
-              | Ok m -> Some (title, m)
-              | Error _ -> None)
+            | Some title, Some (Ok m) -> Some (title, m)
             | _ -> None)
-          entries
+          (Option.value ~default:[]
+             (Option.bind (J.member "images" j) J.to_list_opt))
       in
       List.concat_map
         (fun (title, old) ->
@@ -1453,19 +1413,16 @@ let lint_cmd =
         baseline
   in
   let manifest_set_json runs =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\n  \"schema\": \"hftsim-manifest-set/1\",\n";
-    Buffer.add_string b "  \"images\": [";
-    List.iteri
-      (fun i (title, _, m, _, _) ->
-        if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf "\n    {\"title\": %S,\n     \"manifest\": %s}"
-             title
-             (Hft_analysis.Manifest.to_json m)))
-      runs;
-    Buffer.add_string b "\n  ]\n}\n";
-    Buffer.contents b
+    J.Obj
+      [
+        ("schema", J.Str "hftsim-manifest-set/1");
+        ( "images",
+          J.Arr
+            (List.map
+               (fun (title, _, m, _, _) ->
+                 J.Obj [ ("title", J.Str title); ("manifest", M.to_json m) ])
+               runs) );
+      ]
   in
   let action workload all image rewrite_el rewritten strict json sarif
       manifest manifest_out manifest_baseline =
@@ -1555,37 +1512,19 @@ let lint_cmd =
             | Some slack -> Hft_harness.Report.wcet_slack slack
             | None -> ()))
         runs;
-    (match sarif with
-    | Some "-" -> print_string (sarif_json runs)
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (sarif_json runs);
-      close_out oc;
-      Format.printf "wrote %s@." path
-    | None -> ());
-    (match json with
-    | Some "-" -> print_string (lint_json runs)
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (lint_json runs);
-      close_out oc;
-      Format.printf "wrote %s@." path
-    | None -> ());
-    (match manifest_out with
-    | None -> ()
-    | Some path ->
-      let doc =
-        match runs with
-        | [ (_, _, m, _, _) ] -> Hft_analysis.Manifest.to_json m ^ "\n"
-        | _ -> manifest_set_json runs
-      in
-      if path = "-" then print_string doc
-      else begin
-        let oc = open_out path in
-        output_string oc doc;
-        close_out oc;
-        if not quiet then Format.printf "wrote %s@." path
-      end);
+    let emit path doc =
+      write_json path doc;
+      if path <> "-" && not quiet then Format.printf "wrote %s@." path
+    in
+    Option.iter (fun path -> emit path (sarif_json runs)) sarif;
+    Option.iter (fun path -> emit path (lint_json runs)) json;
+    Option.iter
+      (fun path ->
+        emit path
+          (match runs with
+          | [ (_, _, m, _, _) ] -> M.to_json m
+          | _ -> manifest_set_json runs))
+      manifest_out;
     let regressions =
       match manifest_baseline with
       | None -> []
@@ -1901,25 +1840,18 @@ let check_cmd =
               scenarios
           in
           if not quiet then List.iter (fun (r, n) -> print_report r n) reports;
-          let json_text () =
-            match reports with
-            | [ (r, naive) ] -> Hft_check.Checker.to_json ?naive r
-            | _ ->
-              "[\n"
-              ^ String.concat ",\n"
-                  (List.map
-                     (fun (r, naive) -> Hft_check.Checker.to_json ?naive r)
-                     reports)
-              ^ "]\n"
-          in
-          (match json with
-          | Some "-" -> print_string (json_text ())
-          | Some path ->
-            let oc = open_out path in
-            output_string oc (json_text ());
-            close_out oc;
-            Format.printf "wrote %s@." path
-          | None -> ());
+          Option.iter
+            (fun path ->
+              write_json path
+                (match reports with
+                | [ (r, naive) ] -> Hft_check.Checker.to_json ?naive r
+                | _ ->
+                  Obs.Json.Arr
+                    (List.map
+                       (fun (r, naive) -> Hft_check.Checker.to_json ?naive r)
+                       reports));
+              if path <> "-" then Format.printf "wrote %s@." path)
+            json;
           let first_violation =
             List.find_map
               (fun (r, _) ->
@@ -2042,7 +1974,7 @@ let bench_cmd =
     Hft_harness.Bench_core.report b;
     (match json_path with
     | Some path ->
-      Hft_harness.Bench_core.write_json b path;
+      write_json path (Hft_harness.Bench_core.to_json b);
       Format.printf "wrote %s@." path
     | None -> ());
     let p =
@@ -2130,7 +2062,7 @@ let disasm_cmd =
       & info [ "embed-manifest" ]
           ~doc:
             "Analyze the image and embed its compilation manifest \
-             (hftsim-manifest/1) in the saved file's $(b,M) line, so \
+             (hftsim-manifest/2) in the saved file's $(b,M) line, so \
              loaders can validate it against the code before running.")
   in
   let translated_flag =
@@ -2176,8 +2108,9 @@ let disasm_cmd =
       let manifest =
         if embed_manifest then
           Some
-            (Hft_analysis.Manifest.to_json
-               (Hft_analysis.Manifest.of_program ~rewritten program))
+            (Obs.Json.to_string
+               (Hft_analysis.Manifest.to_json
+                  (Hft_analysis.Manifest.of_program ~rewritten program)))
         else None
       in
       Hft_machine.Image.save ?manifest ~path program;

@@ -12,8 +12,9 @@
 
 let save ~name program =
   let manifest =
-    Hft_analysis.Manifest.to_json
-      (Hft_analysis.Manifest.of_program ~rewritten:false program)
+    Hft_obs.Json.to_string
+      (Hft_analysis.Manifest.to_json
+         (Hft_analysis.Manifest.of_program ~rewritten:false program))
   in
   let path = Filename.concat "examples/images" name in
   Hft_machine.Image.save ~manifest ~path program;

@@ -421,79 +421,92 @@ let install_translation ?(hoist_loops = true) t ~deprivileged cpu =
 
 (* ---- JSON ---- *)
 
-let buf_add_json_certs b certs =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%S" (cert_name c)))
-    certs;
-  Buffer.add_char b ']'
-
-let jopt_int = function Some n -> string_of_int n | None -> "null"
-let jint_array l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+module J = Hft_obs.Json
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":%S,\"image_hash\":\"0x%x\",\"instructions\":%d,\
-        \"rewritten\":%b,\"random_tlb\":%b,\"mmio_base\":%d,\
-        \"fixpoint_iterations\":%d,\"jr\":{\"sites\":%d,\"unresolved\":%d,\
-        \"resolved_by_vsa\":%d},\"certified_blocks\":%d,\
-        \"certified_superblocks\":%d,\"static_coverage\":%.4f,\"loops\":%d,\
-        \"bounded_loops\":%d,\"loop_bound_coverage\":%.4f,\"blocks\":["
-       schema t.image_hash t.instructions t.rewritten t.random_tlb t.mmio_base
-       t.fixpoint_iterations t.jr_sites t.jr_unresolved t.jr_resolved_by_vsa
-       (certified_blocks t) (certified_superblocks t) (static_coverage t)
-       (loop_count t) (bounded_loops t) (loop_bound_coverage t));
-  List.iteri
-    (fun i blk ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"leader\":%d,\"len\":%d,\"region\":%d,\"certs\":"
-           blk.leader blk.len blk.region);
-      buf_add_json_certs b blk.certs;
-      Buffer.add_char b '}')
-    t.blocks;
-  Buffer.add_string b "],\"superblocks\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":%d,\"head\":%d,\"bound\":%s,\"wcet\":%s,\"certified\":%b,\
-            \"blocks\":[%s]}"
-           s.sid s.head (jopt_int s.bound) (jopt_int s.wcet) s.certified
-           (String.concat "," (List.map string_of_int s.members))))
-    t.superblocks;
-  Buffer.add_string b "],\"loop_info\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"header\":%d,\"latches\":%s,\"blocks\":%s,\"bound\":%s,\
-            \"body_cost\":%s,\"wcet\":%s,\"witness\":%s}"
-           l.l_header (jint_array l.l_latches) (jint_array l.l_blocks)
-           (jopt_int l.l_bound) (jopt_int l.l_body_cost) (jopt_int l.l_wcet)
-           (jint_array l.l_witness)))
-    t.loops;
-  Buffer.add_string b "],\"functions\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"entry\":%d,\"cost\":%s}" f.f_entry
-           (match f.f_cost with
-           | Wcet.Fwcet c -> string_of_int c
-           | Wcet.Frecursive -> "\"recursive\""
-           | Wcet.Funbounded -> "\"unbounded\"")))
-    t.functions;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let ints l = J.Arr (List.map J.int l) in
+  let opt = function Some n -> J.int n | None -> J.Null in
+  J.Obj
+    [
+      ("schema", J.Str schema);
+      ("image_hash", J.Str (Printf.sprintf "0x%x" t.image_hash));
+      ("instructions", J.int t.instructions);
+      ("rewritten", J.Bool t.rewritten);
+      ("random_tlb", J.Bool t.random_tlb);
+      ("mmio_base", J.int t.mmio_base);
+      ("fixpoint_iterations", J.int t.fixpoint_iterations);
+      ( "jr",
+        J.Obj
+          [
+            ("sites", J.int t.jr_sites);
+            ("unresolved", J.int t.jr_unresolved);
+            ("resolved_by_vsa", J.int t.jr_resolved_by_vsa);
+          ] );
+      ("certified_blocks", J.int (certified_blocks t));
+      ("certified_superblocks", J.int (certified_superblocks t));
+      ("static_coverage", J.fixed 4 (static_coverage t));
+      ("loops", J.int (loop_count t));
+      ("bounded_loops", J.int (bounded_loops t));
+      ("loop_bound_coverage", J.fixed 4 (loop_bound_coverage t));
+      ( "blocks",
+        J.Arr
+          (List.map
+             (fun blk ->
+               J.Obj
+                 [
+                   ("leader", J.int blk.leader);
+                   ("len", J.int blk.len);
+                   ("region", J.int blk.region);
+                   ( "certs",
+                     J.Arr (List.map (fun c -> J.Str (cert_name c)) blk.certs)
+                   );
+                 ])
+             t.blocks) );
+      ( "superblocks",
+        J.Arr
+          (List.map
+             (fun s ->
+               J.Obj
+                 [
+                   ("id", J.int s.sid);
+                   ("head", J.int s.head);
+                   ("bound", opt s.bound);
+                   ("wcet", opt s.wcet);
+                   ("certified", J.Bool s.certified);
+                   ("blocks", ints s.members);
+                 ])
+             t.superblocks) );
+      ( "loop_info",
+        J.Arr
+          (List.map
+             (fun l ->
+               J.Obj
+                 [
+                   ("header", J.int l.l_header);
+                   ("latches", ints l.l_latches);
+                   ("blocks", ints l.l_blocks);
+                   ("bound", opt l.l_bound);
+                   ("body_cost", opt l.l_body_cost);
+                   ("wcet", opt l.l_wcet);
+                   ("witness", ints l.l_witness);
+                 ])
+             t.loops) );
+      ( "functions",
+        J.Arr
+          (List.map
+             (fun f ->
+               J.Obj
+                 [
+                   ("entry", J.int f.f_entry);
+                   ( "cost",
+                     match f.f_cost with
+                     | Wcet.Fwcet c -> J.int c
+                     | Wcet.Frecursive -> J.Str "recursive"
+                     | Wcet.Funbounded -> J.Str "unbounded" );
+                 ])
+             t.functions) );
+    ]
 
-module J = Hft_obs.Json
 
 let ( let* ) = Result.bind
 
@@ -507,26 +520,29 @@ let jbool name j =
   | Some (J.Bool v) -> Ok v
   | _ -> Error (Printf.sprintf "manifest: missing bool %S" name)
 
-let jlist name j =
-  match Option.bind (J.member name j) J.to_list_opt with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "manifest: missing array %S" name)
+let jopt name j = Option.map int_of_float (Option.bind (J.member name j) J.to_float_opt)
 
-let jopt name j =
-  match Option.bind (J.member name j) J.to_float_opt with
-  | Some f -> Some (int_of_float f)
-  | None -> None
+(* [f] over each element of the array field [name], in order, stopping
+   at the first error. *)
+let jmap f name j =
+  match Option.bind (J.member name j) J.to_list_opt with
+  | None -> Error (Printf.sprintf "manifest: missing array %S" name)
+  | Some l ->
+    List.fold_left
+      (fun acc e ->
+        let* acc = acc in
+        let* x = f e in
+        Ok (x :: acc))
+      (Ok []) l
+    |> Result.map List.rev
 
 let jints name j =
-  let* l = jlist name j in
-  List.fold_left
-    (fun acc e ->
-      let* acc = acc in
+  jmap
+    (fun e ->
       match J.to_float_opt e with
-      | Some f -> Ok (int_of_float f :: acc)
+      | Some f -> Ok (int_of_float f)
       | None -> Error (Printf.sprintf "manifest: %S element is not a number" name))
-    (Ok []) l
-  |> Result.map List.rev
+    name j
 
 let of_json j =
   let* s =
@@ -559,87 +575,74 @@ let of_json j =
   let* jr_sites = jint "sites" jr in
   let* jr_unresolved = jint "unresolved" jr in
   let* jr_resolved_by_vsa = jint "resolved_by_vsa" jr in
-  let* bl = jlist "blocks" j in
   let* blocks =
-    List.fold_left
-      (fun acc bj ->
-        let* acc = acc in
+    jmap
+      (fun bj ->
         let* leader = jint "leader" bj in
         let* len = jint "len" bj in
         let* region = jint "region" bj in
-        let* cl = jlist "certs" bj in
         let* certs =
-          List.fold_left
-            (fun acc cj ->
-              let* acc = acc in
+          jmap
+            (fun cj ->
               match J.to_string_opt cj with
-              | Some s ->
-                let* c = cert_of_name s in
-                Ok (c :: acc)
+              | Some s -> cert_of_name s
               | None -> Error "manifest: certificate is not a string")
-            (Ok []) cl
+            "certs" bj
         in
-        Ok ({ leader; len; region; certs = List.rev certs } :: acc))
-      (Ok []) bl
+        Ok { leader; len; region; certs })
+      "blocks" j
   in
-  let* sl = jlist "superblocks" j in
   let* superblocks =
-    List.fold_left
-      (fun acc sj ->
-        let* acc = acc in
+    jmap
+      (fun sj ->
         let* sid = jint "id" sj in
         let* head = jint "head" sj in
         let* certified = jbool "certified" sj in
-        let bound =
-          match Option.bind (J.member "bound" sj) J.to_float_opt with
-          | Some f -> Some (int_of_float f)
-          | None -> None
-        in
-        let wcet = jopt "wcet" sj in
         let* members = jints "blocks" sj in
-        Ok ({ sid; head; certified; bound; wcet; members } :: acc))
-      (Ok []) sl
+        Ok
+          {
+            sid;
+            head;
+            certified;
+            bound = jopt "bound" sj;
+            wcet = jopt "wcet" sj;
+            members;
+          })
+      "superblocks" j
   in
-  let* ll = jlist "loop_info" j in
   let* loops =
-    List.fold_left
-      (fun acc lj ->
-        let* acc = acc in
+    jmap
+      (fun lj ->
         let* l_header = jint "header" lj in
         let* l_latches = jints "latches" lj in
         let* l_blocks = jints "blocks" lj in
         let* l_witness = jints "witness" lj in
         Ok
-          ({
-             l_header;
-             l_latches;
-             l_blocks;
-             l_bound = jopt "bound" lj;
-             l_body_cost = jopt "body_cost" lj;
-             l_wcet = jopt "wcet" lj;
-             l_witness;
-           }
-          :: acc))
-      (Ok []) ll
+          {
+            l_header;
+            l_latches;
+            l_blocks;
+            l_bound = jopt "bound" lj;
+            l_body_cost = jopt "body_cost" lj;
+            l_wcet = jopt "wcet" lj;
+            l_witness;
+          })
+      "loop_info" j
   in
-  let* fl = jlist "functions" j in
   let* functions =
-    List.fold_left
-      (fun acc fj ->
-        let* acc = acc in
+    jmap
+      (fun fj ->
         let* f_entry = jint "entry" fj in
         let* f_cost =
           match J.member "cost" fj with
           | Some (J.Str "recursive") -> Ok Wcet.Frecursive
           | Some (J.Str "unbounded") -> Ok Wcet.Funbounded
-          | Some c -> (
-            match J.to_float_opt c with
-            | Some f -> Ok (Wcet.Fwcet (int_of_float f))
-            | None -> Error "manifest: bad function cost")
+          | Some (J.Num f) -> Ok (Wcet.Fwcet (int_of_float f))
+          | Some _ -> Error "manifest: bad function cost"
           | None -> Error "manifest: missing function cost"
         in
-        Ok ({ f_entry; f_cost } :: acc))
-      (Ok []) fl
+        Ok { f_entry; f_cost })
+      "functions" j
   in
   Ok
     {
@@ -648,10 +651,10 @@ let of_json j =
       rewritten;
       random_tlb;
       mmio_base;
-      blocks = List.rev blocks;
-      superblocks = List.rev superblocks;
-      loops = List.rev loops;
-      functions = List.rev functions;
+      blocks;
+      superblocks;
+      loops;
+      functions;
       fixpoint_iterations;
       jr_sites;
       jr_unresolved;

@@ -160,7 +160,11 @@ val static_coverage : t -> float
 val cert_name : cert -> string
 val cert_of_name : string -> (cert, string) result
 
-val to_json : t -> string
+val to_json : t -> Hft_obs.Json.t
+(** The [hftsim-manifest/2] document; its compact form is the image's
+    embedded [M] line.  Coverage ratios are rounded to 4 decimals, so
+    [to_json] of [of_json j] gives back a committed [j]. *)
+
 val of_json : Hft_obs.Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 

@@ -628,71 +628,71 @@ let replay ?obs (s : Schedule.t) =
          ~choices:s.Schedule.choices ())
 
 (* ------------------------------------------------------------------ *)
-(* JSON report ("hftsim-check/1"), hand-rolled like bench_core         *)
+(* JSON report ("hftsim-check/1")                                       *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_int_opt = function None -> "null" | Some i -> string_of_int i
-
-let json_ints l =
-  "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+module J = Hft_obs.Json
 
 let stats_json st =
-  Printf.sprintf
-    "{\"runs\":%d,\"states\":%d,\"transitions\":%d,\"pruned_visited\":%d,\"sleep_skipped\":%d,\"sleep_pruned\":%d,\"truncated_runs\":%d,\"max_depth\":%d}"
-    st.runs st.states st.transitions st.pruned_visited st.sleep_skipped
-    st.sleep_pruned st.truncated_runs st.max_depth
+  J.Obj
+    [
+      ("runs", J.int st.runs);
+      ("states", J.int st.states);
+      ("transitions", J.int st.transitions);
+      ("pruned_visited", J.int st.pruned_visited);
+      ("sleep_skipped", J.int st.sleep_skipped);
+      ("sleep_pruned", J.int st.sleep_pruned);
+      ("truncated_runs", J.int st.truncated_runs);
+      ("max_depth", J.int st.max_depth);
+    ]
 
 let to_json ?naive (r : result) =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"hftsim-check/1\",\n";
-  add "  \"scenario\": \"%s\",\n"
-    (json_escape r.r_scenario.Scenarios.sc_name);
-  add "  \"descr\": \"%s\",\n" (json_escape r.r_scenario.Scenarios.sc_descr);
-  add "  \"variant\": {\"retransmit\": %b, \"ack_wait\": %b},\n"
-    r.r_variant.Scenarios.retransmit r.r_variant.Scenarios.ack_wait;
-  add
-    "  \"options\": {\"depth\": %s, \"max_states\": %s, \"dpor\": %b, \
-     \"fingerprints\": %b},\n"
-    (json_int_opt r.r_options.depth)
-    (json_int_opt r.r_options.max_states)
-    r.r_options.dpor r.r_options.fingerprints;
-  add "  \"stats\": %s,\n" (stats_json r.r_stats);
-  add "  \"complete\": %b,\n" r.r_complete;
-  (match naive with
-  | Some n ->
-    add "  \"naive\": %s,\n" (stats_json n);
-    let factor =
-      if r.r_stats.states > 0 then
-        float_of_int n.states /. float_of_int r.r_stats.states
-      else 0.
-    in
-    add "  \"reduction_factor\": %.2f,\n" factor
-  | None -> ());
-  add "  \"violations\": [";
-  List.iteri
-    (fun i v ->
-      if i > 0 then add ",";
-      add
-        "\n    {\"reason\": \"%s\", \"roots\": %s, \"choices\": %s, \
-         \"shrunk\": %b}"
-        (json_escape v.v_reason) (json_ints v.v_roots) (json_ints v.v_choices)
-        v.v_shrunk)
-    r.r_violations;
-  if r.r_violations <> [] then add "\n  ";
-  add "]\n}\n";
-  Buffer.contents b
+  let int_opt = function None -> J.Null | Some i -> J.int i in
+  let ints l = J.Arr (List.map J.int l) in
+  let naive_fields =
+    match naive with
+    | Some n ->
+      let factor =
+        if r.r_stats.states > 0 then
+          float_of_int n.states /. float_of_int r.r_stats.states
+        else 0.
+      in
+      [ ("naive", stats_json n); ("reduction_factor", J.fixed 2 factor) ]
+    | None -> []
+  in
+  J.Obj
+    ([
+       ("schema", J.Str "hftsim-check/1");
+       ("scenario", J.Str r.r_scenario.Scenarios.sc_name);
+       ("descr", J.Str r.r_scenario.Scenarios.sc_descr);
+       ( "variant",
+         J.Obj
+           [
+             ("retransmit", J.Bool r.r_variant.Scenarios.retransmit);
+             ("ack_wait", J.Bool r.r_variant.Scenarios.ack_wait);
+           ] );
+       ( "options",
+         J.Obj
+           [
+             ("depth", int_opt r.r_options.depth);
+             ("max_states", int_opt r.r_options.max_states);
+             ("dpor", J.Bool r.r_options.dpor);
+             ("fingerprints", J.Bool r.r_options.fingerprints);
+           ] );
+       ("stats", stats_json r.r_stats);
+       ("complete", J.Bool r.r_complete);
+     ]
+    @ naive_fields
+    @ [
+        ( "violations",
+          J.Arr
+            (List.map
+               (fun v ->
+                 J.Obj
+                   [
+                     ("reason", J.Str v.v_reason);
+                     ("roots", ints v.v_roots);
+                     ("choices", ints v.v_choices);
+                     ("shrunk", J.Bool v.v_shrunk);
+                   ])
+               r.r_violations) );
+      ])

@@ -86,7 +86,7 @@ val replay : ?obs:Hft_obs.Recorder.t -> Schedule.t -> (string option, string) St
 
 val schedule_of_violation : result -> violation -> Schedule.t
 
-val to_json : ?naive:stats -> result -> string
+val to_json : ?naive:stats -> result -> Hft_obs.Json.t
 (** The ["hftsim-check/1"] report.  [naive] embeds a second,
     reduction-free exploration's stats and the resulting
     [reduction_factor] (naive states / DPOR states). *)

@@ -555,80 +555,82 @@ let run ?(quick = false) () =
 
 let point t el = List.find_opt (fun p -> p.el = el) t.epoch_points
 
-(* Hand-rolled JSON: the repo deliberately has no JSON dependency. *)
-let to_json t =
-  let b = Buffer.create 1024 in
-  let f = Printf.bprintf in
-  f b "{\n";
-  f b "  \"schema\": \"hftsim-bench-core/5\",\n";
-  f b "  \"quick\": %b,\n" t.quick;
-  f b "  \"interpreter\": { \"instrs_per_sec\": %.4e },\n" t.instrs_per_sec;
-  f b "  \"epoch_boundaries\": [\n";
-  List.iteri
-    (fun i p ->
-      f b "    { \"el\": %d,\n" p.el;
-      f b "      \"no_hash_boundaries_per_sec\": %.4e,\n" p.no_hash_per_sec;
-      f b "      \"incremental_boundaries_per_sec\": %.4e,\n"
-        p.incremental_per_sec;
-      f b "      \"full_rehash_boundaries_per_sec\": %.4e,\n"
-        p.full_rehash_per_sec;
-      f b "      \"no_hash_ns_per_epoch\": %.1f,\n" p.no_hash_ns;
-      f b "      \"incremental_ns_per_epoch\": %.1f,\n" p.incremental_ns;
-      f b "      \"full_rehash_ns_per_epoch\": %.1f,\n" p.full_rehash_ns;
-      f b "      \"incremental_speedup_over_full\": %.2f,\n" p.speedup;
-      f b "      \"hash_overhead_over_no_hash\": %.2f }%s\n" p.hash_overhead
-        (if i = List.length t.epoch_points - 1 then "" else ","))
-    t.epoch_points;
-  f b "  ],\n";
-  f b "  \"manifest\": { \"certified_superblocks\": %d,\n"
-    t.certified_superblocks;
-  f b "                 \"static_coverage\": %.4f,\n" t.static_coverage;
-  f b "                 \"certified_coverage\": %.4f,\n" t.certified_coverage;
-  f b "                 \"validated_instrs_per_sec\": %.4e,\n"
-    t.validated_instrs_per_sec;
-  f b "                 \"validator_overhead\": %.4f },\n" t.validator_overhead;
-  f b "  \"translation\": { \"translate_us\": %.1f,\n" t.translate_us;
-  f b "                    \"translated_blocks\": %d,\n" t.translated_blocks;
-  f b "                    \"fused_superinstructions\": %d,\n"
-    t.fused_superinstructions;
-  f b "                    \"threaded_instrs_per_sec\": %.4e,\n"
-    t.threaded_instrs_per_sec;
-  f b "                    \"threaded_speedup\": %.2f,\n" t.threaded_speedup;
-  f b "                    \"threaded_fraction\": %.4f,\n" t.threaded_fraction;
-  f b "                    \"digest_match\": %b },\n" t.digest_match;
-  f b "  \"loop_workload\": { \"loop_bound_coverage\": %.4f,\n"
-    t.loop_bound_coverage;
-  f b "                      \"hoisted_loops\": %d,\n" t.hoisted_loops;
-  f b "                      \"interp_instrs_per_sec\": %.4e,\n"
-    t.loop_interp_per_sec;
-  f b "                      \"threaded_instrs_per_sec\": %.4e,\n"
-    t.loop_threaded_per_sec;
-  f b "                      \"hoisted_instrs_per_sec\": %.4e,\n"
-    t.loop_hoisted_per_sec;
-  f b "                      \"loop_hoist_speedup\": %.2f,\n"
-    t.loop_hoist_speedup;
-  f b "                      \"digest_match\": %b },\n" t.loop_digest_match;
-  f b "  \"observability\": { \"metrics_epochs_per_sec\": %.4e,\n"
-    t.metrics_epochs_per_sec;
-  f b "                      \"metrics_overhead\": %.4f,\n" t.metrics_overhead;
-  f b "                      \"profiled_instrs_per_sec\": %.4e,\n"
-    t.profiled_instrs_per_sec;
-  f b "                      \"profiler_overhead\": %.4f,\n" t.profiler_overhead;
-  f b "                      \"threaded_profiled_instrs_per_sec\": %.4e,\n"
-    t.threaded_profiled_instrs_per_sec;
-  f b "                      \"profiler_threaded_overhead\": %.4f,\n"
-    t.profiler_threaded_overhead;
-  f b "                      \"profile_totals_match\": %b },\n"
-    t.profile_totals_match;
-  f b "  \"snapshot\": { \"first_bytes\": %d, \"delta_bytes\": %d }\n"
-    t.snapshot_first_bytes t.snapshot_delta_bytes;
-  f b "}\n";
-  Buffer.contents b
+module J = Hft_obs.Json
 
-let write_json t path =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  close_out oc
+let to_json t =
+  let e = J.significant 5 and f = J.fixed in
+  J.Obj
+    [
+      ("schema", J.Str "hftsim-bench-core/5");
+      ("quick", J.Bool t.quick);
+      ("interpreter", J.Obj [ ("instrs_per_sec", e t.instrs_per_sec) ]);
+      ( "epoch_boundaries",
+        J.Arr
+          (List.map
+             (fun p ->
+               J.Obj
+                 [
+                   ("el", J.int p.el);
+                   ("no_hash_boundaries_per_sec", e p.no_hash_per_sec);
+                   ("incremental_boundaries_per_sec", e p.incremental_per_sec);
+                   ("full_rehash_boundaries_per_sec", e p.full_rehash_per_sec);
+                   ("no_hash_ns_per_epoch", f 1 p.no_hash_ns);
+                   ("incremental_ns_per_epoch", f 1 p.incremental_ns);
+                   ("full_rehash_ns_per_epoch", f 1 p.full_rehash_ns);
+                   ("incremental_speedup_over_full", f 2 p.speedup);
+                   ("hash_overhead_over_no_hash", f 2 p.hash_overhead);
+                 ])
+             t.epoch_points) );
+      ( "manifest",
+        J.Obj
+          [
+            ("certified_superblocks", J.int t.certified_superblocks);
+            ("static_coverage", f 4 t.static_coverage);
+            ("certified_coverage", f 4 t.certified_coverage);
+            ("validated_instrs_per_sec", e t.validated_instrs_per_sec);
+            ("validator_overhead", f 4 t.validator_overhead);
+          ] );
+      ( "translation",
+        J.Obj
+          [
+            ("translate_us", f 1 t.translate_us);
+            ("translated_blocks", J.int t.translated_blocks);
+            ("fused_superinstructions", J.int t.fused_superinstructions);
+            ("threaded_instrs_per_sec", e t.threaded_instrs_per_sec);
+            ("threaded_speedup", f 2 t.threaded_speedup);
+            ("threaded_fraction", f 4 t.threaded_fraction);
+            ("digest_match", J.Bool t.digest_match);
+          ] );
+      ( "loop_workload",
+        J.Obj
+          [
+            ("loop_bound_coverage", f 4 t.loop_bound_coverage);
+            ("hoisted_loops", J.int t.hoisted_loops);
+            ("interp_instrs_per_sec", e t.loop_interp_per_sec);
+            ("threaded_instrs_per_sec", e t.loop_threaded_per_sec);
+            ("hoisted_instrs_per_sec", e t.loop_hoisted_per_sec);
+            ("loop_hoist_speedup", f 2 t.loop_hoist_speedup);
+            ("digest_match", J.Bool t.loop_digest_match);
+          ] );
+      ( "observability",
+        J.Obj
+          [
+            ("metrics_epochs_per_sec", e t.metrics_epochs_per_sec);
+            ("metrics_overhead", f 4 t.metrics_overhead);
+            ("profiled_instrs_per_sec", e t.profiled_instrs_per_sec);
+            ("profiler_overhead", f 4 t.profiler_overhead);
+            ( "threaded_profiled_instrs_per_sec",
+              e t.threaded_profiled_instrs_per_sec );
+            ("profiler_threaded_overhead", f 4 t.profiler_threaded_overhead);
+            ("profile_totals_match", J.Bool t.profile_totals_match);
+          ] );
+      ( "snapshot",
+        J.Obj
+          [
+            ("first_bytes", J.int t.snapshot_first_bytes);
+            ("delta_bytes", J.int t.snapshot_delta_bytes);
+          ] );
+    ]
 
 let report ?out t =
   Report.table ?out ~title:"host-side performance (this machine)"

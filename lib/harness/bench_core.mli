@@ -4,8 +4,7 @@
     time — this module measures how fast the simulator itself runs on
     the host: interpreter instructions/sec, epoch boundaries/sec with
     incremental (dirty-page), full-rehash, and no lockstep hashing,
-    and snapshot bytes copied.  [hftsim bench] and [bench/baseline.ml]
-    wrap it; the numbers are persisted in [BENCH_core.json] so later
+    and snapshot bytes copied.  [hftsim bench] wraps it; the numbers are persisted in [BENCH_core.json] so later
     changes can show their speedup or regression against this PR's
     trajectory. *)
 
@@ -117,9 +116,8 @@ val run : ?quick:bool -> unit -> t
 val point : t -> int -> epoch_point option
 (** The measurement at a given epoch length, if it was taken. *)
 
-val to_json : t -> string
-
-val write_json : t -> string -> unit
+val to_json : t -> Hft_obs.Json.t
+(** The [hftsim-bench-core/5] document ([hftsim bench --json]). *)
 
 val report : ?out:Format.formatter -> t -> unit
 (** Human-readable rendering via {!Report.table}. *)

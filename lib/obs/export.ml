@@ -2,23 +2,28 @@ open Hft_sim
 
 (* ---------- shared emission helpers ---------- *)
 
-let ts_us ns = float ns /. 1_000.0
+let ts_us ns = Json.Num (float ns /. 1_000.0)
 
-let field_value = function
-  | Event.Int i -> string_of_int i
-  | Event.Bool b -> if b then "true" else "false"
-  | Event.Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
+let args ev =
+  Json.Obj
+    (List.map
+       (fun (k, v) ->
+         ( k,
+           match v with
+           | Event.Int i -> Json.int i
+           | Event.Bool b -> Json.Bool b
+           | Event.Str s -> Json.Str s ))
+       (Event.fields ev))
 
-let args_json ev =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%s" (Json.escape k) (field_value v))
-    (Event.fields ev);
-  Buffer.add_char b '}';
-  Buffer.contents b
+let hist_fields cat h =
+  [
+    ("cat", Json.Str cat);
+    ("count", Json.int (Hist.count h));
+    ("p50_us", Json.fixed 3 (Hist.p50_us h));
+    ("p95_us", Json.fixed 3 (Hist.p95_us h));
+    ("p99_us", Json.fixed 3 (Hist.p99_us h));
+    ("max_us", Json.fixed 3 (Hist.max_us h));
+  ]
 
 (* ---------- Chrome trace-event JSON (Perfetto) ---------- *)
 
@@ -75,103 +80,106 @@ let chrome entries =
     | Some pt -> pt
     | None -> (3, 99 * 8) (* a span source with no instant events *)
   in
-  let b = Buffer.create (1 lsl 16) in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n"
+  let ev ph ~pid ~tid fields =
+    Json.Obj
+      ([ ("ph", Json.Str ph); ("pid", Json.int pid) ]
+      @ (match tid with Some t -> [ ("tid", Json.int t) ] | None -> [])
+      @ fields)
   in
   let meta ~pid ?tid name value =
-    sep ();
-    (match tid with
-    | None ->
-      Printf.bprintf b
-        "{\"ph\":\"M\",\"pid\":%d,\"name\":\"%s\",\"args\":{\"name\":\"%s\"}}"
-        pid name (Json.escape value)
-    | Some tid ->
-      Printf.bprintf b
-        "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"args\":{\"name\":\"%s\"}}"
-        pid tid name (Json.escape value))
+    ev "M" ~pid ~tid
+      [ ("name", Json.Str name); ("args", Json.Obj [ ("name", Json.Str value) ]) ]
   in
   (* process names *)
   let pids = Hashtbl.create 4 in
   Hashtbl.iter (fun _ (pid, _) -> Hashtbl.replace pids pid ()) tracks;
-  List.iter
-    (fun (pid, name) ->
-      if Hashtbl.mem pids pid then meta ~pid "process_name" name)
-    [ (1, "hftsim replicas"); (2, "hftsim channels"); (3, "hftsim devices") ];
+  let process_names =
+    List.filter_map
+      (fun (pid, name) ->
+        if Hashtbl.mem pids pid then Some (meta ~pid "process_name" name)
+        else None)
+      [ (1, "hftsim replicas"); (2, "hftsim channels"); (3, "hftsim devices") ]
+  in
   (* base thread names *)
-  Hashtbl.iter
-    (fun src (pid, tid) -> meta ~pid ~tid "thread_name" src)
-    tracks;
+  let thread_names =
+    Hashtbl.fold
+      (fun src (pid, tid) acc -> meta ~pid ~tid "thread_name" src :: acc)
+      tracks []
+    |> List.rev
+  in
   (* lane thread names, for the lanes actually used *)
   let lanes_named = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Span.t) ->
-      match lane_of_cat s.cat with
-      | Some lane ->
-        let pid, base = track s.source in
-        let tid = base + lane in
-        if not (Hashtbl.mem lanes_named (pid, tid)) then begin
-          Hashtbl.replace lanes_named (pid, tid) ();
-          meta ~pid ~tid "thread_name" (s.source ^ "/" ^ s.cat)
-        end
-      | None -> ())
-    spans;
+  let lane_names =
+    List.filter_map
+      (fun (s : Span.t) ->
+        match lane_of_cat s.cat with
+        | Some lane ->
+          let pid, base = track s.source in
+          let tid = base + lane in
+          if Hashtbl.mem lanes_named (pid, tid) then None
+          else begin
+            Hashtbl.replace lanes_named (pid, tid) ();
+            Some (meta ~pid ~tid "thread_name" (s.source ^ "/" ^ s.cat))
+          end
+        | None -> None)
+      spans
+  in
+  let instant ~pid ~tid t0 name cat rest =
+    ev "i" ~pid ~tid:(Some tid)
+      ([
+         ("ts", ts_us t0);
+         ("s", Json.Str "t");
+         ("name", Json.Str name);
+         ("cat", Json.Str cat);
+       ]
+      @ rest)
+  in
   (* instant events: one per recorded entry *)
-  List.iter
-    (fun { Recorder.time; source; ev } ->
-      let pid, tid = track source in
-      sep ();
-      Printf.bprintf b
-        "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"event\",\"args\":%s}"
-        pid tid
-        (ts_us (Time.to_ns time))
-        (Json.escape (Event.tag ev))
-        (args_json ev))
-    entries;
+  let instants =
+    List.map
+      (fun { Recorder.time; source; ev } ->
+        let pid, tid = track source in
+        instant ~pid ~tid (Time.to_ns time) (Event.tag ev) "event"
+          [ ("args", args ev) ])
+      entries
+  in
   (* spans *)
   let async_id = ref 0 in
-  List.iter
-    (fun (s : Span.t) ->
-      let pid, base = track s.source in
-      match (s.t1, lane_of_cat s.cat) with
-      | Some t1, Some lane ->
-        sep ();
-        Printf.bprintf b
-          "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"%s\"}"
-          pid (base + lane)
-          (ts_us (Time.to_ns s.t0))
-          (ts_us (Time.to_ns (Time.diff t1 s.t0)))
-          (Json.escape s.label) s.cat
-      | Some t1, None ->
-        incr async_id;
-        let id = !async_id in
-        sep ();
-        Printf.bprintf b
-          "{\"ph\":\"b\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":\"0x%x\",\"name\":\"%s\",\"cat\":\"%s\"}"
-          pid base
-          (ts_us (Time.to_ns s.t0))
-          id (Json.escape s.label) s.cat;
-        sep ();
-        Printf.bprintf b
-          "{\"ph\":\"e\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":\"0x%x\",\"name\":\"%s\",\"cat\":\"%s\"}"
-          pid base
-          (ts_us (Time.to_ns t1))
-          id (Json.escape s.label) s.cat
-      | None, lane ->
-        (* unclosed: a marker, not a slice *)
-        let tid = match lane with Some l -> base + l | None -> base in
-        sep ();
-        Printf.bprintf b
-          "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"%s\"}"
-          pid tid
-          (ts_us (Time.to_ns s.t0))
-          (Json.escape ("open: " ^ s.label))
-          s.cat)
-    spans;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let span_events =
+    List.concat_map
+      (fun (s : Span.t) ->
+        let pid, base = track s.source in
+        let named ph ~tid t rest =
+          ev ph ~pid ~tid:(Some tid)
+            ((("ts", ts_us (Time.to_ns t)) :: rest)
+            @ [ ("name", Json.Str s.label); ("cat", Json.Str s.cat) ])
+        in
+        match (s.t1, lane_of_cat s.cat) with
+        | Some t1, Some lane ->
+          [
+            named "X" ~tid:(base + lane) s.t0
+              [ ("dur", ts_us (Time.to_ns (Time.diff t1 s.t0))) ];
+          ]
+        | Some t1, None ->
+          incr async_id;
+          let id = ("id", Json.Str (Printf.sprintf "0x%x" !async_id)) in
+          [ named "b" ~tid:base s.t0 [ id ]; named "e" ~tid:base t1 [ id ] ]
+        | None, lane ->
+          (* unclosed: a marker, not a slice *)
+          let tid = match lane with Some l -> base + l | None -> base in
+          [
+            instant ~pid ~tid (Time.to_ns s.t0) ("open: " ^ s.label) s.cat [];
+          ])
+      spans
+  in
+  Json.Obj
+    [
+      ("displayTimeUnit", Json.Str "ms");
+      ( "traceEvents",
+        Json.Arr
+          (process_names @ thread_names @ lane_names @ instants @ span_events)
+      );
+    ]
 
 (* ---------- hftsim-trace/1 JSONL ---------- *)
 
@@ -181,42 +189,49 @@ let metrics_schema = "hftsim-metrics/2"
 let jsonl ?(dropped = 0) entries =
   let spans = Span.of_entries entries in
   let hists = Span.histograms spans in
-  let b = Buffer.create (1 lsl 16) in
-  Printf.bprintf b
-    "{\"schema\":\"%s\",\"kind\":\"header\",\"events\":%d,\"spans\":%d,\"hists\":%d,\"dropped\":%d}\n"
-    schema (List.length entries) (List.length spans) (List.length hists)
-    dropped;
-  List.iter
-    (fun { Recorder.time; source; ev } ->
-      Printf.bprintf b
-        "{\"kind\":\"event\",\"t_ns\":%d,\"src\":\"%s\",\"ev\":\"%s\",\"args\":%s}\n"
-        (Time.to_ns time) (Json.escape source)
-        (Json.escape (Event.tag ev))
-        (args_json ev))
-    entries;
-  List.iter
-    (fun (s : Span.t) ->
+  let header =
+    Json.Obj
+      [
+        ("schema", Json.Str schema);
+        ("kind", Json.Str "header");
+        ("events", Json.int (List.length entries));
+        ("spans", Json.int (List.length spans));
+        ("hists", Json.int (List.length hists));
+        ("dropped", Json.int dropped);
+      ]
+  in
+  let event { Recorder.time; source; ev } =
+    Json.Obj
+      [
+        ("kind", Json.Str "event");
+        ("t_ns", Json.int (Time.to_ns time));
+        ("src", Json.Str source);
+        ("ev", Json.Str (Event.tag ev));
+        ("args", args ev);
+      ]
+  in
+  let span (s : Span.t) =
+    let ns t = Json.int (Time.to_ns t) in
+    let t1, dur =
       match s.t1 with
-      | Some t1 ->
-        Printf.bprintf b
-          "{\"kind\":\"span\",\"cat\":\"%s\",\"src\":\"%s\",\"label\":\"%s\",\"t0_ns\":%d,\"t1_ns\":%d,\"dur_ns\":%d}\n"
-          s.cat (Json.escape s.source) (Json.escape s.label)
-          (Time.to_ns s.t0) (Time.to_ns t1)
-          (Time.to_ns (Time.diff t1 s.t0))
-      | None ->
-        Printf.bprintf b
-          "{\"kind\":\"span\",\"cat\":\"%s\",\"src\":\"%s\",\"label\":\"%s\",\"t0_ns\":%d,\"t1_ns\":null,\"dur_ns\":null}\n"
-          s.cat (Json.escape s.source) (Json.escape s.label)
-          (Time.to_ns s.t0))
-    spans;
-  List.iter
-    (fun (cat, h) ->
-      Printf.bprintf b
-        "{\"kind\":\"hist\",\"cat\":\"%s\",\"count\":%d,\"p50_us\":%.3f,\"p95_us\":%.3f,\"p99_us\":%.3f,\"max_us\":%.3f}\n"
-        cat (Hist.count h) (Hist.p50_us h) (Hist.p95_us h) (Hist.p99_us h)
-        (Hist.max_us h))
-    hists;
-  Buffer.contents b
+      | Some t1 -> (ns t1, ns (Time.diff t1 s.t0))
+      | None -> (Json.Null, Json.Null)
+    in
+    Json.Obj
+      [
+        ("kind", Json.Str "span");
+        ("cat", Json.Str s.cat);
+        ("src", Json.Str s.source);
+        ("label", Json.Str s.label);
+        ("t0_ns", ns s.t0);
+        ("t1_ns", t1);
+        ("dur_ns", dur);
+      ]
+  in
+  let hist (cat, h) = Json.Obj (("kind", Json.Str "hist") :: hist_fields cat h) in
+  (header :: List.map event entries)
+  @ List.map span spans
+  @ List.map hist hists
 
 (* ---------- hftsim-metrics/2 JSON ---------- *)
 
@@ -226,71 +241,65 @@ let jsonl ?(dropped = 0) entries =
    "windows" (the rolling aggregation) and "dropped_events". *)
 
 let metrics_json ?registry ?(dropped = 0) hists =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"schema\":\"%s\",\n\
-     \"compat\":\"histograms is unchanged from hftsim-metrics/1; /2 adds \
-     counters, gauges, windows, dropped_events\",\n\
-     \"dropped_events\":%d,\n\
-     \"histograms\":["
-    metrics_schema dropped;
-  List.iteri
-    (fun i (cat, h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n{\"cat\":\"%s\",\"count\":%d,\"p50_us\":%.3f,\"p95_us\":%.3f,\"p99_us\":%.3f,\"max_us\":%.3f,\"mean_us\":%.3f,\"buckets\":["
-        cat (Hist.count h) (Hist.p50_us h) (Hist.p95_us h) (Hist.p99_us h)
-        (Hist.max_us h)
-        (Hist.mean_ns h /. 1_000.0);
-      List.iteri
-        (fun j (lo, n) ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "[%d,%d]" lo n)
-        (Hist.nonzero_buckets h);
-      Buffer.add_string b "]}")
-    hists;
-  Buffer.add_string b "\n],\n\"counters\":[";
-  (match registry with
-  | None -> ()
-  | Some m ->
-    List.iteri
-      (fun i (c : Metrics.counter) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "\n{\"actor\":\"%s\",\"name\":\"%s\",\"value\":%d}"
-          (Json.escape c.Metrics.c_actor)
-          (Json.escape c.Metrics.c_name)
-          c.Metrics.c_val)
-      (Metrics.counters m));
-  Buffer.add_string b "\n],\n\"gauges\":[";
-  (match registry with
-  | None -> ()
-  | Some m ->
-    List.iteri
-      (fun i (g : Metrics.gauge) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "\n{\"actor\":\"%s\",\"name\":\"%s\",\"value\":%d}"
-          (Json.escape g.Metrics.g_actor)
-          (Json.escape g.Metrics.g_name)
-          g.Metrics.g_val)
-      (Metrics.gauges m));
-  Buffer.add_string b "\n],\n\"windows\":[";
-  (match registry with
-  | None -> ()
-  | Some m ->
-    List.iteri
-      (fun i (w : Metrics.window) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b
-          "\n{\"t0_ns\":%d,\"len_ns\":%d,\"epochs\":%d,\"epoch_p50_us\":%.3f,\"epoch_p99_us\":%.3f,\"ack_count\":%d,\"ack_p99_us\":%.3f,\"availability\":%.4f}"
-          w.Metrics.w_t0_ns w.Metrics.w_len_ns w.Metrics.w_epochs
-          (Hist.p50_us w.Metrics.w_epoch)
-          (Hist.p99_us w.Metrics.w_epoch)
-          (Hist.count w.Metrics.w_ack)
-          (Hist.p99_us w.Metrics.w_ack)
-          (Metrics.availability w))
-      (Metrics.windows m));
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let from_registry f =
+    Json.Arr (match registry with None -> [] | Some m -> f m)
+  in
+  let value actor name v =
+    Json.Obj
+      [ ("actor", Json.Str actor); ("name", Json.Str name); ("value", Json.int v) ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str metrics_schema);
+      ( "compat",
+        Json.Str
+          "histograms is unchanged from hftsim-metrics/1; /2 adds counters, \
+           gauges, windows, dropped_events" );
+      ("dropped_events", Json.int dropped);
+      ( "histograms",
+        Json.Arr
+          (List.map
+             (fun (cat, h) ->
+               Json.Obj
+                 (hist_fields cat h
+                 @ [
+                     ("mean_us", Json.fixed 3 (Hist.mean_ns h /. 1_000.0));
+                     ( "buckets",
+                       Json.Arr
+                         (List.map
+                            (fun (lo, n) -> Json.Arr [ Json.int lo; Json.int n ])
+                            (Hist.nonzero_buckets h)) );
+                   ]))
+             hists) );
+      ( "counters",
+        from_registry (fun m ->
+            List.map
+              (fun (c : Metrics.counter) ->
+                value c.Metrics.c_actor c.Metrics.c_name c.Metrics.c_val)
+              (Metrics.counters m)) );
+      ( "gauges",
+        from_registry (fun m ->
+            List.map
+              (fun (g : Metrics.gauge) ->
+                value g.Metrics.g_actor g.Metrics.g_name g.Metrics.g_val)
+              (Metrics.gauges m)) );
+      ( "windows",
+        from_registry (fun m ->
+            List.map
+              (fun (w : Metrics.window) ->
+                Json.Obj
+                  [
+                    ("t0_ns", Json.int w.Metrics.w_t0_ns);
+                    ("len_ns", Json.int w.Metrics.w_len_ns);
+                    ("epochs", Json.int w.Metrics.w_epochs);
+                    ("epoch_p50_us", Json.fixed 3 (Hist.p50_us w.Metrics.w_epoch));
+                    ("epoch_p99_us", Json.fixed 3 (Hist.p99_us w.Metrics.w_epoch));
+                    ("ack_count", Json.int (Hist.count w.Metrics.w_ack));
+                    ("ack_p99_us", Json.fixed 3 (Hist.p99_us w.Metrics.w_ack));
+                    ("availability", Json.fixed 4 (Metrics.availability w));
+                  ])
+              (Metrics.windows m)) );
+    ]
 
 (* ---------- validation ---------- *)
 
@@ -308,74 +317,80 @@ type summary = {
   windows : int;  (** metrics documents only *)
 }
 
-let sorted_cats tbl =
-  Hashtbl.fold (fun c () acc -> c :: acc) tbl [] |> List.sort String.compare
+let ( let* ) = Result.bind
+let str k v = Option.bind (Json.member k v) Json.to_string_opt
+let num k v = Option.bind (Json.member k v) Json.to_float_opt
 
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (what ^ " missing")
+(* [spec] names the fields a record must carry and their kind. *)
+let require ctx v spec =
+  List.fold_left
+    (fun acc (k, kind) ->
+      let* () = acc in
+      match (kind, Json.member k v) with
+      | `Num, Some (Json.Num _) | `Str, Some (Json.Str _) -> Ok ()
+      | `Num, _ -> Error (ctx (Printf.sprintf "%S missing or not a number" k))
+      | `Str, _ -> Error (ctx (Printf.sprintf "%S missing or not a string" k)))
+    (Ok ()) spec
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let rec each ?(i = 0) check = function
+  | [] -> Ok ()
+  | v :: rest ->
+    let* () = check i v in
+    each ~i:(i + 1) check rest
 
-let validate_chrome_events evs =
-  let events = ref 0 and spans = ref 0 in
-  let cats = Hashtbl.create 8 in
-  let check_one i ev =
-    let mem k = Json.member k ev in
-    let str k = Option.bind (mem k) Json.to_string_opt in
-    let num k = Option.bind (mem k) Json.to_float_opt in
-    let ctx what = Printf.sprintf "traceEvents[%d]: %s" i what in
-    let* ph = require (ctx "\"ph\"") (str "ph") in
-    match ph with
-    | "M" ->
-      let* _ = require (ctx "\"name\"") (str "name") in
-      let* _ = require (ctx "\"pid\"") (num "pid") in
-      Ok ()
-    | "i" ->
-      let* _ = require (ctx "\"name\"") (str "name") in
-      let* _ = require (ctx "\"ts\"") (num "ts") in
-      incr events;
-      Ok ()
-    | "X" ->
-      let* _ = require (ctx "\"name\"") (str "name") in
-      let* cat = require (ctx "\"cat\"") (str "cat") in
-      let* _ = require (ctx "\"ts\"") (num "ts") in
-      let* dur = require (ctx "\"dur\"") (num "dur") in
-      if dur < 0.0 then Error (ctx "negative \"dur\"")
-      else begin
-        incr spans;
-        Hashtbl.replace cats cat ();
-        Ok ()
-      end
-    | "b" | "e" ->
-      let* cat = require (ctx "\"cat\"") (str "cat") in
-      let* _ = require (ctx "\"id\"") (str "id") in
-      let* _ = require (ctx "\"ts\"") (num "ts") in
-      if ph = "b" then begin
-        incr spans;
-        Hashtbl.replace cats cat ()
-      end;
-      Ok ()
-    | other -> Error (ctx (Printf.sprintf "unknown \"ph\":%S" other))
+(* Counts what a trace artifact holds while its records are checked. *)
+type tally = {
+  mutable n_events : int;
+  mutable n_spans : int;
+  mutable n_hists : int;
+  cats : (string, unit) Hashtbl.t;
+}
+
+let tally () = { n_events = 0; n_spans = 0; n_hists = 0; cats = Hashtbl.create 8 }
+
+let span t v =
+  t.n_spans <- t.n_spans + 1;
+  Option.iter (fun c -> Hashtbl.replace t.cats c ()) (str "cat" v)
+
+let summary format ?(drops = 0) t =
+  {
+    format;
+    events = t.n_events;
+    spans = t.n_spans;
+    span_cats =
+      Hashtbl.fold (fun c () acc -> c :: acc) t.cats []
+      |> List.sort String.compare;
+    hists = t.n_hists;
+    drops;
+    counters = 0;
+    windows = 0;
+  }
+
+let validate_chrome evs =
+  let t = tally () in
+  let* () =
+    each
+      (fun i v ->
+        let ctx what = Printf.sprintf "traceEvents[%d]: %s" i what in
+        let* spec, count =
+          match str "ph" v with
+          | Some "M" -> Ok ([ ("name", `Str); ("pid", `Num) ], ignore)
+          | Some "i" ->
+            Ok ([ ("name", `Str); ("ts", `Num) ], fun _ -> t.n_events <- t.n_events + 1)
+          | Some "X" ->
+            Ok ([ ("name", `Str); ("cat", `Str); ("ts", `Num); ("dur", `Num) ], span t)
+          | Some "b" -> Ok ([ ("cat", `Str); ("id", `Str); ("ts", `Num) ], span t)
+          | Some "e" -> Ok ([ ("cat", `Str); ("id", `Str); ("ts", `Num) ], ignore)
+          | Some other -> Error (ctx (Printf.sprintf "unknown \"ph\":%S" other))
+          | None -> Error (ctx "\"ph\" missing or not a string")
+        in
+        let* () = require ctx v spec in
+        match num "dur" v with
+        | Some d when d < 0.0 -> Error (ctx "negative \"dur\"")
+        | _ -> Ok (count v))
+      evs
   in
-  let rec go i = function
-    | [] -> Ok ()
-    | ev :: rest ->
-      let* () = check_one i ev in
-      go (i + 1) rest
-  in
-  let* () = go 0 evs in
-  Ok
-    {
-      format = `Chrome;
-      events = !events;
-      spans = !spans;
-      span_cats = sorted_cats cats;
-      hists = 0;
-      drops = 0;
-      counters = 0;
-      windows = 0;
-    }
+  Ok (summary `Chrome t)
 
 let validate_jsonl content =
   let lines =
@@ -385,147 +400,84 @@ let validate_jsonl content =
   match lines with
   | [] -> Error "empty file"
   | header :: rest ->
-    let* h =
-      match Json.parse header with
-      | Ok h -> Ok h
-      | Error e -> Error ("header: " ^ e)
-    in
+    let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse header) in
     let* s =
-      require "header \"schema\""
-        (Option.bind (Json.member "schema" h) Json.to_string_opt)
+      Option.to_result ~none:"header \"schema\" missing" (str "schema" h)
     in
-    if s <> schema then
-      Error (Printf.sprintf "schema %S, expected %S" s schema)
-    else begin
-      let events = ref 0 and spans = ref 0 and hists = ref 0 in
-      let drops =
-        match
-          Option.bind (Json.member "dropped" h) Json.to_float_opt
-        with
-        | Some d -> int_of_float d
-        | None -> 0 (* pre-drop-counter captures *)
-      in
-      let cats = Hashtbl.create 8 in
-      let check_line i line =
-        let ctx what = Printf.sprintf "line %d: %s" (i + 2) what in
-        let* v =
-          match Json.parse line with
-          | Ok v -> Ok v
-          | Error e -> Error (ctx e)
-        in
-        let str k = Option.bind (Json.member k v) Json.to_string_opt in
-        let num k = Option.bind (Json.member k v) Json.to_float_opt in
-        (* a second schema declaration mid-stream means two artifacts
-           were concatenated — reject with the schemas named rather
-           than failing on whatever field differs first *)
-        let* () =
-          match str "schema" with
-          | Some s2 when s2 <> s ->
-            Error
-              (ctx
-                 (Printf.sprintf
-                    "mixed schemas: this line declares %S but the header \
-                     declared %S — artifacts of different schemas must not \
-                     be concatenated"
-                    s2 s))
-          | _ -> Ok ()
-        in
-        let* kind = require (ctx "\"kind\"") (str "kind") in
-        match kind with
-        | "event" ->
-          let* _ = require (ctx "\"t_ns\"") (num "t_ns") in
-          let* _ = require (ctx "\"src\"") (str "src") in
-          let* _ = require (ctx "\"ev\"") (str "ev") in
-          incr events;
-          Ok ()
-        | "span" ->
-          let* cat = require (ctx "\"cat\"") (str "cat") in
-          let* _ = require (ctx "\"src\"") (str "src") in
-          let* _ = require (ctx "\"t0_ns\"") (num "t0_ns") in
-          incr spans;
-          Hashtbl.replace cats cat ();
-          Ok ()
-        | "hist" ->
-          let* _ = require (ctx "\"cat\"") (str "cat") in
-          let* _ = require (ctx "\"count\"") (num "count") in
-          let* _ = require (ctx "\"p50_us\"") (num "p50_us") in
-          let* _ = require (ctx "\"p99_us\"") (num "p99_us") in
-          incr hists;
-          Ok ()
-        | "header" ->
-          Error
-            (ctx
-               "unexpected second header — two artifacts must not be \
-                concatenated into one file")
-        | other -> Error (ctx (Printf.sprintf "unknown \"kind\":%S" other))
-      in
-      let rec go i = function
-        | [] -> Ok ()
-        | l :: rest ->
-          let* () = check_line i l in
-          go (i + 1) rest
-      in
-      let* () = go 0 rest in
-      Ok
-        {
-          format = `Jsonl;
-          events = !events;
-          spans = !spans;
-          span_cats = sorted_cats cats;
-          hists = !hists;
-          drops;
-          counters = 0;
-          windows = 0;
-        }
-    end
+    let* () =
+      if s = schema then Ok ()
+      else Error (Printf.sprintf "schema %S, expected %S" s schema)
+    in
+    let t = tally () in
+    let* () =
+      each
+        (fun i line ->
+          let ctx what = Printf.sprintf "line %d: %s" (i + 2) what in
+          let* v = Result.map_error ctx (Json.parse line) in
+          (* a second schema declaration mid-stream means two artifacts
+             were concatenated — reject with the schemas named rather
+             than failing on whatever field differs first *)
+          let* () =
+            match str "schema" v with
+            | Some s2 when s2 <> s ->
+              Error
+                (ctx
+                   (Printf.sprintf
+                      "mixed schemas: this line declares %S but the header \
+                       declared %S — artifacts of different schemas must \
+                       not be concatenated"
+                      s2 s))
+            | _ -> Ok ()
+          in
+          let* spec, count =
+            match str "kind" v with
+            | Some "event" ->
+              Ok
+                ( [ ("t_ns", `Num); ("src", `Str); ("ev", `Str) ],
+                  fun _ -> t.n_events <- t.n_events + 1 )
+            | Some "span" ->
+              Ok ([ ("cat", `Str); ("src", `Str); ("t0_ns", `Num) ], span t)
+            | Some "hist" ->
+              Ok
+                ( [ ("cat", `Str); ("count", `Num); ("p50_us", `Num); ("p99_us", `Num) ],
+                  fun _ -> t.n_hists <- t.n_hists + 1 )
+            | Some "header" ->
+              Error
+                (ctx
+                   "unexpected second header — two artifacts must not be \
+                    concatenated into one file")
+            | Some other -> Error (ctx (Printf.sprintf "unknown \"kind\":%S" other))
+            | None -> Error (ctx "\"kind\" missing or not a string")
+          in
+          let* () = require ctx v spec in
+          Ok (count v))
+        rest
+    in
+    (* captures from before the drop counter have no "dropped" *)
+    let drops = Option.fold ~none:0 ~some:int_of_float (num "dropped" h) in
+    Ok (summary `Jsonl ~drops t)
 
 let validate_metrics top s =
-  let arr k =
-    match Json.member k top |> Option.map Json.to_list_opt with
-    | Some (Some l) -> Ok l
-    | Some None -> Error (Printf.sprintf "%S is not an array" k)
-    | None -> Ok [] (* /1 has only histograms *)
+  (* /1 has only histograms, so a missing array is an empty one *)
+  let records k spec =
+    match Json.member k top with
+    | None -> Ok 0
+    | Some (Json.Arr l) ->
+      let* () =
+        each (fun i v -> require (Printf.sprintf "%s[%d]: %s" k i) v spec) l
+      in
+      Ok (List.length l)
+    | Some _ -> Error (Printf.sprintf "%S is not an array" k)
   in
-  let check_objs what l checks =
-    let rec go i = function
-      | [] -> Ok ()
-      | o :: rest ->
-        let rec fields = function
-          | [] -> Ok ()
-          | (k, `Num) :: more -> (
-            match Option.bind (Json.member k o) Json.to_float_opt with
-            | Some _ -> fields more
-            | None ->
-              Error (Printf.sprintf "%s[%d]: %S missing or not a number" what i k))
-          | (k, `Str) :: more -> (
-            match Option.bind (Json.member k o) Json.to_string_opt with
-            | Some _ -> fields more
-            | None ->
-              Error (Printf.sprintf "%s[%d]: %S missing or not a string" what i k))
-        in
-        let* () = fields checks in
-        go (i + 1) rest
-    in
-    go 0 l
-  in
-  let* hists = arr "histograms" in
-  let* () =
-    check_objs "histograms" hists
+  let value = [ ("actor", `Str); ("name", `Str); ("value", `Num) ] in
+  let* hists =
+    records "histograms"
       [ ("cat", `Str); ("count", `Num); ("p50_us", `Num); ("p99_us", `Num) ]
   in
-  let* counters = arr "counters" in
-  let* () =
-    check_objs "counters" counters
-      [ ("actor", `Str); ("name", `Str); ("value", `Num) ]
-  in
-  let* gauges = arr "gauges" in
-  let* () =
-    check_objs "gauges" gauges
-      [ ("actor", `Str); ("name", `Str); ("value", `Num) ]
-  in
-  let* windows = arr "windows" in
-  let* () =
-    check_objs "windows" windows
+  let* counters = records "counters" value in
+  let* _gauges = records "gauges" value in
+  let* windows =
+    records "windows"
       [
         ("t0_ns", `Num);
         ("len_ns", `Num);
@@ -542,50 +494,21 @@ let validate_metrics top s =
         (Printf.sprintf "metrics schema %S, expected %S (or the /1 subset)" s
            metrics_schema)
   in
-  let drops =
-    match
-      Option.bind (Json.member "dropped_events" top) Json.to_float_opt
-    with
-    | Some d -> int_of_float d
-    | None -> 0
-  in
-  Ok
-    {
-      format = `Metrics;
-      events = 0;
-      spans = 0;
-      span_cats = [];
-      hists = List.length hists;
-      drops;
-      counters = List.length counters;
-      windows = List.length windows;
-    }
+  let drops = Option.fold ~none:0 ~some:int_of_float (num "dropped_events" top) in
+  Ok { (summary `Metrics ~drops (tally ())) with hists; counters; windows }
 
 let validate content =
-  let trimmed = String.trim content in
-  let as_whole = Json.parse trimmed in
-  match as_whole with
-  | Ok top when Json.member "traceEvents" top <> None ->
-    let* evs =
-      require "\"traceEvents\" array"
-        (Option.bind (Json.member "traceEvents" top) Json.to_list_opt)
-    in
-    validate_chrome_events evs
-  | Ok top
-    when (match
-            Option.bind (Json.member "schema" top) Json.to_string_opt
-          with
-         | Some s ->
-           String.length s >= 15
-           && String.sub s 0 15 = "hftsim-metrics/"
-         | None -> false) ->
-    let s =
-      match Option.bind (Json.member "schema" top) Json.to_string_opt with
-      | Some s -> s
-      | None -> assert false
-    in
-    validate_metrics top s
-  | _ -> validate_jsonl content
+  match Json.parse (String.trim content) with
+  | Ok top when Json.member "traceEvents" top <> None -> (
+    match Option.bind (Json.member "traceEvents" top) Json.to_list_opt with
+    | Some evs -> validate_chrome evs
+    | None -> Error "\"traceEvents\" array missing")
+  | Ok top -> (
+    match str "schema" top with
+    | Some s when String.starts_with ~prefix:"hftsim-metrics/" s ->
+      validate_metrics top s
+    | _ -> validate_jsonl content)
+  | Error _ -> validate_jsonl content
 
 let pp_summary fmt s =
   match s.format with

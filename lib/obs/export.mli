@@ -13,9 +13,9 @@
       reconstructed span ([kind:"span"], [t1_ns] null when unclosed)
       and one [kind:"hist"] summary per span category.
 
-    {!validate} checks either format structurally without any external
-    JSON dependency — the CI schema gate runs it via
-    [hftsim trace --validate]. *)
+    Both are built as {!Json.t} values.  {!validate} checks either
+    format structurally with the {!Json} reader — the CI schema gate
+    runs it via [hftsim trace --validate]. *)
 
 val schema : string
 (** ["hftsim-trace/1"]. *)
@@ -27,14 +27,15 @@ val metrics_schema : string
     ["dropped_events"].  The validator accepts both versions but
     rejects anything else, and rejects files mixing schemas. *)
 
-val chrome : Recorder.entry list -> string
+val chrome : Recorder.entry list -> Json.t
 
-val jsonl : ?dropped:int -> Recorder.entry list -> string
-(** [dropped] (default 0, pass {!Recorder.dropped}) records in the
+val jsonl : ?dropped:int -> Recorder.entry list -> Json.t list
+(** One value per line ({!Json.to_lines} writes the stream).
+    [dropped] (default 0, pass {!Recorder.dropped}) records in the
     header how many events the ring discarded before export. *)
 
 val metrics_json :
-  ?registry:Metrics.t -> ?dropped:int -> (string * Hist.t) list -> string
+  ?registry:Metrics.t -> ?dropped:int -> (string * Hist.t) list -> Json.t
 (** [hftsim-metrics/2]: per-category quantiles plus the raw
     log-bucket counts; with [registry], also its counters, gauges and
     rolling windows. *)

@@ -127,7 +127,8 @@ let dropped_tests =
         done;
         match
           Export.validate
-            (Export.jsonl ~dropped:(Recorder.dropped r) (Recorder.entries r))
+            (Json.to_lines
+               (Export.jsonl ~dropped:(Recorder.dropped r) (Recorder.entries r)))
         with
         | Ok s ->
           check int "drops surfaced" 4 s.Export.drops;
@@ -359,7 +360,8 @@ let metrics_schema_tests =
         let h = Hist.create () in
         Hist.add h (Time.of_us 50);
         let doc =
-          Export.metrics_json ~registry:m ~dropped:3 [ ("epoch", h) ]
+          Json.to_string ~pretty:true
+            (Export.metrics_json ~registry:m ~dropped:3 [ ("epoch", h) ])
         in
         (match Export.validate doc with
         | Ok s ->
@@ -394,7 +396,7 @@ let metrics_schema_tests =
         in
         let r = Recorder.create () in
         emit_entry r (mk 1 (ev_note "x"));
-        let a = Export.jsonl (Recorder.entries r) in
+        let a = Json.to_lines (Export.jsonl (Recorder.entries r)) in
         let stray =
           {|{"schema":"hftsim-trace/0","kind":"event","t_ns":1,"src":"s","ev":"note"}|}
           ^ "\n"
@@ -530,12 +532,12 @@ let e2e_tests =
         check bool "some rtt spans closed" true
           (List.exists Span.closed rtt);
         (* exporters round-trip through the validator *)
-        (match Export.validate (Export.chrome entries) with
+        (match Export.validate (Json.to_string (Export.chrome entries)) with
         | Ok s ->
           check bool "chrome events" true (s.Export.events > 0);
           check bool "chrome spans" true (s.Export.spans > 0)
         | Error m -> failf "chrome artifact invalid: %s" m);
-        match Export.validate (Export.jsonl entries) with
+        match Export.validate (Json.to_lines (Export.jsonl entries)) with
         | Ok s ->
           check bool "jsonl is jsonl" true (s.Export.format = `Jsonl);
           check bool "jsonl hists" true (s.Export.hists > 0)
@@ -562,7 +564,7 @@ let e2e_tests =
         check bool "failover histogram present" true
           (List.mem_assoc "failover" hists);
         check bool "metrics json validates as json" true
-          (match Json.parse (Export.metrics_json hists) with
+          (match Json.parse (Json.to_string (Export.metrics_json hists)) with
           | Ok _ -> true
           | Error _ -> false));
     test_case "recorder off: run is unobserved but completes" `Quick
@@ -579,6 +581,120 @@ let e2e_tests =
           (o.System.results.Guest_results.ops = 3));
   ]
 
+(* ---------- Json: strict reader, one printer ---------- *)
+
+(* One row per input: [Some v] must parse to [v], [None] must be a
+   typed [Error] (never an exception). *)
+let strict_parse_cases =
+  [
+    ("raw \\001 in a string", "\"a\001b\"", None);
+    ("raw tab in a string", "\"a\tb\"", None);
+    ("raw newline in a string", "\"a\nb\"", None);
+    ("non-hex \\u escape", {|"\u00_1"|}, None);
+    ("short \\u escape", {|"\u12"|}, None);
+    ("unknown escape", {|"\x41"|}, None);
+    ("leading plus", "+1", None);
+    ("leading dot", ".5", None);
+    ("trailing dot", "1.", None);
+    ("leading zero", "01", None);
+    ("bare minus", "-", None);
+    ("empty exponent", "1e", None);
+    ("overflowing number", "1e400", None);
+    ("lone high surrogate", {|"\ud83d"|}, None);
+    ("high surrogate then letter", {|"\ud83dx"|}, None);
+    ("lone low surrogate", {|"\ude00"|}, None);
+    ("trailing comma in array", "[1,]", None);
+    ("trailing comma in object", {|{"a":1,}|}, None);
+    ("single quotes", "'a'", None);
+    ("trailing garbage", "1 2", None);
+    ("empty input", "", None);
+    ("nesting too deep", String.make 600 '[' ^ String.make 600 ']', None);
+    ("surrogate pair", {|"\ud83d\ude00"|}, Some (Json.Str "\xf0\x9f\x98\x80"));
+    ("BMP escape", {|"\u00e9\u0001"|}, Some (Json.Str "\xc3\xa9\001"));
+    ("raw UTF-8 and DEL", "\"\xc3\xa9\x7f\"", Some (Json.Str "\xc3\xa9\x7f"));
+    ("escaped solidus", {|"a\/b"|}, Some (Json.Str "a/b"));
+    ("negative zero", "-0", Some (Json.Num (-0.)));
+    ("exponent forms", "[1E2,-2.5e-1,3e+0]",
+     Some (Json.Arr [ Json.Num 100.; Json.Num (-0.25); Json.Num 3. ]));
+    ("whitespace", " {\t\"a\" :\r\n[ ] } ", Some (Json.Obj [ ("a", Json.Arr []) ]));
+  ]
+
+let strict_parse_test (name, input, expected) =
+  Alcotest.test_case name `Quick (fun () ->
+      match (Json.parse input, expected) with
+      | Ok v, Some e -> Alcotest.(check bool) "parses to the expected value" true (v = e)
+      | Error _, None -> ()
+      | Ok _, None -> Alcotest.failf "accepted malformed input %S" input
+      | Error m, Some _ -> Alcotest.failf "rejected %S: %s" input m)
+
+let printer_tests =
+  [
+    Alcotest.test_case "layout, escapes and numbers" `Quick (fun () ->
+        let v =
+          Json.Obj
+            [
+              ("s", Json.Str "q\"b\\t\tn\nc\001");
+              ("n", Json.Arr [ Json.int 3; Json.Num (-2.5); Json.Num 0.1; Json.Num 1e20 ]);
+              ("o", Json.Obj [ ("a", Json.Null); ("e", Json.Arr []) ]);
+              ("x", Json.Num Float.nan);
+            ]
+        in
+        Alcotest.(check string) "compact"
+          {|{"s":"q\"b\\t\tn\nc\u0001","n":[3,-2.5,0.1,1e+20],"o":{"a":null,"e":[]},"x":null}|}
+          (Json.to_string v);
+        Alcotest.(check string) "pretty"
+          "{\n\
+          \  \"s\": \"q\\\"b\\\\t\\tn\\nc\\u0001\",\n\
+          \  \"n\": [3, -2.5, 0.1, 1e+20],\n\
+          \  \"o\": {\"a\": null, \"e\": []},\n\
+          \  \"x\": null\n\
+           }"
+          (Json.to_string ~pretty:true v));
+  ]
+
+(* Any value with finite numbers survives print-then-parse in both
+   forms; strings range over all 256 byte values. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 10) in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000_000) 1_000_000_000);
+        map2 (fun m e -> ldexp m e) (float_range (-1.) 1.) (int_range (-60) 80);
+        oneofl [ 0.; -0.; 0.1; -1e-7; 1e17; 4503599627370497.; max_float; min_float ];
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 3)))) );
+             ])
+
+let json_round_trip_prop =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v, compact and pretty"
+    ~count:500
+    (QCheck.make ~print:(Json.to_string ~pretty:true) json_gen)
+    (fun v ->
+      Json.parse (Json.to_string v) = Ok v
+      && Json.parse (Json.to_string ~pretty:true v) = Ok v)
+
 let () =
   Alcotest.run "obs"
     [
@@ -593,4 +709,8 @@ let () =
       ( "span-properties",
         [ QCheck_alcotest.to_alcotest ~long:false span_pairing_prop ] );
       ("end-to-end", e2e_tests);
+      ("json-strict", List.map strict_parse_test strict_parse_cases);
+      ("json-printer", printer_tests);
+      ( "json-properties",
+        [ QCheck_alcotest.to_alcotest ~long:false json_round_trip_prop ] );
     ]
