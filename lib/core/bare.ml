@@ -2,8 +2,6 @@ open Hft_sim
 open Hft_machine
 open Hft_devices
 
-let max_burst = 2_000_000
-
 type t = {
   engine : Engine.t;
   p : Params.t;
@@ -131,12 +129,8 @@ and step t =
     end
     else begin
       let fuel =
-        match Engine.next_time t.engine with
-        | Some next ->
-          let gap = Time.to_ns (Time.diff next (Engine.now t.engine)) in
-          let n = gap / Time.to_ns t.p.Params.instr_time in
-          max 1 (min n max_burst)
-        | None -> max_burst
+        Params.burst_fuel t.p ~now:(Engine.now t.engine)
+          (Engine.next_time t.engine)
       in
       (* with an interrupt pending but masked, keep bursts short so the
          enable edge is noticed promptly, as hardware sampling would *)

@@ -5,8 +5,6 @@ module Channel = Hft_net.Channel
 module Layout = Hft_guest.Layout
 module Ev = Hft_obs.Event
 
-let max_burst = 2_000_000
-
 type role = Primary | Backup | Promoted
 
 type io_req = { cmd : int; block : int; dma : int }
@@ -633,12 +631,8 @@ and continue_vm t =
       match t.blocked with
       | Not_blocked ->
         let fuel =
-          match Engine.next_time t.engine with
-          | Some next ->
-            let gap = Time.to_ns (Time.diff next (Engine.now t.engine)) in
-            let n = gap / Time.to_ns t.p.Params.instr_time in
-            max 1 (min n max_burst)
-          | None -> max_burst
+          Params.burst_fuel t.p ~now:(Engine.now t.engine)
+            (Engine.horizon t.engine ~actor:t.name_)
         in
         let res = Cpu.run t.vm ~fuel in
         t.st.Stats.instructions <-

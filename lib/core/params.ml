@@ -81,6 +81,15 @@ let default =
 
 let hsim t = Time.add t.hv_entry_exit t.hv_work
 
+let max_burst = 2_000_000
+
+let burst_fuel t ~now horizon =
+  match horizon with
+  | Some h ->
+    let n = Time.to_ns (Time.diff h now) / Time.to_ns t.instr_time in
+    max 1 (min n max_burst)
+  | None -> max_burst
+
 let with_epoch_length t epoch_length =
   if epoch_length <= 0 then invalid_arg "Params.with_epoch_length: must be positive";
   { t with epoch_length }

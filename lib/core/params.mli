@@ -158,6 +158,12 @@ val default : t
 val hsim : t -> Hft_sim.Time.t
 (** [hv_entry_exit + hv_work] = 15.12 us with defaults. *)
 
+val burst_fuel : t -> now:Hft_sim.Time.t -> Hft_sim.Time.t option -> int
+(** Instructions one execution burst starting at [now] may retire
+    before [horizon], the instant the next event could touch the
+    executing machine: at least 1, at most 2 000 000 (the cap when
+    nothing is pending).  Both executors size their bursts with it. *)
+
 val with_epoch_length : t -> int -> t
 val with_protocol : t -> protocol -> t
 val with_link : t -> Hft_net.Link.t -> t

@@ -63,6 +63,14 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       }
   in
   let engine = Engine.create ?trace () in
+  (* the lookahead: a replica reaches its peer only through a link
+     message (at least one per-message overhead away) or through a
+     disk completion (actorless, at least the smaller disk latency
+     away); Engine.at checks every such event against it *)
+  Engine.set_lookahead engine
+    (Time.min params.Params.link.Hft_net.Link.per_message_overhead
+       (Time.min params.Params.disk.Disk.read_latency
+          params.Params.disk.Disk.write_latency));
   (* scheduler dispatches are high-volume; only feed them to the
      recorder when it asked for them, or they would evict the protocol
      events from the ring *)
@@ -327,7 +335,10 @@ let reintegrate_after_failover t ~delay =
   if t.backup2_ <> None then
     invalid_arg
       "System.reintegrate_after_failover: not supported with a backup chain";
-  t.reintegration_delay <- Some delay
+  t.reintegration_delay <- Some delay;
+  (* the actorless reintegration event is scheduled [delay] after the
+     promotion handler that arms it *)
+  Engine.set_lookahead t.engine (Time.min (Engine.lookahead t.engine) delay)
 
 type outcome = {
   completed_by : [ `Primary | `Promoted_backup ];

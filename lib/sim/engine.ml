@@ -18,7 +18,11 @@ type t = {
   mutable next_seq : int;
   mutable dispatched : int;
   mutable live : int;
+  mutable dead : int;  (* cancelled events still in the queue *)
   mutable stopping : bool;
+  mutable lookahead : Time.t;
+  mutable running : string;
+      (* actor of the handler being dispatched, [""] outside one *)
   mutable sched : (choice array -> int) option;
   mutable observer : (Time.t -> label:string -> actor:string -> unit) option;
 }
@@ -37,7 +41,10 @@ let create ?(trace = Trace.null) () =
     next_seq = 0;
     dispatched = 0;
     live = 0;
+    dead = 0;
     stopping = false;
+    lookahead = Time.zero;
+    running = "";
     sched = None;
     observer = None;
   }
@@ -50,6 +57,17 @@ let at t ?(label = "") ?(actor = "") time fn =
     invalid_arg
       (Format.asprintf "Engine.at: %a is before now (%a)" Time.pp time Time.pp
          t.clock);
+  (* the lookahead contract: one actor reaches another (or shared
+     state) no sooner than [lookahead] after its handler runs *)
+  if
+    Time.(time < add t.clock t.lookahead)
+    && (not (String.equal t.running ""))
+    && not (String.equal actor t.running)
+  then
+    invalid_arg
+      (Format.asprintf
+         "Engine.at: %s schedules %S for %S at %a, inside the lookahead %a"
+         t.running label actor Time.pp time Time.pp t.lookahead);
   let ev = { time; seq = t.next_seq; label; actor; fn; cancelled = false } in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
@@ -58,10 +76,20 @@ let at t ?(label = "") ?(actor = "") time fn =
 
 let after t ?label ?actor d fn = at t ?label ?actor (Time.add t.clock d) fn
 
+(* Cancelled events leave the queue lazily, when they reach its top.
+   A re-armed timeout cancels one far-future event per message, so
+   they are swept out once they outnumber the live ones: scans of the
+   whole queue ({!horizon}, {!pending_fingerprint}) stay proportional
+   to what is live. *)
 let cancel t ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
-    t.live <- t.live - 1
+    t.live <- t.live - 1;
+    t.dead <- t.dead + 1;
+    if t.dead > 16 && t.dead > t.live then begin
+      Heap.filter_in_place (fun ev -> not ev.cancelled) t.queue;
+      t.dead <- 0
+    end
   end
 
 let is_pending _t ev = not ev.cancelled
@@ -70,6 +98,7 @@ let rec skip_cancelled t =
   match Heap.peek t.queue with
   | Some ev when ev.cancelled ->
     ignore (Heap.pop_exn t.queue);
+    t.dead <- t.dead - 1;
     skip_cancelled t
   | other -> other
 
@@ -77,6 +106,35 @@ let next_time t =
   match skip_cancelled t with
   | Some ev -> Some ev.time
   | None -> None
+
+let set_lookahead t l = t.lookahead <- l
+let lookahead t = t.lookahead
+
+(* An event of [actor] or of shared state bounds the burst at its own
+   time: it already exists, so it fires ahead of a stop scheduled now
+   for the same instant.  Another actor's event at [time] can cause an
+   event for [actor] no sooner than [time + lookahead]; a stop
+   scheduled now for exactly that instant would fire ahead of it (seq
+   order), so the bound stops one nanosecond short.  With no lookahead
+   the bound is [time] itself, which is {!next_time}. *)
+let horizon t ~actor =
+  match t.sched with
+  | Some _ -> next_time t
+  | None ->
+    let reach = max 0 (Time.to_ns t.lookahead - 1) in
+    let h = ref max_int in
+    Heap.iter
+      (fun ev ->
+        if not ev.cancelled then begin
+          let b =
+            if String.equal ev.actor actor || String.equal ev.actor "" then
+              Time.to_ns ev.time
+            else Time.to_ns ev.time + reach
+          in
+          if b < !h then h := b
+        end)
+      t.queue;
+    if !h = max_int then None else Some (Time.of_ns !h)
 
 let pending t = t.live
 
@@ -94,16 +152,17 @@ let clear_observer t = t.observer <- None
 let pending_fingerprint t =
   let fnv_prime = 0x100000001b3 in
   let mask = (1 lsl 62) - 1 in
-  List.fold_left
-    (fun acc ev ->
-      if ev.cancelled then acc
-      else
+  let acc = ref 0x12d6f1e9 in
+  Heap.iter
+    (fun ev ->
+      if not ev.cancelled then
         let h =
           Hashtbl.hash
             (Time.to_ns (Time.diff ev.time t.clock), ev.actor, ev.label)
         in
-        acc lxor ((h + 0x9e3779b9) * fnv_prime land mask))
-    0x12d6f1e9 (Heap.to_list t.queue)
+        acc := !acc lxor ((h + 0x9e3779b9) * fnv_prime land mask))
+    t.queue;
+  !acc
 
 let dispatch t ev =
   t.clock <- ev.time;
@@ -116,7 +175,9 @@ let dispatch t ev =
     | Some f -> f t.clock ~label:ev.label ~actor:ev.actor
     | None -> ()
   end;
-  ev.fn ()
+  t.running <- ev.actor;
+  ev.fn ();
+  t.running <- ""
 
 (* With a scheduler installed, every dispatch consults it: the set of
    co-enabled events (everything live at the earliest pending instant,
@@ -157,6 +218,7 @@ let step t =
 
 let run ?(limit = 200_000_000) t =
   t.stopping <- false;
+  t.running <- "";
   let fired = ref 0 in
   let rec loop () =
     if t.stopping then ()
@@ -171,6 +233,7 @@ let run ?(limit = 200_000_000) t =
 
 let run_until t deadline =
   t.stopping <- false;
+  t.running <- "";
   let rec loop () =
     if t.stopping then ()
     else

@@ -38,7 +38,13 @@ val at :
     The model checker's partial-order reduction treats same-instant
     events with distinct non-empty actors as independent; the empty
     default means "touches shared state — dependent with everything",
-    which is always sound. *)
+    which is always sound.
+
+    The tag is also a checked contract for {!horizon}: while a handler
+    of a non-empty actor [a] runs, scheduling an event for a different
+    actor, or for [""], earlier than [now + lookahead t] raises
+    [Invalid_argument].  Handlers of [""] events, and code outside any
+    handler, are not restricted. *)
 
 val after :
   t -> ?label:string -> ?actor:string -> Time.t -> (unit -> unit) -> handle
@@ -52,8 +58,36 @@ val is_pending : t -> handle -> bool
 
 val next_time : t -> Time.t option
 (** Time of the earliest pending event, if any.  Used by the
-    bare-metal executor to bound instruction bursts so asynchronous
-    interrupts are delivered at the right instruction boundary. *)
+    bare-metal executor, which has a single actor, to bound
+    instruction bursts so asynchronous interrupts are delivered at the
+    right instruction boundary.  Replicas use {!horizon}. *)
+
+(** {2 Conservative lookahead}
+
+    Actors influence each other only through events, and the
+    {!at} contract keeps every cross-actor event at least [L] (the
+    lookahead) after the handler that schedules it.  An actor that
+    runs ahead of other actors' pending events therefore cannot miss
+    an event meant for it — the Chandy–Misra–Bryant argument. *)
+
+val set_lookahead : t -> Time.t -> unit
+(** Set [L] (initially {!Time.zero}: no lookahead, {!horizon} is
+    {!next_time} and the {!at} contract is vacuous).  Set it before
+    {!run}. *)
+
+val lookahead : t -> Time.t
+
+val horizon : t -> actor:string -> Time.t option
+(** How far [actor] may run ahead before an event could touch it: the
+    minimum over live pending events of [time] for events of [actor]
+    or of [""], and of [time + L - 1ns] for any other actor's event
+    (one nanosecond short, because a stop scheduled now for exactly
+    [time + L] would fire ahead of a same-instant event scheduled
+    later).  With [L = 0] the other-actor term is [time], so the
+    result is {!next_time}.  [None] when nothing is pending.
+
+    While a scheduler hook is installed the result is {!next_time}:
+    the checker's state space is defined per dispatch. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) scheduled events. *)

@@ -63,7 +63,21 @@ let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let clear t = t.size <- 0
 
-let to_list t =
-  let a = Array.sub t.data 0 t.size in
-  Array.sort t.cmp a;
-  Array.to_list a
+let filter_in_place keep t =
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    let x = t.data.(i) in
+    if keep x then begin
+      t.data.(!n) <- x;
+      incr n
+    end
+  done;
+  t.size <- !n;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i
+  done
+
+let iter f t =
+  for i = 0 to t.size - 1 do
+    f t.data.(i)
+  done

@@ -26,8 +26,9 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 
-val to_list : 'a t -> 'a list
-(** Snapshot of the contents, sorted ascending by the heap's
-    comparison (smallest first).  The heap itself is not modified.
-    Callers that iterate the pending set — the engine's state
-    fingerprint, tests — rely on this order being canonical. *)
+val filter_in_place : ('a -> bool) -> 'a t -> unit
+(** Drop every element for which the predicate is false, in O(n). *)
+
+val iter : ('a -> unit) -> 'a t -> unit
+(** Visit every element once, in unspecified (array) order, without
+    copying or modifying the heap.  [f] must not push or pop. *)

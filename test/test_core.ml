@@ -727,6 +727,164 @@ let incremental_hashing_tests =
           (st.Stats.pages_skipped > st.Stats.pages_hashed));
   ]
 
+(* Conservative lookahead changes how far a replica runs per dispatch,
+   never what it computes.  A pass-through scheduler turns lookahead
+   off (the engine then bounds every burst by the next event, and
+   returning 0 reproduces the default dispatch order exactly), so each
+   configuration runs twice and everything modelled must agree: the
+   outcome, the modelled statistics, console and disk, the per-node
+   epoch hashes, and the typed event stream.  Same-instant events of
+   different sources may interleave differently, so the stream is
+   compared after a stable sort by (time, source). *)
+
+(* the CLI's [-w] workloads, scaled down where the CLI's size only
+   repeats the same operations (sixteen configurations run each twice) *)
+let cpu_workloads =
+  [
+    Workload.dhrystone ~iterations:5_000;
+    Workload.clock_sampler ~samples:500;
+    Workload.timer_tick ~period_us:1000 ~ticks:12;
+    Workload.console_hello ~text:"hello from the replicated machine\n";
+    Workload.probe_priv;
+  ]
+
+let io_workloads =
+  [
+    Workload.disk_write ~ops:3 ();
+    Workload.disk_read ~ops:3 ();
+    Workload.mixed ~compute:100 ~ops:3 ();
+    Workload.masked_io ~ops:2;
+    Workload.queued_io ~pairs:2;
+    Workload.server ~requests:3 ~period_us:3000;
+  ]
+
+(* everything but the translation and certificate-coverage counters,
+   which count host-side work per burst *)
+let modelled (s : Stats.t) =
+  {
+    s with
+    Stats.certified_instructions = 0;
+    validated_instructions = 0;
+    blocks_translated = 0;
+    superinstructions_fused = 0;
+    threaded_instrs = 0;
+    threaded_entries = 0;
+    loops_hoisted = 0;
+    hoisted_decrements = 0;
+    fallback_budget = 0;
+    fallback_priv = 0;
+    fallback_link = 0;
+    fallback_indirect = 0;
+    fallback_bail = 0;
+    fallback_stop = 0;
+  }
+
+let observe ~failover ~params ~per_dispatch (w : Workload.t) =
+  let obs = Hft_obs.Recorder.create ~capacity:(1 lsl 20) () in
+  let sys = System.create ~params ~obs ~workload:w () in
+  let hashes hv =
+    let log = ref [] in
+    let previous = Hypervisor.get_on_epoch_boundary hv in
+    Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
+        log := (epoch, hash) :: !log;
+        previous ~epoch ~hash);
+    log
+  in
+  let hp = hashes (System.primary sys) and hb = hashes (System.backup sys) in
+  if failover then begin
+    System.crash_primary_at sys (Hft_sim.Time.of_ms 40);
+    System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 10)
+  end;
+  if per_dispatch then Hft_sim.Engine.set_scheduler (System.engine sys) (fun _ -> 0);
+  let o = System.run sys in
+  let events =
+    List.map
+      (fun (e : Hft_obs.Recorder.entry) ->
+        (Hft_sim.Time.to_ns e.time, e.source, e.ev))
+      (Hft_obs.Recorder.entries obs)
+    |> List.stable_sort (fun (t1, s1, _) (t2, s2, _) ->
+           compare (t1, s1) (t2, s2))
+  in
+  ( {
+      o with
+      System.primary_stats = modelled o.System.primary_stats;
+      backup_stats = modelled o.System.backup_stats;
+    },
+    Hft_devices.Disk.Log.entries (System.disk sys),
+    (List.rev !hp, List.rev !hb),
+    events )
+
+let configurations =
+  List.concat_map
+    (fun backend ->
+      List.concat_map
+        (fun protocol ->
+          List.map
+            (fun mechanism ->
+              {
+                (Params.with_protocol Params.default protocol) with
+                Params.epoch_mechanism = mechanism;
+                exec_backend = backend;
+              })
+            [ Params.Recovery_register; Params.Code_rewriting ])
+        [ Params.Original; Params.Revised ])
+    [ Params.Interp; Params.Threaded ]
+
+let lookahead_case ?(failover = false) (w : Workload.t) =
+  let open Alcotest in
+  test_case
+    (w.Workload.name ^ if failover then " with failover" else "")
+    `Quick (fun () ->
+      List.iter
+        (fun params ->
+          let name =
+            Format.asprintf "%a/%a/%s" Params.pp_backend
+              params.Params.exec_backend Params.pp_protocol
+              params.Params.protocol
+              (match params.Params.epoch_mechanism with
+              | Params.Recovery_register -> "recovery"
+              | Params.Code_rewriting -> "rewriting")
+          in
+          let o1, d1, h1, e1 = observe ~failover ~params ~per_dispatch:false w in
+          let o2, d2, h2, e2 = observe ~failover ~params ~per_dispatch:true w in
+          check int (name ^ ": completion time")
+            (Hft_sim.Time.to_ns o2.System.time)
+            (Hft_sim.Time.to_ns o1.System.time);
+          check string (name ^ ": console") o2.System.console
+            o1.System.console;
+          check string (name ^ ": primary stats")
+            (Format.asprintf "%a" Stats.pp o2.System.primary_stats)
+            (Format.asprintf "%a" Stats.pp o1.System.primary_stats);
+          check bool (name ^ ": outcome and stats") true (o1 = o2);
+          check bool (name ^ ": disk log") true (d1 = d2);
+          check bool (name ^ ": epoch hashes") true (h1 = h2);
+          check int (name ^ ": event count") (List.length e2) (List.length e1);
+          check bool (name ^ ": event stream") true (e1 = e2))
+        configurations)
+
+(* The phase-lock regression: before lookahead each replica's burst
+   ended at its peer's pending stop, so at long epochs the two took
+   turns retiring one instruction per dispatch and the translated
+   blocks, which need room to run, were mostly refused (39.4% of
+   instructions direct-threaded). *)
+let lookahead_regression_test =
+  Alcotest.test_case "threaded replicas at EL 32768 stay direct-threaded"
+    `Quick (fun () ->
+      let params =
+        Params.with_exec_backend
+          (Params.with_epoch_length Params.default 32768)
+          Params.Threaded
+      in
+      let _, o = run_sys ~params (Workload.dhrystone ~iterations:20_000) in
+      check_lockstep "cpu" o;
+      let frac =
+        Option.value ~default:0.
+          (Stats.threaded_fraction o.System.primary_stats)
+      in
+      if frac < 0.95 then
+        Alcotest.failf "%.1f%% of instructions direct-threaded, want >= 95%%"
+          (100. *. frac))
+
 let () =
   Alcotest.run "hft_core"
     [
@@ -741,6 +899,11 @@ let () =
       ("messaging", messaging_tests);
       ("reproducibility", reproducibility_tests);
       ("api-edges", api_edge_tests);
+      ( "lookahead-cpu",
+        List.map lookahead_case cpu_workloads @ [ lookahead_regression_test ] );
+      ( "lookahead-io",
+        List.map lookahead_case io_workloads
+        @ [ lookahead_case ~failover:true (Workload.disk_write ~ops:3 ()) ] );
       ( "random-lockstep",
         [
           QCheck_alcotest.to_alcotest random_lockstep_prop;

@@ -55,32 +55,34 @@ let heap_tests =
         check bool "empty" true (Heap.is_empty h));
   ]
 
-let heap_to_list_tests =
+let elements h =
+  let acc = ref [] in
+  Heap.iter (fun x -> acc := x :: !acc) h;
+  List.sort Int.compare !acc
+
+let heap_iter_tests =
   let open Alcotest in
   [
-    test_case "to_list is sorted and non-destructive" `Quick (fun () ->
+    test_case "iter is complete and non-destructive" `Quick (fun () ->
         let h = Heap.create ~cmp:Int.compare in
         let l = [ 5; 1; 4; 1; 3; 9; 2 ] in
         List.iter (Heap.push h) l;
-        check (list int) "sorted snapshot" (List.sort Int.compare l)
-          (Heap.to_list h);
+        check (list int) "every element" (List.sort Int.compare l)
+          (elements h);
         check int "heap untouched" (List.length l) (Heap.length h);
         check (option int) "min still poppable" (Some 1) (Heap.pop h));
-    test_case "to_list of empty heap" `Quick (fun () ->
+    test_case "iter of empty heap visits nothing" `Quick (fun () ->
         let h = Heap.create ~cmp:Int.compare in
-        check (list int) "empty" [] (Heap.to_list h));
+        check (list int) "empty" [] (elements h));
   ]
 
-let heap_to_list_property =
-  (* The canonical-order contract the engine fingerprint relies on:
-     a snapshot is always ascending, whatever the push order. *)
+let heap_iter_property =
   let prop l =
     let h = Heap.create ~cmp:Int.compare in
     List.iter (Heap.push h) l;
-    Heap.to_list h = List.sort Int.compare l
-    && Heap.length h = List.length l
+    elements h = List.sort Int.compare l && Heap.length h = List.length l
   in
-  QCheck.Test.make ~name:"to_list sorted ascending" ~count:200
+  QCheck.Test.make ~name:"iter visits the pushed elements" ~count:200
     QCheck.(list int)
     prop
 
@@ -94,6 +96,20 @@ let heap_property =
     drain [] = List.sort Int.compare l
   in
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
+    QCheck.(list int)
+    prop
+
+let heap_filter_property =
+  let prop l =
+    let h = Heap.create ~cmp:Int.compare in
+    List.iter (Heap.push h) l;
+    Heap.filter_in_place (fun x -> x mod 3 <> 0) h;
+    let rec drain acc =
+      match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+    in
+    drain [] = List.sort Int.compare (List.filter (fun x -> x mod 3 <> 0) l)
+  in
+  QCheck.Test.make ~name:"filter_in_place keeps a heap" ~count:200
     QCheck.(list int)
     prop
 
@@ -356,19 +372,192 @@ let scheduler_tests =
         check int "hook saw only the first step" 1 !calls);
   ]
 
+(* Conservative lookahead: [horizon] bounds an actor's burst by its
+   own and shared events exactly, by other actors' events [L] later
+   (one nanosecond short, so the burst ends strictly before anything
+   they can cause), and [at] enforces the [L] it assumes. *)
+let horizon_tests =
+  let open Alcotest in
+  let ns = Option.map Time.to_ns in
+  let engine () =
+    let e = Engine.create () in
+    Engine.set_lookahead e (Time.of_us 60);
+    e
+  in
+  let ev e ?actor us = Engine.at e ?actor (Time.of_us us) (fun () -> ()) in
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  [
+    test_case "own and shared events bound it exactly" `Quick (fun () ->
+        let e = engine () in
+        ignore (ev e ~actor:"a" 100);
+        check (option int) "own" (Some 100_000)
+          (ns (Engine.horizon e ~actor:"a"));
+        ignore (ev e 40);
+        check (option int) "shared" (Some 40_000)
+          (ns (Engine.horizon e ~actor:"a")));
+    test_case "another actor's event bounds it at +L" `Quick (fun () ->
+        let e = engine () in
+        ignore (ev e ~actor:"b" 10);
+        ignore (ev e ~actor:"a" 200);
+        check (option int) "other + L - 1ns" (Some 69_999)
+          (ns (Engine.horizon e ~actor:"a"));
+        check (option int) "b's own event" (Some 10_000)
+          (ns (Engine.horizon e ~actor:"b"));
+        check (option int) "next_time unchanged" (Some 10_000)
+          (ns (Engine.next_time e)));
+    test_case "no lookahead: horizon is next_time" `Quick (fun () ->
+        let e = Engine.create () in
+        ignore (ev e ~actor:"b" 10);
+        ignore (ev e ~actor:"a" 20);
+        check (option int) "L = 0" (Some 10_000)
+          (ns (Engine.horizon e ~actor:"a")));
+    test_case "cancelled events are ignored" `Quick (fun () ->
+        let e = engine () in
+        let h = ev e ~actor:"a" 5 in
+        ignore (ev e 500);
+        Engine.cancel e h;
+        check (option int) "cancelled own" (Some 500_000)
+          (ns (Engine.horizon e ~actor:"a"));
+        Engine.cancel e (ev e ~actor:"b" 1);
+        check (option int) "cancelled other" (Some 500_000)
+          (ns (Engine.horizon e ~actor:"a"));
+        check (option int) "empty" None
+          (ns (Engine.horizon (engine ()) ~actor:"a")));
+    test_case "an installed scheduler yields next_time" `Quick (fun () ->
+        let e = engine () in
+        ignore (ev e ~actor:"b" 10);
+        ignore (ev e ~actor:"a" 200);
+        Engine.set_scheduler e (fun _ -> 0);
+        check (option int) "per-dispatch" (Some 10_000)
+          (ns (Engine.horizon e ~actor:"a")));
+    test_case "sweeping cancelled events keeps the order" `Quick (fun () ->
+        let e = Engine.create () in
+        let log = ref [] in
+        let hs =
+          List.init 100 (fun i ->
+              Engine.at e
+                (Time.of_us (100 - (i / 4)))
+                (fun () -> log := i :: !log))
+        in
+        List.iteri (fun i h -> if i mod 2 = 1 then Engine.cancel e h) hs;
+        check int "pending" 50 (Engine.pending e);
+        Engine.run e;
+        let by_time_then_seq a b = compare (-(a / 4), a) (-(b / 4), b) in
+        check (list int) "survivors by time, ties by seq"
+          (List.sort by_time_then_seq (List.init 50 (fun k -> 2 * k)))
+          (List.rev !log));
+    test_case "a cross-actor at inside L raises" `Quick (fun () ->
+        let e = engine () in
+        let verdicts = ref [] in
+        let try_at actor us =
+          verdicts :=
+            raises (fun () ->
+                ignore
+                  (Engine.after e ?actor (Time.of_us us) (fun () -> ())))
+            :: !verdicts
+        in
+        ignore
+          (Engine.at e ~actor:"a" (Time.of_us 1) (fun () ->
+               try_at (Some "a") 0;
+               try_at (Some "b") 59;
+               try_at None 59;
+               try_at (Some "b") 60;
+               try_at None 60));
+        (* shared handlers and code outside any handler are free *)
+        ignore (Engine.at e (Time.of_us 2) (fun () -> try_at (Some "b") 0));
+        Engine.run e;
+        try_at (Some "b") 0;
+        check (list bool) "verdicts"
+          [ false; true; true; false; false; false; false ]
+          (List.rev !verdicts));
+  ]
+
+(* The property lookahead must keep: three toy actors run bursts up to
+   their horizon, stopping early at seeded trap points; a trap sends a
+   message to another actor (at least [L] later, often exactly [L] so
+   ties with burst ends are common) or arms a shared event.  Every
+   delivery logs how far its receiver has run, every shared event how
+   far all have run.  The logs must equal those of a pass-through
+   scheduler run, where every burst ends at the next event of anyone. *)
+let lookahead_exactness_property =
+  let unit = 10 and l = 100 and limit = 5_000 in
+  let simulate ~seed ~per_dispatch =
+    let e = Engine.create () in
+    Engine.set_lookahead e (Time.of_ns l);
+    if per_dispatch then Engine.set_scheduler e (fun _ -> 0);
+    let actors = [| "a"; "b"; "c" |] in
+    let reached = Array.make 3 0 in
+    let log = ref [] in
+    let draw i p k = Hashtbl.hash (seed, i, p) mod k in
+    let now () = Time.to_ns (Engine.now e) in
+    let rec burst i =
+      let t = now () in
+      if t < limit then begin
+        let n =
+          match Engine.horizon e ~actor:actors.(i) with
+          | Some h -> max 1 ((Time.to_ns h - t) / unit)
+          | None -> limit
+        in
+        (* halting is a program point too *)
+        let n = min n ((limit - t) / unit) in
+        let rec first_trap k =
+          if k >= n then n
+          else if draw i (t + (k * unit)) 5 = 0 then k
+          else first_trap (k + 1)
+        in
+        let k = first_trap 1 in
+        reached.(i) <- t + (k * unit);
+        ignore
+          (Engine.at e ~actor:actors.(i) (Time.of_ns reached.(i)) (fun () ->
+               if draw i reached.(i) 5 = 0 then trap i;
+               burst i))
+      end
+    and trap i =
+      let t = now () in
+      let at = Time.of_ns (t + l + (unit * draw i t 3)) in
+      if draw i (t + 1) 4 = 0 then
+        ignore
+          (Engine.at e at (fun () ->
+               log := (now (), -1, Array.fold_left ( + ) 0 reached) :: !log))
+      else
+        let j = (i + 1 + draw i (t + 2) 2) mod 3 in
+        ignore
+          (Engine.at e ~actor:actors.(j) at (fun () ->
+               log := (now (), j, reached.(j)) :: !log))
+    in
+    Array.iteri
+      (fun i a -> ignore (Engine.at e ~actor:a Time.zero (fun () -> burst i)))
+      actors;
+    Engine.run e;
+    (List.sort compare !log, Engine.events_dispatched e)
+  in
+  QCheck.Test.make ~name:"lookahead bursts match per-event horizons"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let lookahead, dispatched = simulate ~seed ~per_dispatch:false in
+      let per_event, dispatched' = simulate ~seed ~per_dispatch:true in
+      lookahead = per_event && dispatched <= dispatched')
+
 let () =
   Alcotest.run "hft_sim"
     [
       ("time", time_tests);
       ( "heap",
-        heap_tests @ heap_to_list_tests
+        heap_tests @ heap_iter_tests
         @ [
             QCheck_alcotest.to_alcotest heap_property;
-            QCheck_alcotest.to_alcotest heap_to_list_property;
+            QCheck_alcotest.to_alcotest heap_iter_property;
+            QCheck_alcotest.to_alcotest heap_filter_property;
           ] );
       ("rng", rng_tests);
       ("trace", trace_tests);
       ("engine", engine_tests);
+      ( "horizon",
+        horizon_tests
+        @ [ QCheck_alcotest.to_alcotest lookahead_exactness_property ] );
       ( "scheduler",
         scheduler_tests
         @ [ QCheck_alcotest.to_alcotest scheduler_permutation_property ] );
