@@ -17,9 +17,6 @@ type t = {
   mutable halt_time : Time.t;
 }
 
-let fill_block ~block_words block =
-  Array.init block_words (fun i -> Word.mask ((block * 0x01000193) + i))
-
 let create ?(params = Params.default) ?(disk_seed = 42) ~workload () =
   let engine = Engine.create () in
   let cpu =
@@ -59,12 +56,7 @@ let cpu t = t.cpu
 let disk t = t.disk
 let console t = t.console
 
-let init_disk_blocks t =
-  let prm = Disk.params t.disk in
-  for block = 0 to prm.Disk.blocks - 1 do
-    Disk.write_block_now t.disk block
-      (fill_block ~block_words:prm.Disk.block_words block)
-  done
+let init_disk_blocks t = Disk.fill t.disk
 
 (* Interrupt delivery: hardware vectoring plus the interrupt kind in
    scratch0 for the guest dispatcher. *)

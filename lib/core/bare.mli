@@ -33,7 +33,8 @@ val console : t -> Hft_devices.Console.t
 
 val init_disk_blocks : t -> unit
 (** Fill every disk block with deterministic, block-dependent content,
-    so read benchmarks have something recognisable to fetch. *)
+    so read benchmarks have something recognisable to fetch
+    ({!Hft_devices.Disk.fill}). *)
 
 val run : ?limit:int -> t -> outcome
 (** Boot the guest and run the simulation to completion.

@@ -29,10 +29,6 @@ type t = {
   mutable reintegration_delay : Time.t option;
 }
 
-let fill_block ~block_words block =
-  Array.init block_words (fun i ->
-      Hft_machine.Word.mask ((block * 0x01000193) + i))
-
 let record_boundary ls ~epoch ~hash =
   match Hashtbl.find_opt ls.hashes epoch with
   | None -> Hashtbl.replace ls.hashes epoch hash
@@ -82,13 +78,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   let disk_ =
     Disk.create ~engine ~rng:(Rng.create disk_seed) ~obs params.Params.disk
   in
-  if init_disk then begin
-    let prm = Disk.params disk_ in
-    for block = 0 to prm.Disk.blocks - 1 do
-      Disk.write_block_now disk_ block
-        (fill_block ~block_words:prm.Disk.block_words block)
-    done
-  end;
+  if init_disk then Disk.fill disk_;
   let console_ = Console.create () in
   let clock_p = Clock.create ~engine () in
   let clock_b = Clock.create ~engine ~skew:params.Params.backup_clock_skew () in

@@ -37,7 +37,8 @@ val create :
     [lockstep] (default true) records the VM state hash at every epoch
     boundary on both replicas and compares them; disable for large
     benchmark runs (hashing all of guest memory every epoch is slow).
-    [init_disk] (default true) pre-fills the disk blocks.
+    [init_disk] (default true) fills the disk with its pattern
+    ({!Hft_devices.Disk.fill}).
     [second_backup] (default false) chains a second backup behind the
     first for 2-fault tolerance (failures tolerated in role order). *)
 

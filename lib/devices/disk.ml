@@ -65,6 +65,9 @@ type t = {
   rng : Rng.t;
   obs : Hft_obs.Recorder.t;
   storage : Hft_machine.Word.t array array;
+      (* [[||]] marks a pristine block: never written since [create] or
+         the last [fill], its contents are [pristine] *)
+  mutable filled : bool;
   queue : pending Queue.t;
   deferred : (int, parked list) Hashtbl.t;
       (* port -> parked completions, newest first; a port bound here
@@ -74,32 +77,32 @@ type t = {
   mutable next_log_seq : int;
   mutable log_rev : log_entry list;
   mutable storage_hash_ : int;
+      (* xor over written blocks of their digest delta against the
+         pristine image, so a fresh or freshly filled disk hashes to 0 *)
 }
 
-(* Position-dependent per-block digest; the whole-storage hash is the
-   xor over blocks, maintained incrementally at each write. *)
+(* Position-dependent per-block digest; the whole-storage hash is
+   maintained incrementally at each write. *)
 let block_hash b data = Hashtbl.hash (b, hash_content data)
 
 let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
   if prm.blocks <= 0 || prm.block_words <= 0 then
     invalid_arg "Disk.create: bad geometry";
   let rng = match rng with Some r -> r | None -> Rng.create 0 in
-  let storage = Array.init prm.blocks (fun _ -> Array.make prm.block_words 0) in
-  let h = ref 0 in
-  Array.iteri (fun b data -> h := !h lxor block_hash b data) storage;
   {
     engine;
     prm;
     rng;
     obs;
-    storage;
+    storage = Array.make prm.blocks [||];
+    filled = false;
     queue = Queue.create ();
     deferred = Hashtbl.create 2;
     busy_ = false;
     next_op_id = 0;
     next_log_seq = 0;
     log_rev = [];
-    storage_hash_ = !h;
+    storage_hash_ = 0;
   }
 
 let params t = t.prm
@@ -111,14 +114,34 @@ let check_block t block =
 let busy t = t.busy_
 let queue_depth t = Queue.length t.queue + if t.busy_ then 1 else 0
 
+let pristine t block =
+  Array.init t.prm.block_words (fun i ->
+      if t.filled then Hft_machine.Word.mask ((block * 0x01000193) + i) else 0)
+
+let fill t =
+  Array.fill t.storage 0 t.prm.blocks [||];
+  t.filled <- true;
+  t.storage_hash_ <- 0
+
 let read_block_now t block =
   check_block t block;
-  Array.copy t.storage.(block)
+  match t.storage.(block) with
+  | [||] -> pristine t block
+  | data -> Array.copy data
 
 let store t block data =
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block t.storage.(block);
-  Array.blit data 0 t.storage.(block) 0 t.prm.block_words;
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block t.storage.(block)
+  let cur =
+    match t.storage.(block) with
+    | [||] ->
+      (* first write: the block leaves the pristine image *)
+      let cur = pristine t block in
+      t.storage.(block) <- cur;
+      cur
+    | cur -> cur
+  in
+  t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur;
+  Array.blit data 0 cur 0 t.prm.block_words;
+  t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur
 
 let write_block_now t block data =
   check_block t block;
@@ -171,7 +194,7 @@ and complete t p =
       if performed then store t block data;
       None
     | Read { block } ->
-      if performed && not uncertain then Some (Array.copy t.storage.(block))
+      if performed && not uncertain then Some (read_block_now t block)
       else None
   in
   log t ~port:p.p_port ~op_id:p.p_id ~op:p.p_op ~status ~performed;
@@ -279,7 +302,8 @@ let fingerprint t =
       t.deferred 0x2f53
   in
   Hashtbl.hash
-    (t.storage_hash_, t.busy_, Queue.length t.queue, queued, log, deferred)
+    ( t.storage_hash_, t.filled, t.busy_, Queue.length t.queue, queued, log,
+      deferred )
 
 module Log = struct
   type entry = log_entry = {

@@ -108,20 +108,41 @@ val drop_port : t -> port:int -> int
 val deferred_count : t -> port:int -> int
 val port_deferred : t -> port:int -> bool
 
+(** {2 Storage}
+
+    A new disk reads as zeros everywhere.  The initial image is a pure
+    function of the geometry (and of whether {!fill} ran), so storage
+    is not built up front: a block stays {e pristine} — no backing
+    array — until its first performed write, and reads and DMA of a
+    pristine block build its contents on demand.  A run pays only for
+    the blocks it writes. *)
+
+val fill : t -> unit
+(** Reset every block to the fill pattern: word [i] of block [b] is
+    [Word.mask (b * 0x01000193 + i)], deterministic and
+    block-dependent so read workloads have something recognisable to
+    fetch.  O(blocks); equivalent to {!write_block_now} of the pattern
+    into every block (unlogged), and likewise leaves queued operations
+    and the log alone. *)
+
 val storage_hash : t -> int
-(** Digest of the whole storage contents, maintained incrementally:
-    each write re-hashes only the block it touches. *)
+(** Digest of the storage contents {e relative to the initial image}:
+    the xor, over written blocks, of each block's digest delta against
+    its pristine contents.  It is [0] on a fresh or freshly filled
+    disk, equal for two disks of the same fill state whose contents
+    match (whatever their write histories), and maintained
+    incrementally: each write re-hashes only the block it touches. *)
 
 val fingerprint : t -> int
 (** Canonical digest of the device state for the model checker:
-    storage contents, queued operations, busy flag and the operation
-    log {e minus} its sequence numbers, op ids and completion times
-    (which encode when things happened, not what the environment
-    observed). *)
+    storage contents (as {!storage_hash} plus whether the disk was
+    filled), queued operations, busy flag and the operation log
+    {e minus} its sequence numbers, op ids and completion times (which
+    encode when things happened, not what the environment observed). *)
 
 val read_block_now : t -> int -> Hft_machine.Word.t array
-(** Direct storage access for tests and for initialising disk
-    contents; not part of the device interface. *)
+(** Direct storage access for tests; not part of the device interface.
+    Returns a fresh copy. *)
 
 val write_block_now : t -> int -> Hft_machine.Word.t array -> unit
 

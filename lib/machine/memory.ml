@@ -33,17 +33,43 @@ type t = {
 
 let default_page_shift = 10
 
+let fnv_prime = 0x100000001b3
+let fnv_mask = (1 lsl 62) - 1
+
+(* distinct bases for the word-level and page-level folds, so a page
+   digest can never be mistaken for a fold of page digests *)
+let page_basis = 0x3bf29ce484222325
+let digest_basis = 0x27d4eb2f165667c5
+
+(* the digest of [n] zero words, which is what [hash_page] computes
+   for an untouched page of [n] words *)
+let zero_page_digest n =
+  let h = ref page_basis in
+  for _ = 1 to n do
+    h := !h * fnv_prime land fnv_mask
+  done;
+  !h
+
+(* Fresh memory is all zeros, so every page digest is known without
+   reading a word: seed the cache with the zero-page digest (the
+   trailing partial page gets its own) and mark nothing stale.  Every
+   write path marks its page stale, so [digest = full_digest] holds
+   from the first call on. *)
 let create ?(page_shift = default_page_shift) ~words () =
   if words <= 0 then invalid_arg "Memory.create: size must be positive";
   if page_shift < 0 || page_shift > 30 then
     invalid_arg "Memory.create: bad page_shift";
-  let pages = (words + (1 lsl page_shift) - 1) lsr page_shift in
+  let page = 1 lsl page_shift in
+  let pages = (words + page - 1) lsr page_shift in
+  let page_digests = Array.make pages (zero_page_digest (min page words)) in
+  let tail = words - ((pages - 1) lsl page_shift) in
+  if tail < page then page_digests.(pages - 1) <- zero_page_digest tail;
   {
     words = Array.make words 0;
     page_shift;
     pages;
-    page_digests = Array.make pages 0;
-    stale = Array.make pages true;
+    page_digests;
+    stale = Array.make pages false;
     clean = false;
     digest_cache = 0;
     snap_dirty = Array.make pages true;
@@ -174,14 +200,6 @@ let equal a b =
     incr i
   done;
   !i = n
-
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
-
-(* distinct bases for the word-level and page-level folds, so a page
-   digest can never be mistaken for a fold of page digests *)
-let page_basis = 0x3bf29ce484222325
-let digest_basis = 0x27d4eb2f165667c5
 
 let hash_page t p =
   let lo = p lsl t.page_shift in

@@ -17,7 +17,9 @@ val create : ?page_shift:int -> words:int -> unit -> t
 (** Zero-initialised memory of [words] words, tracked in pages of
     [2{^page_shift}] words (default 10, matching
     {!Cpu.default_config}).  The last page may be partial when [words]
-    is not a multiple of the page size. *)
+    is not a multiple of the page size.  The page-digest cache starts
+    out holding the all-zero page digests, so the first {!digest}
+    hashes only pages written since. *)
 
 val size : t -> int
 

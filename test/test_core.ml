@@ -727,6 +727,49 @@ let incremental_hashing_tests =
           (st.Stats.pages_skipped > st.Stats.pages_hashed));
   ]
 
+(* -------- creation cost -------- *)
+
+(* The initial state is a pure function of the parameters: a pristine
+   disk and zero-filled memory with known page digests cost nothing to
+   build or hash.  Pinned deterministically as major-heap words, which
+   counts the two guest memories (about [2 x mem_words]) but nothing
+   proportional to the disk or to a hashing pass over memory. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+let major_words_of f =
+  let before = major_words () in
+  let r = f () in
+  let words = major_words () -. before in
+  ignore (Sys.opaque_identity r);
+  words
+
+let create_cost_tests =
+  let budget = 4. *. float Hft_machine.Cpu.default_config.Hft_machine.Cpu.mem_words in
+  let pin name words =
+    if words >= budget then
+      Alcotest.failf "%s allocated %.0f major words, budget %.0f" name words
+        budget
+  in
+  let module S = Hft_harness.Scenarios in
+  Alcotest.test_case "System.create allocates under 4 x mem_words" `Quick
+    (fun () ->
+      pin "System.create"
+        (major_words_of (fun () ->
+             System.create ~params:Params.default
+               ~workload:(Workload.dhrystone ~iterations:20_000) ())))
+  :: List.map
+       (fun (b : S.bounded) ->
+         Alcotest.test_case
+           (Printf.sprintf "instantiate %s allocates under 4 x mem_words"
+              b.S.sc_name)
+           `Quick (fun () ->
+             pin b.S.sc_name
+               (major_words_of (fun () ->
+                    S.instantiate b ~variant:S.correct ()))))
+       S.all
+
 (* Conservative lookahead changes how far a replica runs per dispatch,
    never what it computes.  A pass-through scheduler turns lookahead
    off (the engine then bounds every burst by the next event, and
@@ -899,6 +942,7 @@ let () =
       ("messaging", messaging_tests);
       ("reproducibility", reproducibility_tests);
       ("api-edges", api_edge_tests);
+      ("create-cost", create_cost_tests);
       ( "lookahead-cpu",
         List.map lookahead_case cpu_workloads @ [ lookahead_regression_test ] );
       ( "lookahead-io",

@@ -137,6 +137,94 @@ let disk_tests =
         | None -> fail "no completion");
   ]
 
+(* Model-based check of the lazily materialised storage against an
+   eager reference: an array holding the full initial image (zeros, or
+   the fill pattern after [fill]) and updated on every performed
+   write, in the order the device performs them. *)
+let disk_model_prop =
+  let open QCheck.Gen in
+  let blocks = 6 and bw = 4 in
+  let blk = int_range 0 (blocks - 1) in
+  let op =
+    frequency
+      [
+        (1, return `Fill);
+        (3, map2 (fun b v -> `Write_now (b, v)) blk (int_range 0 50));
+        (2, map (fun b -> `Pattern_now b) blk);
+        (3, map2 (fun b v -> `Submit_write (b, v)) blk (int_range 0 50));
+        (3, map (fun b -> `Submit_read b) blk);
+        (3, map (fun b -> `Read_now b) blk);
+        (2, return `Drain);
+      ]
+  in
+  let gen =
+    triple bool (oneofl [ 0.0; 0.4 ]) (list_size (int_range 1 60) op)
+  in
+  let pristine ~filled b =
+    Array.init bw (fun i ->
+        if filled then Hft_machine.Word.mask ((b * 0x01000193) + i) else 0)
+  in
+  let data v = Array.init bw (fun i -> Hft_machine.Word.mask ((v * 7919) + i)) in
+  let mk e ~fault_rate ~filled =
+    let d =
+      Disk.create ~engine:e ~rng:(Rng.create 11)
+        { Disk.default_params with Disk.blocks; block_words = bw; fault_rate }
+    in
+    if filled then Disk.fill d;
+    d
+  in
+  QCheck.Test.make ~name:"lazy storage matches an eager reference" ~count:300
+    (QCheck.make gen) (fun (filled0, fault_rate, ops) ->
+      let e = mk_engine () in
+      let d = mk e ~fault_rate ~filled:filled0 in
+      let filled = ref filled0 in
+      let truth = Array.init blocks (fun b -> pristine ~filled:filled0 b) in
+      let ok = ref true in
+      let expect b got = if got <> truth.(b) then ok := false in
+      List.iter
+        (function
+          | `Fill ->
+            Disk.fill d;
+            filled := true;
+            Array.iteri (fun b _ -> truth.(b) <- pristine ~filled:true b) truth
+          | `Write_now (b, v) ->
+            Disk.write_block_now d b (data v);
+            truth.(b) <- data v
+          | `Pattern_now b ->
+            Disk.write_block_now d b (pristine ~filled:!filled b);
+            truth.(b) <- pristine ~filled:!filled b
+          | `Submit_write (b, v) ->
+            ignore
+              (Disk.submit d ~port:0
+                 (Disk.Write { block = b; data = data v })
+                 ~on_complete:(fun c ->
+                   if c.Disk.performed then truth.(b) <- data v))
+          | `Submit_read b ->
+            ignore
+              (Disk.submit d ~port:1 (Disk.Read { block = b })
+                 ~on_complete:(fun c ->
+                   match c.Disk.data with Some got -> expect b got | None -> ()))
+          | `Read_now b -> expect b (Disk.read_block_now d b)
+          | `Drain -> Engine.run e)
+        ops;
+      Engine.run e;
+      Array.iteri (fun b _ -> expect b (Disk.read_block_now d b)) truth;
+      (* the same contents reached by another history: every block
+         first scribbled over, then written its final contents in
+         reverse order *)
+      let other = mk (mk_engine ()) ~fault_rate:0.0 ~filled:!filled in
+      for b = blocks - 1 downto 0 do
+        Disk.write_block_now other b (data (b + 1000));
+        Disk.write_block_now other b truth.(b)
+      done;
+      let same_hash = Disk.storage_hash other = Disk.storage_hash d in
+      (* writing the initial image back restores a fresh disk's hash *)
+      Array.iteri
+        (fun b _ -> Disk.write_block_now d b (pristine ~filled:!filled b))
+        truth;
+      let fresh = mk (mk_engine ()) ~fault_rate:0.0 ~filled:!filled in
+      !ok && same_hash && Disk.storage_hash d = Disk.storage_hash fresh)
+
 let log_tests =
   let open Alcotest in
   let run_ops e d ops =
@@ -315,7 +403,7 @@ let misc_device_tests =
 let () =
   Alcotest.run "hft_devices"
     [
-      ("disk", disk_tests);
+      ("disk", disk_tests @ [ QCheck_alcotest.to_alcotest disk_model_prop ]);
       ("disk-log", log_tests);
       ("disk-ctl", disk_ctl_tests);
       ("misc", misc_device_tests);

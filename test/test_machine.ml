@@ -682,55 +682,68 @@ let memory_tests =
    roundtrips. *)
 let digest_equiv_prop =
   let open QCheck.Gen in
-  let words = 4096 and page_shift = 8 in
+  (* page-multiple and ragged sizes, including a memory smaller than
+     one page *)
+  let geometry = pair (oneofl [ 0; 8; 10; 16 ]) (oneofl [ 1; 700; 1024; 4096; 5000 ]) in
+  let anywhere = int_bound 1_000_000 in
   let op =
     frequency
       [
-        ( 6,
-          map2
-            (fun a v -> `Write (a, v))
-            (int_range 0 (words - 1))
-            (int_range 0 1_000_000) );
-        ( 2,
-          map2
-            (fun a len -> `Blit (a, len))
-            (int_range 0 (words - 65))
-            (int_range 1 64) );
+        (6, map2 (fun a v -> `Write (a, v)) anywhere (int_range 0 1_000_000));
+        (2, map2 (fun a len -> `Blit (a, len)) anywhere (int_range 1 64));
         (2, return `Digest);
         (1, return `Clear);
         (1, return `Snap);
         (1, return `Restore);
+        (1, map (fun p -> `Copy_page p) anywhere);
       ]
   in
-  let ops_gen = list_size (int_range 1 120) op in
+  let gen = pair geometry (list_size (int_range 1 120) op) in
   QCheck.Test.make ~name:"incremental digest equals full re-hash" ~count:200
-    (QCheck.make ops_gen) (fun ops ->
+    (QCheck.make gen) (fun ((page_shift, words), ops) ->
       let m = Memory.create ~page_shift ~words () in
+      (* fresh memory: the cached zero-page digests are already right,
+         so the first digest hashes nothing *)
+      let d0 = Memory.digest m in
+      let fresh_ok =
+        Memory.take_hash_work m = (0, Memory.pages m)
+        && d0 = Memory.full_digest m
+      in
       let truth = Array.make words 0 in
       let saved = ref (Memory.copy m) in
       let truth_saved = ref (Array.copy truth) in
+      let ok = ref fresh_ok in
       List.iter
         (fun op ->
           match op with
           | `Write (a, v) ->
+            let a = a mod words in
             Memory.write m a v;
             truth.(a) <- Word.mask v
           | `Blit (a, len) ->
+            let a = a mod words in
+            let len = min len (words - a) in
             let block = Array.init len (fun i -> Word.mask (a + (i * 37))) in
             Memory.blit_in m ~addr:a block;
             Array.blit block 0 truth a len
-          | `Digest -> ignore (Memory.digest m : int)
+          | `Digest -> if Memory.digest m <> Memory.full_digest m then ok := false
           | `Clear -> Memory.clear_dirty m
           | `Snap ->
             saved := Memory.copy m;
             truth_saved := Array.copy truth
           | `Restore ->
             Memory.blit_from m ~src:!saved;
-            Array.blit !truth_saved 0 truth 0 words)
+            Array.blit !truth_saved 0 truth 0 words
+          | `Copy_page p ->
+            let p = p mod Memory.pages m in
+            Memory.copy_page ~src:!saved ~dst:m p;
+            let lo = p lsl page_shift in
+            Array.blit !truth_saved lo truth lo (Memory.page_words m p))
         ops;
       let fresh = Memory.create ~page_shift ~words () in
       Memory.blit_in fresh ~addr:0 truth;
-      Memory.digest m = Memory.full_digest m
+      !ok
+      && Memory.digest m = Memory.full_digest m
       && Memory.digest m = Memory.digest fresh
       && Memory.equal m fresh)
 
