@@ -319,7 +319,7 @@ let ablations () =
       }
     in
     let obs = Hft_obs.Recorder.create () in
-    let sys = System.create ~params ~lockstep:false ~obs ~workload:w () in
+    let sys = System.create ~params ~obs ~workload:w () in
     let crash_at = Hft_sim.Time.of_ms 5 in
     System.crash_primary_at sys crash_at;
     ignore (System.run sys);
@@ -380,7 +380,7 @@ let micro () =
            let sys =
              System.create
                ~params:{ Params.default with Params.epoch_length = 512 }
-               ~lockstep:false ~init_disk:false ~workload:w ()
+               ~workload:w ()
            in
            ignore (System.run sys)))
   in
@@ -391,7 +391,7 @@ let micro () =
            let sys =
              System.create
                ~params:{ Params.default with Params.epoch_length = 512 }
-               ~lockstep:false ~init_disk:false ~workload:w ()
+               ~workload:w ()
            in
            ignore (System.run sys)))
   in
@@ -419,7 +419,7 @@ let micro () =
                  (Params.with_protocol
                     { Params.default with Params.epoch_length = 256 }
                     Params.Revised)
-               ~lockstep:false ~init_disk:false ~workload:w ()
+               ~workload:w ()
            in
            ignore (System.run sys)))
   in

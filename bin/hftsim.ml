@@ -963,7 +963,7 @@ let selftest_cmd =
     let base = { Params.default with Params.epoch_length = 512 } in
     let lockstep_case name ?(params = base) ?crash_ms w =
       case name (fun () ->
-          let sys = System.create ~params ~lockstep:true ~workload:w () in
+          let sys = System.create ~params ~workload:w () in
           (match crash_ms with
           | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
           | None -> ());
@@ -1005,7 +1005,7 @@ let selftest_cmd =
       (disk_write ~ops:3 ~pad:20 ~spin:20 ());
     case "reintegration after failover" (fun () ->
         let w = dhrystone ~iterations:40_000 in
-        let sys = System.create ~params:base ~lockstep:true ~workload:w () in
+        let sys = System.create ~params:base ~workload:w () in
         System.crash_primary_at sys (Hft_sim.Time.of_ms 5);
         System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 5);
         let o = System.run sys in
@@ -1054,21 +1054,6 @@ let workload_of_program ~name program =
     config = [];
     instructions_per_iteration = 70;
   }
-
-(* The manifest the hypervisor arms for this parameter set — computed
-   with the same analysis knobs as [Hypervisor.arm_manifest_validator],
-   so the positional WCET-slack join ({!Hft_analysis.Slack.of_cpu})
-   lines up with the validator's arming order. *)
-let armed_manifest ~params (workload : Hft_guest.Workload.t) =
-  let program = workload.Hft_guest.Workload.program in
-  Hft_analysis.Manifest.of_code_cached
-    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-    ~random_tlb:
-      (match params.Params.cpu_config.Hft_machine.Cpu.tlb_policy with
-      | Hft_machine.Tlb.Random _ -> true
-      | Hft_machine.Tlb.Round_robin -> false)
-    ~mmio_base:params.Params.cpu_config.Hft_machine.Cpu.mmio_base
-    ~code_refs:program.Hft_machine.Asm.code_refs program.Hft_machine.Asm.code
 
 (* Run a workload to completion on the bare machine, optionally with
    the retirement profiler armed.  Returns the CPU (for its profile
@@ -1506,7 +1491,7 @@ let lint_cmd =
             let params = Params.default in
             let cpu, _halted = driven_bare ~params ~limit:10_000_000 w in
             match
-              Hft_analysis.Slack.of_cpu (armed_manifest ~params w)
+              Hft_analysis.Slack.of_cpu (Hypervisor.manifest_for ~params w)
                 ~symbol:(symbolizer w) cpu
             with
             | Some slack -> Hft_harness.Report.wcet_slack slack
@@ -2184,7 +2169,7 @@ let profile_cmd =
          partial run (backend agreement not checked)@."
         limit;
     let params = Params.default in
-    let m = armed_manifest ~params workload in
+    let m = Hypervisor.manifest_for ~params workload in
     let symbol = symbolizer workload in
     let counts cpu =
       match Hft_machine.Cpu.profile cpu with Some p -> p | None -> [||]

@@ -25,7 +25,7 @@ let () =
 
   (* now the replicated system; lockstep checking compares the two
      virtual machines' state hash at every epoch boundary *)
-  let sys = System.create ~params ~lockstep:true ~workload () in
+  let sys = System.create ~params ~workload () in
   let o = System.run sys in
   Format.printf "replicated system : %a@." Hft_sim.Time.pp o.System.time;
   Format.printf "normalized perf   : %.2f (paper, figure 2 at 4K: 6.50)@."

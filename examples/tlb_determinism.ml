@@ -64,8 +64,7 @@ let run ~policy ~tlb_mode =
     }
   in
   let sys =
-    System.create ~params ~lockstep:true ~tlb_seeds:(1, 2)
-      ~workload:paging_workload ()
+    System.create ~params ~tlb_seeds:(1, 2) ~workload:paging_workload ()
   in
   try
     let o = System.run sys in

@@ -23,10 +23,11 @@ let create ?(params = Params.default) ?(disk_seed = 42) ~workload () =
     Cpu.create ~config:params.Params.cpu_config
       ~code:workload.Hft_guest.Workload.program.Asm.code ()
   in
-  Hypervisor.arm_manifest_validator ~params ~workload ~deprivileged:false cpu;
+  let manifest = Hypervisor.manifest_for ~params workload in
+  Hft_analysis.Manifest.install manifest ~deprivileged:false cpu;
   (* a single machine has no oracle to differ from, so [Differential]
      degenerates to [Threaded] here *)
-  Hypervisor.arm_translation ~params ~workload ~deprivileged:false cpu;
+  Hypervisor.arm_translation ~params manifest ~deprivileged:false cpu;
   let disk =
     Disk.create ~engine ~rng:(Rng.create disk_seed) params.Params.disk
   in

@@ -177,7 +177,6 @@ type t = {
   rb : recovery_block;
   (* hooks *)
   mutable on_epoch_boundary : epoch:int -> hash:int -> unit;
-  mutable on_halt : t -> unit;
   mutable on_promote : t -> unit;
 }
 
@@ -217,52 +216,33 @@ let fnv_prime = 0x100000001b3
 let fnv_mask = (1 lsl 62) - 1
 
 let vm_state_hash t =
-  let full = t.p.Params.hash_scheme = Params.Full_rehash in
-  let h = ref (Cpu.state_hash ~include_tlb:false ~full t.vm) in
+  let h = ref (Cpu.state_hash ~include_tlb:false t.vm) in
   Array.iter (fun v -> h := (!h lxor v) * fnv_prime land fnv_mask) t.vcrs;
   !h
 
-(* Analyze the guest image and arm the interpreter's runtime
-   certificate validator with the resulting manifest, so every run
-   differentially tests the static certificates against execution.
-   [deprivileged] maps Priv0 through section 3.1's deprivileging. *)
-let arm_manifest_validator ~params ~workload ~deprivileged cpu =
-  if params.Params.validate_manifest then begin
-    let program = workload.Hft_guest.Workload.program in
-    let m =
-      Hft_analysis.Manifest.of_code_cached
-        ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-        ~random_tlb:
-          (match params.Params.cpu_config.Cpu.tlb_policy with
-          | Tlb.Random _ -> true
-          | Tlb.Round_robin -> false)
-        ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
-        ~code_refs:program.Asm.code_refs program.Asm.code
-    in
-    Hft_analysis.Manifest.install m ~deprivileged cpu
-  end
+let manifest_for ~params (workload : Hft_guest.Workload.t) =
+  let program = workload.Hft_guest.Workload.program in
+  Hft_analysis.Manifest.of_code_cached
+    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
+    ~random_tlb:
+      (match params.Params.cpu_config.Cpu.tlb_policy with
+      | Tlb.Random _ -> true
+      | Tlb.Round_robin -> false)
+    ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
+    ~code_refs:program.Asm.code_refs program.Asm.code
 
 (* Under the [Threaded] (or [Differential], which maps to [Threaded]
    on one replica) backend, additionally compile the manifest's
    certified superblocks into the CPU's direct-threaded translation
    cache.  A stale manifest is not fatal here — the CPU simply stays
    on the full-interpreter path, which is the semantic oracle. *)
-let arm_translation ~params ~workload ~deprivileged cpu =
+let arm_translation ~params manifest ~deprivileged cpu =
   match params.Params.exec_backend with
   | Params.Interp -> ()
-  | Params.Threaded | Params.Differential ->
-    let program = workload.Hft_guest.Workload.program in
-    let m =
-      Hft_analysis.Manifest.of_code_cached
-        ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-        ~random_tlb:
-          (match params.Params.cpu_config.Cpu.tlb_policy with
-          | Tlb.Random _ -> true
-          | Tlb.Round_robin -> false)
-        ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
-        ~code_refs:program.Asm.code_refs program.Asm.code
-    in
-    (match Hft_analysis.Manifest.install_translation m ~deprivileged cpu with
+  | Params.Threaded | Params.Differential -> (
+    match
+      Hft_analysis.Manifest.install_translation manifest ~deprivileged cpu
+    with
     | Ok _ -> ()
     | Error _ -> () (* stale manifest: full interpreter fallback *))
 
@@ -272,9 +252,11 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     Cpu.create ~config:params.Params.cpu_config
       ~code:workload.Hft_guest.Workload.program.Asm.code ()
   in
-  arm_manifest_validator ~params ~workload ~deprivileged:true vm;
+  (* every run re-checks the static certificates against execution *)
+  let manifest = manifest_for ~params workload in
+  Hft_analysis.Manifest.install manifest ~deprivileged:true vm;
   if params.Params.profile_guest then Cpu.install_profile vm;
-  arm_translation ~params ~workload ~deprivileged:true vm;
+  arm_translation ~params manifest ~deprivileged:true vm;
   {
     name_ = name;
     engine;
@@ -344,7 +326,6 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
         rb_rtx = [];
       };
     on_epoch_boundary = (fun ~epoch:_ ~hash:_ -> ());
-    on_halt = (fun _ -> ());
     on_promote = (fun _ -> ());
   }
 
@@ -355,7 +336,6 @@ let connect ?tx_data ?tx_ack t ~peer =
 
 let set_on_epoch_boundary t f = t.on_epoch_boundary <- f
 let get_on_epoch_boundary t = t.on_epoch_boundary
-let set_on_halt t f = t.on_halt <- f
 let set_on_promote t f = t.on_promote <- f
 
 (* ---------- virtual clocks ---------- *)
@@ -698,8 +678,7 @@ and handle_stop t stop =
       t.halted_ <- true;
       t.halt_time_ <- Engine.now t.engine;
       cancel_detector t;
-      emit t (Ev.Halt { epoch = t.epoch_ });
-      t.on_halt t
+      emit t (Ev.Halt { epoch = t.epoch_ })
     | Cpu.Env i -> sim_env t i
     | Cpu.Priv i -> sim_priv t i
     | Cpu.Mmio_read { paddr; reg } -> sim_mmio_read t ~paddr ~reg

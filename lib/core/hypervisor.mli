@@ -40,28 +40,25 @@ type role = Primary | Backup | Promoted
 
 type t
 
-val arm_manifest_validator :
-  params:Params.t ->
-  workload:Hft_guest.Workload.t ->
-  deprivileged:bool ->
-  Hft_machine.Cpu.t ->
-  unit
-(** When [params.validate_manifest] is set, analyze the workload's
-    (possibly rewritten) image into a compilation manifest
-    ({!Hft_analysis.Manifest.of_code_cached}) and arm [cpu]'s runtime
-    certificate validator with it.  [deprivileged] maps the [Priv0]
-    certificate through section 3.1's deprivileging (virtual 0 runs at
-    real 1); {!Bare} passes [false].  A no-op when validation is off. *)
+val manifest_for :
+  params:Params.t -> Hft_guest.Workload.t -> Hft_analysis.Manifest.t
+(** The compilation manifest of the workload's (possibly rewritten)
+    image under [params]' epoch mechanism, TLB policy and MMIO base
+    ({!Hft_analysis.Manifest.of_code_cached}).  {!create} and {!Bare}
+    arm every CPU's runtime certificate validator with it
+    ({!Hft_analysis.Manifest.install}; the bare machine passes
+    [~deprivileged:false]), so every run re-checks the static
+    certificates against execution. *)
 
 val arm_translation :
   params:Params.t ->
-  workload:Hft_guest.Workload.t ->
+  Hft_analysis.Manifest.t ->
   deprivileged:bool ->
   Hft_machine.Cpu.t ->
   unit
 (** When [params.exec_backend] is [Threaded] or [Differential],
-    analyze the workload's image and compile its certified superblocks
-    into [cpu]'s direct-threaded translation cache
+    compile the manifest's certified superblocks into [cpu]'s
+    direct-threaded translation cache
     ({!Hft_analysis.Manifest.install_translation}).  A stale manifest
     degrades silently to the full-interpreter path.  A no-op under
     [Interp]. *)
@@ -152,7 +149,6 @@ val get_on_epoch_boundary : t -> epoch:int -> hash:int -> unit
 (** The currently installed boundary hook, so fault installers can
     chain onto it instead of displacing each other. *)
 
-val set_on_halt : t -> (t -> unit) -> unit
 val set_on_promote : t -> (t -> unit) -> unit
 
 (* Reintegration extension. *)

@@ -6,8 +6,6 @@ type tlb_mode = Hypervisor_managed | Guest_managed
 
 type epoch_mechanism = Recovery_register | Code_rewriting
 
-type hash_scheme = Incremental | Full_rehash
-
 type exec_backend = Interp | Threaded | Differential
 
 type t = {
@@ -38,8 +36,6 @@ type t = {
   hv_recovery_max : int;
   disk : Hft_devices.Disk.params;
   cpu_config : Hft_machine.Cpu.config;
-  hash_scheme : hash_scheme;
-  validate_manifest : bool;
   exec_backend : exec_backend;
   profile_guest : bool;
 }
@@ -73,8 +69,6 @@ let default =
     hv_recovery_max = 8;
     disk = Hft_devices.Disk.default_params;
     cpu_config = Hft_machine.Cpu.default_config;
-    hash_scheme = Incremental;
-    validate_manifest = true;
     exec_backend = Interp;
     profile_guest = false;
   }
@@ -98,8 +92,6 @@ let with_protocol t protocol = { t with protocol }
 let with_link t link = { t with link }
 let with_retransmit t retransmit = { t with retransmit }
 let with_ack_wait t ack_wait = { t with ack_wait }
-let with_hash_scheme t hash_scheme = { t with hash_scheme }
-let with_validate_manifest t validate_manifest = { t with validate_manifest }
 let with_exec_backend t exec_backend = { t with exec_backend }
 let with_profile_guest t profile_guest = { t with profile_guest }
 

@@ -41,16 +41,6 @@ type epoch_mechanism =
           hypervisor is invoked periodically ({!Hft_machine.Rewrite});
           epochs become variable-length, bounded by [epoch_length] *)
 
-type hash_scheme =
-  | Incremental
-      (** lockstep state hashes re-hash only memory pages written
-          since the previous epoch boundary ({!Hft_machine.Memory.digest}) *)
-  | Full_rehash
-      (** every boundary re-hashes all of memory from scratch — the
-          pre-dirty-tracking behaviour, kept as the reference and
-          benchmark baseline.  Both schemes produce identical hash
-          values, so replicas may differ in this setting. *)
-
 type exec_backend =
   | Interp
       (** the decode-per-step interpreter — the reference semantics *)
@@ -128,14 +118,6 @@ type t = {
           fail-stop and lets the peer's failover path take over *)
   disk : Hft_devices.Disk.params;
   cpu_config : Hft_machine.Cpu.config;
-  hash_scheme : hash_scheme;
-  validate_manifest : bool;
-      (** analyze the guest image at boot and arm the interpreter's
-          runtime certificate validator
-          ({!Hft_machine.Cpu.install_validator}) with the resulting
-          compilation manifest, so every run differentially tests the
-          static certificates against actual execution.  On by
-          default; benchmarks turn it off for clean timings. *)
   exec_backend : exec_backend;
       (** how guest instructions execute between stops; [Interp] by
           default.  [Threaded]/[Differential] additionally compile the
@@ -169,8 +151,6 @@ val with_protocol : t -> protocol -> t
 val with_link : t -> Hft_net.Link.t -> t
 val with_retransmit : t -> bool -> t
 val with_ack_wait : t -> bool -> t
-val with_hash_scheme : t -> hash_scheme -> t
-val with_validate_manifest : t -> bool -> t
 val with_exec_backend : t -> exec_backend -> t
 val with_profile_guest : t -> bool -> t
 

@@ -59,8 +59,7 @@ type t = {
   mutable certified_instructions : int;
       (** instructions completed inside certified superblocks, as
           observed by the runtime certificate validator
-          ({!Hft_machine.Cpu.validator_coverage}); 0 when
-          [Params.validate_manifest] is off *)
+          ({!Hft_machine.Cpu.validator_coverage}) *)
   mutable validated_instructions : int;
       (** instructions completed while the validator was armed — the
           denominator of the dynamic certified coverage *)

@@ -24,7 +24,7 @@ type t = {
   console_ : Console.t;
   ch_pb : Message.t Channel.t;
   ch_bp : Message.t Channel.t;
-  ls : lockstep option;
+  ls : lockstep;
   mutable failover_ : bool;
   mutable reintegration_delay : Time.t option;
 }
@@ -45,8 +45,7 @@ let record_boundary ls ~epoch ~hash =
     end
 
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
-    ?(lockstep = true) ?(init_disk = true) ?(second_backup = false) ?trace
-    ?(obs = Hft_obs.Recorder.null) ~workload () =
+    ?(second_backup = false) ?(obs = Hft_obs.Recorder.null) ~workload () =
   let workload =
     match params.Params.epoch_mechanism with
     | Params.Recovery_register -> workload
@@ -58,7 +57,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
             workload.Hft_guest.Workload.program;
       }
   in
-  let engine = Engine.create ?trace () in
+  let engine = Engine.create () in
   (* the lookahead: a replica reaches its peer only through a link
      message (at least one per-message overhead away) or through a
      disk completion (actorless, at least the smaller disk latency
@@ -78,7 +77,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   let disk_ =
     Disk.create ~engine ~rng:(Rng.create disk_seed) ~obs params.Params.disk
   in
-  if init_disk then Disk.fill disk_;
+  Disk.fill disk_;
   let console_ = Console.create () in
   let clock_p = Clock.create ~engine () in
   let clock_b = Clock.create ~engine ~skew:params.Params.backup_clock_skew () in
@@ -177,24 +176,18 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   Channel.connect ch_pb (fun msg -> Hypervisor.on_message backup_ msg);
   Channel.connect ch_bp (fun msg -> Hypervisor.on_message primary_ msg);
   let ls =
-    if lockstep then
-      Some
-        {
-          hashes = Hashtbl.create 1024;
-          compared = 0;
-          mismatches = [];
-          fail_fast = params.Params.exec_backend = Params.Differential;
-        }
-    else None
+    {
+      hashes = Hashtbl.create 1024;
+      compared = 0;
+      mismatches = [];
+      fail_fast = params.Params.exec_backend = Params.Differential;
+    }
   in
-  (match ls with
-  | Some ls ->
-    Hypervisor.set_on_epoch_boundary primary_ (record_boundary ls);
-    Hypervisor.set_on_epoch_boundary backup_ (record_boundary ls);
-    (match backup2_ with
-    | Some b2 -> Hypervisor.set_on_epoch_boundary b2 (record_boundary ls)
-    | None -> ())
-  | None -> ());
+  Hypervisor.set_on_epoch_boundary primary_ (record_boundary ls);
+  Hypervisor.set_on_epoch_boundary backup_ (record_boundary ls);
+  Option.iter
+    (fun b2 -> Hypervisor.set_on_epoch_boundary b2 (record_boundary ls))
+    backup2_;
   let t =
     {
       engine;
@@ -386,10 +379,8 @@ let run ?(limit = 200_000_000) t =
       console = Console.contents t.console_;
       primary_stats = Hypervisor.stats t.primary_;
       backup_stats = Hypervisor.stats t.backup_;
-      epochs_compared =
-        (match t.ls with Some ls -> ls.compared | None -> 0);
-      lockstep_mismatches =
-        (match t.ls with Some ls -> List.rev ls.mismatches | None -> []);
+      epochs_compared = t.ls.compared;
+      lockstep_mismatches = List.rev t.ls.mismatches;
       disk_consistent = consistent;
       disk_errors = List.rev !errors;
       failover = t.failover_;

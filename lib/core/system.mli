@@ -1,7 +1,7 @@
 (** Assembly of the complete 1-fault-tolerant virtual machine: two
     simulated processors (each with its own clock), the shared
     dual-ported disk, a console, the FIFO channels between the
-    hypervisors, and optional fault-injection and lockstep checking.
+    hypervisors, lockstep checking, and optional fault injection.
 
     This is the module examples and benchmarks talk to:
 
@@ -19,10 +19,7 @@ val create :
   ?params:Params.t ->
   ?disk_seed:int ->
   ?tlb_seeds:int * int ->
-  ?lockstep:bool ->
-  ?init_disk:bool ->
   ?second_backup:bool ->
-  ?trace:Hft_sim.Trace.t ->
   ?obs:Hft_obs.Recorder.t ->
   workload:Hft_guest.Workload.t ->
   unit ->
@@ -33,11 +30,9 @@ val create :
     scheduler dispatch as well).  Defaults to the null recorder.
     [tlb_seeds] gives each processor's TLB-replacement RNG when the
     CPU config uses a [Random] policy — pass different seeds to
-    reproduce the paper's nondeterministic-TLB divergence.
-    [lockstep] (default true) records the VM state hash at every epoch
-    boundary on both replicas and compares them; disable for large
-    benchmark runs (hashing all of guest memory every epoch is slow).
-    [init_disk] (default true) fills the disk with its pattern
+    reproduce the paper's nondeterministic-TLB divergence.  Every run
+    compares the replicas' state hashes at each epoch boundary (see
+    {!outcome}); the disk starts filled with its pattern
     ({!Hft_devices.Disk.fill}).
     [second_backup] (default false) chains a second backup behind the
     first for 2-fault tolerance (failures tolerated in role order). *)

@@ -36,8 +36,8 @@ let executed_program ~params (w : Hft_guest.Workload.t) =
       w.Hft_guest.Workload.program
   else w.Hft_guest.Workload.program
 
-let replicated ?(lockstep = false) ?(lint_gate = true) ?manifest ?obs ~params
-    workload =
+let replicated ?manifest ?obs ~params workload =
+  let name = workload.Hft_guest.Workload.name in
   (match manifest with
   | None -> ()
   | Some m -> (
@@ -51,22 +51,27 @@ let replicated ?(lockstep = false) ?(lint_gate = true) ?manifest ?obs ~params
         (Printf.sprintf
            "Scenario.replicated: image %S carries a stale manifest (%s); \
             regenerate it with hftsim lint --manifest-out"
-           workload.Hft_guest.Workload.name e)));
-  if lint_gate then begin
-    let fs = lint ~params workload in
-    if Hft_analysis.Finding.has_errors fs then begin
-      Report.findings ~out:Format.err_formatter
-        ~title:workload.Hft_guest.Workload.name fs;
-      failwith
-        (Printf.sprintf
-           "Scenario.replicated: image %S failed the static analyzer (%s); \
-            see hftsim lint"
-           workload.Hft_guest.Workload.name
-           (Hft_analysis.Finding.summary fs))
-    end
+           name e)));
+  let fs = lint ~params workload in
+  if Hft_analysis.Finding.has_errors fs then begin
+    Report.findings ~out:Format.err_formatter ~title:name fs;
+    failwith
+      (Printf.sprintf
+         "Scenario.replicated: image %S failed the static analyzer (%s); see \
+          hftsim lint"
+         name
+         (Hft_analysis.Finding.summary fs))
   end;
-  let sys = System.create ~params ~lockstep ?obs ~workload () in
-  System.run sys
+  let o = System.run (System.create ~params ?obs ~workload ()) in
+  (match o.System.lockstep_mismatches with
+  | [] -> ()
+  | first :: _ as l ->
+    failwith
+      (Printf.sprintf
+         "Scenario.replicated: image %S diverged: the replicas' state hashes \
+          differ at %d of %d compared epoch(s), first at epoch %d"
+         name (List.length l) o.System.epochs_compared first));
+  o
 
 let normalized ?bare ~params workload =
   let bare =

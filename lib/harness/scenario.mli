@@ -28,24 +28,25 @@ val lint :
     workload's [config] addresses count as host-initialized memory. *)
 
 val replicated :
-  ?lockstep:bool ->
-  ?lint_gate:bool ->
   ?manifest:Hft_analysis.Manifest.t ->
   ?obs:Hft_obs.Recorder.t ->
   params:Hft_core.Params.t ->
   Hft_guest.Workload.t ->
   Hft_core.System.outcome
-(** One replicated run.  Lockstep checking defaults to off here —
-    benchmark runs are long and hashing is expensive; tests enable
-    it.  [lint_gate] (default on) runs {!lint} first and raises
-    [Failure] — after printing the report to stderr — if the analyzer
-    finds errors: a guest that violates the paper's assumptions would
-    diverge or wedge the replicas, so it never starts.  [manifest] is
-    a compilation manifest claimed to certify this workload (e.g. one
-    embedded in a loaded image): it is checked against the image the
-    run will actually execute and a stale or mismatched manifest
-    raises [Failure] before the system boots.  [obs] collects the
-    run's typed protocol events (see {!Hft_obs}). *)
+(** One replicated run, gated at both ends.  Before boot it runs
+    {!lint} and raises [Failure] — after printing the report to stderr
+    — if the analyzer finds errors: a guest that violates the paper's
+    assumptions would diverge or wedge the replicas, so it never
+    starts.  After the run it raises [Failure], naming the workload and
+    the first diverged epoch, if the replicas' epoch-boundary state
+    hashes ever differed: a run that did not execute the same
+    instructions with the same effects on both replicas yields no
+    figure.  [manifest] is a compilation manifest claimed to certify
+    this workload (e.g. one embedded in a loaded image): it is checked
+    against the image the run will actually execute and a stale or
+    mismatched manifest raises [Failure] before the system boots.
+    [obs] collects the run's typed protocol events (see
+    {!Hft_obs}). *)
 
 val normalized :
   ?bare:Hft_sim.Time.t ->

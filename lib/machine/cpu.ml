@@ -35,8 +35,9 @@ type run_result = { executed : int; stop : stop }
 (* Runtime certificate validator (the dynamic oracle for the static
    analyzer's compilation manifest).  All per-address tables are
    indexed by code address; region tables by certified-superblock id.
-   Installed only in [Params.validate_manifest] debug runs — the hot
-   loop pays one [match] on the hoisted option when absent. *)
+   Every hypervisor and bare machine installs it at boot; the hot loop
+   pays one [match] on the hoisted option, absent only on a CPU built
+   without a manifest. *)
 type validator = {
   v_priv_ok : int array;  (* allowed real-privilege bitmask *)
   v_det : bool array;     (* inside a [Deterministic]-certified block *)

@@ -2,8 +2,8 @@ open Hft_sim
 
 (* Aggregation-first metrics: the registry consumes the same event
    stream the recorder ring stores, but folds it into fixed-size state
-   — labeled counters and gauges behind per-actor scopes, streaming
-   histograms, and a bounded list of rolling time windows — so a run
+   — labeled counters and gauges behind per-actor scopes, and a
+   bounded list of rolling time windows with streaming histograms — so a run
    of any length produces bounded-size output even after the ring has
    wrapped.  The hot paths (counter bumps, histogram adds, window
    accumulation) allocate nothing; allocation happens only at
@@ -41,10 +41,6 @@ type t = {
   mutable cur_end_ns : int;
   counters : (string * string, counter) Hashtbl.t;
   gauges : (string * string, gauge) Hashtbl.t;
-  hists : (string * string, Hist.t) Hashtbl.t;
-  (* cumulative run-length histograms, window width independent *)
-  epoch_hist : Hist.t;
-  ack_hist : Hist.t;
   (* open-interval pairing state *)
   epoch_open : (string, int) Hashtbl.t;  (** source -> begin ns *)
   ack_open : (string, int) Hashtbl.t;
@@ -66,9 +62,6 @@ let create ?(window_ns = 10_000_000) ?(max_windows = 64) () =
     cur_end_ns = 0;
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
-    hists = Hashtbl.create 8;
-    epoch_hist = Hist.create ();
-    ack_hist = Hist.create ();
     epoch_open = Hashtbl.create 4;
     ack_open = Hashtbl.create 4;
     primary = "primary";
@@ -97,15 +90,6 @@ let gauge s name =
     Hashtbl.replace s.s_reg.gauges key g;
     g
 
-let hist s name =
-  let key = (s.s_actor, name) in
-  match Hashtbl.find_opt s.s_reg.hists key with
-  | Some h -> h
-  | None ->
-    let h = Hist.create () in
-    Hashtbl.replace s.s_reg.hists key h;
-    h
-
 let incr c = c.c_val <- c.c_val + 1
 let add c n = c.c_val <- c.c_val + n
 let value c = c.c_val
@@ -121,10 +105,6 @@ let gauges t =
   Hashtbl.fold (fun _ g acc -> g :: acc) t.gauges []
   |> List.sort (fun a b ->
          compare (a.g_actor, a.g_name) (b.g_actor, b.g_name))
-
-let scoped_hists t =
-  Hashtbl.fold (fun (a, n) h acc -> (a, n, h) :: acc) t.hists []
-  |> List.sort (fun (a, n, _) (b, m, _) -> compare (a, n) (b, m))
 
 (* ---------- rolling windows ---------- *)
 
@@ -236,7 +216,6 @@ let observe t (e : Recorder.entry) =
       Hashtbl.remove t.epoch_open e.Recorder.source;
       let d = Time.of_ns (if now > t0 then now - t0 else 0) in
       Hist.add w.w_epoch d;
-      Hist.add t.epoch_hist d;
       w.w_epochs <- w.w_epochs + 1
     | None -> ())
   | Event.Ack_wait_begin _ -> Hashtbl.replace t.ack_open e.Recorder.source now
@@ -246,8 +225,7 @@ let observe t (e : Recorder.entry) =
     | Some t0 ->
       Hashtbl.remove t.ack_open e.Recorder.source;
       let d = Time.of_ns (if now > t0 then now - t0 else 0) in
-      Hist.add w.w_ack d;
-      Hist.add t.ack_hist d
+      Hist.add w.w_ack d
     | None -> ())
   | Event.Msg_send _ -> incr (counter sc "msgs_sent")
   | Event.Msg_acked _ -> incr (counter sc "msgs_acked")
@@ -284,9 +262,6 @@ let observe t (e : Recorder.entry) =
 let tap t = observe t
 
 (* ---------- derived summaries ---------- *)
-
-let epoch_hist t = t.epoch_hist
-let ack_hist t = t.ack_hist
 
 let availability w =
   if w.w_len_ns <= 0 then 1.0

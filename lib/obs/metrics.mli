@@ -8,8 +8,6 @@
 
     - labeled {b counters} and {b gauges} behind per-actor {!scope}s —
       registration allocates, every subsequent bump is a field write;
-    - streaming {!Hist} histograms (cumulative epoch latency and
-      ack-wait stalls);
     - {b rolling time windows} over simulated time, each carrying the
       windowed epoch-latency and ack-wait histograms (p50/p99), the
       epoch count, and the availability fraction (share of the window
@@ -53,7 +51,6 @@ val counter : scope -> string -> counter
     register once and bump the handle allocation-free. *)
 
 val gauge : scope -> string -> gauge
-val hist : scope -> string -> Hist.t
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -65,7 +62,6 @@ val counters : t -> counter list
 (** Sorted by (actor, name). *)
 
 val gauges : t -> gauge list
-val scoped_hists : t -> (string * string * Hist.t) list
 
 (** {2 Event tap} *)
 
@@ -96,11 +92,6 @@ val windows : t -> window list
 
 val availability : window -> float
 (** [1 - down/len], clamped to [0,1]. *)
-
-val epoch_hist : t -> Hist.t
-(** Cumulative (all-windows) epoch-latency histogram. *)
-
-val ack_hist : t -> Hist.t
 
 (** {2 Accessors used by exporters} *)
 

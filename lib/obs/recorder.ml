@@ -8,7 +8,7 @@ type t = {
   mutable next : int;
   mutable total : int;
   dispatch : bool;
-  mutable tap : (entry -> unit) option;
+  tap : (entry -> unit) option;
 }
 
 let create ?(capacity = 262_144) ?(dispatch = false) ?tap () =
@@ -35,7 +35,6 @@ let null =
 
 let enabled t = t.capacity > 0
 let dispatch_enabled t = t.dispatch
-let set_tap t f = if t.capacity > 0 then t.tap <- Some f
 
 let emit t ~time ~source ev =
   if t.capacity > 0 then begin

@@ -1,9 +1,8 @@
 (** Bounded ring of typed protocol events.
 
-    The structured sibling of {!Hft_sim.Trace}: same ring semantics
-    (once [capacity] entries have been recorded the oldest are
-    discarded), but entries carry an {!Event.t} instead of a formatted
-    string, so spans, histograms and exporters can consume them
+    The simulator's one event stream: once [capacity] entries have
+    been recorded the oldest are discarded.  Entries carry an
+    {!Event.t}, so spans, histograms and exporters consume them
     without parsing. *)
 
 type entry = { time : Hft_sim.Time.t; source : string; ev : Event.t }
@@ -45,10 +44,6 @@ val dropped : t -> int
     span reconstruction and exported timelines are missing their
     oldest events; {!Export.jsonl} records the count in its header and
     [hftsim trace --validate] warns on it. *)
-
-val set_tap : t -> (entry -> unit) -> unit
-(** Attach (or replace) the streaming tap after creation.  No effect
-    on {!null}. *)
 
 val clear : t -> unit
 val pp : Format.formatter -> t -> unit

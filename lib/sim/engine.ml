@@ -13,7 +13,6 @@ type choice = { c_time : Time.t; c_seq : int; c_label : string; c_actor : string
 
 type t = {
   queue : event Heap.t;
-  tr : Trace.t;
   mutable clock : Time.t;
   mutable next_seq : int;
   mutable dispatched : int;
@@ -33,10 +32,9 @@ let compare_event a b =
   let c = Time.compare a.time b.time in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let create ?(trace = Trace.null) () =
+let create () =
   {
     queue = Heap.create ~cmp:compare_event;
-    tr = trace;
     clock = Time.zero;
     next_seq = 0;
     dispatched = 0;
@@ -49,7 +47,6 @@ let create ?(trace = Trace.null) () =
     observer = None;
   }
 
-let trace t = t.tr
 let now t = t.clock
 
 let at t ?(label = "") ?(actor = "") time fn =
@@ -142,7 +139,6 @@ let set_scheduler t f = t.sched <- Some f
 let clear_scheduler t = t.sched <- None
 
 let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
 
 (* Order-insensitive digest of the pending event set: each live event
    contributes (time since now, actor, label) — but not its sequence
@@ -169,12 +165,10 @@ let dispatch t ev =
   ev.cancelled <- true;
   t.live <- t.live - 1;
   t.dispatched <- t.dispatched + 1;
-  if not (String.equal ev.label "") then begin
-    Trace.record t.tr ~time:t.clock ~source:"engine" ev.label;
-    match t.observer with
-    | Some f -> f t.clock ~label:ev.label ~actor:ev.actor
-    | None -> ()
-  end;
+  (match t.observer with
+  | Some f when not (String.equal ev.label "") ->
+    f t.clock ~label:ev.label ~actor:ev.actor
+  | _ -> ());
   t.running <- ev.actor;
   ev.fn ();
   t.running <- ""

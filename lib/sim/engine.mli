@@ -20,11 +20,8 @@ type handle
 exception Stopped
 (** Raised out of {!run} by {!stop}. *)
 
-val create : ?trace:Trace.t -> unit -> t
-(** A fresh engine with the clock at {!Time.zero}.  If [trace] is
-    given, event dispatch is recorded into it. *)
-
-val trace : t -> Trace.t
+val create : unit -> t
+(** A fresh engine with the clock at {!Time.zero}. *)
 
 val now : t -> Time.t
 
@@ -112,7 +109,7 @@ val step : t -> bool
 type choice = {
   c_time : Time.t;  (** instant shared by the whole batch *)
   c_seq : int;  (** engine sequence number (unique per run) *)
-  c_label : string;  (** trace label, [""] if none *)
+  c_label : string;  (** the event's label, [""] if none *)
   c_actor : string;  (** component tag, [""] = shared state *)
 }
 
@@ -124,13 +121,10 @@ val clear_scheduler : t -> unit
 
 val set_observer : t -> (Time.t -> label:string -> actor:string -> unit) -> unit
 (** Install a dispatch observer: called for every dispatched event
-    that carries a non-empty label, after the event is recorded into
-    the string trace and before its handler runs.  Unlike the
-    scheduler hook it cannot affect ordering — it exists so an
+    that carries a non-empty label, before its handler runs.  Unlike
+    the scheduler hook it cannot affect ordering — it exists so an
     observability layer can mirror dispatches into a structured
     recorder without the engine depending on it. *)
-
-val clear_observer : t -> unit
 
 val pending_fingerprint : t -> int
 (** Order-insensitive digest of the live pending events, hashing each

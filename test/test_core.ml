@@ -11,8 +11,8 @@ open Hft_guest
 let small_params =
   { Params.default with Params.epoch_length = 512 }
 
-let run_sys ?(params = small_params) ?(lockstep = true) w =
-  let sys = System.create ~params ~lockstep ~workload:w () in
+let run_sys ?(params = small_params) w =
+  let sys = System.create ~params ~workload:w () in
   (sys, System.run sys)
 
 let check_lockstep name (o : System.outcome) =
@@ -267,8 +267,7 @@ let tlb_tests =
         (* reproduces the HP 9000/720 problem of section 3.2 *)
         let params = random_tlb_params Params.Guest_managed in
         let sys =
-          System.create ~params ~lockstep:true ~tlb_seeds:(1, 2)
-            ~workload:paging_workload ()
+          System.create ~params ~tlb_seeds:(1, 2) ~workload:paging_workload ()
         in
         let diverged =
           try
@@ -282,8 +281,7 @@ let tlb_tests =
            state never becomes visible to the guest *)
         let params = random_tlb_params Params.Hypervisor_managed in
         let sys =
-          System.create ~params ~lockstep:true ~tlb_seeds:(1, 2)
-            ~workload:paging_workload ()
+          System.create ~params ~tlb_seeds:(1, 2) ~workload:paging_workload ()
         in
         let o = System.run sys in
         check (list int) "no divergence" [] o.System.lockstep_mismatches;
@@ -302,13 +300,46 @@ let tlb_tests =
               };
           }
         in
-        let sys =
-          System.create ~params ~lockstep:true ~workload:paging_workload ()
-        in
+        let sys = System.create ~params ~workload:paging_workload () in
         let o = System.run sys in
         check (list int) "no divergence" [] o.System.lockstep_mismatches;
         check bool "guest handled misses" true
           ((Hypervisor.stats (System.primary sys)).Stats.reflected_traps > 0));
+    test_case "Scenario.replicated refuses a diverged run" `Quick (fun () ->
+        (* the same guest through the experiment driver: it passes the
+           lint gate, so only the lockstep comparison can refuse it.
+           Fresh params per run: the random policy's RNG is mutable. *)
+        let params () = random_tlb_params Params.Guest_managed in
+        let first =
+          let sys =
+            System.create ~params:(params ()) ~workload:paging_workload ()
+          in
+          match (System.run sys).System.lockstep_mismatches with
+          | e :: _ -> e
+          | [] -> fail "expected the replicas to diverge"
+        in
+        let contains s sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        (match
+           Hft_harness.Scenario.replicated ~params:(params ()) paging_workload
+         with
+        | _ -> fail "Scenario.replicated returned a diverged run"
+        | exception Failure msg ->
+          check bool ("names the workload: " ^ msg) true
+            (contains msg "\"paging\"");
+          check bool ("names the first diverged epoch: " ^ msg) true
+            (contains msg (Printf.sprintf "first at epoch %d" first)));
+        let o =
+          Hft_harness.Scenario.replicated ~params:small_params
+            (Workload.dhrystone ~iterations:1500)
+        in
+        check bool "clean run compares epochs" true
+          (o.System.epochs_compared > 0));
   ]
 
 let protocol_variant_tests =
@@ -328,9 +359,9 @@ let protocol_variant_tests =
         check (list int) "revised lockstep" [] o2.System.lockstep_mismatches);
     test_case "revised protocol is faster for CPU-bound work" `Quick (fun () ->
         let w = Workload.dhrystone ~iterations:4000 in
-        let _, o_old = run_sys ~lockstep:false w in
+        let _, o_old = run_sys w in
         let _, o_new =
-          run_sys ~lockstep:false
+          run_sys
             ~params:(Params.with_protocol small_params Params.Revised)
             w
         in
@@ -352,9 +383,9 @@ let protocol_variant_tests =
           >= 0));
     test_case "atm link speeds up the original protocol" `Quick (fun () ->
         let w = Workload.dhrystone ~iterations:4000 in
-        let _, o_eth = run_sys ~lockstep:false w in
+        let _, o_eth = run_sys w in
         let _, o_atm =
-          run_sys ~lockstep:false
+          run_sys
             ~params:(Params.with_link small_params Hft_net.Link.atm)
             w
         in
@@ -369,7 +400,7 @@ let epoch_length_tests =
         let w = Workload.dhrystone ~iterations:3000 in
         let epochs el =
           let sys, _ =
-            run_sys ~lockstep:false
+            run_sys
               ~params:(Params.with_epoch_length small_params el)
               w
           in
@@ -383,7 +414,7 @@ let epoch_length_tests =
         let w = Workload.dhrystone ~iterations:3000 in
         let time el =
           let _, o =
-            run_sys ~lockstep:false
+            run_sys
               ~params:(Params.with_epoch_length small_params el)
               w
           in
@@ -392,7 +423,7 @@ let epoch_length_tests =
         check bool "monotone" true Hft_sim.Time.(time 4096 < time 512));
     test_case "epoch counting matches instruction budget" `Quick (fun () ->
         let w = Workload.dhrystone ~iterations:2000 in
-        let sys, o = run_sys ~lockstep:false w in
+        let sys, o = run_sys w in
         let st = Hypervisor.stats (System.primary sys) in
         ignore o;
         (* instructions + simulated cannot exceed epochs * EL +
@@ -496,14 +527,14 @@ let messaging_tests =
   [
     test_case "every data message is acknowledged" `Quick (fun () ->
         let w = Workload.dhrystone ~iterations:1000 in
-        let sys, o = run_sys ~lockstep:false w in
+        let sys, o = run_sys w in
         ignore o;
         ignore sys;
         (* run drains: no messages in flight at the end *)
         ());
     test_case "message counts scale with epochs" `Quick (fun () ->
         let w = Workload.dhrystone ~iterations:2000 in
-        let sys, o = run_sys ~lockstep:false w in
+        let sys, o = run_sys w in
         let st = Hypervisor.stats (System.primary sys) in
         (* two protocol messages (Tme, end) per epoch, plus relays *)
         check bool "at least 2 per epoch" true
@@ -629,7 +660,7 @@ let structured_lockstep_prop =
         }
       in
       let params = { Params.default with Params.epoch_length = 128 } in
-      let sys = System.create ~params ~lockstep:true ~workload:w () in
+      let sys = System.create ~params ~workload:w () in
       let o = System.run sys in
       o.System.lockstep_mismatches = []
       && Hypervisor.vm_state_hash (System.primary sys)
@@ -655,7 +686,7 @@ let structured_rewriting_prop =
           Params.epoch_mechanism = Params.Code_rewriting;
         }
       in
-      let sys = System.create ~params ~lockstep:true ~workload:w () in
+      let sys = System.create ~params ~workload:w () in
       let o = System.run sys in
       o.System.lockstep_mismatches = [])
 
@@ -672,7 +703,7 @@ let random_lockstep_prop =
         }
       in
       let params = { Params.default with Params.epoch_length = 64 } in
-      let sys = System.create ~params ~lockstep:true ~workload:w () in
+      let sys = System.create ~params ~workload:w () in
       let o = System.run sys in
       o.System.lockstep_mismatches = []
       && Hypervisor.vm_state_hash (System.primary sys)
@@ -692,21 +723,33 @@ let incremental_hashing_tests =
           (Hypervisor.vm_state_hash (System.backup sys)));
     test_case "incremental and full-rehash schemes give equal hashes" `Quick
       (fun () ->
-        (* same workload under both schemes: lockstep must hold in
-           each, and the final state hashes must agree across runs —
-           the scheme is invisible to the protocol *)
-        let run scheme =
-          let params = Params.with_hash_scheme small_params scheme in
-          let sys, o = run_sys ~params (Workload.dhrystone ~iterations:1500) in
-          check (list int) "no divergence" [] o.System.lockstep_mismatches;
-          Hypervisor.vm_state_hash (System.primary sys)
-        in
-        check int "schemes agree" (run Params.Incremental)
-          (run Params.Full_rehash));
+        (* at every boundary of both replicas, the incremental state
+           hash the protocol compares equals a from-scratch rehash of
+           all of memory: dirty tracking is invisible to the protocol *)
+        let w = Workload.dhrystone ~iterations:1500 in
+        let sys = System.create ~params:small_params ~workload:w () in
+        let checked = ref 0 and differ = ref [] in
+        List.iter
+          (fun hv ->
+            let previous = Hypervisor.get_on_epoch_boundary hv in
+            Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
+                let cpu = Hypervisor.cpu hv in
+                incr checked;
+                if
+                  Hft_machine.Cpu.state_hash ~include_tlb:false cpu
+                  <> Hft_machine.Cpu.state_hash ~include_tlb:false ~full:true
+                       cpu
+                then differ := epoch :: !differ;
+                previous ~epoch ~hash))
+          [ System.primary sys; System.backup sys ];
+        let o = System.run sys in
+        check_lockstep "schemes" o;
+        check bool "boundaries checked" true (!checked > 0);
+        check (list int) "schemes agree" [] !differ);
     test_case "a single corrupted word is caught at the next boundary" `Quick
       (fun () ->
         let w = Workload.dhrystone ~iterations:3000 in
-        let sys = System.create ~params:small_params ~lockstep:true ~workload:w () in
+        let sys = System.create ~params:small_params ~workload:w () in
         (* flip one word of the backup's memory mid-run, in an area the
            guest never touches: only the state hash can see it *)
         ignore

@@ -473,7 +473,7 @@ let test_replicated_run_validates () =
     Hft_core.Params.with_epoch_length Hft_core.Params.default 512
   in
   let w = Hft_guest.Workload.dhrystone ~iterations:200 in
-  let o = Hft_harness.Scenario.replicated ~lockstep:true ~params w in
+  let o = Hft_harness.Scenario.replicated ~params w in
   let st = o.Hft_core.System.primary_stats in
   if st.Hft_core.Stats.validated_instructions = 0 then
     Alcotest.fail "validator did not observe the run";

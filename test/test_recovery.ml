@@ -13,7 +13,7 @@ module Obs = Hft_obs
 let base = { Params.default with Params.epoch_length = 512 }
 
 let run_sys ?(params = base) ?obs ~workload setup =
-  let sys = System.create ~params ?obs ~lockstep:true ~workload () in
+  let sys = System.create ~params ?obs ~workload () in
   setup sys;
   (sys, System.run sys)
 

@@ -187,7 +187,7 @@ let system_tests =
            spends instructions the recovery register gets for free *)
         let w = Hft_guest.Workload.dhrystone ~iterations:2000 in
         let t params =
-          let sys = System.create ~params ~lockstep:false ~workload:w () in
+          let sys = System.create ~params ~workload:w () in
           (System.run sys).System.time
         in
         let rr = t { rewriting_params with Params.epoch_mechanism = Params.Recovery_register } in

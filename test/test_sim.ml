@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine, heap, RNG, time and trace. *)
+(* Tests for the discrete-event engine, heap, RNG and time. *)
 
 open Hft_sim
 
@@ -149,31 +149,6 @@ let rng_tests =
           let v = Rng.float r 2.5 in
           check bool "in range" true (v >= 0.0 && v < 2.5)
         done);
-  ]
-
-let trace_tests =
-  let open Alcotest in
-  [
-    test_case "records and finds" `Quick (fun () ->
-        let tr = Trace.create () in
-        Trace.record tr ~time:(Time.of_us 1) ~source:"a" "hello";
-        Trace.record tr ~time:(Time.of_us 2) ~source:"b" "world";
-        Trace.recordf tr ~time:(Time.of_us 3) ~source:"a" "hello %d" 42;
-        check int "length" 3 (Trace.length tr);
-        check int "find" 2
-          (List.length (Trace.find tr ~source:"a" ~prefix:"hello")));
-    test_case "ring discards oldest" `Quick (fun () ->
-        let tr = Trace.create ~capacity:4 () in
-        for i = 1 to 10 do
-          Trace.record tr ~time:(Time.of_us i) ~source:"s" (string_of_int i)
-        done;
-        let es = Trace.entries tr in
-        check int "retained" 4 (List.length es);
-        check string "oldest retained" "7" (List.hd es).Trace.event;
-        check int "total" 10 (Trace.total_recorded tr));
-    test_case "null sink retains nothing" `Quick (fun () ->
-        Trace.record Trace.null ~time:Time.zero ~source:"x" "y";
-        check int "empty" 0 (Trace.length Trace.null));
   ]
 
 let engine_tests =
@@ -553,7 +528,6 @@ let () =
             QCheck_alcotest.to_alcotest heap_filter_property;
           ] );
       ("rng", rng_tests);
-      ("trace", trace_tests);
       ("engine", engine_tests);
       ( "horizon",
         horizon_tests

@@ -152,7 +152,7 @@ let test_stale_manifest_falls_back () =
       { Params.default with Params.epoch_length = 256 }
       Params.Threaded
   in
-  let sys = System.create ~params ~lockstep:true ~workload:fresh () in
+  let sys = System.create ~params ~workload:fresh () in
   let o = System.run sys in
   Alcotest.(check (list int)) "no mismatches" [] o.System.lockstep_mismatches
 
@@ -181,11 +181,7 @@ let test_listing_and_fusion () =
 (* ---------- Bare: backend equivalence over shipped workloads ---------- *)
 
 let bare_outcome backend w =
-  let params =
-    Params.with_exec_backend
-      (Params.with_validate_manifest Params.default false)
-      backend
-  in
+  let params = Params.with_exec_backend Params.default backend in
   let b = Bare.create ~params ~workload:w () in
   Bare.init_disk_blocks b;
   let o = Bare.run b in
@@ -230,7 +226,7 @@ let run_sys ?(backend = Params.Interp) w =
       { Params.default with Params.epoch_length = 512 }
       backend
   in
-  let sys = System.create ~params ~lockstep:true ~workload:w () in
+  let sys = System.create ~params ~workload:w () in
   (sys, System.run sys)
 
 let test_threaded_system_lockstep () =
@@ -343,7 +339,7 @@ let prop_threaded_lockstep =
           { Params.default with Params.epoch_length = 128 }
           Params.Threaded
       in
-      let sys = System.create ~params ~lockstep:true ~workload:w () in
+      let sys = System.create ~params ~workload:w () in
       let o = System.run sys in
       o.System.lockstep_mismatches = []
       && Hypervisor.vm_state_hash (System.primary sys)
@@ -361,7 +357,7 @@ let prop_differential_oracle =
       in
       (* record_boundary faults loudly on the first divergence, so
          completing the run is the property *)
-      let sys = System.create ~params ~lockstep:true ~workload:w () in
+      let sys = System.create ~params ~workload:w () in
       let o = System.run sys in
       o.System.lockstep_mismatches = []
       && Hypervisor.vm_state_hash (System.primary sys)
