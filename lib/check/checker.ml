@@ -156,7 +156,7 @@ let dims (sc : Scenarios.bounded) =
     d sc.Scenarios.sc_hv_faults;
   |]
 
-let build sc ~variant ?obs (roots : int array) =
+let build sc ~variant ?obs ?recycle (roots : int array) =
   let pick l k =
     let a = Array.of_list l in
     a.(if roots.(k) >= 0 && roots.(k) < Array.length a then roots.(k) else 0)
@@ -167,7 +167,7 @@ let build sc ~variant ?obs (roots : int array) =
     ?loss_pb:(pick sc.Scenarios.sc_loss_pb 2)
     ?loss_bp:(pick sc.Scenarios.sc_loss_bp 3)
     ?hv_fault:(pick sc.Scenarios.sc_hv_faults 4)
-    ?obs ()
+    ?obs ?recycle ()
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
@@ -269,7 +269,7 @@ type run_result =
    the frontier.  Frames deeper than the stack are created on the fly
    with the first non-sleeping choice; the run ends when the system
    halts, an invariant trips, or a reduction cuts the branch. *)
-let execute sc ~variant ~reference ~opts ~st ~visited stack =
+let execute sc ~variant ~reference ~opts ~st ~visited ~spare stack =
   let frames = Array.of_list !stack in
   let nf = Array.length frames in
   let fresh = ref [] in
@@ -301,7 +301,11 @@ let execute sc ~variant ~reference ~opts ~st ~visited stack =
      loss plans must not merge: mix the root assignment into every
      fingerprint *)
   let root_mix = Hashtbl.hash (Array.to_list roots) in
-  let sys = build sc ~variant roots in
+  (* this run's system is finished before the next [execute] builds
+     from it: every schedule after the first reuses the same pair of
+     guest memories *)
+  let sys = build sc ~variant ?recycle:!spare roots in
+  spare := Some sys;
   let engine = System.engine sys in
   let baselines = [| 0; 0 |] in
   let frozen = [| None; None |] in
@@ -392,14 +396,6 @@ let execute sc ~variant ~reference ~opts ~st ~visited stack =
       R_violation ("run failed: " ^ msg)
   in
   stack := !stack @ List.rev !fresh;
-  (if Sys.getenv_opt "HFTSIM_CHECK_DEBUG" <> None then
-     let show = function
-       | R_ok -> "ok"
-       | R_violation v -> "VIOLATION " ^ v
-       | R_aborted -> "aborted"
-     in
-     Printf.eprintf "run %d: consumed %d, verdict %s\n%!" st.runs !cursor
-       (show verdict));
   (verdict, !cursor)
 
 (* ------------------------------------------------------------------ *)
@@ -556,13 +552,15 @@ let explore ?(options = default_options) sc ~variant =
   let visited = Hashtbl.create 8192 in
   let reference = Scenarios.reference sc ~variant in
   let stack = ref [] in
+  let spare = ref None in
   let violations = ref [] in
   let capped = ref false and exhausted = ref false in
   (try
      let continue_ = ref true in
      while !continue_ do
        (match
-          execute sc ~variant ~reference ~opts:options ~st ~visited stack
+          execute sc ~variant ~reference ~opts:options ~st ~visited ~spare
+            stack
         with
        | R_violation reason, consumed ->
          let v_roots, v_choices = slice stack consumed in

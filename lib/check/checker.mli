@@ -6,8 +6,11 @@
     co-enabled simulation events — checking machine-checkable
     invariants between every two events and at the end of every run.
     Stateless search: each schedule is a fresh deterministic run
-    replayed from its choice prefix.  Two reductions keep the tree
-    tractable: sleep-set dynamic partial-order reduction (same-instant
+    replayed from its choice prefix, built by recycling the previous
+    run's system ({!Hft_harness.Scenarios.instantiate}'s [recycle]:
+    the guest memories are reset in place, which is exact), so a whole
+    exploration allocates one pair of guest memories.  Two reductions
+    keep the tree tractable: sleep-set dynamic partial-order reduction (same-instant
     events on distinct replicas commute) and canonical-fingerprint
     pruning of revisited states.  Counterexamples are shrunk and
     serialized as replayable {!Schedule.t} values. *)

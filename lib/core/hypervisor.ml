@@ -247,9 +247,10 @@ let arm_translation ~params manifest ~deprivileged cpu =
     | Error _ -> () (* stale manifest: full interpreter fallback *))
 
 let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
-    ?(obs = Hft_obs.Recorder.null) () =
+    ?(obs = Hft_obs.Recorder.null) ?recycle () =
   let vm =
     Cpu.create ~config:params.Params.cpu_config
+      ?recycle:(Option.map (fun old -> old.vm) recycle)
       ~code:workload.Hft_guest.Workload.program.Asm.code ()
   in
   (* every run re-checks the static certificates against execution *)

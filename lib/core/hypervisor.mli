@@ -74,12 +74,16 @@ val create :
   console:Hft_devices.Console.t ->
   clock:Hft_devices.Clock.t ->
   ?obs:Hft_obs.Recorder.t ->
+  ?recycle:t ->
   unit ->
   t
 (** [obs] receives typed protocol events (epoch boundaries, ack waits,
     interrupt buffering and delivery, failover steps, …) under this
     hypervisor's name as the source; defaults to the null recorder,
-    which costs nothing. *)
+    which costs nothing.  [recycle] is a finished hypervisor whose
+    virtual machine's memory the new one reuses
+    ({!Hft_machine.Cpu.create}); the result behaves exactly like a
+    fresh one, and the recycled hypervisor must not be used again. *)
 
 val connect :
   ?tx_data:Message.t Hft_net.Channel.t ->

@@ -45,7 +45,8 @@ let record_boundary ls ~epoch ~hash =
     end
 
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
-    ?(second_backup = false) ?(obs = Hft_obs.Recorder.null) ~workload () =
+    ?(second_backup = false) ?(obs = Hft_obs.Recorder.null) ?recycle ~workload
+    () =
   let workload =
     match params.Params.epoch_mechanism with
     | Params.Recovery_register -> workload
@@ -111,12 +112,16 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   let primary_ =
     Hypervisor.create ~name:"primary" ~role:Hypervisor.Primary ~port:0 ~engine
       ~params:(backend_for `Primary (params_for (fst seeds)))
-      ~workload ~disk:disk_ ~console:console_ ~clock:clock_p ~obs ()
+      ~workload ~disk:disk_ ~console:console_ ~clock:clock_p ~obs
+      ?recycle:(Option.map (fun old -> old.primary_) recycle)
+      ()
   in
   let backup_ =
     Hypervisor.create ~name:"backup" ~role:Hypervisor.Backup ~port:1 ~engine
       ~params:(backend_for `Backup (params_for (snd seeds)))
-      ~workload ~disk:disk_ ~console:console_ ~clock:clock_b ~obs ()
+      ~workload ~disk:disk_ ~console:console_ ~clock:clock_b ~obs
+      ?recycle:(Option.map (fun old -> old.backup_) recycle)
+      ()
   in
   (* delivery events are tagged with the RECEIVER: that is whose state
      the delivery handler mutates (model-checker independence) *)
@@ -177,7 +182,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   Channel.connect ch_bp (fun msg -> Hypervisor.on_message primary_ msg);
   let ls =
     {
-      hashes = Hashtbl.create 1024;
+      hashes = Hashtbl.create 16;
       compared = 0;
       mismatches = [];
       fail_fast = params.Params.exec_backend = Params.Differential;

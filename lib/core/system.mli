@@ -21,6 +21,7 @@ val create :
   ?tlb_seeds:int * int ->
   ?second_backup:bool ->
   ?obs:Hft_obs.Recorder.t ->
+  ?recycle:t ->
   workload:Hft_guest.Workload.t ->
   unit ->
   t
@@ -35,7 +36,12 @@ val create :
     {!outcome}); the disk starts filled with its pattern
     ({!Hft_devices.Disk.fill}).
     [second_backup] (default false) chains a second backup behind the
-    first for 2-fault tolerance (failures tolerated in role order). *)
+    first for 2-fault tolerance (failures tolerated in role order).
+    [recycle] is a finished system whose primary and backup guest
+    memories the new one resets and reuses instead of allocating
+    ({!Hypervisor.create}); the new system behaves exactly like a
+    fresh one.  The recycled system must not be used again.  A
+    second backup is always built fresh. *)
 
 val engine : t -> Hft_sim.Engine.t
 

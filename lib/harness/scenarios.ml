@@ -181,9 +181,10 @@ let reference sc ~variant =
   Bare.run b
 
 let instantiate sc ~variant ?crash_epoch ?backup_crash_epoch ?loss_pb ?loss_bp
-    ?hv_fault ?obs () =
+    ?hv_fault ?obs ?recycle () =
   let sys =
-    System.create ~params:(params sc ~variant) ?obs ~workload:sc.sc_workload ()
+    System.create ~params:(params sc ~variant) ?obs ?recycle
+      ~workload:sc.sc_workload ()
   in
   (match crash_epoch with
   | Some e -> System.crash_primary_on_epoch sys e

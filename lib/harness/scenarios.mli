@@ -91,11 +91,14 @@ val instantiate :
   ?loss_bp:int ->
   ?hv_fault:hv_fault_choice ->
   ?obs:Hft_obs.Recorder.t ->
+  ?recycle:Hft_core.System.t ->
   unit ->
   Hft_core.System.t
 (** Build the system for one assignment of the scenario's root
     choices.  The caller runs it (directly, or under the model
-    checker's scheduler). *)
+    checker's scheduler).  [recycle] is a finished system whose guest
+    memories are reset and reused ({!Hft_core.System.create}); it must
+    not be used again. *)
 
 val has_crash : bounded -> bool
 (** Whether any crash option exists — decides the console-output

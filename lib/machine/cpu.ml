@@ -103,18 +103,38 @@ type t = {
          profiler can recompile the translation with matching hooks *)
 }
 
-let create ?(config = default_config) ~code () =
+(* A recycled CPU keeps only the two memory-sized arrays of the old
+   one: its memory, reset to the fresh state, and its snapshot base.
+   Reset marks every page snapshot-dirty, so the next [snapshot]
+   refreshes the whole base and counts the same bytes as the first
+   full copy would; the stale base contents are never read. *)
+let create ?(config = default_config) ?recycle ~code () =
+  let memory, snap_base =
+    match recycle with
+    | None ->
+      let m =
+        Memory.create ~page_shift:config.page_shift ~words:config.mem_words ()
+      in
+      (m, None)
+    | Some old ->
+      let m = old.memory in
+      if
+        Memory.size m <> config.mem_words
+        || Memory.page_shift m <> config.page_shift
+      then invalid_arg "Cpu.create: recycled memory geometry mismatch";
+      Memory.reset m;
+      (m, old.snap_base)
+  in
   {
     cfg = config;
     code;
-    memory =
-      Memory.create ~page_shift:config.page_shift ~words:config.mem_words ();
+    memory;
     tlb_state = Tlb.create ~entries:config.tlb_entries config.tlb_policy;
     regs = Array.make Isa.num_regs 0;
     crs = Array.make Isa.num_crs 0;
     pc_ = 0;
     retired = 0;
-    snap_base = None;
+    snap_base;
     snap_bytes = 0;
     validator = None;
     trans = None;

@@ -61,7 +61,16 @@ type run_result = {
   stop : stop;
 }
 
-val create : ?config:config -> code:Isa.instr array -> unit -> t
+val create :
+  ?config:config -> ?recycle:t -> code:Isa.instr array -> unit -> t
+(** A CPU at reset: zero registers, pc 0, zero memory.  [recycle] is a
+    finished CPU whose memory (after {!Memory.reset}) and snapshot
+    base the new one adopts instead of allocating its own; the result
+    is indistinguishable from a fresh CPU, including the bytes its
+    first {!snapshot} counts.  The recycled CPU must not be used
+    again.
+    @raise Invalid_argument if the recycled memory's size or page
+    size differs from [config]'s. *)
 
 val config : t -> config
 val code : t -> Isa.instr array

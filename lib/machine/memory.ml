@@ -15,7 +15,14 @@
      primary and backup comparable whichever scheme each side uses.
    - [snap_dirty] records pages written since the last [clear_dirty],
      which the CPU snapshot path uses to copy only the delta since the
-     previous snapshot. *)
+     previous snapshot.
+
+   A third set, [touched], exists only so [reset] can find the pages
+   that may hold nonzero words without scanning the rest: a page may
+   be nonzero only if it is [stale] or [touched].  Writes already mark
+   [stale], so [touched] is set where [stale] is cleared ([digest]) or
+   adopted from another memory ([copy_page], [blit_from]) — never on
+   the write fast paths. *)
 
 type t = {
   words : int array;
@@ -23,6 +30,9 @@ type t = {
   pages : int;
   page_digests : int array;
   stale : bool array; (* page digest cache invalid *)
+  touched : bool array; (* page may be nonzero though not [stale] *)
+  zero_page : int; (* digest of an all-zero page *)
+  zero_tail : int; (* of the all-zero last page, which may be partial *)
   mutable clean : bool; (* no write since [digest_cache] was computed *)
   mutable digest_cache : int;
   snap_dirty : bool array; (* page written since last [clear_dirty] *)
@@ -54,28 +64,46 @@ let zero_page_digest n =
    reading a word: seed the cache with the zero-page digest (the
    trailing partial page gets its own) and mark nothing stale.  Every
    write path marks its page stale, so [digest = full_digest] holds
-   from the first call on. *)
+   from the first call on.  [create] and [reset] share this, so fresh
+   state is defined once. *)
+let init t =
+  Array.fill t.page_digests 0 t.pages t.zero_page;
+  t.page_digests.(t.pages - 1) <- t.zero_tail;
+  Array.fill t.stale 0 t.pages false;
+  Array.fill t.touched 0 t.pages false;
+  t.clean <- false;
+  t.digest_cache <- 0;
+  Array.fill t.snap_dirty 0 t.pages true;
+  t.pages_hashed <- 0;
+  t.pages_skipped <- 0
+
 let create ?(page_shift = default_page_shift) ~words () =
   if words <= 0 then invalid_arg "Memory.create: size must be positive";
   if page_shift < 0 || page_shift > 30 then
     invalid_arg "Memory.create: bad page_shift";
   let page = 1 lsl page_shift in
   let pages = (words + page - 1) lsr page_shift in
-  let page_digests = Array.make pages (zero_page_digest (min page words)) in
+  let zero_page = zero_page_digest (min page words) in
   let tail = words - ((pages - 1) lsl page_shift) in
-  if tail < page then page_digests.(pages - 1) <- zero_page_digest tail;
-  {
-    words = Array.make words 0;
-    page_shift;
-    pages;
-    page_digests;
-    stale = Array.make pages false;
-    clean = false;
-    digest_cache = 0;
-    snap_dirty = Array.make pages true;
-    pages_hashed = 0;
-    pages_skipped = 0;
-  }
+  let t =
+    {
+      words = Array.make words 0;
+      page_shift;
+      pages;
+      page_digests = Array.make pages 0;
+      stale = Array.make pages false;
+      touched = Array.make pages false;
+      zero_page;
+      zero_tail = (if tail < page then zero_page_digest tail else zero_page);
+      clean = false;
+      digest_cache = 0;
+      snap_dirty = Array.make pages true;
+      pages_hashed = 0;
+      pages_skipped = 0;
+    }
+  in
+  init t;
+  t
 
 let size t = Array.length t.words
 let page_shift t = t.page_shift
@@ -84,6 +112,13 @@ let pages t = t.pages
 let page_words t p =
   if p < 0 || p >= t.pages then invalid_arg "Memory.page_words: bad page";
   min (1 lsl t.page_shift) (Array.length t.words - (p lsl t.page_shift))
+
+let reset t =
+  for p = 0 to t.pages - 1 do
+    if t.stale.(p) || t.touched.(p) then
+      Array.fill t.words (p lsl t.page_shift) (page_words t p) 0
+  done;
+  init t
 
 let[@inline] in_range t addr = addr >= 0 && addr < Array.length t.words
 
@@ -149,6 +184,9 @@ let copy t =
     pages = t.pages;
     page_digests = Array.copy t.page_digests;
     stale = Array.copy t.stale;
+    touched = Array.copy t.touched;
+    zero_page = t.zero_page;
+    zero_tail = t.zero_tail;
     clean = t.clean;
     digest_cache = t.digest_cache;
     snap_dirty = Array.copy t.snap_dirty;
@@ -166,6 +204,7 @@ let blit_from t ~src =
          re-hashing beyond what the source already owed *)
       Array.blit src.page_digests 0 t.page_digests 0 t.pages;
       Array.blit src.stale 0 t.stale 0 t.pages;
+      Array.blit src.touched 0 t.touched 0 t.pages;
       t.digest_cache <- src.digest_cache;
       t.clean <- src.clean
     end
@@ -188,6 +227,7 @@ let copy_page ~src ~dst p =
   Array.blit src.words lo dst.words lo len;
   dst.page_digests.(p) <- src.page_digests.(p);
   dst.stale.(p) <- src.stale.(p);
+  dst.touched.(p) <- src.touched.(p);
   dst.snap_dirty.(p) <- true;
   dst.clean <- false
 
@@ -228,6 +268,7 @@ let digest t =
       if t.stale.(p) then begin
         t.page_digests.(p) <- hash_page t p;
         t.stale.(p) <- false;
+        t.touched.(p) <- true;
         t.pages_hashed <- t.pages_hashed + 1
       end
       else t.pages_skipped <- t.pages_skipped + 1

@@ -21,6 +21,14 @@ val create : ?page_shift:int -> words:int -> unit -> t
     out holding the all-zero page digests, so the first {!digest}
     hashes only pages written since. *)
 
+val reset : t -> unit
+(** Return the memory to exactly the state {!create} gives it: zero
+    words, zero-page digests cached, every page snapshot-dirty, work
+    counters at zero.  Only pages that may hold nonzero words are
+    zeroed — those written, copied or restored into since creation or
+    the last reset — so recycling a mostly untouched memory costs far
+    less than allocating a new one. *)
+
 val size : t -> int
 
 val page_shift : t -> int

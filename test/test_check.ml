@@ -39,16 +39,47 @@ let hv_crash_fixpoint () =
   Alcotest.(check int) "no violations" 0 (List.length r.Checker.r_violations);
   Alcotest.(check int) "states pinned" 952 r.Checker.r_stats.Checker.states
 
+(* Every scenario's exploration, pinned by all three counts: schedules
+   run, frontier states, and scheduler transitions.  A change to the
+   protocol, the reductions or the checker's replay shows up here as a
+   visible diff, not silent drift. *)
+let pins =
+  [
+    ("handoff", 156, 618, 8136);
+    ("crash-write", 788, 2998, 155694);
+    ("crash-loss", 936, 3887, 48995);
+    ("reintegration-loss", 664, 2819, 38913);
+    ("hv-crash", 209, 952, 11092);
+  ]
+
+let check_pinned ~what sc (name, runs, states, transitions) =
+  let r = Checker.explore sc ~variant:Scenarios.correct in
+  let st = r.Checker.r_stats in
+  Alcotest.(check bool) (name ^ " fixpoint") true r.Checker.r_complete;
+  Alcotest.(check int)
+    (name ^ " no violations")
+    0
+    (List.length r.Checker.r_violations);
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s runs/states/transitions %s" name what)
+    [ runs; states; transitions ]
+    [ st.Checker.runs; st.Checker.states; st.Checker.transitions ]
+
+let counts_pinned () =
+  List.iter
+    (fun ((name, _, _, _) as pin) ->
+      check_pinned ~what:"pinned" (find_scenario name) pin)
+    pins
+
 (* Observability neutrality: arming the guest hot-spot profiler
    (which recompiles translated blocks with counting prologues and
    disables loop hoisting) must not perturb any architectural state
-   the lockstep protocol hashes.  Each scenario's state space is
-   pinned to the same count the unprofiled explorations above and
-   [hftsim check --all] reach — a drift here means the profiler
-   leaked into System.fingerprint. *)
+   the lockstep protocol hashes.  Each scenario's exploration must
+   reach the same pinned counts as without profiling — a drift here
+   means the profiler leaked into System.fingerprint. *)
 let profiling_neutral () =
   List.iter
-    (fun (name, states) ->
+    (fun ((name, _, _, _) as pin) ->
       let sc = find_scenario name in
       let sc =
         {
@@ -57,22 +88,8 @@ let profiling_neutral () =
             Hft_core.Params.with_profile_guest sc.Scenarios.sc_params true;
         }
       in
-      let r = Checker.explore sc ~variant:Scenarios.correct in
-      Alcotest.(check bool) (name ^ " fixpoint") true r.Checker.r_complete;
-      Alcotest.(check int)
-        (name ^ " no violations")
-        0
-        (List.length r.Checker.r_violations);
-      Alcotest.(check int)
-        (name ^ " states unchanged under profiling")
-        states r.Checker.r_stats.Checker.states)
-    [
-      ("handoff", 618);
-      ("crash-write", 2998);
-      ("crash-loss", 3887);
-      ("reintegration-loss", 2819);
-      ("hv-crash", 952);
-    ]
+      check_pinned ~what:"unchanged under profiling" sc pin)
+    pins
 
 (* PR 1's failover-during-reintegration-snapshot bug, pinned
    exhaustively: every single-loss schedule across the reintegration
@@ -187,6 +204,8 @@ let () =
             hv_crash_fixpoint;
           test_case "reintegration-loss regression pin" `Quick
             reintegration_regression;
+          test_case "runs, states and transitions pinned" `Quick
+            counts_pinned;
           test_case "profiling leaves every state space untouched" `Slow
             profiling_neutral;
           test_case "correct variant survives crash-loss" `Quick

@@ -789,7 +789,8 @@ let major_words_of f =
   words
 
 let create_cost_tests =
-  let budget = 4. *. float Hft_machine.Cpu.default_config.Hft_machine.Cpu.mem_words in
+  let mem_words = Hft_machine.Cpu.default_config.Hft_machine.Cpu.mem_words in
+  let budget = 4. *. float mem_words in
   let pin name words =
     if words >= budget then
       Alcotest.failf "%s allocated %.0f major words, budget %.0f" name words
@@ -802,16 +803,95 @@ let create_cost_tests =
         (major_words_of (fun () ->
              System.create ~params:Params.default
                ~workload:(Workload.dhrystone ~iterations:20_000) ())))
-  :: List.map
+  :: List.concat_map
        (fun (b : S.bounded) ->
-         Alcotest.test_case
-           (Printf.sprintf "instantiate %s allocates under 4 x mem_words"
-              b.S.sc_name)
-           `Quick (fun () ->
-             pin b.S.sc_name
-               (major_words_of (fun () ->
-                    S.instantiate b ~variant:S.correct ()))))
+         [
+           Alcotest.test_case
+             (Printf.sprintf "instantiate %s allocates under 4 x mem_words"
+                b.S.sc_name)
+             `Quick (fun () ->
+               pin b.S.sc_name
+                 (major_words_of (fun () ->
+                      S.instantiate b ~variant:S.correct ())));
+           (* recycling reuses both guest memories and the snapshot
+              base, so what is left is a few small tables *)
+           Alcotest.test_case
+             (Printf.sprintf "recycled %s allocates under mem_words / 16"
+                b.S.sc_name)
+             `Quick (fun () ->
+               let donor = S.instantiate b ~variant:S.correct () in
+               ignore (System.run ~limit:b.S.sc_limit donor);
+               let words =
+                 major_words_of (fun () ->
+                     S.instantiate b ~variant:S.correct ~recycle:donor ())
+               in
+               let budget = float mem_words /. 16. in
+               if words >= budget then
+                 Alcotest.failf "recycled %s allocated %.0f major words, \
+                                 budget %.0f"
+                   b.S.sc_name words budget);
+         ])
        S.all
+
+(* the node's (epoch, hash) at every boundary, newest first, chained
+   in front of the hooks already installed *)
+let record_hashes hv =
+  let log = ref [] in
+  let previous = Hypervisor.get_on_epoch_boundary hv in
+  Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
+      log := (epoch, hash) :: !log;
+      previous ~epoch ~hash);
+  log
+
+(* A recycled system must be indistinguishable from a fresh one.  Each
+   bounded scenario runs its default schedule three times: a donor, a
+   fresh system, and a system recycled from the finished donor.  The
+   first crash option is taken where there is one, so the
+   reintegration-loss donor leaves a snapshot base behind that the
+   recycled run reuses.  Everything observable must agree: the
+   outcome with its full statistics, console, disk log, per-node
+   epoch hashes, and the system fingerprint at every scheduler call. *)
+let recycle_tests =
+  let module S = Hft_harness.Scenarios in
+  let observe (b : S.bounded) ?recycle () =
+    let crash_epoch = List.find_map Fun.id b.S.sc_crash_epochs in
+    let sys = S.instantiate b ~variant:S.correct ?crash_epoch ?recycle () in
+    let hp = record_hashes (System.primary sys)
+    and hb = record_hashes (System.backup sys) in
+    let fps = ref [] in
+    Hft_sim.Engine.set_scheduler (System.engine sys) (fun _ ->
+        fps := System.fingerprint sys :: !fps;
+        0);
+    let o = System.run ~limit:b.S.sc_limit sys in
+    ( sys,
+      ( o,
+        Hft_devices.Disk.Log.entries (System.disk sys),
+        (List.rev !hp, List.rev !hb),
+        List.rev !fps ) )
+  in
+  List.map
+    (fun (b : S.bounded) ->
+      Alcotest.test_case b.S.sc_name `Quick (fun () ->
+          let open Alcotest in
+          let donor, _ = observe b () in
+          let _, (o1, d1, h1, f1) = observe b () in
+          let _, (o2, d2, h2, f2) = observe b ~recycle:donor () in
+          check string "console" o1.System.console o2.System.console;
+          check string "primary stats"
+            (Format.asprintf "%a" Stats.pp o1.System.primary_stats)
+            (Format.asprintf "%a" Stats.pp o2.System.primary_stats);
+          check string "backup stats"
+            (Format.asprintf "%a" Stats.pp o1.System.backup_stats)
+            (Format.asprintf "%a" Stats.pp o2.System.backup_stats);
+          check bool "outcome and stats" true (o1 = o2);
+          check bool "disk log" true (d1 = d2);
+          check bool "epoch hashes" true (h1 = h2);
+          check int "scheduler calls" (List.length f1) (List.length f2);
+          check bool "fingerprints" true (f1 = f2);
+          if b.S.sc_reintegrate_ms <> None then
+            check bool "snapshot taken" true
+              (o2.System.backup_stats.Stats.snapshot_delta_bytes > 0)))
+    S.all
 
 (* Conservative lookahead changes how far a replica runs per dispatch,
    never what it computes.  A pass-through scheduler turns lookahead
@@ -868,15 +948,8 @@ let modelled (s : Stats.t) =
 let observe ~failover ~params ~per_dispatch (w : Workload.t) =
   let obs = Hft_obs.Recorder.create ~capacity:(1 lsl 20) () in
   let sys = System.create ~params ~obs ~workload:w () in
-  let hashes hv =
-    let log = ref [] in
-    let previous = Hypervisor.get_on_epoch_boundary hv in
-    Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
-        log := (epoch, hash) :: !log;
-        previous ~epoch ~hash);
-    log
-  in
-  let hp = hashes (System.primary sys) and hb = hashes (System.backup sys) in
+  let hp = record_hashes (System.primary sys)
+  and hb = record_hashes (System.backup sys) in
   if failover then begin
     System.crash_primary_at sys (Hft_sim.Time.of_ms 40);
     System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 10)
@@ -986,6 +1059,7 @@ let () =
       ("reproducibility", reproducibility_tests);
       ("api-edges", api_edge_tests);
       ("create-cost", create_cost_tests);
+      ("recycle", recycle_tests);
       ( "lookahead-cpu",
         List.map lookahead_case cpu_workloads @ [ lookahead_regression_test ] );
       ( "lookahead-io",

@@ -747,6 +747,91 @@ let digest_equiv_prop =
       && Memory.digest m = Memory.digest fresh
       && Memory.equal m fresh)
 
+(* Recycling is exact: after any mix of the mutation paths a reset
+   memory is indistinguishable from a fresh one — same words, digests,
+   snapshot-dirty set and hash work — and stays so under a second
+   random run.  [twin] (same geometry, digested now and then so its
+   written pages need not be stale) feeds [copy_page]/[blit_from];
+   [alien] (other page size) takes [blit_from]'s re-hash-everything
+   path. *)
+let reset_exact_prop =
+  let open QCheck.Gen in
+  let geometry =
+    triple (oneofl [ 0; 8; 10 ]) (oneofl [ 1; 700; 1024; 4096; 5000 ])
+      (oneofl [ 2; 9 ])
+  in
+  let anywhere = int_bound 1_000_000 in
+  let value = int_range 0 1_000_000 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun a v -> `Write (a, v)) anywhere value);
+        (4, map2 (fun a v -> `Write_fast (a, v)) anywhere value);
+        (2, map2 (fun a len -> `Blit (a, len)) anywhere (int_range 1 64));
+        (2, map2 (fun a v -> `Twin_write (a, v)) anywhere value);
+        (1, return `Twin_digest);
+        (1, map (fun p -> `Copy_page p) anywhere);
+        (1, return `Blit_from_twin);
+        (1, return `Blit_from_alien);
+        (2, return `Digest);
+        (1, return `Clear);
+      ]
+  in
+  let ops = list_size (int_range 0 80) op in
+  let gen = triple geometry ops ops in
+  (* everything a caller can observe: each digest with the hash work
+     it cost, the dirty set, and the final contents *)
+  let observe ~page_shift ~alien_shift ~words m ops =
+    let twin = Memory.create ~page_shift ~words () in
+    let alien = Memory.create ~page_shift:alien_shift ~words () in
+    Memory.write alien (words - 1) 3;
+    let log = ref [] in
+    let note x = log := x :: !log in
+    List.iter
+      (function
+        | `Write (a, v) -> Memory.write m (a mod words) v
+        | `Write_fast (a, v) -> Memory.write_fast m (a mod words) (Word.mask v)
+        | `Blit (a, len) ->
+          let a = a mod words in
+          Memory.blit_in m ~addr:a
+            (Array.init (min len (words - a)) (fun i -> Word.mask (a + i + 1)))
+        | `Twin_write (a, v) -> Memory.write twin (a mod words) v
+        | `Twin_digest -> ignore (Memory.digest twin)
+        | `Copy_page p ->
+          Memory.copy_page ~src:twin ~dst:m (p mod Memory.pages m)
+        | `Blit_from_twin -> Memory.blit_from m ~src:twin
+        | `Blit_from_alien -> Memory.blit_from m ~src:alien
+        | `Digest ->
+          let d = Memory.digest m in
+          let hashed, skipped = Memory.take_hash_work m in
+          note [ d; hashed; skipped ]
+        | `Clear -> Memory.clear_dirty m)
+      ops;
+    let hashed, skipped = Memory.take_hash_work m in
+    ( List.rev !log,
+      [ hashed; skipped; Memory.digest m; Memory.full_digest m ],
+      Memory.dirty_pages m,
+      Memory.blit_out m ~addr:0 ~len:words )
+  in
+  QCheck.Test.make ~name:"reset memory is indistinguishable from fresh"
+    ~count:200 (QCheck.make gen)
+    (fun ((page_shift, words, alien_shift), before, after) ->
+      let alien_shift = if alien_shift = page_shift then 1 else alien_shift in
+      let observe = observe ~page_shift ~alien_shift ~words in
+      let m = Memory.create ~page_shift ~words () in
+      ignore (observe m before);
+      Memory.reset m;
+      let fresh = Memory.create ~page_shift ~words () in
+      let every_page = List.init (Memory.pages m) Fun.id in
+      Memory.take_hash_work m = (0, 0)
+      && Memory.dirty_pages m = every_page
+      && Memory.equal m fresh
+      && Memory.digest m = Memory.digest fresh
+      && Memory.take_hash_work m = (0, Memory.pages m)
+      && Memory.full_digest m = Memory.full_digest fresh
+      && (ignore (Memory.take_hash_work m, Memory.take_hash_work fresh);
+          observe m after = observe fresh after))
+
 (* Same equivalence at the CPU level, across run/snapshot/run/restore:
    the state hash a replica sends at a boundary must not depend on
    which digest scheme computed it. *)
@@ -872,6 +957,7 @@ let () =
         dirty_page_tests
         @ [
             QCheck_alcotest.to_alcotest digest_equiv_prop;
+            QCheck_alcotest.to_alcotest reset_exact_prop;
             QCheck_alcotest.to_alcotest incremental_hash_prop;
           ] );
     ]
