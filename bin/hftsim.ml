@@ -464,6 +464,19 @@ let model_cmd =
     (Cmd.info "model" ~doc:"Evaluate the paper's analytic models (section 4).")
     Term.(const action $ link_arg)
 
+(* ---------- reproduce ---------- *)
+
+let reproduce_cmd =
+  let action () = if not (Hft_harness.Paper.reproduce ()) then exit 1 in
+  Cmd.v
+    (Cmd.info "reproduce"
+       ~doc:
+         "Regenerate the paper's section-4 evaluation (Figures 2-4, Table 1, \
+          the section 4.1/4.2 scalars and the ablations) as paper vs model \
+          vs simulation, then check the paper's conclusions.  Exits 1 if any \
+          shape check fails.")
+    Term.(const action $ const ())
+
 (* ---------- trace ---------- *)
 
 let trace_cmd =
@@ -506,7 +519,7 @@ let trace_cmd =
   let validate_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "validate" ] ~docv:"FILE"
           ~doc:
             "Do not run anything; structurally validate a trace artifact \
@@ -1113,7 +1126,7 @@ let lint_cmd =
   let image_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "image" ] ~docv:"FILE"
           ~doc:"Lint a saved program image (HFT1 format) instead of a \
                 workload.")
@@ -1188,7 +1201,7 @@ let lint_cmd =
   let manifest_baseline_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "manifest-baseline" ] ~docv:"FILE"
           ~doc:
             "Compare certification against a committed manifest-set \
@@ -2116,7 +2129,7 @@ let profile_cmd =
   let image_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "image" ] ~docv:"FILE"
           ~doc:"Profile a saved image file instead of a built-in workload.")
   in
@@ -2252,6 +2265,7 @@ let () =
             sweep_cmd;
             chaos_cmd;
             model_cmd;
+            reproduce_cmd;
             trace_cmd;
             lint_cmd;
             check_cmd;

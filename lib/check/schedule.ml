@@ -91,10 +91,6 @@ let save t path =
   close_out oc
 
 let load path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    of_string s
+  | s -> of_string s

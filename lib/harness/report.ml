@@ -30,15 +30,6 @@ let table ?(out = std) ~title ~header rows =
     (List.map (fun w -> String.make w '-') widths);
   List.iter (render_row out widths) rows
 
-let series ?(out = std) ~title ~columns points =
-  let header = "EL" :: columns in
-  let rows =
-    List.map
-      (fun (x, ys) -> string_of_int x :: List.map fnum ys)
-      points
-  in
-  table ~out ~title ~header rows
-
 let check ?(out = std) ~label ok =
   Format.fprintf out "%-60s %s@." label (if ok then "PASS" else "FAIL")
 

@@ -1,6 +1,6 @@
-(** Text rendering of experiment results: aligned tables and simple
-    series listings, shaped like the paper's Table 1 and Figures 2-4.
-    Used by [bench/main.exe] and the CLI. *)
+(** Text rendering of experiment results: aligned tables shaped like
+    the paper's Table 1 and Figures 2-4.  Used by {!Paper} and the
+    CLI. *)
 
 val table :
   ?out:Format.formatter ->
@@ -10,15 +10,6 @@ val table :
   unit
 (** Render an aligned table.  Every row must have the same arity as
     the header. *)
-
-val series :
-  ?out:Format.formatter ->
-  title:string ->
-  columns:string list ->
-  (int * float list) list ->
-  unit
-(** Render an x/y listing: epoch length against one value per column
-    (e.g. measured NP, predicted NP, paper's NP). *)
 
 val fnum : float -> string
 (** Two-decimal rendering used for normalized performance. *)

@@ -17,24 +17,17 @@ let bare_time ?(params = Params.default) workload =
 
 (* The image a run will actually execute: under code rewriting,
    System.create rewrites with the configured epoch length. *)
-let lint ~params (w : Hft_guest.Workload.t) =
-  let rewritten = params.Params.epoch_mechanism = Params.Code_rewriting in
-  let program =
-    if rewritten then
-      Hft_machine.Rewrite.rewrite_program ~every:params.Params.epoch_length
-        w.Hft_guest.Workload.program
-    else w.Hft_guest.Workload.program
-  in
-  Hft_analysis.Analysis.check ~rewritten
-    ~data_init:(List.map fst w.Hft_guest.Workload.config)
-    program
-
-(* The image a run will actually execute (see [lint] above). *)
 let executed_program ~params (w : Hft_guest.Workload.t) =
   if params.Params.epoch_mechanism = Params.Code_rewriting then
     Hft_machine.Rewrite.rewrite_program ~every:params.Params.epoch_length
       w.Hft_guest.Workload.program
   else w.Hft_guest.Workload.program
+
+let lint ~params (w : Hft_guest.Workload.t) =
+  Hft_analysis.Analysis.check
+    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
+    ~data_init:(List.map fst w.Hft_guest.Workload.config)
+    (executed_program ~params w)
 
 let replicated ?manifest ?obs ~params workload =
   let name = workload.Hft_guest.Workload.name in

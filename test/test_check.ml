@@ -178,6 +178,16 @@ let schedule_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted malformed ints"
 
+(* A directory opens on Linux but fails on the first read: that must be
+   a typed error too, not an escaping Sys_error. *)
+let load_rejects_unreadable () =
+  List.iter
+    (fun path ->
+      match Schedule.load path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "loaded %S" path)
+    [ Filename.current_dir_name; "no-such-file.sched" ]
+
 let replay_unknown_scenario () =
   let sched =
     {
@@ -222,6 +232,8 @@ let () =
         [
           test_case "serialization round-trips" `Quick schedule_round_trip;
           test_case "garbage rejected" `Quick schedule_rejects_garbage;
+          test_case "directory or missing file rejected" `Quick
+            load_rejects_unreadable;
           test_case "unknown scenario rejected" `Quick replay_unknown_scenario;
         ] );
     ]

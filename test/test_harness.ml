@@ -78,14 +78,6 @@ let report_tests =
           with Invalid_argument _ -> true
         in
         check bool "raised" true raised);
-    test_case "series renders epoch column" `Quick (fun () ->
-        let s =
-          render (fun out ->
-              Report.series ~out ~title:"S" ~columns:[ "np" ]
-                [ (1024, [ 6.5 ]); (2048, [ 3.2 ]) ])
-        in
-        check bool "has el" true (contains s "1024");
-        check bool "formats floats" true (contains s "6.50"));
     test_case "fnum formats two decimals" `Quick (fun () ->
         check string "fnum" "1.84" (Report.fnum 1.8351));
     test_case "check renders pass/fail" `Quick (fun () ->
