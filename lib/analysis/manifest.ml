@@ -235,17 +235,16 @@ let of_program ?rewritten ?random_tlb ?mmio_base (p : Asm.program) =
 
 (* Analyzing an image is pure in the image and the analysis knobs, and
    every hypervisor of every trial of a chaos campaign would otherwise
-   redo it; memoize on the image hash and the knobs. *)
-let cache : (int * bool * bool * int * int, t) Hashtbl.t = Hashtbl.create 8
+   redo it; memoize on the image hash and the knobs.  [code_refs] is
+   part of the key as the list itself: its [Hashtbl.hash] reads only a
+   bounded prefix. *)
+let cache : (int * bool * bool * int * int list, t) Hashtbl.t =
+  Hashtbl.create 8
 
 let of_code_cached ?(rewritten = false) ?(random_tlb = false)
     ?(mmio_base = Cpu.default_config.Cpu.mmio_base) ?(code_refs = []) code =
   let key =
-    ( Encode.program_hash code,
-      rewritten,
-      random_tlb,
-      mmio_base,
-      Hashtbl.hash code_refs )
+    (Encode.program_hash code, rewritten, random_tlb, mmio_base, code_refs)
   in
   match Hashtbl.find_opt cache key with
   | Some m -> m
@@ -254,29 +253,38 @@ let of_code_cached ?(rewritten = false) ?(random_tlb = false)
     Hashtbl.replace cache key m;
     m
 
-let validate ~code t =
-  if Array.length code <> t.instructions then
+let check t ~len ~hash =
+  if len <> t.instructions then
     Error
       (Printf.sprintf "manifest is for a %d-instruction image, code has %d"
-         t.instructions (Array.length code))
-  else begin
-    let h = Encode.program_hash code in
-    if h <> t.image_hash then
-      Error
-        (Printf.sprintf
-           "stale manifest: image hash 0x%x does not match manifest hash 0x%x"
-           h t.image_hash)
-    else Ok ()
-  end
+         t.instructions len)
+  else if hash <> t.image_hash then
+    Error
+      (Printf.sprintf
+         "stale manifest: image hash 0x%x does not match manifest hash 0x%x"
+         hash t.image_hash)
+  else Ok ()
+
+let validate ~code t =
+  check t ~len:(Array.length code) ~hash:(Encode.program_hash code)
+
+(* Against a CPU the image hash is the CPU's own, computed once per
+   code image. *)
+let validate_cpu cpu t =
+  check t ~len:(Array.length (Cpu.code cpu)) ~hash:(Cpu.code_hash cpu)
+
+(* What armed a CPU: a recycled CPU re-arms its predecessor's tables or
+   translation only when they were built from this very manifest
+   (physically — manifests are immutable) with the same knobs. *)
+type Cpu.origin +=
+  | Validator_of of { manifest : t; deprivileged : bool }
+  | Translation_of of { manifest : t; deprivileged : bool; hoist_loops : bool }
 
 (* Hand the certificates to the interpreter's runtime validator.
    [Priv0] is a {e virtual}-level property; under the hypervisor's
    deprivileging (section 3.1) virtual level 0 runs at real level 1,
    so the allowed real-privilege mask maps through [deprivileged]. *)
-let install t ~deprivileged cpu =
-  (match validate ~code:(Cpu.code cpu) t with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Manifest.install: " ^ msg));
+let arm_validator t ~deprivileged cpu =
   let n = t.instructions in
   let code = Cpu.code cpu in
   let priv_ok = Array.make n (-1) in
@@ -354,64 +362,85 @@ let install t ~deprivileged cpu =
             done)
         l.l_blocks)
     bounded;
-  Cpu.install_validator cpu ~blk_end ~loop_of ~lhead ~lbound ~priv_ok ~det
-    ~uses ~def ~region ~rhead ~rbound ~random_tlb:t.random_tlb
+  Cpu.install_validator cpu
+    ~origin:(Validator_of { manifest = t; deprivileged })
+    ~blk_end ~loop_of ~lhead ~lbound ~priv_ok ~det ~uses ~def ~region ~rhead
+    ~rbound ~random_tlb:t.random_tlb
+
+let install t ~deprivileged cpu =
+  (match validate_cpu cpu t with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Manifest.install: " ^ msg));
+  let same = function
+    | Validator_of o -> o.manifest == t && o.deprivileged = deprivileged
+    | _ -> false
+  in
+  if not (Cpu.rearm_validator cpu same) then arm_validator t ~deprivileged cpu
+
+(* The translation plan: the certified superblocks with their member
+   blocks.  The region's privilege precheck is the conjunction of its
+   members' [Priv0] masks — entering at any other level falls back to
+   the interpreter, whose per-instruction validator enforces the exact
+   per-block certificate. *)
+let plan t ~deprivileged ~hoist_loops =
+  let priv0_mask = if deprivileged then 1 lsl 1 else 1 in
+  let block_tbl = Hashtbl.create 64 in
+  List.iter (fun b -> Hashtbl.replace block_tbl b.leader b) t.blocks;
+  (* hoistable loops: single-block self-loops with a certified trip
+     bound — the shape the translator can batch *)
+  let hoistable = Hashtbl.create 8 in
+  if hoist_loops then
+    List.iter
+      (fun l ->
+        match (l.l_blocks, l.l_bound) with
+        | [ ldr ], Some b when ldr = l.l_header ->
+          Hashtbl.replace hoistable ldr b
+        | _ -> ())
+      t.loops;
+  List.filter (fun s -> s.certified) t.superblocks
+  |> List.map (fun s ->
+         let members = List.filter_map (Hashtbl.find_opt block_tbl) s.members in
+         let mask =
+           List.fold_left
+             (fun acc b ->
+               acc land (if List.mem Priv0 b.certs then priv0_mask else -1))
+             (-1) members
+         in
+         {
+           Translate.pr_head = s.head;
+           pr_blocks =
+             List.map
+               (fun b -> { Translate.pb_leader = b.leader; pb_len = b.len })
+               members;
+           pr_priv_mask = mask;
+           pr_loops =
+             List.filter_map
+               (fun b ->
+                 match Hashtbl.find_opt hoistable b.leader with
+                 | Some bound ->
+                   Some { Translate.pl_leader = b.leader; pl_bound = bound }
+                 | None -> None)
+               members;
+         })
 
 (* Hand the certified superblocks to the direct-threaded translator.
    Unlike {!install} this returns the staleness check as a result: a
    stale manifest must not abort the run, it must leave the CPU on the
-   full-interpreter path (the executor logs and carries on).  The
-   region's privilege precheck is the conjunction of its members'
-   [Priv0] masks — entering at any other level falls back to the
-   interpreter, whose per-instruction validator enforces the exact
-   per-block certificate. *)
+   full-interpreter path (the executor logs and carries on). *)
 let install_translation ?(hoist_loops = true) t ~deprivileged cpu =
-  match validate ~code:(Cpu.code cpu) t with
+  match validate_cpu cpu t with
   | Error msg -> Error msg
   | Ok () ->
-    let priv0_mask = if deprivileged then 1 lsl 1 else 1 in
-    let block_tbl = Hashtbl.create 64 in
-    List.iter (fun b -> Hashtbl.replace block_tbl b.leader b) t.blocks;
-    (* hoistable loops: single-block self-loops with a certified trip
-       bound — the shape the translator can batch *)
-    let hoistable = Hashtbl.create 8 in
-    if hoist_loops then
-      List.iter
-        (fun l ->
-          match (l.l_blocks, l.l_bound) with
-          | [ ldr ], Some b when ldr = l.l_header ->
-            Hashtbl.replace hoistable ldr b
-          | _ -> ())
-        t.loops;
-    let regions =
-      List.filter (fun s -> s.certified) t.superblocks
-      |> List.map (fun s ->
-             let members = List.filter_map (Hashtbl.find_opt block_tbl) s.members in
-             let mask =
-               List.fold_left
-                 (fun acc b ->
-                   acc land (if List.mem Priv0 b.certs then priv0_mask else -1))
-                 (-1) members
-             in
-             {
-               Translate.pr_head = s.head;
-               pr_blocks =
-                 List.map
-                   (fun b ->
-                     { Translate.pb_leader = b.leader; pb_len = b.len })
-                   members;
-               pr_priv_mask = mask;
-               pr_loops =
-                 List.filter_map
-                   (fun b ->
-                     match Hashtbl.find_opt hoistable b.leader with
-                     | Some bound ->
-                       Some { Translate.pl_leader = b.leader; pl_bound = bound }
-                     | None -> None)
-                   members;
-             })
+    let same = function
+      | Translation_of o ->
+        o.manifest == t && o.deprivileged = deprivileged
+        && o.hoist_loops = hoist_loops
+      | _ -> false
     in
-    Cpu.install_translation cpu regions;
+    if not (Cpu.rearm_translation cpu same) then
+      Cpu.install_translation cpu
+        ~origin:(Translation_of { manifest = t; deprivileged; hoist_loops })
+        (plan t ~deprivileged ~hoist_loops);
     let translated =
       match Cpu.translation cpu with
       | Some tx -> tx.Translate.translated_regions

@@ -111,9 +111,9 @@ val of_code_cached :
   ?code_refs:int list ->
   Hft_machine.Isa.instr array ->
   t
-(** Memoized {!of_code} keyed on the image hash and the analysis knobs
-    — every hypervisor of every chaos trial would otherwise re-analyze
-    the same image. *)
+(** Memoized {!of_code} keyed on the image hash, the analysis knobs
+    and the whole [code_refs] list — every hypervisor of every chaos
+    trial would otherwise re-analyze the same image. *)
 
 val validate : code:Hft_machine.Isa.instr array -> t -> (unit, string) result
 (** Refuse a stale manifest: the image hash and length must match. *)
@@ -122,7 +122,11 @@ val install : t -> deprivileged:bool -> Hft_machine.Cpu.t -> unit
 (** Arm the CPU's runtime certificate validator with this manifest's
     certificates.  [deprivileged] maps the [Priv0] virtual level
     through the hypervisor's section 3.1 deprivileging (virtual 0 runs
-    at real 1); pass [false] for the bare machine.
+    at real 1); pass [false] for the bare machine.  On a CPU recycled
+    from one this manifest armed with the same [deprivileged]
+    ({!Hft_machine.Cpu.create}), the predecessor's tables are re-armed
+    with fresh run state instead of rebuilt; the manifest is validated
+    either way.
     @raise Invalid_argument when {!validate} fails against the CPU's
     code image. *)
 
@@ -142,7 +146,9 @@ val install_translation :
     {!install}.  [hoist_loops] (default [true]) spends loop-bound
     certificates: single-block loops with a certified trip count
     compile as batched unrolls that pay one budget prologue per batch
-    instead of per iteration. *)
+    instead of per iteration.  As with {!install}, a CPU recycled from
+    one this manifest translated with the same knobs re-arms that
+    translation when {!Hft_machine.Cpu.rearm_translation} allows. *)
 
 val certified_blocks : t -> int
 val certified_superblocks : t -> int

@@ -104,6 +104,7 @@ type t = {
   console : Console.t;
   port : int;
   workload : Hft_guest.Workload.t;
+  manifest : Hft_analysis.Manifest.t;
   ctl : Disk_ctl.t;
   st : Stats.t;
   obs : Hft_obs.Recorder.t;
@@ -220,15 +221,19 @@ let vm_state_hash t =
   Array.iter (fun v -> h := (!h lxor v) * fnv_prime land fnv_mask) t.vcrs;
   !h
 
+(* The analysis knobs [params] selects: rewritten, random TLB, MMIO
+   base. *)
+let analysis_knobs params =
+  ( params.Params.epoch_mechanism = Params.Code_rewriting,
+    (match params.Params.cpu_config.Cpu.tlb_policy with
+    | Tlb.Random _ -> true
+    | Tlb.Round_robin -> false),
+    params.Params.cpu_config.Cpu.mmio_base )
+
 let manifest_for ~params (workload : Hft_guest.Workload.t) =
   let program = workload.Hft_guest.Workload.program in
-  Hft_analysis.Manifest.of_code_cached
-    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-    ~random_tlb:
-      (match params.Params.cpu_config.Cpu.tlb_policy with
-      | Tlb.Random _ -> true
-      | Tlb.Round_robin -> false)
-    ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
+  let rewritten, random_tlb, mmio_base = analysis_knobs params in
+  Hft_analysis.Manifest.of_code_cached ~rewritten ~random_tlb ~mmio_base
     ~code_refs:program.Asm.code_refs program.Asm.code
 
 (* Under the [Threaded] (or [Differential], which maps to [Threaded]
@@ -253,8 +258,18 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
       ?recycle:(Option.map (fun old -> old.vm) recycle)
       ~code:workload.Hft_guest.Workload.program.Asm.code ()
   in
-  (* every run re-checks the static certificates against execution *)
-  let manifest = manifest_for ~params workload in
+  (* every run re-checks the static certificates against execution.
+     [manifest_for] is a memo keyed on the image and the analysis
+     knobs, so a recycled hypervisor of the same workload under the
+     same knobs already holds its answer *)
+  let manifest =
+    match recycle with
+    | Some old
+      when old.workload == workload
+           && analysis_knobs old.p = analysis_knobs params ->
+      old.manifest
+    | _ -> manifest_for ~params workload
+  in
   Hft_analysis.Manifest.install manifest ~deprivileged:true vm;
   if params.Params.profile_guest then Cpu.install_profile vm;
   arm_translation ~params manifest ~deprivileged:true vm;
@@ -268,6 +283,7 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     console;
     port;
     workload;
+    manifest;
     ctl = Disk_ctl.create ();
     st = Stats.create ();
     obs;
@@ -1485,7 +1501,7 @@ and start_reintegration t =
       (Message.Snapshot_offer
          {
            epoch = t.epoch_;
-           code_hash = Encode.program_hash (Cpu.code t.vm);
+           code_hash = Cpu.code_hash t.vm;
          });
     t.blocked <- B_snapshot;
     t.peer_alive <- true (* provisional: allow the offer to flow *);
@@ -1505,7 +1521,7 @@ and receive_snapshot t ~epoch ~code_hash =
   match t.snapshot_box with
   | None -> emit t (Ev.Note "snapshot offer with no snapshot data; ignored")
   | Some snap ->
-    if code_hash <> Encode.program_hash (Cpu.code t.vm) then
+    if code_hash <> Cpu.code_hash t.vm then
       failwith (t.name_ ^ ": reintegration with different code image");
     t.snapshot_box <- None;
     Cpu.restore t.vm snap.s_cpu;

@@ -81,9 +81,11 @@ val create :
     interrupt buffering and delivery, failover steps, …) under this
     hypervisor's name as the source; defaults to the null recorder,
     which costs nothing.  [recycle] is a finished hypervisor whose
-    virtual machine's memory the new one reuses
-    ({!Hft_machine.Cpu.create}); the result behaves exactly like a
-    fresh one, and the recycled hypervisor must not be used again. *)
+    virtual machine the new one recycles ({!Hft_machine.Cpu.create}):
+    over the same workload and analysis knobs it also takes over the
+    manifest, the validator tables and the translation instead of
+    rebuilding them.  The result behaves exactly like a fresh one, and
+    the recycled hypervisor must not be used again. *)
 
 val connect :
   ?tx_data:Message.t Hft_net.Channel.t ->

@@ -32,6 +32,8 @@ type stop =
 
 type run_result = { executed : int; stop : stop }
 
+type origin = ..
+
 (* Runtime certificate validator (the dynamic oracle for the static
    analyzer's compilation manifest).  All per-address tables are
    indexed by code address; region tables by certified-superblock id.
@@ -39,6 +41,7 @@ type run_result = { executed : int; stop : stop }
    pays one [match] on the hoisted option, absent only on a CPU built
    without a manifest. *)
 type validator = {
+  v_origin : origin option;  (* what built the tables, for [rearm_validator] *)
   v_priv_ok : int array;  (* allowed real-privilege bitmask *)
   v_det : bool array;     (* inside a [Deterministic]-certified block *)
   v_uses : int array;     (* registers read (bitmask, r0 excluded) *)
@@ -101,21 +104,50 @@ type t = {
   mutable plan : Translate.plan_region list option;
       (* last installed translation plan, kept so toggling the
          profiler can recompile the translation with matching hooks *)
+  mutable trans_origin : origin option;
+  mutable code_hash : int option;  (* [Encode.program_hash code], once *)
+  mutable spare_validator : validator option;
+  mutable spare_trans :
+    (Translate.t * Translate.plan_region list * origin) option;
+      (* the recycled predecessor's armed state, already reset, until
+         [rearm_validator] / [rearm_translation] claim or drop it *)
 }
 
-(* A recycled CPU keeps only the two memory-sized arrays of the old
-   one: its memory, reset to the fresh state, and its snapshot base.
-   Reset marks every page snapshot-dirty, so the next [snapshot]
+(* The per-run half of a validator: everything [install_validator]
+   would start a fresh CPU with. *)
+let reset_validator v =
+  Array.fill v.v_rmax 0 (Array.length v.v_rmax) 0;
+  Array.fill v.v_lmax 0 (Array.length v.v_lmax) 0;
+  v.v_skip_from <- 0;
+  v.v_skip_until <- 0;
+  v.v_written <- 1;
+  v.v_cur_region <- -1;
+  v.v_rcount <- 0;
+  v.v_cur_loop <- -1;
+  v.v_lcount <- 0;
+  v.v_covered <- 0;
+  v.v_checked <- 0
+
+(* A recycled CPU adopts the old one's state objects, each reset to
+   exactly what a fresh CPU allocates: its memory and snapshot base
+   (reset marks every page snapshot-dirty, so the next [snapshot]
    refreshes the whole base and counts the same bytes as the first
-   full copy would; the stale base contents are never read. *)
+   full copy would), its register files, and its TLB when the
+   replacement policy is round-robin (a random policy brings its own
+   stream, so the TLB is new).  Over the same code image it also keeps
+   the image hash and, as spares, the validator and the translation:
+   the translation's closures alias the registers, memory and TLB, so
+   it is kept only when all three were adopted and it was compiled
+   without profiling hooks. *)
 let create ?(config = default_config) ?recycle ~code () =
-  let memory, snap_base =
+  let memory, snap_base, tlb_state, regs, crs =
     match recycle with
     | None ->
-      let m =
-        Memory.create ~page_shift:config.page_shift ~words:config.mem_words ()
-      in
-      (m, None)
+      ( Memory.create ~page_shift:config.page_shift ~words:config.mem_words (),
+        None,
+        Tlb.create ~entries:config.tlb_entries config.tlb_policy,
+        Array.make Isa.num_regs 0,
+        Array.make Isa.num_crs 0 )
     | Some old ->
       let m = old.memory in
       if
@@ -123,26 +155,67 @@ let create ?(config = default_config) ?recycle ~code () =
         || Memory.page_shift m <> config.page_shift
       then invalid_arg "Cpu.create: recycled memory geometry mismatch";
       Memory.reset m;
-      (m, old.snap_base)
+      let tlb =
+        match (old.cfg.tlb_policy, config.tlb_policy) with
+        | Tlb.Round_robin, Tlb.Round_robin
+          when Tlb.size old.tlb_state = config.tlb_entries ->
+          Tlb.flush old.tlb_state;
+          old.tlb_state
+        | _ -> Tlb.create ~entries:config.tlb_entries config.tlb_policy
+      in
+      Array.fill old.regs 0 (Array.length old.regs) 0;
+      Array.fill old.crs 0 (Array.length old.crs) 0;
+      (m, old.snap_base, tlb, old.regs, old.crs)
   in
-  {
-    cfg = config;
-    code;
-    memory;
-    tlb_state = Tlb.create ~entries:config.tlb_entries config.tlb_policy;
-    regs = Array.make Isa.num_regs 0;
-    crs = Array.make Isa.num_crs 0;
-    pc_ = 0;
-    retired = 0;
-    snap_base;
-    snap_bytes = 0;
-    validator = None;
-    trans = None;
-    prof = None;
-    plan = None;
-  }
+  let t =
+    {
+      cfg = config;
+      code;
+      memory;
+      tlb_state;
+      regs;
+      crs;
+      pc_ = 0;
+      retired = 0;
+      snap_base;
+      snap_bytes = 0;
+      validator = None;
+      trans = None;
+      prof = None;
+      plan = None;
+      trans_origin = None;
+      code_hash = None;
+      spare_validator = None;
+      spare_trans = None;
+    }
+  in
+  (match recycle with
+  | Some old when old.code == code -> (
+    t.code_hash <- old.code_hash;
+    (match old.validator with
+    | Some v ->
+      reset_validator v;
+      t.spare_validator <- Some v
+    | None -> ());
+    match (old.trans, old.plan, old.trans_origin) with
+    | Some tx, Some plan, Some o
+      when tlb_state == old.tlb_state && old.prof = None
+           && old.cfg.mmio_base = config.mmio_base ->
+      Translate.reset tx;
+      t.spare_trans <- Some (tx, plan, o)
+    | _ -> ())
+  | _ -> ());
+  t
 
-let install_validator ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) t
+let code_hash t =
+  match t.code_hash with
+  | Some h -> h
+  | None ->
+    let h = Encode.program_hash t.code in
+    t.code_hash <- Some h;
+    h
+
+let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) t
     ~priv_ok ~det ~uses ~def ~region ~rhead ~rbound ~random_tlb =
   let n = Array.length t.code in
   if
@@ -193,9 +266,11 @@ let install_validator ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) t
       run_hazard.(a) <- false
     end
   done;
+  t.spare_validator <- None;
   t.validator <-
     Some
       {
+        v_origin = origin;
         v_priv_ok = priv_ok;
         v_det = det;
         v_uses = uses;
@@ -222,6 +297,15 @@ let install_validator ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) t
         v_covered = 0;
         v_checked = 0;
       }
+
+let rearm_validator t same =
+  let spare = t.spare_validator in
+  t.spare_validator <- None;
+  match spare with
+  | Some ({ v_origin = Some o; _ } as v) when same o ->
+    t.validator <- Some v;
+    true
+  | _ -> false
 
 let clear_validator t = t.validator <- None
 let validator_active t = t.validator <> None
@@ -253,7 +337,7 @@ let validator_amnesty t =
     v.v_cur_region <- -1;
     v.v_cur_loop <- -1
 
-let install_translation t plan =
+let compile_translation t plan =
   t.plan <- Some plan;
   t.trans <-
     Some
@@ -261,9 +345,26 @@ let install_translation t plan =
          ~tlb:t.tlb_state ~mmio_base:t.cfg.mmio_base
          ~page_shift:t.cfg.page_shift ?profile:t.prof plan)
 
+let install_translation ?origin t plan =
+  t.spare_trans <- None;
+  t.trans_origin <- origin;
+  compile_translation t plan
+
+let rearm_translation t same =
+  let spare = t.spare_trans in
+  t.spare_trans <- None;
+  match spare with
+  | Some (tx, plan, o) when t.prof = None && same o ->
+    t.trans <- Some tx;
+    t.plan <- Some plan;
+    t.trans_origin <- Some o;
+    true
+  | _ -> false
+
 let clear_translation t =
   t.trans <- None;
-  t.plan <- None
+  t.plan <- None;
+  t.trans_origin <- None
 
 let translation t = t.trans
 
@@ -274,13 +375,13 @@ let translation t = t.trans
 let install_profile t =
   t.prof <- Some (Array.make (max (Array.length t.code) 1) 0);
   match t.plan with
-  | Some plan when t.trans <> None -> install_translation t plan
+  | Some plan when t.trans <> None -> compile_translation t plan
   | _ -> ()
 
 let clear_profile t =
   t.prof <- None;
   match t.plan with
-  | Some plan when t.trans <> None -> install_translation t plan
+  | Some plan when t.trans <> None -> compile_translation t plan
   | _ -> ()
 
 let profile t = t.prof

@@ -61,16 +61,35 @@ type run_result = {
   stop : stop;
 }
 
+type origin = ..
+(** What built a validator's tables or a translation, as named by the
+    layer that builds them ([Hft_analysis.Manifest] extends it with
+    the manifest and its arming knobs).  The machine only stores it,
+    so that a recycled CPU can hand its predecessor's armed state to
+    the next build of the same thing ({!rearm_validator},
+    {!rearm_translation}). *)
+
 val create :
   ?config:config -> ?recycle:t -> code:Isa.instr array -> unit -> t
 (** A CPU at reset: zero registers, pc 0, zero memory.  [recycle] is a
-    finished CPU whose memory (after {!Memory.reset}) and snapshot
-    base the new one adopts instead of allocating its own; the result
-    is indistinguishable from a fresh CPU, including the bytes its
-    first {!snapshot} counts.  The recycled CPU must not be used
-    again.
+    finished CPU whose memory (after {!Memory.reset}), snapshot base
+    and register files the new one adopts instead of allocating its
+    own, and its TLB too under round-robin replacement (flushed; a
+    random policy brings its own stream, so the TLB is new).  When
+    [code] is physically the recycled CPU's code image, the new CPU
+    also keeps its {!code_hash} and, reset to their fresh state, its
+    validator and translation as spares for {!rearm_validator} and
+    {!rearm_translation} — the translation only when its registers,
+    memory and TLB were all adopted and it carries no profiling
+    hooks.  The result is indistinguishable from a fresh CPU,
+    including the bytes its first {!snapshot} counts.  The recycled
+    CPU must not be used again, and a code image must not be mutated
+    in place once a CPU runs it.
     @raise Invalid_argument if the recycled memory's size or page
     size differs from [config]'s. *)
+
+val code_hash : t -> int
+(** [Encode.program_hash (code t)], computed once per code image. *)
 
 val config : t -> config
 val code : t -> Isa.instr array
@@ -111,6 +130,7 @@ val run : t -> fuel:int -> run_result
 (** Execute up to [fuel] instructions.  [fuel] must be positive. *)
 
 val install_validator :
+  ?origin:origin ->
   ?blk_end:int array ->
   ?loop_of:int array ->
   ?lhead:int array ->
@@ -143,9 +163,12 @@ val install_validator :
     [blk_end] maps each address to the exclusive end of its basic
     block; when given, the per-instruction pre-dispatch checks hoist
     into one per-block check that certifies a skip window over the
-    block's straight-line run (see the manifest's ~29% validator
-    overhead in BENCH_core.json).  Without it every window is a
-    singleton and checking is exactly per-instruction.
+    block's straight-line run (its cost is [validator_overhead] in
+    BENCH_core.json).  Without it every window is a singleton and
+    checking is exactly per-instruction.
+
+    [origin] names what the tables were built from; only a validator
+    installed with one can be re-armed on a recycled successor.
 
     [loop_of]/[lhead]/[lbound] arm the loop-bound certificates:
     [loop_of] maps each address to its innermost {e bounded} loop (or
@@ -155,6 +178,14 @@ val install_validator :
     addresses — any excursion resets the count, so the dynamic check
     undercounts and never falsely trips — and stops with
     {!stop.Cert_violation} when a count exceeds its bound. *)
+
+val rearm_validator : t -> (origin -> bool) -> bool
+(** [rearm_validator t same] arms the validator inherited from the
+    CPU [t] was recycled from, with fresh per-run state (written set,
+    region and loop counters, observed maxima, coverage), when [same]
+    accepts the origin it was installed with; returns whether it did.
+    The inheritance is spent either way: a later call returns
+    [false]. *)
 
 val clear_validator : t -> unit
 val validator_active : t -> bool
@@ -181,7 +212,8 @@ val observed_bounds : t -> (int array * int array) option
     observed [<=] certified always holds on a valid manifest.  [None]
     when no validator is installed. *)
 
-val install_translation : t -> Translate.plan_region list -> unit
+val install_translation :
+  ?origin:origin -> t -> Translate.plan_region list -> unit
 (** Compile the plan's certified superblocks to direct-threaded
     closure chains ({!Translate.compile}) and arm {!run}'s dispatch
     loop: when the pc lands on a translated superblock head and the
@@ -189,7 +221,15 @@ val install_translation : t -> Translate.plan_region list -> unit
     mask), execution proceeds through the closure chain instead of the
     decode loop, with the recovery-counter charge batched per basic
     block.  Exits, traps, and untranslated code fall back to the
-    interpreter, which remains the semantic oracle. *)
+    interpreter, which remains the semantic oracle.  [origin] names
+    what the plan was built from, as for {!install_validator}. *)
+
+val rearm_translation : t -> (origin -> bool) -> bool
+(** [rearm_translation t same] arms the translation inherited from the
+    CPU [t] was recycled from, its counters and scratch state reset,
+    when no profile is armed on [t] and [same] accepts the origin it
+    was installed with; returns whether it did.  The inheritance is
+    spent either way. *)
 
 val clear_translation : t -> unit
 val translation : t -> Translate.t option

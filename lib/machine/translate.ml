@@ -950,6 +950,25 @@ let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
     fb_stop = 0;
   }
 
+let reset t =
+  let st = t.state in
+  st.x_pc <- 0;
+  st.x_remaining <- 0;
+  st.x_smmu <- false;
+  st.x_spriv <- 0;
+  st.x_stop <- None;
+  st.x_exit <- exit_budget;
+  st.x_hoist_saved <- 0;
+  st.x_prof_leader <- 0;
+  t.entries_taken <- 0;
+  t.threaded_instrs <- 0;
+  t.fb_budget <- 0;
+  t.fb_priv <- 0;
+  t.fb_link <- 0;
+  t.fb_indirect <- 0;
+  t.fb_bail <- 0;
+  t.fb_stop <- 0
+
 let note_entry_refused_budget t = t.fb_budget <- t.fb_budget + 1
 let note_entry_refused_priv t = t.fb_priv <- t.fb_priv + 1
 

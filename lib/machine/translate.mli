@@ -173,6 +173,13 @@ val compile :
     [x_prof]) at the cost of one store and one counter bump per block
     entry, and loop hoisting is disabled. *)
 
+val reset : t -> unit
+(** Return the translation's per-run state to what {!compile} leaves:
+    the [st] scratch fields and every execution counter.  The compiled
+    closures and the static counts are untouched, so a CPU that keeps
+    the register file, memory and TLB the closures alias (reset
+    themselves) runs the translation exactly as a fresh compile. *)
+
 val note_entry_refused_budget : t -> unit
 val note_entry_refused_priv : t -> unit
 

@@ -788,6 +788,16 @@ let major_words_of f =
   ignore (Sys.opaque_identity r);
   words
 
+(* Each bounded scenario with its guests on the given backend. *)
+let on_backend backend (b : Hft_harness.Scenarios.bounded) =
+  {
+    b with
+    Hft_harness.Scenarios.sc_params =
+      Params.with_exec_backend b.Hft_harness.Scenarios.sc_params backend;
+  }
+
+let backends = [ ("interp", Params.Interp); ("threaded", Params.Threaded) ]
+
 let create_cost_tests =
   let mem_words = Hft_machine.Cpu.default_config.Hft_machine.Cpu.mem_words in
   let budget = 4. *. float mem_words in
@@ -830,7 +840,33 @@ let create_cost_tests =
                  Alcotest.failf "recycled %s allocated %.0f major words, \
                                  budget %.0f"
                    b.S.sc_name words budget);
-         ])
+         ]
+         (* a recycled build over the same image re-arms the
+            predecessor's validator tables and translation instead of
+            rebuilding them: what is left is the hypervisor records
+            and the system around them *)
+         @ List.map
+             (fun (backend_name, backend) ->
+               let budget = 2_500 in
+               let name =
+                 Printf.sprintf "recycled %s (%s)" b.S.sc_name backend_name
+               in
+               Alcotest.test_case
+                 (Printf.sprintf "%s allocates under %d minor words" name budget)
+                 `Quick (fun () ->
+                   let b = on_backend backend b in
+                   let donor = S.instantiate b ~variant:S.correct () in
+                   ignore (System.run ~limit:b.S.sc_limit donor);
+                   let before = Gc.minor_words () in
+                   let sys =
+                     S.instantiate b ~variant:S.correct ~recycle:donor ()
+                   in
+                   let words = Gc.minor_words () -. before in
+                   ignore (Sys.opaque_identity sys);
+                   if words >= float budget then
+                     Alcotest.failf "%s allocated %.0f minor words, budget %d"
+                       name words budget))
+             backends)
        S.all
 
 (* the node's (epoch, hash) at every boundary, newest first, chained
@@ -850,7 +886,11 @@ let record_hashes hv =
    reintegration-loss donor leaves a snapshot base behind that the
    recycled run reuses.  Everything observable must agree: the
    outcome with its full statistics, console, disk log, per-node
-   epoch hashes, and the system fingerprint at every scheduler call. *)
+   epoch hashes, and the system fingerprint at every scheduler call.
+   Every scenario runs on both backends; on the threaded one the
+   statistics include the translation's entry, fallback and
+   threaded-instruction counters, which a re-armed translation must
+   restart from zero. *)
 let recycle_tests =
   let module S = Hft_harness.Scenarios in
   let observe (b : S.bounded) ?recycle () =
@@ -869,29 +909,37 @@ let recycle_tests =
         (List.rev !hp, List.rev !hb),
         List.rev !fps ) )
   in
-  List.map
-    (fun (b : S.bounded) ->
-      Alcotest.test_case b.S.sc_name `Quick (fun () ->
-          let open Alcotest in
-          let donor, _ = observe b () in
-          let _, (o1, d1, h1, f1) = observe b () in
-          let _, (o2, d2, h2, f2) = observe b ~recycle:donor () in
-          check string "console" o1.System.console o2.System.console;
-          check string "primary stats"
-            (Format.asprintf "%a" Stats.pp o1.System.primary_stats)
-            (Format.asprintf "%a" Stats.pp o2.System.primary_stats);
-          check string "backup stats"
-            (Format.asprintf "%a" Stats.pp o1.System.backup_stats)
-            (Format.asprintf "%a" Stats.pp o2.System.backup_stats);
-          check bool "outcome and stats" true (o1 = o2);
-          check bool "disk log" true (d1 = d2);
-          check bool "epoch hashes" true (h1 = h2);
-          check int "scheduler calls" (List.length f1) (List.length f2);
-          check bool "fingerprints" true (f1 = f2);
-          if b.S.sc_reintegrate_ms <> None then
-            check bool "snapshot taken" true
-              (o2.System.backup_stats.Stats.snapshot_delta_bytes > 0)))
-    S.all
+  (* the interpreter cases keep the scenario's bare name *)
+  let case (b : S.bounded) (backend_name, backend) =
+    let b = on_backend backend b in
+    Alcotest.test_case
+      (if backend = Params.Interp then b.S.sc_name
+       else b.S.sc_name ^ " " ^ backend_name)
+      `Quick (fun () ->
+        let open Alcotest in
+        let donor, _ = observe b () in
+        let _, (o1, d1, h1, f1) = observe b () in
+        let _, (o2, d2, h2, f2) = observe b ~recycle:donor () in
+        check string "console" o1.System.console o2.System.console;
+        check string "primary stats"
+          (Format.asprintf "%a" Stats.pp o1.System.primary_stats)
+          (Format.asprintf "%a" Stats.pp o2.System.primary_stats);
+        check string "backup stats"
+          (Format.asprintf "%a" Stats.pp o1.System.backup_stats)
+          (Format.asprintf "%a" Stats.pp o2.System.backup_stats);
+        check bool "outcome and stats" true (o1 = o2);
+        check bool "disk log" true (d1 = d2);
+        check bool "epoch hashes" true (h1 = h2);
+        check int "scheduler calls" (List.length f1) (List.length f2);
+        check bool "fingerprints" true (f1 = f2);
+        if b.S.sc_reintegrate_ms <> None then
+          check bool "snapshot taken" true
+            (o2.System.backup_stats.Stats.snapshot_delta_bytes > 0);
+        if backend = Params.Threaded then
+          check bool "threaded instructions" true
+            (o2.System.primary_stats.Stats.threaded_instrs > 0))
+  in
+  List.concat_map (fun b -> List.map (case b) backends) S.all
 
 (* Conservative lookahead changes how far a replica runs per dispatch,
    never what it computes.  A pass-through scheduler turns lookahead

@@ -119,6 +119,170 @@ let test_fresh_manifest_accepted () =
   in
   ignore (o : Hft_core.System.outcome)
 
+(* [code_refs] lists the [Ldi] sites that load code pointers.  Two
+   20-entry lists that differ only in their last entry root different
+   code, and [Hashtbl.hash] reads only a prefix of a list, so the cache
+   must key on the list itself. *)
+let test_cache_key_covers_code_refs () =
+  (* 0..18 load the entry address, 19 loads 21: a handler reachable
+     only when 19 is listed as a code-pointer site *)
+  let code =
+    Array.init 22 (fun a ->
+        if a < 19 then Isa.Ldi (1, 0)
+        else if a = 19 then Isa.Ldi (1, 21)
+        else Isa.Halt)
+  in
+  let refs last = List.init 19 Fun.id @ [ last ] in
+  let json m = Hft_obs.Json.to_string (Manifest.to_json m) in
+  let without = Manifest.of_code_cached ~code_refs:(refs 0) code in
+  let with_19 = Manifest.of_code_cached ~code_refs:(refs 19) code in
+  Alcotest.(check string) "cached equals uncached (ref 0)"
+    (json (Manifest.of_code ~code_refs:(refs 0) code))
+    (json without);
+  Alcotest.(check string) "cached equals uncached (ref 19)"
+    (json (Manifest.of_code ~code_refs:(refs 19) code))
+    (json with_19);
+  Alcotest.(check bool) "the handler is a block only under ref 19" true
+    (List.exists (fun b -> b.Manifest.leader = 21) with_19.Manifest.blocks
+    && not
+         (List.exists (fun b -> b.Manifest.leader = 21) without.Manifest.blocks))
+
+(* Re-arming a recycled CPU must never stand in for the staleness
+   check: a same-length image with one instruction changed is refused
+   after the manifest has armed a CPU, whether the CPU is fresh or
+   recycled from the armed one. *)
+let test_rearm_still_validates () =
+  let w = Hft_guest.Workload.console_hello ~text:"hi" in
+  let code = w.Hft_guest.Workload.program.Asm.code in
+  let m = Manifest.of_program w.Hft_guest.Workload.program in
+  let armed = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:true armed;
+  (match Manifest.install_translation m ~deprivileged:true armed with
+  | Ok n -> if n = 0 then Alcotest.fail "nothing translated"
+  | Error e -> Alcotest.failf "fresh manifest refused: %s" e);
+  ignore (Cpu.run armed ~fuel:50);
+  let changed = Array.copy code in
+  let i = Array.length code / 2 in
+  changed.(i) <- (if changed.(i) = Isa.Nop then Isa.Halt else Isa.Nop);
+  List.iter
+    (fun (how, cpu) ->
+      (match Manifest.install m ~deprivileged:true cpu with
+      | () -> Alcotest.failf "%s: install accepted a stale manifest" how
+      | exception Invalid_argument msg ->
+        if not (contains msg "stale") then
+          Alcotest.failf "%s: unexpected message: %s" how msg);
+      match Manifest.install_translation m ~deprivileged:true cpu with
+      | Ok _ -> Alcotest.failf "%s: translation accepted a stale manifest" how
+      | Error _ ->
+        Alcotest.(check bool) (how ^ ": nothing armed") false
+          (Cpu.validator_active cpu || Cpu.translation cpu <> None))
+    [
+      ("fresh", Cpu.create ~code:changed ());
+      ("recycled", Cpu.create ~recycle:armed ~code:changed ());
+    ]
+
+(* Armed state is per CPU: running one CPU leaves another armed from
+   the same manifest at zero, and a recycled CPU re-armed with its
+   predecessor's tables starts from zero too. *)
+let test_rearm_shares_no_run_state () =
+  let w = Hft_guest.Workload.dhrystone ~iterations:20 in
+  let code = w.Hft_guest.Workload.program.Asm.code in
+  let m = Manifest.of_program w.Hft_guest.Workload.program in
+  let armed () =
+    let c = Cpu.create ~code () in
+    Manifest.install m ~deprivileged:false c;
+    c
+  in
+  let zero how c =
+    (match Cpu.validator_coverage c with
+    | Some (covered, checked) ->
+      Alcotest.(check (pair int int)) (how ^ ": coverage") (0, 0)
+        (covered, checked)
+    | None -> Alcotest.failf "%s: validator not armed" how);
+    match Cpu.observed_bounds c with
+    | Some (rmax, lmax) ->
+      Alcotest.(check bool) (how ^ ": observed bounds") true
+        (Array.for_all (( = ) 0) rmax && Array.for_all (( = ) 0) lmax)
+    | None -> Alcotest.failf "%s: validator not armed" how
+  in
+  let a = armed () and b = armed () in
+  ignore (Cpu.run a ~fuel:5_000);
+  (match Cpu.observed_bounds a with
+  | Some (rmax, _) when Array.exists (fun x -> x > 0) rmax -> ()
+  | _ -> Alcotest.fail "the run observed no region");
+  zero "idle twin" b;
+  let r = Cpu.create ~recycle:a ~code () in
+  Manifest.install m ~deprivileged:false r;
+  zero "recycled" r;
+  (* and the re-armed tables check exactly as fresh ones do *)
+  let f = armed () in
+  let rr = Cpu.run r ~fuel:5_000 and rf = Cpu.run f ~fuel:5_000 in
+  Alcotest.(check int) "same progress" rf.Cpu.executed rr.Cpu.executed;
+  Alcotest.(check (option (pair int int))) "same coverage"
+    (Cpu.validator_coverage f) (Cpu.validator_coverage r);
+  Alcotest.(check bool) "same observed bounds" true
+    (Cpu.observed_bounds f = Cpu.observed_bounds r)
+
+(* The validator tables depend on the arming knobs as well as the
+   manifest: tables built for a deprivileged guest (virtual level 0 at
+   real level 1) must not be re-armed on a bare machine running at
+   real level 0, where they would refuse every [Priv0] block. *)
+let test_rearm_validator_only_for_same_knobs () =
+  let w = Hft_guest.Workload.dhrystone ~iterations:20 in
+  let code = w.Hft_guest.Workload.program.Asm.code in
+  let m = Manifest.of_program w.Hft_guest.Workload.program in
+  let run c =
+    match (Cpu.run c ~fuel:5_000).Cpu.stop with
+    | Cpu.Cert_violation { msg; _ } -> Some msg
+    | _ -> None
+  in
+  let hv = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:true hv;
+  Alcotest.(check bool) "deprivileged tables trip at real level 0" true
+    (run hv <> None);
+  let bare = Cpu.create ~recycle:hv ~code () in
+  Manifest.install m ~deprivileged:false bare;
+  Alcotest.(check (option string)) "bare tables rebuilt" None (run bare)
+
+(* A recycled CPU keeps its translation exactly when the closures'
+   aliases survive and nothing else changed: same code, same manifest
+   and knobs, round-robin TLB, no profiler. *)
+let test_rearm_translation_only_when_exact () =
+  let w = Hft_guest.Workload.dhrystone ~iterations:20 in
+  let code = w.Hft_guest.Workload.program.Asm.code in
+  let m = Manifest.of_program w.Hft_guest.Workload.program in
+  let arm ?config ?recycle ?(profile = false) ?(hoist_loops = true) () =
+    let c = Cpu.create ?config ?recycle ~code () in
+    Manifest.install m ~deprivileged:false c;
+    if profile then Cpu.install_profile c;
+    (match Manifest.install_translation ~hoist_loops m ~deprivileged:false c with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "translation refused: %s" e);
+    ignore (Cpu.run c ~fuel:2_000);
+    c
+  in
+  let tx c = Option.get (Cpu.translation c) in
+  let a = arm () in
+  let ta = tx a in
+  let b = arm ~recycle:a () in
+  Alcotest.(check bool) "re-armed" true (tx b == ta);
+  let c = arm ~recycle:b ~hoist_loops:false () in
+  Alcotest.(check bool) "other knobs recompile" false (tx c == ta);
+  let tc = tx c in
+  let d = arm ~recycle:c ~profile:true () in
+  Alcotest.(check bool) "profiler recompiles" false (tx d == tc);
+  let e = arm ~recycle:d () in
+  Alcotest.(check bool) "profiled donor recompiles" false (tx e == tx d);
+  let random =
+    {
+      Cpu.default_config with
+      Cpu.tlb_policy = Tlb.Random (Hft_sim.Rng.create 1);
+    }
+  in
+  let te = tx e in
+  let f = arm ~config:random ~recycle:e () in
+  Alcotest.(check bool) "random TLB recompiles" false (tx f == te)
+
 (* ---------- superblock structure ---------- *)
 
 let test_superblock_single_entry () =
@@ -497,6 +661,16 @@ let () =
             test_fresh_manifest_accepted;
           Alcotest.test_case "image embeds manifest" `Quick
             test_image_embeds_manifest;
+          Alcotest.test_case "cache key covers all of code_refs" `Quick
+            test_cache_key_covers_code_refs;
+          Alcotest.test_case "re-arming still refuses a stale manifest"
+            `Quick test_rearm_still_validates;
+          Alcotest.test_case "armed CPUs share no run state" `Quick
+            test_rearm_shares_no_run_state;
+          Alcotest.test_case "validator re-armed only for the same knobs"
+            `Quick test_rearm_validator_only_for_same_knobs;
+          Alcotest.test_case "translation re-armed only when exact" `Quick
+            test_rearm_translation_only_when_exact;
         ] );
       ( "superblocks",
         [
