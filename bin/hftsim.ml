@@ -12,40 +12,57 @@ open Hft_core
 
 (* ---------- shared argument parsing ---------- *)
 
+(* The named workloads, by CLI key: one table drives parsing, the
+   help text, the printed default and [lint --all]. *)
+let workloads =
+  let open Hft_guest.Workload in
+  [
+    ("cpu", fun () -> dhrystone ~iterations:20_000);
+    ("write", fun () -> disk_write ~ops:24 ());
+    ("read", fun () -> disk_read ~ops:24 ());
+    ("mixed", fun () -> mixed ~compute:100 ~ops:12 ());
+    ("clock", fun () -> clock_sampler ~samples:2_000);
+    ("timer", fun () -> timer_tick ~period_us:1000 ~ticks:50);
+    ( "hello",
+      fun () -> console_hello ~text:"hello from the replicated machine\n" );
+    ("probe", fun () -> probe_priv);
+    ("masked", fun () -> masked_io ~ops:4);
+    ("queued", fun () -> queued_io ~pairs:8);
+    ("server", fun () -> server ~requests:10 ~period_us:3000);
+  ]
+
+let workload_names = List.map fst workloads
+
 let workload_of_string s =
-  match s with
-  | "cpu" -> Ok (Hft_guest.Workload.dhrystone ~iterations:20_000)
-  | "write" -> Ok (Hft_guest.Workload.disk_write ~ops:24 ())
-  | "read" -> Ok (Hft_guest.Workload.disk_read ~ops:24 ())
-  | "mixed" -> Ok (Hft_guest.Workload.mixed ~compute:100 ~ops:12 ())
-  | "clock" -> Ok (Hft_guest.Workload.clock_sampler ~samples:2_000)
-  | "timer" -> Ok (Hft_guest.Workload.timer_tick ~period_us:1000 ~ticks:50)
-  | "hello" -> Ok (Hft_guest.Workload.console_hello ~text:"hello from the replicated machine\n")
-  | "probe" -> Ok Hft_guest.Workload.probe_priv
-  | "masked" -> Ok (Hft_guest.Workload.masked_io ~ops:4)
-  | "queued" -> Ok (Hft_guest.Workload.queued_io ~pairs:8)
-  | "server" -> Ok (Hft_guest.Workload.server ~requests:10 ~period_us:3000)
-  | _ ->
+  match List.assoc_opt s workloads with
+  | Some make -> Ok (make ())
+  | None ->
     Error
       (`Msg
-        (Printf.sprintf
-           "unknown workload %S \
-            (cpu|write|read|mixed|clock|timer|hello|probe|masked|queued|server)"
-           s))
+        (Printf.sprintf "unknown workload %S (%s)" s
+           (String.concat "|" workload_names)))
 
+(* Print a workload as the key that parses back to it. *)
 let workload_conv =
-  Arg.conv
-    ( workload_of_string,
-      fun fmt w -> Format.pp_print_string fmt w.Hft_guest.Workload.name )
+  let pp fmt (w : Hft_guest.Workload.t) =
+    let name = w.Hft_guest.Workload.name in
+    List.find_map
+      (fun (key, make) ->
+        if (make ()).Hft_guest.Workload.name = name then Some key else None)
+      workloads
+    |> Option.value ~default:name
+    |> Format.pp_print_string fmt
+  in
+  Arg.conv (workload_of_string, pp)
 
 let workload_arg =
   Arg.(
     value
-    & opt workload_conv (Hft_guest.Workload.dhrystone ~iterations:20_000)
+    & opt workload_conv (List.assoc "cpu" workloads ())
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:
-          "Workload: cpu, write, read, mixed, clock, timer, hello, probe, \
-           masked or queued.")
+          (Printf.sprintf "Workload: %s."
+             (String.concat ", " workload_names)))
 
 let epoch_arg =
   Arg.(
@@ -1109,12 +1126,6 @@ let symbolizer (workload : Hft_guest.Workload.t) =
 (* ---------- lint ---------- *)
 
 let lint_cmd =
-  let all_names =
-    [
-      "cpu"; "write"; "read"; "mixed"; "clock"; "timer"; "hello"; "probe";
-      "masked"; "queued"; "server";
-    ]
-  in
   let all_arg =
     Arg.(
       value & flag
@@ -1215,9 +1226,19 @@ let lint_cmd =
       | Some el -> (Hft_machine.Rewrite.rewrite_program ~every:el program, true)
       | None -> (program, rewritten)
     in
-    let fs = Hft_analysis.Analysis.check ~rewritten ~data_init program in
+    (* one solve feeds both the findings and the manifest *)
+    let solved =
+      Hft_analysis.Analysis.solve ~rewritten
+        ~code_refs:program.Hft_machine.Asm.code_refs
+        program.Hft_machine.Asm.code
+    in
+    let fs =
+      Hft_analysis.Analysis.findings ~data_init
+        ~syms:(Hft_analysis.Symtab.of_program program)
+        solved
+    in
     if not quiet then Hft_harness.Report.findings ~title fs;
-    let manifest = Hft_analysis.Manifest.of_program ~rewritten program in
+    let manifest = Hft_analysis.Manifest.of_solved solved in
     (* an image file may carry a manifest from an earlier compilation:
        check it against the code we just analyzed *)
     let embedded_status =
@@ -1428,27 +1449,23 @@ let lint_cmd =
     let runs =
       if all then
         List.concat_map
-          (fun name ->
-            match workload_of_string name with
-            | Error (`Msg m) -> failwith m
-            | Ok w ->
-              let data_init =
-                List.map fst w.Hft_guest.Workload.config
-              in
-              let el = Params.default.Params.epoch_length in
-              let plain =
-                lint_one ~quiet ~title:(name ^ " (as assembled)")
-                  ~rewritten:false ~rewrite_el:None ~data_init ~drive:w
-                  w.Hft_guest.Workload.program
-              in
-              let rewritten =
-                lint_one ~quiet
-                  ~title:(Printf.sprintf "%s (rewritten, EL=%d)" name el)
-                  ~rewritten:false ~rewrite_el:(Some el) ~data_init
-                  w.Hft_guest.Workload.program
-              in
-              [ plain; rewritten ])
-          all_names
+          (fun (name, make) ->
+            let w = make () in
+            let data_init = List.map fst w.Hft_guest.Workload.config in
+            let el = Params.default.Params.epoch_length in
+            let plain =
+              lint_one ~quiet ~title:(name ^ " (as assembled)")
+                ~rewritten:false ~rewrite_el:None ~data_init ~drive:w
+                w.Hft_guest.Workload.program
+            in
+            let rewritten =
+              lint_one ~quiet
+                ~title:(Printf.sprintf "%s (rewritten, EL=%d)" name el)
+                ~rewritten:false ~rewrite_el:(Some el) ~data_init
+                w.Hft_guest.Workload.program
+            in
+            [ plain; rewritten ])
+          workloads
       else
         match image with
         | Some path ->

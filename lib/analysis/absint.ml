@@ -50,30 +50,18 @@ let retreating_targets (cfg : Cfg.t) =
   target
 
 module Make (D : DOMAIN) = struct
-  let solve ?stats ?(order = `Rpo) (cfg : Cfg.t) ~entries =
+  let solve ?stats ?(widen = fun _ _ j -> j) ?(edge = fun _ _ out _ -> out)
+      (cfg : Cfg.t) ~entries =
     let n = Array.length cfg.Cfg.code in
     let states = Array.make n None in
-    let rank = match order with `Fifo -> [||] | `Rpo -> rpo_ranks cfg in
+    let rank = rpo_ranks cfg in
     let queued = Array.make n false in
-    let fifo = Queue.create () in
     let heap = ref Work.empty in
     let push a =
       if not queued.(a) then begin
         queued.(a) <- true;
-        match order with
-        | `Fifo -> Queue.push a fifo
-        | `Rpo -> heap := Work.add (rank.(a), a) !heap
+        heap := Work.add (rank.(a), a) !heap
       end
-    in
-    let pop () =
-      match order with
-      | `Fifo -> if Queue.is_empty fifo then None else Some (Queue.pop fifo)
-      | `Rpo -> (
-        match Work.min_elt_opt !heap with
-        | None -> None
-        | Some ((_, a) as e) ->
-          heap := Work.remove e !heap;
-          Some a)
     in
     let update a s =
       match states.(a) with
@@ -83,15 +71,23 @@ module Make (D : DOMAIN) = struct
       | Some old ->
         let j = D.join old s in
         if not (D.equal j old) then begin
-          states.(a) <- Some j;
+          states.(a) <- Some (widen a old j);
           push a
         end
     in
+    (* a direct loop, not a per-node closure over [out] *)
+    let rec propagate a instr out = function
+      | [] -> ()
+      | succ :: rest ->
+        update succ (edge a instr out succ);
+        propagate a instr out rest
+    in
     List.iter (fun (a, s) -> if a >= 0 && a < n then update a s) entries;
     let rec drain () =
-      match pop () with
+      match Work.min_elt_opt !heap with
       | None -> ()
-      | Some a ->
+      | Some ((_, a) as e) ->
+        heap := Work.remove e !heap;
         queued.(a) <- false;
         (match states.(a) with
         | None -> ()
@@ -100,8 +96,8 @@ module Make (D : DOMAIN) = struct
           | None -> ()
           | Some st ->
             st.Finding.fixpoint_iterations <- st.Finding.fixpoint_iterations + 1);
-          let out = D.transfer a cfg.Cfg.code.(a) s in
-          List.iter (fun succ -> update succ out) cfg.Cfg.succs.(a));
+          let instr = cfg.Cfg.code.(a) in
+          propagate a instr (D.transfer a instr s) cfg.Cfg.succs.(a));
         drain ()
     in
     drain ();
@@ -197,8 +193,8 @@ module Consts = struct
 
   module Solver = Make (D)
 
-  let solve ?stats ?order cfg =
+  let solve ?stats cfg =
     let top () = Array.make Isa.num_regs Value.Top in
     let entries = List.map (fun r -> (r, top ())) cfg.Cfg.roots in
-    Solver.solve ?stats ?order cfg ~entries
+    Solver.solve ?stats cfg ~entries
 end

@@ -1,8 +1,12 @@
-(** A small abstract-interpretation framework over {!Cfg}: a worklist
-    fixpoint at instruction granularity, plus the shared value domain
-    (constants and privilege taint) the checkers build on.
+(** A small abstract-interpretation framework over {!Cfg}: the
+    analyzer's one worklist fixpoint engine, at instruction
+    granularity, plus the shared value domain (constants and privilege
+    taint) the checkers build on.  Every solve of an image — value
+    sets, constants, privilege levels, initialized registers — runs
+    on {!Make}.
 
-    Domains must be join-semilattices of finite height; [transfer]
+    Domains must be join-semilattices of finite height, or the solve
+    must pass a [widen] that bounds every ascending chain; [transfer]
     must be monotone.  The solver seeds the given entry states and
     propagates until the in-state of every reachable instruction is
     stable.  Unreachable instructions get no state ([None]) — checkers
@@ -19,13 +23,10 @@ module type DOMAIN = sig
       [instr] at [addr] in pre-state [s]. *)
 end
 
-val rpo_ranks : Cfg.t -> int array
-(** Reverse-postorder rank of every instruction over the CFG's
-    successor edges from its roots; [max_int] on unreachable code. *)
-
 val retreating_targets : Cfg.t -> bool array
 (** [retreating_targets cfg].(a) iff some CFG edge into [a] retreats
-    with respect to the {!rpo_ranks} order (its source's rank is at
+    with respect to the reverse postorder of the CFG's successor edges
+    from its roots (the worklist's order: its source's rank is at
     least [a]'s).  Every cycle contains a retreating edge, so these
     addresses are exactly where a widening fixpoint must give ground —
     and the only places it needs to. *)
@@ -33,15 +34,22 @@ val retreating_targets : Cfg.t -> bool array
 module Make (D : DOMAIN) : sig
   val solve :
     ?stats:Finding.stats ->
-    ?order:[ `Fifo | `Rpo ] ->
+    ?widen:(int -> D.state -> D.state -> D.state) ->
+    ?edge:(int -> Hft_machine.Isa.instr -> D.state -> int -> D.state) ->
     Cfg.t ->
     entries:(int * D.state) list ->
     D.state option array
   (** In-state of every instruction; [None] if no entry reaches it.
-      [order] picks the worklist discipline: [`Rpo] (default) pops the
-      pending node with the smallest reverse-postorder rank so loop
-      bodies stabilize before back edges re-queue their header; [`Fifo]
-      is the naive queue, kept for differential iteration-count tests.
+      The worklist pops the pending node with the smallest
+      reverse-postorder rank, so loop bodies stabilize before back
+      edges re-queue their header.  Two hooks specialise the engine,
+      both the identity by default:
+      - [widen addr old joined] is stored instead of [joined] whenever
+        a join changes [addr]'s in-state — where a domain of infinite
+        height (the value sets of {!Vsa}) cuts its ascending chains;
+      - [edge addr instr out succ] specialises [instr]'s out-state for
+        the edge to [succ] — where a conditional branch refines its
+        operands.
       [stats] counts transfer-function applications. *)
 end
 
@@ -64,9 +72,7 @@ end
 module Consts : sig
   type state = Value.t array  (** indexed by register *)
 
-  val solve :
-    ?stats:Finding.stats -> ?order:[ `Fifo | `Rpo ] -> Cfg.t ->
-    state option array
+  val solve : ?stats:Finding.stats -> Cfg.t -> state option array
   (** In-states seeded [Top]-everywhere at each {!Cfg.t.roots}. *)
 
   val reg : state option -> int -> Value.t

@@ -1,8 +1,10 @@
 (** The analyzer entry point: run every checker over a guest image.
 
-    [check p] recovers control flow ({!Cfg}), symbolizes locations
-    ({!Symtab}), runs constant propagation ({!Absint.Consts}) once,
-    and hands the results to the three checkers — {!Privilege},
+    [check p] {!solve}s the image once — control flow ({!Cfg}) refined
+    by value-set analysis ({!Vsa}), then constants ({!Absint.Consts}),
+    privilege levels and initialized registers, all on the one
+    {!Absint.Make} engine — symbolizes locations ({!Symtab}), and
+    hands the solved states to the three checkers — {!Privilege},
     {!Determinism} and {!Epoch} — plus a control-flow sanity pass that
     flags direct branches landing outside the program.  Findings come
     back sorted errors-first ({!Finding.compare}).
@@ -19,24 +21,50 @@
     every replicated run; [hftsim lint] exposes it on the command
     line, exiting non-zero on errors. *)
 
+type solved = {
+  cfg : Cfg.t;  (** control flow, refined by the value-set analysis *)
+  vsa : Vsa.t;
+  consts : Absint.Consts.state option array;
+  privs : int option array;  (** {!Privilege.solve} *)
+  init : int option array;   (** {!Determinism.init_solve} *)
+  rewritten : bool;
+  fixpoint_iterations : int;
+      (** transfer applications over the four solves together *)
+}
+(** Every fixpoint of one image, solved once: the findings
+    ({!findings}) and the compilation manifest
+    ({!Manifest.of_solved}) both read it. *)
+
+val solve :
+  ?rewritten:bool -> ?code_refs:int list -> Hft_machine.Isa.instr array ->
+  solved
+(** Recover the coarse CFG ({!Cfg.build}), run value-set analysis on
+    it and refine the CFG with the indirect-jump targets it
+    enumerates, then solve constants, privilege levels and
+    initialized registers over the refined CFG.  [rewritten]
+    (default [false]) seeds the counter register as initialized at
+    boot, as object-code editing's hypervisor does. *)
+
+val findings :
+  ?random_tlb:bool ->
+  ?data_init:int list ->
+  ?mmio_base:int ->
+  syms:Symtab.t ->
+  solved ->
+  Finding.t list
+(** Run the four checkers over a solved image.  [data_init] lists
+    addresses the host writes before boot (a workload's [config]
+    addresses); defaults are [random_tlb:false], [data_init:[]], and
+    the default CPU configuration's [mmio_base].  Byte-identical
+    findings (one location reachable from several roots) are reported
+    once. *)
+
 val check :
-  ?stats:Finding.stats ->
   ?rewritten:bool ->
   ?random_tlb:bool ->
   ?data_init:int list ->
   ?mmio_base:int ->
   Hft_machine.Asm.program ->
   Finding.t list
-(** [data_init] lists addresses the host writes before boot (a
-    workload's [config] addresses); defaults are [rewritten:false],
-    [random_tlb:false], [data_init:[]], and the default CPU
-    configuration's [mmio_base].  [stats] accumulates the fixpoint
-    iteration counts of every solver run.  Control flow is first
-    refined by value-set analysis ({!Vsa}), so indirect jumps whose
-    targets it enumerates no longer widen the CFG or trip the epoch
-    checker.  Byte-identical findings (one location reachable from
-    several roots) are reported once. *)
-
-val pp_report : Format.formatter -> Finding.t list -> unit
-(** The full lint report: one {!Finding.pp} line per finding and a
-    {!Finding.summary} trailer. *)
+(** {!solve} the program, then report its {!findings} symbolized
+    against its labels. *)

@@ -39,6 +39,24 @@ let jr_candidates code =
     code;
   (cand, unknown)
 
+(* Reachability from [roots] and predecessor lists, both derived from
+   the successor edges. *)
+let derive ~roots succs =
+  let n = Array.length succs in
+  let reachable = Array.make n false in
+  let rec visit a =
+    if not reachable.(a) then begin
+      reachable.(a) <- true;
+      List.iter visit succs.(a)
+    end
+  in
+  List.iter visit roots;
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
+    succs;
+  (reachable, preds)
+
 let build ?(code_refs = []) ?(extra_roots = []) code =
   let n = Array.length code in
   let in_range a = a >= 0 && a < n in
@@ -113,18 +131,7 @@ let build ?(code_refs = []) ?(extra_roots = []) code =
     List.sort_uniq Int.compare
       (List.filter in_range ((if n > 0 then [ 0 ] else []) @ vector_roots @ extra_roots))
   in
-  let reachable = Array.make n false in
-  let rec visit a =
-    if not reachable.(a) then begin
-      reachable.(a) <- true;
-      List.iter visit succs.(a)
-    end
-  in
-  List.iter visit roots;
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
-    succs;
+  let reachable, preds = derive ~roots succs in
   {
     code;
     succs;
@@ -137,17 +144,19 @@ let build ?(code_refs = []) ?(extra_roots = []) code =
 
 let of_program (p : Asm.program) = build ~code_refs:p.Asm.code_refs p.Asm.code
 
-let reachable_from t seeds =
-  let n = Array.length t.code in
-  let seen = Array.make n false in
-  let rec visit a =
-    if a >= 0 && a < n && not seen.(a) then begin
-      seen.(a) <- true;
-      List.iter visit t.succs.(a)
-    end
-  in
-  List.iter visit seeds;
-  seen
+let resolve t resolved =
+  if resolved = [] then t
+  else begin
+    let succs = Array.copy t.succs in
+    List.iter
+      (fun (site, tgts) -> succs.(site) <- List.sort_uniq Int.compare tgts)
+      resolved;
+    let jr_unresolved =
+      List.filter (fun s -> not (List.mem_assoc s resolved)) t.jr_unresolved
+    in
+    let reachable, preds = derive ~roots:t.roots succs in
+    { t with succs; preds; reachable; jr_unresolved }
+  end
 
 let is_terminator (i : Isa.instr) =
   match i with

@@ -40,8 +40,11 @@ val build :
 
 val of_program : Hft_machine.Asm.program -> t
 
-val reachable_from : t -> int list -> bool array
-(** Forward reachability over [succs] from the given seed set. *)
+val resolve : t -> (int * int list) list -> t
+(** [resolve t sites] narrows each listed [Jr] site's successors to
+    its enumerated targets, drops those sites from [jr_unresolved],
+    and re-derives reachability and predecessors exactly as {!build}
+    does. *)
 
 val blocks : t -> (int * int) list
 (** Basic blocks of the reachable code as (leader, length) pairs in

@@ -57,10 +57,8 @@ let init_solve ?stats ~rewritten (cfg : Cfg.t) =
   in
   S.solve ?stats cfg ~entries
 
-let check ?stats ?(syms = Symtab.empty) ?(rewritten = false)
-    ?(random_tlb = false) ?(data_init = [])
-    ?(mmio_base = Cpu.default_config.Cpu.mmio_base) (cfg : Cfg.t) consts =
-  let init = init_solve ?stats ~rewritten cfg in
+let check ?(syms = Symtab.empty) ?(random_tlb = false) ?(data_init = [])
+    ?(mmio_base = Cpu.default_config.Cpu.mmio_base) (cfg : Cfg.t) consts init =
   let findings = ref [] in
   let add severity addr msg =
     findings :=

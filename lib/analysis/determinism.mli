@@ -41,17 +41,17 @@ val init_solve :
     initialized. *)
 
 val check :
-  ?stats:Finding.stats ->
   ?syms:Symtab.t ->
-  ?rewritten:bool ->
   ?random_tlb:bool ->
   ?data_init:int list ->
   ?mmio_base:int ->
   Cfg.t ->
   Absint.Consts.state option array ->
+  int option array ->
   Finding.t list
-(** [data_init] lists the addresses the host writes into guest memory
-    before boot (a workload's [config]).  [rewritten] marks an image
-    running under object-code editing, whose hypervisor seeds the
-    counter register before boot.  [mmio_base] defaults to
+(** The findings over solved constants and the {!init_solve} masks
+    (whose [rewritten] already accounts for the counter register the
+    hypervisor seeds under object-code editing).  [data_init] lists
+    the addresses the host writes into guest memory before boot (a
+    workload's [config]).  [mmio_base] defaults to
     {!Hft_machine.Cpu.default_config}'s. *)

@@ -46,9 +46,8 @@ val pp : Format.formatter -> t -> unit
 
 (** Analysis-cost accounting shared by the fixpoint solvers: how many
     transfer-function applications the worklist performed before
-    stabilizing.  The reverse-postorder iteration order keeps this
-    measurably lower than FIFO on loopy images; [hftsim lint --json]
-    surfaces the total. *)
+    stabilizing.  {!Analysis.solve} threads one counter through an
+    image's four solves; [hftsim lint --json] surfaces the total. *)
 type stats = { mutable fixpoint_iterations : int }
 
 val new_stats : unit -> stats

@@ -337,30 +337,3 @@ let analyze (cfg : Cfg.t) (dom : Domtree.t) (vsa : Vsa.t) =
         l.blocks)
     by_size;
   { loops; loop_of }
-
-let coverage t =
-  let n = Array.length t.loops in
-  if n = 0 then 1.0
-  else begin
-    let bounded =
-      Array.fold_left
-        (fun acc l -> if l.bound <> None then acc + 1 else acc)
-        0 t.loops
-    in
-    float_of_int bounded /. float_of_int n
-  end
-
-let pp_loop (dom : Domtree.t) fmt l =
-  let addr b = dom.Domtree.leaders.(b) in
-  match l.bound with
-  | Some n ->
-    Format.fprintf fmt "loop @%a: bound %d (%d blocks, latch @%a)" Word.pp
-      (addr l.header) n (List.length l.blocks) Word.pp
-      (addr (List.hd l.latches))
-  | None ->
-    Format.fprintf fmt "loop @%a: unbounded (witness %a)" Word.pp
-      (addr l.header)
-      (Format.pp_print_list
-         ~pp_sep:(fun f () -> Format.pp_print_string f " -> ")
-         (fun f b -> Word.pp f (addr b)))
-      l.witness

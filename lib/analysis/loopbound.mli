@@ -40,10 +40,3 @@ type t = {
 }
 
 val analyze : Cfg.t -> Domtree.t -> Vsa.t -> t
-
-val coverage : t -> float
-(** Fraction of loops with a bound; [1.0] when there are none. *)
-
-val pp_loop : Domtree.t -> Format.formatter -> loop -> unit
-(** One-line rendering with leader addresses, e.g.
-    [loop @0x0004: bound 100 (latch @0x0010)]. *)

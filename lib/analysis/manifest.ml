@@ -98,15 +98,12 @@ let static_coverage t =
     float_of_int covered /. float_of_int reachable
   end
 
-let of_code ?(rewritten = false) ?(random_tlb = false)
-    ?(mmio_base = Cpu.default_config.Cpu.mmio_base) ?(code_refs = []) code =
-  let stats = Finding.new_stats () in
-  let coarse = Cfg.build ~code_refs code in
-  let vsa = Vsa.solve ~stats coarse in
-  let cfg = Vsa.refine coarse vsa in
-  let consts = Absint.Consts.solve ~stats cfg in
-  let privs = Privilege.solve ~stats cfg consts in
-  let init = Determinism.init_solve ~stats ~rewritten cfg in
+let of_solved ?(random_tlb = false)
+    ?(mmio_base = Cpu.default_config.Cpu.mmio_base) (s : Analysis.solved) =
+  let { Analysis.cfg; vsa; privs; init; rewritten; fixpoint_iterations; _ } =
+    s
+  in
+  let code = cfg.Cfg.code in
   let dom = Domtree.build cfg in
   let sb = Superblock.discover cfg dom in
   let nb = dom.Domtree.nblocks in
@@ -222,12 +219,14 @@ let of_code ?(rewritten = false) ?(random_tlb = false)
     superblocks;
     loops;
     functions;
-    fixpoint_iterations = stats.Finding.fixpoint_iterations;
+    fixpoint_iterations;
     jr_sites;
     jr_unresolved = List.length cfg.Cfg.jr_unresolved;
-    jr_resolved_by_vsa =
-      List.length coarse.Cfg.jr_unresolved - List.length cfg.Cfg.jr_unresolved;
+    jr_resolved_by_vsa = List.length vsa.Vsa.resolved;
   }
+
+let of_code ?rewritten ?random_tlb ?mmio_base ?code_refs code =
+  of_solved ?random_tlb ?mmio_base (Analysis.solve ?rewritten ?code_refs code)
 
 let of_program ?rewritten ?random_tlb ?mmio_base (p : Asm.program) =
   of_code ?rewritten ?random_tlb ?mmio_base ~code_refs:p.Asm.code_refs

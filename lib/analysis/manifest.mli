@@ -89,6 +89,12 @@ type t = {
 
 val schema : string
 
+val of_solved : ?random_tlb:bool -> ?mmio_base:int -> Analysis.solved -> t
+(** Certify an image from its one {!Analysis.solve}, the same solve
+    its lint findings read.  [random_tlb] (default [false]) and
+    [mmio_base] (default {!Hft_machine.Cpu.default_config}'s) are the
+    [Deterministic] certificate's machine assumptions. *)
+
 val of_code :
   ?rewritten:bool ->
   ?random_tlb:bool ->
@@ -96,6 +102,7 @@ val of_code :
   ?code_refs:int list ->
   Hft_machine.Isa.instr array ->
   t
+(** [of_solved] of [Analysis.solve ?rewritten ?code_refs code]. *)
 
 val of_program :
   ?rewritten:bool ->

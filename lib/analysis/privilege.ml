@@ -52,8 +52,7 @@ let solve ?stats (cfg : Cfg.t) consts =
   end) in
   S.solve ?stats cfg ~entries:(List.map (fun r -> (r, 1)) cfg.Cfg.roots)
 
-let check ?stats ?(syms = Symtab.empty) (cfg : Cfg.t) consts =
-  let privs = solve ?stats cfg consts in
+let check ?(syms = Symtab.empty) (cfg : Cfg.t) consts privs =
   let has_vector = List.exists (fun r -> r <> 0) cfg.Cfg.roots in
   let findings = ref [] in
   let add severity addr msg =

@@ -37,8 +37,9 @@ val solve :
     certificate. *)
 
 val check :
-  ?stats:Finding.stats ->
   ?syms:Symtab.t ->
   Cfg.t ->
   Absint.Consts.state option array ->
+  int option array ->
   Finding.t list
+(** The findings over solved constants and the {!solve} masks. *)

@@ -10,15 +10,12 @@ let sorted_array kvs =
   Array.sort (fun (a1, _) (a2, _) -> Int.compare a1 a2) a;
   a
 
-let create ?(srclines = []) ~labels () =
-  {
-    labels = sorted_array (List.map (fun (n, a) -> (a, n)) labels);
-    srclines = sorted_array srclines;
-  }
-
 let of_program (p : Hft_machine.Asm.program) =
-  create ~srclines:p.Hft_machine.Asm.srclines ~labels:p.Hft_machine.Asm.labels
-    ()
+  {
+    labels =
+      sorted_array (List.map (fun (n, a) -> (a, n)) p.Hft_machine.Asm.labels);
+    srclines = sorted_array p.Hft_machine.Asm.srclines;
+  }
 
 (* Greatest entry with address <= addr. *)
 let find_le arr addr =

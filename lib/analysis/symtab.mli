@@ -10,9 +10,6 @@ type t
 
 val empty : t
 
-val create :
-  ?srclines:(int * string) list -> labels:(string * int) list -> unit -> t
-
 val of_program : Hft_machine.Asm.program -> t
 
 val resolve : t -> int -> string

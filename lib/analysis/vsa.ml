@@ -3,9 +3,9 @@ module Iset = Set.Make (Int)
 
 (* A value is a small finite set of 32-bit words, an unsigned
    interval, or unknown.  Finite sets cap at [max_fin] elements and
-   hull to an interval; intervals widen to the word extremes after
-   [widen_after] growing joins at the same instruction, which bounds
-   every ascending chain. *)
+   hull to an interval; after [widen_after] growing joins at the same
+   loop header, interval bounds climb a finite threshold ladder
+   ([widen_value]), which bounds every ascending chain. *)
 
 let max_fin = 8
 let widen_after = 8
@@ -209,73 +209,39 @@ let equal_state a b = Array.for_all2 equal_value a b
 let join_state a b = Array.map2 join_value a b
 let widen_state old j = Array.map2 widen_value old j
 
-module Work = Set.Make (struct
-  type t = int * int
+module Solver = Absint.Make (struct
+  type nonrec state = state
 
-  let compare = Stdlib.compare
+  let equal = equal_state
+  let join = join_state
+  let transfer = transfer
 end)
 
-(* A bespoke fixpoint rather than {!Absint.Make}: widening needs the
-   per-address join count, which a pure DOMAIN.join cannot see.
-   Widening gives ground only at retreating-edge targets — the loop
-   headers where ascending chains actually arise — so straight-line
-   joins keep full precision; see {!Absint.retreating_targets}. *)
+(* Runs on the shared {!Absint.Make} engine.  Widening gives ground
+   only at retreating-edge targets — the loop headers where ascending
+   chains actually arise — and only after [widen_after] growing joins
+   there, so straight-line joins keep full precision; see
+   {!Absint.retreating_targets}.  Each edge of a two-way branch
+   carries its refined out-state. *)
 let solve ?stats (cfg : Cfg.t) =
   let n = Array.length cfg.Cfg.code in
-  let states = Array.make n None in
   let joins = Array.make n 0 in
-  let rank = Absint.rpo_ranks cfg in
   let widen_site = Absint.retreating_targets cfg in
-  let heap = ref Work.empty in
-  let queued = Array.make n false in
-  let push a =
-    if not queued.(a) then begin
-      queued.(a) <- true;
-      heap := Work.add (rank.(a), a) !heap
-    end
+  let widen a old j =
+    joins.(a) <- joins.(a) + 1;
+    if widen_site.(a) && joins.(a) > widen_after then widen_state old j else j
   in
-  let update a s =
-    match states.(a) with
-    | None ->
-      states.(a) <- Some s;
-      push a
-    | Some old ->
-      let j = join_state old s in
-      if not (equal_state j old) then begin
-        joins.(a) <- joins.(a) + 1;
-        let j =
-          if widen_site.(a) && joins.(a) > widen_after then widen_state old j
-          else j
-        in
-        states.(a) <- Some j;
-        push a
-      end
+  let edge a (i : Isa.instr) out succ =
+    match i with
+    | Isa.Br (c, r1, r2, tgt) when tgt <> a + 1 ->
+      refine_branch out c r1 r2 (succ = tgt)
+    | _ -> out
   in
   let top () = Array.make Isa.num_regs Top in
-  List.iter (fun r -> update r (top ())) cfg.Cfg.roots;
-  let rec drain () =
-    match Work.min_elt_opt !heap with
-    | None -> ()
-    | Some ((_, a) as e) ->
-      heap := Work.remove e !heap;
-      queued.(a) <- false;
-      (match states.(a) with
-      | None -> ()
-      | Some s ->
-        (match stats with
-        | None -> ()
-        | Some st ->
-          st.Finding.fixpoint_iterations <- st.Finding.fixpoint_iterations + 1);
-        let out = transfer a cfg.Cfg.code.(a) s in
-        (match cfg.Cfg.code.(a) with
-        | Isa.Br (c, r1, r2, tgt) when tgt <> a + 1 ->
-          List.iter
-            (fun succ -> update succ (refine_branch out c r1 r2 (succ = tgt)))
-            cfg.Cfg.succs.(a)
-        | _ -> List.iter (fun succ -> update succ out) cfg.Cfg.succs.(a)));
-      drain ()
+  let states =
+    Solver.solve ?stats ~widen ~edge cfg
+      ~entries:(List.map (fun r -> (r, top ())) cfg.Cfg.roots)
   in
-  drain ();
   (* Enumerate targets for the unresolved indirect jumps.  [Jr]
      computes [rs >> 2]; a target outside the code faults at run time
      rather than transferring control, so out-of-range candidates
@@ -335,31 +301,4 @@ let addr_range v off =
     Some (lo + off, hi + off)
   | _ -> None
 
-let refine (cfg : Cfg.t) t =
-  if t.resolved = [] then cfg
-  else begin
-    let succs = Array.copy cfg.Cfg.succs in
-    let fixed = Hashtbl.create 8 in
-    List.iter
-      (fun (site, tgts) ->
-        Hashtbl.replace fixed site ();
-        succs.(site) <- List.sort_uniq Int.compare tgts)
-      t.resolved;
-    let jr_unresolved =
-      List.filter (fun s -> not (Hashtbl.mem fixed s)) cfg.Cfg.jr_unresolved
-    in
-    let n = Array.length cfg.Cfg.code in
-    let reachable = Array.make n false in
-    let rec visit a =
-      if not reachable.(a) then begin
-        reachable.(a) <- true;
-        List.iter visit succs.(a)
-      end
-    in
-    List.iter visit cfg.Cfg.roots;
-    let preds = Array.make n [] in
-    Array.iteri
-      (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
-      succs;
-    { cfg with Cfg.succs; preds; reachable; jr_unresolved }
-  end
+let refine cfg t = Cfg.resolve cfg t.resolved

@@ -28,6 +28,9 @@ type t = {
 }
 
 val solve : ?stats:Finding.stats -> Cfg.t -> t
+(** Solve on the shared {!Absint.Make} engine, passing the threshold
+    widening and the branch-edge refinement as its [widen] and [edge]
+    hooks. *)
 
 val value_at : t -> addr:int -> reg:int -> value
 (** In-state value of [reg] at [addr]; [Top] when unreachable. *)
@@ -43,9 +46,7 @@ val addr_range : value -> int -> (int * int) option
     wrap-free, [None] otherwise. *)
 
 val refine : Cfg.t -> t -> Cfg.t
-(** Rebuild the CFG with each resolved [Jr]'s successor list narrowed
-    to its enumerated targets (removing those sites from
-    [jr_unresolved]), recomputing reachability and predecessors. *)
+(** {!Cfg.resolve} the CFG with the enumerated [resolved] targets. *)
 
 val join_value : value -> value -> value
 val equal_value : value -> value -> bool

@@ -309,8 +309,3 @@ let analyze (cfg : Cfg.t) (dom : Domtree.t) (sb : Superblock.t)
     |> List.sort compare
   in
   { loop_iter; loop_total; region_wcet; functions }
-
-let pp_func_cost fmt = function
-  | Fwcet c -> Format.fprintf fmt "wcet %d" c
-  | Frecursive -> Format.pp_print_string fmt "recursive"
-  | Funbounded -> Format.pp_print_string fmt "unbounded"

@@ -38,5 +38,3 @@ type t = {
 }
 
 val analyze : Cfg.t -> Domtree.t -> Superblock.t -> Loopbound.t -> t
-
-val pp_func_cost : Format.formatter -> func_cost -> unit

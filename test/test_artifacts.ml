@@ -21,14 +21,32 @@ let with_temp_dir f =
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote d)))
     (fun () -> f d)
 
+(* Run the CLI for its exit status and combined stdout/stderr. *)
+let output args =
+  let tmp = Filename.temp_file "hftsim" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      let code =
+        Sys.command
+          (String.concat " " (List.map Filename.quote (hftsim :: args))
+          ^ " > " ^ Filename.quote tmp ^ " 2>&1")
+      in
+      (code, read tmp))
+
 (* Run the CLI for the files it writes; the exit status is
    irrelevant (a failing chaos campaign still writes its summary). *)
-let run args =
-  let cmd =
-    String.concat " " (List.map Filename.quote (hftsim :: args))
-    ^ " > /dev/null 2>&1"
+let run args = ignore (output args)
+
+(* Index just past the first occurrence of [sub] in [s]. *)
+let after s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then Alcotest.failf "%S not found" sub
+    else if String.sub s i m = sub then i + m
+    else go (i + 1)
   in
-  ignore (Sys.command cmd)
+  go 0
 
 let parse_exn what text =
   match Json.parse text with
@@ -197,6 +215,49 @@ let test_committed_manifests () =
         | _ -> Alcotest.fail "baseline: malformed entry")
       entries
 
+(* The --workload help names its default and lists every workload; each
+   of those names, and each name the parser's own error message offers,
+   must parse back. *)
+let test_workload_names () =
+  let _, help = output [ "lint"; "--help=plain" ] in
+  let i = after help "--workload=NAME (absent=" in
+  let absent = String.sub help i (String.index_from help i ')' - i) in
+  (* the doc paragraph: the lines after the option line, up to a blank *)
+  let rec para acc = function
+    | l :: rest when String.trim l <> "" -> para (String.trim l :: acc) rest
+    | _ -> String.concat " " (List.rev acc)
+  in
+  let doc =
+    match String.split_on_char '\n' (String.sub help i (String.length help - i)) with
+    | _ :: lines -> para [] lines
+    | [] -> ""
+  in
+  let listed =
+    let j = after doc "Workload:" in
+    String.sub doc j (String.length doc - j)
+    |> String.map (function ',' | '.' -> ' ' | c -> c)
+    |> String.split_on_char ' '
+    |> List.filter (fun w -> w <> "" && w <> "or")
+  in
+  let _, err = output [ "lint"; "-w"; "no-such-workload" ] in
+  let offered =
+    let j = after err "(" in
+    String.sub err j (String.index_from err j ')' - j)
+    |> String.split_on_char '|'
+  in
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is in the --workload doc" w)
+        true (List.mem w listed))
+    offered;
+  List.iter
+    (fun w ->
+      let code, out = output [ "lint"; "-w"; w ] in
+      if code <> 0 then
+        Alcotest.failf "lint -w %s exited %d:\n%s" w code out)
+    (absent :: listed)
+
 let () =
   Alcotest.run "artifacts"
     [
@@ -208,5 +269,10 @@ let () =
             (fun () -> with_temp_dir test_hostile_title);
           Alcotest.test_case "committed manifests are fixed points" `Quick
             test_committed_manifests;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "every advertised workload name parses" `Quick
+            test_workload_names;
         ] );
     ]

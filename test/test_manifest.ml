@@ -410,24 +410,6 @@ let test_vsa_jal_link () =
       "link value covers the privilege low bits" true
       (Vsa.equal_value v (Vsa.join_value v (Vsa.Itv (4, 7))))
 
-(* ---------- worklist order (satellite: RPO beats FIFO) ---------- *)
-
-let test_rpo_fewer_iterations () =
-  let total order =
-    List.fold_left
-      (fun acc (_, _, (p : Asm.program)) ->
-        let st = Finding.new_stats () in
-        ignore
-          (Absint.Consts.solve ~stats:st ~order (Cfg.of_program p)
-            : Absint.Consts.state option array);
-        acc + st.Finding.fixpoint_iterations)
-      0 (shipped_images ())
-  in
-  let fifo = total `Fifo and rpo = total `Rpo in
-  if rpo >= fifo then
-    Alcotest.failf
-      "reverse-postorder iteration should beat FIFO: rpo=%d fifo=%d" rpo fifo
-
 (* ---------- finding dedupe (satellite) ---------- *)
 
 let test_duplicate_findings_collapse () =
@@ -689,11 +671,6 @@ let () =
           Alcotest.test_case "resolves computed jr" `Quick
             test_vsa_resolves_computed_jr;
           Alcotest.test_case "jal link interval" `Quick test_vsa_jal_link;
-        ] );
-      ( "absint",
-        [
-          Alcotest.test_case "rpo beats fifo" `Quick
-            test_rpo_fewer_iterations;
         ] );
       ( "findings",
         [
