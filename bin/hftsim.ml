@@ -1,11 +1,14 @@
 (* hftsim: command-line driver for the fault-tolerant virtual machine.
 
    Subcommands:
-   - run:   execute one workload, bare or replicated, with optional
-            crash injection and reintegration, and print the outcome;
-   - sweep: the paper's epoch-length parameter sweep for a workload;
-   - model: evaluate the analytic models of section 4;
-   - trace: run a small replicated scenario and dump the event trace. *)
+   - run:       execute one workload, bare or replicated, with optional
+                crash injection, reintegration and hypervisor faults,
+                and print the outcome and the requested trace artifacts;
+   - validate:  structurally check a trace or metrics artifact;
+   - model:     evaluate the analytic models of section 4;
+   - reproduce: regenerate the paper's section-4 evaluation;
+   - chaos, check: randomized and exhaustive fault exploration;
+   - lint, profile, disasm, bench: analysis and host-side tooling. *)
 
 open Cmdliner
 open Hft_core
@@ -182,18 +185,23 @@ let write_json ?(pretty = true) path v =
 
 let trace_out_arg =
   Arg.(
-    value
-    & opt (some string) None
+    value & opt_all string []
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
-          "Write the run's protocol timeline as Chrome trace-event JSON to \
-           FILE (loadable in ui.perfetto.dev or chrome://tracing).")
+          "Write the run's protocol timeline to FILE (repeatable).  A name \
+           ending in $(b,.jsonl) gets the hftsim-trace/1 JSONL stream \
+           (events, reconstructed spans, histogram summaries); $(b,-) \
+           writes that stream to stdout and, under $(b,run), suppresses all \
+           other output; any other name gets Chrome trace-event JSON \
+           (loadable in ui.perfetto.dev or chrome://tracing).")
 
-(* Shared post-run artifact emission: Chrome trace, metrics JSON,
+(* Shared post-run artifact emission: the last [events] recorded
+   events, one trace file per [trace_out] path, metrics JSON, the
    span-quantile table, and — whenever a crash was recorded — the
-   failover post-mortem timeline.  [registry] is the windowed
-   aggregation registry tapped into the recorder at creation: its
-   counters and windows go into the hftsim-metrics/2 artifact and,
+   failover post-mortem timeline.  A [trace_out] of "-" puts the JSONL
+   stream on stdout, so nothing else is printed.  [registry] is the
+   windowed aggregation registry tapped into the recorder at creation:
+   its counters and windows go into the hftsim-metrics/2 artifact and,
    under [--metrics], a windowed-summary table — aggregates survive
    ring wraparound because the tap saw every event. *)
 let window_rows registry =
@@ -214,21 +222,47 @@ let window_rows registry =
           ])
     (Obs.Metrics.windows registry)
 
-let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
-    ?registry obs =
+let print_events obs entries n =
+  let skip = max 0 (List.length entries - n) in
+  if skip > 0 then
+    Format.printf "... (%d earlier events; %d recorded in total)@." skip
+      (Obs.Recorder.total_recorded obs);
+  List.iteri
+    (fun i (e : Obs.Recorder.entry) ->
+      if i >= skip then
+        Format.printf "%10.3fms %-8s %a@."
+          (Hft_sim.Time.to_ms e.Obs.Recorder.time)
+          e.Obs.Recorder.source Obs.Event.pp e.Obs.Recorder.ev)
+    entries
+
+let emit_artifacts ?(trace_out = []) ?(events = 0) ?(metrics = false)
+    ?(metrics_out = None) ?registry obs =
   if Obs.Recorder.enabled obs then begin
+    let quiet = List.mem "-" trace_out in
+    let say fmt =
+      if quiet then Format.ifprintf Format.std_formatter fmt
+      else Format.printf fmt
+    in
     let entries = Obs.Recorder.entries obs in
     let dropped = Obs.Recorder.dropped obs in
     if dropped > 0 then
-      Format.printf
+      say
         "warning: ring wraparound discarded %d oldest event(s); spans and \
          timelines below are incomplete (windowed aggregates are not)@."
         dropped;
-    (match trace_out with
-    | Some path ->
-      write_json ~pretty:false path (Obs.Export.chrome entries);
-      Format.printf "trace written  : %s (chrome trace-event JSON)@." path
-    | None -> ());
+    if events > 0 && not quiet then print_events obs entries events;
+    List.iter
+      (fun path ->
+        if path = "-" || Filename.check_suffix path ".jsonl" then begin
+          write_file path
+            (Obs.Json.to_lines (Obs.Export.jsonl ~dropped entries));
+          say "trace written  : %s (%s JSONL)@." path Obs.Export.schema
+        end
+        else begin
+          write_json ~pretty:false path (Obs.Export.chrome entries);
+          say "trace written  : %s (chrome trace-event JSON)@." path
+        end)
+      trace_out;
     let hists =
       lazy (Obs.Span.histograms (Obs.Span.of_entries entries))
     in
@@ -236,25 +270,27 @@ let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
     | Some path ->
       write_json path
         (Obs.Export.metrics_json ?registry ~dropped (Lazy.force hists));
-      Format.printf "metrics written: %s (%s)@." path Obs.Export.metrics_schema
+      say "metrics written: %s (%s)@." path Obs.Export.metrics_schema
     | None -> ());
-    if metrics then begin
-      Hft_harness.Report.span_metrics (Lazy.force hists);
-      match registry with
-      | Some reg ->
-        let rows = window_rows reg in
-        if rows <> [] then
-          Hft_harness.Report.table ~title:"windowed metrics"
-            ~header:
-              [
-                "t0_ms"; "len_ms"; "epochs"; "ep_p50us"; "ep_p99us";
-                "acks"; "ack_p99us"; "avail";
-              ]
-            rows
-      | None -> ()
-    end;
-    Hft_harness.Report.failover_postmortem entries;
-    Hft_harness.Report.recovery_postmortem entries
+    if not quiet then begin
+      if metrics then begin
+        Hft_harness.Report.span_metrics (Lazy.force hists);
+        match registry with
+        | Some reg ->
+          let rows = window_rows reg in
+          if rows <> [] then
+            Hft_harness.Report.table ~title:"windowed metrics"
+              ~header:
+                [
+                  "t0_ms"; "len_ms"; "epochs"; "ep_p50us"; "ep_p99us";
+                  "acks"; "ack_p99us"; "avail";
+                ]
+              rows
+        | None -> ()
+      end;
+      Hft_harness.Report.failover_postmortem entries;
+      Hft_harness.Report.recovery_postmortem entries
+    end
   end
 
 (* ---------- run ---------- *)
@@ -286,6 +322,27 @@ let print_outcome (o : System.outcome) =
   List.iter (fun e -> Format.printf "  error: %s@." e) o.System.disk_errors;
   if o.System.console <> "" then
     Format.printf "console        : %S@." o.System.console
+
+let run_bare ~params workload =
+  let b = Bare.create ~params ~workload () in
+  Bare.init_disk_blocks b;
+  let o = Bare.run b in
+  Format.printf "bare machine@.";
+  Format.printf "virtual time   : %a@." Hft_sim.Time.pp o.Bare.time;
+  Format.printf "instructions   : %d@." o.Bare.instructions;
+  Format.printf "guest results  : %a@." Guest_results.pp o.Bare.results;
+  (match Hft_machine.Cpu.translation (Bare.cpu b) with
+  | Some tx when tx.Hft_machine.Translate.threaded_instrs > 0 ->
+    Format.printf
+      "translation    : %d instructions direct-threaded, %d entries over %d \
+       blocks (%d fused)@."
+      tx.Hft_machine.Translate.threaded_instrs
+      tx.Hft_machine.Translate.entries_taken
+      tx.Hft_machine.Translate.translated_blocks
+      tx.Hft_machine.Translate.fused
+  | _ -> ());
+  if o.Bare.console <> "" then
+    Format.printf "console        : %S@." o.Bare.console
 
 let run_cmd =
   let bare =
@@ -327,6 +384,12 @@ let run_cmd =
              hftsim-metrics/2: span histograms plus labeled counters and \
              rolling windowed aggregates) to FILE.")
   in
+  let events =
+    Arg.(
+      value & opt int 0
+      & info [ "events" ] ~docv:"N"
+          ~doc:"Print the last N recorded protocol events after the run.")
+  in
   let hv_fault_specs =
     Arg.(
       value
@@ -339,34 +402,32 @@ let run_cmd =
              healed by an in-place microreboot (ReHype extension).")
   in
   let action workload epoch protocol link mechanism backend bare crash_ms
-      reintegrate_ms hv_fault_list trace_out metrics metrics_out =
+      reintegrate_ms hv_fault_list trace_out metrics metrics_out events =
     let params = params_of ~backend ~epoch ~protocol ~link ~mechanism () in
-    if bare then begin
-      let b = Bare.create ~params ~workload () in
-      Bare.init_disk_blocks b;
-      let o = Bare.run b in
-      Format.printf "bare machine@.";
-      Format.printf "virtual time   : %a@." Hft_sim.Time.pp o.Bare.time;
-      Format.printf "instructions   : %d@." o.Bare.instructions;
-      Format.printf "guest results  : %a@." Guest_results.pp o.Bare.results;
-      (match Hft_machine.Cpu.translation (Bare.cpu b) with
-      | Some tx when tx.Hft_machine.Translate.threaded_instrs > 0 ->
-        Format.printf
-          "translation    : %d instructions direct-threaded, %d entries \
-           over %d blocks (%d fused)@."
-          tx.Hft_machine.Translate.threaded_instrs
-          tx.Hft_machine.Translate.entries_taken
-          tx.Hft_machine.Translate.translated_blocks
-          tx.Hft_machine.Translate.fused
-      | _ -> ());
-      if o.Bare.console <> "" then
-        Format.printf "console        : %S@." o.Bare.console
-    end
+    let replicated_only =
+      List.filter_map
+        (fun (given, flag) -> if given then Some flag else None)
+        [
+          (crash_ms <> None, "--crash");
+          (reintegrate_ms <> None, "--reintegrate");
+          (hv_fault_list <> [], "--hv-fault");
+          (trace_out <> [], "--trace-out");
+          (metrics, "--metrics");
+          (metrics_out <> None, "--metrics-out");
+          (events > 0, "--events");
+        ]
+    in
+    if bare && replicated_only <> [] then
+      `Error
+        ( true,
+          Printf.sprintf "--bare runs no replicated system, so %s cannot apply"
+            (String.concat ", " replicated_only) )
+    else if bare then `Ok (run_bare ~params workload)
     else begin
       let registry = Obs.Metrics.create () in
       let obs =
         if
-          trace_out <> None || metrics || metrics_out <> None
+          trace_out <> [] || metrics || metrics_out <> None || events > 0
           || crash_ms <> None || hv_fault_list <> []
         then Obs.Recorder.create ~tap:(Obs.Metrics.tap registry) ()
         else Obs.Recorder.null
@@ -384,75 +445,61 @@ let run_cmd =
       | Some ms ->
         System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms ms)
       | None -> ());
-      Format.printf "replicated system (%a)@." Params.pp params;
-      print_outcome (System.run sys);
-      emit_artifacts ~trace_out ~metrics ~metrics_out ~registry obs
+      let quiet = List.mem "-" trace_out in
+      if not quiet then
+        Format.printf "replicated system (%a)@." Params.pp params;
+      let o = System.run sys in
+      if not quiet then print_outcome o;
+      emit_artifacts ~trace_out ~events ~metrics ~metrics_out ~registry obs;
+      `Ok ()
     end
   in
   let term =
     Term.(
-      const action $ workload_arg $ epoch_arg $ protocol_arg $ link_arg
-      $ mechanism_arg $ backend_arg $ bare $ crash_ms $ reintegrate_ms
-      $ hv_fault_specs $ trace_out_arg $ metrics $ metrics_out)
+      ret
+        (const action $ workload_arg $ epoch_arg $ protocol_arg $ link_arg
+       $ mechanism_arg $ backend_arg $ bare $ crash_ms $ reintegrate_ms
+       $ hv_fault_specs $ trace_out_arg $ metrics $ metrics_out $ events))
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one workload, bare or replicated.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one workload, bare or replicated; a replicated run can inject \
+          faults and export its protocol timeline.")
     term
 
-(* ---------- sweep ---------- *)
+(* ---------- validate ---------- *)
 
-let sweep_cmd =
-  let epochs =
+let validate_cmd =
+  let file =
     Arg.(
-      value
-      & opt (list int) [ 1024; 2048; 4096; 8192; 16384; 32768 ]
-      & info [ "epochs" ] ~docv:"N,N,..." ~doc:"Epoch lengths to sweep.")
+      required
+      & pos 0 (some non_dir_file) None
+      & info [] ~docv:"FILE"
+          ~doc:
+            "Chrome trace-event JSON, hftsim-trace/1 JSONL or \
+             hftsim-metrics/2 JSON.")
   in
-  let both =
-    Arg.(
-      value & flag
-      & info [ "both-protocols" ]
-          ~doc:"Sweep the original and the revised protocol.")
-  in
-  let action workload epochs protocol link both =
-    let params =
-      params_of ~epoch:4096 ~protocol ~link
-        ~mechanism:Params.Recovery_register ()
-    in
-    let protocols =
-      if both then [ Params.Original; Params.Revised ] else [ protocol ]
-    in
-    let runs =
-      Hft_harness.Scenario.sweep ~params ~epoch_lengths:epochs ~protocols
-        workload
-    in
-    let rows =
-      List.map
-        (fun (r : Hft_harness.Scenario.run) ->
-          [
-            string_of_int r.Hft_harness.Scenario.epoch_length;
-            Format.asprintf "%a" Params.pp_protocol
-              r.Hft_harness.Scenario.protocol;
-            Format.asprintf "%a" Hft_sim.Time.pp
-              r.Hft_harness.Scenario.replicated_time;
-            Hft_harness.Report.fnum r.Hft_harness.Scenario.np;
-          ])
-        runs
-    in
-    Hft_harness.Report.table
-      ~title:
-        (Printf.sprintf "normalized performance: %s on %s"
-           workload.Hft_guest.Workload.name link.Hft_net.Link.name)
-      ~header:[ "EL"; "protocol"; "time"; "NP" ]
-      rows
-  in
-  let term =
-    Term.(const action $ workload_arg $ epochs $ protocol_arg $ link_arg $ both)
+  let action path =
+    match
+      Obs.Export.validate (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Ok s ->
+      Format.printf "%s: %a@." path Obs.Export.pp_summary s;
+      if s.Obs.Export.drops > 0 then
+        Format.printf
+          "warning: %d event(s) were discarded by ring wraparound before \
+           export — the timeline is truncated at its oldest end@."
+          s.Obs.Export.drops;
+      `Ok ()
+    | Error m -> `Error (false, Printf.sprintf "%s: %s" path m)
   in
   Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Epoch-length sweep (the paper's figures 2-4 and table 1).")
-    term
+    (Cmd.info "validate"
+       ~doc:
+         "Structurally validate a trace or metrics artifact, print its \
+          summary and exit non-zero if it is malformed.")
+    Term.(ret (const action $ file))
 
 (* ---------- model ---------- *)
 
@@ -493,145 +540,6 @@ let reproduce_cmd =
           vs simulation, then check the paper's conclusions.  Exits 1 if any \
           shape check fails.")
     Term.(const action $ const ())
-
-(* ---------- trace ---------- *)
-
-let trace_cmd =
-  let lines =
-    Arg.(
-      value & opt int 80
-      & info [ "n" ] ~docv:"N" ~doc:"Number of trace events to print.")
-  in
-  let crash_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "crash" ] ~docv:"MS" ~doc:"Crash the primary at MS.")
-  in
-  let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the timeline as Chrome trace-event JSON to FILE \
-             (loadable in ui.perfetto.dev or chrome://tracing).")
-  in
-  let jsonl_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "jsonl" ] ~docv:"FILE"
-          ~doc:
-            "Write the hftsim-trace/1 JSONL stream (events, reconstructed \
-             spans, histogram summaries) to FILE; $(b,-) writes it to \
-             stdout and suppresses all other output.")
-  in
-  let metrics_arg =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Print span-duration quantiles after the event dump.")
-  in
-  let validate_arg =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "validate" ] ~docv:"FILE"
-          ~doc:
-            "Do not run anything; structurally validate a trace artifact \
-             (Chrome trace-event JSON or hftsim-trace/1 JSONL), print its \
-             summary and exit non-zero if it is malformed.")
-  in
-  let dispatch_arg =
-    Arg.(
-      value & flag
-      & info [ "dispatch" ]
-          ~doc:
-            "Also record one event per simulation-engine dispatch \
-             (verbose; shows the discrete-event schedule itself).")
-  in
-  let action workload epoch protocol link lines crash_ms chrome jsonl metrics
-      validate dispatch =
-    match validate with
-    | Some path -> (
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      close_in ic;
-      match Obs.Export.validate contents with
-      | Ok s ->
-        Format.printf "%s: %a@." path Obs.Export.pp_summary s;
-        if s.Obs.Export.drops > 0 then
-          Format.printf
-            "warning: %d event(s) were discarded by ring wraparound before \
-             export — the timeline is truncated at its oldest end@."
-            s.Obs.Export.drops;
-        `Ok ()
-      | Error m -> `Error (false, Printf.sprintf "%s: %s" path m))
-    | None ->
-      let quiet = jsonl = Some "-" in
-      let params =
-        params_of ~epoch ~protocol ~link ~mechanism:Params.Recovery_register
-          ()
-      in
-      let obs = Obs.Recorder.create ~dispatch () in
-      let sys = System.create ~params ~obs ~workload () in
-      (match crash_ms with
-      | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
-      | None -> ());
-      let o = System.run sys in
-      let entries = Obs.Recorder.entries obs in
-      if not quiet then begin
-        let skip = max 0 (List.length entries - lines) in
-        if skip > 0 then
-          Format.printf "... (%d earlier events; %d recorded in total)@." skip
-            (Obs.Recorder.total_recorded obs);
-        List.iteri
-          (fun i (e : Obs.Recorder.entry) ->
-            if i >= skip then
-              Format.printf "%10.3fms %-8s %a@."
-                (Hft_sim.Time.to_ms e.Obs.Recorder.time)
-                e.Obs.Recorder.source Obs.Event.pp e.Obs.Recorder.ev)
-          entries;
-        Format.printf "...@.";
-        print_outcome o
-      end;
-      (match chrome with
-      | Some path ->
-        write_json ~pretty:false path (Obs.Export.chrome entries);
-        if not quiet then
-          Format.printf "trace written  : %s (chrome trace-event JSON)@." path
-      | None -> ());
-      (match jsonl with
-      | Some path ->
-        write_file path
-          (Obs.Json.to_lines
-             (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs) entries));
-        if not quiet then
-          Format.printf "trace written  : %s (%s JSONL)@." path
-            Obs.Export.schema
-      | None -> ());
-      if metrics && not quiet then
-        Hft_harness.Report.span_metrics
-          (Obs.Span.histograms (Obs.Span.of_entries entries));
-      `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ workload_arg $ epoch_arg $ protocol_arg $ link_arg
-       $ lines $ crash_ms $ chrome_arg $ jsonl_arg $ metrics_arg
-       $ validate_arg $ dispatch_arg))
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run replicated and dump the typed protocol event trace, or export \
-          it as a Chrome/Perfetto or JSONL artifact ($(b,--chrome), \
-          $(b,--jsonl)), or validate an existing artifact \
-          ($(b,--validate)).")
-    term
 
 (* ---------- chaos ---------- *)
 
@@ -872,7 +780,7 @@ let chaos_cmd =
       in
       let reference = Campaign.reference cfg in
       let obs =
-        if trace_out <> None then Obs.Recorder.create ()
+        if trace_out <> [] then Obs.Recorder.create ()
         else Obs.Recorder.null
       in
       let t = Campaign.run_trial ~obs cfg ~reference ~index:0 s in
@@ -884,7 +792,7 @@ let chaos_cmd =
       else `Error (false, "invariant violation")
     end
     else begin
-      if trace_out <> None then
+      if trace_out <> [] then
         Format.printf
           "note: --trace-out records a single trial; combine it with \
            --exact (ignored here)@.";
@@ -973,104 +881,6 @@ let chaos_cmd =
           checking against the bare machine and shrinking of failing \
           schedules.")
     term
-
-(* ---------- selftest ---------- *)
-
-(* A compact conformance matrix: every workload is run replicated with
-   lockstep checking, across protocol and epoch-mechanism variants and
-   a failover scenario.  Small sizes: the whole matrix takes seconds
-   and is the first thing to run on a new machine. *)
-let selftest_cmd =
-  let action () =
-    let failures = ref 0 in
-    let case name f =
-      let ok, detail = try f () with e -> (false, Printexc.to_string e) in
-      if not ok then incr failures;
-      Format.printf "%-58s %s%s@." name
-        (if ok then "PASS" else "FAIL")
-        (if detail = "" then "" else " (" ^ detail ^ ")")
-    in
-    let base = { Params.default with Params.epoch_length = 512 } in
-    let lockstep_case name ?(params = base) ?crash_ms w =
-      case name (fun () ->
-          let sys = System.create ~params ~workload:w () in
-          (match crash_ms with
-          | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
-          | None -> ());
-          let o = System.run sys in
-          let ok =
-            o.System.lockstep_mismatches = []
-            && o.System.disk_consistent
-            && (crash_ms = None || o.System.failover)
-          in
-          ( ok,
-            if ok then ""
-            else
-              Printf.sprintf "%d diverged, consistent=%b"
-                (List.length o.System.lockstep_mismatches)
-                o.System.disk_consistent ))
-    in
-    let open Hft_guest.Workload in
-    lockstep_case "cpu / original / recovery register"
-      (dhrystone ~iterations:2000);
-    lockstep_case "cpu / revised protocol"
-      ~params:(Params.with_protocol base Params.Revised)
-      (dhrystone ~iterations:2000);
-    lockstep_case "cpu / code rewriting"
-      ~params:{ base with Params.epoch_mechanism = Params.Code_rewriting }
-      (dhrystone ~iterations:2000);
-    lockstep_case "cpu / ATM link"
-      ~params:(Params.with_link base Hft_net.Link.atm)
-      (dhrystone ~iterations:2000);
-    lockstep_case "disk writes" (disk_write ~ops:3 ~pad:20 ~spin:20 ());
-    lockstep_case "disk reads" (disk_read ~ops:3 ~pad:20 ~spin:20 ());
-    lockstep_case "queued io" (queued_io ~pairs:2);
-    lockstep_case "clock forwarding" (clock_sampler ~samples:100);
-    lockstep_case "timer ticks" (timer_tick ~period_us:400 ~ticks:4);
-    lockstep_case "timer-paced server" (server ~requests:3 ~period_us:2000);
-    lockstep_case "failover mid-write" ~crash_ms:20
-      (disk_write ~ops:3 ~pad:20 ~spin:20 ());
-    lockstep_case "failover / revised protocol" ~crash_ms:20
-      ~params:(Params.with_protocol base Params.Revised)
-      (disk_write ~ops:3 ~pad:20 ~spin:20 ());
-    case "reintegration after failover" (fun () ->
-        let w = dhrystone ~iterations:40_000 in
-        let sys = System.create ~params:base ~workload:w () in
-        System.crash_primary_at sys (Hft_sim.Time.of_ms 5);
-        System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 5);
-        let o = System.run sys in
-        ( o.System.lockstep_mismatches = []
-          && o.System.results.Guest_results.ops = 40_000,
-          "" ));
-    case "backup chain (t = 2), double failure" (fun () ->
-        let w = disk_write ~ops:3 ~pad:20 ~spin:20 () in
-        let sys = System.create ~params:base ~second_backup:true ~workload:w () in
-        System.crash_primary_at sys (Hft_sim.Time.of_ms 20);
-        ignore
-          (Hft_sim.Engine.at (System.engine sys) (Hft_sim.Time.of_ms 250)
-             (fun () -> Hypervisor.crash (System.backup sys)));
-        let o = System.run sys in
-        ( o.System.results.Guest_results.ops = 3 && o.System.disk_consistent,
-          "" ));
-    case "probe quirk (section 3.1)" (fun () ->
-        let sys = System.create ~params:base ~workload:probe_priv () in
-        let o = System.run sys in
-        (o.System.results.Guest_results.scratch = 1, ""));
-    Format.printf "@.";
-    if !failures = 0 then begin
-      Format.printf "selftest: all conformance cases passed@.";
-      `Ok ()
-    end
-    else begin
-      Format.printf "selftest: %d case(s) FAILED@." !failures;
-      `Error (false, "selftest failed")
-    end
-  in
-  Cmd.v
-    (Cmd.info "selftest"
-       ~doc:
-         "Run the conformance matrix: every workload replicated with           lockstep checking, protocol/mechanism variants, failover and           reintegration.")
-    Term.(ret (const action $ const ()))
 
 (* ---------- profiling drivers (shared by profile and lint) ---------- *)
 
@@ -1661,18 +1471,6 @@ let check_cmd =
             "Serialize the first counterexample found to FILE \
              (hftsim-check-replay/1, replayable with $(b,--replay)).")
   in
-  let no_dpor_arg =
-    Arg.(
-      value & flag
-      & info [ "no-dpor" ]
-          ~doc:"Disable sleep-set partial-order reduction (for comparison).")
-  in
-  let no_fp_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fingerprints" ]
-          ~doc:"Disable visited-state fingerprint pruning (for comparison).")
-  in
   let compare_naive_arg =
     Arg.(
       value & flag
@@ -1751,7 +1549,7 @@ let check_cmd =
       r.r_violations
   in
   let action scenario all list_scenarios depth max_states json replay
-      save_replay no_dpor no_fp compare_naive no_retransmit no_ack_wait
+      save_replay compare_naive no_retransmit no_ack_wait
       max_violations no_shrink trace_out backend =
     if list_scenarios then begin
       List.iter
@@ -1773,7 +1571,7 @@ let check_cmd =
                (List.map string_of_int sched.Hft_check.Schedule.roots))
             (List.length sched.Hft_check.Schedule.choices);
           let obs =
-            if trace_out <> None then Obs.Recorder.create ()
+            if trace_out <> [] then Obs.Recorder.create ()
             else Obs.Recorder.null
           in
           let finish r =
@@ -1820,10 +1618,9 @@ let check_cmd =
           in
           let options =
             {
-              Hft_check.Checker.depth;
+              Hft_check.Checker.default_options with
+              depth;
               max_states;
-              dpor = not no_dpor;
-              fingerprints = not no_fp;
               max_violations;
               shrink = not no_shrink;
             }
@@ -1909,7 +1706,7 @@ let check_cmd =
       ret
         (const action $ scenario_arg $ all_arg $ list_arg $ depth_arg
        $ max_states_arg $ json_arg $ replay_arg $ save_replay_arg
-       $ no_dpor_arg $ no_fp_arg $ compare_naive_arg $ no_retransmit_arg
+       $ compare_naive_arg $ no_retransmit_arg
        $ no_ack_wait_arg $ max_violations_arg $ no_shrink_arg
        $ trace_out_arg $ backend_arg))
 
@@ -2279,15 +2076,13 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            sweep_cmd;
+            validate_cmd;
             chaos_cmd;
             model_cmd;
             reproduce_cmd;
-            trace_cmd;
             lint_cmd;
             check_cmd;
             disasm_cmd;
             profile_cmd;
             bench_cmd;
-            selftest_cmd;
           ]))

@@ -20,24 +20,29 @@ let () =
   let cpu = Hft_guest.Workload.dhrystone ~iterations:15_000 in
   let io = Hft_guest.Workload.disk_write ~ops:16 () in
 
-  let sweep w = Scenario.sweep ~params:Params.default ~epoch_lengths:els w in
-  let cpu_runs = sweep cpu and io_runs = sweep io in
-
+  (* NP = replicated time / bare time; the bare machine has no epochs,
+     so one baseline serves the whole sweep *)
+  let sweep w =
+    let bare = Hft_sim.Time.to_sec (Scenario.bare_time w) in
+    List.map
+      (fun el ->
+        let params = Params.with_epoch_length Params.default el in
+        let o = Scenario.replicated ~params w in
+        (el, Hft_sim.Time.to_sec o.System.time /. bare))
+      els
+  in
   let bar np =
     String.make (min 60 (int_of_float ((np -. 1.0) *. 4.0))) '#'
   in
-  Format.printf "CPU-bound workload (dhrystone):@.";
-  List.iter
-    (fun (r : Scenario.run) ->
-      Format.printf "  EL=%6d  NP=%6.2f  %s@." r.Scenario.epoch_length
-        r.Scenario.np (bar r.Scenario.np))
-    cpu_runs;
-  Format.printf "@.I/O-bound workload (disk writes):@.";
-  List.iter
-    (fun (r : Scenario.run) ->
-      Format.printf "  EL=%6d  NP=%6.2f  %s@." r.Scenario.epoch_length
-        r.Scenario.np (bar r.Scenario.np))
-    io_runs;
+  let print title runs =
+    Format.printf "%s:@." title;
+    List.iter
+      (fun (el, np) -> Format.printf "  EL=%6d  NP=%6.2f  %s@." el np (bar np))
+      runs
+  in
+  print "CPU-bound workload (dhrystone)" (sweep cpu);
+  Format.printf "@.";
+  print "I/O-bound workload (disk writes)" (sweep io);
 
   Format.printf
     "@.model at the HP-UX epoch bound (385K instructions): NPC = %.2f (paper: \

@@ -248,11 +248,6 @@ let crash_on_epoch _t hv target =
 
 let crash_primary_on_epoch t target = crash_on_epoch t t.primary_ target
 
-let crash_backup_at t time =
-  ignore
-    (Engine.at t.engine ~label:"crash" ~actor:"backup" time (fun () ->
-         Hypervisor.crash t.backup_))
-
 let crash_backup_on_epoch t target = crash_on_epoch t t.backup_ target
 
 (* ---------- hypervisor faults (ReHype extension) ---------- *)

@@ -73,8 +73,6 @@ val crash_primary_on_epoch : t -> int -> unit
     (before completing it — the canonical failover epoch of case (ii),
     section 2.2). *)
 
-val crash_backup_at : t -> Hft_sim.Time.t -> unit
-
 val crash_backup_on_epoch : t -> int -> unit
 (** Fail the backup when it reaches the given epoch boundary; the
     primary detects the silence (missing acknowledgements) and

@@ -251,13 +251,6 @@ let drop_port t ~port =
     Hashtbl.remove t.deferred port;
     List.length parked
 
-let deferred_count t ~port =
-  match Hashtbl.find_opt t.deferred port with
-  | None -> 0
-  | Some parked -> List.length parked
-
-let port_deferred t ~port = Hashtbl.mem t.deferred port
-
 let storage_hash t = t.storage_hash_
 
 let fingerprint t =

@@ -105,9 +105,6 @@ val drop_port : t -> port:int -> int
     the interrupts die with the processor).  Returns how many were
     discarded. *)
 
-val deferred_count : t -> port:int -> int
-val port_deferred : t -> port:int -> bool
-
 (** {2 Storage}
 
     A new disk reads as zeros everywhere.  The initial image is a pure

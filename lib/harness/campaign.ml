@@ -431,5 +431,3 @@ let flags s =
            (fun f ->
              Printf.sprintf "--hv-fault %s" (hv_fault_spec_to_string f))
            s.hv_faults))
-
-let pp_schedule fmt s = Format.pp_print_string fmt (flags s)

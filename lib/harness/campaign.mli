@@ -158,5 +158,3 @@ val hv_fault_spec_of_string : string -> (hv_fault_spec, string) result
 val flags : schedule -> string
 (** [hftsim chaos] command-line flags that replay this exact schedule
     standalone ([--exact --seed ... --loss ... ...]). *)
-
-val pp_schedule : Format.formatter -> schedule -> unit

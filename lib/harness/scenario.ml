@@ -1,14 +1,5 @@
 open Hft_core
 
-type run = {
-  epoch_length : int;
-  protocol : Params.protocol;
-  bare_time : Hft_sim.Time.t;
-  replicated_time : Hft_sim.Time.t;
-  np : float;
-  outcome : System.outcome;
-}
-
 let bare_time ?(params = Params.default) workload =
   let b = Bare.create ~params ~workload () in
   Bare.init_disk_blocks b;
@@ -65,35 +56,6 @@ let replicated ?manifest ?obs ~params workload =
           differ at %d of %d compared epoch(s), first at epoch %d"
          name (List.length l) o.System.epochs_compared first));
   o
-
-let normalized ?bare ~params workload =
-  let bare =
-    match bare with Some t -> t | None -> bare_time ~params workload
-  in
-  let outcome = replicated ~params workload in
-  let rep = outcome.System.time in
-  {
-    epoch_length = params.Params.epoch_length;
-    protocol = params.Params.protocol;
-    bare_time = bare;
-    replicated_time = rep;
-    np = Hft_sim.Time.to_sec rep /. Hft_sim.Time.to_sec bare;
-    outcome;
-  }
-
-let sweep ~params ~epoch_lengths ?(protocols = [ params.Params.protocol ])
-    workload =
-  let bare = bare_time ~params workload in
-  List.concat_map
-    (fun protocol ->
-      List.map
-        (fun el ->
-          let params =
-            Params.with_protocol (Params.with_epoch_length params el) protocol
-          in
-          normalized ~bare ~params workload)
-        epoch_lengths)
-    protocols
 
 (* Simulation-scale versions of the paper's three benchmarks. *)
 

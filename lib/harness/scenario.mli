@@ -1,18 +1,10 @@
-(** Experiment driver: runs a workload bare and replicated and
-    computes the paper's figure of merit.
+(** Experiment driver: runs a workload bare and replicated, the two
+    measurements behind the paper's figure of merit.
 
     "Normalized performance" (section 4): a workload requiring N
     seconds on bare hardware and N' seconds on the prototype has
-    normalized performance N'/N; 1.0 is ideal. *)
-
-type run = {
-  epoch_length : int;
-  protocol : Hft_core.Params.protocol;
-  bare_time : Hft_sim.Time.t;
-  replicated_time : Hft_sim.Time.t;
-  np : float;  (** normalized performance *)
-  outcome : Hft_core.System.outcome;
-}
+    normalized performance N'/N; 1.0 is ideal.  {!Paper} computes it,
+    sharing one bare baseline per workload. *)
 
 val bare_time : ?params:Hft_core.Params.t -> Hft_guest.Workload.t -> Hft_sim.Time.t
 (** Time for the workload on the bare machine (independent of epoch
@@ -47,23 +39,6 @@ val replicated :
     mismatched manifest raises [Failure] before the system boots.
     [obs] collects the run's typed protocol events (see
     {!Hft_obs}). *)
-
-val normalized :
-  ?bare:Hft_sim.Time.t ->
-  params:Hft_core.Params.t ->
-  Hft_guest.Workload.t ->
-  run
-(** Run replicated (and bare, unless [bare] is supplied) and compute
-    NP.  Raises [Failure] if either run does not complete. *)
-
-val sweep :
-  params:Hft_core.Params.t ->
-  epoch_lengths:int list ->
-  ?protocols:Hft_core.Params.protocol list ->
-  Hft_guest.Workload.t ->
-  run list
-(** The paper's parameter sweep: one replicated run per (epoch length,
-    protocol), sharing a single bare baseline. *)
 
 (** Standard benchmark workloads at simulation scale.  The paper ran
     4.2e8 instructions and 2048 I/O operations; these are scaled down

@@ -307,7 +307,6 @@ let rearm_validator t same =
     true
   | _ -> false
 
-let clear_validator t = t.validator <- None
 let validator_active t = t.validator <> None
 
 let validator_coverage t =
@@ -360,11 +359,6 @@ let rearm_translation t same =
     t.trans_origin <- Some o;
     true
   | _ -> false
-
-let clear_translation t =
-  t.trans <- None;
-  t.plan <- None;
-  t.trans_origin <- None
 
 let translation t = t.trans
 

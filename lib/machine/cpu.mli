@@ -187,7 +187,6 @@ val rearm_validator : t -> (origin -> bool) -> bool
     The inheritance is spent either way: a later call returns
     [false]. *)
 
-val clear_validator : t -> unit
 val validator_active : t -> bool
 
 val validator_amnesty : t -> unit
@@ -231,7 +230,6 @@ val rearm_translation : t -> (origin -> bool) -> bool
     was installed with; returns whether it did.  The inheritance is
     spent either way. *)
 
-val clear_translation : t -> unit
 val translation : t -> Translate.t option
 
 val install_profile : t -> unit

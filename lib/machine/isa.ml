@@ -126,8 +126,6 @@ module Cause = struct
     Format.fprintf fmt "%s(%d)" name c
 end
 
-let pp_reg fmt r = Format.fprintf fmt "r%d" r
-
 let cr_name = function
   | Cr_status -> "status"
   | Cr_epc -> "epc"
@@ -165,8 +163,6 @@ let cond_name = function
   | Ge -> "bge"
   | Ltu -> "bltu"
   | Geu -> "bgeu"
-
-let pp_cond fmt c = Format.pp_print_string fmt (cond_name c)
 
 let pp fmt = function
   | Nop -> Format.fprintf fmt "nop"

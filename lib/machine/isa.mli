@@ -134,10 +134,8 @@ module Cause : sig
   val pp : Format.formatter -> int -> unit
 end
 
-val pp_reg : Format.formatter -> reg -> unit
 val pp_cr : Format.formatter -> cr -> unit
 val pp_alu_op : Format.formatter -> alu_op -> unit
-val pp_cond : Format.formatter -> cond -> unit
 val pp : Format.formatter -> instr -> unit
 (** Assembly-style rendering, e.g. [add r3, r1, r2]. *)
 

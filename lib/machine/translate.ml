@@ -22,14 +22,6 @@ let exit_indirect = 2
 let exit_bail = 3
 let exit_stop = 4
 
-let exit_name = function
-  | 0 -> "budget"
-  | 1 -> "link"
-  | 2 -> "indirect"
-  | 3 -> "bail"
-  | 4 -> "stop"
-  | _ -> "?"
-
 type st = {
   x_regs : int array;
   x_mem : Memory.t;

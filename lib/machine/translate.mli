@@ -70,8 +70,6 @@ val exit_bail : int
 val exit_stop : int
 (** a memory stop; [x_stop] holds it *)
 
-val exit_name : int -> string
-
 (** Mutable execution state shared between the dispatch loop and the
     compiled closures.  The register file, memory, and TLB are aliases
     of the owning CPU's; the rest is (re)initialized per entry. *)

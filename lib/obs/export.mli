@@ -15,7 +15,7 @@
 
     Both are built as {!Json.t} values.  {!validate} checks either
     format structurally with the {!Json} reader — the CI schema gate
-    runs it via [hftsim trace --validate]. *)
+    runs it via [hftsim validate]. *)
 
 val schema : string
 (** ["hftsim-trace/1"]. *)

@@ -43,7 +43,7 @@ val dropped : t -> int
     ([total_recorded - capacity] when positive).  Nonzero drops mean
     span reconstruction and exported timelines are missing their
     oldest events; {!Export.jsonl} records the count in its header and
-    [hftsim trace --validate] warns on it. *)
+    [hftsim validate] warns on it. *)
 
 val clear : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -102,7 +102,7 @@ let test_every_emitter d =
       "run"; "-w"; "write"; "--crash"; "40"; "--trace-out"; f "trace.json";
       "--metrics"; "--metrics-out"; f "metrics.json";
     ];
-  run [ "trace"; "-w"; "hello"; "--jsonl"; f "trace.jsonl" ];
+  run [ "run"; "-w"; "hello"; "--trace-out"; f "trace.jsonl" ];
   run [ "bench"; "--quick"; "--json"; f "bench.json" ];
   let schema what form file expected =
     match round_trip what form (read (f file)) with
@@ -258,6 +258,45 @@ let test_workload_names () =
         Alcotest.failf "lint -w %s exited %d:\n%s" w code out)
     (absent :: listed)
 
+(* Every [hftsim.exe -- CMD] line in the README names a command the
+   CLI lists in its own help. *)
+let test_readme_commands () =
+  let _, help = output [ "--help=plain" ] in
+  (* the COMMANDS section: an entry is "       NAME [OPTION]...", its
+     doc is indented further, and the next section starts at column 0 *)
+  let listed =
+    String.split_on_char '\n' help
+    |> List.to_seq
+    |> Seq.drop_while (( <> ) "COMMANDS")
+    |> Seq.drop 1
+    |> Seq.take_while (fun l -> l = "" || l.[0] = ' ')
+    |> Seq.filter_map (fun l ->
+           if String.length l > 7 && l.[7] <> ' ' then
+             Some (List.hd (String.split_on_char ' ' (String.trim l)))
+           else None)
+    |> List.of_seq
+  in
+  let marker = "hftsim.exe -- " in
+  let m = String.length marker in
+  let rec command l i =
+    if i + m > String.length l then None
+    else if String.sub l i m = marker then
+      let rest = String.sub l (i + m) (String.length l - i - m) in
+      Some (List.hd (String.split_on_char ' ' rest))
+    else command l (i + 1)
+  in
+  let shown =
+    String.split_on_char '\n' (read "../README.md")
+    |> List.filter_map (fun l -> command l 0)
+  in
+  Alcotest.(check bool) "the README shows some command" true (shown <> []);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "README command %S is in hftsim --help" c)
+        true (List.mem c listed))
+    (List.sort_uniq compare shown)
+
 let () =
   Alcotest.run "artifacts"
     [
@@ -274,5 +313,7 @@ let () =
         [
           Alcotest.test_case "every advertised workload name parses" `Quick
             test_workload_names;
+          Alcotest.test_case "README commands exist" `Quick
+            test_readme_commands;
         ] );
     ]

@@ -365,6 +365,7 @@ let protocol_variant_tests =
             ~params:(Params.with_protocol small_params Params.Revised)
             w
         in
+        check_lockstep "revised cpu" o_new;
         check bool "new < old" true
           Hft_sim.Time.(o_new.System.time < o_old.System.time));
     test_case "primary waits for acks before issuing io (revised)" `Quick
@@ -389,6 +390,7 @@ let protocol_variant_tests =
             ~params:(Params.with_link small_params Hft_net.Link.atm)
             w
         in
+        check_lockstep "atm cpu" o_atm;
         check bool "atm faster" true
           Hft_sim.Time.(o_atm.System.time < o_eth.System.time));
   ]

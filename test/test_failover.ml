@@ -39,6 +39,7 @@ let crash_write_test ~name ~crash_ms ~ops =
         (o.System.completed_by = `Promoted_backup);
       Alcotest.(check int) "all ops" ops o.System.results.Guest_results.ops;
       Alcotest.(check bool) "disk consistent" true o.System.disk_consistent;
+      Alcotest.(check (list int)) "lockstep" [] o.System.lockstep_mismatches;
       check_final_disk sys ~seed:0x1234 ~range:64 ~ops)
 
 let failover_tests =
@@ -145,6 +146,7 @@ let failover_tests =
         check bool "failover" true o.System.failover;
         check int "ops" 4 o.System.results.Guest_results.ops;
         check bool "disk consistent" true o.System.disk_consistent;
+        check (list int) "lockstep" [] o.System.lockstep_mismatches;
         check_final_disk sys ~seed:0x1234 ~range:64 ~ops:4);
     test_case "backup death: primary detects and continues solo" `Quick
       (fun () ->

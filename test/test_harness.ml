@@ -1,41 +1,12 @@
-(* Tests of the experiment harness: normalized-performance plumbing
-   and report rendering. *)
+(* Tests of the experiment harness: the standard workloads and report
+   rendering.  Normalized performance itself is pinned by the
+   [hftsim reproduce] fixture. *)
 
-open Hft_core
 open Hft_harness
-
-let quick_params = { Params.default with Params.epoch_length = 1024 }
 
 let harness_tests =
   let open Alcotest in
   [
-    test_case "normalized performance exceeds 1" `Quick (fun () ->
-        let w = Hft_guest.Workload.dhrystone ~iterations:2000 in
-        let r = Scenario.normalized ~params:quick_params w in
-        check bool "np > 1" true (r.Scenario.np > 1.0);
-        check int "epoch recorded" 1024 r.Scenario.epoch_length);
-    test_case "bare baseline is reused across a sweep" `Quick (fun () ->
-        let w = Hft_guest.Workload.dhrystone ~iterations:2000 in
-        let runs =
-          Scenario.sweep ~params:quick_params ~epoch_lengths:[ 512; 2048 ] w
-        in
-        match runs with
-        | [ a; b ] ->
-          check bool "same baseline" true
-            (Hft_sim.Time.equal a.Scenario.bare_time b.Scenario.bare_time);
-          check bool "np falls with epoch length" true
-            (b.Scenario.np < a.Scenario.np)
-        | _ -> fail "expected two runs");
-    test_case "sweep covers protocol list" `Quick (fun () ->
-        let w = Hft_guest.Workload.dhrystone ~iterations:1000 in
-        let runs =
-          Scenario.sweep ~params:quick_params ~epoch_lengths:[ 512 ]
-            ~protocols:[ Params.Original; Params.Revised ] w
-        in
-        check int "two runs" 2 (List.length runs);
-        check bool "revised faster" true
-          (let o = List.nth runs 0 and n = List.nth runs 1 in
-           n.Scenario.np < o.Scenario.np));
     test_case "standard workloads are well formed" `Quick (fun () ->
         check bool "cpu" true
           ((Scenario.cpu_workload ()).Hft_guest.Workload.name = "dhrystone");
