@@ -67,10 +67,19 @@ let workload_arg =
           (Printf.sprintf "Workload: %s."
              (String.concat ", " workload_names)))
 
+let positive_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ ->
+          Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
+      Format.pp_print_int )
+
 let epoch_arg =
   Arg.(
     value
-    & opt int Params.default.Params.epoch_length
+    & opt positive_int Params.default.Params.epoch_length
     & info [ "e"; "epoch" ] ~docv:"N" ~doc:"Epoch length in instructions.")
 
 let protocol_conv =
@@ -172,6 +181,19 @@ let hv_fault_conv =
         | Error m -> Error (`Msg m)),
       fun fmt f ->
         Format.pp_print_string fmt (Campaign.hv_fault_spec_to_string f) )
+
+(* The edge every saved image comes in by, loaded while the command
+   line is parsed: a directory or a malformed image is a reported usage
+   error (exit 124), never an escaping exception. *)
+let image_file =
+  let parse path =
+    Result.bind (Arg.conv_parser Arg.non_dir_file path) (fun path ->
+        match Hft_machine.Image.load_with_manifest ~path with
+        | program, embedded -> Ok (path, program, embedded)
+        | exception Hft_machine.Image.Format_error m ->
+          Error (`Msg (Printf.sprintf "%s: malformed image: %s" path m)))
+  in
+  Arg.conv (parse, fun fmt (path, _, _) -> Format.pp_print_string fmt path)
 
 (* The edge every artifact leaves by: [path = "-"] is stdout. *)
 let write_file path contents =
@@ -947,7 +969,7 @@ let lint_cmd =
   let image_arg =
     Arg.(
       value
-      & opt (some non_dir_file) None
+      & opt (some image_file) None
       & info [ "image" ] ~docv:"FILE"
           ~doc:"Lint a saved program image (HFT1 format) instead of a \
                 workload.")
@@ -1278,10 +1300,7 @@ let lint_cmd =
           workloads
       else
         match image with
-        | Some path ->
-          let program, embedded =
-            Hft_machine.Image.load_with_manifest ~path
-          in
+        | Some (path, program, embedded) ->
           [
             lint_one ~quiet ~title:path ~rewritten ~rewrite_el ~data_init:[]
               ?embedded
@@ -1943,7 +1962,7 @@ let profile_cmd =
   let image_arg =
     Arg.(
       value
-      & opt (some non_dir_file) None
+      & opt (some image_file) None
       & info [ "image" ] ~docv:"FILE"
           ~doc:"Profile a saved image file instead of a built-in workload.")
   in
@@ -1976,8 +1995,7 @@ let profile_cmd =
   let action workload image flame min_coverage limit =
     let workload =
       match image with
-      | Some path ->
-        let program, _embedded = Hft_machine.Image.load_with_manifest ~path in
+      | Some (path, program, _embedded) ->
         workload_of_program ~name:(Filename.basename path) program
       | None -> workload
     in

@@ -609,6 +609,33 @@ let schedule_of_violation (r : result) (v : violation) =
     violation = Some v.v_reason;
   }
 
+let dim_names =
+  [| "crash_epochs"; "backup_crash_epochs"; "loss_pb"; "loss_bp"; "hv_faults" |]
+
+(* A replay file's roots and choices must name the schedule exactly:
+   [build] and [run_forced] map an out-of-range index to a default
+   (the shrinker relies on that), which would replay a different
+   schedule than the file records. *)
+let check_indices sc (s : Schedule.t) =
+  let d = dims sc in
+  let rec roots k = function
+    | [] -> choices 0 s.Schedule.choices
+    | _ when k >= n_dims ->
+      Error
+        (Printf.sprintf "%d roots given, the scenario has %d dimensions"
+           (List.length s.Schedule.roots) n_dims)
+    | r :: _ when r < 0 || r >= fst d.(k) ->
+      Error
+        (Printf.sprintf "root %d (%s) is %d, outside its width %d" k
+           dim_names.(k) r (fst d.(k)))
+    | _ :: tl -> roots (k + 1) tl
+  and choices i = function
+    | [] -> Ok ()
+    | c :: _ when c < 0 -> Error (Printf.sprintf "choice %d is negative" i)
+    | _ :: tl -> choices (i + 1) tl
+  in
+  roots 0 s.Schedule.roots
+
 (* Replay a serialized schedule.  Returns the violation it reproduces,
    if any. *)
 let replay ?obs (s : Schedule.t) =
@@ -621,9 +648,11 @@ let replay ?obs (s : Schedule.t) =
         ack_wait = s.Schedule.ack_wait;
       }
     in
-    Ok
-      (run_forced sc ~variant ?obs ~roots:s.Schedule.roots
-         ~choices:s.Schedule.choices ())
+    Result.map
+      (fun () ->
+        run_forced sc ~variant ?obs ~roots:s.Schedule.roots
+          ~choices:s.Schedule.choices ())
+      (check_indices sc s)
 
 (* ------------------------------------------------------------------ *)
 (* JSON report ("hftsim-check/1")                                       *)

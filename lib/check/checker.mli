@@ -84,8 +84,10 @@ val run_forced :
 
 val replay : ?obs:Hft_obs.Recorder.t -> Schedule.t -> (string option, string) Stdlib.result
 (** Replay a serialized counterexample.  [Error] = the file references
-    an unknown scenario; [Ok None] = the schedule no longer violates
-    anything; [Ok (Some v)] = reproduced violation [v]. *)
+    an unknown scenario, gives more roots than the scenario has
+    dimensions, a root outside its dimension's width, or a negative
+    choice; [Ok None] = the schedule no longer violates anything;
+    [Ok (Some v)] = reproduced violation [v]. *)
 
 val schedule_of_violation : result -> violation -> Schedule.t
 

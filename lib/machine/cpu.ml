@@ -61,6 +61,7 @@ type validator = {
      per-address check (Probe, or Tlbw under random replacement) *)
   v_run_end : int array;
   v_run_ubd : int array;
+  v_run_def : int array;  (* registers written anywhere on the run [a, end) *)
   v_run_hazard : bool array;
   (* observed maxima, the dynamic side of the WCET-slack join: highest
      in-region instruction count per superblock and highest header
@@ -72,6 +73,10 @@ type validator = {
   v_lmax : int array;
   mutable v_skip_from : int;    (* current validated window, [from, until) *)
   mutable v_skip_until : int;
+  mutable v_open_at : int;
+      (* the run's executed count when the current window's post side
+         was deferred to its close, -1 when it is credited per
+         instruction *)
   mutable v_written : int;      (* registers written since boot/trap/restore *)
   mutable v_cur_region : int;
   mutable v_rcount : int;
@@ -120,6 +125,7 @@ let reset_validator v =
   Array.fill v.v_lmax 0 (Array.length v.v_lmax) 0;
   v.v_skip_from <- 0;
   v.v_skip_until <- 0;
+  v.v_open_at <- -1;
   v.v_written <- 1;
   v.v_cur_region <- -1;
   v.v_rcount <- 0;
@@ -245,10 +251,12 @@ let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||])
       Array.init n (fun a -> a + 1)
   in
   (* straight-line suffix summaries, computed backwards inside each
-     block: uses-before-def feeding the one-shot window check, and a
-     hazard flag forcing per-address checks when the suffix contains a
-     Probe (or a Tlbw under random replacement) *)
+     block: uses-before-def feeding the one-shot window check, the defs
+     a deferred window credits at once, and a hazard flag forcing
+     per-address checks when the suffix contains a Probe (or a Tlbw
+     under random replacement) *)
   let run_ubd = Array.make (max n 1) 0 in
+  let run_def = Array.make (max n 1) 0 in
   let run_hazard = Array.make (max n 1) false in
   let hazardous a =
     match t.code.(a) with
@@ -259,10 +267,12 @@ let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||])
   for a = n - 1 downto 0 do
     if a + 1 < run_end.(a) then begin
       run_ubd.(a) <- uses.(a) lor (run_ubd.(a + 1) land lnot def.(a));
+      run_def.(a) <- def.(a) lor run_def.(a + 1);
       run_hazard.(a) <- run_hazard.(a + 1) || hazardous (a + 1)
     end
     else begin
       run_ubd.(a) <- uses.(a);
+      run_def.(a) <- def.(a);
       run_hazard.(a) <- false
     end
   done;
@@ -284,11 +294,13 @@ let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||])
         v_random_tlb = random_tlb;
         v_run_end = run_end;
         v_run_ubd = run_ubd;
+        v_run_def = run_def;
         v_run_hazard = run_hazard;
         v_rmax = Array.make (max (Array.length rhead) 1) 0;
         v_lmax = Array.make (max (Array.length lhead) 1) 0;
         v_skip_from = 0;
         v_skip_until = 0;
+        v_open_at = -1;
         v_written = 1;
         v_cur_region = -1;
         v_rcount = 0;
@@ -454,24 +466,28 @@ let deliver_trap_impl t ~cause ~badvaddr ~epc =
   set_cr t Isa.Cr_status s;
   t.pc_ <- cr t Isa.Cr_ivec
 
+exception Stop_exec of stop
+
+(* MMU-on address translation for the hot loop: raises the [Tlb_miss]
+   or [Protection] stop instead of allocating a [result]. *)
+let[@inline] translate_exn t ~write ~priv vaddr =
+  let shift = t.cfg.page_shift in
+  match Tlb.lookup t.tlb_state ~vpage:(vaddr lsr shift) with
+  | None -> raise (Stop_exec (Tlb_miss { vaddr; write }))
+  | Some e ->
+    if (priv = 3 && not e.Tlb.user_ok) || (write && not e.Tlb.writable) then
+      raise (Stop_exec (Protection { vaddr; write }))
+    else (e.Tlb.ppage lsl shift) lor (vaddr land ((1 lsl shift) - 1))
+
 let translate t ~write vaddr =
   let s = status t in
   if not (Isa.status_mmu_enable s) then Ok vaddr
-  else begin
-    let vpage = vaddr lsr t.cfg.page_shift in
-    match Tlb.lookup t.tlb_state ~vpage with
-    | None -> Error (Tlb_miss { vaddr; write })
-    | Some e ->
-      if Isa.status_priv s = 3 && not e.Tlb.user_ok then
-        Error (Protection { vaddr; write })
-      else if write && not e.Tlb.writable then
-        Error (Protection { vaddr; write })
-      else
-        let offset = vaddr land ((1 lsl t.cfg.page_shift) - 1) in
-        Ok ((e.Tlb.ppage lsl t.cfg.page_shift) lor offset)
-  end
+  else
+    match translate_exn t ~write ~priv:(Isa.status_priv s) vaddr with
+    | paddr -> Ok paddr
+    | exception Stop_exec st -> Error st
 
-let alu op a b =
+let[@inline] alu op a b =
   match (op : Isa.alu_op) with
   | Add -> Word.add a b
   | Sub -> Word.sub a b
@@ -487,7 +503,7 @@ let alu op a b =
   | Slt -> if Word.lt_signed a b then 1 else 0
   | Sltu -> if Word.lt_unsigned a b then 1 else 0
 
-let cond_holds c a b =
+let[@inline] cond_holds c a b =
   match (c : Isa.cond) with
   | Eq -> a = b
   | Ne -> a <> b
@@ -495,8 +511,6 @@ let cond_holds c a b =
   | Ge -> not (Word.lt_signed a b)
   | Ltu -> Word.lt_unsigned a b
   | Geu -> not (Word.lt_unsigned a b)
-
-exception Stop_exec of stop
 
 (* Fault messages are built off the hot path: these never run on the
    instructions-per-second-critical loop iterations. *)
@@ -543,16 +557,107 @@ let[@inline never] validate_pre v pc (instr : Isa.instr) spriv =
     | _ -> ()
   end
 
-(* Per-block hoisting of the pre-dispatch checks: validate the current
-   address exactly as before, then try to certify the rest of its
-   basic block in one shot.  The block's certificates are uniform
-   (privilege mask, determinism flag), the written-register set only
-   ever grows between status changes, and blocks are single-entry, so
-   once the suffix's uses-before-def mask is covered and the suffix
-   holds no per-address hazard, every later address in the block would
-   pass [validate_pre] too — the loop then skips the call while the pc
-   stays inside the window.  Status changes reset the window. *)
-let[@inline never] validate_pre_block v pc (instr : Isa.instr) spriv =
+(* Post-completion bookkeeping for [n] consecutive completions starting
+   at [pc0] inside one basic block: definition tracking, coverage, the
+   per-superblock instruction bound and the loop-bound header count.
+   The per-instruction path credits [n = 1]; a deferred window credits
+   its whole completed prefix when it closes.  Crediting a run at once
+   equals crediting it instruction by instruction because of two facts
+   [Manifest.arm_validator] guarantees: region and loop ids are uniform
+   per block (so the region and loop transitions happen at [pc0] or not
+   at all), and region heads and loop headers are block leaders (so
+   inside the run only [pc0] can be one).  Arms that stop the processor
+   raise before the shared completion point and are charged by their
+   executor instead — undercounting the region, never overcounting. *)
+let[@inline never] credit v pc0 n =
+  v.v_checked <- v.v_checked + n;
+  let d =
+    if pc0 + n = v.v_run_end.(pc0) then v.v_run_def.(pc0)
+    else begin
+      let d = ref 0 in
+      for a = pc0 to pc0 + n - 1 do
+        d := !d lor v.v_def.(a)
+      done;
+      !d
+    end
+  in
+  if d <> 0 then v.v_written <- v.v_written lor d;
+  let r = v.v_region.(pc0) in
+  if r < 0 then v.v_cur_region <- -1
+  else begin
+    if r <> v.v_cur_region || pc0 = v.v_rhead.(r) then begin
+      v.v_cur_region <- r;
+      v.v_rcount <- 0
+    end;
+    v.v_rcount <- v.v_rcount + n;
+    v.v_covered <- v.v_covered + n;
+    if v.v_rcount > v.v_rmax.(r) then v.v_rmax.(r) <- v.v_rcount;
+    if v.v_rcount > v.v_rbound.(r) then
+      raise
+        (cert_viol pc0
+           (Printf.sprintf
+              "Epoch_bounded certificate exceeded: %d instructions inside a \
+               superblock bounded at %d"
+              v.v_rcount v.v_rbound.(r)))
+  end;
+  (* loop-bound certificates: count header visits for as long as the
+     pc stays inside one bounded loop.  Leaving the loop (or moving to
+     a different innermost loop) resets the count, so re-entries and
+     outer-loop iterations each get a fresh allowance — undercounting
+     like the region check, never overcounting. *)
+  let l = v.v_loop_of.(pc0) in
+  if l < 0 then v.v_cur_loop <- -1
+  else begin
+    if l <> v.v_cur_loop then begin
+      v.v_cur_loop <- l;
+      v.v_lcount <- 0
+    end;
+    if pc0 = v.v_lhead.(l) then begin
+      v.v_lcount <- v.v_lcount + 1;
+      if v.v_lcount > v.v_lmax.(l) then v.v_lmax.(l) <- v.v_lcount;
+      if v.v_lcount > v.v_lbound.(l) then
+        raise
+          (cert_viol pc0
+             (Printf.sprintf
+                "loop-bound certificate exceeded: %d iterations of a loop \
+                 bounded at %d"
+                v.v_lcount v.v_lbound.(l)))
+    end
+  end
+
+(* Close a deferred window at the run's current executed count: credit
+   the instructions completed since it opened, all consecutive from its
+   head because a window never extends past its basic block. *)
+let close_window v executed =
+  if v.v_open_at >= 0 then begin
+    let n = executed - v.v_open_at in
+    v.v_open_at <- -1;
+    if n > 0 then credit v v.v_skip_from n
+  end
+
+(* Per-block hoisting of the certificate checks: close the previous
+   window, validate the current address exactly as before, then try to
+   certify the rest of its basic block in one shot.  The block's
+   certificates are uniform (privilege mask, determinism flag), the
+   written-register set only ever grows between status changes, and
+   blocks are single-entry, so once the suffix's uses-before-def mask
+   is covered and the suffix holds no per-address hazard, every later
+   address in the block would pass [validate_pre] too — the loop then
+   skips the call while the pc stays strictly inside the window.
+
+   The window's post side is deferred to its close too when no
+   completion inside it can raise: the region count after the
+   transition at [pc] plus the window length stays within the region
+   bound, and one more header visit (only [pc] can be the header) stays
+   within the loop bound.  Otherwise the loop credits each completion
+   on its own.  A window is closed when the pc leaves it or comes back
+   to its head, and by status changes, threaded entries, a [Wfi] and
+   the end of [run]; a [Jr] ends it, so a computed jump into the middle
+   of its own block closes it too.  Every close therefore credits at
+   most the window's length, so closing a deferred window never
+   raises. *)
+let[@inline never] validate_pre_block v pc (instr : Isa.instr) spriv executed =
+  close_window v executed;
   validate_pre v pc instr spriv;
   let e = v.v_run_end.(pc) in
   if
@@ -561,7 +666,17 @@ let[@inline never] validate_pre_block v pc (instr : Isa.instr) spriv =
     && ((not v.v_det.(pc)) || v.v_run_ubd.(pc) land lnot v.v_written = 0)
   then begin
     v.v_skip_from <- pc;
-    v.v_skip_until <- e
+    v.v_skip_until <- e;
+    let r = v.v_region.(pc) and l = v.v_loop_of.(pc) in
+    let rcount =
+      if r < 0 || r <> v.v_cur_region || pc = v.v_rhead.(r) then 0
+      else v.v_rcount
+    in
+    let lcount = if l <> v.v_cur_loop then 0 else v.v_lcount in
+    if
+      (r < 0 || rcount + (e - pc) <= v.v_rbound.(r))
+      && (l < 0 || pc <> v.v_lhead.(l) || lcount < v.v_lbound.(l))
+    then v.v_open_at <- executed
   end
   else begin
     v.v_skip_from <- 0;
@@ -578,57 +693,6 @@ let convert_stop : Translate.stop -> stop = function
   | Translate.X_fault_store paddr ->
     Fault (Printf.sprintf "store to bad address 0x%x" paddr)
 
-(* Post-completion bookkeeping: definition tracking, coverage, and the
-   per-superblock instruction bound.  Arms that stop the processor
-   raise before the shared completion point and are charged by their
-   executor instead — undercounting the region, never overcounting. *)
-let[@inline never] validate_post v pc =
-  v.v_checked <- v.v_checked + 1;
-  let d = v.v_def.(pc) in
-  if d <> 0 then v.v_written <- v.v_written lor d;
-  let r = v.v_region.(pc) in
-  if r < 0 then v.v_cur_region <- -1
-  else begin
-    if r <> v.v_cur_region || pc = v.v_rhead.(r) then begin
-      v.v_cur_region <- r;
-      v.v_rcount <- 0
-    end;
-    v.v_rcount <- v.v_rcount + 1;
-    v.v_covered <- v.v_covered + 1;
-    if v.v_rcount > v.v_rmax.(r) then v.v_rmax.(r) <- v.v_rcount;
-    if v.v_rcount > v.v_rbound.(r) then
-      raise
-        (cert_viol pc
-           (Printf.sprintf
-              "Epoch_bounded certificate exceeded: %d instructions inside a \
-               superblock bounded at %d"
-              v.v_rcount v.v_rbound.(r)))
-  end;
-  (* loop-bound certificates: count header visits for as long as the
-     pc stays inside one bounded loop.  Leaving the loop (or moving to
-     a different innermost loop) resets the count, so re-entries and
-     outer-loop iterations each get a fresh allowance — undercounting
-     like the region check, never overcounting. *)
-  let l = v.v_loop_of.(pc) in
-  if l < 0 then v.v_cur_loop <- -1
-  else begin
-    if l <> v.v_cur_loop then begin
-      v.v_cur_loop <- l;
-      v.v_lcount <- 0
-    end;
-    if pc = v.v_lhead.(l) then begin
-      v.v_lcount <- v.v_lcount + 1;
-      if v.v_lcount > v.v_lmax.(l) then v.v_lmax.(l) <- v.v_lcount;
-      if v.v_lcount > v.v_lbound.(l) then
-        raise
-          (cert_viol pc
-             (Printf.sprintf
-                "loop-bound certificate exceeded: %d iterations of a loop \
-                 bounded at %d"
-                v.v_lcount v.v_lbound.(l)))
-    end
-  end
-
 (* The hot loop avoids per-instruction work that only rarely matters:
 
    - the status-register flags (privilege, MMU enable, recovery-counter
@@ -640,7 +704,9 @@ let[@inline never] validate_post v pc =
      ([sync_rc]) on every exit and before any instruction that could
      observe or modify it;
    - loads and stores skip the translation function entirely while the
-     MMU is off (translation is the identity there). *)
+     MMU is off (translation is the identity there);
+   - the validator checks and credits a basic block once where it can
+     ([validate_pre_block]). *)
 let run t ~fuel =
   if fuel <= 0 then invalid_arg "Cpu.run: fuel must be positive";
   let code = t.code in
@@ -672,6 +738,7 @@ let run t ~fuel =
     match vd with
     | None -> ()
     | Some v ->
+      close_window v !executed;
       v.v_skip_from <- 0;
       v.v_skip_until <- 0
   in
@@ -702,6 +769,7 @@ let run t ~fuel =
       false
     end
     else begin
+      (match vd with None -> () | Some v -> close_window v !executed);
       let st = tx.Translate.state in
       st.Translate.x_pc <- epc;
       st.Translate.x_remaining <- budget;
@@ -760,12 +828,13 @@ let run t ~fuel =
            | Some e -> enter_threaded tx e pc)
        in
        if not threaded then begin
+       let instr = Array.unsafe_get code pc in
        (match vd with
        | None -> ()
        | Some v ->
-         if pc >= v.v_skip_from && pc < v.v_skip_until then ()
-         else validate_pre_block v pc code.(pc) !spriv);
-       (match code.(pc) with
+         if pc > v.v_skip_from && pc < v.v_skip_until then ()
+         else validate_pre_block v pc instr !spriv !executed);
+       (match instr with
        | Isa.Nop -> t.pc_ <- pc + 1
        | Isa.Ldi (rd, v) ->
          if rd <> 0 then regs.(rd) <- Word.mask v;
@@ -779,51 +848,32 @@ let run t ~fuel =
          t.pc_ <- pc + 1
        | Isa.Ld (rd, rs, off) ->
          let vaddr = Word.add regs.(rs) (Word.of_signed off) in
-         if not !smmu then
-           (* MMU off: translation is the identity *)
-           if vaddr >= mmio_base then
-             raise (Stop_exec (Mmio_read { paddr = vaddr; reg = rd }))
-           else if not (Memory.in_range memory vaddr) then
-             raise (fault_load vaddr)
-           else begin
-             if rd <> 0 then regs.(rd) <- Memory.read memory vaddr;
-             t.pc_ <- pc + 1
-           end
-         else (
-           match translate t ~write:false vaddr with
-           | Error st -> raise (Stop_exec st)
-           | Ok paddr ->
-             if paddr >= mmio_base then
-               raise (Stop_exec (Mmio_read { paddr; reg = rd }))
-             else if not (Memory.in_range memory paddr) then
-               raise (fault_load paddr)
-             else begin
-               if rd <> 0 then regs.(rd) <- Memory.read memory paddr;
-               t.pc_ <- pc + 1
-             end)
+         let paddr =
+           if !smmu then translate_exn t ~write:false ~priv:!spriv vaddr
+           else vaddr
+         in
+         if paddr >= mmio_base then
+           raise (Stop_exec (Mmio_read { paddr; reg = rd }))
+         else if not (Memory.in_range memory paddr) then
+           raise (fault_load paddr)
+         else begin
+           if rd <> 0 then regs.(rd) <- Memory.read_fast memory paddr;
+           t.pc_ <- pc + 1
+         end
        | Isa.St (rv, rb, off) ->
          let vaddr = Word.add regs.(rb) (Word.of_signed off) in
-         if not !smmu then
-           if vaddr >= mmio_base then
-             raise (Stop_exec (Mmio_write { paddr = vaddr; value = regs.(rv) }))
-           else if not (Memory.in_range memory vaddr) then
-             raise (fault_store vaddr)
-           else begin
-             Memory.write memory vaddr regs.(rv);
-             t.pc_ <- pc + 1
-           end
-         else (
-           match translate t ~write:true vaddr with
-           | Error st -> raise (Stop_exec st)
-           | Ok paddr ->
-             if paddr >= mmio_base then
-               raise (Stop_exec (Mmio_write { paddr; value = regs.(rv) }))
-             else if not (Memory.in_range memory paddr) then
-               raise (fault_store paddr)
-             else begin
-               Memory.write memory paddr regs.(rv);
-               t.pc_ <- pc + 1
-             end)
+         let paddr =
+           if !smmu then translate_exn t ~write:true ~priv:!spriv vaddr
+           else vaddr
+         in
+         if paddr >= mmio_base then
+           raise (Stop_exec (Mmio_write { paddr; value = regs.(rv) }))
+         else if not (Memory.in_range memory paddr) then
+           raise (fault_store paddr)
+         else begin
+           Memory.write_fast memory paddr regs.(rv);
+           t.pc_ <- pc + 1
+         end
        | Isa.Br (c, r1, r2, tgt) ->
          if cond_holds c regs.(r1) regs.(r2) then t.pc_ <- tgt
          else t.pc_ <- pc + 1
@@ -833,14 +883,21 @@ let run t ~fuel =
             address carries the privilege level in its two low bits *)
          if rd <> 0 then regs.(rd) <- Word.mask (((pc + 1) lsl 2) lor !spriv);
          t.pc_ <- tgt
-       | Isa.Jr rs -> t.pc_ <- regs.(rs) lsr 2
+       | Isa.Jr rs ->
+         t.pc_ <- regs.(rs) lsr 2;
+         (* a computed target may lie inside the current block, which
+            [Cfg] does not see as a leader: end the window here so the
+            next pc closes it, whatever that pc is *)
+         (match vd with None -> () | Some v -> v.v_skip_until <- 0)
        | Isa.Probe rd ->
          if rd <> 0 then regs.(rd) <- !spriv;
          t.pc_ <- pc + 1
        | Isa.Halt -> raise (Stop_exec Stop_halt)
        | Isa.Wfi ->
          (* Completes (counts against the recovery counter), then
-            relinquishes the processor. *)
+            relinquishes the processor — without post-validation, so a
+            deferred window is credited only up to it. *)
+         (match vd with None -> () | Some v -> close_window v !executed);
          t.pc_ <- pc + 1;
          incr executed;
          (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
@@ -871,13 +928,17 @@ let run t ~fuel =
              set_cr t Isa.Cr_status (cr t Isa.Cr_istatus);
              t.pc_ <- cr t Isa.Cr_epc
            | _ -> assert false);
+           (* closes any deferred window before this instruction, which
+              the completion point below then credits on its own *)
            refresh_status ()
          end);
        (* every arm that does not complete the instruction raises, so
           falling through here means one more completed instruction *)
        incr executed;
        (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
-       (match vd with None -> () | Some v -> validate_post v pc);
+       (match vd with
+       | Some v when v.v_open_at < 0 -> credit v pc 1
+       | _ -> ());
        if !executed = !expire_at then begin
          stop_reason := Recovery;
          raise (Stop_exec Recovery)
@@ -904,6 +965,7 @@ let run t ~fuel =
                 static address bound was wrong";
            }
        | _ -> st));
+  (match vd with None -> () | Some v -> close_window v !executed);
   sync_rc ();
   t.retired <- t.retired + !executed;
   { executed = !executed; stop = !stop_reason }

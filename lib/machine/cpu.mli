@@ -163,8 +163,12 @@ val install_validator :
     [blk_end] maps each address to the exclusive end of its basic
     block; when given, the per-instruction pre-dispatch checks hoist
     into one per-block check that certifies a skip window over the
-    block's straight-line run (its cost is [validator_overhead] in
-    BENCH_core.json).  Without it every window is a singleton and
+    block's straight-line run, and a window whose completions cannot
+    trip a region or loop bound is credited once, when it closes (the
+    cost is [validator_overhead] in BENCH_core.json).  That is exact
+    only if region and loop ids are uniform per block and every
+    region head and loop header is a block leader, as the manifest's
+    tables are.  Without [blk_end] every window is a singleton and
     checking is exactly per-instruction.
 
     [origin] names what the tables were built from; only a validator

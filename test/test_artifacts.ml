@@ -297,6 +297,31 @@ let test_readme_commands () =
         true (List.mem c listed))
     (List.sort_uniq compare shown)
 
+(* A malformed image and a non-positive epoch length are reported
+   usage errors (exit 124), never an uncaught exception (exit 125). *)
+let test_malformed_inputs d =
+  let image name text =
+    let path = Filename.concat d name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let short = image "short.img" "HFT1 2\n0000000000000000\n" in
+  let garbled = image "garbled.img" "HFT1 1\nzzzz\n" in
+  List.iter
+    (fun args ->
+      let code, out = output args in
+      if code <> 124 then
+        Alcotest.failf "%s exited %d, not 124:\n%s" (String.concat " " args)
+          code out)
+    [
+      [ "lint"; "--image"; short ];
+      [ "lint"; "--image"; garbled ];
+      [ "profile"; "--image"; short ];
+      [ "profile"; "--image"; garbled ];
+      [ "run"; "-e"; "0" ];
+      [ "chaos"; "-e"; "0" ];
+    ]
+
 let () =
   Alcotest.run "artifacts"
     [
@@ -315,5 +340,7 @@ let () =
             test_workload_names;
           Alcotest.test_case "README commands exist" `Quick
             test_readme_commands;
+          Alcotest.test_case "malformed inputs are usage errors" `Quick
+            (fun () -> with_temp_dir test_malformed_inputs);
         ] );
     ]

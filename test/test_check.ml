@@ -203,6 +203,39 @@ let replay_unknown_scenario () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "replayed an unknown scenario"
 
+(* Out-of-range indices are refused with a message naming the
+   dimension, never silently replayed as a different schedule (the
+   all-defaults root, for roots 99). *)
+let replay_rejects_out_of_range () =
+  let sched roots choices =
+    {
+      Schedule.scenario = "handoff";
+      retransmit = true;
+      ack_wait = true;
+      roots;
+      choices;
+      violation = None;
+    }
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (what, s, mention) ->
+      match Checker.replay s with
+      | Error m ->
+        if not (contains m mention) then
+          Alcotest.failf "%s: %S does not mention %S" what m mention
+      | Ok _ -> Alcotest.failf "%s: replayed" what)
+    [
+      ("roots 99", sched [ 99; 99; 99; 99; 99 ] [], "crash_epochs");
+      ("six roots", sched [ 0; 0; 0; 0; 0; 0 ] [], "6 roots");
+      ("negative root", sched [ 0; -1 ] [], "backup_crash_epochs");
+      ("negative choice", sched [ 0 ] [ 0; -2 ], "choice 1");
+    ]
+
 let () =
   let open Alcotest in
   run "hft_check"
@@ -235,5 +268,7 @@ let () =
           test_case "directory or missing file rejected" `Quick
             load_rejects_unreadable;
           test_case "unknown scenario rejected" `Quick replay_unknown_scenario;
+          test_case "out-of-range roots and choices rejected" `Quick
+            replay_rejects_out_of_range;
         ] );
     ]

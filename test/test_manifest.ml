@@ -587,6 +587,233 @@ let test_validator_amnesty_on_trap () =
   | Cpu.Stop_halt -> ()
   | s -> Alcotest.failf "expected Stop_halt after handler, got %a" Cpu.pp_stop s
 
+(* ---------- per-block crediting: deferred windows are exact ---------- *)
+
+let stop_name s = Format.asprintf "%a" Cpu.pp_stop s
+
+(* Arm two CPUs with the same hand-built tables, one with the block
+   structure and one without it (every window a single instruction,
+   i.e. per-instruction accounting), and run them in the same fuel
+   slices.  MMIO accesses are completed as a hypervisor would: the load
+   gets a fixed value and the pc moves on.  After every slice the two
+   must agree on the stop, the pc, the retired count, the full state
+   hash, the coverage and the observed maxima.  Returns the terminal
+   stop and the observed maxima. *)
+let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
+    ?lbound ~slices () =
+  let n = Array.length code in
+  let det = match det with Some d -> d | None -> Array.make n true in
+  let mask =
+    List.fold_left (fun acc r -> if r = 0 then acc else acc lor (1 lsl r)) 0
+  in
+  let uses = Array.map (fun i -> mask (Determinism.uses i)) code in
+  let def =
+    Array.map (fun i -> mask (Option.to_list (Determinism.def i))) code
+  in
+  let arm ?blk_end () =
+    let c = Cpu.create ~code () in
+    Cpu.install_validator c ?blk_end ?loop_of ?lhead ?lbound
+      ~priv_ok:(Array.make n 0xf) ~det ~uses ~def ~region ~rhead ~rbound
+      ~random_tlb:false;
+    c
+  in
+  let blocked = arm ~blk_end () and single = arm () in
+  let rec go k =
+    if k >= 1000 then Alcotest.fail "twins never reached a terminal stop";
+    let fuel = List.nth slices (k mod List.length slices) in
+    let a = Cpu.run blocked ~fuel and b = Cpu.run single ~fuel in
+    let what = Printf.sprintf "slice %d: " k in
+    Alcotest.(check string) (what ^ "stop") (stop_name b.Cpu.stop)
+      (stop_name a.Cpu.stop);
+    Alcotest.(check int) (what ^ "executed") b.Cpu.executed a.Cpu.executed;
+    Alcotest.(check int) (what ^ "pc") (Cpu.pc single) (Cpu.pc blocked);
+    Alcotest.(check int) (what ^ "retired")
+      (Cpu.instructions_retired single)
+      (Cpu.instructions_retired blocked);
+    Alcotest.(check int) (what ^ "state hash")
+      (Cpu.state_hash ~full:true single)
+      (Cpu.state_hash ~full:true blocked);
+    Alcotest.(check (option (pair int int))) (what ^ "coverage")
+      (Cpu.validator_coverage single)
+      (Cpu.validator_coverage blocked);
+    Alcotest.(check (option (pair (array int) (array int))))
+      (what ^ "observed maxima")
+      (Cpu.observed_bounds single)
+      (Cpu.observed_bounds blocked);
+    match a.Cpu.stop with
+    | Cpu.(Stop_halt | Cert_violation _ | Fault _) ->
+      (a.Cpu.stop, Option.get (Cpu.observed_bounds blocked))
+    | Cpu.Mmio_read { reg; _ } ->
+      List.iter
+        (fun c ->
+          Cpu.set_reg c reg 7;
+          Cpu.advance_pc c)
+        [ blocked; single ];
+      go (k + 1)
+    | Cpu.Mmio_write _ ->
+      Cpu.advance_pc blocked;
+      Cpu.advance_pc single;
+      go (k + 1)
+    | _ -> go (k + 1)
+  in
+  go 0
+
+(* blocks [0,2) and [2,6); [2,6) loops back to itself *)
+let twin_loop_code =
+  Isa.
+    [|
+      Ldi (1, 1);
+      Ldi (2, 0);
+      Alu (Add, 2, 2, 1);
+      Alui (Add, 3, 2, 1);
+      Alu (Xor, 4, 3, 2);
+      Jmp 2;
+    |]
+
+let twin_loop_blk_end = [| 2; 2; 6; 6; 6; 6 |]
+
+let expect_violation what (stop, _) ~addr ~msg =
+  match stop with
+  | Cpu.Cert_violation v ->
+    Alcotest.(check int) (what ^ " address") addr v.addr;
+    Alcotest.(check bool) (what ^ " message") true (contains v.msg msg)
+  | s -> Alcotest.failf "expected Cert_violation, got %a" Cpu.pp_stop s
+
+let test_deferred_region_bound () =
+  (* the first pass through [2,6) is deferred (2 + 4 <= 8); the second
+     would overrun, so it is credited per instruction and trips at its
+     third instruction, exactly where per-instruction accounting does *)
+  let r =
+    run_twins ~code:twin_loop_code ~blk_end:twin_loop_blk_end
+      ~region:(Array.make 6 0) ~rhead:[| 0 |] ~rbound:[| 8 |] ~slices:[ 100 ]
+      ()
+  in
+  expect_violation "region bound" r ~addr:4
+    ~msg:"9 instructions inside a superblock bounded at 8"
+
+let test_deferred_loop_bound () =
+  let r =
+    run_twins ~code:twin_loop_code ~blk_end:twin_loop_blk_end
+      ~region:(Array.make 6 (-1)) ~rhead:[||] ~rbound:[||]
+      ~loop_of:[| -1; -1; 0; 0; 0; 0 |] ~lhead:[| 2 |] ~lbound:[| 3 |]
+      ~slices:[ 100 ] ()
+  in
+  expect_violation "loop bound" r ~addr:2
+    ~msg:"4 iterations of a loop bounded at 3"
+
+let test_deferred_odd_slices () =
+  (* a counted loop over a store, under generous region and loop
+     bounds, in fuel slices that keep ending mid-block *)
+  let code =
+    Isa.
+      [|
+        Ldi (1, 0);
+        Ldi (2, 10);
+        Ldi (3, 0);
+        Alui (Add, 1, 1, 1);
+        Alu (Add, 3, 3, 1);
+        St (3, 0, 100);
+        Br (Ne, 1, 2, 3);
+        Ld (4, 0, 100);
+        Halt;
+      |]
+  in
+  let loop_of = [| -1; -1; -1; 0; 0; 0; 0; -1; -1 |] in
+  List.iter
+    (fun slices ->
+      let stop, (rmax, lmax) =
+        run_twins ~code ~blk_end:[| 3; 3; 3; 7; 7; 7; 7; 9; 9 |]
+          ~region:(Array.make 9 0) ~rhead:[| 0 |] ~rbound:[| 1000 |] ~loop_of
+          ~lhead:[| 3 |] ~lbound:[| 10 |] ~slices ()
+      in
+      Alcotest.(check string) "halts" "halt" (stop_name stop);
+      Alcotest.(check (array int)) "region maximum" [| 44 |] rmax;
+      Alcotest.(check (array int)) "loop maximum" [| 10 |] lmax)
+    [ [ 1; 2; 3; 5; 7; 11 ]; [ 4 ]; [ 1000 ] ]
+
+let test_deferred_mmio_wfi_mfcr () =
+  (* one 10-instruction block (not Deterministic, so the MMIO load is a
+     plain stop) holding an MMIO load, a Wfi, a control-register read
+     (a status refresh) and an MMIO store *)
+  let code =
+    Isa.
+      [|
+        Ldi (1, 0xF0000);
+        Ldi (2, 5);
+        Ld (3, 1, 0);
+        Alu (Add, 4, 3, 2);
+        Wfi;
+        Alui (Add, 6, 4, 4);
+        Mfcr (7, Cr_epc);
+        St (4, 1, 1);
+        Alui (Add, 5, 4, 1);
+        Halt;
+      |]
+  in
+  List.iter
+    (fun slices ->
+      let stop, (rmax, _) =
+        run_twins ~code ~blk_end:(Array.make 10 10) ~det:(Array.make 10 false)
+          ~region:(Array.make 10 0) ~rhead:[| 0 |] ~rbound:[| 100 |] ~slices ()
+      in
+      Alcotest.(check string) "halts" "halt" (stop_name stop);
+      (* the MMIO accesses and the Wfi are not post-validated *)
+      Alcotest.(check (array int)) "region maximum" [| 6 |] rmax)
+    [ [ 100 ]; [ 1; 2 ]; [ 3 ] ]
+
+let test_deferred_self_loop_header () =
+  (* [2,5) branches back to its own head, the loop header: every pass
+     closes the window and counts one header visit *)
+  let code =
+    Isa.
+      [|
+        Ldi (1, 0);
+        Ldi (2, 6);
+        Alui (Add, 1, 1, 1);
+        Alu (Xor, 3, 1, 2);
+        Br (Ne, 1, 2, 2);
+        Halt;
+      |]
+  in
+  List.iter
+    (fun slices ->
+      let stop, (rmax, lmax) =
+        run_twins ~code ~blk_end:[| 2; 2; 5; 5; 5; 6 |]
+          ~region:(Array.make 6 0) ~rhead:[| 0 |] ~rbound:[| 100 |]
+          ~loop_of:[| -1; -1; 0; 0; 0; -1 |] ~lhead:[| 2 |] ~lbound:[| 6 |]
+          ~slices ()
+      in
+      Alcotest.(check string) "halts" "halt" (stop_name stop);
+      Alcotest.(check (array int)) "region maximum" [| 20 |] rmax;
+      Alcotest.(check (array int)) "six header visits" [| 6 |] lmax)
+    [ [ 100 ]; [ 2; 5 ] ]
+
+let test_deferred_jr_into_own_block () =
+  (* block [3,7) ends in a computed jump back to its own second
+     instruction, a target [Cfg] would not make a leader: the window
+     must close at the jump, not keep counting past the block's end *)
+  let code =
+    Isa.
+      [|
+        Ldi (5, 4 lsl 2);
+        Ldi (1, 0);
+        Ldi (2, 0);
+        Alui (Add, 1, 1, 1);
+        Alu (Add, 2, 2, 1);
+        Alui (Add, 3, 2, 1);
+        Jr 5;
+      |]
+  in
+  List.iter
+    (fun slices ->
+      let r =
+        run_twins ~code ~blk_end:[| 3; 3; 3; 7; 7; 7; 7 |]
+          ~region:(Array.make 7 0) ~rhead:[| 0 |] ~rbound:[| 20 |] ~slices ()
+      in
+      expect_violation "region bound" r ~addr:5
+        ~msg:"21 instructions inside a superblock bounded at 20")
+    [ [ 100 ]; [ 5; 7 ]; [ 1 ] ]
+
 (* ---------- image embedding ---------- *)
 
 let test_image_embeds_manifest () =
@@ -690,6 +917,18 @@ let () =
             test_validator_clean_run_covers;
           Alcotest.test_case "amnesty on trap delivery" `Quick
             test_validator_amnesty_on_trap;
+          Alcotest.test_case "deferred window: region bound" `Quick
+            test_deferred_region_bound;
+          Alcotest.test_case "deferred window: loop bound" `Quick
+            test_deferred_loop_bound;
+          Alcotest.test_case "deferred window: odd fuel slices" `Quick
+            test_deferred_odd_slices;
+          Alcotest.test_case "deferred window: MMIO, Wfi, Mfcr" `Quick
+            test_deferred_mmio_wfi_mfcr;
+          Alcotest.test_case "deferred window: self-loop header" `Quick
+            test_deferred_self_loop_header;
+          Alcotest.test_case "deferred window: Jr into its own block" `Quick
+            test_deferred_jr_into_own_block;
           Alcotest.test_case "replicated run validates" `Quick
             test_replicated_run_validates;
         ] );
