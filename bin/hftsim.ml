@@ -925,7 +925,10 @@ let driven_bare ?(profile = false) ~params ~limit workload =
   let b = Bare.create ~params ~workload () in
   if profile then Hft_machine.Cpu.install_profile (Bare.cpu b);
   Bare.init_disk_blocks b;
-  let halted = try ignore (Bare.run ~limit b) ; true with Failure _ -> false in
+  let halted =
+    try ignore (Bare.run ~limit b) ; true
+    with Failure _ | Hft_sim.Engine.Runaway _ -> false
+  in
   (Bare.cpu b, halted)
 
 (* Fold the manifest's basic blocks into the machine-agnostic shape

@@ -172,6 +172,8 @@ let build sc ~variant ?obs ?recycle (roots : int array) =
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
 
+let runaway limit = Printf.sprintf "runaway simulation (event limit %d)" limit
+
 exception Violation_mid of string
 exception Abort of [ `Pruned | `Sleep | `Truncated ]
 exception Cap
@@ -390,9 +392,10 @@ let execute sc ~variant ~reference ~opts ~st ~visited ~spare stack =
       | vs -> R_violation (String.concat "; " vs))
     | exception Violation_mid msg -> R_violation msg
     | exception Abort _ -> R_aborted
+    | exception Engine.Runaway limit -> R_violation (runaway limit)
     | exception Failure msg ->
-      (* includes "no VM completed the workload" and the event budget:
-         a schedule on which nobody finishes is a liveness violation *)
+      (* "no VM completed the workload", like an exhausted event
+         budget, is a liveness violation *)
       R_violation ("run failed: " ^ msg)
   in
   stack := !stack @ List.rev !fresh;
@@ -494,6 +497,7 @@ let run_forced sc ~variant ?reference ?obs ~roots ~choices () =
     | [] -> None
     | vs -> Some (String.concat "; " vs))
   | exception Violation_mid msg -> Some msg
+  | exception Engine.Runaway limit -> Some (runaway limit)
   | exception Failure msg -> Some ("run failed: " ^ msg)
 
 (* ------------------------------------------------------------------ *)

@@ -139,6 +139,8 @@ type t = {
       (* reliable messages that arrived ahead of a gap, held until the
          gap fills (restores sender order over a fair-lossy link) *)
   rtx_queue : rtx_entry Queue.t; (* sent but not yet acknowledged *)
+  mutable rtx_dirty : bool;
+      (* [rtx_queue] changed since [persist] last mirrored it *)
   mutable rtx_timer : Engine.handle option;
   mutable rtx_backoff : int; (* consecutive unanswered fires *)
   mutable ack_wait_start : Time.t;
@@ -308,6 +310,7 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     data_recvd = 0;
     rcv_hold = Hashtbl.create 16;
     rtx_queue = Queue.create ();
+    rtx_dirty = false;
     rtx_timer = None;
     rtx_backoff = 0;
     ack_wait_start = Time.zero;
@@ -431,6 +434,7 @@ and cancel_rtx t =
 and clear_rtx t =
   cancel_rtx t;
   Queue.clear t.rtx_queue;
+  t.rtx_dirty <- true;
   t.rtx_backoff <- 0
 
 (* Timeout before resending the oldest unacknowledged message: the
@@ -519,6 +523,7 @@ and send_msg ?snapshot_bytes ?(up = false) t body =
         r_up = up;
       }
       t.rtx_queue;
+    t.rtx_dirty <- true;
     transmit t ch ?snapshot_bytes ~dseq body;
     arm_rtx t
 
@@ -1355,6 +1360,7 @@ and apply_ack t upto =
       && (Queue.peek t.rtx_queue).r_dseq < t.acked
     do
       let e = Queue.pop t.rtx_queue in
+      t.rtx_dirty <- true;
       emit t (Ev.Msg_acked { dseq = e.r_dseq })
     done;
     (* progress restarts the retransmission clock *)
@@ -1575,7 +1581,10 @@ and persist t =
   rb.rb_data_sent <- t.data_sent;
   rb.rb_acked <- t.acked;
   rb.rb_data_recvd <- t.data_recvd;
-  rb.rb_rtx <- List.of_seq (Queue.to_seq t.rtx_queue)
+  if t.rtx_dirty then begin
+    rb.rb_rtx <- List.of_seq (Queue.to_seq t.rtx_queue);
+    t.rtx_dirty <- false
+  end
 
 (* Every hypervisor-owned event handler enters through this guard.
    Healthy: pat the heartbeat (the out-of-band watchdog's only view of
@@ -1616,6 +1625,7 @@ and scramble t = function
   | C_rtx ->
     (* the in-flight bookkeeping is lost wholesale *)
     Queue.clear t.rtx_queue;
+    t.rtx_dirty <- true;
     t.rtx_backoff <- 0
 
 (* Seed a hypervisor fault.  With [hv_recovery] off this is the
@@ -1712,6 +1722,7 @@ and complete_microreboot t =
     t.data_recvd <- rb.rb_data_recvd;
     Queue.clear t.rtx_queue;
     List.iter (fun e -> Queue.add e t.rtx_queue) rb.rb_rtx;
+    t.rtx_dirty <- true;
     (* 2. volatile state did not survive: stale timer handles are
        cancelled (safe on already-fired events), interrupt-level debt
        is void, and the receive-side reassembly window restarts — its

@@ -44,11 +44,13 @@ type log_entry = {
   content_hash : int;
 }
 
-let hash_content data =
+let hash_content (data : int array) =
   let fnv_prime = 0x100000001b3 in
   let fnv_mask = (1 lsl 62) - 1 in
   let h = ref 0x1ff29ce484222325 in
-  Array.iter (fun w -> h := (!h lxor w) * fnv_prime land fnv_mask) data;
+  for i = 0 to Array.length data - 1 do
+    h := (!h lxor data.(i)) * fnv_prime land fnv_mask
+  done;
   !h
 
 type pending = { p_port : int; p_op : op; p_id : int; p_done : completion -> unit }
@@ -140,7 +142,11 @@ let store t block data =
     | cur -> cur
   in
   t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur;
-  Array.blit data 0 cur 0 t.prm.block_words;
+  (* a typed copy: [Array.blit] into a major-heap block pays a write
+     barrier per word, an [int] store none *)
+  for i = 0 to t.prm.block_words - 1 do
+    cur.(i) <- (data.(i) : int)
+  done;
   t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur
 
 let write_block_now t block data =

@@ -219,8 +219,25 @@ let check_invariants ?(console = `Exact) ~(reference : Bare.outcome) sys
     add "lockstep diverged at %d epoch(s), first at %d" (List.length l) e);
   List.rev !v
 
+(* The previous trial's system, with the params and workload it was
+   built from.  A trial of physically the same ones resets its guest
+   memories instead of allocating two fresh ones; anything else builds
+   fresh.  The slot is emptied before each build and refilled only by
+   a trial that returns, so an exception (from [System.create], or
+   from inside a handler) leaves nothing half-run or half-reset to
+   recycle. *)
+let spare : (Params.t * Hft_guest.Workload.t * System.t) option ref = ref None
+
 let run_trial ?obs cfg ~reference ~index schedule =
-  let sys = System.create ~params:cfg.params ?obs ~workload:cfg.workload () in
+  let recycle =
+    match !spare with
+    | Some (p, w, old) when p == cfg.params && w == cfg.workload -> Some old
+    | _ -> None
+  in
+  spare := None;
+  let sys =
+    System.create ~params:cfg.params ?obs ?recycle ~workload:cfg.workload ()
+  in
   System.install_fault_model sys ~rng:(Rng.create schedule.seed)
     {
       Hft_net.Channel.loss = schedule.loss;
@@ -279,13 +296,24 @@ let run_trial ?obs cfg ~reference ~index schedule =
       recovery_windows = wins;
     }
   in
-  match System.run sys with
-  | exception Failure msg ->
-    finish ~violations:[ "no surviving machine completed: " ^ msg ] ~time:None
-  | o ->
-    finish
-      ~violations:(check_invariants ~reference sys o)
-      ~time:(Some o.System.time)
+  let trial =
+    match System.run sys with
+    | exception Hft_sim.Engine.Runaway limit ->
+      finish
+        ~violations:
+          [ Printf.sprintf "runaway simulation (event limit %d)" limit ]
+        ~time:None
+    | exception Failure msg ->
+      finish
+        ~violations:[ "no surviving machine completed: " ^ msg ]
+        ~time:None
+    | o ->
+      finish
+        ~violations:(check_invariants ~reference sys o)
+        ~time:(Some o.System.time)
+  in
+  spare := Some (cfg.params, cfg.workload, sys);
+  trial
 
 let fails cfg ~reference s =
   (run_trial cfg ~reference ~index:(-1) s).violations <> []

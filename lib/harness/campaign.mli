@@ -130,7 +130,13 @@ val run_trial :
 (** One deterministic trial: build the system, install the schedule's
     fault model and crashes, run, check invariants.  [obs] records the
     trial's typed protocol events (used by [hftsim chaos --exact
-    --trace-out] to emit a timeline for a shrunk reproducer). *)
+    --trace-out] to emit a timeline for a shrunk reproducer).  A run
+    that exhausts the engine's event budget is reported as the
+    violation "runaway simulation (event limit N)".
+
+    The previous trial's machines are recycled ({!System.create}
+    [?recycle]) when its config had physically the same [params] and
+    [workload]; the result is the same as a fresh build's. *)
 
 val shrink :
   ?max_steps:int -> config -> reference:reference -> schedule -> schedule

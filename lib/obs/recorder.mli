@@ -3,14 +3,16 @@
     The simulator's one event stream: once [capacity] entries have
     been recorded the oldest are discarded.  Entries carry an
     {!Event.t}, so spans, histograms and exporters consume them
-    without parsing. *)
+    without parsing.  The ring starts empty and doubles on demand up
+    to [capacity], so a short run pays only for what it records. *)
 
 type entry = { time : Hft_sim.Time.t; source : string; ev : Event.t }
 
 type t
 
 val create : ?capacity:int -> ?dispatch:bool -> ?tap:(entry -> unit) -> unit -> t
-(** Default capacity is 262144 entries.  [dispatch] (default false)
+(** Default capacity is 262144 entries; no slot is allocated until
+    the first emission.  [dispatch] (default false)
     opts into mirroring raw engine dispatches into the ring — useful
     for full timeline dumps, but high-frequency enough to evict the
     protocol events on long runs, so it is off for artifacts.  [tap]
@@ -46,4 +48,7 @@ val dropped : t -> int
     [hftsim validate] warns on it. *)
 
 val clear : t -> unit
+(** Forget every entry and release the ring; the recorder stays usable
+    with the same capacity. *)
+
 val pp : Format.formatter -> t -> unit

@@ -12,7 +12,10 @@ type handle = event
 type choice = { c_time : Time.t; c_seq : int; c_label : string; c_actor : string }
 
 type t = {
-  queue : event Heap.t;
+  mutable queue : event array;
+      (* binary min-heap on (time, seq) over [0, size); the slots past
+         [size] hold [vacant] so popped handlers can be collected *)
+  mutable size : int;
   mutable clock : Time.t;
   mutable next_seq : int;
   mutable dispatched : int;
@@ -26,15 +29,22 @@ type t = {
   mutable observer : (Time.t -> label:string -> actor:string -> unit) option;
 }
 
-exception Stopped
+exception Runaway of int
 
-let compare_event a b =
-  let c = Time.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
+let vacant =
+  {
+    time = Time.zero;
+    seq = -1;
+    label = "";
+    actor = "";
+    fn = ignore;
+    cancelled = true;
+  }
 
 let create () =
   {
-    queue = Heap.create ~cmp:compare_event;
+    queue = [||];
+    size = 0;
     clock = Time.zero;
     next_seq = 0;
     dispatched = 0;
@@ -47,6 +57,87 @@ let create () =
     observer = None;
   }
 
+(* ---------- the event queue ----------
+
+   (time, seq) is a total order (seq is unique), so the pop order is
+   fully determined whatever the array layout.  Sifts move a hole
+   rather than swapping: one write per level. *)
+
+let[@inline] before a b =
+  let ta = (a.time :> int) and tb = (b.time :> int) in
+  ta < tb || (ta = tb && a.seq < b.seq)
+
+let rec sift_up q i ev =
+  if i = 0 then q.(0) <- ev
+  else
+    let p = (i - 1) lsr 1 in
+    let pe = q.(p) in
+    if before ev pe then begin
+      q.(i) <- pe;
+      sift_up q p ev
+    end
+    else q.(i) <- ev
+
+let rec sift_down q n i ev =
+  let l = (2 * i) + 1 in
+  if l >= n then q.(i) <- ev
+  else
+    let r = l + 1 in
+    let c = if r < n && before q.(r) q.(l) then r else l in
+    let ce = q.(c) in
+    if before ce ev then begin
+      q.(i) <- ce;
+      sift_down q n c ev
+    end
+    else q.(i) <- ev
+
+let push t ev =
+  let cap = Array.length t.queue in
+  if t.size = cap then begin
+    let q = Array.make (if cap = 0 then 16 else 2 * cap) vacant in
+    Array.blit t.queue 0 q 0 t.size;
+    t.queue <- q
+  end;
+  t.size <- t.size + 1;
+  sift_up t.queue (t.size - 1) ev
+
+(* Remove the top; the caller has checked [size > 0]. *)
+let pop t =
+  let q = t.queue in
+  let top = q.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let last = q.(n) in
+  q.(n) <- vacant;
+  if n > 0 then sift_down q n 0 last;
+  top
+
+(* Compact the live events to the front and re-heapify, in O(n). *)
+let sweep t =
+  let q = t.queue in
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    let ev = q.(i) in
+    if not ev.cancelled then begin
+      q.(!n) <- ev;
+      incr n
+    end
+  done;
+  Array.fill q !n (t.size - !n) vacant;
+  t.size <- !n;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down q !n i q.(i)
+  done
+
+(* Drop cancelled events from the top: afterwards the queue is empty
+   or its top is live. *)
+let rec skip_cancelled t =
+  if t.size > 0 && t.queue.(0).cancelled then begin
+    ignore (pop t);
+    t.dead <- t.dead - 1;
+    skip_cancelled t
+  end
+
 let now t = t.clock
 
 let at t ?(label = "") ?(actor = "") time fn =
@@ -58,7 +149,8 @@ let at t ?(label = "") ?(actor = "") time fn =
      state) no sooner than [lookahead] after its handler runs *)
   if
     Time.(time < add t.clock t.lookahead)
-    && (not (String.equal t.running ""))
+    && String.length t.running > 0
+    && actor != t.running
     && not (String.equal actor t.running)
   then
     invalid_arg
@@ -68,7 +160,7 @@ let at t ?(label = "") ?(actor = "") time fn =
   let ev = { time; seq = t.next_seq; label; actor; fn; cancelled = false } in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  Heap.push t.queue ev;
+  push t ev;
   ev
 
 let after t ?label ?actor d fn = at t ?label ?actor (Time.add t.clock d) fn
@@ -84,25 +176,16 @@ let cancel t ev =
     t.live <- t.live - 1;
     t.dead <- t.dead + 1;
     if t.dead > 16 && t.dead > t.live then begin
-      Heap.filter_in_place (fun ev -> not ev.cancelled) t.queue;
+      sweep t;
       t.dead <- 0
     end
   end
 
 let is_pending _t ev = not ev.cancelled
 
-let rec skip_cancelled t =
-  match Heap.peek t.queue with
-  | Some ev when ev.cancelled ->
-    ignore (Heap.pop_exn t.queue);
-    t.dead <- t.dead - 1;
-    skip_cancelled t
-  | other -> other
-
 let next_time t =
-  match skip_cancelled t with
-  | Some ev -> Some ev.time
-  | None -> None
+  skip_cancelled t;
+  if t.size = 0 then None else Some t.queue.(0).time
 
 let set_lookahead t l = t.lookahead <- l
 let lookahead t = t.lookahead
@@ -113,24 +196,27 @@ let lookahead t = t.lookahead
    event for [actor] no sooner than [time + lookahead]; a stop
    scheduled now for exactly that instant would fire ahead of it (seq
    order), so the bound stops one nanosecond short.  With no lookahead
-   the bound is [time] itself, which is {!next_time}. *)
+   the bound is [time] itself, which is {!next_time}.  Actor tags are
+   usually the same physical string, so [==] settles most tests. *)
 let horizon t ~actor =
   match t.sched with
   | Some _ -> next_time t
   | None ->
     let reach = max 0 (Time.to_ns t.lookahead - 1) in
+    let q = t.queue in
     let h = ref max_int in
-    Heap.iter
-      (fun ev ->
-        if not ev.cancelled then begin
-          let b =
-            if String.equal ev.actor actor || String.equal ev.actor "" then
-              Time.to_ns ev.time
-            else Time.to_ns ev.time + reach
-          in
-          if b < !h then h := b
-        end)
-      t.queue;
+    for i = 0 to t.size - 1 do
+      let ev = q.(i) in
+      if not ev.cancelled then begin
+        let a = ev.actor in
+        let b =
+          if a == actor || String.length a = 0 || String.equal a actor then
+            (ev.time :> int)
+          else (ev.time :> int) + reach
+        in
+        if b < !h then h := b
+      end
+    done;
     if !h = max_int then None else Some (Time.of_ns !h)
 
 let pending t = t.live
@@ -149,15 +235,15 @@ let pending_fingerprint t =
   let fnv_prime = 0x100000001b3 in
   let mask = (1 lsl 62) - 1 in
   let acc = ref 0x12d6f1e9 in
-  Heap.iter
-    (fun ev ->
-      if not ev.cancelled then
-        let h =
-          Hashtbl.hash
-            (Time.to_ns (Time.diff ev.time t.clock), ev.actor, ev.label)
-        in
-        acc := !acc lxor ((h + 0x9e3779b9) * fnv_prime land mask))
-    t.queue;
+  for i = 0 to t.size - 1 do
+    let ev = t.queue.(i) in
+    if not ev.cancelled then
+      let h =
+        Hashtbl.hash
+          (Time.to_ns (Time.diff ev.time t.clock), ev.actor, ev.label)
+      in
+      acc := !acc lxor ((h + 0x9e3779b9) * fnv_prime land mask)
+  done;
   !acc
 
 let dispatch t ev =
@@ -166,7 +252,7 @@ let dispatch t ev =
   t.live <- t.live - 1;
   t.dispatched <- t.dispatched + 1;
   (match t.observer with
-  | Some f when not (String.equal ev.label "") ->
+  | Some f when String.length ev.label > 0 ->
     f t.clock ~label:ev.label ~actor:ev.actor
   | _ -> ());
   t.running <- ev.actor;
@@ -177,18 +263,19 @@ let dispatch t ev =
    co-enabled events (everything live at the earliest pending instant,
    in scheduling order) is surfaced as a choice and the scheduler picks
    which fires first.  Index 0 reproduces the default seq-order
-   tie-break exactly. *)
-let step_scheduled t f first =
+   tie-break exactly.  The caller has skipped cancelled events. *)
+let step_scheduled t f =
+  let first = t.queue.(0).time in
   let batch = ref [] in
   let rec collect () =
-    match skip_cancelled t with
-    | Some ev when Time.equal ev.time first.time ->
-      batch := Heap.pop_exn t.queue :: !batch;
+    skip_cancelled t;
+    if t.size > 0 && Time.equal t.queue.(0).time first then begin
+      batch := pop t :: !batch;
       collect ()
-    | _ -> ()
+    end
   in
   collect ();
-  (* heap pops at one instant come out in seq order *)
+  (* pops at one instant come out in seq order *)
   let evs = Array.of_list (List.rev !batch) in
   let choices =
     Array.map
@@ -198,46 +285,45 @@ let step_scheduled t f first =
   in
   let idx = f choices in
   let idx = if idx < 0 || idx >= Array.length evs then 0 else idx in
-  Array.iteri (fun i e -> if i <> idx then Heap.push t.queue e) evs;
+  Array.iteri (fun i e -> if i <> idx then push t e) evs;
   dispatch t evs.(idx)
 
+(* Dispatch the top; the caller has skipped cancelled events and
+   checked the queue is not empty. *)
+let step_top t =
+  match t.sched with
+  | None -> dispatch t (pop t)
+  | Some f -> step_scheduled t f
+
 let step t =
-  match skip_cancelled t with
-  | None -> false
-  | Some first ->
-    (match t.sched with
-    | None -> dispatch t (Heap.pop_exn t.queue)
-    | Some f -> step_scheduled t f first);
+  skip_cancelled t;
+  if t.size = 0 then false
+  else begin
+    step_top t;
     true
+  end
 
 let run ?(limit = 200_000_000) t =
   t.stopping <- false;
   t.running <- "";
-  let fired = ref 0 in
-  let rec loop () =
+  let rec loop fired =
     if t.stopping then ()
-    else if !fired >= limit then
-      failwith "Engine.run: event limit exceeded (runaway simulation?)"
-    else if step t then begin
-      incr fired;
-      loop ()
-    end
+    else if fired >= limit then raise (Runaway limit)
+    else if step t then loop (fired + 1)
   in
-  loop ()
+  loop 0
 
 let run_until t deadline =
   t.stopping <- false;
   t.running <- "";
   let rec loop () =
-    if t.stopping then ()
-    else
-      match skip_cancelled t with
-      | Some ev when Time.(ev.time <= deadline) ->
-        (match t.sched with
-        | None -> dispatch t (Heap.pop_exn t.queue)
-        | Some f -> step_scheduled t f ev);
+    if not t.stopping then begin
+      skip_cancelled t;
+      if t.size > 0 && Time.(t.queue.(0).time <= deadline) then begin
+        step_top t;
         loop ()
-      | _ -> ()
+      end
+    end
   in
   loop ();
   if Time.(t.clock < deadline) && not t.stopping then t.clock <- deadline

@@ -1,9 +1,14 @@
 (** Deterministic discrete-event simulation engine.
 
-    The engine owns a virtual clock and a priority queue of events.
-    Events scheduled for the same instant fire in the order they were
-    scheduled (a monotonically increasing sequence number breaks
-    ties), so a simulation run is a pure function of its inputs.
+    The engine owns a virtual clock and a priority queue of events: a
+    private binary heap over an event array, ordered by (time,
+    sequence number) with the comparison inlined.  Events scheduled
+    for the same instant fire in the order they were scheduled (a
+    monotonically increasing sequence number breaks ties), so a
+    simulation run is a pure function of its inputs.  Cancelled events
+    leave the queue lazily, and are swept out in one pass once they
+    outnumber the live ones.  Stepping, skipping cancelled events and
+    scheduling allocate nothing beyond the event itself.
 
     Every component of the fault-tolerance stack — the two simulated
     processors, the disk, the hypervisor-to-hypervisor channels, the
@@ -17,8 +22,9 @@ type handle
     backup's failure-detector timeout, which is cancelled whenever a
     message from the primary arrives). *)
 
-exception Stopped
-(** Raised out of {!run} by {!stop}. *)
+exception Runaway of int
+(** Raised by {!run} when its event limit (the payload) is exhausted:
+    a runaway simulation. *)
 
 val create : unit -> t
 (** A fresh engine with the clock at {!Time.zero}. *)
@@ -136,7 +142,7 @@ val pending_fingerprint : t -> int
 val run : ?limit:int -> t -> unit
 (** Dispatch events until the queue is empty, or [limit] events have
     fired (default: 200 million, a runaway-simulation backstop;
-    exceeding it raises [Failure]). *)
+    exceeding it raises {!Runaway}). *)
 
 val run_until : t -> Time.t -> unit
 (** Dispatch all events scheduled at or before the given time and

@@ -142,6 +142,15 @@ let run_forced_fault_free () =
   | None -> ()
   | Some v -> Alcotest.failf "fault-free schedule violated: %s" v
 
+(* An exhausted event budget is reported as a runaway, with its limit,
+   not as a generic run failure. *)
+let run_forced_runaway () =
+  let sc = { (find_scenario "handoff") with Scenarios.sc_limit = 50 } in
+  Alcotest.(check (option string))
+    "typed runaway" (Some "runaway simulation (event limit 50)")
+    (Checker.run_forced sc ~variant:Scenarios.correct ~roots:[ 0; 0; 0; 0 ]
+       ~choices:[] ())
+
 let schedule_round_trip () =
   let check_rt sched =
     let text = Schedule.to_string sched in
@@ -255,6 +264,8 @@ let () =
             correct_variant_survives;
           test_case "fault-free forced run is clean" `Quick
             run_forced_fault_free;
+          test_case "an exhausted event budget is a runaway" `Quick
+            run_forced_runaway;
         ] );
       ( "counterexamples",
         [

@@ -63,6 +63,53 @@ let recorder_tests =
           (Recorder.enabled (Recorder.create ())));
   ]
 
+(* The ring against a list model: whatever the capacity (one slot, odd,
+   around a power of two), across the on-demand growth steps and the
+   wraparound, before and after a [clear], it keeps the newest
+   [capacity] entries and counts the rest as dropped. *)
+let recorder_model_prop =
+  let capacities = [| 1; 3; 1000; 1024; 1025 |] in
+  let emit_n r ~from n =
+    for i = from to from + n - 1 do
+      Recorder.emit r ~time:(Time.of_ns i) ~source:"p" (Event.Note "x")
+    done
+  in
+  let agrees r ~cap ~from n =
+    let kept = min n cap in
+    List.map (fun (e : Recorder.entry) -> Time.to_ns e.Recorder.time)
+      (Recorder.entries r)
+    = List.init kept (fun k -> from + n - kept + k)
+    && Recorder.length r = kept
+    && Recorder.total_recorded r = n
+    && Recorder.dropped r = n - kept
+  in
+  (* half the counts sit on a boundary: a growth step, a capacity or
+     twice one, give or take one *)
+  let count =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 0 2100;
+          map2 ( + )
+            (oneofl
+               [ 1; 3; 16; 32; 64; 256; 512; 1000; 1024; 1025; 2000; 2048; 2050 ])
+            (int_range (-1) 1);
+        ])
+  in
+  QCheck.Test.make ~name:"ring matches a list model" ~count:300
+    QCheck.(
+      make ~print:Print.(triple int int int)
+        Gen.(triple (int_bound 4) count count))
+    (fun (c, n1, n2) ->
+      let cap = capacities.(c) in
+      let r = Recorder.create ~capacity:cap () in
+      emit_n r ~from:0 n1;
+      let first = agrees r ~cap ~from:0 n1 in
+      Recorder.clear r;
+      let cleared = agrees r ~cap ~from:0 0 in
+      emit_n r ~from:n1 n2;
+      first && cleared && agrees r ~cap ~from:n1 n2)
+
 (* ---------- ring wraparound drop accounting ---------- *)
 
 let dropped_tests =
@@ -657,7 +704,9 @@ let json_round_trip_prop =
 let () =
   Alcotest.run "obs"
     [
-      ("recorder", recorder_tests);
+      ( "recorder",
+        recorder_tests @ [ QCheck_alcotest.to_alcotest recorder_model_prop ]
+      );
       ("dropped", dropped_tests);
       ("hist", hist_tests);
       ("hist-merge", hist_merge_tests);

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine, heap, RNG and time. *)
+(* Tests for the discrete-event engine, RNG and time. *)
 
 open Hft_sim
 
@@ -28,90 +28,43 @@ let time_tests =
         check bool "ge" true Time.(Time.of_ns 2 >= Time.of_ns 2));
   ]
 
+(* The engine's event heap, seen through scheduling (push), [next_time]
+   (peek) and dispatch (pop). *)
 let heap_tests =
   let open Alcotest in
+  let schedule e log us =
+    ignore (Engine.at e (Time.of_us us) (fun () -> log := us :: !log))
+  in
   [
     test_case "push/pop sorts" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-        let rec drain acc =
-          match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        check (list int) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain []));
+        let e = Engine.create () in
+        let log = ref [] in
+        List.iter (schedule e log) [ 5; 1; 4; 1; 3; 9; 2 ];
+        Engine.run e;
+        check (list int) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (List.rev !log));
     test_case "peek does not remove" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 2;
-        Heap.push h 1;
-        check (option int) "peek" (Some 1) (Heap.peek h);
-        check int "length" 2 (Heap.length h));
-    test_case "pop_exn on empty raises" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        check_raises "empty" (Invalid_argument "Heap.pop_exn: empty heap")
-          (fun () -> ignore (Heap.pop_exn h)));
-    test_case "clear empties" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 1;
-        Heap.clear h;
-        check bool "empty" true (Heap.is_empty h));
+        let e = Engine.create () in
+        let log = ref [] in
+        List.iter (schedule e log) [ 2; 1 ];
+        check (option int) "peek" (Some 1_000)
+          (Option.map Time.to_ns (Engine.next_time e));
+        check int "pending" 2 (Engine.pending e);
+        check (list int) "nothing fired" [] !log);
   ]
-
-let elements h =
-  let acc = ref [] in
-  Heap.iter (fun x -> acc := x :: !acc) h;
-  List.sort Int.compare !acc
-
-let heap_iter_tests =
-  let open Alcotest in
-  [
-    test_case "iter is complete and non-destructive" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        let l = [ 5; 1; 4; 1; 3; 9; 2 ] in
-        List.iter (Heap.push h) l;
-        check (list int) "every element" (List.sort Int.compare l)
-          (elements h);
-        check int "heap untouched" (List.length l) (Heap.length h);
-        check (option int) "min still poppable" (Some 1) (Heap.pop h));
-    test_case "iter of empty heap visits nothing" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        check (list int) "empty" [] (elements h));
-  ]
-
-let heap_iter_property =
-  let prop l =
-    let h = Heap.create ~cmp:Int.compare in
-    List.iter (Heap.push h) l;
-    elements h = List.sort Int.compare l && Heap.length h = List.length l
-  in
-  QCheck.Test.make ~name:"iter visits the pushed elements" ~count:200
-    QCheck.(list int)
-    prop
 
 let heap_property =
-  let prop l =
-    let h = Heap.create ~cmp:Int.compare in
-    List.iter (Heap.push h) l;
-    let rec drain acc =
-      match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-    in
-    drain [] = List.sort Int.compare l
-  in
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
-    prop
-
-let heap_filter_property =
-  let prop l =
-    let h = Heap.create ~cmp:Int.compare in
-    List.iter (Heap.push h) l;
-    Heap.filter_in_place (fun x -> x mod 3 <> 0) h;
-    let rec drain acc =
-      match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-    in
-    drain [] = List.sort Int.compare (List.filter (fun x -> x mod 3 <> 0) l)
-  in
-  QCheck.Test.make ~name:"filter_in_place keeps a heap" ~count:200
-    QCheck.(list int)
-    prop
+    QCheck.(list small_nat)
+    (fun l ->
+      let e = Engine.create () in
+      let log = ref [] in
+      List.iteri
+        (fun i us ->
+          ignore
+            (Engine.at e (Time.of_us us) (fun () -> log := (us, i) :: !log)))
+        l;
+      Engine.run e;
+      List.rev !log = List.sort compare (List.mapi (fun i us -> (us, i)) l))
 
 let rng_tests =
   let open Alcotest in
@@ -243,14 +196,66 @@ let engine_tests =
           ignore (Engine.after e (Time.of_us 1) (fun () -> forever ()))
         in
         forever ();
-        let raised =
-          try
-            Engine.run ~limit:100 e;
-            false
-          with Failure _ -> true
-        in
-        check bool "limited" true raised);
+        check_raises "limited" (Engine.Runaway 100) (fun () ->
+            Engine.run ~limit:100 e));
   ]
+
+(* The queue's order contract, against a list model: random top-level
+   events, most of them cancelled (so the sweep of dead events runs),
+   whose handlers schedule further events and cancel arbitrary ones.
+   Dispatch order must be the never-cancelled events sorted by time,
+   then by scheduling order. *)
+let engine_order_property =
+  let prop ops =
+    let e = Engine.create () in
+    let handles = Hashtbl.create 64 (* id -> handle, time *) in
+    let fired = Hashtbl.create 64 and cancelled = Hashtbl.create 64 in
+    let next_id = ref 0 and log = ref [] in
+    let kill id =
+      if not (Hashtbl.mem fired id) then begin
+        Hashtbl.replace cancelled id ();
+        Engine.cancel e (fst (Hashtbl.find handles id))
+      end
+    in
+    let rec schedule time children =
+      let id = !next_id in
+      incr next_id;
+      let h =
+        Engine.at e time (fun () ->
+            Hashtbl.replace fired id ();
+            log := id :: !log;
+            List.iter
+              (fun (dt, victim) ->
+                ignore
+                  (schedule (Time.add (Engine.now e) (Time.of_us dt)) []);
+                kill (victim mod !next_id))
+              children)
+      in
+      Hashtbl.replace handles id (h, Time.to_ns time);
+      id
+    in
+    let ids =
+      List.map (fun (t, _, children) -> schedule (Time.of_us t) children) ops
+    in
+    List.iter2 (fun id (_, c, _) -> if c > 0 then kill id) ids ops;
+    Engine.run e;
+    let expected =
+      Hashtbl.fold
+        (fun id (_, t) acc ->
+          if Hashtbl.mem cancelled id then acc else (t, id) :: acc)
+        handles []
+      |> List.sort compare |> List.map snd
+    in
+    List.rev !log = expected && Engine.pending e = 0
+  in
+  QCheck.Test.make ~name:"dispatch order is (time, scheduling order)"
+    ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 20 80)
+        (triple (int_range 0 30) (int_range 0 2)
+           (small_list (pair (int_range 0 5) small_nat))))
+    prop
 
 (* Same-instant ordering under the model checker's scheduler hook:
    whatever index the hook picks, every event fires exactly once at
@@ -520,15 +525,10 @@ let () =
   Alcotest.run "hft_sim"
     [
       ("time", time_tests);
-      ( "heap",
-        heap_tests @ heap_iter_tests
-        @ [
-            QCheck_alcotest.to_alcotest heap_property;
-            QCheck_alcotest.to_alcotest heap_iter_property;
-            QCheck_alcotest.to_alcotest heap_filter_property;
-          ] );
+      ("heap", heap_tests @ [ QCheck_alcotest.to_alcotest heap_property ]);
       ("rng", rng_tests);
-      ("engine", engine_tests);
+      ( "engine",
+        engine_tests @ [ QCheck_alcotest.to_alcotest engine_order_property ] );
       ( "horizon",
         horizon_tests
         @ [ QCheck_alcotest.to_alcotest lookahead_exactness_property ] );
