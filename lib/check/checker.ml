@@ -191,49 +191,46 @@ let is_primary_role hv =
    down hypervisor: neither may move again until its microreboot ends
    — a hypervisor in the Faulted or Recovering state must do no
    protocol work. *)
-let check_step sys baselines frozen =
-  let nodes = [| System.primary sys; System.backup sys |] in
-  let live_primaries =
-    Array.fold_left
-      (fun n hv ->
-        if Hypervisor.alive hv && is_primary_role hv then n + 1 else n)
-      0 nodes
-  in
-  if live_primaries > 1 then
-    raise (Violation_mid "two live replicas hold a primary role (split brain)");
-  Array.iteri
-    (fun i hv ->
-      let st = Hypervisor.stats hv in
-      if st.Stats.spurious_completions > 0 then
+let live_primary hv = Hypervisor.alive hv && is_primary_role hv
+
+(* Node [i]'s share of [check_step]; allocates only the pair [frozen]
+   records when the node is first seen down. *)
+let check_node baselines frozen i hv =
+  let st = Hypervisor.stats hv in
+  if st.Stats.spurious_completions > 0 then
+    raise
+      (Violation_mid
+         (Printf.sprintf
+            "%s accepted a completion interrupt with no outstanding I/O \
+             (P6/P7: more than one completion for an operation)"
+            (Hypervisor.name hv)));
+  if is_primary_role hv then baselines.(i) <- st.Stats.io_submitted
+  else if Hypervisor.alive hv && st.Stats.io_submitted > baselines.(i) then
+    raise
+      (Violation_mid
+         (Printf.sprintf "%s submitted device I/O while in the backup role"
+            (Hypervisor.name hv)));
+  match Hypervisor.hv_health hv with
+  | Hypervisor.Healthy -> frozen.(i) <- None
+  | _ -> (
+    let epoch = Hypervisor.epoch hv and io = st.Stats.io_submitted in
+    match frozen.(i) with
+    | None -> frozen.(i) <- Some (epoch, io)
+    | Some (epoch0, io0) ->
+      if epoch0 <> epoch || io0 <> io then
         raise
           (Violation_mid
              (Printf.sprintf
-                "%s accepted a completion interrupt with no outstanding I/O \
-                 (P6/P7: more than one completion for an operation)"
-                (Hypervisor.name hv)));
-      if is_primary_role hv then baselines.(i) <- st.Stats.io_submitted
-      else if Hypervisor.alive hv && st.Stats.io_submitted > baselines.(i)
-      then
-        raise
-          (Violation_mid
-             (Printf.sprintf "%s submitted device I/O while in the backup role"
-                (Hypervisor.name hv)));
-      match Hypervisor.hv_health hv with
-      | Hypervisor.Healthy -> frozen.(i) <- None
-      | _ -> (
-        let now = (Hypervisor.epoch hv, st.Stats.io_submitted) in
-        match frozen.(i) with
-        | None -> frozen.(i) <- Some now
-        | Some was ->
-          if was <> now then
-            raise
-              (Violation_mid
-                 (Printf.sprintf
-                    "%s did protocol work (epoch %d->%d, io %d->%d) while \
-                     its hypervisor was down"
-                    (Hypervisor.name hv) (fst was) (fst now) (snd was)
-                    (snd now)))))
-    nodes
+                "%s did protocol work (epoch %d->%d, io %d->%d) while its \
+                 hypervisor was down"
+                (Hypervisor.name hv) epoch0 epoch io0 io)))
+
+let check_step sys baselines frozen =
+  let p = System.primary sys and b = System.backup sys in
+  if live_primary p && live_primary b then
+    raise (Violation_mid "two live replicas hold a primary role (split brain)");
+  check_node baselines frozen 0 p;
+  check_node baselines frozen 1 b
 
 (* End-of-run checks on a completed schedule: the five campaign
    invariants (console relaxed to replayed-overlap when the scenario

@@ -640,12 +640,11 @@ and continue_vm t =
         t.st.Stats.instructions <-
           t.st.Stats.instructions + res.Cpu.executed;
         (* the coverage counters are cumulative over the CPU's
-           lifetime, so overwrite rather than accumulate *)
-        (match Cpu.validator_coverage t.vm with
-        | Some (covered, checked) ->
-          t.st.Stats.certified_instructions <- covered;
-          t.st.Stats.validated_instructions <- checked
-        | None -> ());
+           lifetime, so overwrite rather than accumulate; [create]
+           installs a validator on every hypervisor's CPU *)
+        let cov = Cpu.validator_coverage t.vm in
+        t.st.Stats.certified_instructions <- cov.Cpu.covered;
+        t.st.Stats.validated_instructions <- cov.Cpu.checked;
         (match Cpu.translation t.vm with
         | Some tx ->
           t.st.Stats.blocks_translated <- tx.Translate.translated_blocks;
@@ -1850,7 +1849,12 @@ let outstanding_io t = Queue.length t.outstanding
    so iteration order does not matter. *)
 let fingerprint t =
   let bh x = Hashtbl.hash_param 128 256 x in
-  let xor_tbl f tbl = Hashtbl.fold (fun k v acc -> acc lxor f k v) tbl 0 in
+  (* 0 is xor's identity: an empty table skips the walk of its
+     buckets *)
+  let xor_tbl f tbl =
+    if Hashtbl.length tbl = 0 then 0
+    else Hashtbl.fold (fun k v acc -> acc lxor f k v) tbl 0
+  in
   let bi_list l = List.map (fun { bi; _ } -> bi) l in
   let queue_fold f init q = Queue.fold f init q in
   let rtx =

@@ -116,9 +116,16 @@ let check_block t block =
 let busy t = t.busy_
 let queue_depth t = Queue.length t.queue + if t.busy_ then 1 else 0
 
+(* Blocks are built with [Array.make] and typed stores: [Array.init]
+   and [Array.copy] of a block past the minor-heap limit pay a write
+   barrier per word. *)
 let pristine t block =
-  Array.init t.prm.block_words (fun i ->
-      if t.filled then Hft_machine.Word.mask ((block * 0x01000193) + i) else 0)
+  let data = Array.make t.prm.block_words 0 in
+  if t.filled then
+    for i = 0 to t.prm.block_words - 1 do
+      data.(i) <- Hft_machine.Word.mask ((block * 0x01000193) + i)
+    done;
+  data
 
 let fill t =
   Array.fill t.storage 0 t.prm.blocks [||];
@@ -129,7 +136,10 @@ let read_block_now t block =
   check_block t block;
   match t.storage.(block) with
   | [||] -> pristine t block
-  | data -> Array.copy data
+  | data ->
+    let copy = Array.make t.prm.block_words 0 in
+    Hft_machine.Memory.blit_words data 0 copy 0 t.prm.block_words;
+    copy
 
 let store t block data =
   let cur =
@@ -142,11 +152,7 @@ let store t block data =
     | cur -> cur
   in
   t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur;
-  (* a typed copy: [Array.blit] into a major-heap block pays a write
-     barrier per word, an [int] store none *)
-  for i = 0 to t.prm.block_words - 1 do
-    cur.(i) <- (data.(i) : int)
-  done;
+  Hft_machine.Memory.blit_words data 0 cur 0 t.prm.block_words;
   t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur
 
 let write_block_now t block data =

@@ -169,11 +169,9 @@ let bench_certification ~budget =
         | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
         r.Cpu.executed)
   in
-  let covered, checked =
-    match Cpu.validator_coverage cpu with
-    | Some c -> c
-    | None -> Fmt.failwith "bench: validator not installed"
-  in
+  if not (Cpu.validator_active cpu) then
+    Fmt.failwith "bench: validator not installed";
+  let { Cpu.covered; checked } = Cpu.validator_coverage cpu in
   let coverage =
     if checked = 0 then 0.0 else float_of_int covered /. float_of_int checked
   in

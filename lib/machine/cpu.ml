@@ -34,6 +34,8 @@ type run_result = { executed : int; stop : stop }
 
 type origin = ..
 
+type coverage = { mutable covered : int; mutable checked : int }
+
 (* Runtime certificate validator (the dynamic oracle for the static
    analyzer's compilation manifest).  All per-address tables are
    indexed by code address; region tables by certified-superblock id.
@@ -84,6 +86,20 @@ type validator = {
   mutable v_lcount : int;       (* header visits since entering it *)
   mutable v_covered : int;      (* completed instrs inside certified regions *)
   mutable v_checked : int;      (* completed instrs while validating *)
+  v_cov : coverage;  (* [validator_coverage]'s view of the two *)
+}
+
+(* [run]'s per-burst state that its out-of-line helpers share: the
+   status flags hoisted out of [Cr_status], the executed count the
+   recovery counter was last synchronised at, and the count at which
+   it expires ([max_int] while disabled).  One per CPU, so a burst
+   allocates none of it. *)
+type scratch = {
+  mutable s_priv : int;
+  mutable s_mmu : bool;
+  mutable s_rc : bool;
+  mutable s_rc_base : int;
+  mutable s_expire : int;
 }
 
 type t = {
@@ -116,6 +132,7 @@ type t = {
     (Translate.t * Translate.plan_region list * origin) option;
       (* the recycled predecessor's armed state, already reset, until
          [rearm_validator] / [rearm_translation] claim or drop it *)
+  sc : scratch;
 }
 
 (* The per-run half of a validator: everything [install_validator]
@@ -193,6 +210,9 @@ let create ?(config = default_config) ?recycle ~code () =
       code_hash = None;
       spare_validator = None;
       spare_trans = None;
+      sc =
+        { s_priv = 0; s_mmu = false; s_rc = false; s_rc_base = 0;
+          s_expire = max_int };
     }
   in
   (match recycle with
@@ -308,6 +328,7 @@ let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||])
         v_lcount = 0;
         v_covered = 0;
         v_checked = 0;
+        v_cov = { covered = 0; checked = 0 };
       }
 
 let rearm_validator t same =
@@ -321,10 +342,19 @@ let rearm_validator t same =
 
 let validator_active t = t.validator <> None
 
+(* never written: only a validator's own view is *)
+let no_coverage = { covered = 0; checked = 0 }
+
+(* The counters stay plain fields of the validator, which the hot loop
+   bumps; the view is refreshed on demand, so reading it allocates
+   nothing. *)
 let validator_coverage t =
   match t.validator with
-  | None -> None
-  | Some v -> Some (v.v_covered, v.v_checked)
+  | None -> no_coverage
+  | Some v ->
+    v.v_cov.covered <- v.v_covered;
+    v.v_cov.checked <- v.v_checked;
+    v.v_cov
 
 let observed_bounds t =
   match t.validator with
@@ -693,10 +723,99 @@ let convert_stop : Translate.stop -> stop = function
   | Translate.X_fault_store paddr ->
     Fault (Printf.sprintf "store to bad address 0x%x" paddr)
 
+(* Re-read the status flags into [t.sc] after [Cr_status] may have
+   changed, and restart the recovery counter's accounting at
+   [executed]. *)
+let refresh_status t executed =
+  let s = t.sc in
+  let st = t.crs.(status_index) in
+  s.s_priv <- Isa.status_priv st;
+  s.s_mmu <- Isa.status_mmu_enable st;
+  s.s_rc <- Isa.status_rc_enable st;
+  s.s_rc_base <- executed;
+  s.s_expire <-
+    (if s.s_rc then
+       let v = Word.signed t.crs.(rc_index) in
+       executed + (if v < 0 then 1 else v + 1)
+     else max_int);
+  (* a status change invalidates the validator's skip window: the
+     per-block certificate was checked at the old privilege level *)
+  match t.validator with
+  | None -> ()
+  | Some v ->
+    close_window v executed;
+    v.v_skip_from <- 0;
+    v.v_skip_until <- 0
+
+(* Write the recovery counter back: charge it the instructions
+   completed since [s_rc_base]. *)
+let sync_rc t executed =
+  let s = t.sc in
+  if s.s_rc then begin
+    let ticks = executed - s.s_rc_base in
+    if ticks > 0 then
+      t.crs.(rc_index) <- Word.of_signed (Word.signed t.crs.(rc_index) - ticks);
+    s.s_rc_base <- executed
+  end
+
+(* Enter a translated superblock at [executed] completed instructions:
+   charge the whole head block (and every block chained after it)
+   against a budget that can never overshoot the fuel or the recovery
+   counter, run the closure chain, then fold the results back into the
+   interpreter's accounting.  Returns how many instructions completed,
+   or -1 when the entry prechecks refuse; the caller adds the count and
+   then raises the stop the chain left pending, if any. *)
+let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
+  let s = t.sc in
+  let budget = (if fuel < s.s_expire then fuel else s.s_expire) - executed in
+  if budget < e.Translate.e_cost then begin
+    Translate.note_entry_refused_budget tx;
+    -1
+  end
+  else if e.Translate.e_priv_mask land (1 lsl s.s_priv) = 0 then begin
+    Translate.note_entry_refused_priv tx;
+    -1
+  end
+  else begin
+    (match t.validator with None -> () | Some v -> close_window v executed);
+    let st = tx.Translate.state in
+    st.Translate.x_pc <- epc;
+    st.Translate.x_remaining <- budget;
+    st.Translate.x_smmu <- s.s_mmu;
+    st.Translate.x_spriv <- s.s_priv;
+    st.Translate.x_stop <- None;
+    st.Translate.x_exit <- Translate.exit_budget;
+    e.Translate.e_run ();
+    (* blocks only ever decrement the budget (exits refund the
+       unexecuted tail), so the completed count falls out of it *)
+    let d = budget - st.Translate.x_remaining in
+    t.pc_ <- st.Translate.x_pc;
+    tx.Translate.entries_taken <- tx.Translate.entries_taken + 1;
+    tx.Translate.threaded_instrs <- tx.Translate.threaded_instrs + d;
+    Translate.note_exit tx;
+    (match t.validator with
+    | None -> ()
+    | Some v ->
+      (* threaded instructions count as validated and covered: the
+         entry precheck plus the static certificates stand in for the
+         per-instruction checks.  The written set takes the region's
+         static def mask (an overapproximation that loses dynamic
+         precision, never soundness), and the region bound restarts —
+         consistent with the undercounting stance above. *)
+      v.v_checked <- v.v_checked + d;
+      v.v_covered <- v.v_covered + d;
+      v.v_written <- v.v_written lor e.Translate.e_def;
+      v.v_cur_region <- -1;
+      v.v_cur_loop <- -1;
+      v.v_skip_from <- 0;
+      v.v_skip_until <- 0);
+    d
+  end
+
 (* The hot loop avoids per-instruction work that only rarely matters:
 
    - the status-register flags (privilege, MMU enable, recovery-counter
-     enable) are hoisted into locals and refreshed only when the
+     enable) are hoisted into [t.sc] and refreshed only when the
      privileged arm — the sole in-loop writer of [Cr_status] — runs;
    - the recovery counter is not decremented per instruction; instead
      the instruction count at which it will expire is computed once and
@@ -706,115 +825,26 @@ let convert_stop : Translate.stop -> stop = function
    - loads and stores skip the translation function entirely while the
      MMU is off (translation is the identity there);
    - the validator checks and credits a basic block once where it can
-     ([validate_pre_block]). *)
+     ([validate_pre_block]).
+
+   A burst allocates nothing but its result (and the exception that
+   carries a stop): the helpers are top-level functions over [t.sc]
+   that take the executed count as an argument, so no closure captures
+   [pc] or [executed] and both stay in registers. *)
 let run t ~fuel =
   if fuel <= 0 then invalid_arg "Cpu.run: fuel must be positive";
   let code = t.code in
   let code_len = Array.length code in
   let regs = t.regs in
-  let crs = t.crs in
   let memory = t.memory in
   let mmio_base = t.cfg.mmio_base in
+  let s = t.sc in
   let executed = ref 0 in
-  let spriv = ref 0 and smmu = ref false and src = ref false in
-  let rc_base = ref 0 in
-  let expire_at = ref max_int in
   let vd = t.validator in
   let tr = t.trans in
   let prof = t.prof in
-  let refresh_status () =
-    let s = crs.(status_index) in
-    spriv := Isa.status_priv s;
-    smmu := Isa.status_mmu_enable s;
-    src := Isa.status_rc_enable s;
-    rc_base := !executed;
-    expire_at :=
-      if !src then
-        let v = Word.signed crs.(rc_index) in
-        !executed + (if v < 0 then 1 else v + 1)
-      else max_int;
-    (* a status change invalidates the validator's skip window: the
-       per-block certificate was checked at the old privilege level *)
-    match vd with
-    | None -> ()
-    | Some v ->
-      close_window v !executed;
-      v.v_skip_from <- 0;
-      v.v_skip_until <- 0
-  in
-  let sync_rc () =
-    if !src then begin
-      let ticks = !executed - !rc_base in
-      if ticks > 0 then
-        crs.(rc_index) <- Word.of_signed (Word.signed crs.(rc_index) - ticks);
-      rc_base := !executed
-    end
-  in
-  refresh_status ();
+  refresh_status t 0;
   let stop_reason = ref Fuel in
-  (* Enter a translated superblock: charge the whole head block (and
-     every block chained after it) against a budget that can never
-     overshoot the fuel or the recovery counter, run the closure
-     chain, then fold the results back into the interpreter's
-     accounting.  Returns false — caller falls back to interpreting —
-     when the entry prechecks refuse or no instruction completed. *)
-  let enter_threaded tx (e : Translate.entry) epc =
-    let budget = (if fuel < !expire_at then fuel else !expire_at) - !executed in
-    if budget < e.Translate.e_cost then begin
-      Translate.note_entry_refused_budget tx;
-      false
-    end
-    else if e.Translate.e_priv_mask land (1 lsl !spriv) = 0 then begin
-      Translate.note_entry_refused_priv tx;
-      false
-    end
-    else begin
-      (match vd with None -> () | Some v -> close_window v !executed);
-      let st = tx.Translate.state in
-      st.Translate.x_pc <- epc;
-      st.Translate.x_remaining <- budget;
-      st.Translate.x_smmu <- !smmu;
-      st.Translate.x_spriv <- !spriv;
-      st.Translate.x_stop <- None;
-      st.Translate.x_exit <- Translate.exit_budget;
-      e.Translate.e_run ();
-      (* blocks only ever decrement the budget (exits refund the
-         unexecuted tail), so the completed count falls out of it *)
-      let d = budget - st.Translate.x_remaining in
-      executed := !executed + d;
-      t.pc_ <- st.Translate.x_pc;
-      tx.Translate.entries_taken <- tx.Translate.entries_taken + 1;
-      tx.Translate.threaded_instrs <- tx.Translate.threaded_instrs + d;
-      Translate.note_exit tx;
-      (match vd with
-      | None -> ()
-      | Some v ->
-        (* threaded instructions count as validated and covered: the
-           entry precheck plus the static certificates stand in for
-           the per-instruction checks.  The written set takes the
-           region's static def mask (an overapproximation that loses
-           dynamic precision, never soundness), and the region bound
-           restarts — consistent with the undercounting stance above. *)
-        v.v_checked <- v.v_checked + d;
-        v.v_covered <- v.v_covered + d;
-        v.v_written <- v.v_written lor e.Translate.e_def;
-        v.v_cur_region <- -1;
-        v.v_cur_loop <- -1;
-        v.v_skip_from <- 0;
-        v.v_skip_until <- 0);
-      (* the recovery check precedes any pending memory stop, exactly
-         as the interpreter checks expiry after the last completed
-         instruction before attempting the next one *)
-      if !executed = !expire_at then begin
-        stop_reason := Recovery;
-        raise (Stop_exec Recovery)
-      end;
-      (match st.Translate.x_stop with
-      | Some s -> raise (Stop_exec (convert_stop s))
-      | None -> ());
-      d > 0
-    end
-  in
   (try
      while !executed < fuel do
        let pc = t.pc_ in
@@ -825,7 +855,24 @@ let run t ~fuel =
          | Some tx -> (
            match tx.Translate.entries.(pc) with
            | None -> false
-           | Some e -> enter_threaded tx e pc)
+           | Some e ->
+             let d = enter_threaded t tx e pc ~fuel !executed in
+             if d < 0 then false
+             else begin
+               executed := !executed + d;
+               (* the recovery check precedes any pending memory stop,
+                  exactly as the interpreter checks expiry after the
+                  last completed instruction before attempting the
+                  next one *)
+               if !executed = s.s_expire then begin
+                 stop_reason := Recovery;
+                 raise (Stop_exec Recovery)
+               end;
+               (match tx.Translate.state.Translate.x_stop with
+               | Some st -> raise (Stop_exec (convert_stop st))
+               | None -> ());
+               d > 0
+             end)
        in
        if not threaded then begin
        let instr = Array.unsafe_get code pc in
@@ -833,7 +880,7 @@ let run t ~fuel =
        | None -> ()
        | Some v ->
          if pc > v.v_skip_from && pc < v.v_skip_until then ()
-         else validate_pre_block v pc instr !spriv !executed);
+         else validate_pre_block v pc instr s.s_priv !executed);
        (match instr with
        | Isa.Nop -> t.pc_ <- pc + 1
        | Isa.Ldi (rd, v) ->
@@ -849,7 +896,7 @@ let run t ~fuel =
        | Isa.Ld (rd, rs, off) ->
          let vaddr = Word.add regs.(rs) (Word.of_signed off) in
          let paddr =
-           if !smmu then translate_exn t ~write:false ~priv:!spriv vaddr
+           if s.s_mmu then translate_exn t ~write:false ~priv:s.s_priv vaddr
            else vaddr
          in
          if paddr >= mmio_base then
@@ -863,7 +910,7 @@ let run t ~fuel =
        | Isa.St (rv, rb, off) ->
          let vaddr = Word.add regs.(rb) (Word.of_signed off) in
          let paddr =
-           if !smmu then translate_exn t ~write:true ~priv:!spriv vaddr
+           if s.s_mmu then translate_exn t ~write:true ~priv:s.s_priv vaddr
            else vaddr
          in
          if paddr >= mmio_base then
@@ -881,7 +928,7 @@ let run t ~fuel =
        | Isa.Jal (rd, tgt) ->
          (* branch-and-link privilege quirk (section 3.1): the return
             address carries the privilege level in its two low bits *)
-         if rd <> 0 then regs.(rd) <- Word.mask (((pc + 1) lsl 2) lor !spriv);
+         if rd <> 0 then regs.(rd) <- Word.mask (((pc + 1) lsl 2) lor s.s_priv);
          t.pc_ <- tgt
        | Isa.Jr rs ->
          t.pc_ <- regs.(rs) lsr 2;
@@ -890,7 +937,7 @@ let run t ~fuel =
             next pc closes it, whatever that pc is *)
          (match vd with None -> () | Some v -> v.v_skip_until <- 0)
        | Isa.Probe rd ->
-         if rd <> 0 then regs.(rd) <- !spriv;
+         if rd <> 0 then regs.(rd) <- s.s_priv;
          t.pc_ <- pc + 1
        | Isa.Halt -> raise (Stop_exec Stop_halt)
        | Isa.Wfi ->
@@ -901,18 +948,18 @@ let run t ~fuel =
          t.pc_ <- pc + 1;
          incr executed;
          (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
-         if !executed = !expire_at then stop_reason := Recovery
+         if !executed = s.s_expire then stop_reason := Recovery
          else stop_reason := Stop_wfi;
          raise (Stop_exec !stop_reason)
        | Isa.(Rdtod _ | Rdtmr _ | Wrtmr _ | Out _) as i ->
          raise (Stop_exec (Env i))
        | Isa.Trapc code -> raise (Stop_exec (Syscall code))
        | Isa.(Mfcr _ | Mtcr _ | Tlbw _ | Rfi) as i ->
-         if !spriv <> 0 then raise (Stop_exec (Priv i))
+         if s.s_priv <> 0 then raise (Stop_exec (Priv i))
          else begin
            (* the counter must be architecturally accurate before any
               control-register read or write *)
-           sync_rc ();
+           sync_rc t !executed;
            (match i with
            | Isa.Mfcr (rd, c) ->
              if rd <> 0 then regs.(rd) <- Word.mask (cr t c);
@@ -930,7 +977,7 @@ let run t ~fuel =
            | _ -> assert false);
            (* closes any deferred window before this instruction, which
               the completion point below then credits on its own *)
-           refresh_status ()
+           refresh_status t !executed
          end);
        (* every arm that does not complete the instruction raises, so
           falling through here means one more completed instruction *)
@@ -939,7 +986,7 @@ let run t ~fuel =
        (match vd with
        | Some v when v.v_open_at < 0 -> credit v pc 1
        | _ -> ());
-       if !executed = !expire_at then begin
+       if !executed = s.s_expire then begin
          stop_reason := Recovery;
          raise (Stop_exec Recovery)
        end
@@ -955,7 +1002,7 @@ let run t ~fuel =
           legitimately target the MMIO window. *)
        (match (vd, st) with
        | Some v, Mmio_read _
-         when (not !smmu) && t.pc_ >= 0 && t.pc_ < code_len && v.v_det.(t.pc_)
+         when (not s.s_mmu) && t.pc_ >= 0 && t.pc_ < code_len && v.v_det.(t.pc_)
          ->
          Cert_violation
            {
@@ -966,7 +1013,7 @@ let run t ~fuel =
            }
        | _ -> st));
   (match vd with None -> () | Some v -> close_window v !executed);
-  sync_rc ();
+  sync_rc t !executed;
   t.retired <- t.retired + !executed;
   { executed = !executed; stop = !stop_reason }
 

@@ -127,7 +127,9 @@ val tick_recovery : t -> bool
     privileged instruction).  Returns [true] if the counter expired. *)
 
 val run : t -> fuel:int -> run_result
-(** Execute up to [fuel] instructions.  [fuel] must be positive. *)
+(** Execute up to [fuel] instructions.  [fuel] must be positive.  A
+    burst allocates nothing beyond its result (and the exception that
+    carries a stop internally). *)
 
 val install_validator :
   ?origin:origin ->
@@ -199,10 +201,16 @@ val validator_amnesty : t -> unit
     internally; the hypervisor calls it on {e virtual} trap delivery,
     which enters a trap root without touching the real trap path. *)
 
-val validator_coverage : t -> (int * int) option
-(** [(covered, checked)]: instructions completed inside certified
-    superblocks vs all instructions completed while validating, over
-    the CPU's lifetime.  [None] when no validator is installed. *)
+type coverage = private { mutable covered : int; mutable checked : int }
+(** Instructions completed inside certified superblocks vs all
+    instructions completed while validating, over the CPU's
+    lifetime. *)
+
+val validator_coverage : t -> coverage
+(** The installed validator's counters, without allocating: the
+    validator owns the record and each call refreshes it, so it holds
+    the values of the latest call.  Both are zero when no validator is
+    installed ({!validator_active} tells the cases apart). *)
 
 val observed_bounds : t -> (int array * int array) option
 (** Per-certified-superblock and per-bounded-loop observed maxima, in

@@ -92,7 +92,10 @@ let of_string s =
         (Format_error
            (Printf.sprintf "instruction count mismatch: header %d, found %d"
               count (Array.length words)));
-    let code = Encode.decode_program words in
+    let code =
+      try Encode.decode_program words
+      with Encode.Decode_error msg -> raise (Format_error msg)
+    in
     (* rebuild through the assembler so labels are validated *)
     let by_addr = Hashtbl.create 16 in
     List.iter
@@ -134,7 +137,10 @@ let of_string s =
     (match Hashtbl.find_opt by_addr (Array.length code) with
     | Some names -> List.iter (fun n -> items := Asm.label n :: !items) names
     | None -> ());
-    Asm.assemble (List.rev !items)
+    (* the items come from the image: an assembler error (a duplicate
+       label) is a malformed image *)
+    try Asm.assemble (List.rev !items)
+    with Asm.Error msg -> raise (Format_error msg)
 
 let manifest_of_string s =
   String.split_on_char '\n' s

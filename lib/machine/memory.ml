@@ -165,24 +165,44 @@ let mark_range t ~addr ~len =
     t.clean <- false
   end
 
+(* [Array.blit] for words: typed [int] stores.  The polymorphic
+   runtime copies ([Array.blit], [Array.copy], [Array.sub]) cannot know
+   the elements are immediate, so into a major-heap array they pay a
+   write barrier per word.  Copies forwards: [src] and [dst] must not
+   overlap unless [dst_pos <= src_pos]. *)
+let blit_words (src : int array) src_pos (dst : int array) dst_pos len =
+  if
+    len < 0 || src_pos < 0 || dst_pos < 0
+    || src_pos + len > Array.length src
+    || dst_pos + len > Array.length dst
+  then invalid_arg "Memory.blit_words";
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+  done
+
+let sub_words a pos len =
+  let c = Array.make len 0 in
+  blit_words a pos c 0 len;
+  c
+
 let blit_in t ~addr block =
   let len = Array.length block in
   if addr < 0 || addr + len > Array.length t.words then
     invalid_arg "Memory.blit_in: block out of range";
-  Array.blit block 0 t.words addr len;
+  blit_words block 0 t.words addr len;
   mark_range t ~addr ~len
 
 let blit_out t ~addr ~len =
   if addr < 0 || len < 0 || addr + len > Array.length t.words then
     invalid_arg "Memory.blit_out: block out of range";
-  Array.sub t.words addr len
+  sub_words t.words addr len
 
 let copy t =
   {
-    words = Array.copy t.words;
+    words = sub_words t.words 0 (Array.length t.words);
     page_shift = t.page_shift;
     pages = t.pages;
-    page_digests = Array.copy t.page_digests;
+    page_digests = sub_words t.page_digests 0 t.pages;
     stale = Array.copy t.stale;
     touched = Array.copy t.touched;
     zero_page = t.zero_page;
@@ -198,11 +218,11 @@ let blit_from t ~src =
   if Array.length t.words <> Array.length src.words then
     invalid_arg "Memory.blit_from: size mismatch";
   if t != src then begin
-    Array.blit src.words 0 t.words 0 (Array.length src.words);
+    blit_words src.words 0 t.words 0 (Array.length src.words);
     if t.page_shift = src.page_shift then begin
       (* adopt the source's digest caches so a restore costs no
          re-hashing beyond what the source already owed *)
-      Array.blit src.page_digests 0 t.page_digests 0 t.pages;
+      blit_words src.page_digests 0 t.page_digests 0 t.pages;
       Array.blit src.stale 0 t.stale 0 t.pages;
       Array.blit src.touched 0 t.touched 0 t.pages;
       t.digest_cache <- src.digest_cache;
@@ -224,7 +244,7 @@ let copy_page ~src ~dst p =
   if p < 0 || p >= src.pages then invalid_arg "Memory.copy_page: bad page";
   let lo = p lsl src.page_shift in
   let len = min (1 lsl src.page_shift) (Array.length src.words - lo) in
-  Array.blit src.words lo dst.words lo len;
+  blit_words src.words lo dst.words lo len;
   dst.page_digests.(p) <- src.page_digests.(p);
   dst.stale.(p) <- src.stale.(p);
   dst.touched.(p) <- src.touched.(p);

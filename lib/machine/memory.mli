@@ -60,6 +60,13 @@ val write_fast : t -> int -> Word.t -> unit
     masked 32-bit word (register values are).  Dirty-page tracking is
     identical to {!write}. *)
 
+val blit_words : Word.t array -> int -> Word.t array -> int -> int -> unit
+(** [blit_words src src_pos dst dst_pos len] is [Array.blit] for word
+    arrays, with plain stores where [Array.blit] pays a write barrier
+    per word into a major-heap array.  Copies forwards, so overlapping
+    ranges of one array need [dst_pos <= src_pos].
+    @raise Invalid_argument if a range is out of bounds. *)
+
 val blit_in : t -> addr:int -> Word.t array -> unit
 (** Copy a block of words into memory starting at [addr] (DMA). *)
 

@@ -26,6 +26,9 @@ type t = {
   mutable running : string;
       (* actor of the handler being dispatched, [""] outside one *)
   mutable sched : (choice array -> int) option;
+  mutable batch : event array;
+      (* [step_scheduled]'s same-instant events; slots hold [vacant]
+         outside a collection *)
   mutable observer : (Time.t -> label:string -> actor:string -> unit) option;
 }
 
@@ -54,6 +57,7 @@ let create () =
     lookahead = Time.zero;
     running = "";
     sched = None;
+    batch = [||];
     observer = None;
   }
 
@@ -259,34 +263,46 @@ let dispatch t ev =
   ev.fn ();
   t.running <- ""
 
+let choice_of e =
+  { c_time = e.time; c_seq = e.seq; c_label = e.label; c_actor = e.actor }
+
 (* With a scheduler installed, every dispatch consults it: the set of
    co-enabled events (everything live at the earliest pending instant,
    in scheduling order) is surfaced as a choice and the scheduler picks
    which fires first.  Index 0 reproduces the default seq-order
-   tie-break exactly.  The caller has skipped cancelled events. *)
+   tie-break exactly.  The caller has skipped cancelled events.  The
+   batch is collected in [t.batch], so a step allocates only the
+   choices it hands the scheduler. *)
 let step_scheduled t f =
   let first = t.queue.(0).time in
-  let batch = ref [] in
-  let rec collect () =
-    skip_cancelled t;
-    if t.size > 0 && Time.equal t.queue.(0).time first then begin
-      batch := pop t :: !batch;
-      collect ()
-    end
-  in
-  collect ();
   (* pops at one instant come out in seq order *)
-  let evs = Array.of_list (List.rev !batch) in
-  let choices =
-    Array.map
-      (fun e ->
-        { c_time = e.time; c_seq = e.seq; c_label = e.label; c_actor = e.actor })
-      evs
-  in
+  let n = ref 0 in
+  skip_cancelled t;
+  while t.size > 0 && Time.equal t.queue.(0).time first do
+    let cap = Array.length t.batch in
+    if !n = cap then begin
+      let b = Array.make (if cap = 0 then 8 else 2 * cap) vacant in
+      Array.blit t.batch 0 b 0 cap;
+      t.batch <- b
+    end;
+    t.batch.(!n) <- pop t;
+    incr n;
+    skip_cancelled t
+  done;
+  let n = !n and b = t.batch in
+  let choices = Array.make n (choice_of b.(0)) in
+  for i = 1 to n - 1 do
+    choices.(i) <- choice_of b.(i)
+  done;
   let idx = f choices in
-  let idx = if idx < 0 || idx >= Array.length evs then 0 else idx in
-  Array.iteri (fun i e -> if i <> idx then push t e) evs;
-  dispatch t evs.(idx)
+  let idx = if idx < 0 || idx >= n then 0 else idx in
+  for i = 0 to n - 1 do
+    if i <> idx then push t b.(i)
+  done;
+  let ev = b.(idx) in
+  (* the handler may step the engine again, which reuses the buffer *)
+  Array.fill b 0 n vacant;
+  dispatch t ev
 
 (* Dispatch the top; the caller has skipped cancelled events and
    checked the queue is not empty. *)

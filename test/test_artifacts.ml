@@ -307,6 +307,10 @@ let test_malformed_inputs d =
   in
   let short = image "short.img" "HFT1 2\n0000000000000000\n" in
   let garbled = image "garbled.img" "HFT1 1\nzzzz\n" in
+  let undecodable = image "undecodable.img" "HFT1 1\nffffffffffffffff\n" in
+  let dup_label =
+    image "dup_label.img" "HFT1 1\n0000000000000000\nL a 0\nL a 1\n"
+  in
   List.iter
     (fun args ->
       let code, out = output args in
@@ -318,6 +322,10 @@ let test_malformed_inputs d =
       [ "lint"; "--image"; garbled ];
       [ "profile"; "--image"; short ];
       [ "profile"; "--image"; garbled ];
+      [ "lint"; "--image"; undecodable ];
+      [ "lint"; "--image"; dup_label ];
+      [ "profile"; "--image"; undecodable ];
+      [ "profile"; "--image"; dup_label ];
       [ "run"; "-e"; "0" ];
       [ "chaos"; "-e"; "0" ];
     ]

@@ -39,6 +39,21 @@ let hv_crash_fixpoint () =
   Alcotest.(check int) "no violations" 0 (List.length r.Checker.r_violations);
   Alcotest.(check int) "states pinned" 952 r.Checker.r_stats.Checker.states
 
+(* The checker's fixed cost per transition, pinned as minor-heap words
+   over a whole exploration: a scheduled step, the invariant checks
+   between events and the bursts they dispatch allocate only what the
+   schedule itself needs (events, choices, new frames). *)
+let transition_budget = 140.
+
+let transition_cost () =
+  let before = Gc.minor_words () in
+  let r = explore "handoff" ~variant:Scenarios.correct in
+  let words = Gc.minor_words () -. before in
+  let per = words /. float r.Checker.r_stats.Checker.transitions in
+  if per >= transition_budget then
+    Alcotest.failf "%.1f minor words per transition, budget %.0f" per
+      transition_budget
+
 (* Every scenario's exploration, pinned by all three counts: schedules
    run, frontier states, and scheduler transitions.  A change to the
    protocol, the reductions or the checker's replay shows up here as a
@@ -266,6 +281,10 @@ let () =
             run_forced_fault_free;
           test_case "an exhausted event budget is a runaway" `Quick
             run_forced_runaway;
+          test_case
+            (Printf.sprintf "handoff allocates under %.0f words a transition"
+               transition_budget)
+            `Quick transition_cost;
         ] );
       ( "counterexamples",
         [

@@ -871,6 +871,38 @@ let create_cost_tests =
              backends)
        S.all
 
+(* -------- per-transition cost -------- *)
+
+(* A model-checker transition mostly runs bursts of one or two
+   instructions, so a burst's fixed cost is pinned as minor-heap words:
+   a one-instruction [Cpu.run] on a started hypervisor's CPU allocates
+   its 3-word result and nothing per call besides. *)
+let burst_cost_tests =
+  let module S = Hft_harness.Scenarios in
+  let budget = 8. in
+  [
+    Alcotest.test_case
+      (Printf.sprintf "a one-instruction burst allocates at most %.0f words"
+         budget)
+      `Quick (fun () ->
+        let b = Option.get (S.find "handoff") in
+        let sys = S.instantiate b ~variant:S.correct () in
+        Hypervisor.start (System.primary sys);
+        Hypervisor.start (System.backup sys);
+        for _ = 1 to 50 do
+          ignore (Hft_sim.Engine.step (System.engine sys))
+        done;
+        let cpu = Hypervisor.cpu (System.primary sys) in
+        let before = Gc.minor_words () in
+        let r = Hft_machine.Cpu.run cpu ~fuel:1 in
+        let words = Gc.minor_words () -. before in
+        ignore (Sys.opaque_identity r);
+        Alcotest.(check int) "one instruction" 1 r.Hft_machine.Cpu.executed;
+        if words > budget then
+          Alcotest.failf "Cpu.run ~fuel:1 allocated %.0f minor words, budget %.0f"
+            words budget);
+  ]
+
 (* the node's (epoch, hash) at every boundary, newest first, chained
    in front of the hooks already installed *)
 let record_hashes hv =
@@ -1109,6 +1141,7 @@ let () =
       ("reproducibility", reproducibility_tests);
       ("api-edges", api_edge_tests);
       ("create-cost", create_cost_tests);
+      ("burst-cost", burst_cost_tests);
       ("recycle", recycle_tests);
       ( "lookahead-cpu",
         List.map lookahead_case cpu_workloads @ [ lookahead_regression_test ] );

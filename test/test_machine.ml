@@ -630,6 +630,21 @@ let image_tests =
           with Image.Format_error _ -> true
         in
         check bool "raised" true raised);
+    test_case "undecodable word rejected" `Quick (fun () ->
+        let raised =
+          try ignore (Image.of_string "HFT1 1\nffffffffffffffff\n"); false
+          with Image.Format_error _ -> true
+        in
+        check bool "raised" true raised);
+    test_case "duplicate label rejected" `Quick (fun () ->
+        let raised =
+          try
+            ignore
+              (Image.of_string "HFT1 1\n0000000000000000\nL a 0\nL a 1\n");
+            false
+          with Image.Format_error _ -> true
+        in
+        check bool "raised" true raised);
     test_case "reloaded image can be rewritten (relocations survive)" `Quick
       (fun () ->
         let p = Image.of_string (Image.to_string sample) in
@@ -677,8 +692,9 @@ let memory_tests =
 (* -------- dirty-page tracking and incremental digests -------- *)
 
 (* The incremental digest must be indistinguishable from a from-scratch
-   re-hash after any interleaving of writes, DMA blits, digest reads
-   (which build the page cache), dirty-bit clears, and snapshot/restore
+   re-hash after any interleaving of writes, DMA blits in and out (an
+   outbound blit must read back the model's words), digest reads (which
+   build the page cache), dirty-bit clears, and snapshot/restore
    roundtrips. *)
 let digest_equiv_prop =
   let open QCheck.Gen in
@@ -691,6 +707,7 @@ let digest_equiv_prop =
       [
         (6, map2 (fun a v -> `Write (a, v)) anywhere (int_range 0 1_000_000));
         (2, map2 (fun a len -> `Blit (a, len)) anywhere (int_range 1 64));
+        (1, map2 (fun a len -> `Blit_out (a, len)) anywhere (int_range 1 64));
         (2, return `Digest);
         (1, return `Clear);
         (1, return `Snap);
@@ -726,6 +743,11 @@ let digest_equiv_prop =
             let block = Array.init len (fun i -> Word.mask (a + (i * 37))) in
             Memory.blit_in m ~addr:a block;
             Array.blit block 0 truth a len
+          | `Blit_out (a, len) ->
+            let a = a mod words in
+            let len = min len (words - a) in
+            if Memory.blit_out m ~addr:a ~len <> Array.sub truth a len then
+              ok := false
           | `Digest -> if Memory.digest m <> Memory.full_digest m then ok := false
           | `Clear -> Memory.clear_dirty m
           | `Snap ->

@@ -12,6 +12,14 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+(* the validator's (covered, checked) counters, [None] when none is
+   armed *)
+let coverage c =
+  if Cpu.validator_active c then
+    let { Cpu.covered; checked } = Cpu.validator_coverage c in
+    Some (covered, checked)
+  else None
+
 let named_workloads () =
   let open Hft_guest.Workload in
   [
@@ -194,7 +202,7 @@ let test_rearm_shares_no_run_state () =
     c
   in
   let zero how c =
-    (match Cpu.validator_coverage c with
+    (match coverage c with
     | Some (covered, checked) ->
       Alcotest.(check (pair int int)) (how ^ ": coverage") (0, 0)
         (covered, checked)
@@ -219,7 +227,7 @@ let test_rearm_shares_no_run_state () =
   let rr = Cpu.run r ~fuel:5_000 and rf = Cpu.run f ~fuel:5_000 in
   Alcotest.(check int) "same progress" rf.Cpu.executed rr.Cpu.executed;
   Alcotest.(check (option (pair int int))) "same coverage"
-    (Cpu.validator_coverage f) (Cpu.validator_coverage r);
+    (coverage f) (coverage r);
   Alcotest.(check bool) "same observed bounds" true
     (Cpu.observed_bounds f = Cpu.observed_bounds r)
 
@@ -541,7 +549,7 @@ let test_validator_clean_run_covers () =
   (match (Cpu.run c ~fuel:10).Cpu.stop with
   | Cpu.Stop_halt -> ()
   | s -> Alcotest.failf "expected Stop_halt, got %a" Cpu.pp_stop s);
-  match Cpu.validator_coverage c with
+  match coverage c with
   | Some (covered, checked) ->
     Alcotest.(check int) "three instructions validated" 3 checked;
     Alcotest.(check int) "all of them certified" 3 covered
@@ -634,8 +642,7 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
       (Cpu.state_hash ~full:true single)
       (Cpu.state_hash ~full:true blocked);
     Alcotest.(check (option (pair int int))) (what ^ "coverage")
-      (Cpu.validator_coverage single)
-      (Cpu.validator_coverage blocked);
+      (coverage single) (coverage blocked);
     Alcotest.(check (option (pair (array int) (array int))))
       (what ^ "observed maxima")
       (Cpu.observed_bounds single)
