@@ -980,7 +980,7 @@ let lint_cmd =
   let rewrite_el =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "rewrite" ] ~docv:"EL"
           ~doc:
             "Rewrite the image for object-code editing with this epoch \
@@ -1210,66 +1210,69 @@ let lint_cmd =
   in
   (* A committed manifest-set baseline: certification must not regress
      for any image present in both sets.  New images are fine (they
-     extend the baseline); a disappeared image is a regression. *)
+     extend the baseline); a disappeared image is a regression, and so
+     is a baseline the gate cannot read — a wrong schema, no image
+     array or an unreadable entry would otherwise pass vacuously. *)
+  let manifest_set_schema = "hftsim-manifest-set/1" in
+  let regressed title old m =
+    let check what o n =
+      if n < o then
+        [ Printf.sprintf "%s: %s regressed %d -> %d" title what o n ]
+      else []
+    in
+    let check_ratio what o n =
+      if n < o -. 1e-9 then
+        [ Printf.sprintf "%s: %s regressed %.4f -> %.4f" title what o n ]
+      else []
+    in
+    check "certified blocks" (M.certified_blocks old) (M.certified_blocks m)
+    @ check "certified superblocks"
+        (M.certified_superblocks old)
+        (M.certified_superblocks m)
+    @ check "bounded loops" (M.bounded_loops old) (M.bounded_loops m)
+    @ check_ratio "static coverage" (M.static_coverage old)
+        (M.static_coverage m)
+    @ check_ratio "loop-bound coverage"
+        (M.loop_bound_coverage old)
+        (M.loop_bound_coverage m)
+  in
   let baseline_regressions ~path runs =
+    let bad fmt =
+      Printf.ksprintf (fun s -> [ Printf.sprintf "baseline %s: %s" path s ]) fmt
+    in
+    let entry e =
+      match
+        ( Option.bind (J.member "title" e) J.to_string_opt,
+          Option.map M.of_json (J.member "manifest" e) )
+      with
+      | None, _ -> bad "an image entry has no string title"
+      | Some title, None -> bad "%s: no manifest" title
+      | Some title, Some (Error err) -> bad "%s: %s" title err
+      | Some title, Some (Ok old) -> (
+        match List.find_opt (fun (t, _, _, _, _) -> t = title) runs with
+        | None ->
+          [ Printf.sprintf "%s: present in baseline, not analyzed" title ]
+        | Some (_, _, m, _, _) -> regressed title old m)
+    in
     match J.parse (In_channel.with_open_bin path In_channel.input_all) with
-    | Error e -> [ Printf.sprintf "baseline %s: parse error: %s" path e ]
+    | Error e -> bad "parse error: %s" e
     | Ok j ->
-      let baseline =
-        List.filter_map
-          (fun e ->
-            match
-              ( Option.bind (J.member "title" e) J.to_string_opt,
-                Option.map M.of_json (J.member "manifest" e) )
-            with
-            | Some title, Some (Ok m) -> Some (title, m)
-            | _ -> None)
-          (Option.value ~default:[]
-             (Option.bind (J.member "images" j) J.to_list_opt))
+      let schema =
+        match Option.bind (J.member "schema" j) J.to_string_opt with
+        | Some s when s = manifest_set_schema -> []
+        | Some s -> bad "schema %S, expected %S" s manifest_set_schema
+        | None -> bad "no schema"
       in
-      List.concat_map
-        (fun (title, old) ->
-          match
-            List.find_opt (fun (t, _, _, _, _) -> t = title) runs
-          with
-          | None ->
-            [ Printf.sprintf "%s: present in baseline, not analyzed" title ]
-          | Some (_, _, m, _, _) ->
-            let check what o n =
-              if n < o then
-                [ Printf.sprintf "%s: %s regressed %d -> %d" title what o n ]
-              else []
-            in
-            check "certified blocks" (M.certified_blocks old)
-              (M.certified_blocks m)
-            @ check "certified superblocks"
-                (M.certified_superblocks old)
-                (M.certified_superblocks m)
-            @ check "bounded loops" (M.bounded_loops old)
-                (M.bounded_loops m)
-            @ (if M.static_coverage m < M.static_coverage old -. 1e-9 then
-                 [
-                   Printf.sprintf
-                     "%s: static coverage regressed %.4f -> %.4f" title
-                     (M.static_coverage old) (M.static_coverage m);
-                 ]
-               else [])
-            @
-            if
-              M.loop_bound_coverage m < M.loop_bound_coverage old -. 1e-9
-            then
-              [
-                Printf.sprintf
-                  "%s: loop-bound coverage regressed %.4f -> %.4f" title
-                  (M.loop_bound_coverage old) (M.loop_bound_coverage m);
-              ]
-            else [])
-        baseline
+      schema
+      @
+      match Option.bind (J.member "images" j) J.to_list_opt with
+      | None -> bad "no images array"
+      | Some images -> List.concat_map entry images
   in
   let manifest_set_json runs =
     J.Obj
       [
-        ("schema", J.Str "hftsim-manifest-set/1");
+        ("schema", J.Str manifest_set_schema);
         ( "images",
           J.Arr
             (List.map
@@ -1878,10 +1881,11 @@ let disasm_cmd =
   let rewrite_el =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "rewrite" ] ~docv:"EL"
           ~doc:
-            "Show the image after object-code editing with this epoch              length (section 2.1).")
+            "Show the image after object-code editing with this epoch \
+             length (section 2.1).")
   in
   let save_path =
     Arg.(

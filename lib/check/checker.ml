@@ -39,6 +39,7 @@
 
 open Hft_core
 module Engine = Hft_sim.Engine
+module Fnv = Hft_sim.Fnv
 module Scenarios = Hft_harness.Scenarios
 module Campaign = Hft_harness.Campaign
 
@@ -299,7 +300,7 @@ let execute sc ~variant ~reference ~opts ~st ~visited ~spare stack =
   (* identical system states reached under different installed crash /
      loss plans must not merge: mix the root assignment into every
      fingerprint *)
-  let root_mix = Hashtbl.hash (Array.to_list roots) in
+  let root_mix = Array.fold_left Fnv.int Fnv.basis roots in
   (* this run's system is finished before the next [execute] builds
      from it: every schedule after the first reuses the same pair of
      guest memories *)
@@ -329,7 +330,7 @@ let execute sc ~variant ~reference ~opts ~st ~visited ~spare stack =
         | _ -> ());
         let fp =
           if opts.fingerprints then
-            Some (Hashtbl.hash (root_mix, System.fingerprint sys))
+            Some (Fnv.int root_mix (System.fingerprint sys))
           else None
         in
         (match fp with

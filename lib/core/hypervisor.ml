@@ -215,13 +215,8 @@ let stamp t bi ~epoch =
        });
   { bi; since = Engine.now t.engine; obs_id = id }
 
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
-
 let vm_state_hash t =
-  let h = ref (Cpu.state_hash ~include_tlb:false t.vm) in
-  Array.iter (fun v -> h := (!h lxor v) * fnv_prime land fnv_mask) t.vcrs;
-  !h
+  Array.fold_left Fnv.int (Cpu.state_hash ~include_tlb:false t.vm) t.vcrs
 
 (* The analysis knobs [params] selects: rewritten, random TLB, MMIO
    base. *)
@@ -1842,70 +1837,65 @@ let start t =
 
 let outstanding_io t = Queue.length t.outstanding
 
-(* Canonical digest of the protocol state.  Arrival stamps ([since],
-   [ack_wait_start], [halt_time_]) are deliberately excluded: they
-   feed timing statistics, not behaviour, and including them would
-   split states that cannot diverge.  Hash tables are folded with xor
-   so iteration order does not matter. *)
+(* Canonical digest of the protocol state, mixed field by field with
+   [Fnv].  Arrival stamps ([since], [ack_wait_start], [halt_time_])
+   are deliberately excluded: they feed timing statistics, not
+   behaviour, and including them would split states that cannot
+   diverge.  Message bodies and relayed completions go through
+   [Message]'s one body hasher. *)
 let fingerprint t =
-  let bh x = Hashtbl.hash_param 128 256 x in
-  (* 0 is xor's identity: an empty table skips the walk of its
-     buckets *)
-  let xor_tbl f tbl =
-    if Hashtbl.length tbl = 0 then 0
-    else Hashtbl.fold (fun k v acc -> acc lxor f k v) tbl 0
+  let mix = Fnv.int and flag = Fnv.bool in
+  let stamped h { bi; _ } =
+    match bi with
+    | Bi_timer -> mix h 0
+    | Bi_disk c -> Message.completion_digest (mix h 1) c
   in
-  let bi_list l = List.map (fun { bi; _ } -> bi) l in
-  let queue_fold f init q = Queue.fold f init q in
-  let rtx =
-    queue_fold
-      (fun acc e -> bh (acc, e.r_dseq, e.r_body, e.r_up))
-      0x7a11 t.rtx_queue
-  in
-  let outs =
-    queue_fold (fun acc r -> bh (acc, r.cmd, r.block, r.dma)) 0x0dd t.outstanding
-  in
-  let blocked =
+  let io h r = mix (mix (mix h r.cmd) r.block) r.dma in
+  let body h dseq b = Message.body_checksum (mix h dseq) b in
+  let rtx h e = flag (body h e.r_dseq e.r_body) e.r_up in
+  let role = match t.role_ with Primary -> 0 | Backup -> 1 | Promoted -> 2 in
+  let h = mix (vm_state_hash t) role in
+  let h = flag (flag (flag h t.alive_) t.peer_alive) t.halted_ in
+  let h =
     match t.blocked with
-    | Not_blocked -> 0
-    | B_acks { upto; resume } ->
-      bh (1, upto, match resume with R_boundary -> None | R_io r -> Some r)
-    | B_tme -> 2
-    | B_end -> 3
-    | B_env -> 4
-    | B_snapshot -> 5
+    | Not_blocked -> mix h 0
+    | B_acks { upto; resume = R_boundary } -> mix (mix h 1) upto
+    | B_acks { upto; resume = R_io r } -> io (mix (mix h 2) upto) r
+    | B_tme -> mix h 3
+    | B_end -> mix h 4
+    | B_env -> mix h 5
+    | B_snapshot -> mix h 6
   in
-  let h = vm_state_hash t in
-  let h = bh (h, t.role_, t.alive_, t.peer_alive, t.halted_, blocked) in
-  let h = bh (h, t.epoch_, t.relay_epoch, t.env_idx, t.failover_notice) in
+  let h = mix (mix (mix h t.epoch_) t.relay_epoch) t.env_idx in
   let h =
-    bh (h, t.send_seq, t.data_sent, t.acked, t.data_recvd, t.rtx_backoff, rtx)
+    match t.failover_notice with None -> mix h 0 | Some e -> mix (mix h 1) e
   in
-  let h = bh (h, xor_tbl (fun d body -> bh (d, body)) t.rcv_hold) in
-  let h = bh (h, bi_list t.buffered_current, bi_list t.pending_delivery) in
+  let h = mix (mix (mix (mix h t.send_seq) t.data_sent) t.acked) t.data_recvd in
+  let h = Fnv.queue rtx (mix h t.rtx_backoff) t.rtx_queue in
+  let h = Fnv.table body h t.rcv_hold in
+  let h = Fnv.list stamped h t.buffered_current in
+  let h = Fnv.list stamped h t.pending_delivery in
   let h =
-    bh (h, xor_tbl (fun e r -> bh (e, bi_list !r)) t.buffered_by_epoch)
+    Fnv.table (fun h e r -> Fnv.list stamped (mix h e) !r) h t.buffered_by_epoch
   in
-  let h = bh (h, xor_tbl (fun k v -> bh (k, v)) t.env_vals) in
-  let h = bh (h, xor_tbl (fun e tv -> bh (e, tv)) t.tmes) in
-  let h = bh (h, xor_tbl (fun e () -> bh e) t.ends) in
-  let h = bh (h, outs, t.vtimer_deadline_us, t.vtod_us, t.vtod_offset_us) in
-  let h = bh (h, t.boundary_tod, Time.to_ns t.debt) in
+  let h = Fnv.table (fun h (e, i) v -> mix (mix (mix h e) i) v) h t.env_vals in
+  let h = Fnv.table (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h t.tmes in
+  let h = Fnv.table (fun h e () -> mix h e) h t.ends in
+  let h = Fnv.queue io h t.outstanding in
+  let h = mix (mix (mix h t.vtimer_deadline_us) t.vtod_us) t.vtod_offset_us in
+  let h = mix (mix h t.boundary_tod) (Time.to_ns t.debt) in
   let h =
-    bh
-      ( h,
-        t.reintegrate_requested,
-        (match t.snapshot_box with None -> -1 | Some s -> s.s_epoch),
-        t.detector <> None,
-        t.rtx_timer <> None )
+    mix (flag h t.reintegrate_requested)
+      (match t.snapshot_box with None -> -1 | Some s -> s.s_epoch)
   in
+  let h = flag (flag h (t.detector <> None)) (t.rtx_timer <> None) in
   (* Recovery state.  The heartbeat is excluded: it is a per-event
      tick (including it would make every path length a distinct
      state); its only observable effect — frozen vs advancing — is
      captured by [health] plus the pending watchdog event.  The
      recovery block's list is summarised by its [dseq]s (the bodies
      are determined by the live queue at persist time). *)
-  let health_code =
+  let health =
     match t.health with
     | Healthy -> 0
     | Recovering -> 1
@@ -1915,15 +1905,9 @@ let fingerprint t =
     | Faulted (Hv_corrupt C_acks) -> 5
     | Faulted (Hv_corrupt C_rtx) -> 6
   in
+  let h = Fnv.list (fun h (l, _) -> Fnv.string h l) (mix h health) t.missed in
   let rb = t.rb in
-  let rb_rtx = List.fold_left (fun acc e -> bh (acc, e.r_dseq)) 0x5ec rb.rb_rtx in
-  let h =
-    bh
-      ( h,
-        health_code,
-        List.map fst t.missed,
-        t.dropped_while_down,
-        ( rb.rb_epoch, rb.rb_relay_epoch, rb.rb_env_idx, rb.rb_send_seq,
-          rb.rb_data_sent, rb.rb_acked, rb.rb_data_recvd, rb_rtx ) )
-  in
-  h
+  let h = mix (mix h t.dropped_while_down) rb.rb_epoch in
+  let h = mix (mix (mix h rb.rb_relay_epoch) rb.rb_env_idx) rb.rb_send_seq in
+  let h = mix (mix (mix h rb.rb_data_sent) rb.rb_acked) rb.rb_data_recvd in
+  Fnv.list (fun h e -> mix h e.r_dseq) h rb.rb_rtx

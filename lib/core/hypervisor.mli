@@ -136,10 +136,13 @@ val outstanding_io : t -> int
     set rules P6/P7 must cover at failover. *)
 
 val fingerprint : t -> int
-(** Canonical digest of the whole node: VM state hash plus every piece
-    of protocol state (role, liveness, blocking, reliable-stream
-    counters and queues, buffered interrupts, forwarded values,
-    virtual clocks).  Timing {e statistics} and arrival stamps are
+(** Canonical 62-bit {!Hft_sim.Fnv} digest of the whole node, mixed
+    field by field: VM state hash plus every piece of protocol state
+    (role, liveness, blocking, reliable-stream counters and queues,
+    held and buffered messages, forwarded values, virtual clocks,
+    recovery state).  Queues and lists mix their length first; hash
+    tables mix the xor of per-entry digests, so their bucket order
+    does not matter.  Timing {e statistics} and arrival stamps are
     excluded, so two runs that reach behaviourally identical states by
     different schedules fingerprint alike.  Used with
     {!Hft_sim.Engine.pending_fingerprint} and the channel/disk

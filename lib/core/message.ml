@@ -19,21 +19,20 @@ type t = { seq : int; dseq : int; checksum : int; body : body }
 (* ---------- checksum ---------- *)
 
 let fnv_offset = 0x3bf29ce484222325
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
+let mix = Hft_sim.Fnv.int
 
-let mix h v = (h lxor (v land fnv_mask)) * fnv_prime land fnv_mask
+let completion_digest h completion =
+  let h = mix h completion.status in
+  match completion.dma with
+  | None -> mix h 0
+  | Some (addr, data) ->
+    let h = mix (mix h addr) (Array.length data) in
+    Array.fold_left mix h data
 
 let body_checksum h body =
   match body with
   | Intr { epoch; completion } ->
-    let h = mix (mix h 1) epoch in
-    let h = mix h completion.status in
-    (match completion.dma with
-    | None -> mix h 0
-    | Some (addr, data) ->
-      let h = mix (mix h addr) (Array.length data) in
-      Array.fold_left mix h data)
+    completion_digest (mix (mix h 1) epoch) completion
   | Env_val { epoch; idx; value } -> mix (mix (mix (mix h 2) epoch) idx) value
   | Tme { epoch; tod_us; timer_deadline_us } ->
     mix (mix (mix (mix h 3) epoch) tod_us) timer_deadline_us
@@ -76,7 +75,7 @@ let corrupt ~flip t =
      the simplest model that is always *detectable* — flipping body
      bits instead would merely reach the same mismatch through the
      other operand of the comparison. *)
-  { t with checksum = t.checksum lxor (flip lor 1) land fnv_mask }
+  { t with checksum = t.checksum lxor (flip lor 1) land Hft_sim.Fnv.mask }
 
 (* ---------- wire size ---------- *)
 

@@ -70,6 +70,14 @@ val make : seq:int -> ?dseq:int -> body -> t
 (** Seal a message: compute its checksum.  [dseq] defaults to [-1]
     (unreliable). *)
 
+val body_checksum : int -> body -> int
+(** [body_checksum h body] mixes every field of [body] into the
+    {!Hft_sim.Fnv} digest [h]: the one body hasher, behind the wire
+    checksum and the model checker's fingerprints alike. *)
+
+val completion_digest : int -> relayed_completion -> int
+(** Its relayed-completion part, for buffered interrupts. *)
+
 val body_kind : body -> string
 (** Short stable tag for observability ("intr", "env", "tme", "end",
     "ack", "snap-offer", "snap-done", "failover", "resync"). *)

@@ -295,24 +295,25 @@ let faults_injected t =
   per t.ch_pb + per t.ch_bp
 
 let fingerprint t =
-  Hashtbl.hash
-    [
-      (* the virtual clock: schedule interleavings merge at the same
-         instant (same-instant dispatches never advance time), while
-         states that differ only by a time shift — e.g. successive
-         rounds of an idle polling loop — must NOT merge, because
-         pending timers fire relative to the absolute clock *)
-      Hft_sim.Time.to_ns (Engine.now t.engine);
-      Hypervisor.fingerprint t.primary_;
-      Hypervisor.fingerprint t.backup_;
-      (match t.backup2_ with Some b2 -> Hypervisor.fingerprint b2 | None -> 0);
-      Channel.fingerprint t.ch_pb;
-      Channel.fingerprint t.ch_bp;
-      Disk.fingerprint t.disk_;
-      Hashtbl.hash (Console.contents t.console_);
-      Engine.pending_fingerprint t.engine;
-      Bool.to_int t.failover_;
-    ]
+  let mix = Fnv.int in
+  (* the virtual clock: schedule interleavings merge at the same
+     instant (same-instant dispatches never advance time), while
+     states that differ only by a time shift — e.g. successive rounds
+     of an idle polling loop — must NOT merge, because pending timers
+     fire relative to the absolute clock *)
+  let h = mix Fnv.basis (Hft_sim.Time.to_ns (Engine.now t.engine)) in
+  let h = mix h (Hypervisor.fingerprint t.primary_) in
+  let h = mix h (Hypervisor.fingerprint t.backup_) in
+  let h =
+    match t.backup2_ with
+    | Some b2 -> mix (mix h 1) (Hypervisor.fingerprint b2)
+    | None -> mix h 0
+  in
+  let h = mix h (Channel.fingerprint t.ch_pb) in
+  let h = mix h (Channel.fingerprint t.ch_bp) in
+  let h = mix h (Disk.fingerprint t.disk_) in
+  let h = Fnv.string h (Console.contents t.console_) in
+  Fnv.bool (mix h (Engine.pending_fingerprint t.engine)) t.failover_
 
 let reintegrate_after_failover t ~delay =
   if t.backup2_ <> None then

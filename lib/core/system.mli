@@ -106,7 +106,8 @@ val faults_injected : t -> int
     the two channels' fault models have injected so far. *)
 
 val fingerprint : t -> int
-(** Canonical digest of the whole system — the virtual clock, both
+(** Canonical 62-bit {!Hft_sim.Fnv} digest of the whole system, mixed
+    field by field from its parts' digests — the virtual clock, both
     hypervisors (VM state and protocol state), the primary/backup
     channel pair, the disk, the console output and the pending event
     set (relative times).  Two interleavings that reach behaviourally

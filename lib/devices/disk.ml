@@ -45,11 +45,9 @@ type log_entry = {
 }
 
 let hash_content (data : int array) =
-  let fnv_prime = 0x100000001b3 in
-  let fnv_mask = (1 lsl 62) - 1 in
   let h = ref 0x1ff29ce484222325 in
   for i = 0 to Array.length data - 1 do
-    h := (!h lxor data.(i)) * fnv_prime land fnv_mask
+    h := Fnv.int !h data.(i)
   done;
   !h
 
@@ -85,7 +83,7 @@ type t = {
 
 (* Position-dependent per-block digest; the whole-storage hash is
    maintained incrementally at each write. *)
-let block_hash b data = Hashtbl.hash (b, hash_content data)
+let block_hash b data = Fnv.int (Fnv.int Fnv.basis b) (hash_content data)
 
 let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
   if prm.blocks <= 0 || prm.block_words <= 0 then
@@ -266,49 +264,33 @@ let drop_port t ~port =
 let storage_hash t = t.storage_hash_
 
 let fingerprint t =
-  let op_digest op =
-    match op with
-    | Read { block } -> Hashtbl.hash (false, block, 0)
-    | Write { block; data } -> Hashtbl.hash (true, block, hash_content data)
+  let mix = Fnv.int and flag = Fnv.bool in
+  let op h = function
+    | Read { block } -> mix (mix h 0) block
+    | Write { block; data } -> mix (mix (mix h 1) block) (hash_content data)
   in
-  let queued =
-    Queue.fold
-      (fun acc p -> Hashtbl.hash (acc, p.p_port, op_digest p.p_op))
-      0x51ab3 t.queue
-  in
+  let status h s = mix h (match s with Ok -> 0 | Uncertain -> 1) in
+  let h = flag (flag (mix Fnv.basis t.storage_hash_) t.filled) t.busy_ in
+  let h = Fnv.queue (fun h p -> op (mix h p.p_port) p.p_op) h t.queue in
   (* Log entries without their seq, op_id and completion times: those
      encode when things happened, not what the environment observed. *)
-  let log =
-    List.fold_left
-      (fun acc e ->
-        Hashtbl.hash
-          (acc, e.port, e.block, e.is_write, e.status, e.performed,
-           e.content_hash))
-      0x9d217 t.log_rev
+  let h =
+    Fnv.list
+      (fun h e ->
+        let h = flag (mix (mix h e.port) e.block) e.is_write in
+        mix (flag (status h e.status) e.performed) e.content_hash)
+      h t.log_rev
   in
   (* Parked completions are protocol-visible state: two global states
      that differ only in what waits in the controller ring must not
-     fingerprint alike.  Xor-folded so hashtable iteration order does
-     not matter. *)
-  let deferred =
-    Hashtbl.fold
-      (fun port parked acc ->
-        let l =
-          List.fold_left
-            (fun a k ->
-              Hashtbl.hash
-                ( a,
-                  op_digest k.k_completion.op,
-                  k.k_completion.status,
-                  k.k_completion.performed ))
-            0x77a1 parked
-        in
-        acc lxor Hashtbl.hash (port, List.length parked, l))
-      t.deferred 0x2f53
-  in
-  Hashtbl.hash
-    ( t.storage_hash_, t.filled, t.busy_, Queue.length t.queue, queued, log,
-      deferred )
+     fingerprint alike. *)
+  Fnv.table
+    (fun h port parked ->
+      Fnv.list
+        (fun h { k_completion = c; _ } ->
+          flag (status (op h c.op) c.status) c.performed)
+        (mix h port) parked)
+    h t.deferred
 
 module Log = struct
   type entry = log_entry = {

@@ -131,11 +131,13 @@ val storage_hash : t -> int
     incrementally: each write re-hashes only the block it touches. *)
 
 val fingerprint : t -> int
-(** Canonical digest of the device state for the model checker:
-    storage contents (as {!storage_hash} plus whether the disk was
-    filled), queued operations, busy flag and the operation log
-    {e minus} its sequence numbers, op ids and completion times (which
-    encode when things happened, not what the environment observed). *)
+(** Canonical 62-bit {!Hft_sim.Fnv} digest of the device state for the
+    model checker, mixed field by field: storage contents (as
+    {!storage_hash} plus whether the disk was filled), busy flag,
+    queued operations, completions parked for a down port, and the
+    operation log {e minus} its sequence numbers, op ids and
+    completion times (which encode when things happened, not what the
+    environment observed). *)
 
 val read_block_now : t -> int -> Hft_machine.Word.t array
 (** Direct storage access for tests; not part of the device interface.

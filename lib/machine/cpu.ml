@@ -1022,12 +1022,9 @@ let deliver_trap ?(badvaddr = 0) t ~cause ~epc =
 
 let instructions_retired t = t.retired
 
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
-
 let state_hash ?(include_tlb = false) ?(full = false) t =
   let h = ref 0x3bf29ce484222325 in
-  let mix v = h := (!h lxor (v land fnv_mask)) * fnv_prime land fnv_mask in
+  let mix v = h := Hft_sim.Fnv.int !h v in
   mix t.pc_;
   Array.iter mix t.regs;
   Array.iter mix t.crs;

@@ -155,15 +155,7 @@ let decode w =
 let encode_program = Array.map encode
 let decode_program = Array.map decode
 
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
-
 let program_hash code =
-  let h = ref 0x2bf29ce484222325 in
-  Array.iter
-    (fun i ->
-      let w = encode i in
-      let lo = Int64.to_int (Int64.logand w 0x3FFF_FFFF_FFFF_FFFFL) in
-      h := (!h lxor lo) * fnv_prime land fnv_mask)
-    code;
-  !h
+  Array.fold_left
+    (fun h i -> Hft_sim.Fnv.int h (Int64.to_int (encode i)))
+    0x2bf29ce484222325 code

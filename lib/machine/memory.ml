@@ -43,8 +43,7 @@ type t = {
 
 let default_page_shift = 10
 
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
+module Fnv = Hft_sim.Fnv
 
 (* distinct bases for the word-level and page-level folds, so a page
    digest can never be mistaken for a fold of page digests *)
@@ -56,7 +55,7 @@ let digest_basis = 0x27d4eb2f165667c5
 let zero_page_digest n =
   let h = ref page_basis in
   for _ = 1 to n do
-    h := !h * fnv_prime land fnv_mask
+    h := Fnv.int !h 0
   done;
   !h
 
@@ -267,14 +266,14 @@ let hash_page t p =
   let words = t.words in
   let h = ref page_basis in
   for i = lo to hi - 1 do
-    h := (!h lxor words.(i)) * fnv_prime land fnv_mask
+    h := Fnv.int !h words.(i)
   done;
   !h
 
 let fold_pages digests pages =
   let h = ref digest_basis in
   for p = 0 to pages - 1 do
-    h := (!h lxor digests.(p)) * fnv_prime land fnv_mask
+    h := Fnv.int !h digests.(p)
   done;
   !h
 
@@ -301,12 +300,10 @@ let digest t =
 let full_digest t =
   let h = ref digest_basis in
   for p = 0 to t.pages - 1 do
-    h := (!h lxor hash_page t p) * fnv_prime land fnv_mask
+    h := Fnv.int !h (hash_page t p)
   done;
   t.pages_hashed <- t.pages_hashed + t.pages;
   !h
-
-let hash_into t seed = (seed lxor digest t) * fnv_prime land fnv_mask
 
 let take_hash_work t =
   let r = (t.pages_hashed, t.pages_skipped) in

@@ -104,10 +104,6 @@ val full_digest : t -> int
     updating) the page-digest cache; the reference implementation the
     incremental path is checked against. *)
 
-val hash_into : t -> int -> int
-(** [hash_into mem seed] folds {!digest} into a running FNV hash; used
-    for lockstep state comparison. *)
-
 val take_hash_work : t -> int * int
 (** [(pages hashed, pages skipped)] by digest computations since the
     last call; resets both counters.  Skipped pages are those whose

@@ -68,12 +68,9 @@ let flush t =
 let entries t =
   Array.to_list t.slots |> List.filter_map (fun e -> e)
 
-let fnv_prime = 0x100000001b3
-let fnv_mask = (1 lsl 62) - 1
-
 let hash_into t seed =
   let h = ref seed in
-  let mix v = h := (!h lxor v) * fnv_prime land fnv_mask in
+  let mix v = h := Hft_sim.Fnv.int !h v in
   Array.iter
     (function
       | None -> mix 0x5ca1ab1e

@@ -176,13 +176,9 @@ let fingerprint t =
     if Time.(t.busy_until_ <= now) then 0
     else Time.to_ns (Time.diff t.busy_until_ now)
   in
-  Hashtbl.hash
-    ( t.sent,
-      t.delivered,
-      t.crashed,
-      t.in_flight_,
-      t.inflight_hash_,
-      busy_left )
+  let mix = Fnv.int in
+  let h = Fnv.bool (mix (mix Fnv.basis t.sent) t.delivered) t.crashed in
+  mix (mix (mix h t.in_flight_) t.inflight_hash_) busy_left
 
 let in_flight t = t.in_flight_
 let messages_sent t = t.sent

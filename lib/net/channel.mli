@@ -120,7 +120,8 @@ val set_hasher : 'msg t -> ('msg -> int) -> unit
     contribute only their count to {!fingerprint}. *)
 
 val fingerprint : 'msg t -> int
-(** Canonical digest of the channel state for the model checker:
-    send/delivery counters, crash flag, in-flight count and multiset
-    hash, and remaining serialization busy time (relative to now, so
-    equal states reached at different instants can still merge). *)
+(** Canonical 62-bit {!Hft_sim.Fnv} digest of the channel state for
+    the model checker, mixed field by field: send/delivery counters,
+    crash flag, in-flight count and multiset hash, and remaining
+    serialization busy time (relative to now, so equal states reached
+    at different instants can still merge). *)

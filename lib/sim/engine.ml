@@ -236,17 +236,12 @@ let set_observer t f = t.observer <- Some f
    and would make otherwise-identical states hash apart.  Used by the
    model checker's state fingerprint. *)
 let pending_fingerprint t =
-  let fnv_prime = 0x100000001b3 in
-  let mask = (1 lsl 62) - 1 in
-  let acc = ref 0x12d6f1e9 in
+  let acc = ref 0 in
   for i = 0 to t.size - 1 do
     let ev = t.queue.(i) in
     if not ev.cancelled then
-      let h =
-        Hashtbl.hash
-          (Time.to_ns (Time.diff ev.time t.clock), ev.actor, ev.label)
-      in
-      acc := !acc lxor ((h + 0x9e3779b9) * fnv_prime land mask)
+      let h = Fnv.int Fnv.basis (Time.to_ns (Time.diff ev.time t.clock)) in
+      acc := !acc lxor Fnv.string (Fnv.string h ev.actor) ev.label
   done;
   !acc
 

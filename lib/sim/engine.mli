@@ -133,11 +133,11 @@ val set_observer : t -> (Time.t -> label:string -> actor:string -> unit) -> unit
     recorder without the engine depending on it. *)
 
 val pending_fingerprint : t -> int
-(** Order-insensitive digest of the live pending events, hashing each
-    as (delay from now, actor, label) — sequence numbers and absolute
-    times are excluded so runs that reach the same state by different
-    interleavings hash alike.  Part of the checker's state
-    fingerprint. *)
+(** Order-insensitive 62-bit digest of the live pending events: the
+    xor of one {!Fnv} digest per event over (delay from now, actor,
+    label).  Sequence numbers and absolute times are excluded so runs
+    that reach the same state by different interleavings hash alike.
+    Part of the checker's state fingerprint. *)
 
 val run : ?limit:int -> t -> unit
 (** Dispatch events until the queue is empty, or [limit] events have

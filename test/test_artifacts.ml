@@ -328,6 +328,55 @@ let test_malformed_inputs d =
       [ "profile"; "--image"; dup_label ];
       [ "run"; "-e"; "0" ];
       [ "chaos"; "-e"; "0" ];
+      [ "lint"; "--rewrite"; "0" ];
+      [ "disasm"; "--rewrite"; "0" ];
+    ]
+
+(* The certification gate reads every entry of its baseline: a baseline
+   it cannot read is a regression, never a vacuous pass.  The intact
+   baseline passes, so the failures below are the damage's doing. *)
+let test_corrupt_baseline d =
+  let baseline = parse_exn "baseline" (read "../MANIFEST_baseline.json") in
+  let entries =
+    match Option.bind (Json.member "images" baseline) Json.to_list_opt with
+    | Some (_ :: _ as l) -> l
+    | _ -> Alcotest.fail "baseline: no images"
+  in
+  (* [set k f v]: object [v] with field [k] replaced by [f] of it *)
+  let set k f = function
+    | Json.Obj kvs ->
+      Json.Obj (List.map (fun (k', v) -> (k', if k = k' then f v else v)) kvs)
+    | v -> v
+  in
+  let with_images images =
+    Json.Obj
+      [
+        ("schema", Json.Str "hftsim-manifest-set/1");
+        ("images", Json.Arr images);
+      ]
+  in
+  let oops = set "manifest" (set "blocks" (fun _ -> Json.Str "oops")) in
+  let numeric_title i e =
+    if i = 0 then set "title" (fun _ -> Json.Num 7.) e else e
+  in
+  let lint path = output [ "lint"; "--all"; "--manifest-baseline"; path ] in
+  (match lint "../MANIFEST_baseline.json" with
+  | 0, _ -> ()
+  | code, out -> Alcotest.failf "intact baseline exited %d:\n%s" code out);
+  List.iter
+    (fun (name, doc) ->
+      let path = Filename.concat d (name ^ ".json") in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Json.to_string doc));
+      let code, out = lint path in
+      if code = 0 then Alcotest.failf "%s baseline passed the gate" name;
+      ignore (after out "regression: baseline "))
+    [
+      ("empty", Json.Obj []);
+      ( "wrong-schema",
+        Json.Obj [ ("schema", Json.Str "x"); ("images", Json.Arr []) ] );
+      ("blocks-oops", with_images (List.map oops entries));
+      ("numeric-title", with_images (List.mapi numeric_title entries));
     ]
 
 let () =
@@ -350,5 +399,7 @@ let () =
             test_readme_commands;
           Alcotest.test_case "malformed inputs are usage errors" `Quick
             (fun () -> with_temp_dir test_malformed_inputs);
+          Alcotest.test_case "a corrupt manifest baseline fails the gate"
+            `Quick (fun () -> with_temp_dir test_corrupt_baseline);
         ] );
     ]

@@ -86,6 +86,75 @@ let counts_pinned () =
       check_pinned ~what:"pinned" (find_scenario name) pin)
     pins
 
+(* Digest soundness at scale: crash-write crossed with one loss on each
+   channel reaches 60 001 distinct states.  The checker prunes on the
+   state digest alone, so a digest narrow enough to collide silently
+   cuts subtrees and still reports a fixpoint (a 30-bit key stopped at
+   58 758).  Kept out of [Scenarios.all], so the pinned five and their
+   fixtures are unaffected. *)
+let crash_write_loss () =
+  let sc =
+    {
+      Scenarios.crash_write with
+      Scenarios.sc_name = "crash-write-loss";
+      sc_loss_pb = [ None; Some 0; Some 1; Some 2; Some 3 ];
+      sc_loss_bp = [ None; Some 0; Some 1; Some 2 ];
+    }
+  in
+  check_pinned ~what:"pinned" sc ("crash-write-loss", 15756, 60001, 3111731)
+
+(* Every table of the backup's protocol state reaches the fingerprint.
+   No pinned count depends on them, so each gets a direct check: a
+   fresh handoff system's backup receives one reliable message that
+   lands in exactly one table, in two versions differing in one field;
+   both the node's and the system's fingerprints must tell them
+   apart. *)
+let tables_fingerprinted () =
+  let module M = Hft_core.Message in
+  let module Layout = Hft_guest.Layout in
+  let sc = find_scenario "handoff" in
+  let fingerprints ~dseq body =
+    let sys =
+      Hft_core.System.create ~params:sc.Scenarios.sc_params
+        ~workload:sc.Scenarios.sc_workload ()
+    in
+    let b = Hft_core.System.backup sys in
+    Hft_core.Hypervisor.on_message b (M.make ~seq:0 ~dseq body);
+    (Hft_core.Hypervisor.fingerprint b, Hft_core.System.fingerprint sys)
+  in
+  let tme tod = M.Tme { epoch = 3; tod_us = tod; timer_deadline_us = -1 } in
+  let intr status =
+    M.Intr { epoch = 1; completion = { M.status; dma = None } }
+  in
+  let blind (table, dseq, a, b) =
+    let node_a, sys_a = fingerprints ~dseq a
+    and node_b, sys_b = fingerprints ~dseq b in
+    List.filter_map Fun.id
+      [
+        (if node_a = node_b then Some (table ^ " (node)") else None);
+        (if sys_a = sys_b then Some (table ^ " (system)") else None);
+      ]
+  in
+  let cases =
+    [
+      ("tmes", 0, tme 100, tme 101);
+      ("ends", 0, M.Epoch_end { epoch = 1 }, M.Epoch_end { epoch = 2 });
+      ( "env_vals",
+        0,
+        M.Env_val { epoch = 1; idx = 0; value = 7 },
+        M.Env_val { epoch = 1; idx = 0; value = 8 } );
+      ( "buffered_by_epoch",
+        0,
+        intr Layout.status_ok,
+        intr Layout.status_uncertain );
+      (* dseq 2 arrives ahead of 0 and 1, so it is held *)
+      ("rcv_hold", 2, tme 100, tme 101);
+    ]
+  in
+  Alcotest.(check (list string))
+    "tables whose two versions fingerprint alike" []
+    (List.concat_map blind cases)
+
 (* Observability neutrality: arming the guest hot-spot profiler
    (which recompiles translated blocks with counting prologues and
    disables loop hoisting) must not perturb any architectural state
@@ -285,6 +354,10 @@ let () =
             (Printf.sprintf "handoff allocates under %.0f words a transition"
                transition_budget)
             `Quick transition_cost;
+          test_case "crash-write-loss: 60 001 states, none lost to the digest"
+            `Quick crash_write_loss;
+          test_case "every protocol table reaches the fingerprint" `Quick
+            tables_fingerprinted;
         ] );
       ( "counterexamples",
         [

@@ -521,10 +521,41 @@ let lookahead_exactness_property =
       let per_event, dispatched' = simulate ~seed ~per_dispatch:true in
       lookahead = per_event && dispatched <= dispatched')
 
+(* The one hashing primitive.  A step reads only its input's low 62
+   bits, so it agrees with the unmasked FNV loops behind every printed
+   hash; strings mix their length; a table's digest ignores bucket
+   order. *)
+let fnv_tests =
+  let open Alcotest in
+  let mix = Fnv.int in
+  [
+    test_case "a step reads the low 62 bits" `Quick (fun () ->
+        let unmasked h v = (h lxor v) * 0x100000001b3 land Fnv.mask in
+        List.iter
+          (fun v ->
+            check int (string_of_int v) (unmasked Fnv.basis v)
+              (mix Fnv.basis v))
+          [ 0; 1; -1; max_int; min_int; 0x3bf29ce484222325 ]);
+    test_case "strings mix their length" `Quick (fun () ->
+        let two a b = Fnv.string (Fnv.string Fnv.basis a) b in
+        check bool "ab|c vs a|bc" false (two "ab" "c" = two "a" "bc"));
+    test_case "tables ignore bucket order" `Quick (fun () ->
+        let small = Hashtbl.create 1 and large = Hashtbl.create 64 in
+        for k = 1 to 100 do
+          Hashtbl.replace small k (k * k);
+          Hashtbl.replace large (101 - k) ((101 - k) * (101 - k))
+        done;
+        let entry h k v = mix (mix h k) v in
+        check int "same entries" (Fnv.table entry 7 small)
+          (Fnv.table entry 7 large);
+        check int "empty" (mix 7 0) (Fnv.table entry 7 (Hashtbl.create 1)));
+  ]
+
 let () =
   Alcotest.run "hft_sim"
     [
       ("time", time_tests);
+      ("fnv", fnv_tests);
       ("heap", heap_tests @ [ QCheck_alcotest.to_alcotest heap_property ]);
       ("rng", rng_tests);
       ( "engine",
