@@ -1455,7 +1455,7 @@ let check_cmd =
   let depth_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "depth" ] ~docv:"N"
           ~doc:
             "Bound each schedule to N scheduler choices; deeper runs are \
@@ -1465,7 +1465,7 @@ let check_cmd =
   let max_states_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "max-states" ] ~docv:"N"
           ~doc:"Stop after visiting N frontier states.")
   in
@@ -1522,7 +1522,7 @@ let check_cmd =
   in
   let max_violations_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "max-violations" ] ~docv:"N"
           ~doc:"Keep exploring until N counterexamples are found.")
   in
@@ -1544,8 +1544,8 @@ let check_cmd =
       r.r_variant.Hft_harness.Scenarios.retransmit
       r.r_variant.Hft_harness.Scenarios.ack_wait;
     Format.printf
-      "  %d runs, %d states, %d transitions, max depth %d@."
-      st.runs st.states st.transitions st.max_depth;
+      "  %d runs, %d states, %d transitions (%d executed), max depth %d@."
+      st.runs st.states st.transitions st.executed st.max_depth;
     Format.printf
       "  pruned: %d revisited, %d slept, %d all-asleep; %d truncated run(s)@."
       st.pruned_visited st.sleep_skipped st.sleep_pruned st.truncated_runs;

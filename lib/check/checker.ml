@@ -3,10 +3,13 @@
    The checker drives the deterministic simulation through *every*
    schedule of a bounded scenario: the scenario's root choices (which
    epoch the primary crashes at, which message each channel drops)
-   crossed with every interleaving of co-enabled engine events.  It is
-   a stateless-search checker in the VeriSoft tradition: the system
-   itself carries no checkpointing, so each explored schedule is a
-   fresh run replayed from its recorded choice prefix.
+   crossed with every interleaving of co-enabled engine events.  The
+   search is the stateless one of the VeriSoft tradition — a DFS over
+   recorded choice prefixes, with no state stored beyond fingerprints
+   — but a schedule is not re-executed from the root: the checker
+   snapshots the system ({!System.snapshot}) at open branch points and
+   resumes each new run at the deepest one it still holds, so only
+   the new suffix of a schedule runs.
 
    Exploration is depth-first over the choice tree with two
    reductions:
@@ -73,6 +76,7 @@ type stats = {
   mutable runs : int;  (** schedules executed (incl. aborted replays) *)
   mutable states : int;  (** frontier scheduler nodes visited *)
   mutable transitions : int;  (** scheduler decisions, incl. replayed ones *)
+  mutable executed : int;  (** scheduler decisions the simulator ran *)
   mutable pruned_visited : int;  (** nodes cut by the fingerprint cache *)
   mutable sleep_skipped : int;  (** sibling transitions put to sleep *)
   mutable sleep_pruned : int;  (** nodes abandoned with every choice asleep *)
@@ -85,6 +89,7 @@ let fresh_stats () =
     runs = 0;
     states = 0;
     transitions = 0;
+    executed = 0;
     pruned_visited = 0;
     sleep_skipped = 0;
     sleep_pruned = 0;
@@ -132,7 +137,33 @@ type frame = {
   f_depth : int;  (* scheduler depth at entry, -1 for root frames *)
   mutable explored : int list;  (* sibling indices already fully explored *)
   mutable chosen : int;
+  mutable f_snap : resume option;
+      (* the system at this node's scheduler call, held while the node
+         is an open branch point *)
 }
+
+(* Everything a run resumed at a node needs: the system, the
+   fingerprint it must show there again, and the per-run invariant
+   bookkeeping of [check_step]. *)
+and resume = {
+  r_sys : System.snapshot;
+  r_fp : int;
+  r_baselines : int array;
+  r_frozen : (int * int) option array;
+}
+
+let root_frame k width =
+  {
+    kind = Root k;
+    width;
+    events = [||];
+    sleep = [];
+    f_fp = None;
+    f_depth = -1;
+    explored = [];
+    chosen = 0;
+    f_snap = None;
+  }
 
 let n_dims = 5
 
@@ -258,146 +289,74 @@ let end_checks sc ~reference sys o =
       [ System.primary sys; System.backup sys ]
 
 (* ------------------------------------------------------------------ *)
-(* One schedule                                                        *)
+(* The current path                                                    *)
 
-type run_result =
-  | R_ok
-  | R_violation of string
-  | R_aborted  (* pruned, slept or truncated: no verdict, no new leaf *)
+(* The frames of the schedule being explored, root dimensions first,
+   then one per scheduler call; [snaps] counts those holding a
+   snapshot, all of them of [sys], the system the runs execute on. *)
+type path = {
+  mutable frames : frame array;
+  mutable len : int;
+  mutable snaps : int;
+  mutable sys : System.t option;
+}
 
-(* Execute the schedule the current stack describes, extending it at
-   the frontier.  Frames deeper than the stack are created on the fly
-   with the first non-sleeping choice; the run ends when the system
-   halts, an invariant trips, or a reduction cuts the branch. *)
-let execute sc ~variant ~reference ~opts ~st ~visited ~spare stack =
-  let frames = Array.of_list !stack in
-  let nf = Array.length frames in
-  let fresh = ref [] in
-  let d = dims sc in
-  let roots = Array.make n_dims 0 in
-  for k = 0 to n_dims - 1 do
-    let f =
-      if k < nf then frames.(k)
-      else begin
-        let f =
-          {
-            kind = Root k;
-            width = fst d.(k);
-            events = [||];
-            sleep = [];
-            f_fp = None;
-            f_depth = -1;
-            explored = [];
-            chosen = 0;
-          }
-        in
-        fresh := f :: !fresh;
-        f
-      end
-    in
-    roots.(k) <- f.chosen
+(* Snapshots are held at the deepest this many open branch points,
+   which bounds their memory: a backtrack past them restores the
+   nearest one above, or rebuilds the system, and re-snapshots on the
+   way down. *)
+let retained = 32
+
+let push path f =
+  if path.len = Array.length path.frames then begin
+    let a = Array.make (max 64 (2 * path.len)) f in
+    Array.blit path.frames 0 a 0 path.len;
+    path.frames <- a
+  end;
+  path.frames.(path.len) <- f;
+  path.len <- path.len + 1
+
+let release path f =
+  match f.f_snap with
+  | Some r ->
+    Option.iter (fun s -> System.release s r.r_sys) path.sys;
+    f.f_snap <- None;
+    path.snaps <- path.snaps - 1
+  | None -> ()
+
+let hold path f r =
+  if path.snaps >= retained then begin
+    (* every held snapshot is shallower than the new one *)
+    let i = ref 0 in
+    while path.frames.(!i).f_snap = None do
+      incr i
+    done;
+    release path path.frames.(!i)
+  end;
+  f.f_snap <- Some r;
+  path.snaps <- path.snaps + 1
+
+(* what a slot past the path's end holds, so a discarded frame (and the
+   events and sleep set it keeps) can be collected *)
+let vacant = root_frame (-1) 0
+
+let truncate path n =
+  for i = n to path.len - 1 do
+    release path path.frames.(i)
   done;
-  (* identical system states reached under different installed crash /
-     loss plans must not merge: mix the root assignment into every
-     fingerprint *)
-  let root_mix = Array.fold_left Fnv.int Fnv.basis roots in
-  (* this run's system is finished before the next [execute] builds
-     from it: every schedule after the first reuses the same pair of
-     guest memories *)
-  let sys = build sc ~variant ?recycle:!spare roots in
-  spare := Some sys;
-  let engine = System.engine sys in
-  let baselines = [| 0; 0 |] in
-  let frozen = [| None; None |] in
-  let cursor = ref n_dims in
-  Engine.set_scheduler engine (fun batch ->
-      st.transitions <- st.transitions + 1;
-      check_step sys baselines frozen;
-      let idx = !cursor in
-      incr cursor;
-      if idx < nf then frames.(idx).chosen
-      else begin
-        let depth = idx - n_dims in
-        if depth > st.max_depth then st.max_depth <- depth;
-        (match opts.depth with
-        | Some dmax when depth >= dmax ->
-          st.truncated_runs <- st.truncated_runs + 1;
-          raise (Abort `Truncated)
-        | _ -> ());
-        st.states <- st.states + 1;
-        (match opts.max_states with
-        | Some m when st.states > m -> raise Cap
-        | _ -> ());
-        let fp =
-          if opts.fingerprints then
-            Some (Fnv.int root_mix (System.fingerprint sys))
-          else None
-        in
-        (match fp with
-        | Some h -> (
-          match Hashtbl.find_opt visited h with
-          | Some d0
-            when (match opts.depth with None -> true | Some _ -> d0 <= depth)
-            ->
-            st.pruned_visited <- st.pruned_visited + 1;
-            raise (Abort `Pruned)
-          | _ -> ())
-        | None -> ());
-        let sleep =
-          if (not opts.dpor) || idx = n_dims then []
-          else
-            let pf =
-              if idx - 1 < nf then frames.(idx - 1) else List.hd !fresh
-            in
-            match pf.kind with
-            | Root _ -> []
-            | Sched ->
-              let chosen_ev = pf.events.(pf.chosen) in
-              let prev = List.rev_map (fun i -> pf.events.(i)) pf.explored in
-              List.filter (fun e -> indep e chosen_ev) (pf.sleep @ prev)
-        in
-        let w = Array.length batch in
-        let slept = ref 0 and first = ref (-1) in
-        for i = w - 1 downto 0 do
-          if in_sleep sleep batch.(i) then incr slept else first := i
-        done;
-        st.sleep_skipped <- st.sleep_skipped + !slept;
-        if !first < 0 then begin
-          st.sleep_pruned <- st.sleep_pruned + 1;
-          raise (Abort `Sleep)
-        end;
-        let f =
-          {
-            kind = Sched;
-            width = w;
-            events = Array.copy batch;
-            sleep;
-            f_fp = fp;
-            f_depth = depth;
-            explored = [];
-            chosen = !first;
-          }
-        in
-        fresh := f :: !fresh;
-        f.chosen
-      end);
-  st.runs <- st.runs + 1;
-  let verdict =
-    match System.run ~limit:sc.Scenarios.sc_limit sys with
-    | o -> (
-      match end_checks sc ~reference sys o with
-      | [] -> R_ok
-      | vs -> R_violation (String.concat "; " vs))
-    | exception Violation_mid msg -> R_violation msg
-    | exception Abort _ -> R_aborted
-    | exception Engine.Runaway limit -> R_violation (runaway limit)
-    | exception Failure msg ->
-      (* "no VM completed the workload", like an exhausted event
-         budget, is a liveness violation *)
-      R_violation ("run failed: " ^ msg)
+  Array.fill path.frames n (path.len - n) vacant;
+  path.len <- n
+
+(* The deepest frame holding a snapshot. *)
+let resume_point path =
+  let rec go i =
+    if i < n_dims then None
+    else
+      match path.frames.(i).f_snap with
+      | Some r -> Some (i, r)
+      | None -> go (i - 1)
   in
-  stack := !stack @ List.rev !fresh;
-  (verdict, !cursor)
+  go (path.len - 1)
 
 (* ------------------------------------------------------------------ *)
 (* DFS driver                                                          *)
@@ -411,6 +370,8 @@ let next_candidate f =
       | Sched -> if in_sleep f.sleep f.events.(i) then go (i + 1) else Some i
   in
   go (f.chosen + 1)
+
+let is_open f = f.kind = Sched && next_candidate f <> None
 
 (* A state enters the visited cache only when its subtree is fully
    explored (post-order): recording on arrival is circular — a
@@ -431,38 +392,29 @@ let record_explored visited f =
 (* Advance the deepest frame with an unexplored sibling, discarding
    (and recording) everything below it.  Returns false when the tree
    is exhausted. *)
-let backtrack ~visited stack =
-  let rec go = function
-    | [] -> false
-    | f :: shallower -> (
+let backtrack ~visited path =
+  let rec go i =
+    if i < 0 then false
+    else
+      let f = path.frames.(i) in
       match next_candidate f with
-      | Some i ->
+      | Some c ->
         f.explored <- f.chosen :: f.explored;
-        f.chosen <- i;
-        stack := List.rev (f :: shallower);
+        f.chosen <- c;
+        truncate path (i + 1);
         true
       | None ->
         record_explored visited f;
-        go shallower)
+        go (i - 1)
   in
-  go (List.rev !stack)
+  go (path.len - 1)
 
-let slice stack consumed =
-  let rec take n l =
-    if n = 0 then []
-    else match l with [] -> [] | f :: tl -> f.chosen :: take (n - 1) tl
-  in
-  let all = take consumed !stack in
-  let rec split k l =
-    if k = 0 then ([], l)
-    else
-      match l with
-      | [] -> ([], [])
-      | x :: tl ->
-        let a, b = split (k - 1) tl in
-        (x :: a, b)
-  in
-  split n_dims all
+(* The roots and scheduler choices of the first [consumed] frames. *)
+let slice path consumed =
+  let chosen i = path.frames.(i).chosen in
+  let n = min consumed path.len in
+  ( List.init (min n n_dims) chosen,
+    List.init (max 0 (n - n_dims)) (fun i -> chosen (n_dims + i)) )
 
 (* ------------------------------------------------------------------ *)
 (* Forced replay (used by --replay and the shrinker)                   *)
@@ -549,31 +501,197 @@ let shrink_violation sc ~variant ~reference v =
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 
+exception Restore_mismatch of { depth : int; recorded : int; restored : int }
+
+type run_result =
+  | R_ok
+  | R_violation of string
+  | R_aborted  (* pruned, slept or truncated: no verdict, no new leaf *)
+
 let explore ?(options = default_options) sc ~variant =
+  let opts = options in
   let st = fresh_stats () in
   let visited = Hashtbl.create 8192 in
   let reference = Scenarios.reference sc ~variant in
-  let stack = ref [] in
-  let spare = ref None in
+  let d = dims sc in
+  let path = { frames = [||]; len = 0; snaps = 0; sys = None } in
+  (* the current run: the root assignment's digest, [check_step]'s
+     bookkeeping, the next scheduler call's frame index, and the frame
+     the run resumed at *)
+  let root_mix = ref Fnv.basis in
+  let baselines = [| 0; 0 |] and frozen = [| None; None |] in
+  let cursor = ref n_dims and resumed = ref (-1) in
+  (* identical system states reached under different installed crash /
+     loss plans must not merge: mix the root assignment into every
+     fingerprint *)
+  let fingerprint s = Fnv.int !root_mix (System.fingerprint s) in
+  let hold_open s f fp =
+    if is_open f then
+      hold path f
+        {
+          r_sys = System.snapshot s;
+          r_fp = fp;
+          r_baselines = Array.copy baselines;
+          r_frozen = Array.copy frozen;
+        }
+  in
+  (* Replay the frames the path holds, extend it at the frontier with
+     the first non-sleeping choice, and snapshot every open branch
+     point on the way that has none. *)
+  let scheduler s batch =
+    st.transitions <- st.transitions + 1;
+    st.executed <- st.executed + 1;
+    check_step s baselines frozen;
+    let idx = !cursor in
+    incr cursor;
+    if idx < path.len then begin
+      let f = path.frames.(idx) in
+      if idx = !resumed then begin
+        (* a restore must land exactly where the run left *)
+        let r = fingerprint s and want = (Option.get f.f_snap).r_fp in
+        if r <> want then
+          raise
+            (Restore_mismatch
+               { depth = idx - n_dims; recorded = want; restored = r })
+      end
+      else if f.f_snap = None && is_open f then
+        hold_open s f
+          (match f.f_fp with Some h -> h | None -> fingerprint s);
+      f.chosen
+    end
+    else begin
+      (* the cap stops the search before it visits one state more *)
+      (match opts.max_states with
+      | Some m when st.states >= m -> raise Cap
+      | _ -> ());
+      let depth = idx - n_dims in
+      if depth > st.max_depth then st.max_depth <- depth;
+      (match opts.depth with
+      | Some dmax when depth >= dmax ->
+        st.truncated_runs <- st.truncated_runs + 1;
+        raise (Abort `Truncated)
+      | _ -> ());
+      st.states <- st.states + 1;
+      let fp = if opts.fingerprints then Some (fingerprint s) else None in
+      (match fp with
+      | Some h -> (
+        match Hashtbl.find_opt visited h with
+        | Some d0
+          when (match opts.depth with None -> true | Some _ -> d0 <= depth) ->
+          st.pruned_visited <- st.pruned_visited + 1;
+          raise (Abort `Pruned)
+        | _ -> ())
+      | None -> ());
+      let sleep =
+        if (not opts.dpor) || idx = n_dims then []
+        else
+          let pf = path.frames.(idx - 1) in
+          match pf.kind with
+          | Root _ -> []
+          | Sched ->
+            let chosen_ev = pf.events.(pf.chosen) in
+            let prev = List.rev_map (fun i -> pf.events.(i)) pf.explored in
+            List.filter (fun e -> indep e chosen_ev) (pf.sleep @ prev)
+      in
+      let w = Array.length batch in
+      let slept = ref 0 and first = ref (-1) in
+      for i = w - 1 downto 0 do
+        if in_sleep sleep batch.(i) then incr slept else first := i
+      done;
+      st.sleep_skipped <- st.sleep_skipped + !slept;
+      if !first < 0 then begin
+        st.sleep_pruned <- st.sleep_pruned + 1;
+        raise (Abort `Sleep)
+      end;
+      let f =
+        {
+          kind = Sched;
+          width = w;
+          events = Array.copy batch;
+          sleep;
+          f_fp = fp;
+          f_depth = depth;
+          explored = [];
+          chosen = !first;
+          f_snap = None;
+        }
+      in
+      push path f;
+      if is_open f then
+        hold_open s f (match fp with Some h -> h | None -> fingerprint s);
+      f.chosen
+    end
+  in
+  (* Execute the schedule the path describes, from the deepest
+     snapshot it holds or else from a fresh (recycled) build.  The
+     decisions a resumed run skips still count as transitions. *)
+  let execute () =
+    for k = path.len to n_dims - 1 do
+      push path (root_frame k (fst d.(k)))
+    done;
+    let s =
+      match (resume_point path, path.sys) with
+      | Some (k, r), Some s ->
+        System.restore s r.r_sys;
+        Array.blit r.r_baselines 0 baselines 0 2;
+        Array.blit r.r_frozen 0 frozen 0 2;
+        st.transitions <- st.transitions + (k - n_dims);
+        cursor := k;
+        resumed := k;
+        s
+      | _ ->
+        let roots = Array.init n_dims (fun k -> path.frames.(k).chosen) in
+        root_mix := Array.fold_left Fnv.int Fnv.basis roots;
+        (* this run's system is finished before the next build
+           recycles it: every rebuild reuses the same pair of guest
+           memories *)
+        let s = build sc ~variant ?recycle:path.sys roots in
+        path.sys <- Some s;
+        Engine.set_scheduler (System.engine s) (scheduler s);
+        System.start s;
+        Array.fill baselines 0 2 0;
+        Array.fill frozen 0 2 None;
+        cursor := n_dims;
+        resumed := -1;
+        s
+    in
+    st.runs <- st.runs + 1;
+    let verdict =
+      match System.drive ~limit:sc.Scenarios.sc_limit s with
+      | o -> (
+        match end_checks sc ~reference s o with
+        | [] -> R_ok
+        | vs -> R_violation (String.concat "; " vs))
+      | exception Violation_mid msg -> R_violation msg
+      | exception Abort _ -> R_aborted
+      | exception Engine.Runaway limit -> R_violation (runaway limit)
+      | exception Failure msg ->
+        (* "no VM completed the workload", like an exhausted event
+           budget, is a liveness violation *)
+        R_violation ("run failed: " ^ msg)
+    in
+    (* a node whose last sibling this run took is no longer a branch
+       point *)
+    if !resumed >= 0 && not (is_open path.frames.(!resumed)) then
+      release path path.frames.(!resumed);
+    (verdict, !cursor)
+  in
   let violations = ref [] in
   let capped = ref false and exhausted = ref false in
   (try
      let continue_ = ref true in
      while !continue_ do
-       (match
-          execute sc ~variant ~reference ~opts:options ~st ~visited ~spare
-            stack
-        with
+       (match execute () with
        | R_violation reason, consumed ->
-         let v_roots, v_choices = slice stack consumed in
+         let v_roots, v_choices = slice path consumed in
          violations :=
            { v_roots; v_choices; v_reason = reason; v_shrunk = false }
            :: !violations;
-         if List.length !violations >= options.max_violations then
+         if List.length !violations >= opts.max_violations then
            continue_ := false
        | (R_ok | R_aborted), _ -> ());
        if !continue_ then begin
-         let more = backtrack ~visited stack in
+         let more = backtrack ~visited path in
          if not more then begin
            exhausted := true;
            continue_ := false
@@ -583,18 +701,16 @@ let explore ?(options = default_options) sc ~variant =
    with Cap -> capped := true);
   let violations =
     let vs = List.rev !violations in
-    if options.shrink then
-      List.map (shrink_violation sc ~variant ~reference) vs
+    if opts.shrink then List.map (shrink_violation sc ~variant ~reference) vs
     else vs
   in
   {
     r_scenario = sc;
     r_variant = variant;
-    r_options = options;
+    r_options = opts;
     r_stats = st;
     r_complete =
-      !exhausted && (not !capped) && st.truncated_runs = 0
-      && violations = [];
+      !exhausted && (not !capped) && st.truncated_runs = 0 && violations = [];
     r_violations = violations;
   }
 
@@ -661,12 +777,19 @@ let replay ?obs (s : Schedule.t) =
 
 module J = Hft_obs.Json
 
+(* Holzmann's bound on the expected number of states a [b]-bit
+   fingerprint search omits through collisions, n^2 / 2^(b+1), with
+   b = 62. *)
+let omission_bound n = float_of_int n *. float_of_int n /. 0x1p63
+
 let stats_json st =
   J.Obj
     [
       ("runs", J.int st.runs);
       ("states", J.int st.states);
+      ("omission_bound", J.significant 2 (omission_bound st.states));
       ("transitions", J.int st.transitions);
+      ("executed", J.int st.executed);
       ("pruned_visited", J.int st.pruned_visited);
       ("sleep_skipped", J.int st.sleep_skipped);
       ("sleep_pruned", J.int st.sleep_pruned);

@@ -5,10 +5,15 @@
     scenario — root fault choices crossed with all interleavings of
     co-enabled simulation events — checking machine-checkable
     invariants between every two events and at the end of every run.
-    Stateless search: each schedule is a fresh deterministic run
-    replayed from its choice prefix, built by recycling the previous
-    run's system ({!Hft_harness.Scenarios.instantiate}'s [recycle]:
-    the guest memories are reset in place, which is exact), so a whole
+    The search is stateless — a DFS over choice prefixes that stores
+    no states beyond their fingerprints — but a run is not re-executed
+    from the root: the system is snapshotted ({!Hft_core.System.snapshot})
+    at the deepest 32 open branch points (scheduler nodes with a
+    sibling left to explore), and each run after the first restores
+    the deepest one it can and executes only its new suffix.  A run
+    that must start over rebuilds by recycling the previous run's
+    system ({!Hft_harness.Scenarios.instantiate}'s [recycle]: the
+    guest memories are reset in place, which is exact), so a whole
     exploration allocates one pair of guest memories.  Two reductions
     keep the tree tractable: sleep-set dynamic partial-order reduction (same-instant
     events on distinct replicas commute) and canonical-fingerprint
@@ -41,7 +46,10 @@ type violation = {
 type stats = {
   mutable runs : int;  (** schedules executed (incl. aborted replays) *)
   mutable states : int;  (** frontier scheduler nodes visited *)
-  mutable transitions : int;  (** scheduler decisions, incl. replayed ones *)
+  mutable transitions : int;
+      (** scheduler decisions along every explored schedule, including
+          the prefixes a resumed run did not execute again *)
+  mutable executed : int;  (** scheduler decisions the simulator ran *)
   mutable pruned_visited : int;  (** nodes cut by the fingerprint cache *)
   mutable sleep_skipped : int;  (** sibling transitions put to sleep *)
   mutable sleep_pruned : int;  (** nodes abandoned with every choice asleep *)
@@ -61,11 +69,18 @@ type result = {
   r_violations : violation list;
 }
 
+exception Restore_mismatch of { depth : int; recorded : int; restored : int }
+(** An internal error, never a verdict: a run resumed from a snapshot
+    reached its scheduler call at [depth] with a fingerprint other
+    than the one recorded when the node was first visited. *)
+
 val explore :
   ?options:options ->
   Hft_harness.Scenarios.bounded ->
   variant:Hft_harness.Scenarios.variant ->
   result
+(** Every resumed run checks the fingerprint at its resume point.
+    @raise Restore_mismatch if a restore was not exact. *)
 
 val run_forced :
   Hft_harness.Scenarios.bounded ->

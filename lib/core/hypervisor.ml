@@ -1462,8 +1462,7 @@ and handle_body t body =
 (* ---------- reintegration (extension) ---------- *)
 
 and take_snapshot t =
-  let ctl = Disk_ctl.create () in
-  Disk_ctl.copy_state_from ctl t.ctl;
+  let ctl = Disk_ctl.save t.ctl in
   let bytes_before = Cpu.snapshot_bytes_copied t.vm in
   let s_cpu = Cpu.snapshot t.vm in
   t.st.Stats.snapshot_delta_bytes <-
@@ -1854,7 +1853,7 @@ let fingerprint t =
   let body h dseq b = Message.body_checksum (mix h dseq) b in
   let rtx h e = flag (body h e.r_dseq e.r_body) e.r_up in
   let role = match t.role_ with Primary -> 0 | Backup -> 1 | Promoted -> 2 in
-  let h = mix (vm_state_hash t) role in
+  let h = Disk_ctl.fingerprint (mix (vm_state_hash t) role) t.ctl in
   let h = flag (flag (flag h t.alive_) t.peer_alive) t.halted_ in
   let h =
     match t.blocked with
@@ -1911,3 +1910,258 @@ let fingerprint t =
   let h = mix (mix (mix h rb.rb_relay_epoch) rb.rb_env_idx) rb.rb_send_seq in
   let h = mix (mix (mix h rb.rb_data_sent) rb.rb_acked) rb.rb_data_recvd in
   Fnv.list (fun h e -> mix h e.r_dseq) h rb.rb_rtx
+
+(* ---------- save and restore (the model checker's) ----------
+
+   Every integer-valued field — the node's scalars, its recovery
+   block's counters and its virtual control registers — goes into one
+   int array, and the statistics into a [Stats.t]; both are recycled
+   from a released save, so a save in steady state allocates neither.
+   The remaining fields hold immutable values (lists, options, variants,
+   events, closures) and are saved by reference; the containers the
+   record holds directly are saved by value beside them, shared with
+   [like]'s where unchanged.  Everything is restored in place. *)
+
+type saved = {
+  sv_of : t;
+  sv_vm : Cpu.saved;
+  sv_ints : int array;
+  sv_st : Stats.t;
+  sv_role : role;
+  sv_tx_data : Message.t Channel.t option;
+  sv_tx_ack : Message.t Channel.t option;
+  sv_peer : t option;
+  sv_failover_notice : int option;
+  sv_blocked : blocked;
+  sv_detector : Engine.handle option;
+  sv_rtx_timer : Engine.handle option;
+  sv_buffered_current : stamped list;
+  sv_pending_delivery : stamped list;
+  sv_snapshot_box : snapshot option;
+  sv_health : hv_health;
+  sv_missed : (string * (unit -> unit)) list;
+  sv_rb_rtx : rtx_entry list;
+  sv_on_epoch_boundary : epoch:int -> hash:int -> unit;
+  sv_on_promote : t -> unit;
+  sv_ctl : Disk_ctl.t;
+  sv_rcv_hold : (int * Message.body) list;
+  sv_rtx : rtx_entry list;
+  sv_buffered : (int * stamped list) list;
+  sv_env_vals : ((int * int) * Word.t) list;
+  sv_tmes : (int * (Word.t * int)) list;
+  sv_ends : (int * unit) list;
+  sv_outstanding : io_req list;
+}
+
+let n_ints = 31 + Isa.num_crs
+
+(* what a save that will never be restored again lends the next one *)
+type spare = { sp_ints : int array; sp_st : Stats.t; sp_cpu : int array }
+
+let spare s =
+  { sp_ints = s.sv_ints; sp_st = s.sv_st; sp_cpu = Cpu.ints s.sv_vm }
+
+(* [save_ints] and [restore_ints] walk the same fields in the same
+   order. *)
+let save_ints t a =
+  let i = ref 0 in
+  let put v =
+    a.(!i) <- v;
+    incr i
+  in
+  let flag b = put (Bool.to_int b) and time x = put (Time.to_ns x) in
+  put t.next_intr_id;
+  flag t.alive_;
+  flag t.peer_alive;
+  put t.epoch_;
+  put t.relay_epoch;
+  put t.env_idx;
+  time t.debt;
+  put t.send_seq;
+  put t.data_sent;
+  put t.acked;
+  put t.data_recvd;
+  flag t.rtx_dirty;
+  put t.rtx_backoff;
+  time t.ack_wait_start;
+  put t.boundary_tod;
+  put t.vtimer_deadline_us;
+  put t.vtod_us;
+  put t.vtod_offset_us;
+  flag t.halted_;
+  time t.halt_time_;
+  flag t.reintegrate_requested;
+  put t.heartbeat;
+  put t.dropped_while_down;
+  time t.fault_since;
+  let rb = t.rb in
+  put rb.rb_epoch;
+  put rb.rb_relay_epoch;
+  put rb.rb_env_idx;
+  put rb.rb_send_seq;
+  put rb.rb_data_sent;
+  put rb.rb_acked;
+  put rb.rb_data_recvd;
+  Array.iter put t.vcrs
+
+let restore_ints t a =
+  let i = ref 0 in
+  let get () =
+    incr i;
+    a.(!i - 1)
+  in
+  let flag () = get () = 1 and time () = Time.of_ns (get ()) in
+  t.next_intr_id <- get ();
+  t.alive_ <- flag ();
+  t.peer_alive <- flag ();
+  t.epoch_ <- get ();
+  t.relay_epoch <- get ();
+  t.env_idx <- get ();
+  t.debt <- time ();
+  t.send_seq <- get ();
+  t.data_sent <- get ();
+  t.acked <- get ();
+  t.data_recvd <- get ();
+  t.rtx_dirty <- flag ();
+  t.rtx_backoff <- get ();
+  t.ack_wait_start <- time ();
+  t.boundary_tod <- get ();
+  t.vtimer_deadline_us <- get ();
+  t.vtod_us <- get ();
+  t.vtod_offset_us <- get ();
+  t.halted_ <- flag ();
+  t.halt_time_ <- time ();
+  t.reintegrate_requested <- flag ();
+  t.heartbeat <- get ();
+  t.dropped_while_down <- get ();
+  t.fault_since <- time ();
+  let rb = t.rb in
+  rb.rb_epoch <- get ();
+  rb.rb_relay_epoch <- get ();
+  rb.rb_env_idx <- get ();
+  rb.rb_send_seq <- get ();
+  rb.rb_data_sent <- get ();
+  rb.rb_acked <- get ();
+  rb.rb_data_recvd <- get ();
+  Array.iteri (fun j _ -> t.vcrs.(j) <- get ()) t.vcrs
+
+let bindings tbl =
+  if Hashtbl.length tbl = 0 then []
+  else Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+
+let elements q = if Queue.is_empty q then [] else List.of_seq (Queue.to_seq q)
+
+(* [tbl] holds exactly [l]'s bindings (keys are unique: every table is
+   written with [replace]), checked without building a list *)
+let rec holds_all tbl get = function
+  | [] -> true
+  | (k, v) :: tl ->
+    Hashtbl.mem tbl k && get (Hashtbl.find tbl k) = v && holds_all tbl get tl
+
+let holds tbl get l =
+  match l with
+  | [] -> Hashtbl.length tbl = 0
+  | _ -> Hashtbl.length tbl = List.length l && holds_all tbl get l
+
+let refill tbl l =
+  if Hashtbl.length tbl > 0 || l <> [] then begin
+    Hashtbl.reset tbl;
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) l
+  end
+
+let refill_queue q l =
+  Queue.clear q;
+  List.iter (fun x -> Queue.add x q) l
+
+(* [like]'s part while the live one equals it (structurally: none of
+   these holds a closure), else a fresh copy *)
+let table like tbl get fresh =
+  match like with Some l when holds tbl get l -> l | _ -> fresh (bindings tbl)
+
+let queue like q =
+  match like with Some l when elements q = l -> l | _ -> elements q
+
+let save ?like ?into t =
+  let part f = Option.map f like in
+  let ints, st =
+    match into with
+    | Some sp -> (sp.sp_ints, sp.sp_st)
+    | None -> (Array.make n_ints 0, Stats.create ())
+  in
+  save_ints t ints;
+  Stats.blit ~src:t.st ~dst:st;
+  {
+    sv_of = t;
+    sv_vm =
+      Cpu.save
+        ?like:(part (fun l -> l.sv_vm))
+        ?into:(Option.map (fun sp -> sp.sp_cpu) into)
+        t.vm;
+    sv_ints = ints;
+    sv_st = st;
+    sv_role = t.role_;
+    sv_tx_data = t.tx_data;
+    sv_tx_ack = t.tx_ack;
+    sv_peer = t.peer;
+    sv_failover_notice = t.failover_notice;
+    sv_blocked = t.blocked;
+    sv_detector = t.detector;
+    sv_rtx_timer = t.rtx_timer;
+    sv_buffered_current = t.buffered_current;
+    sv_pending_delivery = t.pending_delivery;
+    sv_snapshot_box = t.snapshot_box;
+    sv_health = t.health;
+    sv_missed = t.missed;
+    sv_rb_rtx = t.rb.rb_rtx;
+    sv_on_epoch_boundary = t.on_epoch_boundary;
+    sv_on_promote = t.on_promote;
+    sv_ctl =
+      (match like with
+      | Some l when l.sv_ctl = t.ctl -> l.sv_ctl
+      | _ -> Disk_ctl.save t.ctl);
+    sv_rcv_hold =
+      table (part (fun l -> l.sv_rcv_hold)) t.rcv_hold Fun.id Fun.id;
+    sv_rtx = queue (part (fun l -> l.sv_rtx)) t.rtx_queue;
+    sv_buffered =
+      table
+        (part (fun l -> l.sv_buffered))
+        t.buffered_by_epoch ( ! )
+        (List.map (fun (k, r) -> (k, !r)));
+    sv_env_vals =
+      table (part (fun l -> l.sv_env_vals)) t.env_vals Fun.id Fun.id;
+    sv_tmes = table (part (fun l -> l.sv_tmes)) t.tmes Fun.id Fun.id;
+    sv_ends = table (part (fun l -> l.sv_ends)) t.ends Fun.id Fun.id;
+    sv_outstanding = queue (part (fun l -> l.sv_outstanding)) t.outstanding;
+  }
+
+let restore t s =
+  if s.sv_of != t then
+    invalid_arg "Hypervisor.restore: not a save of this node";
+  Cpu.restore_saved t.vm s.sv_vm;
+  restore_ints t s.sv_ints;
+  Stats.blit ~src:s.sv_st ~dst:t.st;
+  Disk_ctl.copy_state_from t.ctl s.sv_ctl;
+  refill t.rcv_hold s.sv_rcv_hold;
+  refill_queue t.rtx_queue s.sv_rtx;
+  refill t.buffered_by_epoch
+    (List.map (fun (k, l) -> (k, ref l)) s.sv_buffered);
+  refill t.env_vals s.sv_env_vals;
+  refill t.tmes s.sv_tmes;
+  refill t.ends s.sv_ends;
+  refill_queue t.outstanding s.sv_outstanding;
+  t.role_ <- s.sv_role;
+  t.tx_data <- s.sv_tx_data;
+  t.tx_ack <- s.sv_tx_ack;
+  t.peer <- s.sv_peer;
+  t.failover_notice <- s.sv_failover_notice;
+  t.blocked <- s.sv_blocked;
+  t.detector <- s.sv_detector;
+  t.rtx_timer <- s.sv_rtx_timer;
+  t.buffered_current <- s.sv_buffered_current;
+  t.pending_delivery <- s.sv_pending_delivery;
+  t.snapshot_box <- s.sv_snapshot_box;
+  t.health <- s.sv_health;
+  t.missed <- s.sv_missed;
+  t.rb.rb_rtx <- s.sv_rb_rtx;
+  t.on_epoch_boundary <- s.sv_on_epoch_boundary;
+  t.on_promote <- s.sv_on_promote

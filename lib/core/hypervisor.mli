@@ -137,7 +137,8 @@ val outstanding_io : t -> int
 
 val fingerprint : t -> int
 (** Canonical 62-bit {!Hft_sim.Fnv} digest of the whole node, mixed
-    field by field: VM state hash plus every piece of protocol state
+    field by field: VM state hash, the virtual disk controller's
+    registers, and every piece of protocol state
     (role, liveness, blocking, reliable-stream counters and queues,
     held and buffered messages, forwarded values, virtual clocks,
     recovery state).  Queues and lists mix their length first; hash
@@ -147,6 +148,33 @@ val fingerprint : t -> int
     different schedules fingerprint alike.  Used with
     {!Hft_sim.Engine.pending_fingerprint} and the channel/disk
     fingerprints to prune the model checker's state graph. *)
+
+(** {2 Save and restore}
+
+    For the model checker, which resumes schedules from saved states
+    instead of re-executing them from the start. *)
+
+type saved
+(** The whole node: its CPU ({!Hft_machine.Cpu.save}), virtual control
+    registers, disk controller registers, statistics, recovery block,
+    every protocol field, table and queue, and the installed hooks.
+    Timer handles are saved as the engine events they name, which
+    {!Hft_sim.Engine.restore} brings back. *)
+
+type spare
+(** The integer arrays and statistics record of a save that will never
+    be restored again, for a later save to overwrite. *)
+
+val spare : saved -> spare
+
+val save : ?like:saved -> ?into:spare -> t -> saved
+(** Parts equal to [like]'s are shared with it rather than copied.
+    With [into], the integer state and statistics are written there
+    instead of into fresh storage. *)
+
+val restore : t -> saved -> unit
+(** Put the node back in place to a {!save} of it.
+    @raise Invalid_argument if the save is of another node. *)
 
 (* Hooks installed by {!System}. *)
 

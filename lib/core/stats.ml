@@ -93,6 +93,51 @@ let create () =
     intr_delay = Time.zero;
   }
 
+let blit ~src ~dst =
+  dst.instructions <- src.instructions;
+  dst.simulated <- src.simulated;
+  dst.epochs <- src.epochs;
+  dst.interrupts_buffered <- src.interrupts_buffered;
+  dst.interrupts_delivered <- src.interrupts_delivered;
+  dst.env_values <- src.env_values;
+  dst.io_submitted <- src.io_submitted;
+  dst.io_suppressed <- src.io_suppressed;
+  dst.uncertain_synthesized <- src.uncertain_synthesized;
+  dst.spurious_completions <- src.spurious_completions;
+  dst.tlb_fills <- src.tlb_fills;
+  dst.reflected_traps <- src.reflected_traps;
+  dst.retransmits <- src.retransmits;
+  dst.duplicates_dropped <- src.duplicates_dropped;
+  dst.corruptions_detected <- src.corruptions_detected;
+  dst.pages_hashed <- src.pages_hashed;
+  dst.pages_skipped <- src.pages_skipped;
+  dst.snapshot_delta_bytes <- src.snapshot_delta_bytes;
+  dst.hv_faults_injected <- src.hv_faults_injected;
+  dst.microreboots <- src.microreboots;
+  dst.reconciled_ios <- src.reconciled_ios;
+  dst.reconciled_msgs <- src.reconciled_msgs;
+  dst.recovery_cycles <- src.recovery_cycles;
+  dst.recovery_escalations <- src.recovery_escalations;
+  dst.recovery_windows <- src.recovery_windows;
+  dst.certified_instructions <- src.certified_instructions;
+  dst.validated_instructions <- src.validated_instructions;
+  dst.blocks_translated <- src.blocks_translated;
+  dst.superinstructions_fused <- src.superinstructions_fused;
+  dst.threaded_instrs <- src.threaded_instrs;
+  dst.threaded_entries <- src.threaded_entries;
+  dst.loops_hoisted <- src.loops_hoisted;
+  dst.hoisted_decrements <- src.hoisted_decrements;
+  dst.fallback_budget <- src.fallback_budget;
+  dst.fallback_priv <- src.fallback_priv;
+  dst.fallback_link <- src.fallback_link;
+  dst.fallback_indirect <- src.fallback_indirect;
+  dst.fallback_bail <- src.fallback_bail;
+  dst.fallback_stop <- src.fallback_stop;
+  dst.ack_wait <- src.ack_wait;
+  dst.boundary <- src.boundary;
+  dst.idle <- src.idle;
+  dst.intr_delay <- src.intr_delay
+
 let add_time t kind d =
   match kind with
   | `Ack_wait -> t.ack_wait <- Time.add t.ack_wait d

@@ -119,3 +119,6 @@ val threaded_fraction : t -> float option
     threaded. *)
 
 val pp : Format.formatter -> t -> unit
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite every counter of [dst] with [src]'s. *)

@@ -27,6 +27,31 @@ type t = {
   ls : lockstep;
   mutable failover_ : bool;
   mutable reintegration_delay : Time.t option;
+  mutable hv_faults_armed : int;
+      (* bit [k]: the [k]th [hv_fault_on_epoch] has scheduled its fault *)
+  mutable hv_fault_installs : int;
+  mutable last : snapshot option;
+      (* the last snapshot taken or restored, which the next one shares
+         unchanged parts with *)
+  mutable spares : (Hypervisor.spare * Hypervisor.spare) list;
+      (* storage of snapshots that will not be restored again, which
+         the next snapshots overwrite *)
+}
+
+and snapshot = {
+  sn_engine : Engine.saved;
+  sn_primary : Hypervisor.saved;
+  sn_backup : Hypervisor.saved;
+  sn_disk : Disk.saved;
+  sn_console : Console.saved;
+  sn_pb : Message.t Channel.saved;
+  sn_bp : Message.t Channel.saved;
+  sn_hashes : (int * int) list;
+  sn_compared : int;
+  sn_mismatches : int list;
+  sn_failover : bool;
+  sn_reintegration_delay : Time.t option;
+  sn_hv_faults_armed : int;
 }
 
 let record_boundary ls ~epoch ~hash =
@@ -208,6 +233,10 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       ls;
       failover_ = false;
       reintegration_delay = None;
+      hv_faults_armed = 0;
+      hv_fault_installs = 0;
+      last = None;
+      spares = (match recycle with Some old -> old.spares | None -> []);
     }
   in
   Hypervisor.set_on_promote backup_ (fun _ ->
@@ -269,10 +298,15 @@ let hv_fault_at t ~target ~kind time =
 let hv_fault_on_epoch t ~target ~kind epoch_target =
   let hv = hv_of_target t target in
   let previous = Hypervisor.get_on_epoch_boundary hv in
-  let armed = ref false in
+  (* whether it has fired is system state, which a snapshot covers *)
+  let bit = 1 lsl t.hv_fault_installs in
+  t.hv_fault_installs <- t.hv_fault_installs + 1;
   Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
-      if epoch = epoch_target && Hypervisor.alive hv && not !armed then begin
-        armed := true;
+      if
+        epoch = epoch_target && Hypervisor.alive hv
+        && t.hv_faults_armed land bit = 0
+      then begin
+        t.hv_faults_armed <- t.hv_faults_armed lor bit;
         let half =
           Time.scale t.p.Params.instr_time (t.p.Params.epoch_length / 2)
         in
@@ -340,10 +374,12 @@ type outcome = {
   bytes_sent : int;
 }
 
-let run ?(limit = 200_000_000) t =
+let start t =
   Hypervisor.start t.primary_;
   Hypervisor.start t.backup_;
-  (match t.backup2_ with Some b2 -> Hypervisor.start b2 | None -> ());
+  match t.backup2_ with Some b2 -> Hypervisor.start b2 | None -> ()
+
+let drive ?(limit = 200_000_000) t =
   Engine.run ~limit t.engine;
   let survivor =
     (* the authoritative machine is the one still acting as a primary;
@@ -388,3 +424,81 @@ let run ?(limit = 200_000_000) t =
       messages_sent = Channel.messages_sent t.ch_pb;
       bytes_sent = Channel.bytes_sent t.ch_pb;
     }
+
+let run ?limit t =
+  start t;
+  drive ?limit t
+
+(* ---------- snapshot and restore ---------- *)
+
+let no_chain fn t =
+  if t.backup2_ <> None then
+    invalid_arg ("System." ^ fn ^ ": not supported with a backup chain")
+
+let snapshot t =
+  no_chain "snapshot" t;
+  let like part = Option.map part t.last in
+  let hashes =
+    match t.last with
+    | Some l
+      when Hashtbl.length t.ls.hashes = List.length l.sn_hashes
+           && List.for_all
+                (fun (e, h) -> Hashtbl.find_opt t.ls.hashes e = Some h)
+                l.sn_hashes ->
+      l.sn_hashes
+    | _ -> Hashtbl.fold (fun e h acc -> (e, h) :: acc) t.ls.hashes []
+  in
+  let into =
+    match t.spares with
+    | sp :: rest ->
+      t.spares <- rest;
+      Some sp
+    | [] -> None
+  in
+  let s =
+    {
+      sn_engine = Engine.save t.engine;
+      sn_primary =
+        Hypervisor.save
+          ?like:(like (fun l -> l.sn_primary))
+          ?into:(Option.map fst into) t.primary_;
+      sn_backup =
+        Hypervisor.save
+          ?like:(like (fun l -> l.sn_backup))
+          ?into:(Option.map snd into) t.backup_;
+      sn_disk = Disk.save ?like:(like (fun l -> l.sn_disk)) t.disk_;
+      sn_console = Console.save ?like:(like (fun l -> l.sn_console)) t.console_;
+      sn_pb = Channel.save ?like:(like (fun l -> l.sn_pb)) t.ch_pb;
+      sn_bp = Channel.save ?like:(like (fun l -> l.sn_bp)) t.ch_bp;
+      sn_hashes = hashes;
+      sn_compared = t.ls.compared;
+      sn_mismatches = t.ls.mismatches;
+      sn_failover = t.failover_;
+      sn_reintegration_delay = t.reintegration_delay;
+      sn_hv_faults_armed = t.hv_faults_armed;
+    }
+  in
+  t.last <- Some s;
+  s
+
+let restore t s =
+  no_chain "restore" t;
+  Hypervisor.restore t.primary_ s.sn_primary;
+  Hypervisor.restore t.backup_ s.sn_backup;
+  Engine.restore t.engine s.sn_engine;
+  Disk.restore t.disk_ s.sn_disk;
+  Console.restore t.console_ s.sn_console;
+  Channel.restore t.ch_pb s.sn_pb;
+  Channel.restore t.ch_bp s.sn_bp;
+  Hashtbl.reset t.ls.hashes;
+  List.iter (fun (e, h) -> Hashtbl.replace t.ls.hashes e h) s.sn_hashes;
+  t.ls.compared <- s.sn_compared;
+  t.ls.mismatches <- s.sn_mismatches;
+  t.failover_ <- s.sn_failover;
+  t.reintegration_delay <- s.sn_reintegration_delay;
+  t.hv_faults_armed <- s.sn_hv_faults_armed;
+  t.last <- Some s
+
+let release t s =
+  t.spares <-
+    (Hypervisor.spare s.sn_primary, Hypervisor.spare s.sn_backup) :: t.spares

@@ -141,6 +141,55 @@ type outcome = {
 }
 
 val run : ?limit:int -> t -> outcome
-(** Start both hypervisors and run the simulation until the surviving
-    virtual machine halts and all events drain.
-    @raise Failure if no VM completes the workload. *)
+(** {!start}, then {!drive}. *)
+
+val start : t -> unit
+(** Start every hypervisor: each writes the workload configuration,
+    arms its first epoch and schedules its first burst. *)
+
+val drive : ?limit:int -> t -> outcome
+(** Run a started (or restored) system until the surviving virtual
+    machine halts and all events drain.  [limit] bounds the engine's
+    dispatch count since creation ({!Hft_sim.Engine.run}), default 200
+    million.
+    @raise Failure if no VM completes the workload.
+    @raise Hft_sim.Engine.Runaway when the limit is reached. *)
+
+(** {2 Snapshot and restore}
+
+    The model checker resumes schedules from saved states instead of
+    re-executing their prefixes.  A snapshot covers the engine (its
+    live events, including a batch the scheduler hook is deciding over
+    when taken from inside it), both hypervisors with their CPUs,
+    memories and TLBs, the disk, the console, both channels, the
+    lockstep table and the system's own flags.  The observability
+    recorder and installed hooks on the engine are not covered. *)
+
+type snapshot
+
+val snapshot : t -> snapshot
+(** Take it between two events: outside {!drive}, or from a scheduler
+    hook ({!Hft_sim.Engine.set_scheduler}).  Guest memory is saved as
+    the chunks written since this system's previous snapshot or
+    restore, sharing the rest, disk blocks are shared copy-on-write,
+    and other unchanged parts are shared with the previous snapshot,
+    so a snapshot mostly costs its protocol state.
+    @raise Invalid_argument on a system with a chained second
+    backup. *)
+
+val restore : t -> snapshot -> unit
+(** Put the system back in place to a snapshot of it — any one, any
+    number of times.  Pending events are the same records again, so
+    their handlers (which capture the restored objects) and the
+    sequence numbers the engine issues next are those of a run that
+    never left.  Continue it with {!drive}, not {!run}: it is already
+    started.
+    @raise Invalid_argument if the snapshot is of another system
+    (including one this system was recycled from). *)
+
+val release : t -> snapshot -> unit
+(** Declare that the snapshot will never be restored again: later
+    snapshots of the system overwrite its integer arrays and
+    statistics instead of allocating their own, so a search that
+    takes and drops snapshots steadily allocates little.  Restoring a
+    released snapshot is an error the system does not detect. *)

@@ -19,3 +19,10 @@ val contents : t -> string
 val length : t -> int
 
 val clear : t -> unit
+
+type saved
+
+val save : ?like:saved -> t -> saved
+(** [like] itself while nothing was written since it was taken. *)
+
+val restore : t -> saved -> unit

@@ -67,6 +67,10 @@ type t = {
   storage : Hft_machine.Word.t array array;
       (* [[||]] marks a pristine block: never written since [create] or
          the last [fill], its contents are [pristine] *)
+  owned : bool array;
+      (* the block's array was allocated since the last [save] or
+         [restore], so no saved state shares it and a write may go in
+         place *)
   mutable filled : bool;
   queue : pending Queue.t;
   deferred : (int, parked list) Hashtbl.t;
@@ -95,6 +99,7 @@ let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
     rng;
     obs;
     storage = Array.make prm.blocks [||];
+    owned = Array.make prm.blocks true;
     filled = false;
     queue = Queue.create ();
     deferred = Hashtbl.create 2;
@@ -140,16 +145,18 @@ let read_block_now t block =
     copy
 
 let store t block data =
+  let old = t.storage.(block) in
+  let first = Array.length old = 0 in
+  (* a first write takes the block out of the pristine image; a block
+     a save shares is replaced rather than written *)
+  let old = if first then pristine t block else old in
   let cur =
-    match t.storage.(block) with
-    | [||] ->
-      (* first write: the block leaves the pristine image *)
-      let cur = pristine t block in
-      t.storage.(block) <- cur;
-      cur
-    | cur -> cur
+    if first || t.owned.(block) then old
+    else Array.make t.prm.block_words 0
   in
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur;
+  t.storage.(block) <- cur;
+  t.owned.(block) <- true;
+  t.storage_hash_ <- t.storage_hash_ lxor block_hash block old;
   Hft_machine.Memory.blit_words data 0 cur 0 t.prm.block_words;
   t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur
 
@@ -262,6 +269,69 @@ let drop_port t ~port =
     List.length parked
 
 let storage_hash t = t.storage_hash_
+
+(* Blocks are shared with the save, copy-on-write; the log is an
+   immutable list and the queued and parked records are immutable
+   too. *)
+type saved = {
+  sv_storage : Hft_machine.Word.t array array;
+  sv_filled : bool;
+  sv_queue : pending list;
+  sv_deferred : (int * parked list) list;
+  sv_busy : bool;
+  sv_next_op_id : int;
+  sv_next_log_seq : int;
+  sv_log_rev : log_entry list;
+  sv_storage_hash : int;
+  sv_rng : Rng.saved;
+}
+
+(* [like]'s storage and queues are shared when they hold the same
+   records (which carry closures, so they compare physically). *)
+let save ?like t =
+  Array.fill t.owned 0 t.prm.blocks false;
+  let same a b = List.equal ( == ) a b in
+  let keep part eq fresh =
+    match like with Some l when eq (part l) fresh -> part l | _ -> fresh
+  in
+  {
+    sv_storage =
+      (match like with
+      | Some l when Array.for_all2 ( == ) l.sv_storage t.storage -> l.sv_storage
+      | _ -> Array.copy t.storage);
+    sv_filled = t.filled;
+    sv_queue =
+      keep
+        (fun l -> l.sv_queue)
+        same
+        (List.of_seq (Queue.to_seq t.queue));
+    sv_deferred =
+      keep
+        (fun l -> l.sv_deferred)
+        (List.equal (fun (k, a) (k', b) -> k = k' && same a b))
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.deferred []);
+    sv_busy = t.busy_;
+    sv_next_op_id = t.next_op_id;
+    sv_next_log_seq = t.next_log_seq;
+    sv_log_rev = t.log_rev;
+    sv_storage_hash = t.storage_hash_;
+    sv_rng = Rng.save t.rng;
+  }
+
+let restore t s =
+  Array.blit s.sv_storage 0 t.storage 0 t.prm.blocks;
+  Array.fill t.owned 0 t.prm.blocks false;
+  t.filled <- s.sv_filled;
+  Queue.clear t.queue;
+  List.iter (fun p -> Queue.add p t.queue) s.sv_queue;
+  Hashtbl.reset t.deferred;
+  List.iter (fun (k, v) -> Hashtbl.replace t.deferred k v) s.sv_deferred;
+  t.busy_ <- s.sv_busy;
+  t.next_op_id <- s.sv_next_op_id;
+  t.next_log_seq <- s.sv_next_log_seq;
+  t.log_rev <- s.sv_log_rev;
+  t.storage_hash_ <- s.sv_storage_hash;
+  Rng.restore t.rng s.sv_rng
 
 let fingerprint t =
   let mix = Fnv.int and flag = Fnv.bool in

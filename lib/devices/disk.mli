@@ -182,3 +182,15 @@ module Log : sig
       Violations are reported through [errors]; returns [true] when
       the history is consistent. *)
 end
+
+(** {2 Save and restore} *)
+
+type saved
+(** Contents, queue, parked completions, log, counters and the fault
+    generator's position.  Blocks are shared with the live disk and
+    copied on its next write to them, so a save costs no block copy. *)
+
+val save : ?like:saved -> t -> saved
+(** Parts equal to [like]'s are shared with it rather than copied. *)
+
+val restore : t -> saved -> unit

@@ -48,8 +48,13 @@ let set_status t s = t.r_status <- s
 
 let status t = t.r_status
 
+let save t = { t with r_block = t.r_block }
+
 let copy_state_from dst src =
   dst.r_block <- src.r_block;
   dst.r_dma <- src.r_dma;
   dst.r_status <- src.r_status;
   dst.r_pad <- src.r_pad
+
+let fingerprint h t =
+  List.fold_left Hft_sim.Fnv.int h [ t.r_block; t.r_dma; t.r_status; t.r_pad ]

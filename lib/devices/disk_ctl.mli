@@ -36,5 +36,13 @@ val set_status : t -> int -> unit
 
 val status : t -> int
 
+val save : t -> t
+(** An independent copy of the registers. *)
+
 val copy_state_from : t -> t -> unit
-(** [copy_state_from dst src] — used when reintegrating a backup. *)
+(** [copy_state_from dst src] overwrites [dst]'s registers in place
+    with [src]'s: the restore half of {!save}, used when reintegrating
+    a backup and by checker restores. *)
+
+val fingerprint : int -> t -> int
+(** Mix the four registers into a running {!Hft_sim.Fnv} digest. *)

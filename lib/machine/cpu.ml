@@ -1082,6 +1082,156 @@ let restore t snap =
   Memory.blit_from t.memory ~src:snap.s_mem;
   Tlb.flush t.tlb_state
 
+(* ---------- save and restore (the model checker's) ----------
+
+   Unlike [snapshot], which copies the architectural state a peer
+   needs, a save covers everything a run can change: registers, pc,
+   retirement count, memory, TLB, the reintegration snapshot base, and
+   the validator's, translation's and profiler's counters.  The
+   integers go into one array that a released save can lend (see
+   {!save}).  Restoring writes into the same arrays, which the
+   translation's closures alias. *)
+
+type saved = {
+  sv_ints : int array;
+      (* registers, control registers, pc, retired, snapshot bytes,
+         then the validator's scalars and the translation's counters *)
+  sv_mem : Memory.saved;
+  sv_tlb : Tlb.saved;
+  sv_base : (Memory.t * Memory.saved) option;
+  sv_vmax : int array;  (* the validator's [v_rmax], then its [v_lmax] *)
+  sv_prof : int array option;
+}
+
+let n_ints = Isa.num_regs + Isa.num_crs + 3 + 10 + 9
+
+(* [save_ints] and [restore_ints] walk the same fields in the same
+   order; an absent validator or translation saves zeros. *)
+let save_ints t a =
+  let i = ref 0 in
+  let put v =
+    a.(!i) <- v;
+    incr i
+  in
+  Array.iter put t.regs;
+  Array.iter put t.crs;
+  put t.pc_;
+  put t.retired;
+  put t.snap_bytes;
+  (match t.validator with
+  | Some v ->
+    put v.v_skip_from;
+    put v.v_skip_until;
+    put v.v_open_at;
+    put v.v_written;
+    put v.v_cur_region;
+    put v.v_rcount;
+    put v.v_cur_loop;
+    put v.v_lcount;
+    put v.v_covered;
+    put v.v_checked
+  | None -> for _ = 1 to 10 do put 0 done);
+  match t.trans with
+  | Some tx ->
+    put tx.Translate.entries_taken;
+    put tx.Translate.threaded_instrs;
+    put tx.Translate.fb_budget;
+    put tx.Translate.fb_priv;
+    put tx.Translate.fb_link;
+    put tx.Translate.fb_indirect;
+    put tx.Translate.fb_bail;
+    put tx.Translate.fb_stop;
+    put tx.Translate.state.Translate.x_hoist_saved
+  | None -> for _ = 1 to 9 do put 0 done
+
+let restore_ints t a =
+  let i = ref 0 in
+  let get () =
+    incr i;
+    a.(!i - 1)
+  in
+  Array.iteri (fun j _ -> t.regs.(j) <- get ()) t.regs;
+  Array.iteri (fun j _ -> t.crs.(j) <- get ()) t.crs;
+  t.pc_ <- get ();
+  t.retired <- get ();
+  t.snap_bytes <- get ();
+  (match t.validator with
+  | Some v ->
+    v.v_skip_from <- get ();
+    v.v_skip_until <- get ();
+    v.v_open_at <- get ();
+    v.v_written <- get ();
+    v.v_cur_region <- get ();
+    v.v_rcount <- get ();
+    v.v_cur_loop <- get ();
+    v.v_lcount <- get ();
+    v.v_covered <- get ();
+    v.v_checked <- get ()
+  | None -> i := !i + 10);
+  match t.trans with
+  | Some tx ->
+    tx.Translate.entries_taken <- get ();
+    tx.Translate.threaded_instrs <- get ();
+    tx.Translate.fb_budget <- get ();
+    tx.Translate.fb_priv <- get ();
+    tx.Translate.fb_link <- get ();
+    tx.Translate.fb_indirect <- get ();
+    tx.Translate.fb_bail <- get ();
+    tx.Translate.fb_stop <- get ();
+    tx.Translate.state.Translate.x_hoist_saved <- get ()
+  | None -> ()
+
+(* the observed maxima, as [prev] itself while none has grown *)
+let save_vmax prev = function
+  | None -> [||]
+  | Some v ->
+    let nr = Array.length v.v_rmax in
+    let rec same i =
+      i = Array.length prev
+      || prev.(i) = (if i < nr then v.v_rmax.(i) else v.v_lmax.(i - nr))
+         && same (i + 1)
+    in
+    if Array.length prev = nr + Array.length v.v_lmax && same 0 then prev
+    else Array.append v.v_rmax v.v_lmax
+
+let save ?like ?into t =
+  let ints = match into with Some a -> a | None -> Array.make n_ints 0 in
+  save_ints t ints;
+  {
+    sv_ints = ints;
+    sv_mem = Memory.save t.memory;
+    sv_tlb = Tlb.save ?like:(Option.map (fun l -> l.sv_tlb) like) t.tlb_state;
+    sv_base = Option.map (fun b -> (b, Memory.save b)) t.snap_base;
+    sv_vmax =
+      save_vmax
+        (match like with Some l -> l.sv_vmax | None -> [||])
+        t.validator;
+    sv_prof = Option.map Array.copy t.prof;
+  }
+
+let ints s = s.sv_ints
+
+(* A base created after the save is kept: until the next [snapshot]
+   every page is snapshot-dirty, so that snapshot overwrites the whole
+   base whichever way it got there, and counts the same bytes. *)
+let restore_saved t s =
+  restore_ints t s.sv_ints;
+  Memory.restore t.memory s.sv_mem;
+  Tlb.restore t.tlb_state s.sv_tlb;
+  (match (s.sv_base, t.snap_base) with
+  | Some (b, sb), Some b' when b == b' -> Memory.restore b sb
+  | Some _, _ -> invalid_arg "Cpu.restore_saved: not a save of this CPU"
+  | None, _ -> ());
+  (match t.validator with
+  | None -> ()
+  | Some v ->
+    let nr = Array.length v.v_rmax in
+    Array.blit s.sv_vmax 0 v.v_rmax 0 nr;
+    Array.blit s.sv_vmax nr v.v_lmax 0 (Array.length v.v_lmax));
+  match (t.prof, s.sv_prof) with
+  | Some p, Some sp -> Array.blit sp 0 p 0 (Array.length p)
+  | _ -> ()
+
 let pp_stop fmt = function
   | Fuel -> Format.fprintf fmt "fuel"
   | Recovery -> Format.fprintf fmt "recovery"

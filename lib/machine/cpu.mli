@@ -314,4 +314,26 @@ val restore : t -> snapshot -> unit
     be the one the snapshot was taken from.
     @raise Invalid_argument on a code-image size mismatch. *)
 
+type saved
+(** Everything a run changes in the CPU, for the model checker to
+    resume a schedule from: registers, control registers, pc,
+    retirement count, memory ({!Memory.save}: pages not written since
+    the previous save are shared, not copied), TLB, the {!snapshot}
+    base image, and the validator's, translation's and profiler's
+    counters. *)
+
+val save : ?like:saved -> ?into:int array -> t -> saved
+(** Parts equal to [like]'s are shared with it rather than copied.
+    The integer state goes into [into] when given: the {!ints} of a
+    save that will never be restored again. *)
+
+val ints : saved -> int array
+
+val restore_saved : t -> saved -> unit
+(** Put the CPU back in place to a {!save} of it.  Every array is
+    written into, never replaced: the direct-threaded translation's
+    closures alias the register file, the memory and the TLB.
+    @raise Invalid_argument if the save is of another CPU's snapshot
+    base. *)
+
 val pp_stop : Format.formatter -> stop -> unit

@@ -4,8 +4,9 @@
    boundary, and reintegration snapshots copy it.  Both costs are
    proportional to memory size, not to how much the guest actually
    wrote — at the paper's EL=1024 the simulator would spend far more
-   host time hashing than executing.  So memory keeps two per-page
-   dirty bitmaps keyed to the page size of the owning CPU's config:
+   host time hashing than executing.  So memory keeps per-page flags,
+   keyed to the page size of the owning CPU's config, packed into one
+   int per page so a write sets all its flags with a single store:
 
    - [stale] invalidates the cached per-page FNV digest; [digest]
      re-hashes only stale pages and folds the cached digests of the
@@ -13,29 +14,56 @@
      fold order is fixed), so the incremental result is always equal
      to a from-scratch [full_digest] — that equivalence is what keeps
      primary and backup comparable whichever scheme each side uses.
-   - [snap_dirty] records pages written since the last [clear_dirty],
-     which the CPU snapshot path uses to copy only the delta since the
+   - [snap] records pages written since the last [clear_dirty], which
+     the CPU snapshot path uses to copy only the delta since the
      previous snapshot.
+   - [saved] records pages written since the last [save] or
+     [restore], which a [save] copies (see below).
 
-   A third set, [touched], exists only so [reset] can find the pages
+   A fourth flag, [touched], exists only so [reset] can find the pages
    that may hold nonzero words without scanning the rest: a page may
    be nonzero only if it is [stale] or [touched].  Writes already mark
    [stale], so [touched] is set where [stale] is cleared ([digest]) or
    adopted from another memory ([copy_page], [blit_from]) — never on
    the write fast paths. *)
 
+let f_stale = 1
+let f_snap = 2
+let f_saved = 4
+let f_touched = 8
+
+(* what a write sets: the page is stale, snapshot-dirty and unsaved *)
+let f_written = f_stale lor f_snap lor f_saved
+
+(* may hold nonzero words *)
+let f_live = f_stale lor f_touched
+
+(* A [save]: every page's contents in chunks (see [save]), plus the
+   tracking state. *)
+type saved = {
+  sv_pages : int array array array;
+  sv_flags : int array;
+  sv_digests : int array;
+  sv_clean : bool;
+  sv_digest_cache : int;
+  sv_hashed : int;
+  sv_skipped : int;
+}
+
 type t = {
   words : int array;
   page_shift : int;
   pages : int;
   page_digests : int array;
-  stale : bool array; (* page digest cache invalid *)
-  touched : bool array; (* page may be nonzero though not [stale] *)
+  flags : int array; (* per page, [f_*] bits *)
   zero_page : int; (* digest of an all-zero page *)
   zero_tail : int; (* of the all-zero last page, which may be partial *)
   mutable clean : bool; (* no write since [digest_cache] was computed *)
   mutable digest_cache : int;
-  snap_dirty : bool array; (* page written since last [clear_dirty] *)
+  root : saved; (* all-zero pages: what [init] leaves *)
+  mutable head : saved;
+      (* the last [save] or [restore]: every page without [f_saved]
+         holds exactly [head]'s contents *)
   (* cumulative work counters, drained by [take_hash_work] *)
   mutable pages_hashed : int;
   mutable pages_skipped : int;
@@ -68,11 +96,10 @@ let zero_page_digest n =
 let init t =
   Array.fill t.page_digests 0 t.pages t.zero_page;
   t.page_digests.(t.pages - 1) <- t.zero_tail;
-  Array.fill t.stale 0 t.pages false;
-  Array.fill t.touched 0 t.pages false;
+  Array.fill t.flags 0 t.pages f_snap;
   t.clean <- false;
   t.digest_cache <- 0;
-  Array.fill t.snap_dirty 0 t.pages true;
+  t.head <- t.root;
   t.pages_hashed <- 0;
   t.pages_skipped <- 0
 
@@ -84,19 +111,30 @@ let create ?(page_shift = default_page_shift) ~words () =
   let pages = (words + page - 1) lsr page_shift in
   let zero_page = zero_page_digest (min page words) in
   let tail = words - ((pages - 1) lsl page_shift) in
+  let root =
+    {
+      sv_pages = Array.make pages [||];
+      sv_flags = [||];
+      sv_digests = [||];
+      sv_clean = false;
+      sv_digest_cache = 0;
+      sv_hashed = 0;
+      sv_skipped = 0;
+    }
+  in
   let t =
     {
       words = Array.make words 0;
       page_shift;
       pages;
       page_digests = Array.make pages 0;
-      stale = Array.make pages false;
-      touched = Array.make pages false;
+      flags = Array.make pages 0;
       zero_page;
       zero_tail = (if tail < page then zero_page_digest tail else zero_page);
       clean = false;
       digest_cache = 0;
-      snap_dirty = Array.make pages true;
+      root;
+      head = root;
       pages_hashed = 0;
       pages_skipped = 0;
     }
@@ -114,7 +152,7 @@ let page_words t p =
 
 let reset t =
   for p = 0 to t.pages - 1 do
-    if t.stale.(p) || t.touched.(p) then
+    if t.flags.(p) land f_live <> 0 then
       Array.fill t.words (p lsl t.page_shift) (page_words t p) 0
   done;
   init t
@@ -129,9 +167,7 @@ let[@inline] read t addr =
   t.words.(addr)
 
 let[@inline] mark t addr =
-  let p = addr lsr t.page_shift in
-  t.stale.(p) <- true;
-  t.snap_dirty.(p) <- true;
+  t.flags.(addr lsr t.page_shift) <- f_written;
   t.clean <- false
 
 let[@inline] write t addr v =
@@ -148,19 +184,14 @@ let[@inline] read_fast t addr = Array.unsafe_get t.words addr
 
 let[@inline] write_fast t addr v =
   Array.unsafe_set t.words addr v;
-  let p = addr lsr t.page_shift in
-  Array.unsafe_set t.stale p true;
-  Array.unsafe_set t.snap_dirty p true;
+  Array.unsafe_set t.flags (addr lsr t.page_shift) f_written;
   t.clean <- false
 
 let mark_range t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr t.page_shift
     and last = (addr + len - 1) lsr t.page_shift in
-    for p = first to last do
-      t.stale.(p) <- true;
-      t.snap_dirty.(p) <- true
-    done;
+    Array.fill t.flags first (last - first + 1) f_written;
     t.clean <- false
   end
 
@@ -196,19 +227,26 @@ let blit_out t ~addr ~len =
     invalid_arg "Memory.blit_out: block out of range";
   sub_words t.words addr len
 
+(* Relative to its own all-zero root, a copy's unsaved pages are the
+   ones that may be nonzero. *)
 let copy t =
+  let root = { t.root with sv_pages = Array.make t.pages [||] } in
   {
     words = sub_words t.words 0 (Array.length t.words);
     page_shift = t.page_shift;
     pages = t.pages;
     page_digests = sub_words t.page_digests 0 t.pages;
-    stale = Array.copy t.stale;
-    touched = Array.copy t.touched;
+    flags =
+      Array.map
+        (fun f ->
+          if f land f_live <> 0 then f lor f_saved else f land lnot f_saved)
+        t.flags;
     zero_page = t.zero_page;
     zero_tail = t.zero_tail;
     clean = t.clean;
     digest_cache = t.digest_cache;
-    snap_dirty = Array.copy t.snap_dirty;
+    root;
+    head = root;
     pages_hashed = 0;
     pages_skipped = 0;
   }
@@ -218,21 +256,26 @@ let blit_from t ~src =
     invalid_arg "Memory.blit_from: size mismatch";
   if t != src then begin
     blit_words src.words 0 t.words 0 (Array.length src.words);
+    (* relative to this memory's snapshot base everything changed;
+       relative to its last [save], every page either side may hold
+       nonzero words in *)
+    let moved p = t.flags.(p) lor src.flags.(p) land f_live <> 0 in
     if t.page_shift = src.page_shift then begin
       (* adopt the source's digest caches so a restore costs no
          re-hashing beyond what the source already owed *)
       blit_words src.page_digests 0 t.page_digests 0 t.pages;
-      Array.blit src.stale 0 t.stale 0 t.pages;
-      Array.blit src.touched 0 t.touched 0 t.pages;
+      for p = 0 to t.pages - 1 do
+        t.flags.(p) <-
+          src.flags.(p) land f_live lor f_snap
+          lor if moved p then f_saved else 0
+      done;
       t.digest_cache <- src.digest_cache;
       t.clean <- src.clean
     end
     else begin
-      Array.fill t.stale 0 t.pages true;
+      Array.fill t.flags 0 t.pages f_written;
       t.clean <- false
-    end;
-    (* relative to this memory's snapshot base, everything changed *)
-    Array.fill t.snap_dirty 0 t.pages true
+    end
   end
 
 let copy_page ~src ~dst p =
@@ -245,9 +288,7 @@ let copy_page ~src ~dst p =
   let len = min (1 lsl src.page_shift) (Array.length src.words - lo) in
   blit_words src.words lo dst.words lo len;
   dst.page_digests.(p) <- src.page_digests.(p);
-  dst.stale.(p) <- src.stale.(p);
-  dst.touched.(p) <- src.touched.(p);
-  dst.snap_dirty.(p) <- true;
+  dst.flags.(p) <- src.flags.(p) land f_live lor f_snap lor f_saved;
   dst.clean <- false
 
 let equal a b =
@@ -284,10 +325,10 @@ let digest t =
   end
   else begin
     for p = 0 to t.pages - 1 do
-      if t.stale.(p) then begin
+      let f = t.flags.(p) in
+      if f land f_stale <> 0 then begin
         t.page_digests.(p) <- hash_page t p;
-        t.stale.(p) <- false;
-        t.touched.(p) <- true;
+        t.flags.(p) <- f land lnot f_stale lor f_touched;
         t.pages_hashed <- t.pages_hashed + 1
       end
       else t.pages_skipped <- t.pages_skipped + 1
@@ -314,10 +355,142 @@ let take_hash_work t =
 let dirty_pages t =
   let acc = ref [] in
   for p = t.pages - 1 downto 0 do
-    if t.snap_dirty.(p) then acc := p :: !acc
+    if t.flags.(p) land f_snap <> 0 then acc := p :: !acc
   done;
   !acc
 
-let clear_dirty t = Array.fill t.snap_dirty 0 t.pages false
+let clear_dirty t =
+  for p = 0 to t.pages - 1 do
+    t.flags.(p) <- t.flags.(p) land lnot f_snap
+  done
 
 let load t ~addr words = blit_in t ~addr (Array.of_list words)
+
+(* ---------- save and restore ----------
+
+   A [save] holds every page as an array of chunks of at most
+   [chunk_words] words ([[||]] for a zero page or chunk).  Only the
+   pages written since the previous [save] or [restore] are compared
+   with it, and only the chunks that changed are copied; everything
+   else is shared, so a saved value needs nothing else alive to be
+   restored, and a chain of saves costs about one chunk per chunk
+   written along it.  Chunks are small enough to be allocated on the
+   minor heap.  A [restore] rewrites the pages written since [head]
+   and the chunks where [head] and the target differ (a pointer
+   compare per chunk). *)
+
+let chunk_words = 32
+
+(* the [c]th chunk of a saved page, [[||]] if zero *)
+let chunk page c = if Array.length page = 0 then [||] else page.(c)
+
+let same_words words lo (ch : int array) len =
+  let i = ref 0 in
+  if Array.length ch = 0 then
+    while !i < len && words.(lo + !i) = 0 do
+      incr i
+    done
+  else
+    while !i < len && words.(lo + !i) = ch.(!i) do
+      incr i
+    done;
+  !i = len
+
+(* page [p]'s live contents, sharing every chunk equal to [prev]'s *)
+let save_page t p prev =
+  let lo = p lsl t.page_shift and n = page_words t p in
+  let chunks = Array.make ((n + chunk_words - 1) / chunk_words) [||] in
+  let same = ref true in
+  for c = 0 to Array.length chunks - 1 do
+    let off = lo + (c * chunk_words) in
+    let len = min chunk_words (n - (c * chunk_words)) in
+    let old = chunk prev c in
+    if same_words t.words off old len then chunks.(c) <- old
+    else begin
+      same := false;
+      chunks.(c) <- sub_words t.words off len
+    end
+  done;
+  if !same then prev else chunks
+
+(* [a]'s contents, as [prev] itself when they are equal *)
+let share (prev : int array) (a : int array) =
+  let n = Array.length a in
+  if Array.length prev = n && same_words a 0 prev n then prev
+  else sub_words a 0 n
+
+(* Nothing written or rehashed since [head], and the same counters:
+   [head] itself is the save. *)
+let unchanged t =
+  let h = t.head in
+  let rec pages p =
+    p = t.pages
+    || t.flags.(p) land f_saved = 0
+       && t.flags.(p) = h.sv_flags.(p)
+       && t.page_digests.(p) = h.sv_digests.(p)
+       && pages (p + 1)
+  in
+  h != t.root && h.sv_clean = t.clean
+  && h.sv_digest_cache = t.digest_cache
+  && h.sv_hashed = t.pages_hashed
+  && h.sv_skipped = t.pages_skipped
+  && pages 0
+
+let save t =
+  if unchanged t then t.head
+  else begin
+    let head = t.head in
+    let pages = ref head.sv_pages in
+    for p = 0 to t.pages - 1 do
+      let f = t.flags.(p) in
+      if f land f_saved <> 0 then begin
+        let prev = head.sv_pages.(p) in
+        let page = save_page t p prev in
+        if page != prev then begin
+          if !pages == head.sv_pages then pages := Array.copy head.sv_pages;
+          !pages.(p) <- page
+        end;
+        t.flags.(p) <- f land lnot f_saved
+      end
+    done;
+    let s =
+      {
+        sv_pages = !pages;
+        sv_flags = share head.sv_flags t.flags;
+        sv_digests = share head.sv_digests t.page_digests;
+        sv_clean = t.clean;
+        sv_digest_cache = t.digest_cache;
+        sv_hashed = t.pages_hashed;
+        sv_skipped = t.pages_skipped;
+      }
+    in
+    t.head <- s;
+    s
+  end
+
+let restore t s =
+  if Array.length s.sv_pages <> t.pages then
+    invalid_arg "Memory.restore: geometry mismatch";
+  let cur = t.head.sv_pages in
+  for p = 0 to t.pages - 1 do
+    let page = s.sv_pages.(p) and written = t.flags.(p) land f_saved <> 0 in
+    if written || page != cur.(p) then begin
+      let lo = p lsl t.page_shift and n = page_words t p in
+      for c = 0 to ((n + chunk_words - 1) / chunk_words) - 1 do
+        let ch = chunk page c in
+        if written || ch != chunk cur.(p) c then begin
+          let off = lo + (c * chunk_words) in
+          if Array.length ch = 0 then
+            Array.fill t.words off (min chunk_words (n - (c * chunk_words))) 0
+          else blit_words ch 0 t.words off (Array.length ch)
+        end
+      done
+    end
+  done;
+  blit_words s.sv_flags 0 t.flags 0 t.pages;
+  blit_words s.sv_digests 0 t.page_digests 0 t.pages;
+  t.clean <- s.sv_clean;
+  t.digest_cache <- s.sv_digest_cache;
+  t.pages_hashed <- s.sv_hashed;
+  t.pages_skipped <- s.sv_skipped;
+  t.head <- s

@@ -6,10 +6,11 @@
     routed to devices by the executor.
 
     Every mutation ([write]/[blit_in]/[load]) marks the containing
-    page(s) dirty in two independent bitmaps: one invalidates the
-    cached per-page FNV digest used by {!digest}, the other feeds
-    {!dirty_pages}/{!clear_dirty} so snapshots can copy only the pages
-    written since the previous snapshot. *)
+    page(s) dirty for three independent consumers: the cached per-page
+    FNV digest used by {!digest}; {!dirty_pages}/{!clear_dirty}, so
+    reintegration snapshots can copy only the pages written since the
+    previous snapshot; and {!save}, which copies only the pages written
+    since the previous {!save} or {!restore}. *)
 
 type t
 
@@ -117,3 +118,21 @@ val clear_dirty : t -> unit
 
 val load : t -> addr:int -> Word.t list -> unit
 (** Write a literal list of words at [addr] (program loading). *)
+
+(** {2 Save and restore} *)
+
+type saved
+(** The whole memory — contents, digest caches, dirty flags, work
+    counters — at the time of a {!save}.  Contents are held in chunks
+    of 32 words: pages not written since the previous {!save} or
+    {!restore} of the same memory, and unchanged chunks of the pages
+    that were, are shared with it rather than copied. *)
+
+val save : t -> saved
+
+val restore : t -> saved -> unit
+(** Put the memory back in place to a {!save} of it (any one, in any
+    order, any number of times).  Rewrites only the pages written since
+    the last save or restore, and the chunks in which that one and the
+    target differ.
+    @raise Invalid_argument on a geometry mismatch. *)

@@ -95,3 +95,40 @@ let decode_entry_word ~vpage w =
     user_ok = w land (1 lsl 20) <> 0;
     writable = w land (1 lsl 21) <> 0;
   }
+
+type saved = {
+  sv_slots : entry option array;
+  sv_next_victim : int;
+  sv_last_hit : entry option;
+  sv_rng : Hft_sim.Rng.saved option;
+}
+
+let policy_rng t =
+  match t.policy with Round_robin -> None | Random rng -> Some rng
+
+(* [like] itself when nothing changed since it was taken (entries are
+   immutable, so an unchanged slot holds the same one) *)
+let save ?like t =
+  let rng = Option.map Hft_sim.Rng.save (policy_rng t) in
+  match like with
+  | Some l
+    when l.sv_next_victim = t.next_victim
+         && l.sv_last_hit == t.last_hit
+         && l.sv_rng = rng
+         && Array.for_all2 ( == ) l.sv_slots t.slots ->
+    l
+  | _ ->
+    {
+      sv_slots = Array.copy t.slots;
+      sv_next_victim = t.next_victim;
+      sv_last_hit = t.last_hit;
+      sv_rng = rng;
+    }
+
+let restore t s =
+  Array.blit s.sv_slots 0 t.slots 0 (Array.length t.slots);
+  t.next_victim <- s.sv_next_victim;
+  t.last_hit <- s.sv_last_hit;
+  match (policy_rng t, s.sv_rng) with
+  | Some rng, Some r -> Hft_sim.Rng.restore rng r
+  | _ -> ()

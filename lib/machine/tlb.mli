@@ -54,3 +54,13 @@ val hash_into : t -> int -> int
 
 val entry_word : ppage:int -> user_ok:bool -> writable:bool -> Word.t
 val decode_entry_word : vpage:int -> Word.t -> entry
+
+type saved
+(** The slots, the round-robin cursor, the lookup cache and a random
+    policy's generator. *)
+
+val save : ?like:saved -> t -> saved
+(** [like] itself when nothing changed since it was taken. *)
+
+val restore : t -> saved -> unit
+(** In place: the slot array stays the one translated code captured. *)

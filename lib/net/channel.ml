@@ -189,3 +189,61 @@ let faults_lost t = t.lost_
 let faults_duplicated t = t.duplicated_
 let faults_corrupted t = t.corrupted_
 let faults_delayed t = t.delayed_
+
+(* The installed plan and fault model are saved by reference (a fault
+   model's generator by its state): a restore brings back whichever
+   was installed, positioned where it was. *)
+type 'msg saved = {
+  sv_crashed : bool;
+  sv_loss_plan : int -> bool;
+  sv_faults : ('msg faults * Rng.saved) option;
+  sv_busy_until : Time.t;
+  sv_counts : int array;
+      (* sent, bytes, delivered, in flight, in-flight hash, lost,
+         duplicated, corrupted, delayed *)
+}
+
+let counts t =
+  [|
+    t.sent; t.bytes; t.delivered; t.in_flight_; t.inflight_hash_; t.lost_;
+    t.duplicated_; t.corrupted_; t.delayed_;
+  |]
+
+(* [like] itself when nothing changed since it was taken *)
+let save ?like t =
+  let faults = Option.map (fun f -> (f, Rng.save f.rng)) t.faults in
+  match like with
+  | Some l
+    when l.sv_crashed = t.crashed
+         && l.sv_loss_plan == t.loss_plan
+         && Option.equal
+              (fun (f, r) (f', r') -> f == f' && r = r')
+              l.sv_faults faults
+         && Time.equal l.sv_busy_until t.busy_until_
+         && l.sv_counts = counts t ->
+    l
+  | _ ->
+    {
+      sv_crashed = t.crashed;
+      sv_loss_plan = t.loss_plan;
+      sv_faults = faults;
+      sv_busy_until = t.busy_until_;
+      sv_counts = counts t;
+    }
+
+let restore t s =
+  t.crashed <- s.sv_crashed;
+  t.loss_plan <- s.sv_loss_plan;
+  t.faults <- Option.map fst s.sv_faults;
+  Option.iter (fun (f, r) -> Rng.restore f.rng r) s.sv_faults;
+  t.busy_until_ <- s.sv_busy_until;
+  let c = s.sv_counts in
+  t.sent <- c.(0);
+  t.bytes <- c.(1);
+  t.delivered <- c.(2);
+  t.in_flight_ <- c.(3);
+  t.inflight_hash_ <- c.(4);
+  t.lost_ <- c.(5);
+  t.duplicated_ <- c.(6);
+  t.corrupted_ <- c.(7);
+  t.delayed_ <- c.(8)

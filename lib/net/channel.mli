@@ -125,3 +125,16 @@ val fingerprint : 'msg t -> int
     crash flag, in-flight count and multiset hash, and remaining
     serialization busy time (relative to now, so equal states reached
     at different instants can still merge). *)
+
+(** {2 Save and restore} *)
+
+type 'msg saved
+(** The sender's crash flag, loss plan and fault model (with its
+    generator's position), the link's busy-until time and every
+    counter.  Messages in flight are engine events, saved by
+    {!Hft_sim.Engine.save}. *)
+
+val save : ?like:'msg saved -> 'msg t -> 'msg saved
+(** [like] itself when nothing changed since it was taken. *)
+
+val restore : 'msg t -> 'msg saved -> unit

@@ -29,6 +29,9 @@ type t = {
   mutable batch : event array;
       (* [step_scheduled]'s same-instant events; slots hold [vacant]
          outside a collection *)
+  mutable batch_len : int;
+      (* events popped into [batch] while the scheduler hook runs, 0
+         outside it *)
   mutable observer : (Time.t -> label:string -> actor:string -> unit) option;
 }
 
@@ -58,6 +61,7 @@ let create () =
     running = "";
     sched = None;
     batch = [||];
+    batch_len = 0;
     observer = None;
   }
 
@@ -289,7 +293,9 @@ let step_scheduled t f =
   for i = 1 to n - 1 do
     choices.(i) <- choice_of b.(i)
   done;
+  t.batch_len <- n;
   let idx = f choices in
+  t.batch_len <- 0;
   let idx = if idx < 0 || idx >= n then 0 else idx in
   for i = 0 to n - 1 do
     if i <> idx then push t b.(i)
@@ -317,12 +323,12 @@ let step t =
 let run ?(limit = 200_000_000) t =
   t.stopping <- false;
   t.running <- "";
-  let rec loop fired =
+  let rec loop () =
     if t.stopping then ()
-    else if fired >= limit then raise (Runaway limit)
-    else if step t then loop (fired + 1)
+    else if t.dispatched >= limit then raise (Runaway limit)
+    else if step t then loop ()
   in
-  loop 0
+  loop ()
 
 let run_until t deadline =
   t.stopping <- false;
@@ -342,3 +348,66 @@ let run_until t deadline =
 let stop t = t.stopping <- true
 
 let events_dispatched t = t.dispatched
+
+(* ---------- save and restore ----------
+
+   An event is a closure plus a [cancelled] flag, so the engine's state
+   is the set of live events (with the batch the scheduler hook is
+   deciding over, while it runs) and its counters.  Restoring reuses
+   the very same event records: their handlers are sound to run again
+   because everything they capture is restored in place too, and their
+   seqs are the ones a replay would issue. *)
+
+type saved = {
+  sv_events : event array;  (* live events, batch included *)
+  sv_clock : Time.t;
+  sv_next_seq : int;
+  sv_dispatched : int;
+  sv_stopping : bool;
+}
+
+let save t =
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    if not t.queue.(i).cancelled then incr n
+  done;
+  let evs = Array.make (!n + t.batch_len) vacant in
+  let k = ref 0 in
+  for i = 0 to t.size - 1 do
+    let ev = t.queue.(i) in
+    if not ev.cancelled then begin
+      evs.(!k) <- ev;
+      incr k
+    end
+  done;
+  Array.blit t.batch 0 evs !k t.batch_len;
+  {
+    sv_events = evs;
+    sv_clock = t.clock;
+    sv_next_seq = t.next_seq;
+    sv_dispatched = t.dispatched;
+    sv_stopping = t.stopping;
+  }
+
+(* The live set goes back into the heap (a saved batch rejoins it, so
+   the next step collects it again), every one of its events is live
+   again, and nothing cancelled is left queued. *)
+let restore t s =
+  let n = Array.length s.sv_events in
+  if Array.length t.queue < n then t.queue <- Array.make n vacant;
+  Array.blit s.sv_events 0 t.queue 0 n;
+  Array.fill t.queue n (Array.length t.queue - n) vacant;
+  Array.iter (fun ev -> ev.cancelled <- false) s.sv_events;
+  for i = (n / 2) - 1 downto 0 do
+    sift_down t.queue n i t.queue.(i)
+  done;
+  t.size <- n;
+  Array.fill t.batch 0 (Array.length t.batch) vacant;
+  t.batch_len <- 0;
+  t.clock <- s.sv_clock;
+  t.next_seq <- s.sv_next_seq;
+  t.dispatched <- s.sv_dispatched;
+  t.live <- n;
+  t.dead <- 0;
+  t.stopping <- s.sv_stopping;
+  t.running <- ""

@@ -140,9 +140,11 @@ val pending_fingerprint : t -> int
     Part of the checker's state fingerprint. *)
 
 val run : ?limit:int -> t -> unit
-(** Dispatch events until the queue is empty, or [limit] events have
-    fired (default: 200 million, a runaway-simulation backstop;
-    exceeding it raises {!Runaway}). *)
+(** Dispatch events until the queue is empty, or until {!events_dispatched}
+    reaches [limit] (default: 200 million, a runaway-simulation
+    backstop; reaching it raises {!Runaway}).  The limit counts from
+    the engine's creation, not from this call, so a run resumed from a
+    {!restore} is held to the same budget as one from the start. *)
 
 val run_until : t -> Time.t -> unit
 (** Dispatch all events scheduled at or before the given time and
@@ -153,3 +155,23 @@ val stop : t -> unit
     event handler finishes. *)
 
 val events_dispatched : t -> int
+
+(** {2 Save and restore} *)
+
+type saved
+(** The live events, including the batch a scheduler hook is deciding
+    over when {!save} is called from inside it, their cancelled flags,
+    the clock, the next sequence number, the dispatch count and the
+    stop flag.  Not covered: the lookahead, the hooks and the observer,
+    which are configuration rather than state. *)
+
+val save : t -> saved
+
+val restore : t -> saved -> unit
+(** Put the engine back in place to the state {!save} recorded.  The
+    same event records come back, live again, so handlers that were
+    pending then are pending now and seqs are issued exactly as they
+    were; sound provided everything the handlers capture is restored
+    too.  A batch that was under decision rejoins the queue, and the
+    next step offers it to the scheduler hook again.  A [saved] value
+    may be restored any number of times. *)

@@ -36,3 +36,8 @@ let chance t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p
+
+type saved = int64
+
+let save t = t.state
+let restore t s = t.state <- s

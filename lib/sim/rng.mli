@@ -36,3 +36,11 @@ val bool : t -> bool
 
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p]. *)
+
+type saved
+
+val save : t -> saved
+
+val restore : t -> saved -> unit
+(** Rewind (or advance) the generator in place to a {!save} of it: its
+    output from there on repeats. *)

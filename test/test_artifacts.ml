@@ -330,6 +330,10 @@ let test_malformed_inputs d =
       [ "chaos"; "-e"; "0" ];
       [ "lint"; "--rewrite"; "0" ];
       [ "disasm"; "--rewrite"; "0" ];
+      [ "check"; "--scenario"; "crash-loss"; "--depth=-1" ];
+      [ "check"; "--scenario"; "crash-loss"; "--max-states=-5" ];
+      [ "check"; "--scenario"; "crash-loss"; "--max-violations=0" ];
+      [ "check"; "--scenario"; "crash-loss"; "--max-violations=-1" ];
     ]
 
 (* The certification gate reads every entry of its baseline: a baseline

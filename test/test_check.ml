@@ -78,12 +78,13 @@ let check_pinned ~what sc (name, runs, states, transitions) =
   Alcotest.(check (list int))
     (Printf.sprintf "%s runs/states/transitions %s" name what)
     [ runs; states; transitions ]
-    [ st.Checker.runs; st.Checker.states; st.Checker.transitions ]
+    [ st.Checker.runs; st.Checker.states; st.Checker.transitions ];
+  st
 
 let counts_pinned () =
   List.iter
     (fun ((name, _, _, _) as pin) ->
-      check_pinned ~what:"pinned" (find_scenario name) pin)
+      ignore (check_pinned ~what:"pinned" (find_scenario name) pin))
     pins
 
 (* Digest soundness at scale: crash-write crossed with one loss on each
@@ -101,7 +102,73 @@ let crash_write_loss () =
       sc_loss_bp = [ None; Some 0; Some 1; Some 2 ];
     }
   in
-  check_pinned ~what:"pinned" sc ("crash-write-loss", 15756, 60001, 3111731)
+  let st =
+    check_pinned ~what:"pinned" sc ("crash-write-loss", 15756, 60001, 3111731)
+  in
+  (* resumed runs execute only their new suffixes *)
+  if st.Checker.executed * 8 > st.Checker.transitions then
+    Alcotest.failf "executed %d of %d transitions, not 8x fewer"
+      st.Checker.executed st.Checker.transitions
+
+(* The event limit counts from the root, so a run resumed from a
+   snapshot cannot dodge the runaway verdict by starting a fresh
+   budget.  Handoff's deepest schedules dispatch about 185 events; at a
+   limit of 150, without reductions (so sibling schedules run as deep
+   instead of being slept or pruned) and collecting three
+   counterexamples unshrunk, the second and third run away in runs
+   resumed at depths 98 and 96.  Everything but [executed] is pinned
+   to what replay from the root found. *)
+let limits_survive_restore () =
+  let sc = { (find_scenario "handoff") with Scenarios.sc_limit = 150 } in
+  let options =
+    {
+      Checker.default_options with
+      Checker.dpor = false;
+      fingerprints = false;
+      max_violations = 3;
+      shrink = false;
+    }
+  in
+  let r = Checker.explore ~options sc ~variant:Scenarios.correct in
+  let st = r.Checker.r_stats in
+  Alcotest.(check (list int))
+    "runs/states/transitions/prunes/depth"
+    [ 3; 254; 450; 0; 0; 0; 0; 149 ]
+    [
+      st.Checker.runs; st.Checker.states; st.Checker.transitions;
+      st.Checker.pruned_visited; st.Checker.sleep_skipped;
+      st.Checker.sleep_pruned; st.Checker.truncated_runs; st.Checker.max_depth;
+    ];
+  Alcotest.(check bool) "incomplete" false r.Checker.r_complete;
+  Alcotest.(check bool)
+    "resumed runs skipped their prefixes" true
+    (st.Checker.executed < st.Checker.transitions);
+  let nonzero l =
+    List.concat (List.mapi (fun i c -> if c <> 0 then [ i ] else []) l)
+  in
+  Alcotest.(check (list (triple string (list int) (pair int (list int)))))
+    "violations: reason, roots, (choices, non-default picks)"
+    (List.map
+       (fun picks ->
+         ( "runaway simulation (event limit 150)",
+           [ 0; 0; 0; 0; 0 ],
+           (150, picks) ))
+       [ []; [ 98 ]; [ 96 ] ])
+    (List.map
+       (fun v ->
+         ( v.Checker.v_reason,
+           v.Checker.v_roots,
+           (List.length v.Checker.v_choices, nonzero v.Checker.v_choices) ))
+       r.Checker.r_violations)
+
+(* [max_states] caps the states visited exactly. *)
+let max_states_exact () =
+  let options =
+    { Checker.default_options with Checker.max_states = Some 100 }
+  in
+  let r = explore ~options "crash-write" ~variant:Scenarios.correct in
+  Alcotest.(check int) "states" 100 r.Checker.r_stats.Checker.states;
+  Alcotest.(check bool) "incomplete" false r.Checker.r_complete
 
 (* Every table of the backup's protocol state reaches the fingerprint.
    No pinned count depends on them, so each gets a direct check: a
@@ -172,7 +239,7 @@ let profiling_neutral () =
             Hft_core.Params.with_profile_guest sc.Scenarios.sc_params true;
         }
       in
-      check_pinned ~what:"unchanged under profiling" sc pin)
+      ignore (check_pinned ~what:"unchanged under profiling" sc pin))
     pins
 
 (* PR 1's failover-during-reintegration-snapshot bug, pinned
@@ -358,6 +425,10 @@ let () =
             `Quick crash_write_loss;
           test_case "every protocol table reaches the fingerprint" `Quick
             tables_fingerprinted;
+          test_case "a resumed run is held to the event limit" `Quick
+            limits_survive_restore;
+          test_case "--max-states N visits exactly N states" `Quick
+            max_states_exact;
         ] );
       ( "counterexamples",
         [

@@ -913,65 +913,174 @@ let record_hashes hv =
       previous ~epoch ~hash);
   log
 
+(* Every root assignment of a bounded scenario: its crash epochs,
+   losses and hypervisor fault crossed, as [Scenarios.instantiate]
+   arguments. *)
+type roots = {
+  crash : int option;
+  backup_crash : int option;
+  loss_pb : int option;
+  loss_bp : int option;
+  hv : Hft_harness.Scenarios.hv_fault_choice option;
+}
+
+let all_roots (b : Hft_harness.Scenarios.bounded) =
+  let module S = Hft_harness.Scenarios in
+  List.concat_map
+    (fun crash ->
+      List.concat_map
+        (fun backup_crash ->
+          List.concat_map
+            (fun loss_pb ->
+              List.concat_map
+                (fun loss_bp ->
+                  List.map
+                    (fun hv -> { crash; backup_crash; loss_pb; loss_bp; hv })
+                    b.S.sc_hv_faults)
+                b.S.sc_loss_bp)
+            b.S.sc_loss_pb)
+        b.S.sc_backup_crash_epochs)
+    b.S.sc_crash_epochs
+
+(* Run one root assignment of a bounded scenario on its default
+   schedule, recording everything observable: the outcome with its
+   full statistics, the disk log, each node's (epoch, hash) at every
+   boundary and instructions retired, and the system fingerprint at
+   every scheduler call.  With [resume_at], the run snapshots the
+   system at that scheduler call, runs to the end, restores the
+   snapshot (and the recorders' own logs) and runs to the end again:
+   what it returns is the second ending.  Also returns the number of
+   scheduler calls. *)
+let observe (b : Hft_harness.Scenarios.bounded) ?roots ?(resume_at = -1)
+    ?recycle () =
+  let module S = Hft_harness.Scenarios in
+  let r =
+    match roots with
+    | Some r -> r
+    | None ->
+      {
+        crash = List.find_map Fun.id b.S.sc_crash_epochs;
+        backup_crash = None;
+        loss_pb = None;
+        loss_bp = None;
+        hv = None;
+      }
+  in
+  let sys =
+    S.instantiate b ~variant:S.correct ?crash_epoch:r.crash
+      ?backup_crash_epoch:r.backup_crash ?loss_pb:r.loss_pb ?loss_bp:r.loss_bp
+      ?hv_fault:r.hv ?recycle ()
+  in
+  let hp = record_hashes (System.primary sys)
+  and hb = record_hashes (System.backup sys) in
+  let fps = ref [] and calls = ref 0 and saved = ref None in
+  Hft_sim.Engine.set_scheduler (System.engine sys) (fun _ ->
+      if !calls = resume_at then
+        saved := Some (System.snapshot sys, !fps, !hp, !hb);
+      incr calls;
+      fps := System.fingerprint sys :: !fps;
+      0);
+  let o = System.run ~limit:b.S.sc_limit sys in
+  let o =
+    match !saved with
+    | None -> o
+    | Some (snap, f, p, q) ->
+      System.restore sys snap;
+      fps := f;
+      hp := p;
+      hb := q;
+      System.drive ~limit:b.S.sc_limit sys
+  in
+  let retired hv = Hft_machine.Cpu.instructions_retired (Hypervisor.cpu hv) in
+  ( sys,
+    ( o,
+      Hft_devices.Disk.Log.entries (System.disk sys),
+      (List.rev !hp, List.rev !hb, retired (System.primary sys),
+       retired (System.backup sys)),
+      List.rev !fps ),
+    !calls )
+
+let same_observation (o1, d1, h1, f1) (o2, d2, h2, f2) =
+  let open Alcotest in
+  check string "console" o1.System.console o2.System.console;
+  check string "primary stats"
+    (Format.asprintf "%a" Stats.pp o1.System.primary_stats)
+    (Format.asprintf "%a" Stats.pp o2.System.primary_stats);
+  check string "backup stats"
+    (Format.asprintf "%a" Stats.pp o1.System.backup_stats)
+    (Format.asprintf "%a" Stats.pp o2.System.backup_stats);
+  check bool "outcome and stats" true (o1 = o2);
+  check bool "disk log" true (d1 = d2);
+  check bool "epoch hashes and instructions retired" true (h1 = h2);
+  check int "scheduler calls" (List.length f1) (List.length f2);
+  check bool "fingerprints" true (f1 = f2)
+
+(* the interpreter cases keep the scenario's bare name *)
+let backend_case name (b : Hft_harness.Scenarios.bounded) (backend_name, backend)
+    f =
+  let b = on_backend backend b in
+  Alcotest.test_case
+    (if backend = Params.Interp then name else name ^ " " ^ backend_name)
+    `Quick
+    (fun () -> f b backend)
+
 (* A recycled system must be indistinguishable from a fresh one.  Each
    bounded scenario runs its default schedule three times: a donor, a
    fresh system, and a system recycled from the finished donor.  The
    first crash option is taken where there is one, so the
    reintegration-loss donor leaves a snapshot base behind that the
-   recycled run reuses.  Everything observable must agree: the
-   outcome with its full statistics, console, disk log, per-node
-   epoch hashes, and the system fingerprint at every scheduler call.
+   recycled run reuses.  Everything [observe] records must agree.
    Every scenario runs on both backends; on the threaded one the
    statistics include the translation's entry, fallback and
    threaded-instruction counters, which a re-armed translation must
    restart from zero. *)
 let recycle_tests =
   let module S = Hft_harness.Scenarios in
-  let observe (b : S.bounded) ?recycle () =
-    let crash_epoch = List.find_map Fun.id b.S.sc_crash_epochs in
-    let sys = S.instantiate b ~variant:S.correct ?crash_epoch ?recycle () in
-    let hp = record_hashes (System.primary sys)
-    and hb = record_hashes (System.backup sys) in
-    let fps = ref [] in
-    Hft_sim.Engine.set_scheduler (System.engine sys) (fun _ ->
-        fps := System.fingerprint sys :: !fps;
-        0);
-    let o = System.run ~limit:b.S.sc_limit sys in
-    ( sys,
-      ( o,
-        Hft_devices.Disk.Log.entries (System.disk sys),
-        (List.rev !hp, List.rev !hb),
-        List.rev !fps ) )
-  in
-  (* the interpreter cases keep the scenario's bare name *)
-  let case (b : S.bounded) (backend_name, backend) =
-    let b = on_backend backend b in
-    Alcotest.test_case
-      (if backend = Params.Interp then b.S.sc_name
-       else b.S.sc_name ^ " " ^ backend_name)
-      `Quick (fun () ->
-        let open Alcotest in
-        let donor, _ = observe b () in
-        let _, (o1, d1, h1, f1) = observe b () in
-        let _, (o2, d2, h2, f2) = observe b ~recycle:donor () in
-        check string "console" o1.System.console o2.System.console;
-        check string "primary stats"
-          (Format.asprintf "%a" Stats.pp o1.System.primary_stats)
-          (Format.asprintf "%a" Stats.pp o2.System.primary_stats);
-        check string "backup stats"
-          (Format.asprintf "%a" Stats.pp o1.System.backup_stats)
-          (Format.asprintf "%a" Stats.pp o2.System.backup_stats);
-        check bool "outcome and stats" true (o1 = o2);
-        check bool "disk log" true (d1 = d2);
-        check bool "epoch hashes" true (h1 = h2);
-        check int "scheduler calls" (List.length f1) (List.length f2);
-        check bool "fingerprints" true (f1 = f2);
+  let case (b : S.bounded) backend =
+    backend_case b.S.sc_name b backend (fun b backend ->
+        let donor, _, _ = observe b () in
+        let _, fresh, _ = observe b () in
+        let _, ((o2, _, _, _) as recycled), _ = observe b ~recycle:donor () in
+        same_observation fresh recycled;
         if b.S.sc_reintegrate_ms <> None then
-          check bool "snapshot taken" true
+          Alcotest.(check bool)
+            "snapshot taken" true
             (o2.System.backup_stats.Stats.snapshot_delta_bytes > 0);
         if backend = Params.Threaded then
-          check bool "threaded instructions" true
+          Alcotest.(check bool)
+            "threaded instructions" true
             (o2.System.primary_stats.Stats.threaded_instrs > 0))
+  in
+  List.concat_map (fun b -> List.map (case b) backends) S.all
+
+(* A restored system must be indistinguishable from one that never
+   left: for every root assignment of every bounded scenario, on both
+   backends, the default schedule is snapshotted at its first
+   scheduler call, a third of the way, two thirds and its last, run to
+   the end, restored and run to the end again; everything [observe]
+   records about that second ending must equal an uninterrupted run.
+   Builds after the first recycle the previous system, as the model
+   checker's do. *)
+let restore_tests =
+  let module S = Hft_harness.Scenarios in
+  let case (b : S.bounded) backend =
+    backend_case b.S.sc_name b backend (fun b _ ->
+        let spare = ref None in
+        let observe ?resume_at roots =
+          let sys, obs, calls =
+            observe b ~roots ?resume_at ?recycle:!spare ()
+          in
+          spare := Some sys;
+          (obs, calls)
+        in
+        List.iter
+          (fun roots ->
+            let reference, n = observe roots in
+            List.iter
+              (fun k ->
+                same_observation reference (fst (observe ~resume_at:k roots)))
+              [ 0; n / 3; 2 * n / 3; n - 1 ])
+          (all_roots b))
   in
   List.concat_map (fun b -> List.map (case b) backends) S.all
 
@@ -1143,6 +1252,7 @@ let () =
       ("create-cost", create_cost_tests);
       ("burst-cost", burst_cost_tests);
       ("recycle", recycle_tests);
+      ("restore", restore_tests);
       ( "lookahead-cpu",
         List.map lookahead_case cpu_workloads @ [ lookahead_regression_test ] );
       ( "lookahead-io",
