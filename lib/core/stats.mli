@@ -32,8 +32,9 @@ type t = {
       (** pages whose cached digest the boundary hash reused — the
           dirty-page tracking win *)
   mutable snapshot_delta_bytes : int;
-      (** bytes actually copied by reintegration snapshots (full image
-          on the first, dirty pages only thereafter) *)
+      (** bytes reintegration snapshots count as copied: the full
+          image on a CPU's first, then the pages written since the
+          previous one ({!Hft_machine.Cpu.snapshot_bytes_copied}) *)
   mutable hv_faults_injected : int;
       (** hypervisor-level faults (crash, hang, state corruption)
           injected into this node *)

@@ -1,12 +1,6 @@
 open Hft_core
 module Time = Hft_sim.Time
 
-type hv_fault_choice = {
-  hv_target : [ `Primary | `Backup ];
-  hv_kind : Hypervisor.hv_fault;
-  hv_epoch : int;
-}
-
 type bounded = {
   sc_name : string;
   sc_descr : string;
@@ -16,7 +10,7 @@ type bounded = {
   sc_backup_crash_epochs : int option list;
   sc_loss_pb : int option list;
   sc_loss_bp : int option list;
-  sc_hv_faults : hv_fault_choice option list;
+  sc_hv_faults : Campaign.hv_fault_spec option list;
   sc_reintegrate_ms : int option;
   sc_limit : int;
 }
@@ -147,13 +141,17 @@ let hv_crash =
     sc_hv_faults =
       [
         None;
-        Some { hv_target = `Primary; hv_kind = Hypervisor.Hv_crash; hv_epoch = 1 };
-        Some { hv_target = `Primary; hv_kind = Hypervisor.Hv_hang; hv_epoch = 2 };
+        Some
+          { Campaign.hf_target = `Primary; hf_kind = Hypervisor.Hv_crash;
+            hf_epoch = 1 };
+        Some
+          { Campaign.hf_target = `Primary; hf_kind = Hypervisor.Hv_hang;
+            hf_epoch = 2 };
         Some
           {
-            hv_target = `Backup;
-            hv_kind = Hypervisor.Hv_corrupt Hypervisor.C_acks;
-            hv_epoch = 1;
+            Campaign.hf_target = `Backup;
+            hf_kind = Hypervisor.Hv_corrupt Hypervisor.C_acks;
+            hf_epoch = 1;
           };
       ];
     sc_reintegrate_ms = None;
@@ -201,8 +199,8 @@ let instantiate sc ~variant ?crash_epoch ?backup_crash_epoch ?loss_pb ?loss_bp
     Hft_net.Channel.set_loss_plan (System.channel_to_primary sys) (Int.equal n)
   | None -> ());
   (match hv_fault with
-  | Some f ->
-    System.hv_fault_on_epoch sys ~target:f.hv_target ~kind:f.hv_kind f.hv_epoch
+  | Some (f : Campaign.hv_fault_spec) ->
+    System.hv_fault_on_epoch sys ~target:f.hf_target ~kind:f.hf_kind f.hf_epoch
   | None -> ());
   (match sc.sc_reintegrate_ms with
   | Some ms -> System.reintegrate_after_failover sys ~delay:(Time.of_ms ms)

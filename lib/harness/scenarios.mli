@@ -10,17 +10,6 @@
     small-scope exhaustive exploration, complementing the chaos
     campaign's random sampling of much larger fault spaces. *)
 
-type hv_fault_choice = {
-  hv_target : [ `Primary | `Backup ];
-  hv_kind : Hft_core.Hypervisor.hv_fault;
-  hv_epoch : int;
-      (** the fault strikes half an epoch of simulated time after the
-          node starts this boundary — i.e. mid-epoch *)
-}
-(** One hypervisor fault (ReHype extension) the checker may seed as a
-    root choice.  The node must heal by in-place microreboot without
-    the guest, the peer, or the environment noticing. *)
-
 type bounded = {
   sc_name : string;
   sc_descr : string;
@@ -34,9 +23,11 @@ type bounded = {
       (** root choice: drop the n-th send (wire count) on the
           primary-to-backup channel *)
   sc_loss_bp : int option list;
-  sc_hv_faults : hv_fault_choice option list;
+  sc_hv_faults : Campaign.hv_fault_spec option list;
       (** root choice: seed this hypervisor fault ([None] = none);
-          always non-empty *)
+          always non-empty.  The node must heal by in-place
+          microreboot without the guest, the peer, or the environment
+          noticing. *)
   sc_reintegrate_ms : int option;
       (** revive the crashed primary as a backup this many
           milliseconds after promotion *)
@@ -89,7 +80,7 @@ val instantiate :
   ?backup_crash_epoch:int ->
   ?loss_pb:int ->
   ?loss_bp:int ->
-  ?hv_fault:hv_fault_choice ->
+  ?hv_fault:Campaign.hv_fault_spec ->
   ?obs:Hft_obs.Recorder.t ->
   ?recycle:Hft_core.System.t ->
   unit ->

@@ -111,10 +111,8 @@ type t = {
   crs : int array;
   mutable pc_ : int;
   mutable retired : int;
-  mutable snap_base : Memory.t option;
-      (* shadow image the delta-snapshot path copies dirty pages into;
-         [None] until the first snapshot *)
-  mutable snap_bytes : int; (* cumulative bytes copied by snapshots *)
+  mutable snap_bytes : int;
+      (* cumulative bytes counted by snapshots; 0 until the first *)
   mutable validator : validator option;
   mutable trans : Translate.t option;
   mutable prof : int array option;
@@ -152,22 +150,18 @@ let reset_validator v =
   v.v_checked <- 0
 
 (* A recycled CPU adopts the old one's state objects, each reset to
-   exactly what a fresh CPU allocates: its memory and snapshot base
-   (reset marks every page snapshot-dirty, so the next [snapshot]
-   refreshes the whole base and counts the same bytes as the first
-   full copy would), its register files, and its TLB when the
-   replacement policy is round-robin (a random policy brings its own
-   stream, so the TLB is new).  Over the same code image it also keeps
-   the image hash and, as spares, the validator and the translation:
-   the translation's closures alias the registers, memory and TLB, so
-   it is kept only when all three were adopted and it was compiled
-   without profiling hooks. *)
+   exactly what a fresh CPU allocates: its memory, its register files,
+   and its TLB when the replacement policy is round-robin (a random
+   policy brings its own stream, so the TLB is new).  Over the same
+   code image it also keeps the image hash and, as spares, the
+   validator and the translation: the translation's closures alias the
+   registers, memory and TLB, so it is kept only when all three were
+   adopted and it was compiled without profiling hooks. *)
 let create ?(config = default_config) ?recycle ~code () =
-  let memory, snap_base, tlb_state, regs, crs =
+  let memory, tlb_state, regs, crs =
     match recycle with
     | None ->
       ( Memory.create ~page_shift:config.page_shift ~words:config.mem_words (),
-        None,
         Tlb.create ~entries:config.tlb_entries config.tlb_policy,
         Array.make Isa.num_regs 0,
         Array.make Isa.num_crs 0 )
@@ -188,7 +182,7 @@ let create ?(config = default_config) ?recycle ~code () =
       in
       Array.fill old.regs 0 (Array.length old.regs) 0;
       Array.fill old.crs 0 (Array.length old.crs) 0;
-      (m, old.snap_base, tlb, old.regs, old.crs)
+      (m, tlb, old.regs, old.crs)
   in
   let t =
     {
@@ -200,7 +194,6 @@ let create ?(config = default_config) ?recycle ~code () =
       crs;
       pc_ = 0;
       retired = 0;
-      snap_base;
       snap_bytes = 0;
       validator = None;
       trans = None;
@@ -1039,34 +1032,27 @@ type snapshot = {
   s_regs : int array;
   s_crs : int array;
   s_pc : int;
-  s_mem : Memory.t;
+  s_mem : Memory.saved;
   s_code_len : int;
 }
 
+(* [snap_bytes] counts what a delta copy would move: the whole memory
+   for the first snapshot, then the pages written since the previous
+   one.  The save itself shares every chunk not written since the
+   memory's previous save. *)
 let snapshot t =
-  let base =
-    match t.snap_base with
-    | None ->
-      (* first snapshot: the only full-memory copy this CPU ever pays *)
-      let m = Memory.copy t.memory in
-      t.snap_base <- Some m;
-      t.snap_bytes <- t.snap_bytes + (4 * Memory.size m);
-      Memory.clear_dirty t.memory;
-      m
-    | Some base ->
-      List.iter
-        (fun p ->
-          Memory.copy_page ~src:t.memory ~dst:base p;
-          t.snap_bytes <- t.snap_bytes + (4 * Memory.page_words t.memory p))
-        (Memory.dirty_pages t.memory);
-      Memory.clear_dirty t.memory;
-      base
-  in
+  let m = t.memory in
+  if t.snap_bytes = 0 then t.snap_bytes <- 4 * Memory.size m
+  else
+    List.iter
+      (fun p -> t.snap_bytes <- t.snap_bytes + (4 * Memory.page_words m p))
+      (Memory.dirty_pages m);
+  Memory.clear_dirty m;
   {
     s_regs = Array.copy t.regs;
     s_crs = Array.copy t.crs;
     s_pc = t.pc_;
-    s_mem = base;
+    s_mem = Memory.save m;
     s_code_len = Array.length t.code;
   }
 
@@ -1079,18 +1065,17 @@ let restore t snap =
   Array.blit snap.s_regs 0 t.regs 0 (Array.length t.regs);
   Array.blit snap.s_crs 0 t.crs 0 (Array.length t.crs);
   t.pc_ <- snap.s_pc;
-  Memory.blit_from t.memory ~src:snap.s_mem;
+  Memory.adopt t.memory snap.s_mem;
   Tlb.flush t.tlb_state
 
 (* ---------- save and restore (the model checker's) ----------
 
    Unlike [snapshot], which copies the architectural state a peer
    needs, a save covers everything a run can change: registers, pc,
-   retirement count, memory, TLB, the reintegration snapshot base, and
-   the validator's, translation's and profiler's counters.  The
-   integers go into one array that a released save can lend (see
-   {!save}).  Restoring writes into the same arrays, which the
-   translation's closures alias. *)
+   retirement count, memory, TLB, and the validator's, translation's
+   and profiler's counters.  The integers go into one array that a
+   released save can lend (see {!save}).  Restoring writes into the
+   same arrays, which the translation's closures alias. *)
 
 type saved = {
   sv_ints : int array;
@@ -1098,7 +1083,6 @@ type saved = {
          then the validator's scalars and the translation's counters *)
   sv_mem : Memory.saved;
   sv_tlb : Tlb.saved;
-  sv_base : (Memory.t * Memory.saved) option;
   sv_vmax : int array;  (* the validator's [v_rmax], then its [v_lmax] *)
   sv_prof : int array option;
 }
@@ -1201,7 +1185,6 @@ let save ?like ?into t =
     sv_ints = ints;
     sv_mem = Memory.save t.memory;
     sv_tlb = Tlb.save ?like:(Option.map (fun l -> l.sv_tlb) like) t.tlb_state;
-    sv_base = Option.map (fun b -> (b, Memory.save b)) t.snap_base;
     sv_vmax =
       save_vmax
         (match like with Some l -> l.sv_vmax | None -> [||])
@@ -1211,17 +1194,10 @@ let save ?like ?into t =
 
 let ints s = s.sv_ints
 
-(* A base created after the save is kept: until the next [snapshot]
-   every page is snapshot-dirty, so that snapshot overwrites the whole
-   base whichever way it got there, and counts the same bytes. *)
 let restore_saved t s =
   restore_ints t s.sv_ints;
   Memory.restore t.memory s.sv_mem;
   Tlb.restore t.tlb_state s.sv_tlb;
-  (match (s.sv_base, t.snap_base) with
-  | Some (b, sb), Some b' when b == b' -> Memory.restore b sb
-  | Some _, _ -> invalid_arg "Cpu.restore_saved: not a save of this CPU"
-  | None, _ -> ());
   (match t.validator with
   | None -> ()
   | Some v ->

@@ -72,13 +72,13 @@ type origin = ..
 val create :
   ?config:config -> ?recycle:t -> code:Isa.instr array -> unit -> t
 (** A CPU at reset: zero registers, pc 0, zero memory.  [recycle] is a
-    finished CPU whose memory (after {!Memory.reset}), snapshot base
-    and register files the new one adopts instead of allocating its
-    own, and its TLB too under round-robin replacement (flushed; a
-    random policy brings its own stream, so the TLB is new).  When
-    [code] is physically the recycled CPU's code image, the new CPU
-    also keeps its {!code_hash} and, reset to their fresh state, its
-    validator and translation as spares for {!rearm_validator} and
+    finished CPU whose memory (after {!Memory.reset}) and register
+    files the new one adopts instead of allocating its own, and its
+    TLB too under round-robin replacement (flushed; a random policy
+    brings its own stream, so the TLB is new).  When [code] is
+    physically the recycled CPU's code image, the new CPU also keeps
+    its {!code_hash} and, reset to their fresh state, its validator
+    and translation as spares for {!rearm_validator} and
     {!rearm_translation} — the translation only when its registers,
     memory and TLB were all adopted and it carries no profiling
     hooks.  The result is indistinguishable from a fresh CPU,
@@ -296,31 +296,30 @@ val state_hash : ?include_tlb:bool -> ?full:bool -> t -> int
 type snapshot
 
 val snapshot : t -> snapshot
-(** Copy of the architectural state, for backup reintegration.  The
-    first call copies memory in full; subsequent calls copy only the
-    pages written since the previous snapshot into a shared base
-    image.  Consequently taking a new snapshot invalidates the memory
-    contents of snapshots taken earlier from the same CPU — callers
-    keep at most one live snapshot per CPU (the hypervisor's
-    reintegration path does). *)
+(** Immutable copy of the architectural state, for backup
+    reintegration.  Memory is a {!Memory.save}, so it shares every
+    chunk not written since this memory's previous save. *)
 
 val snapshot_bytes_copied : t -> int
-(** Cumulative bytes of memory copied by {!snapshot} over this CPU's
-    lifetime (the delta-snapshot win shows as this growing by much
-    less than a full image per call). *)
+(** Cumulative bytes of memory {!snapshot} has counted over this CPU's
+    lifetime: the whole memory for the first, then the pages written
+    since the previous one (the delta-snapshot win shows as this
+    growing by much less than a full image per call). *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite this CPU's state with the snapshot.  The code image must
-    be the one the snapshot was taken from.
-    @raise Invalid_argument on a code-image size mismatch. *)
+    be the one the snapshot was taken from, on this CPU or on another
+    with the same memory geometry; memory comes in through
+    {!Memory.adopt}.
+    @raise Invalid_argument on a code-image size or memory geometry
+    mismatch. *)
 
 type saved
 (** Everything a run changes in the CPU, for the model checker to
     resume a schedule from: registers, control registers, pc,
     retirement count, memory ({!Memory.save}: pages not written since
-    the previous save are shared, not copied), TLB, the {!snapshot}
-    base image, and the validator's, translation's and profiler's
-    counters. *)
+    the previous save are shared, not copied), TLB, and the
+    validator's, translation's and profiler's counters. *)
 
 val save : ?like:saved -> ?into:int array -> t -> saved
 (** Parts equal to [like]'s are shared with it rather than copied.
@@ -332,8 +331,6 @@ val ints : saved -> int array
 val restore_saved : t -> saved -> unit
 (** Put the CPU back in place to a {!save} of it.  Every array is
     written into, never replaced: the direct-threaded translation's
-    closures alias the register file, the memory and the TLB.
-    @raise Invalid_argument if the save is of another CPU's snapshot
-    base. *)
+    closures alias the register file, the memory and the TLB. *)
 
 val pp_stop : Format.formatter -> stop -> unit

@@ -15,32 +15,25 @@
      to a from-scratch [full_digest] — that equivalence is what keeps
      primary and backup comparable whichever scheme each side uses.
    - [snap] records pages written since the last [clear_dirty], which
-     the CPU snapshot path uses to copy only the delta since the
-     previous snapshot.
-   - [saved] records pages written since the last [save] or
-     [restore], which a [save] copies (see below).
-
-   A fourth flag, [touched], exists only so [reset] can find the pages
-   that may hold nonzero words without scanning the rest: a page may
-   be nonzero only if it is [stale] or [touched].  Writes already mark
-   [stale], so [touched] is set where [stale] is cleared ([digest]) or
-   adopted from another memory ([copy_page], [blit_from]) — never on
-   the write fast paths. *)
+     the CPU snapshot path uses to count the delta since the previous
+     snapshot.
+   - [saved] records pages written since the last [save], [restore] or
+     [adopt], which a [save] copies (see below).  Every other page
+     holds exactly what [head] holds, which is also how [reset] finds
+     the pages that may hold nonzero words. *)
 
 let f_stale = 1
 let f_snap = 2
 let f_saved = 4
-let f_touched = 8
 
 (* what a write sets: the page is stale, snapshot-dirty and unsaved *)
 let f_written = f_stale lor f_snap lor f_saved
 
-(* may hold nonzero words *)
-let f_live = f_stale lor f_touched
-
 (* A [save]: every page's contents in chunks (see [save]), plus the
    tracking state. *)
 type saved = {
+  sv_words : int;
+  sv_shift : int;
   sv_pages : int array array array;
   sv_flags : int array;
   sv_digests : int array;
@@ -113,6 +106,8 @@ let create ?(page_shift = default_page_shift) ~words () =
   let tail = words - ((pages - 1) lsl page_shift) in
   let root =
     {
+      sv_words = words;
+      sv_shift = page_shift;
       sv_pages = Array.make pages [||];
       sv_flags = [||];
       sv_digests = [||];
@@ -150,10 +145,12 @@ let page_words t p =
   if p < 0 || p >= t.pages then invalid_arg "Memory.page_words: bad page";
   min (1 lsl t.page_shift) (Array.length t.words - (p lsl t.page_shift))
 
+(* A page may hold nonzero words only if it was written since [head]
+   or [head] holds it as nonzero. *)
 let reset t =
   for p = 0 to t.pages - 1 do
-    if t.flags.(p) land f_live <> 0 then
-      Array.fill t.words (p lsl t.page_shift) (page_words t p) 0
+    if t.flags.(p) land f_saved <> 0 || Array.length t.head.sv_pages.(p) <> 0
+    then Array.fill t.words (p lsl t.page_shift) (page_words t p) 0
   done;
   init t
 
@@ -227,70 +224,6 @@ let blit_out t ~addr ~len =
     invalid_arg "Memory.blit_out: block out of range";
   sub_words t.words addr len
 
-(* Relative to its own all-zero root, a copy's unsaved pages are the
-   ones that may be nonzero. *)
-let copy t =
-  let root = { t.root with sv_pages = Array.make t.pages [||] } in
-  {
-    words = sub_words t.words 0 (Array.length t.words);
-    page_shift = t.page_shift;
-    pages = t.pages;
-    page_digests = sub_words t.page_digests 0 t.pages;
-    flags =
-      Array.map
-        (fun f ->
-          if f land f_live <> 0 then f lor f_saved else f land lnot f_saved)
-        t.flags;
-    zero_page = t.zero_page;
-    zero_tail = t.zero_tail;
-    clean = t.clean;
-    digest_cache = t.digest_cache;
-    root;
-    head = root;
-    pages_hashed = 0;
-    pages_skipped = 0;
-  }
-
-let blit_from t ~src =
-  if Array.length t.words <> Array.length src.words then
-    invalid_arg "Memory.blit_from: size mismatch";
-  if t != src then begin
-    blit_words src.words 0 t.words 0 (Array.length src.words);
-    (* relative to this memory's snapshot base everything changed;
-       relative to its last [save], every page either side may hold
-       nonzero words in *)
-    let moved p = t.flags.(p) lor src.flags.(p) land f_live <> 0 in
-    if t.page_shift = src.page_shift then begin
-      (* adopt the source's digest caches so a restore costs no
-         re-hashing beyond what the source already owed *)
-      blit_words src.page_digests 0 t.page_digests 0 t.pages;
-      for p = 0 to t.pages - 1 do
-        t.flags.(p) <-
-          src.flags.(p) land f_live lor f_snap
-          lor if moved p then f_saved else 0
-      done;
-      t.digest_cache <- src.digest_cache;
-      t.clean <- src.clean
-    end
-    else begin
-      Array.fill t.flags 0 t.pages f_written;
-      t.clean <- false
-    end
-  end
-
-let copy_page ~src ~dst p =
-  if
-    src.page_shift <> dst.page_shift
-    || Array.length src.words <> Array.length dst.words
-  then invalid_arg "Memory.copy_page: geometry mismatch";
-  if p < 0 || p >= src.pages then invalid_arg "Memory.copy_page: bad page";
-  let lo = p lsl src.page_shift in
-  let len = min (1 lsl src.page_shift) (Array.length src.words - lo) in
-  blit_words src.words lo dst.words lo len;
-  dst.page_digests.(p) <- src.page_digests.(p);
-  dst.flags.(p) <- src.flags.(p) land f_live lor f_snap lor f_saved;
-  dst.clean <- false
-
 let equal a b =
   let n = Array.length a.words in
   n = Array.length b.words
@@ -328,7 +261,7 @@ let digest t =
       let f = t.flags.(p) in
       if f land f_stale <> 0 then begin
         t.page_digests.(p) <- hash_page t p;
-        t.flags.(p) <- f land lnot f_stale lor f_touched;
+        t.flags.(p) <- f land lnot f_stale;
         t.pages_hashed <- t.pages_hashed + 1
       end
       else t.pages_skipped <- t.pages_skipped + 1
@@ -370,14 +303,14 @@ let load t ~addr words = blit_in t ~addr (Array.of_list words)
 
    A [save] holds every page as an array of chunks of at most
    [chunk_words] words ([[||]] for a zero page or chunk).  Only the
-   pages written since the previous [save] or [restore] are compared
-   with it, and only the chunks that changed are copied; everything
-   else is shared, so a saved value needs nothing else alive to be
-   restored, and a chain of saves costs about one chunk per chunk
-   written along it.  Chunks are small enough to be allocated on the
-   minor heap.  A [restore] rewrites the pages written since [head]
-   and the chunks where [head] and the target differ (a pointer
-   compare per chunk). *)
+   pages written since the previous [save], [restore] or [adopt] are
+   compared with it, and only the chunks that changed are copied;
+   everything else is shared, so a saved value needs nothing else
+   alive to be restored, and a chain of saves costs about one chunk
+   per chunk written along it.  Chunks are small enough to be
+   allocated on the minor heap.  A [restore] or [adopt] rewrites the
+   pages written since [head] and the chunks where [head] and the
+   target differ (a pointer compare per chunk). *)
 
 let chunk_words = 32
 
@@ -455,6 +388,7 @@ let save t =
     done;
     let s =
       {
+        head with
         sv_pages = !pages;
         sv_flags = share head.sv_flags t.flags;
         sv_digests = share head.sv_digests t.page_digests;
@@ -468,9 +402,14 @@ let save t =
     s
   end
 
-let restore t s =
-  if Array.length s.sv_pages <> t.pages then
-    invalid_arg "Memory.restore: geometry mismatch";
+let check_geometry op t s =
+  if s.sv_words <> Array.length t.words || s.sv_shift <> t.page_shift then
+    invalid_arg ("Memory." ^ op ^ ": geometry mismatch")
+
+(* The page walk [restore] and [adopt] share.  Chunks are immutable
+   once saved, so the pointer compare against [head] holds for a save
+   of another memory too. *)
+let rewrite t s =
   let cur = t.head.sv_pages in
   for p = 0 to t.pages - 1 do
     let page = s.sv_pages.(p) and written = t.flags.(p) land f_saved <> 0 in
@@ -487,10 +426,21 @@ let restore t s =
       done
     end
   done;
-  blit_words s.sv_flags 0 t.flags 0 t.pages;
   blit_words s.sv_digests 0 t.page_digests 0 t.pages;
   t.clean <- s.sv_clean;
   t.digest_cache <- s.sv_digest_cache;
-  t.pages_hashed <- s.sv_hashed;
-  t.pages_skipped <- s.sv_skipped;
   t.head <- s
+
+let restore t s =
+  check_geometry "restore" t s;
+  rewrite t s;
+  blit_words s.sv_flags 0 t.flags 0 t.pages;
+  t.pages_hashed <- s.sv_hashed;
+  t.pages_skipped <- s.sv_skipped
+
+let adopt t s =
+  check_geometry "adopt" t s;
+  rewrite t s;
+  for p = 0 to t.pages - 1 do
+    t.flags.(p) <- s.sv_flags.(p) lor f_snap
+  done

@@ -8,9 +8,11 @@
     Every mutation ([write]/[blit_in]/[load]) marks the containing
     page(s) dirty for three independent consumers: the cached per-page
     FNV digest used by {!digest}; {!dirty_pages}/{!clear_dirty}, so
-    reintegration snapshots can copy only the pages written since the
+    reintegration snapshots can count the pages written since the
     previous snapshot; and {!save}, which copies only the pages written
-    since the previous {!save} or {!restore}. *)
+    since the previous {!save}, {!restore} or {!adopt}.  A save is the
+    one way memory is captured: the model checker restores it into the
+    same memory, reintegration adopts it into the peer's. *)
 
 type t
 
@@ -26,9 +28,9 @@ val reset : t -> unit
 (** Return the memory to exactly the state {!create} gives it: zero
     words, zero-page digests cached, every page snapshot-dirty, work
     counters at zero.  Only pages that may hold nonzero words are
-    zeroed — those written, copied or restored into since creation or
-    the last reset — so recycling a mostly untouched memory costs far
-    less than allocating a new one. *)
+    zeroed — those written since the last save, restore or adopt, and
+    those it left nonzero — so recycling a mostly untouched memory
+    costs far less than allocating a new one. *)
 
 val size : t -> int
 
@@ -74,22 +76,6 @@ val blit_in : t -> addr:int -> Word.t array -> unit
 val blit_out : t -> addr:int -> len:int -> Word.t array
 (** Copy [len] words out of memory starting at [addr] (DMA). *)
 
-val blit_from : t -> src:t -> unit
-(** Overwrite this memory's contents with [src]'s, directly, without
-    materialising an intermediate array.  Digest caches are adopted
-    from [src] when the page geometry matches; all pages are marked
-    dirty for snapshot purposes.
-    @raise Invalid_argument on a size mismatch. *)
-
-val copy : t -> t
-(** Deep copy, used for state snapshots (backup reintegration).  Work
-    counters start at zero in the copy. *)
-
-val copy_page : src:t -> dst:t -> int -> unit
-(** Copy one page of words (and its digest-cache state) between two
-    memories of identical geometry — the delta-snapshot primitive.
-    @raise Invalid_argument on geometry mismatch or bad page index. *)
-
 val equal : t -> t -> bool
 (** Word-array content equality (early-exit loop; tracking state is
     not compared). *)
@@ -123,16 +109,27 @@ val load : t -> addr:int -> Word.t list -> unit
 
 type saved
 (** The whole memory — contents, digest caches, dirty flags, work
-    counters — at the time of a {!save}.  Contents are held in chunks
-    of 32 words: pages not written since the previous {!save} or
-    {!restore} of the same memory, and unchanged chunks of the pages
-    that were, are shared with it rather than copied. *)
+    counters — at the time of a {!save}; immutable.  Contents are held
+    in chunks of 32 words: pages not written since the previous
+    {!save}, {!restore} or {!adopt} of the same memory, and unchanged
+    chunks of the pages that were, are shared with it rather than
+    copied. *)
 
 val save : t -> saved
 
 val restore : t -> saved -> unit
 (** Put the memory back in place to a {!save} of it (any one, in any
     order, any number of times).  Rewrites only the pages written since
-    the last save or restore, and the chunks in which that one and the
-    target differ.
-    @raise Invalid_argument on a geometry mismatch. *)
+    the last save, restore or adopt, and the chunks in which that one
+    and the target differ.
+    @raise Invalid_argument if the save is of a memory of another size
+    or page size. *)
+
+val adopt : t -> saved -> unit
+(** Take in a {!save} of another memory of the same geometry (or of
+    this one), as a peer reintegrating from a snapshot does: the same
+    page walk as {!restore}, but this memory keeps its own work
+    counters ({!take_hash_work}) and every page becomes
+    snapshot-dirty ({!dirty_pages}).
+    @raise Invalid_argument if the save is of a memory of another size
+    or page size. *)

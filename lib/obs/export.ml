@@ -277,12 +277,8 @@ let metrics_json ?registry ?(dropped = 0) hists =
               (fun (c : Metrics.counter) ->
                 value c.Metrics.c_actor c.Metrics.c_name c.Metrics.c_val)
               (Metrics.counters m)) );
-      ( "gauges",
-        from_registry (fun m ->
-            List.map
-              (fun (g : Metrics.gauge) ->
-                value g.Metrics.g_actor g.Metrics.g_name g.Metrics.g_val)
-              (Metrics.gauges m)) );
+      (* the registry keeps no gauges; the /2 member stays *)
+      ("gauges", Json.Arr []);
       ( "windows",
         from_registry (fun m ->
             List.map

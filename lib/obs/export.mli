@@ -37,8 +37,8 @@ val jsonl : ?dropped:int -> Recorder.entry list -> Json.t list
 val metrics_json :
   ?registry:Metrics.t -> ?dropped:int -> (string * Hist.t) list -> Json.t
 (** [hftsim-metrics/2]: per-category quantiles plus the raw
-    log-bucket counts; with [registry], also its counters, gauges and
-    rolling windows. *)
+    log-bucket counts; with [registry], also its counters and rolling
+    windows.  ["gauges"] is always the empty array. *)
 
 type summary = {
   format : [ `Chrome | `Jsonl | `Metrics ];

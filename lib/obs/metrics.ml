@@ -2,9 +2,9 @@ open Hft_sim
 
 (* Aggregation-first metrics: the registry consumes the same event
    stream the recorder ring stores, but folds it into fixed-size state
-   — labeled counters and gauges behind per-actor scopes, and a
-   bounded list of rolling time windows with streaming histograms — so a run
-   of any length produces bounded-size output even after the ring has
+   — labeled counters behind per-actor scopes, and a bounded list of
+   rolling time windows with streaming histograms — so a run of any
+   length produces bounded-size output even after the ring has
    wrapped.  The hot paths (counter bumps, histogram adds, window
    accumulation) allocate nothing; allocation happens only at
    registration time and when a window closes. *)
@@ -13,12 +13,6 @@ type counter = {
   c_actor : string;
   c_name : string;
   mutable c_val : int;
-}
-
-type gauge = {
-  g_actor : string;
-  g_name : string;
-  mutable g_val : int;
 }
 
 (* One closed aggregation window over simulated time. *)
@@ -40,7 +34,6 @@ type t = {
   mutable cur : window option;
   mutable cur_end_ns : int;
   counters : (string * string, counter) Hashtbl.t;
-  gauges : (string * string, gauge) Hashtbl.t;
   (* open-interval pairing state *)
   epoch_open : (string, int) Hashtbl.t;  (** source -> begin ns *)
   ack_open : (string, int) Hashtbl.t;
@@ -61,14 +54,13 @@ let create ?(window_ns = 10_000_000) ?(max_windows = 64) () =
     cur = None;
     cur_end_ns = 0;
     counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 8;
     epoch_open = Hashtbl.create 4;
     ack_open = Hashtbl.create 4;
     primary = "primary";
     down_since = None;
   }
 
-(* ---------- scopes, counters, gauges ---------- *)
+(* ---------- scopes and counters ---------- *)
 
 let scope t actor = { s_actor = actor; s_reg = t }
 
@@ -81,30 +73,14 @@ let counter s name =
     Hashtbl.replace s.s_reg.counters key c;
     c
 
-let gauge s name =
-  let key = (s.s_actor, name) in
-  match Hashtbl.find_opt s.s_reg.gauges key with
-  | Some g -> g
-  | None ->
-    let g = { g_actor = s.s_actor; g_name = name; g_val = 0 } in
-    Hashtbl.replace s.s_reg.gauges key g;
-    g
-
 let incr c = c.c_val <- c.c_val + 1
 let add c n = c.c_val <- c.c_val + n
 let value c = c.c_val
-let set g v = g.g_val <- v
-let gauge_value g = g.g_val
 
 let counters t =
   Hashtbl.fold (fun _ c acc -> c :: acc) t.counters []
   |> List.sort (fun a b ->
          compare (a.c_actor, a.c_name) (b.c_actor, b.c_name))
-
-let gauges t =
-  Hashtbl.fold (fun _ g acc -> g :: acc) t.gauges []
-  |> List.sort (fun a b ->
-         compare (a.g_actor, a.g_name) (b.g_actor, b.g_name))
 
 (* ---------- rolling windows ---------- *)
 

@@ -6,7 +6,7 @@
     {!tap} to a recorder (or call {!observe} directly) and the event
     stream folds into:
 
-    - labeled {b counters} and {b gauges} behind per-actor {!scope}s —
+    - labeled {b counters} behind per-actor {!scope}s —
       registration allocates, every subsequent bump is a field write;
     - {b rolling time windows} over simulated time, each carrying the
       windowed epoch-latency and ack-wait histograms (p50/p99), the
@@ -26,18 +26,12 @@ val create : ?window_ns:int -> ?max_windows:int -> unit -> t
 (** Default window width 10 ms of simulated time, at most 64 retained
     windows. *)
 
-(** {2 Scopes, counters, gauges} *)
+(** {2 Scopes and counters} *)
 
 type counter = private {
   c_actor : string;
   c_name : string;
   mutable c_val : int;
-}
-
-type gauge = private {
-  g_actor : string;
-  g_name : string;
-  mutable g_val : int;
 }
 
 type scope
@@ -50,18 +44,12 @@ val counter : scope -> string -> counter
 (** Find-or-register; the returned handle is stable, so hot paths
     register once and bump the handle allocation-free. *)
 
-val gauge : scope -> string -> gauge
-
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val set : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 val counters : t -> counter list
 (** Sorted by (actor, name). *)
-
-val gauges : t -> gauge list
 
 (** {2 Event tap} *)
 

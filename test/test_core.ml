@@ -921,7 +921,7 @@ type roots = {
   backup_crash : int option;
   loss_pb : int option;
   loss_bp : int option;
-  hv : Hft_harness.Scenarios.hv_fault_choice option;
+  hv : Hft_harness.Campaign.hv_fault_spec option;
 }
 
 let all_roots (b : Hft_harness.Scenarios.bounded) =
@@ -950,7 +950,9 @@ let all_roots (b : Hft_harness.Scenarios.bounded) =
    system at that scheduler call, runs to the end, restores the
    snapshot (and the recorders' own logs) and runs to the end again:
    what it returns is the second ending.  Also returns the number of
-   scheduler calls. *)
+   scheduler calls and the first one at which a hypervisor is hung
+   (-1 if none is), which falls before the watchdog detects the
+   hang. *)
 let observe (b : Hft_harness.Scenarios.bounded) ?roots ?(resume_at = -1)
     ?recycle () =
   let module S = Hft_harness.Scenarios in
@@ -974,7 +976,15 @@ let observe (b : Hft_harness.Scenarios.bounded) ?roots ?(resume_at = -1)
   let hp = record_hashes (System.primary sys)
   and hb = record_hashes (System.backup sys) in
   let fps = ref [] and calls = ref 0 and saved = ref None in
+  let hung = ref (-1) in
+  let is_hung hv =
+    Hypervisor.hv_health hv = Hypervisor.Faulted Hypervisor.Hv_hang
+  in
   Hft_sim.Engine.set_scheduler (System.engine sys) (fun _ ->
+      if
+        !hung < 0
+        && (is_hung (System.primary sys) || is_hung (System.backup sys))
+      then hung := !calls;
       if !calls = resume_at then
         saved := Some (System.snapshot sys, !fps, !hp, !hb);
       incr calls;
@@ -998,7 +1008,8 @@ let observe (b : Hft_harness.Scenarios.bounded) ?roots ?(resume_at = -1)
       (List.rev !hp, List.rev !hb, retired (System.primary sys),
        retired (System.backup sys)),
       List.rev !fps ),
-    !calls )
+    !calls,
+    !hung )
 
 let same_observation (o1, d1, h1, f1) (o2, d2, h2, f2) =
   let open Alcotest in
@@ -1028,19 +1039,21 @@ let backend_case name (b : Hft_harness.Scenarios.bounded) (backend_name, backend
    bounded scenario runs its default schedule three times: a donor, a
    fresh system, and a system recycled from the finished donor.  The
    first crash option is taken where there is one, so the
-   reintegration-loss donor leaves a snapshot base behind that the
-   recycled run reuses.  Everything [observe] records must agree.
-   Every scenario runs on both backends; on the threaded one the
-   statistics include the translation's entry, fallback and
-   threaded-instruction counters, which a re-armed translation must
-   restart from zero. *)
+   reintegration-loss donor has taken a snapshot, and the recycled
+   run's must count the same bytes as a fresh one's.  Everything
+   [observe] records must agree.  Every scenario runs on both
+   backends; on the threaded one the statistics include the
+   translation's entry, fallback and threaded-instruction counters,
+   which a re-armed translation must restart from zero. *)
 let recycle_tests =
   let module S = Hft_harness.Scenarios in
   let case (b : S.bounded) backend =
     backend_case b.S.sc_name b backend (fun b backend ->
-        let donor, _, _ = observe b () in
-        let _, fresh, _ = observe b () in
-        let _, ((o2, _, _, _) as recycled), _ = observe b ~recycle:donor () in
+        let donor, _, _, _ = observe b () in
+        let _, fresh, _, _ = observe b () in
+        let _, ((o2, _, _, _) as recycled), _, _ =
+          observe b ~recycle:donor ()
+        in
         same_observation fresh recycled;
         if b.S.sc_reintegrate_ms <> None then
           Alcotest.(check bool)
@@ -1056,9 +1069,11 @@ let recycle_tests =
 (* A restored system must be indistinguishable from one that never
    left: for every root assignment of every bounded scenario, on both
    backends, the default schedule is snapshotted at its first
-   scheduler call, a third of the way, two thirds and its last, run to
-   the end, restored and run to the end again; everything [observe]
-   records about that second ending must equal an uninterrupted run.
+   scheduler call, a third of the way, two thirds, its last and, where
+   a hypervisor hangs, the first call of the hang (so the restored
+   heartbeat is what the pending watchdog compares), run to the end,
+   restored and run to the end again; everything [observe] records
+   about that second ending must equal an uninterrupted run.
    Builds after the first recycle the previous system, as the model
    checker's do. *)
 let restore_tests =
@@ -1067,19 +1082,21 @@ let restore_tests =
     backend_case b.S.sc_name b backend (fun b _ ->
         let spare = ref None in
         let observe ?resume_at roots =
-          let sys, obs, calls =
+          let sys, obs, calls, hung =
             observe b ~roots ?resume_at ?recycle:!spare ()
           in
           spare := Some sys;
-          (obs, calls)
+          (obs, calls, hung)
         in
         List.iter
           (fun roots ->
-            let reference, n = observe roots in
+            let reference, n, hung = observe roots in
+            let hang = if hung < 0 then [] else [ hung ] in
             List.iter
               (fun k ->
-                same_observation reference (fst (observe ~resume_at:k roots)))
-              [ 0; n / 3; 2 * n / 3; n - 1 ])
+                let resumed, _, _ = observe ~resume_at:k roots in
+                same_observation reference resumed)
+              ([ 0; n / 3; 2 * n / 3; n - 1 ] @ hang))
           (all_roots b))
   in
   List.concat_map (fun b -> List.map (case b) backends) S.all

@@ -682,11 +682,14 @@ let memory_tests =
         Memory.blit_in m ~addr:8 [| 1; 2; 3 |];
         check bool "roundtrip" true
           (Memory.blit_out m ~addr:8 ~len:3 = [| 1; 2; 3 |]));
-    test_case "copy is deep" `Quick (fun () ->
+    test_case "save is deep" `Quick (fun () ->
         let m = Memory.create ~words:8 () in
-        let c = Memory.copy m in
+        Memory.write m 0 4;
+        let s = Memory.save m in
         Memory.write m 0 5;
-        check int "copy unchanged" 0 (Memory.read c 0));
+        let c = Memory.create ~words:8 () in
+        Memory.adopt c s;
+        check int "save unchanged" 4 (Memory.read c 0));
   ]
 
 (* -------- dirty-page tracking and incremental digests -------- *)
@@ -694,8 +697,9 @@ let memory_tests =
 (* The incremental digest must be indistinguishable from a from-scratch
    re-hash after any interleaving of writes, DMA blits in and out (an
    outbound blit must read back the model's words), digest reads (which
-   build the page cache), dirty-bit clears, and snapshot/restore
-   roundtrips. *)
+   build the page cache), dirty-bit clears, save/restore roundtrips,
+   and adopting a save of a twin memory (written and digested on its
+   own). *)
 let digest_equiv_prop =
   let open QCheck.Gen in
   (* page-multiple and ragged sizes, including a memory smaller than
@@ -710,9 +714,12 @@ let digest_equiv_prop =
         (1, map2 (fun a len -> `Blit_out (a, len)) anywhere (int_range 1 64));
         (2, return `Digest);
         (1, return `Clear);
-        (1, return `Snap);
+        (1, return `Save);
         (1, return `Restore);
-        (1, map (fun p -> `Copy_page p) anywhere);
+        ( 2,
+          map2 (fun a v -> `Twin_write (a, v)) anywhere (int_bound 1_000_000) );
+        (1, return `Twin_digest);
+        (1, return `Adopt_twin);
       ]
   in
   let gen = pair geometry (list_size (int_range 1 120) op) in
@@ -727,8 +734,10 @@ let digest_equiv_prop =
         && d0 = Memory.full_digest m
       in
       let truth = Array.make words 0 in
-      let saved = ref (Memory.copy m) in
+      let saved = ref (Memory.save m) in
       let truth_saved = ref (Array.copy truth) in
+      let twin = Memory.create ~page_shift ~words () in
+      let twin_truth = Array.make words 0 in
       let ok = ref fresh_ok in
       List.iter
         (fun op ->
@@ -750,17 +759,20 @@ let digest_equiv_prop =
               ok := false
           | `Digest -> if Memory.digest m <> Memory.full_digest m then ok := false
           | `Clear -> Memory.clear_dirty m
-          | `Snap ->
-            saved := Memory.copy m;
+          | `Save ->
+            saved := Memory.save m;
             truth_saved := Array.copy truth
           | `Restore ->
-            Memory.blit_from m ~src:!saved;
+            Memory.restore m !saved;
             Array.blit !truth_saved 0 truth 0 words
-          | `Copy_page p ->
-            let p = p mod Memory.pages m in
-            Memory.copy_page ~src:!saved ~dst:m p;
-            let lo = p lsl page_shift in
-            Array.blit !truth_saved lo truth lo (Memory.page_words m p))
+          | `Twin_write (a, v) ->
+            let a = a mod words in
+            Memory.write twin a v;
+            twin_truth.(a) <- Word.mask v
+          | `Twin_digest -> ignore (Memory.digest twin)
+          | `Adopt_twin ->
+            Memory.adopt m (Memory.save twin);
+            Array.blit twin_truth 0 truth 0 words)
         ops;
       let fresh = Memory.create ~page_shift ~words () in
       Memory.blit_in fresh ~addr:0 truth;
@@ -773,14 +785,12 @@ let digest_equiv_prop =
    memory is indistinguishable from a fresh one — same words, digests,
    snapshot-dirty set and hash work — and stays so under a second
    random run.  [twin] (same geometry, digested now and then so its
-   written pages need not be stale) feeds [copy_page]/[blit_from];
-   [alien] (other page size) takes [blit_from]'s re-hash-everything
-   path. *)
+   written pages need not be stale) feeds [adopt] saves of another
+   memory; [Save]/[Restore] move the memory's own [head]. *)
 let reset_exact_prop =
   let open QCheck.Gen in
   let geometry =
-    triple (oneofl [ 0; 8; 10 ]) (oneofl [ 1; 700; 1024; 4096; 5000 ])
-      (oneofl [ 2; 9 ])
+    pair (oneofl [ 0; 8; 10 ]) (oneofl [ 1; 700; 1024; 4096; 5000 ])
   in
   let anywhere = int_bound 1_000_000 in
   let value = int_range 0 1_000_000 in
@@ -792,9 +802,9 @@ let reset_exact_prop =
         (2, map2 (fun a len -> `Blit (a, len)) anywhere (int_range 1 64));
         (2, map2 (fun a v -> `Twin_write (a, v)) anywhere value);
         (1, return `Twin_digest);
-        (1, map (fun p -> `Copy_page p) anywhere);
-        (1, return `Blit_from_twin);
-        (1, return `Blit_from_alien);
+        (1, return `Adopt_twin);
+        (1, return `Save);
+        (1, return `Restore);
         (2, return `Digest);
         (1, return `Clear);
       ]
@@ -803,10 +813,9 @@ let reset_exact_prop =
   let gen = triple geometry ops ops in
   (* everything a caller can observe: each digest with the hash work
      it cost, the dirty set, and the final contents *)
-  let observe ~page_shift ~alien_shift ~words m ops =
+  let observe ~page_shift ~words m ops =
     let twin = Memory.create ~page_shift ~words () in
-    let alien = Memory.create ~page_shift:alien_shift ~words () in
-    Memory.write alien (words - 1) 3;
+    let saved = ref None in
     let log = ref [] in
     let note x = log := x :: !log in
     List.iter
@@ -819,10 +828,9 @@ let reset_exact_prop =
             (Array.init (min len (words - a)) (fun i -> Word.mask (a + i + 1)))
         | `Twin_write (a, v) -> Memory.write twin (a mod words) v
         | `Twin_digest -> ignore (Memory.digest twin)
-        | `Copy_page p ->
-          Memory.copy_page ~src:twin ~dst:m (p mod Memory.pages m)
-        | `Blit_from_twin -> Memory.blit_from m ~src:twin
-        | `Blit_from_alien -> Memory.blit_from m ~src:alien
+        | `Adopt_twin -> Memory.adopt m (Memory.save twin)
+        | `Save -> saved := Some (Memory.save m)
+        | `Restore -> Option.iter (Memory.restore m) !saved
         | `Digest ->
           let d = Memory.digest m in
           let hashed, skipped = Memory.take_hash_work m in
@@ -837,9 +845,8 @@ let reset_exact_prop =
   in
   QCheck.Test.make ~name:"reset memory is indistinguishable from fresh"
     ~count:200 (QCheck.make gen)
-    (fun ((page_shift, words, alien_shift), before, after) ->
-      let alien_shift = if alien_shift = page_shift then 1 else alien_shift in
-      let observe = observe ~page_shift ~alien_shift ~words in
+    (fun ((page_shift, words), before, after) ->
+      let observe = observe ~page_shift ~words in
       let m = Memory.create ~page_shift ~words () in
       ignore (observe m before);
       Memory.reset m;
@@ -906,20 +913,34 @@ let dirty_page_tests =
         let hashed, skipped = Memory.take_hash_work m in
         check int "one page re-hashed" 1 hashed;
         check int "three reused" 3 skipped);
-    test_case "blit_from matches contents without staging" `Quick (fun () ->
+    test_case "adopt takes in another memory's save" `Quick (fun () ->
         let a = Memory.create ~words:64 () in
         let b = Memory.create ~words:64 () in
         Memory.write a 3 99;
-        Memory.blit_from b ~src:a;
+        Memory.adopt b (Memory.save a);
         check int "copied" 99 (Memory.read b 3);
         check bool "equal" true (Memory.equal a b);
         check int "digest agrees" (Memory.digest a) (Memory.digest b);
-        let c = Memory.create ~words:65 () in
-        let raised =
-          try Memory.blit_from c ~src:a; false
-          with Invalid_argument _ -> true
+        check (list int) "every page snapshot-dirty" [ 0 ]
+          (Memory.dirty_pages b));
+    test_case "a save of another geometry is rejected" `Quick (fun () ->
+        (* 4096 and 4000 words are both 4 pages of 1 Ki words *)
+        let big = Memory.create ~words:4096 () in
+        Memory.write big 4095 7;
+        let s = Memory.save big in
+        let rejected f =
+          try f (); false with Invalid_argument _ -> true
         in
-        check bool "size mismatch rejected" true raised);
+        let small = Memory.create ~words:4000 () in
+        check bool "restore: other size" true
+          (rejected (fun () -> Memory.restore small s));
+        check bool "adopt: other size" true
+          (rejected (fun () -> Memory.adopt small s));
+        let coarse = Memory.create ~page_shift:11 ~words:4096 () in
+        check bool "restore: other page size" true
+          (rejected (fun () -> Memory.restore coarse s));
+        check bool "adopt: other page size" true
+          (rejected (fun () -> Memory.adopt coarse s)));
     test_case "equal ignores tracking state" `Quick (fun () ->
         let a = Memory.create ~words:32 () in
         let b = Memory.create ~words:32 () in
@@ -943,6 +964,19 @@ let dirty_page_tests =
         ignore (Cpu.snapshot cpu);
         check int "unchanged memory copies nothing" (mem_bytes + 4096)
           (Cpu.snapshot_bytes_copied cpu));
+    test_case "a snapshot outlives the next one" `Quick (fun () ->
+        let p = Asm.assemble [ Asm.halt ] in
+        let cpu = Cpu.create ~code:p.Asm.code () in
+        Memory.write (Cpu.mem cpu) 0x2000 1;
+        let first = Cpu.snapshot cpu in
+        let h = Cpu.state_hash cpu in
+        Memory.write (Cpu.mem cpu) 0x2000 2;
+        ignore (Cpu.snapshot cpu);
+        let peer = Cpu.create ~code:p.Asm.code () in
+        Cpu.restore peer first;
+        check int "first snapshot's memory" 1
+          (Memory.read (Cpu.mem peer) 0x2000);
+        check int "first snapshot's state" h (Cpu.state_hash peer));
     test_case "partial trailing page is tracked" `Quick (fun () ->
         let m = Memory.create ~page_shift:4 ~words:20 () in
         check int "two pages" 2 (Memory.pages m);

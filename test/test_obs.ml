@@ -289,9 +289,6 @@ let metrics_tests =
         Metrics.add c 2;
         check bool "same handle" true (c == Metrics.counter s "msgs_sent");
         check int "value" 3 (Metrics.value (Metrics.counter s "msgs_sent"));
-        let g = Metrics.gauge s "depth" in
-        Metrics.set g 7;
-        check int "gauge" 7 (Metrics.gauge_value g);
         check int "one counter registered" 1
           (List.length (Metrics.counters m)));
     test_case "epoch pairs fold into rolling windows" `Quick (fun () ->
