@@ -439,11 +439,14 @@ let run_cmd =
           (events > 0, "--events");
         ]
     in
+    let negative = function Some ms -> ms < 0 | None -> false in
     if bare && replicated_only <> [] then
       `Error
         ( true,
           Printf.sprintf "--bare runs no replicated system, so %s cannot apply"
             (String.concat ", " replicated_only) )
+    else if negative crash_ms || negative reintegrate_ms then
+      `Error (true, "--crash and --reintegrate must be >= 0")
     else if bare then `Ok (run_bare ~params workload)
     else begin
       let registry = Obs.Metrics.create () in
@@ -764,12 +767,17 @@ let chaos_cmd =
   let action workload epoch protocol link backend seed trials loss dup corrupt
       delay_us no_retransmit exact crash_epoch backup_crash_epoch reintegrate
       no_shrink hv_faults hv_fault_list json trace_out =
-    let bad_rate r = r < 0. || r >= 1. in
+    (* written so that NaN, which fails every comparison, is bad *)
+    let bad_rate r = not (r >= 0. && r < 1.) in
+    let bad_epoch = function Some e -> e < 0 | None -> false in
     if bad_rate loss || bad_rate dup || bad_rate corrupt || delay_us < 0 then
       `Error
         ( true,
           "fault rates must satisfy 0 <= rate < 1 and --delay-us must be >= 0"
         )
+    else if bad_epoch crash_epoch || bad_epoch backup_crash_epoch then
+      `Error (true, "--crash-epoch and --backup-crash-epoch must be >= 0")
+    else if trials < 0 then `Error (true, "--trials must be >= 0")
     else begin
     let params =
       params_of ~backend ~epoch ~protocol ~link

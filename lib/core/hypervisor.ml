@@ -75,24 +75,116 @@ let hv_fault_kind = function
   | Hv_corrupt C_acks -> "corrupt-acks"
   | Hv_corrupt C_rtx -> "corrupt-rtx"
 
-(* The microreboot's state partition.  Guest memory, CPU state and the
+(* ---------- the state table ----------
+
+   Every protocol scalar of a node lives in one int array, [t.s], at a
+   slot declared below exactly once: counters as they are, flags as 0
+   or 1, times in nanoseconds.  A declaration gives the slot's value at
+   [create] and two properties, and every bookkeeping site walks the
+   declarations instead of naming fields: {!fingerprint} mixes each
+   fingerprinted slot, the checker's [save]/[restore] copy the array
+   whole, and the recovery block mirrors the protected ones.
+
+   The microreboot's state partition.  Guest memory, CPU state and the
    device-facing structures survive a reboot in place (they live in
    preserved domain memory); timers and receive-side reassembly are
-   volatile and reconciled afresh; and the small set of protocol
-   counters a corruption can damage — epoch counters, ack bookkeeping,
-   the retransmission queue — is mirrored into this recovery block,
-   committed at the end of every event-handling quantum and restored
-   wholesale by the reboot. *)
-type recovery_block = {
-  mutable rb_epoch : int;
-  mutable rb_relay_epoch : int;
-  mutable rb_env_idx : int;
-  mutable rb_send_seq : int;
-  mutable rb_data_sent : int;
-  mutable rb_acked : int;
-  mutable rb_data_recvd : int;
-  mutable rb_rtx : rtx_entry list;
+   volatile and reconciled afresh; and the protocol state a corruption
+   can damage — the protected slots (epoch counters, ack bookkeeping)
+   and the retransmission queue — is mirrored into the recovery block
+   ([t.rb], [t.rb_rtx]), committed at the end of every event-handling
+   quantum and restored wholesale by the reboot.  The protected slots
+   come first, so the block is the array's prefix [0, S.protected). *)
+type slot = {
+  name : string;
+  init : int;
+  fingerprinted : bool;
+  protected : bool;
 }
+
+module S = struct
+  let decls = ref [] (* newest first *)
+
+  let slot ?(init = 0) ?(fingerprinted = true) ?(protected = false) name =
+    if protected && List.exists (fun d -> not d.protected) !decls then
+      invalid_arg ("Hypervisor.S: protected slot after the range: " ^ name);
+    decls := { name; init; fingerprinted; protected } :: !decls;
+    List.length !decls - 1
+
+  (* protected *)
+  let epoch = slot ~protected:true "epoch"
+  let relay_epoch = slot ~protected:true "relay_epoch"
+  let env_idx = slot ~protected:true "env_idx"
+  let send_seq = slot ~protected:true "send_seq" (* wire, all messages *)
+  let data_sent = slot ~protected:true "data_sent" (* what acks cover *)
+  let acked = slot ~protected:true "acked"
+
+  (* next expected [dseq] from the peer = count of reliable messages
+     delivered in order *)
+  let data_recvd = slot ~protected:true "data_recvd"
+
+  (* not protected: a microreboot leaves these in place or resets them *)
+  let alive = slot ~init:1 "alive"
+  let peer_alive = slot ~init:1 "peer_alive"
+  let debt = slot "debt"
+  let rtx_backoff = slot "rtx_backoff" (* consecutive unanswered fires *)
+
+  (* the time-of-day value sent in this boundary's [Tme]; the timer
+     check must use exactly this value or the replicas could disagree
+     about a timer expiry *)
+  let boundary_tod = slot "boundary_tod"
+
+  (* virtual-TOD us; -1 = unarmed *)
+  let vtimer_deadline_us = slot ~init:(-1) "vtimer_deadline_us"
+  let vtod_us = slot "vtod_us" (* backup: last synchronised TOD *)
+  let vtod_offset_us = slot "vtod_offset_us" (* promoted: clock correction *)
+  let halted = slot "halted"
+  let reintegrate_requested = slot "reintegrate_requested"
+
+  (* channel messages a down hypervisor failed to service; healed
+     post-reboot by resync/retransmission *)
+  let dropped_while_down = slot "dropped_while_down"
+
+  (* Not fingerprinted, each for the reason above it. *)
+
+  (* pairs an interrupt's buffered and delivered observability events *)
+  let next_intr_id = slot ~fingerprinted:false "next_intr_id"
+
+  (* [rtx_queue] changed since [persist] last mirrored it; the queue
+     and the mirror are both fingerprinted *)
+  let rtx_dirty = slot ~fingerprinted:false "rtx_dirty"
+
+  (* Arrival stamps: the start of the current ack wait, the halt, and
+     the injection of the current hypervisor fault.  They feed timing
+     statistics, not behaviour, and would split states that cannot
+     diverge. *)
+  let ack_wait_start = slot ~fingerprinted:false "ack_wait_start"
+  let halt_time = slot ~fingerprinted:false "halt_time"
+  let fault_since = slot ~fingerprinted:false "fault_since"
+
+  (* Bumped once per serviced event; a hung hypervisor freezes it,
+     which is what the out-of-band watchdog observes.  A per-event tick
+     would make every path length a distinct state; its only observable
+     effect — frozen vs advancing — is captured by [health] plus the
+     pending watchdog event. *)
+  let heartbeat = slot ~fingerprinted:false "heartbeat"
+
+  let table = Array.of_list (List.rev !decls)
+  let count = Array.length table
+  let initial = Array.map (fun d -> d.init) table
+  let protected = List.length (List.filter (fun d -> d.protected) !decls)
+
+  let fingerprinted =
+    List.filter (fun i -> table.(i).fingerprinted) (List.init count Fun.id)
+    |> Array.of_list
+end
+
+(* The wild writes a corruption fault makes, as (slot, offset) pairs.
+   Every target is protected, so the microreboot heals it; [C_rtx]
+   offsets no slot, it loses the retransmission queue instead. *)
+let scramble_offsets = function
+  | C_epoch -> [ (S.epoch, 7919); (S.relay_epoch, 104729); (S.env_idx, 13) ]
+  | C_acks -> [ (S.acked, 5077); (S.data_recvd, 7577); (S.data_sent, 3169) ]
+  | C_rtx -> []
 
 type t = {
   name_ : string;
@@ -108,11 +200,9 @@ type t = {
   ctl : Disk_ctl.t;
   st : Stats.t;
   obs : Hft_obs.Recorder.t;
-  mutable next_intr_id : int;
+  s : int array; (* the state table, indexed by [S] slots *)
   vcrs : int array;
   mutable role_ : role;
-  mutable alive_ : bool;
-  mutable peer_alive : bool;
   mutable tx_data : Message.t Channel.t option;
       (* downstream: protocol data (primary), forwarded stream (chained
          backup) *)
@@ -122,32 +212,14 @@ type t = {
   mutable failover_notice : int option;
       (* chain: upstream backup promoted at this epoch; perform the
          same failover delivery without promoting *)
-  mutable epoch_ : int;
-  mutable relay_epoch : int;
-  mutable env_idx : int;
-  mutable debt : Time.t;
   mutable blocked : blocked;
   mutable detector : Engine.handle option;
   (* messaging *)
-  mutable send_seq : int;   (* wire-level sequence, all messages *)
-  mutable data_sent : int;  (* data messages only: what acks cover *)
-  mutable acked : int;
-  mutable data_recvd : int;
-      (* next expected [dseq] from the peer = count of reliable
-         messages delivered in order *)
   rcv_hold : (int, Message.body) Hashtbl.t;
       (* reliable messages that arrived ahead of a gap, held until the
          gap fills (restores sender order over a fair-lossy link) *)
   rtx_queue : rtx_entry Queue.t; (* sent but not yet acknowledged *)
-  mutable rtx_dirty : bool;
-      (* [rtx_queue] changed since [persist] last mirrored it *)
   mutable rtx_timer : Engine.handle option;
-  mutable rtx_backoff : int; (* consecutive unanswered fires *)
-  mutable ack_wait_start : Time.t;
-  mutable boundary_tod : int;
-      (* the time-of-day value sent in this boundary's [Tme]; the timer
-         check must use exactly this value or the replicas could
-         disagree about a timer expiry *)
   (* interrupt buffering *)
   mutable buffered_current : stamped list; (* primary, reversed *)
   buffered_by_epoch : (int, stamped list ref) Hashtbl.t; (* backup *)
@@ -156,39 +228,40 @@ type t = {
   ends : (int, unit) Hashtbl.t;
   mutable pending_delivery : stamped list;
   outstanding : io_req Queue.t;
-  (* virtual clocks *)
-  mutable vtimer_deadline_us : int; (* -1 = unarmed; in virtual-TOD us *)
-  mutable vtod_us : int;            (* backup: last synchronised TOD *)
-  mutable vtod_offset_us : int;     (* promoted: own-clock correction *)
-  (* lifecycle *)
-  mutable halted_ : bool;
-  mutable halt_time_ : Time.t;
-  mutable reintegrate_requested : bool;
+  (* reintegration: the snapshot the new primary left for this node *)
   mutable snapshot_box : snapshot option;
   (* hypervisor-failure recovery (ReHype extension) *)
   mutable health : hv_health;
-  mutable heartbeat : int;
-      (* bumped once per serviced event; a hung hypervisor freezes it,
-         which is what the out-of-band watchdog observes *)
   mutable missed : (string * (unit -> unit)) list;
       (* work continuations that fired while the hypervisor was down,
          latched (newest first) for FIFO replay after the reboot *)
-  mutable dropped_while_down : int;
-      (* channel messages a down hypervisor failed to service; healed
-         post-reboot by resync/retransmission *)
-  mutable fault_since : Time.t; (* injection time of the current fault *)
-  rb : recovery_block;
+  rb : int array; (* the recovery block: slots [0, S.protected) *)
+  mutable rb_rtx : rtx_entry list; (* and the retransmission queue *)
   (* hooks *)
   mutable on_epoch_boundary : epoch:int -> hash:int -> unit;
   mutable on_promote : t -> unit;
 }
 
+let flag t i = t.s.(i) <> 0
+let set_flag t i b = t.s.(i) <- Bool.to_int b
+let time t i = Time.of_ns t.s.(i)
+let set_time t i x = t.s.(i) <- Time.to_ns x
+
+(* [Array.blit] for the state table's short int ranges: typed int
+   stores need no write barrier, where the runtime's blit takes one per
+   word of an array in the major heap — and [persist] runs after every
+   event *)
+let copy (src : int array) src_pos dst dst_pos len =
+  for i = 0 to len - 1 do
+    dst.(dst_pos + i) <- src.(src_pos + i)
+  done
+
 let name t = t.name_
 let role t = t.role_
-let alive t = t.alive_
-let halted t = t.halted_
-let halt_time t = t.halt_time_
-let epoch t = t.epoch_
+let alive t = flag t S.alive
+let halted t = flag t S.halted
+let halt_time t = time t S.halt_time
+let epoch t = t.s.(S.epoch)
 let cpu t = t.vm
 let stats t = t.st
 
@@ -204,8 +277,8 @@ let emit t ev =
 (* Stamp a buffered interrupt with its arrival time and a fresh
    pairing id, and record the buffering event. *)
 let stamp t bi ~epoch =
-  let id = t.next_intr_id in
-  t.next_intr_id <- id + 1;
+  let id = t.s.(S.next_intr_id) in
+  t.s.(S.next_intr_id) <- id + 1;
   emit t
     (Ev.Intr_buffered
        {
@@ -284,32 +357,18 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     ctl = Disk_ctl.create ();
     st = Stats.create ();
     obs;
-    next_intr_id = 0;
+    s = Array.copy S.initial;
     vcrs = Array.make Isa.num_crs 0;
     role_ = role;
-    alive_ = true;
-    peer_alive = true;
     tx_data = None;
     tx_ack = None;
     peer = None;
     failover_notice = None;
-    epoch_ = 0;
-    relay_epoch = 0;
-    env_idx = 0;
-    debt = Time.zero;
     blocked = Not_blocked;
     detector = None;
-    send_seq = 0;
-    data_sent = 0;
-    acked = 0;
-    data_recvd = 0;
     rcv_hold = Hashtbl.create 16;
     rtx_queue = Queue.create ();
-    rtx_dirty = false;
     rtx_timer = None;
-    rtx_backoff = 0;
-    ack_wait_start = Time.zero;
-    boundary_tod = 0;
     buffered_current = [];
     buffered_by_epoch = Hashtbl.create 64;
     env_vals = Hashtbl.create 64;
@@ -317,29 +376,11 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     ends = Hashtbl.create 64;
     pending_delivery = [];
     outstanding = Queue.create ();
-    vtimer_deadline_us = -1;
-    vtod_us = 0;
-    vtod_offset_us = 0;
-    halted_ = false;
-    halt_time_ = Time.zero;
-    reintegrate_requested = false;
     snapshot_box = None;
     health = Healthy;
-    heartbeat = 0;
     missed = [];
-    dropped_while_down = 0;
-    fault_since = Time.zero;
-    rb =
-      {
-        rb_epoch = 0;
-        rb_relay_epoch = 0;
-        rb_env_idx = 0;
-        rb_send_seq = 0;
-        rb_data_sent = 0;
-        rb_acked = 0;
-        rb_data_recvd = 0;
-        rb_rtx = [];
-      };
+    rb = Array.sub S.initial 0 S.protected;
+    rb_rtx = [];
     on_epoch_boundary = (fun ~epoch:_ ~hash:_ -> ());
     on_promote = (fun _ -> ());
   }
@@ -361,8 +402,8 @@ let set_on_promote t f = t.on_promote <- f
 let read_vtod t =
   match t.role_ with
   | Primary -> Clock.read_us t.clock
-  | Promoted -> Word.mask (Clock.read_us t.clock + t.vtod_offset_us)
-  | Backup -> t.vtod_us
+  | Promoted -> Word.mask (Clock.read_us t.clock + t.s.(S.vtod_offset_us))
+  | Backup -> t.s.(S.vtod_us)
 
 (* ---------- messaging ---------- *)
 
@@ -380,8 +421,8 @@ let ack_channel t =
   match t.tx_ack with Some _ as ch -> ch | None -> t.tx_data
 
 let transmit t ch ?snapshot_bytes ~dseq body =
-  let msg = Message.make ~seq:t.send_seq ~dseq body in
-  t.send_seq <- t.send_seq + 1;
+  let msg = Message.make ~seq:t.s.(S.send_seq) ~dseq body in
+  t.s.(S.send_seq) <- t.s.(S.send_seq) + 1;
   Channel.send ch ~bytes:(Message.bytes ?snapshot_bytes msg) msg
 
 (* Unreliable send: acknowledgements only.  Nothing acks an ack, so
@@ -393,7 +434,7 @@ let send_up t body =
   | None -> ()
   | Some ch -> transmit t ch ~dseq:(-1) body
 
-let send_ack t = send_up t (Message.Ack { upto = t.data_recvd })
+let send_ack t = send_up t (Message.Ack { upto = t.s.(S.data_recvd) })
 
 (* ---------- failure detector ---------- *)
 
@@ -409,7 +450,7 @@ let rec arm_detector ?timeout t =
   let timeout =
     match timeout with Some d -> d | None -> t.p.Params.detector_timeout
   in
-  if t.peer_alive then
+  if flag t S.peer_alive then
     t.detector <-
       Some
         (Engine.after t.engine ~label:"detector" ~actor:t.name_ timeout
@@ -429,8 +470,8 @@ and cancel_rtx t =
 and clear_rtx t =
   cancel_rtx t;
   Queue.clear t.rtx_queue;
-  t.rtx_dirty <- true;
-  t.rtx_backoff <- 0
+  set_flag t S.rtx_dirty true;
+  t.s.(S.rtx_backoff) <- 0
 
 (* Timeout before resending the oldest unacknowledged message: the
    exponential backoff plus a round trip for that message plus
@@ -439,7 +480,8 @@ and clear_rtx t =
    queue for milliseconds) would trigger spurious retransmissions. *)
 and rtx_delay t =
   let e = Queue.peek t.rtx_queue in
-  let base = Time.scale t.p.Params.rtx_timeout (1 lsl min t.rtx_backoff 2) in
+  let backoff = 1 lsl min t.s.(S.rtx_backoff) 2 in
+  let base = Time.scale t.p.Params.rtx_timeout backoff in
   let transfer = Hft_net.Link.transfer_time t.p.Params.link ~bytes:e.r_bytes in
   let backlog =
     match (if e.r_up then ack_channel t else out_channel t) with
@@ -453,7 +495,7 @@ and rtx_delay t =
 
 and arm_rtx t =
   if
-    t.p.Params.retransmit && t.alive_ && t.rtx_timer = None
+    t.p.Params.retransmit && flag t S.alive && t.rtx_timer = None
     && not (Queue.is_empty t.rtx_queue)
   then
     t.rtx_timer <-
@@ -468,19 +510,19 @@ and arm_rtx t =
    messages); only an ack covering the queue — or the give-up bound —
    lets the simulation drain. *)
 and rtx_fire t =
-  if t.alive_ && not (Queue.is_empty t.rtx_queue) then begin
-    if not t.peer_alive then clear_rtx t
-    else if t.rtx_backoff >= t.p.Params.rtx_give_up then begin
-      emit t (Ev.Rtx_give_up { rounds = t.rtx_backoff });
+  if flag t S.alive && not (Queue.is_empty t.rtx_queue) then begin
+    if not (flag t S.peer_alive) then clear_rtx t
+    else if t.s.(S.rtx_backoff) >= t.p.Params.rtx_give_up then begin
+      emit t (Ev.Rtx_give_up { rounds = t.s.(S.rtx_backoff) });
       clear_rtx t;
-      if t.halted_ then t.peer_alive <- false
+      if flag t S.halted then set_flag t S.peer_alive false
       else begin
         cancel_detector t;
         detector_fired t
       end
     end
     else begin
-      t.rtx_backoff <- t.rtx_backoff + 1;
+      t.s.(S.rtx_backoff) <- t.s.(S.rtx_backoff) + 1;
       let n = Queue.length t.rtx_queue in
       Queue.iter
         (fun e ->
@@ -491,7 +533,7 @@ and rtx_fire t =
               e.r_body)
         t.rtx_queue;
       t.st.Stats.retransmits <- t.st.Stats.retransmits + n;
-      emit t (Ev.Rtx_round { round = t.rtx_backoff; count = n });
+      emit t (Ev.Rtx_round { round = t.s.(S.rtx_backoff); count = n });
       arm_rtx t
     end
   end
@@ -505,8 +547,8 @@ and send_msg ?snapshot_bytes ?(up = false) t body =
   match (if up then ack_channel t else out_channel t) with
   | None -> ()
   | Some ch ->
-    let dseq = t.data_sent in
-    t.data_sent <- t.data_sent + 1;
+    let dseq = t.s.(S.data_sent) in
+    t.s.(S.data_sent) <- t.s.(S.data_sent) + 1;
     let bytes = Message.bytes ?snapshot_bytes (Message.make ~seq:0 ~dseq body) in
     emit t (Ev.Msg_send { dseq; kind = Message.body_kind body; bytes });
     Queue.add
@@ -518,7 +560,7 @@ and send_msg ?snapshot_bytes ?(up = false) t body =
         r_up = up;
       }
       t.rtx_queue;
-    t.rtx_dirty <- true;
+    set_flag t S.rtx_dirty true;
     transmit t ch ?snapshot_bytes ~dseq body;
     arm_rtx t
 
@@ -617,11 +659,11 @@ and resume_after t d =
        (guarded t ~label:"resume" `Work (fun () -> continue_vm t)))
 
 and continue_vm t =
-  if t.alive_ && not t.halted_ then begin
-    if Time.(t.debt > Time.zero) then begin
+  if flag t S.alive && not (flag t S.halted) then begin
+    if t.s.(S.debt) > 0 then begin
       (* pay for work done at interrupt level during the last burst *)
-      let d = t.debt in
-      t.debt <- Time.zero;
+      let d = time t S.debt in
+      set_time t S.debt Time.zero;
       resume_after t d
     end
     else
@@ -665,7 +707,7 @@ and continue_vm t =
   end
 
 and handle_stop t stop =
-  if t.alive_ && not t.halted_ then
+  if flag t S.alive && not (flag t S.halted) then
     match stop with
     | Cpu.Fuel -> continue_vm t
     | Cpu.Recovery -> epoch_boundary t
@@ -691,10 +733,10 @@ and handle_stop t stop =
            spins until its back-edge marker ends the epoch *)
         continue_vm t)
     | Cpu.Stop_halt ->
-      t.halted_ <- true;
-      t.halt_time_ <- Engine.now t.engine;
+      set_flag t S.halted true;
+      set_time t S.halt_time (Engine.now t.engine);
       cancel_detector t;
-      emit t (Ev.Halt { epoch = t.epoch_ })
+      emit t (Ev.Halt { epoch = t.s.(S.epoch) })
     | Cpu.Env i -> sim_env t i
     | Cpu.Priv i -> sim_priv t i
     | Cpu.Mmio_read { paddr; reg } -> sim_mmio_read t ~paddr ~reg
@@ -742,37 +784,40 @@ and sim_env t i =
   | Backup -> sim_env_backup t i
 
 and relay_env_value t v =
-  if t.peer_alive then begin
+  if flag t S.peer_alive then begin
     send_msg t
-      (Message.Env_val { epoch = t.relay_epoch; idx = t.env_idx; value = v });
+      (Message.Env_val
+         { epoch = t.s.(S.relay_epoch); idx = t.s.(S.env_idx); value = v });
     t.st.Stats.env_values <- t.st.Stats.env_values + 1
   end
 
 and sim_env_primary t i =
-  let send_cost = if t.peer_alive then t.p.Params.hv_send_setup else Time.zero in
+  let send_cost =
+    if flag t S.peer_alive then t.p.Params.hv_send_setup else Time.zero
+  in
   match i with
   | Isa.Rdtod rd ->
     let v = read_vtod t in
     Cpu.set_reg t.vm rd v;
     relay_env_value t v;
-    t.env_idx <- t.env_idx + 1;
+    t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
     complete_simulated ~extra:send_cost t
   | Isa.Rdtmr rd ->
     let now = read_vtod t in
     let v =
-      if t.vtimer_deadline_us < 0 || t.vtimer_deadline_us <= now then 0
-      else t.vtimer_deadline_us - now
+      let dl = t.s.(S.vtimer_deadline_us) in
+      if dl < 0 || dl <= now then 0 else dl - now
     in
     Cpu.set_reg t.vm rd (Word.mask v);
     relay_env_value t (Word.mask v);
-    t.env_idx <- t.env_idx + 1;
+    t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
     complete_simulated ~extra:send_cost t
   | Isa.Wrtmr rs ->
     let v = Cpu.reg t.vm rs in
     let deadline = if v = 0 then -1 else read_vtod t + v in
-    t.vtimer_deadline_us <- deadline;
+    t.s.(S.vtimer_deadline_us) <- deadline;
     relay_env_value t (Word.mask (if deadline < 0 then 0 else deadline));
-    t.env_idx <- t.env_idx + 1;
+    t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
     complete_simulated ~extra:send_cost t
   | Isa.Out rs ->
     Console.put t.console (Cpu.reg t.vm rs);
@@ -787,15 +832,15 @@ and sim_env_backup t i =
     ignore rs;
     complete_simulated t
   | Isa.Rdtod _ | Isa.Rdtmr _ | Isa.Wrtmr _ -> (
-    let key = (t.epoch_, t.env_idx) in
+    let key = (t.s.(S.epoch), t.s.(S.env_idx)) in
     match Hashtbl.find_opt t.env_vals key with
     | Some v ->
       Hashtbl.remove t.env_vals key;
       apply_env_value t i v;
-      t.env_idx <- t.env_idx + 1;
+      t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
       complete_simulated t
     | None ->
-      if t.peer_alive then begin
+      if flag t S.peer_alive then begin
         t.blocked <- B_env;
         arm_detector t
       end
@@ -803,21 +848,20 @@ and sim_env_backup t i =
         (* the primary died before sending this value and therefore
            before revealing anything that depends on it: the backup is
            free to use its own environment (section 4.3 reasoning) *)
+        let tod = Clock.read_us t.clock + t.s.(S.vtod_offset_us) in
         let v =
           match i with
-          | Isa.Rdtod _ -> Word.mask (Clock.read_us t.clock + t.vtod_offset_us)
+          | Isa.Rdtod _ -> Word.mask tod
           | Isa.Rdtmr _ ->
-            let now = Word.mask (Clock.read_us t.clock + t.vtod_offset_us) in
-            if t.vtimer_deadline_us < 0 || t.vtimer_deadline_us <= now then 0
-            else Word.mask (t.vtimer_deadline_us - now)
+            let now = Word.mask tod and dl = t.s.(S.vtimer_deadline_us) in
+            if dl < 0 || dl <= now then 0 else Word.mask (dl - now)
           | Isa.Wrtmr rs ->
             let v = Cpu.reg t.vm rs in
-            if v = 0 then 0
-            else Word.mask (Clock.read_us t.clock + t.vtod_offset_us + v)
+            if v = 0 then 0 else Word.mask (tod + v)
           | _ -> 0
         in
         apply_env_value t i v;
-        t.env_idx <- t.env_idx + 1;
+        t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
         complete_simulated t
       end)
   | _ -> failwith (t.name_ ^ ": unexpected environment instruction")
@@ -825,7 +869,7 @@ and sim_env_backup t i =
 and apply_env_value t i v =
   match i with
   | Isa.Rdtod rd | Isa.Rdtmr rd -> Cpu.set_reg t.vm rd v
-  | Isa.Wrtmr _ -> t.vtimer_deadline_us <- (if v = 0 then -1 else v)
+  | Isa.Wrtmr _ -> t.s.(S.vtimer_deadline_us) <- (if v = 0 then -1 else v)
   | _ -> ()
 
 (* ---------- privileged instructions ---------- *)
@@ -890,14 +934,14 @@ and handle_doorbell t req =
     if
       t.p.Params.protocol = Params.Revised
       && t.p.Params.ack_wait
-      && t.peer_alive
-      && t.acked < t.data_sent
+      && flag t S.peer_alive
+      && t.s.(S.acked) < t.s.(S.data_sent)
     then begin
       (* revised protocol: an I/O operation may not be issued until
          everything sent has been acknowledged *)
-      t.blocked <- B_acks { upto = t.data_sent; resume = R_io req };
-      t.ack_wait_start <- Engine.now t.engine;
-      emit t (Ev.Ack_wait_begin { upto = t.data_sent; at_io = true });
+      t.blocked <- B_acks { upto = t.s.(S.data_sent); resume = R_io req };
+      set_time t S.ack_wait_start (Engine.now t.engine);
+      emit t (Ev.Ack_wait_begin { upto = t.s.(S.data_sent); at_io = true });
       arm_detector t
     end
     else issue_io t req
@@ -929,7 +973,7 @@ and issue_io t req =
 (* A device interrupt arrives at the primary's hypervisor: buffer it
    for end-of-epoch delivery and relay a copy to the backup (P1). *)
 and primary_completion t ~dma (c : Disk.completion) =
-  if t.alive_ then begin
+  if flag t S.alive then begin
     let rc =
       {
         Message.status =
@@ -943,13 +987,13 @@ and primary_completion t ~dma (c : Disk.completion) =
       }
     in
     t.buffered_current <-
-      stamp t (Bi_disk rc) ~epoch:t.relay_epoch :: t.buffered_current;
+      stamp t (Bi_disk rc) ~epoch:t.s.(S.relay_epoch) :: t.buffered_current;
     t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1;
-    t.debt <- Time.add t.debt t.p.Params.hv_intr_receive;
-    if t.peer_alive then begin
-      t.debt <- Time.add t.debt t.p.Params.hv_send_setup;
+    set_time t S.debt (Time.add (time t S.debt) t.p.Params.hv_intr_receive);
+    if flag t S.peer_alive then begin
+      set_time t S.debt (Time.add (time t S.debt) t.p.Params.hv_send_setup);
       send_msg t
-        (Message.Intr { epoch = t.relay_epoch; completion = rc })
+        (Message.Intr { epoch = t.s.(S.relay_epoch); completion = rc })
     end;
     (* the send counters just moved: commit them to the recovery block
        (this handler runs from the device interrupt, outside the
@@ -992,7 +1036,7 @@ and epoch_boundary t =
   let hashed, skipped = Memory.take_hash_work (Cpu.mem t.vm) in
   t.st.Stats.pages_hashed <- t.st.Stats.pages_hashed + hashed;
   t.st.Stats.pages_skipped <- t.st.Stats.pages_skipped + skipped;
-  t.on_epoch_boundary ~epoch:t.epoch_ ~hash;
+  t.on_epoch_boundary ~epoch:t.s.(S.epoch) ~hash;
   match t.role_ with
   | Primary | Promoted -> primary_boundary_phase1 t
   | Backup -> backup_boundary t
@@ -1001,32 +1045,33 @@ and epoch_boundary t =
    acknowledgements for everything sent. *)
 and primary_boundary_phase1 t =
   let tod = read_vtod t in
-  t.boundary_tod <- tod;
+  t.s.(S.boundary_tod) <- tod;
   let cost = Time.add t.p.Params.hv_epoch_local t.p.Params.hv_send_setup in
   Stats.add_time t.st `Boundary cost;
   ignore
     (Engine.after t.engine ~label:"boundary-send" ~actor:t.name_ cost
        (guarded t ~label:"boundary-send" `Work (fun () ->
-         if t.alive_ then begin
+         if flag t S.alive then begin
            (* the [Tme] message leaves once the controller set-up is
               paid for; only then can the ack wait begin *)
-           if t.peer_alive then
+           if flag t S.peer_alive then
              send_msg t
                (Message.Tme
                   {
-                    epoch = t.epoch_;
+                    epoch = t.s.(S.epoch);
                     tod_us = tod;
-                    timer_deadline_us = t.vtimer_deadline_us;
+                    timer_deadline_us = t.s.(S.vtimer_deadline_us);
                   });
            if
              t.p.Params.protocol = Params.Original
              && t.p.Params.ack_wait
-             && t.peer_alive
-             && t.acked < t.data_sent
+             && flag t S.peer_alive
+             && t.s.(S.acked) < t.s.(S.data_sent)
            then begin
-             t.blocked <- B_acks { upto = t.data_sent; resume = R_boundary };
-             t.ack_wait_start <- Engine.now t.engine;
-             emit t (Ev.Ack_wait_begin { upto = t.data_sent; at_io = false });
+             let upto = t.s.(S.data_sent) in
+             t.blocked <- B_acks { upto; resume = R_boundary };
+             set_time t S.ack_wait_start (Engine.now t.engine);
+             emit t (Ev.Ack_wait_begin { upto; at_io = false });
              arm_detector t
            end
            else primary_boundary_phase2 t ~tod
@@ -1035,15 +1080,15 @@ and primary_boundary_phase1 t =
 (* P2, second half: interrupts based on Tme, delivery, [end,E]. *)
 and primary_boundary_phase2 t ~tod =
   check_virtual_timer t ~tod;
-  let ended = t.epoch_ in
+  let ended = t.s.(S.epoch) in
   let deliver_set = List.rev t.buffered_current in
   t.buffered_current <- [];
-  t.relay_epoch <- t.epoch_ + 1;
+  t.s.(S.relay_epoch) <- t.s.(S.epoch) + 1;
   emit t
     (Ev.Epoch_end { epoch = ended; interrupts = List.length deliver_set });
   emit t (Ev.Epoch_begin { epoch = ended + 1 });
-  t.epoch_ <- t.epoch_ + 1;
-  t.env_idx <- 0;
+  t.s.(S.epoch) <- t.s.(S.epoch) + 1;
+  t.s.(S.env_idx) <- 0;
   t.st.Stats.epochs <- t.st.Stats.epochs + 1;
   t.pending_delivery <- t.pending_delivery @ deliver_set;
   let cost =
@@ -1055,9 +1100,10 @@ and primary_boundary_phase2 t ~tod =
   ignore
     (Engine.after t.engine ~label:"epoch-end" ~actor:t.name_ cost
        (guarded t ~label:"epoch-end" `Work (fun () ->
-         if t.alive_ then begin
-           if t.peer_alive then send_msg t (Message.Epoch_end { epoch = ended });
-           if t.reintegrate_requested then start_reintegration t
+         if flag t S.alive then begin
+           if flag t S.peer_alive then
+             send_msg t (Message.Epoch_end { epoch = ended });
+           if flag t S.reintegrate_requested then start_reintegration t
            else begin
              deliver_pending_if_possible t;
              continue_vm t
@@ -1065,29 +1111,30 @@ and primary_boundary_phase2 t ~tod =
          end)))
 
 and check_virtual_timer t ~tod =
-  if t.vtimer_deadline_us >= 0 && t.vtimer_deadline_us <= tod then begin
-    t.vtimer_deadline_us <- -1;
+  let dl = t.s.(S.vtimer_deadline_us) in
+  if dl >= 0 && dl <= tod then begin
+    t.s.(S.vtimer_deadline_us) <- -1;
     t.buffered_current <-
-      stamp t Bi_timer ~epoch:t.epoch_ :: t.buffered_current;
+      stamp t Bi_timer ~epoch:t.s.(S.epoch) :: t.buffered_current;
     t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1
   end
 
 (* P5: wait for [Tme] and [end,E], then mirror the primary's epoch
    end.  P6/P7 take over if the primary has been declared dead. *)
 and backup_boundary t =
-  let e = t.epoch_ in
+  let e = t.s.(S.epoch) in
   if t.failover_notice = Some e then failover_epoch t ~promoting:false
   else
   match Hashtbl.find_opt t.tmes e with
   | None ->
-    if t.peer_alive then begin
+    if flag t S.peer_alive then begin
       t.blocked <- B_tme;
       arm_detector t
     end
     else promote t
   | Some (tod, deadline) ->
     if not (Hashtbl.mem t.ends e) then begin
-      if t.peer_alive then begin
+      if flag t S.peer_alive then begin
         t.blocked <- B_end;
         arm_detector t
       end
@@ -1095,15 +1142,15 @@ and backup_boundary t =
     end
     else begin
       (* Tme_b := Tme_p *)
-      t.vtod_us <- tod;
-      t.vtimer_deadline_us <- deadline;
+      t.s.(S.vtod_us) <- tod;
+      t.s.(S.vtimer_deadline_us) <- deadline;
       check_virtual_timer_backup t ~tod;
       let deliver_set = take_buffered t e in
       emit t
         (Ev.Epoch_end { epoch = e; interrupts = List.length deliver_set });
       emit t (Ev.Epoch_begin { epoch = e + 1 });
-      t.epoch_ <- e + 1;
-      t.env_idx <- 0;
+      t.s.(S.epoch) <- e + 1;
+      t.s.(S.env_idx) <- 0;
       t.st.Stats.epochs <- t.st.Stats.epochs + 1;
       t.pending_delivery <- t.pending_delivery @ deliver_set;
       let cost =
@@ -1115,17 +1162,18 @@ and backup_boundary t =
       ignore
         (Engine.after t.engine ~label:"boundary-resume" ~actor:t.name_ cost
            (guarded t ~label:"boundary-resume" `Work (fun () ->
-             if t.alive_ then begin
+             if flag t S.alive then begin
                deliver_pending_if_possible t;
                continue_vm t
              end)))
     end
 
 and check_virtual_timer_backup t ~tod =
-  if t.vtimer_deadline_us >= 0 && t.vtimer_deadline_us <= tod then begin
-    t.vtimer_deadline_us <- -1;
-    let r = buffered_ref t t.epoch_ in
-    r := stamp t Bi_timer ~epoch:t.epoch_ :: !r;
+  let dl = t.s.(S.vtimer_deadline_us) in
+  if dl >= 0 && dl <= tod then begin
+    t.s.(S.vtimer_deadline_us) <- -1;
+    let r = buffered_ref t t.s.(S.epoch) in
+    r := stamp t Bi_timer ~epoch:t.s.(S.epoch) :: !r;
     t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1
   end
 
@@ -1155,18 +1203,18 @@ and take_buffered t e =
    primary's — and then re-homes to the promoted node, whose stream
    already flows on the same channel. *)
 and failover_epoch t ~promoting =
-  let e = t.epoch_ in
+  let e = t.s.(S.epoch) in
   let tod =
     match Hashtbl.find_opt t.tmes e with
     | Some (tod, deadline) ->
-      t.vtod_us <- tod;
-      t.vtimer_deadline_us <- deadline;
+      t.s.(S.vtod_us) <- tod;
+      t.s.(S.vtimer_deadline_us) <- deadline;
       tod
-    | None -> t.vtod_us
+    | None -> t.s.(S.vtod_us)
   in
   if promoting then
     (* virtual time continues from the last synchronised value *)
-    t.vtod_offset_us <- t.vtod_us - Clock.read_us t.clock;
+    t.s.(S.vtod_offset_us) <- t.s.(S.vtod_us) - Clock.read_us t.clock;
   check_virtual_timer_backup t ~tod;
   let deliver_set = take_buffered t e in
   let relayed_disk =
@@ -1196,12 +1244,12 @@ and failover_epoch t ~promoting =
   if promoting then begin
     t.role_ <- Promoted;
     (* a chained downstream backup keeps replication alive *)
-    t.peer_alive <- t.tx_data <> None;
-    if t.peer_alive then send_msg t (Message.Failover { epoch = e })
+    set_flag t S.peer_alive (t.tx_data <> None);
+    if flag t S.peer_alive then send_msg t (Message.Failover { epoch = e })
   end;
-  t.epoch_ <- e + 1;
-  t.relay_epoch <- t.epoch_;
-  t.env_idx <- 0;
+  t.s.(S.epoch) <- e + 1;
+  t.s.(S.relay_epoch) <- t.s.(S.epoch);
+  t.s.(S.env_idx) <- 0;
   t.st.Stats.epochs <- t.st.Stats.epochs + 1;
   t.pending_delivery <- t.pending_delivery @ deliver_set @ synths;
   let cost =
@@ -1213,7 +1261,7 @@ and failover_epoch t ~promoting =
   ignore
     (Engine.after t.engine ~label:"failover-resume" ~actor:t.name_ cost
        (guarded t ~label:"failover-resume" `Work (fun () ->
-         if t.alive_ then begin
+         if flag t S.alive then begin
            deliver_pending_if_possible t;
            continue_vm t
          end)))
@@ -1223,7 +1271,7 @@ and promote t = failover_epoch t ~promoting:true
 (* ---------- failure detection ---------- *)
 
 and detector_fired t =
-  if t.alive_ && not t.halted_ then begin
+  if flag t S.alive && not (flag t S.halted) then begin
     emit t
       (Ev.Detector_fired
          {
@@ -1236,7 +1284,7 @@ and detector_fired t =
              | B_snapshot -> "snapshot"
              | Not_blocked -> "none");
          });
-    t.peer_alive <- false;
+    set_flag t S.peer_alive false;
     clear_rtx t;
     match t.blocked with
     | B_tme | B_end ->
@@ -1249,15 +1297,15 @@ and detector_fired t =
     | B_acks { upto; resume } ->
       (* the backup is gone: the primary continues unreplicated *)
       Stats.add_time t.st `Ack_wait
-        (Time.diff (Engine.now t.engine) t.ack_wait_start);
+        (Time.diff (Engine.now t.engine) (time t S.ack_wait_start));
       emit t (Ev.Ack_wait_end { upto; released = Ev.By_detector });
       t.blocked <- Not_blocked;
       (match resume with
-      | R_boundary -> primary_boundary_phase2 t ~tod:t.boundary_tod
+      | R_boundary -> primary_boundary_phase2 t ~tod:t.s.(S.boundary_tod)
       | R_io req -> issue_io t req)
     | B_snapshot ->
       t.blocked <- Not_blocked;
-      t.reintegrate_requested <- false;
+      set_flag t S.reintegrate_requested false;
       deliver_pending_if_possible t;
       continue_vm t
     | Not_blocked -> ()
@@ -1276,23 +1324,23 @@ and continue_after_env_retry t =
    [handle_body] sees exactly the sender's order — the FIFO semantics
    the protocol proper (P1-P7) was designed against. *)
 and on_message t msg =
-  if t.alive_ then
+  if flag t S.alive then
     match t.health with
     | Faulted (Hv_corrupt _) ->
       (* the receive interrupt enters the hypervisor, whose entry
          audit notices the scrambled recovery-block mirror; the frame
          itself is lost in the ensuing reboot *)
-      t.dropped_while_down <- t.dropped_while_down + 1;
+      t.s.(S.dropped_while_down) <- t.s.(S.dropped_while_down) + 1;
       begin_recovery t ~by:"integrity"
     | Faulted _ | Recovering ->
       (* a down hypervisor fields no receive interrupts: the frame
          dies at the adapter; resync and go-back-N heal the stream
          after the reboot *)
-      t.dropped_while_down <- t.dropped_while_down + 1
+      t.s.(S.dropped_while_down) <- t.s.(S.dropped_while_down) + 1
     | Healthy ->
-      t.heartbeat <- t.heartbeat + 1;
+      t.s.(S.heartbeat) <- t.s.(S.heartbeat) + 1;
       handle_frame t msg;
-      if t.alive_ && (match t.health with Healthy -> true | _ -> false) then
+      if flag t S.alive && hv_healthy t then
         persist t
 
 and handle_frame t msg =
@@ -1305,7 +1353,7 @@ and handle_frame t msg =
     else if not (Message.reliable msg) then handle_body t msg.Message.body
     else begin
       let d = msg.Message.dseq in
-      if d < t.data_recvd then begin
+      if d < t.s.(S.data_recvd) then begin
         (* already delivered: the ack covering it must have been lost *)
         t.st.Stats.duplicates_dropped <- t.st.Stats.duplicates_dropped + 1;
         emit t
@@ -1313,7 +1361,7 @@ and handle_frame t msg =
              { wire_seq = msg.Message.seq; reason = Ev.Duplicate });
         send_ack t
       end
-      else if d > t.data_recvd then begin
+      else if d > t.s.(S.data_recvd) then begin
         if Hashtbl.mem t.rcv_hold d then begin
           t.st.Stats.duplicates_dropped <- t.st.Stats.duplicates_dropped + 1;
           emit t
@@ -1331,34 +1379,34 @@ and handle_frame t msg =
         (* in order: deliver it and any contiguous held successors,
            then acknowledge the whole prefix at once *)
         let rec drain body =
-          t.data_recvd <- t.data_recvd + 1;
+          t.s.(S.data_recvd) <- t.s.(S.data_recvd) + 1;
           handle_body t body;
-          if t.alive_ then
-            match Hashtbl.find_opt t.rcv_hold t.data_recvd with
+          if flag t S.alive then
+            match Hashtbl.find_opt t.rcv_hold t.s.(S.data_recvd) with
             | Some b ->
-              Hashtbl.remove t.rcv_hold t.data_recvd;
+              Hashtbl.remove t.rcv_hold t.s.(S.data_recvd);
               drain b
             | None -> ()
         in
         drain msg.Message.body;
-        if t.alive_ then send_ack t
+        if flag t S.alive then send_ack t
       end
     end
   end
 
 and apply_ack t upto =
-  if upto > t.acked then begin
-    t.acked <- upto;
+  if upto > t.s.(S.acked) then begin
+    t.s.(S.acked) <- upto;
     while
       (not (Queue.is_empty t.rtx_queue))
-      && (Queue.peek t.rtx_queue).r_dseq < t.acked
+      && (Queue.peek t.rtx_queue).r_dseq < t.s.(S.acked)
     do
       let e = Queue.pop t.rtx_queue in
-      t.rtx_dirty <- true;
+      set_flag t S.rtx_dirty true;
       emit t (Ev.Msg_acked { dseq = e.r_dseq })
     done;
     (* progress restarts the retransmission clock *)
-    t.rtx_backoff <- 0;
+    t.s.(S.rtx_backoff) <- 0;
     cancel_rtx t;
     arm_rtx t
   end
@@ -1372,14 +1420,14 @@ and handle_body t body =
        while the wait was in progress — e.g. a disk-read completion
        relayed mid-boundary — so the release condition re-checks the
        live send count, not the count captured when blocking *)
-    | B_acks { upto = _; resume } when t.acked >= t.data_sent ->
+    | B_acks { upto = _; resume } when t.s.(S.acked) >= t.s.(S.data_sent) ->
       Stats.add_time t.st `Ack_wait
-        (Time.diff (Engine.now t.engine) t.ack_wait_start);
-      emit t (Ev.Ack_wait_end { upto = t.acked; released = Ev.By_ack });
+        (Time.diff (Engine.now t.engine) (time t S.ack_wait_start));
+      emit t (Ev.Ack_wait_end { upto = t.s.(S.acked); released = Ev.By_ack });
       cancel_detector t;
       t.blocked <- Not_blocked;
       (match resume with
-      | R_boundary -> primary_boundary_phase2 t ~tod:t.boundary_tod
+      | R_boundary -> primary_boundary_phase2 t ~tod:t.s.(S.boundary_tod)
       | R_io req -> issue_io t req)
     | _ -> ())
   | Message.Resync { upto } ->
@@ -1427,9 +1475,9 @@ and handle_body t body =
         apply_ack t 1;
         cancel_detector t;
         t.blocked <- Not_blocked;
-        t.peer_alive <- true;
-        t.reintegrate_requested <- false;
-        emit t (Ev.Reintegration_done { epoch = t.epoch_ });
+        set_flag t S.peer_alive true;
+        set_flag t S.reintegrate_requested false;
+        emit t (Ev.Reintegration_done { epoch = t.s.(S.epoch) });
         deliver_pending_if_possible t;
         continue_vm t
       | _ -> ())
@@ -1452,7 +1500,7 @@ and handle_body t body =
       t.blocked <- Not_blocked;
       backup_boundary t
     | B_env ->
-      if Hashtbl.mem t.env_vals (t.epoch_, t.env_idx) then begin
+      if Hashtbl.mem t.env_vals (t.s.(S.epoch), t.s.(S.env_idx)) then begin
         cancel_detector t;
         t.blocked <- Not_blocked;
         continue_after_env_retry t
@@ -1474,9 +1522,9 @@ and take_snapshot t =
     s_ctl = ctl;
     s_outstanding = List.of_seq (Queue.to_seq t.outstanding);
     s_pending = t.pending_delivery;
-    s_vtimer = t.vtimer_deadline_us;
+    s_vtimer = t.s.(S.vtimer_deadline_us);
     s_vtod = read_vtod t;
-    s_epoch = t.epoch_;
+    s_epoch = t.s.(S.epoch);
   }
 
 and start_reintegration t =
@@ -1487,10 +1535,10 @@ and start_reintegration t =
        previous career (as the backup, every ack it sent bumped
        send_seq), and cumulative acknowledgements only make sense if
        both sides restart from zero *)
-    t.send_seq <- 0;
-    t.data_sent <- 0;
-    t.acked <- 0;
-    t.data_recvd <- 0;
+    t.s.(S.send_seq) <- 0;
+    t.s.(S.data_sent) <- 0;
+    t.s.(S.acked) <- 0;
+    t.s.(S.data_recvd) <- 0;
     clear_rtx t;
     Hashtbl.reset t.rcv_hold;
     let snap = take_snapshot t in
@@ -1499,11 +1547,11 @@ and start_reintegration t =
     send_msg ~snapshot_bytes:mem_bytes t
       (Message.Snapshot_offer
          {
-           epoch = t.epoch_;
+           epoch = t.s.(S.epoch);
            code_hash = Cpu.code_hash t.vm;
          });
     t.blocked <- B_snapshot;
-    t.peer_alive <- true (* provisional: allow the offer to flow *);
+    set_flag t S.peer_alive true (* provisional: allow the offer to flow *);
     (* the whole VM image travels over the link: the give-up timeout
        must cover its transfer time, not just the normal heartbeat *)
     let transfer =
@@ -1514,7 +1562,7 @@ and start_reintegration t =
         (Time.add (Time.scale transfer 2)
            (Time.scale t.p.Params.detector_timeout 2))
       t;
-    emit t (Ev.Reintegration_offer { epoch = t.epoch_; bytes = mem_bytes })
+    emit t (Ev.Reintegration_offer { epoch = t.s.(S.epoch); bytes = mem_bytes })
 
 and receive_snapshot t ~epoch ~code_hash =
   match t.snapshot_box with
@@ -1529,13 +1577,13 @@ and receive_snapshot t ~epoch ~code_hash =
     Disk_ctl.copy_state_from t.ctl snap.s_ctl;
     Queue.clear t.outstanding;
     List.iter (fun r -> Queue.add r t.outstanding) snap.s_outstanding;
-    t.vtimer_deadline_us <- snap.s_vtimer;
-    t.vtod_us <- snap.s_vtod;
-    t.epoch_ <- epoch;
-    t.relay_epoch <- epoch;
-    t.env_idx <- 0;
+    t.s.(S.vtimer_deadline_us) <- snap.s_vtimer;
+    t.s.(S.vtod_us) <- snap.s_vtod;
+    t.s.(S.epoch) <- epoch;
+    t.s.(S.relay_epoch) <- epoch;
+    t.s.(S.env_idx) <- 0;
     t.role_ <- Backup;
-    t.peer_alive <- true;
+    set_flag t S.peer_alive true;
     t.blocked <- Not_blocked;
     t.pending_delivery <- snap.s_pending;
     t.buffered_current <- [];
@@ -1566,17 +1614,10 @@ and hv_healthy t = match t.health with Healthy -> true | _ -> false
    consistent at every event boundary — the only instants at which a
    fault can be injected. *)
 and persist t =
-  let rb = t.rb in
-  rb.rb_epoch <- t.epoch_;
-  rb.rb_relay_epoch <- t.relay_epoch;
-  rb.rb_env_idx <- t.env_idx;
-  rb.rb_send_seq <- t.send_seq;
-  rb.rb_data_sent <- t.data_sent;
-  rb.rb_acked <- t.acked;
-  rb.rb_data_recvd <- t.data_recvd;
-  if t.rtx_dirty then begin
-    rb.rb_rtx <- List.of_seq (Queue.to_seq t.rtx_queue);
-    t.rtx_dirty <- false
+  copy t.s 0 t.rb 0 S.protected;
+  if flag t S.rtx_dirty then begin
+    t.rb_rtx <- List.of_seq (Queue.to_seq t.rtx_queue);
+    set_flag t S.rtx_dirty false
   end
 
 (* Every hypervisor-owned event handler enters through this guard.
@@ -1592,9 +1633,9 @@ and persist t =
 and guarded t ~label kind fn () =
   match t.health with
   | Healthy ->
-    t.heartbeat <- t.heartbeat + 1;
+    t.s.(S.heartbeat) <- t.s.(S.heartbeat) + 1;
     fn ();
-    if t.alive_ && hv_healthy t then persist t
+    if flag t S.alive && hv_healthy t then persist t
   | Faulted (Hv_corrupt _) ->
     (match kind with
     | `Work -> t.missed <- (label, fn) :: t.missed
@@ -1605,21 +1646,14 @@ and guarded t ~label kind fn () =
     | `Work -> t.missed <- (label, fn) :: t.missed
     | `Timer -> ())
 
-and scramble t = function
-  | C_epoch ->
-    (* wild writes land in the epoch bookkeeping *)
-    t.epoch_ <- t.epoch_ + 7919;
-    t.relay_epoch <- t.relay_epoch + 104729;
-    t.env_idx <- t.env_idx + 13
-  | C_acks ->
-    t.acked <- t.acked + 5077;
-    t.data_recvd <- t.data_recvd + 7577;
-    t.data_sent <- t.data_sent + 3169
-  | C_rtx ->
+and scramble t target =
+  List.iter (fun (i, d) -> t.s.(i) <- t.s.(i) + d) (scramble_offsets target);
+  if target = C_rtx then begin
     (* the in-flight bookkeeping is lost wholesale *)
     Queue.clear t.rtx_queue;
-    t.rtx_dirty <- true;
-    t.rtx_backoff <- 0
+    set_flag t S.rtx_dirty true;
+    t.s.(S.rtx_backoff) <- 0
+  end
 
 (* Seed a hypervisor fault.  With [hv_recovery] off this is the
    paper's world: hypervisor failures are fail-stop and the peer's
@@ -1628,7 +1662,7 @@ and scramble t = function
    visible to the out-of-band watchdog, and corruption surfaces at the
    next guarded entry's integrity audit. *)
 and inject_hv_fault t fault =
-  if t.alive_ && not t.halted_ then begin
+  if flag t S.alive && not (flag t S.halted) then begin
     t.st.Stats.hv_faults_injected <- t.st.Stats.hv_faults_injected + 1;
     emit t (Ev.Hv_fault { kind = hv_fault_kind fault });
     if not t.p.Params.hv_recovery then do_crash t
@@ -1642,7 +1676,7 @@ and inject_hv_fault t fault =
         emit t (Ev.Recovery_escalated { reason = "double fault" });
         do_crash t
       | Healthy -> (
-        t.fault_since <- Engine.now t.engine;
+        set_time t S.fault_since (Engine.now t.engine);
         t.health <- Faulted fault;
         (* a down hypervisor cannot field completion interrupts: the
            controller parks them until reconciliation (IO1 holds
@@ -1655,7 +1689,7 @@ and inject_hv_fault t fault =
           ignore
             (Engine.after t.engine ~label:"hv-panic" ~actor:t.name_
                t.p.Params.hv_panic_latency (fun () ->
-                 if t.alive_ && t.health = Faulted Hv_crash then
+                 if flag t S.alive && t.health = Faulted Hv_crash then
                    begin_recovery t ~by:"panic"))
         | Hv_hang ->
           (* Only out-of-band hardware can notice a hang: the
@@ -1668,17 +1702,20 @@ and inject_hv_fault t fault =
           let iv = Time.to_ns t.p.Params.watchdog_interval in
           let now = Time.to_ns (Engine.now t.engine) in
           let tick = Time.of_ns (((now / iv) + 1) * iv) in
-          let seen = t.heartbeat in
+          let seen = t.s.(S.heartbeat) in
           ignore
             (Engine.at t.engine ~label:"hv-watchdog" ~actor:t.name_ tick
                (fun () ->
-                 if t.alive_ && t.heartbeat = seen && not (hv_healthy t) then
+                 if
+                   flag t S.alive && t.s.(S.heartbeat) = seen
+                   && not (hv_healthy t)
+                 then
                    begin_recovery t ~by:"watchdog"))
         | Hv_corrupt target -> scramble t target)
   end
 
 and begin_recovery t ~by =
-  if t.alive_ && not t.halted_ then begin
+  if flag t S.alive && not (flag t S.halted) then begin
     emit t (Ev.Hv_detected { by });
     if t.st.Stats.microreboots >= t.p.Params.hv_recovery_max then begin
       t.st.Stats.recovery_escalations <- t.st.Stats.recovery_escalations + 1;
@@ -1702,36 +1739,29 @@ and begin_recovery t ~by =
    was in flight — parked disk completions, dropped channel frames,
    unacknowledged sends — before letting the epoch machinery resume. *)
 and complete_microreboot t =
-  if t.alive_ && not t.halted_ then begin
+  if flag t S.alive && not (flag t S.halted) then begin
     (* 1. protected counters come back from the recovery block; this
        also heals whatever a corruption fault scrambled *)
-    let rb = t.rb in
-    t.epoch_ <- rb.rb_epoch;
-    t.relay_epoch <- rb.rb_relay_epoch;
-    t.env_idx <- rb.rb_env_idx;
-    t.send_seq <- rb.rb_send_seq;
-    t.data_sent <- rb.rb_data_sent;
-    t.acked <- rb.rb_acked;
-    t.data_recvd <- rb.rb_data_recvd;
+    copy t.rb 0 t.s 0 S.protected;
     Queue.clear t.rtx_queue;
-    List.iter (fun e -> Queue.add e t.rtx_queue) rb.rb_rtx;
-    t.rtx_dirty <- true;
+    List.iter (fun e -> Queue.add e t.rtx_queue) t.rb_rtx;
+    set_flag t S.rtx_dirty true;
     (* 2. volatile state did not survive: stale timer handles are
        cancelled (safe on already-fired events), interrupt-level debt
        is void, and the receive-side reassembly window restarts — its
        contents count as reconciled, the peer resends them *)
     cancel_detector t;
     cancel_rtx t;
-    t.rtx_backoff <- 0;
-    t.debt <- Time.zero;
+    t.s.(S.rtx_backoff) <- 0;
+    set_time t S.debt Time.zero;
     let held = Hashtbl.length t.rcv_hold in
     Hashtbl.reset t.rcv_hold;
-    let msgs = held + t.dropped_while_down in
-    t.dropped_while_down <- 0;
+    let msgs = held + t.s.(S.dropped_while_down) in
+    t.s.(S.dropped_while_down) <- 0;
     t.st.Stats.reconciled_msgs <- t.st.Stats.reconciled_msgs + msgs;
     t.st.Stats.microreboots <- t.st.Stats.microreboots + 1;
     t.st.Stats.recovery_windows <-
-      Time.diff (Engine.now t.engine) t.fault_since
+      Time.diff (Engine.now t.engine) (time t S.fault_since)
       :: t.st.Stats.recovery_windows;
     t.health <- Healthy;
     persist t;
@@ -1746,12 +1776,17 @@ and complete_microreboot t =
        everything past it, and re-acks, releasing any ack wait the
        outage stranded; our own retransmission clock restarts for the
        restored queue *)
-    if t.peer_alive then send_up t (Message.Resync { upto = t.data_recvd });
+    if flag t S.peer_alive then
+      send_up t (Message.Resync { upto = t.s.(S.data_recvd) });
     arm_rtx t;
-    if t.blocked <> Not_blocked && t.peer_alive then arm_detector t;
+    if t.blocked <> Not_blocked && flag t S.peer_alive then arm_detector t;
     emit t
       (Ev.Microreboot_done
-         { epoch = t.epoch_; reconciled_ios = ios; reconciled_msgs = msgs });
+         {
+           epoch = t.s.(S.epoch);
+           reconciled_ios = ios;
+           reconciled_msgs = msgs;
+         });
     (* 5. replay the work the down hypervisor missed, oldest first.
        Each latched thunk was the single continuation pending when it
        fired, so FIFO replay reconstructs the exact sequence the
@@ -1763,9 +1798,9 @@ and complete_microreboot t =
     t.missed <- [];
     List.iter
       (fun (_label, fn) ->
-        if t.alive_ && hv_healthy t then begin
+        if flag t S.alive && hv_healthy t then begin
           fn ();
-          if t.alive_ && hv_healthy t then persist t
+          if flag t S.alive && hv_healthy t then persist t
         end)
       work
   end
@@ -1776,10 +1811,10 @@ and complete_microreboot t =
    double fault hits.  Parked completion interrupts die with the
    processor — a later revived incarnation must not see them. *)
 and do_crash t =
-  t.alive_ <- false;
+  set_flag t S.alive false;
   t.health <- Healthy;
   t.missed <- [];
-  t.dropped_while_down <- 0;
+  t.s.(S.dropped_while_down) <- 0;
   cancel_detector t;
   clear_rtx t;
   ignore (Disk.drop_port t.disk ~port:t.port);
@@ -1790,25 +1825,25 @@ and do_crash t =
 let request_reintegration t =
   match t.role_ with
   | Backup -> invalid_arg "Hypervisor.request_reintegration: not a primary"
-  | Primary | Promoted -> t.reintegrate_requested <- true
+  | Primary | Promoted -> set_flag t S.reintegrate_requested true
 
 let revive_as_backup t =
-  t.alive_ <- true;
-  t.halted_ <- false;
+  set_flag t S.alive true;
+  set_flag t S.halted false;
   t.role_ <- Backup;
-  t.peer_alive <- true;
+  set_flag t S.peer_alive true;
   t.blocked <- Not_blocked;
-  t.debt <- Time.zero;
-  t.send_seq <- 0;
-  t.data_sent <- 0;
-  t.acked <- 0;
-  t.data_recvd <- 0;
+  set_time t S.debt Time.zero;
+  t.s.(S.send_seq) <- 0;
+  t.s.(S.data_sent) <- 0;
+  t.s.(S.acked) <- 0;
+  t.s.(S.data_recvd) <- 0;
   clear_rtx t;
   Hashtbl.reset t.rcv_hold;
   t.health <- Healthy;
-  t.heartbeat <- 0;
+  t.s.(S.heartbeat) <- 0;
   t.missed <- [];
-  t.dropped_while_down <- 0;
+  t.s.(S.dropped_while_down) <- 0;
   ignore (Disk.drop_port t.disk ~port:t.port);
   persist t;
   (match t.tx_data with Some ch -> Channel.revive_sender ch | None -> ());
@@ -1836,12 +1871,17 @@ let start t =
 
 let outstanding_io t = Queue.length t.outstanding
 
-(* Canonical digest of the protocol state, mixed field by field with
-   [Fnv].  Arrival stamps ([since], [ack_wait_start], [halt_time_])
-   are deliberately excluded: they feed timing statistics, not
-   behaviour, and including them would split states that cannot
-   diverge.  Message bodies and relayed completions go through
-   [Message]'s one body hasher. *)
+let slots = Array.to_list S.table
+let slot t i = t.s.(i)
+let set_slot t i v = t.s.(i) <- v
+
+(* Canonical digest of the protocol state, mixed with [Fnv]: every
+   fingerprinted slot and the recovery block, then the fields that are
+   not slots.  Arrival stamps ([since] here, the slots [S] declares
+   unfingerprinted) are deliberately excluded: they feed timing
+   statistics, not behaviour, and including them would split states
+   that cannot diverge.  Message bodies and relayed completions go
+   through [Message]'s one body hasher. *)
 let fingerprint t =
   let mix = Fnv.int and flag = Fnv.bool in
   let stamped h { bi; _ } =
@@ -1852,9 +1892,16 @@ let fingerprint t =
   let io h r = mix (mix (mix h r.cmd) r.block) r.dma in
   let body h dseq b = Message.body_checksum (mix h dseq) b in
   let rtx h e = flag (body h e.r_dseq e.r_body) e.r_up in
+  let h = ref (vm_state_hash t) in
+  for k = 0 to Array.length S.fingerprinted - 1 do
+    h := mix !h t.s.(S.fingerprinted.(k))
+  done;
+  for i = 0 to S.protected - 1 do
+    h := mix !h t.rb.(i)
+  done;
+  let h = !h in
   let role = match t.role_ with Primary -> 0 | Backup -> 1 | Promoted -> 2 in
-  let h = Disk_ctl.fingerprint (mix (vm_state_hash t) role) t.ctl in
-  let h = flag (flag (flag h t.alive_) t.peer_alive) t.halted_ in
+  let h = Disk_ctl.fingerprint (mix h role) t.ctl in
   let h =
     match t.blocked with
     | Not_blocked -> mix h 0
@@ -1865,12 +1912,10 @@ let fingerprint t =
     | B_env -> mix h 5
     | B_snapshot -> mix h 6
   in
-  let h = mix (mix (mix h t.epoch_) t.relay_epoch) t.env_idx in
   let h =
     match t.failover_notice with None -> mix h 0 | Some e -> mix (mix h 1) e
   in
-  let h = mix (mix (mix (mix h t.send_seq) t.data_sent) t.acked) t.data_recvd in
-  let h = Fnv.queue rtx (mix h t.rtx_backoff) t.rtx_queue in
+  let h = Fnv.queue rtx h t.rtx_queue in
   let h = Fnv.table body h t.rcv_hold in
   let h = Fnv.list stamped h t.buffered_current in
   let h = Fnv.list stamped h t.pending_delivery in
@@ -1881,19 +1926,10 @@ let fingerprint t =
   let h = Fnv.table (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h t.tmes in
   let h = Fnv.table (fun h e () -> mix h e) h t.ends in
   let h = Fnv.queue io h t.outstanding in
-  let h = mix (mix (mix h t.vtimer_deadline_us) t.vtod_us) t.vtod_offset_us in
-  let h = mix (mix h t.boundary_tod) (Time.to_ns t.debt) in
-  let h =
-    mix (flag h t.reintegrate_requested)
-      (match t.snapshot_box with None -> -1 | Some s -> s.s_epoch)
-  in
+  let h = mix h (match t.snapshot_box with None -> -1 | Some s -> s.s_epoch) in
   let h = flag (flag h (t.detector <> None)) (t.rtx_timer <> None) in
-  (* Recovery state.  The heartbeat is excluded: it is a per-event
-     tick (including it would make every path length a distinct
-     state); its only observable effect — frozen vs advancing — is
-     captured by [health] plus the pending watchdog event.  The
-     recovery block's list is summarised by its [dseq]s (the bodies
-     are determined by the live queue at persist time). *)
+  (* the recovery block's list is summarised by its [dseq]s (the
+     bodies are determined by the live queue at persist time) *)
   let health =
     match t.health with
     | Healthy -> 0
@@ -1905,22 +1941,18 @@ let fingerprint t =
     | Faulted (Hv_corrupt C_rtx) -> 6
   in
   let h = Fnv.list (fun h (l, _) -> Fnv.string h l) (mix h health) t.missed in
-  let rb = t.rb in
-  let h = mix (mix h t.dropped_while_down) rb.rb_epoch in
-  let h = mix (mix (mix h rb.rb_relay_epoch) rb.rb_env_idx) rb.rb_send_seq in
-  let h = mix (mix (mix h rb.rb_data_sent) rb.rb_acked) rb.rb_data_recvd in
-  Fnv.list (fun h e -> mix h e.r_dseq) h rb.rb_rtx
+  Fnv.list (fun h e -> mix h e.r_dseq) h t.rb_rtx
 
 (* ---------- save and restore (the model checker's) ----------
 
-   Every integer-valued field — the node's scalars, its recovery
-   block's counters and its virtual control registers — goes into one
-   int array, and the statistics into a [Stats.t]; both are recycled
-   from a released save, so a save in steady state allocates neither.
-   The remaining fields hold immutable values (lists, options, variants,
-   events, closures) and are saved by reference; the containers the
-   record holds directly are saved by value beside them, shared with
-   [like]'s where unchanged.  Everything is restored in place. *)
+   The state table, the recovery block and the virtual control
+   registers go into one int array, and the statistics into a
+   [Stats.t]; both are recycled from a released save, so a save in
+   steady state allocates neither.  The remaining fields hold immutable
+   values (lists, options, variants, events, closures) and are saved by
+   reference; the containers the record holds directly are saved by
+   value beside them, shared with [like]'s where unchanged.  Everything
+   is restored in place. *)
 
 type saved = {
   sv_of : t;
@@ -1953,97 +1985,14 @@ type saved = {
   sv_outstanding : io_req list;
 }
 
-let n_ints = 31 + Isa.num_crs
+(* [t.s], then [t.rb], then [t.vcrs] *)
+let n_ints = S.count + S.protected + Isa.num_crs
 
 (* what a save that will never be restored again lends the next one *)
 type spare = { sp_ints : int array; sp_st : Stats.t; sp_cpu : int array }
 
 let spare s =
   { sp_ints = s.sv_ints; sp_st = s.sv_st; sp_cpu = Cpu.ints s.sv_vm }
-
-(* [save_ints] and [restore_ints] walk the same fields in the same
-   order. *)
-let save_ints t a =
-  let i = ref 0 in
-  let put v =
-    a.(!i) <- v;
-    incr i
-  in
-  let flag b = put (Bool.to_int b) and time x = put (Time.to_ns x) in
-  put t.next_intr_id;
-  flag t.alive_;
-  flag t.peer_alive;
-  put t.epoch_;
-  put t.relay_epoch;
-  put t.env_idx;
-  time t.debt;
-  put t.send_seq;
-  put t.data_sent;
-  put t.acked;
-  put t.data_recvd;
-  flag t.rtx_dirty;
-  put t.rtx_backoff;
-  time t.ack_wait_start;
-  put t.boundary_tod;
-  put t.vtimer_deadline_us;
-  put t.vtod_us;
-  put t.vtod_offset_us;
-  flag t.halted_;
-  time t.halt_time_;
-  flag t.reintegrate_requested;
-  put t.heartbeat;
-  put t.dropped_while_down;
-  time t.fault_since;
-  let rb = t.rb in
-  put rb.rb_epoch;
-  put rb.rb_relay_epoch;
-  put rb.rb_env_idx;
-  put rb.rb_send_seq;
-  put rb.rb_data_sent;
-  put rb.rb_acked;
-  put rb.rb_data_recvd;
-  Array.iter put t.vcrs
-
-let restore_ints t a =
-  let i = ref 0 in
-  let get () =
-    incr i;
-    a.(!i - 1)
-  in
-  let flag () = get () = 1 and time () = Time.of_ns (get ()) in
-  t.next_intr_id <- get ();
-  t.alive_ <- flag ();
-  t.peer_alive <- flag ();
-  t.epoch_ <- get ();
-  t.relay_epoch <- get ();
-  t.env_idx <- get ();
-  t.debt <- time ();
-  t.send_seq <- get ();
-  t.data_sent <- get ();
-  t.acked <- get ();
-  t.data_recvd <- get ();
-  t.rtx_dirty <- flag ();
-  t.rtx_backoff <- get ();
-  t.ack_wait_start <- time ();
-  t.boundary_tod <- get ();
-  t.vtimer_deadline_us <- get ();
-  t.vtod_us <- get ();
-  t.vtod_offset_us <- get ();
-  t.halted_ <- flag ();
-  t.halt_time_ <- time ();
-  t.reintegrate_requested <- flag ();
-  t.heartbeat <- get ();
-  t.dropped_while_down <- get ();
-  t.fault_since <- time ();
-  let rb = t.rb in
-  rb.rb_epoch <- get ();
-  rb.rb_relay_epoch <- get ();
-  rb.rb_env_idx <- get ();
-  rb.rb_send_seq <- get ();
-  rb.rb_data_sent <- get ();
-  rb.rb_acked <- get ();
-  rb.rb_data_recvd <- get ();
-  Array.iteri (fun j _ -> t.vcrs.(j) <- get ()) t.vcrs
 
 let bindings tbl =
   if Hashtbl.length tbl = 0 then []
@@ -2088,7 +2037,9 @@ let save ?like ?into t =
     | Some sp -> (sp.sp_ints, sp.sp_st)
     | None -> (Array.make n_ints 0, Stats.create ())
   in
-  save_ints t ints;
+  copy t.s 0 ints 0 S.count;
+  copy t.rb 0 ints S.count S.protected;
+  copy t.vcrs 0 ints (S.count + S.protected) Isa.num_crs;
   Stats.blit ~src:t.st ~dst:st;
   {
     sv_of = t;
@@ -2112,7 +2063,7 @@ let save ?like ?into t =
     sv_snapshot_box = t.snapshot_box;
     sv_health = t.health;
     sv_missed = t.missed;
-    sv_rb_rtx = t.rb.rb_rtx;
+    sv_rb_rtx = t.rb_rtx;
     sv_on_epoch_boundary = t.on_epoch_boundary;
     sv_on_promote = t.on_promote;
     sv_ctl =
@@ -2138,7 +2089,9 @@ let restore t s =
   if s.sv_of != t then
     invalid_arg "Hypervisor.restore: not a save of this node";
   Cpu.restore_saved t.vm s.sv_vm;
-  restore_ints t s.sv_ints;
+  copy s.sv_ints 0 t.s 0 S.count;
+  copy s.sv_ints S.count t.rb 0 S.protected;
+  copy s.sv_ints (S.count + S.protected) t.vcrs 0 Isa.num_crs;
   Stats.blit ~src:s.sv_st ~dst:t.st;
   Disk_ctl.copy_state_from t.ctl s.sv_ctl;
   refill t.rcv_hold s.sv_rcv_hold;
@@ -2162,6 +2115,6 @@ let restore t s =
   t.snapshot_box <- s.sv_snapshot_box;
   t.health <- s.sv_health;
   t.missed <- s.sv_missed;
-  t.rb.rb_rtx <- s.sv_rb_rtx;
+  t.rb_rtx <- s.sv_rb_rtx;
   t.on_epoch_boundary <- s.sv_on_epoch_boundary;
   t.on_promote <- s.sv_on_promote

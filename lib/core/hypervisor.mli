@@ -155,9 +155,11 @@ val fingerprint : t -> int
     instead of re-executing them from the start. *)
 
 type saved
-(** The whole node: its CPU ({!Hft_machine.Cpu.save}), virtual control
-    registers, disk controller registers, statistics, recovery block,
-    every protocol field, table and queue, and the installed hooks.
+(** The whole node: its CPU ({!Hft_machine.Cpu.save}); one int array
+    holding every slot of the state table, the recovery block and the
+    virtual control registers; disk controller registers, statistics,
+    every other protocol field, table and queue, and the installed
+    hooks.
     Timer handles are saved as the engine events they name, which
     {!Hft_sim.Engine.restore} brings back. *)
 
@@ -202,9 +204,13 @@ val revive_as_backup : t -> unit
 (* Hypervisor-failure recovery (ReHype extension). *)
 
 type corrupt_target =
-  | C_epoch  (** epoch counters ([epoch], [relay_epoch], [env_idx]) *)
-  | C_acks  (** ack bookkeeping ([acked], [data_sent], [data_recvd]) *)
-  | C_rtx  (** the retransmission queue *)
+  | C_epoch
+      (** wild writes into the epoch slots [epoch], [relay_epoch] and
+          [env_idx] ({!scramble_offsets}) *)
+  | C_acks
+      (** wild writes into the ack slots [acked], [data_recvd] and
+          [data_sent] ({!scramble_offsets}) *)
+  | C_rtx  (** the retransmission queue is lost *)
 
 type hv_fault = Hv_crash | Hv_hang | Hv_corrupt of corrupt_target
 
@@ -232,3 +238,37 @@ val hv_health : t -> hv_health
 (** The node's recovery state; [Healthy] except between fault
     injection and the end of its microreboot.  The model checker uses
     this to assert that a down hypervisor does no protocol work. *)
+
+(** {2 The state table}
+
+    Every protocol scalar of a node — the epoch counters, the reliable
+    stream's cursors, liveness flags (0 or 1), virtual clocks, arrival
+    stamps (nanoseconds) and recovery counters — is one slot of an int
+    array, declared once with its value at {!create} and two
+    properties.  A {e fingerprinted} slot reaches {!fingerprint}.  A
+    {e protected} slot is mirrored into the ReHype recovery block at
+    the end of every event-handling quantum and restored from it by a
+    microreboot; the protected slots are the first ones.  {!save} and
+    {!restore} copy every slot and the recovery block. *)
+
+type slot = {
+  name : string;
+  init : int;  (** the value {!create} gives it *)
+  fingerprinted : bool;
+  protected : bool;
+}
+
+val slots : slot list
+(** Every slot's declaration, in index order. *)
+
+val slot : t -> int -> int
+(** The value of the slot at an index into {!slots}. *)
+
+val set_slot : t -> int -> int -> unit
+(** Overwrite a slot behind the protocol's back, as a wild write would:
+    for tests of the bookkeeping above. *)
+
+val scramble_offsets : corrupt_target -> (int * int) list
+(** The wild writes an [Hv_corrupt] fault makes, as (slot index,
+    offset added) pairs.  Every target is protected.  [C_rtx] offsets
+    no slot: it empties the retransmission queue. *)

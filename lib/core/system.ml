@@ -382,12 +382,11 @@ let start t =
 let drive ?(limit = 200_000_000) t =
   Engine.run ~limit t.engine;
   let survivor =
-    (* the authoritative machine is the one still acting as a primary;
-       after reintegration the original node is alive but has become
-       the new backup *)
+    (* the authoritative machine is the one that halted as a primary,
+       even if it crashed afterwards; after reintegration the original
+       node is alive but has become the new backup *)
     if
-      Hypervisor.alive t.primary_
-      && Hypervisor.halted t.primary_
+      Hypervisor.halted t.primary_
       && Hypervisor.role t.primary_ = Hypervisor.Primary
     then Some (`Primary, t.primary_)
     else if Hypervisor.alive t.backup_ && Hypervisor.halted t.backup_ then

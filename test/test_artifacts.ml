@@ -297,8 +297,10 @@ let test_readme_commands () =
         true (List.mem c listed))
     (List.sort_uniq compare shown)
 
-(* A malformed image and a non-positive epoch length are reported
-   usage errors (exit 124), never an uncaught exception (exit 125). *)
+(* A malformed image, a non-positive epoch length, a NaN fault rate,
+   a negative trial count and a negative crash time or epoch are
+   reported usage errors (exit 124), never an uncaught exception (exit
+   125) or a run that ignores them. *)
 let test_malformed_inputs d =
   let image name text =
     let path = Filename.concat d name in
@@ -334,6 +336,14 @@ let test_malformed_inputs d =
       [ "check"; "--scenario"; "crash-loss"; "--max-states=-5" ];
       [ "check"; "--scenario"; "crash-loss"; "--max-violations=0" ];
       [ "check"; "--scenario"; "crash-loss"; "--max-violations=-1" ];
+      [ "chaos"; "-w"; "hello"; "--trials"; "2"; "--loss=nan" ];
+      [ "chaos"; "-w"; "hello"; "--trials"; "2"; "--dup=nan" ];
+      [ "chaos"; "-w"; "hello"; "--trials"; "2"; "--corrupt=nan" ];
+      [ "chaos"; "-w"; "hello"; "--trials=-1" ];
+      [ "chaos"; "-w"; "hello"; "--exact"; "--crash-epoch=-2" ];
+      [ "chaos"; "-w"; "hello"; "--exact"; "--backup-crash-epoch=-2" ];
+      [ "run"; "--crash=-5" ];
+      [ "run"; "--crash=5"; "--reintegrate=-1" ];
     ]
 
 (* The certification gate reads every entry of its baseline: a baseline

@@ -222,6 +222,101 @@ let tables_fingerprinted () =
     "tables whose two versions fingerprint alike" []
     (List.concat_map blind cases)
 
+(* Every slot of the hypervisor's state table is held to its
+   declaration, on an hv-crash backup part-way through its run.
+   Perturbing a slot moves the node's fingerprint exactly when the slot
+   is declared fingerprinted, and restoring an earlier save heals it.
+   A protected slot is committed to the recovery block: a value it
+   held while the node serviced an event (a corrupt frame, which
+   changes nothing else) stays in the fingerprint after the slot is
+   put back.  And it is healed by the microreboot a crash fault starts
+   when perturbed after that commit: once the node is healthy again,
+   its slots and fingerprint equal those of the same run without the
+   perturbation.  Every slot a corruption fault scrambles is
+   protected. *)
+let slots_held_to_declaration () =
+  let module H = Hft_core.Hypervisor in
+  let module System = Hft_core.System in
+  let module Engine = Hft_sim.Engine in
+  let sc = find_scenario "hv-crash" in
+  let slots = List.mapi (fun i d -> (i, d)) H.slots in
+  let mid_run () =
+    let sys =
+      System.create ~params:sc.Scenarios.sc_params
+        ~workload:sc.Scenarios.sc_workload ()
+    in
+    System.start sys;
+    Engine.run_until (System.engine sys) (Hft_sim.Time.of_us 1000);
+    (sys, System.backup sys)
+  in
+  let _, b = mid_run () in
+  Alcotest.(check bool) "mid-run" true
+    (H.alive b && (not (H.halted b)) && H.epoch b > 0
+    && H.hv_health b = H.Healthy);
+  let failures = ref [] in
+  let fail i (d : H.slot) what =
+    failures := Printf.sprintf "%d %s: %s" i d.H.name what :: !failures
+  in
+  let saved = H.save b and fp = H.fingerprint b in
+  let junk =
+    Hft_core.Message.(corrupt ~flip:1 (make ~seq:0 (Ack { upto = 0 })))
+  in
+  Alcotest.(check bool) "the frame is corrupt" false
+    (Hft_core.Message.valid junk);
+  H.on_message b junk;
+  Alcotest.(check bool) "a corrupt frame leaves the fingerprint" true
+    (H.fingerprint b = fp);
+  H.restore b saved;
+  List.iter
+    (fun (i, (d : H.slot)) ->
+      let v = H.slot b i in
+      H.set_slot b i (v + 1);
+      if (H.fingerprint b <> fp) <> d.H.fingerprinted then
+        fail i d
+          (if d.H.fingerprinted then "does not move the fingerprint"
+           else "moves the fingerprint");
+      H.restore b saved;
+      if H.slot b i <> v || H.fingerprint b <> fp then
+        fail i d "not healed by restore";
+      if d.H.protected then begin
+        H.set_slot b i (v + 1000);
+        H.on_message b junk;
+        H.set_slot b i v;
+        if H.fingerprint b = fp then
+          fail i d "not committed to the recovery block";
+        H.restore b saved
+      end)
+    slots;
+  let after_reboot perturb =
+    let sys, b = mid_run () in
+    perturb b;
+    H.inject_hv_fault b H.Hv_crash;
+    let eng = System.engine sys in
+    while H.hv_health b <> H.Healthy && Engine.step eng do
+      ()
+    done;
+    (List.map (fun (i, _) -> H.slot b i) slots, H.fingerprint b)
+  in
+  let reference = after_reboot ignore in
+  List.iter
+    (fun (i, (d : H.slot)) ->
+      if d.H.protected then
+        let healed =
+          after_reboot (fun b -> H.set_slot b i (H.slot b i + 1000))
+        in
+        if healed <> reference then fail i d "not healed by the microreboot")
+    slots;
+  List.iter
+    (fun target ->
+      List.iter
+        (fun (i, _) ->
+          let d = List.nth H.slots i in
+          if not d.H.protected then fail i d "scrambled but not protected")
+        (H.scramble_offsets target))
+    [ H.C_epoch; H.C_acks; H.C_rtx ];
+  Alcotest.(check (list string)) "slots off their declaration" []
+    (List.rev !failures)
+
 (* Observability neutrality: arming the guest hot-spot profiler
    (which recompiles translated blocks with counting prologues and
    disables loop hoisting) must not perturb any architectural state
@@ -425,6 +520,8 @@ let () =
             `Quick crash_write_loss;
           test_case "every protocol table reaches the fingerprint" `Quick
             tables_fingerprinted;
+          test_case "every state slot keeps its declaration" `Quick
+            slots_held_to_declaration;
           test_case "a resumed run is held to the event limit" `Quick
             limits_survive_restore;
           test_case "--max-states N visits exactly N states" `Quick

@@ -165,6 +165,20 @@ let failover_tests =
         let o = System.run sys in
         check bool "no failover" false o.System.failover;
         ignore sys);
+    test_case "a crash after the primary halts is no failover" `Quick
+      (fun () ->
+        let w = Workload.dhrystone ~iterations:1000 in
+        let sys = System.create ~params:small_params ~workload:w () in
+        let clean = System.run sys in
+        let sys = System.create ~params:small_params ~workload:w () in
+        System.crash_primary_at sys (Hft_sim.Time.of_sec 100);
+        let o = System.run sys in
+        check bool "completed by the primary" true
+          (o.System.completed_by = `Primary);
+        check bool "no failover" false o.System.failover;
+        check int "halted when the crash-free run did"
+          (Hft_sim.Time.to_ns clean.System.time)
+          (Hft_sim.Time.to_ns o.System.time));
   ]
 
 let timer_failover_tests =
