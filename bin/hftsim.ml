@@ -195,10 +195,28 @@ let image_file =
   in
   Arg.conv (parse, fun fmt (path, _, _) -> Format.pp_print_string fmt path)
 
-(* The edge every artifact leaves by: [path = "-"] is stdout. *)
+exception Unwritable of string
+
+(* The edge every artifact leaves by: [path = "-"] is stdout.  A path
+   that cannot be written raises [Unwritable]; see [writes]. *)
 let write_file path contents =
   if path = "-" then print_string contents
-  else Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  else
+    try Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+    with Sys_error m ->
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix m then
+          String.sub m (String.length prefix)
+            (String.length m - String.length prefix)
+        else m
+      in
+      raise (Unwritable (Printf.sprintf "cannot write %s: %s" path reason))
+
+(* A command body that writes artifacts: a path that cannot be written
+   is a reported error (exit 124) after whatever the command has
+   printed, never an escaping [Sys_error]. *)
+let writes body = try body () with Unwritable m -> `Error (false, m)
 
 (* JSON documents are pretty-printed for people; pass [~pretty:false]
    for machine-only ones. *)
@@ -425,6 +443,7 @@ let run_cmd =
   in
   let action workload epoch protocol link mechanism backend bare crash_ms
       reintegrate_ms hv_fault_list trace_out metrics metrics_out events =
+    writes @@ fun () ->
     let params = params_of ~backend ~epoch ~protocol ~link ~mechanism () in
     let replicated_only =
       List.filter_map
@@ -767,6 +786,7 @@ let chaos_cmd =
   let action workload epoch protocol link backend seed trials loss dup corrupt
       delay_us no_retransmit exact crash_epoch backup_crash_epoch reintegrate
       no_shrink hv_faults hv_fault_list json trace_out =
+    writes @@ fun () ->
     (* written so that NaN, which fails every comparison, is bad *)
     let bad_rate r = not (r >= 0. && r < 1.) in
     let bad_epoch = function Some e -> e < 0 | None -> false in
@@ -1291,6 +1311,7 @@ let lint_cmd =
   in
   let action workload all image rewrite_el rewritten strict json sarif
       manifest manifest_out manifest_baseline =
+    writes @@ fun () ->
     let quiet = json = Some "-" || sarif = Some "-" in
     let runs =
       if all then
@@ -1554,6 +1575,8 @@ let check_cmd =
     Format.printf
       "  %d runs, %d states, %d transitions (%d executed), max depth %d@."
       st.runs st.states st.transitions st.executed st.max_depth;
+    Format.printf "  work: %d snapshots, %d fingerprints@." st.snapshots
+      st.fingerprints;
     Format.printf
       "  pruned: %d revisited, %d slept, %d all-asleep; %d truncated run(s)@."
       st.pruned_visited st.sleep_skipped st.sleep_pruned st.truncated_runs;
@@ -1584,6 +1607,7 @@ let check_cmd =
   let action scenario all list_scenarios depth max_states json replay
       save_replay compare_naive no_retransmit no_ack_wait
       max_violations no_shrink trace_out backend =
+    writes @@ fun () ->
     if list_scenarios then begin
       List.iter
         (fun sc ->
@@ -1707,9 +1731,9 @@ let check_cmd =
           in
           (match (save_replay, first_violation) with
           | Some path, Some (r, v) ->
-            Hft_check.Schedule.save
-              (Hft_check.Checker.schedule_of_violation r v)
-              path;
+            write_file path
+              (Hft_check.Schedule.to_string
+                 (Hft_check.Checker.schedule_of_violation r v));
             Format.printf "counterexample written to %s@." path
           | Some path, None ->
             Format.printf "no counterexample to write to %s@." path
@@ -1815,6 +1839,7 @@ let bench_cmd =
   in
   let action json_path quick min_speedup max_overhead min_threaded
       min_loop_hoist max_metrics_overhead =
+    writes @@ fun () ->
     let b = Hft_harness.Bench_core.run ~quick () in
     Hft_harness.Bench_core.report b;
     (match json_path with
@@ -1827,7 +1852,7 @@ let bench_cmd =
       | Some p -> p
       | None -> assert false (* 1024 is always measured *)
     in
-    let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
+    let fail fmt = Format.kasprintf (fun m -> `Error (false, m)) fmt in
     if not b.Hft_harness.Bench_core.digest_match then
       fail
         "threaded and interpreter state digests diverged — the translation \
@@ -1868,7 +1893,7 @@ let bench_cmd =
         ->
         fail "windowed-metrics overhead %.2fx exceeds the %.2fx guard"
           b.Hft_harness.Bench_core.metrics_overhead r
-      | _ -> Ok ()
+      | _ -> `Ok ()
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1879,7 +1904,7 @@ let bench_cmd =
           copied.  Unlike the other subcommands, this reports host \
           time, not simulated time.")
     Term.(
-      term_result'
+      ret
         (const action $ json_path $ quick $ min_speedup $ max_overhead
        $ min_threaded $ min_loop_hoist $ max_metrics_overhead))
 
@@ -1922,6 +1947,7 @@ let disasm_cmd =
              was left to the interpreter.")
   in
   let action workload rewrite_el translated save_path embed_manifest =
+    writes @@ fun () ->
     let program = workload.Hft_guest.Workload.program in
     let program, rewritten =
       match rewrite_el with
@@ -1959,17 +1985,19 @@ let disasm_cmd =
                   (Hft_analysis.Manifest.of_program ~rewritten program)))
         else None
       in
-      Hft_machine.Image.save ?manifest ~path program;
+      write_file path (Hft_machine.Image.to_string ?manifest program);
       Format.printf "; image written to %s%s@." path
-        (if embed_manifest then " (manifest embedded)" else "")
-    | None -> ()
+        (if embed_manifest then " (manifest embedded)" else "");
+      `Ok ()
+    | None -> `Ok ()
   in
   Cmd.v
     (Cmd.info "disasm"
        ~doc:"Print a workload's program listing (optionally rewritten).")
     Term.(
-      const action $ workload_arg $ rewrite_el $ translated_flag $ save_path
-      $ embed_manifest)
+      ret
+        (const action $ workload_arg $ rewrite_el $ translated_flag $ save_path
+       $ embed_manifest))
 
 (* ---------- profile ---------- *)
 
@@ -2008,6 +2036,7 @@ let profile_cmd =
           ~doc:"Instruction fuel per backend run.")
   in
   let action workload image flame min_coverage limit =
+    writes @@ fun () ->
     let workload =
       match image with
       | Some (path, program, _embedded) ->
@@ -2067,12 +2096,9 @@ let profile_cmd =
     | None -> ());
     (match flame with
     | None -> ()
-    | Some "-" -> print_string (Obs.Profile.flamegraph report)
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Obs.Profile.flamegraph report);
-      close_out oc;
-      Format.printf "wrote %s@." path);
+      write_file path (Obs.Profile.flamegraph report);
+      if path <> "-" then Format.printf "wrote %s@." path);
     if halted_i && halted_t && not agree then
       `Error (false, "the two backends disagree on retirement counts")
     else if Obs.Profile.coverage report < min_coverage then

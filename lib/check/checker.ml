@@ -7,9 +7,11 @@
    search is the stateless one of the VeriSoft tradition — a DFS over
    recorded choice prefixes, with no state stored beyond fingerprints
    — but a schedule is not re-executed from the root: the checker
-   snapshots the system ({!System.snapshot}) at open branch points and
-   resumes each new run at the deepest one it still holds, so only
-   the new suffix of a schedule runs.
+   snapshots the system ({!System.snapshot}) at open branch points,
+   holds at most [retained] of them spread along the path, and resumes
+   each new run at the deepest one it still holds: a run re-executes
+   only the stretch from there down to its branch point before its new
+   suffix.
 
    Exploration is depth-first over the choice tree with two
    reductions:
@@ -31,6 +33,8 @@
      an entry explores the full subtree modulo reductions that are
      themselves sound.  Under a depth bound, a revisit shallower than
      the recorded entry is re-explored (it has more remaining budget).
+     A new node is fingerprinted only once its sleep set leaves it a
+     choice: one with every choice asleep is abandoned either way.
 
    Invariants are machine-checked at every scheduler call (split
    brain, backup I/O emission, duplicate uncertain completions) and at
@@ -77,6 +81,8 @@ type stats = {
   mutable states : int;  (** frontier scheduler nodes visited *)
   mutable transitions : int;  (** scheduler decisions, incl. replayed ones *)
   mutable executed : int;  (** scheduler decisions the simulator ran *)
+  mutable snapshots : int;  (** system snapshots taken at open branch points *)
+  mutable fingerprints : int;  (** system fingerprints computed *)
   mutable pruned_visited : int;  (** nodes cut by the fingerprint cache *)
   mutable sleep_skipped : int;  (** sibling transitions put to sleep *)
   mutable sleep_pruned : int;  (** nodes abandoned with every choice asleep *)
@@ -90,6 +96,8 @@ let fresh_stats () =
     states = 0;
     transitions = 0;
     executed = 0;
+    snapshots = 0;
+    fingerprints = 0;
     pruned_visited = 0;
     sleep_skipped = 0;
     sleep_pruned = 0;
@@ -292,19 +300,22 @@ let end_checks sc ~reference sys o =
 (* The current path                                                    *)
 
 (* The frames of the schedule being explored, root dimensions first,
-   then one per scheduler call; [snaps] counts those holding a
-   snapshot, all of them of [sys], the system the runs execute on. *)
+   then one per scheduler call; [held] lists, in ascending order, the
+   indices of the [snaps] frames holding a snapshot, all of them of
+   [sys], the system the runs execute on. *)
 type path = {
   mutable frames : frame array;
   mutable len : int;
+  held : int array;
   mutable snaps : int;
   mutable sys : System.t option;
 }
 
-(* Snapshots are held at the deepest this many open branch points,
-   which bounds their memory: a backtrack past them restores the
-   nearest one above, or rebuilds the system, and re-snapshots on the
-   way down. *)
+(* Snapshots are held at no more than this many open branch points,
+   which bounds their memory.  They are spread along the path rather
+   than packed at its bottom: a backtrack past the deepest restores the
+   nearest one above, and a run resumed there replays at most one gap
+   before it reaches its new suffix. *)
 let retained = 32
 
 let push path f =
@@ -316,24 +327,36 @@ let push path f =
   path.frames.(path.len) <- f;
   path.len <- path.len + 1
 
-let release path f =
-  match f.f_snap with
-  | Some r ->
-    Option.iter (fun s -> System.release s r.r_sys) path.sys;
-    f.f_snap <- None;
-    path.snaps <- path.snaps - 1
-  | None -> ()
+(* Drop the snapshot of the [j]th held frame. *)
+let release path j =
+  let f = path.frames.(path.held.(j)) in
+  (match (f.f_snap, path.sys) with
+  | Some r, Some s -> System.release s r.r_sys
+  | _ -> ());
+  f.f_snap <- None;
+  Array.blit path.held (j + 1) path.held j (path.snaps - j - 1);
+  path.snaps <- path.snaps - 1
 
-let hold path f r =
+(* Hold a snapshot at frame [i], deeper than every one held.  At the
+   budget, evict the held snapshot whose removal leaves the smallest
+   gap between its neighbours — the root rebuild above the first, frame
+   [i] below the last — and the deeper one of a tie: the held frames
+   thin out evenly, so a backtrack to any depth finds one close above. *)
+let hold path i r =
   if path.snaps >= retained then begin
-    (* every held snapshot is shallower than the new one *)
-    let i = ref 0 in
-    while path.frames.(!i).f_snap = None do
-      incr i
+    let h = path.held in
+    let gap j =
+      (if j + 1 < path.snaps then h.(j + 1) else i)
+      - if j > 0 then h.(j - 1) else n_dims - 1
+    in
+    let best = ref 0 in
+    for j = 1 to path.snaps - 1 do
+      if gap j <= gap !best then best := j
     done;
-    release path path.frames.(!i)
+    release path !best
   end;
-  f.f_snap <- Some r;
+  path.frames.(i).f_snap <- Some r;
+  path.held.(path.snaps) <- i;
   path.snaps <- path.snaps + 1
 
 (* what a slot past the path's end holds, so a discarded frame (and the
@@ -341,22 +364,18 @@ let hold path f r =
 let vacant = root_frame (-1) 0
 
 let truncate path n =
-  for i = n to path.len - 1 do
-    release path path.frames.(i)
+  while path.snaps > 0 && path.held.(path.snaps - 1) >= n do
+    release path (path.snaps - 1)
   done;
   Array.fill path.frames n (path.len - n) vacant;
   path.len <- n
 
 (* The deepest frame holding a snapshot. *)
 let resume_point path =
-  let rec go i =
-    if i < n_dims then None
-    else
-      match path.frames.(i).f_snap with
-      | Some r -> Some (i, r)
-      | None -> go (i - 1)
-  in
-  go (path.len - 1)
+  if path.snaps = 0 then None
+  else
+    let i = path.held.(path.snaps - 1) in
+    Option.map (fun r -> (i, r)) path.frames.(i).f_snap
 
 (* ------------------------------------------------------------------ *)
 (* DFS driver                                                          *)
@@ -514,7 +533,15 @@ let explore ?(options = default_options) sc ~variant =
   let visited = Hashtbl.create 8192 in
   let reference = Scenarios.reference sc ~variant in
   let d = dims sc in
-  let path = { frames = [||]; len = 0; snaps = 0; sys = None } in
+  let path =
+    {
+      frames = [||];
+      len = 0;
+      held = Array.make retained 0;
+      snaps = 0;
+      sys = None;
+    }
+  in
   (* the current run: the root assignment's digest, [check_step]'s
      bookkeeping, the next scheduler call's frame index, and the frame
      the run resumed at *)
@@ -524,16 +551,19 @@ let explore ?(options = default_options) sc ~variant =
   (* identical system states reached under different installed crash /
      loss plans must not merge: mix the root assignment into every
      fingerprint *)
-  let fingerprint s = Fnv.int !root_mix (System.fingerprint s) in
-  let hold_open s f fp =
-    if is_open f then
-      hold path f
-        {
-          r_sys = System.snapshot s;
-          r_fp = fp;
-          r_baselines = Array.copy baselines;
-          r_frozen = Array.copy frozen;
-        }
+  let fingerprint s =
+    st.fingerprints <- st.fingerprints + 1;
+    Fnv.int !root_mix (System.fingerprint s)
+  in
+  let hold_open s i fp =
+    st.snapshots <- st.snapshots + 1;
+    hold path i
+      {
+        r_sys = System.snapshot s;
+        r_fp = fp;
+        r_baselines = Array.copy baselines;
+        r_frozen = Array.copy frozen;
+      }
   in
   (* Replay the frames the path holds, extend it at the frontier with
      the first non-sleeping choice, and snapshot every open branch
@@ -555,7 +585,7 @@ let explore ?(options = default_options) sc ~variant =
                { depth = idx - n_dims; recorded = want; restored = r })
       end
       else if f.f_snap = None && is_open f then
-        hold_open s f
+        hold_open s idx
           (match f.f_fp with Some h -> h | None -> fingerprint s);
       f.chosen
     end
@@ -572,16 +602,6 @@ let explore ?(options = default_options) sc ~variant =
         raise (Abort `Truncated)
       | _ -> ());
       st.states <- st.states + 1;
-      let fp = if opts.fingerprints then Some (fingerprint s) else None in
-      (match fp with
-      | Some h -> (
-        match Hashtbl.find_opt visited h with
-        | Some d0
-          when (match opts.depth with None -> true | Some _ -> d0 <= depth) ->
-          st.pruned_visited <- st.pruned_visited + 1;
-          raise (Abort `Pruned)
-        | _ -> ())
-      | None -> ());
       let sleep =
         if (not opts.dpor) || idx = n_dims then []
         else
@@ -603,6 +623,18 @@ let explore ?(options = default_options) sc ~variant =
         st.sleep_pruned <- st.sleep_pruned + 1;
         raise (Abort `Sleep)
       end;
+      (* only now, so a node with every choice asleep is abandoned
+         without a digest *)
+      let fp = if opts.fingerprints then Some (fingerprint s) else None in
+      (match fp with
+      | Some h -> (
+        match Hashtbl.find_opt visited h with
+        | Some d0
+          when (match opts.depth with None -> true | Some _ -> d0 <= depth) ->
+          st.pruned_visited <- st.pruned_visited + 1;
+          raise (Abort `Pruned)
+        | _ -> ())
+      | None -> ());
       let f =
         {
           kind = Sched;
@@ -618,7 +650,7 @@ let explore ?(options = default_options) sc ~variant =
       in
       push path f;
       if is_open f then
-        hold_open s f (match fp with Some h -> h | None -> fingerprint s);
+        hold_open s idx (match fp with Some h -> h | None -> fingerprint s);
       f.chosen
     end
   in
@@ -673,7 +705,9 @@ let explore ?(options = default_options) sc ~variant =
     (* a node whose last sibling this run took is no longer a branch
        point *)
     if !resumed >= 0 && not (is_open path.frames.(!resumed)) then
-      release path path.frames.(!resumed);
+      for j = path.snaps - 1 downto 0 do
+        if path.held.(j) = !resumed then release path j
+      done;
     (verdict, !cursor)
   in
   let violations = ref [] in
@@ -790,6 +824,8 @@ let stats_json st =
       ("omission_bound", J.significant 2 (omission_bound st.states));
       ("transitions", J.int st.transitions);
       ("executed", J.int st.executed);
+      ("snapshots", J.int st.snapshots);
+      ("fingerprints", J.int st.fingerprints);
       ("pruned_visited", J.int st.pruned_visited);
       ("sleep_skipped", J.int st.sleep_skipped);
       ("sleep_pruned", J.int st.sleep_pruned);

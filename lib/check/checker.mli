@@ -8,17 +8,18 @@
     The search is stateless — a DFS over choice prefixes that stores
     no states beyond their fingerprints — but a run is not re-executed
     from the root: the system is snapshotted ({!Hft_core.System.snapshot})
-    at the deepest 32 open branch points (scheduler nodes with a
-    sibling left to explore), and each run after the first restores
-    the deepest one it can and executes only its new suffix.  A run
-    that must start over rebuilds by recycling the previous run's
-    system ({!Hft_harness.Scenarios.instantiate}'s [recycle]: the
-    guest memories are reset in place, which is exact), so a whole
-    exploration allocates one pair of guest memories.  Two reductions
-    keep the tree tractable: sleep-set dynamic partial-order reduction (same-instant
-    events on distinct replicas commute) and canonical-fingerprint
-    pruning of revisited states.  Counterexamples are shrunk and
-    serialized as replayable {!Schedule.t} values. *)
+    at open branch points (scheduler nodes with a sibling left to
+    explore), at most 32 held at once and spread along the path, and
+    each run after the first restores the deepest one it holds and
+    executes only the stretch from there to its branch point and its
+    new suffix.  A run that must start over rebuilds by recycling the
+    previous run's system ({!Hft_harness.Scenarios.instantiate}'s
+    [recycle]: the guest memories are reset in place, which is exact),
+    so a whole exploration allocates one pair of guest memories.  Two
+    reductions keep the tree tractable: sleep-set dynamic partial-order
+    reduction (same-instant events on distinct replicas commute) and
+    canonical-fingerprint pruning of revisited states.  Counterexamples
+    are shrunk and serialized as replayable {!Schedule.t} values. *)
 
 type options = {
   depth : int option;  (** max scheduler choices per run; [None] = unbounded *)
@@ -50,6 +51,13 @@ type stats = {
       (** scheduler decisions along every explored schedule, including
           the prefixes a resumed run did not execute again *)
   mutable executed : int;  (** scheduler decisions the simulator ran *)
+  mutable snapshots : int;
+      (** system snapshots taken, one per open branch point a run
+          passes without one held *)
+  mutable fingerprints : int;
+      (** system fingerprints computed: one per new node with a choice
+          awake (per snapshot instead when [fingerprints] is off), plus
+          one per resumed run, checking its restore *)
   mutable pruned_visited : int;  (** nodes cut by the fingerprint cache *)
   mutable sleep_skipped : int;  (** sibling transitions put to sleep *)
   mutable sleep_pruned : int;  (** nodes abandoned with every choice asleep *)

@@ -85,11 +85,6 @@ let of_string s =
          (String.trim first))
   | [] -> Error "empty replay file"
 
-let save t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
-
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m

@@ -21,7 +21,6 @@ val magic : string
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val save : t -> string -> unit
 val load : string -> (t, string) result
 (** Read and parse a saved schedule.  [Error] for a file that cannot
     be read (missing, a directory, unreadable) as well as for one that

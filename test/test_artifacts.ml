@@ -298,9 +298,9 @@ let test_readme_commands () =
     (List.sort_uniq compare shown)
 
 (* A malformed image, a non-positive epoch length, a NaN fault rate,
-   a negative trial count and a negative crash time or epoch are
-   reported usage errors (exit 124), never an uncaught exception (exit
-   125) or a run that ignores them. *)
+   a negative trial count, a negative crash time or epoch and an output
+   path that cannot be written are reported errors (exit 124), never an
+   uncaught exception (exit 125) or a run that ignores them. *)
 let test_malformed_inputs d =
   let image name text =
     let path = Filename.concat d name in
@@ -313,12 +313,17 @@ let test_malformed_inputs d =
   let dup_label =
     image "dup_label.img" "HFT1 1\n0000000000000000\nL a 0\nL a 1\n"
   in
+  (* an output path in a directory that does not exist *)
+  let missing = Filename.concat d "missing" in
+  let nowhere name = Filename.concat missing name in
   List.iter
     (fun args ->
       let code, out = output args in
       if code <> 124 then
         Alcotest.failf "%s exited %d, not 124:\n%s" (String.concat " " args)
-          code out)
+          code out;
+      if List.exists (String.starts_with ~prefix:missing) args then
+        ignore (after out "cannot write "))
     [
       [ "lint"; "--image"; short ];
       [ "lint"; "--image"; garbled ];
@@ -344,6 +349,17 @@ let test_malformed_inputs d =
       [ "chaos"; "-w"; "hello"; "--exact"; "--backup-crash-epoch=-2" ];
       [ "run"; "--crash=-5" ];
       [ "run"; "--crash=5"; "--reintegrate=-1" ];
+      [ "check"; "--scenario"; "handoff"; "--json"; nowhere "check.json" ];
+      [
+        "check"; "--scenario"; "crash-loss"; "--no-retransmit";
+        "--save-replay"; nowhere "cx.replay";
+      ];
+      [ "run"; "-w"; "hello"; "--trace-out"; nowhere "t.json" ];
+      [ "run"; "-w"; "hello"; "--metrics-out"; nowhere "m.json" ];
+      [ "chaos"; "-w"; "hello"; "--trials"; "1"; "--json"; nowhere "c.json" ];
+      [ "lint"; "--json"; nowhere "lint.json" ];
+      [ "profile"; "--flame"; nowhere "flame.txt" ];
+      [ "disasm"; "--save"; nowhere "hello.img" ];
     ]
 
 (* The certification gate reads every entry of its baseline: a baseline

@@ -108,7 +108,13 @@ let crash_write_loss () =
   (* resumed runs execute only their new suffixes *)
   if st.Checker.executed * 8 > st.Checker.transitions then
     Alcotest.failf "executed %d of %d transitions, not 8x fewer"
-      st.Checker.executed st.Checker.transitions
+      st.Checker.executed st.Checker.transitions;
+  (* and the work behind them, in deterministic units: a retention
+     that thrashes on crash-write's 595-deep paths snapshots and
+     re-executes about twice as much *)
+  Alcotest.(check (list int))
+    "executed/snapshots/fingerprints pinned" [ 102981; 26508; 60001 ]
+    [ st.Checker.executed; st.Checker.snapshots; st.Checker.fingerprints ]
 
 (* The event limit counts from the root, so a run resumed from a
    snapshot cannot dodge the runaway verdict by starting a fresh
@@ -116,8 +122,9 @@ let crash_write_loss () =
    limit of 150, without reductions (so sibling schedules run as deep
    instead of being slept or pruned) and collecting three
    counterexamples unshrunk, the second and third run away in runs
-   resumed at depths 98 and 96.  Everything but [executed] is pinned
-   to what replay from the root found. *)
+   that branch at depths 98 and 96, resumed from the snapshots held at
+   98 and 94.  Everything but [executed] is pinned to what replay from
+   the root found. *)
 let limits_survive_restore () =
   let sc = { (find_scenario "handoff") with Scenarios.sc_limit = 150 } in
   let options =
