@@ -87,18 +87,12 @@ val create :
     rebuilding them.  The result behaves exactly like a fresh one, and
     the recycled hypervisor must not be used again. *)
 
-val connect :
-  ?tx_data:Message.t Hft_net.Channel.t ->
-  ?tx_ack:Message.t Hft_net.Channel.t ->
-  t ->
-  peer:t ->
-  unit
-(** Wire the outgoing channels: [tx_data] carries protocol data
-    downstream (primary to backup, or a chained backup's forwarded
-    stream to the next backup), [tx_ack] carries acknowledgements and
-    the reintegration handshake upstream.  The peer reference is used
-    only for the reintegration snapshot's data plane; all coordination
-    goes through messages. *)
+val connect : t -> tx:Message.t Hft_net.Channel.t -> peer:t -> unit
+(** Wire the node to its one peer: [tx] carries everything it sends
+    (protocol data, acknowledgements and the reintegration handshake),
+    whatever its role.  The peer reference is used only for the
+    reintegration snapshot's data plane; all coordination goes through
+    messages. *)
 
 val on_message : t -> Message.t -> unit
 (** Deliver an incoming protocol message; installed as the receive
@@ -158,8 +152,9 @@ type saved
 (** The whole node: its CPU ({!Hft_machine.Cpu.save}); one int array
     holding every slot of the state table, the recovery block and the
     virtual control registers; disk controller registers, statistics,
-    every other protocol field, table and queue, and the installed
-    hooks.
+    every other protocol field, table and queue, and the epoch-boundary
+    hook.  The wiring {!connect} and {!set_on_promote} install is set
+    once and not saved.
     Timer handles are saved as the engine events they name, which
     {!Hft_sim.Engine.restore} brings back. *)
 

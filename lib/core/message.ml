@@ -11,7 +11,6 @@ type body =
   | Ack of { upto : int }
   | Snapshot_offer of { epoch : int; code_hash : int }
   | Snapshot_done of { epoch : int }
-  | Failover of { epoch : int }
   | Resync of { upto : int }
 
 type t = { seq : int; dseq : int; checksum : int; body : body }
@@ -40,7 +39,6 @@ let body_checksum h body =
   | Ack { upto } -> mix (mix h 5) upto
   | Snapshot_offer { epoch; code_hash } -> mix (mix (mix h 6) epoch) code_hash
   | Snapshot_done { epoch } -> mix (mix h 7) epoch
-  | Failover { epoch } -> mix (mix h 8) epoch
   | Resync { upto } -> mix (mix h 9) upto
 
 let checksum_of ~seq ~dseq body =
@@ -57,7 +55,6 @@ let body_kind = function
   | Ack _ -> "ack"
   | Snapshot_offer _ -> "snap-offer"
   | Snapshot_done _ -> "snap-done"
-  | Failover _ -> "failover"
   | Resync _ -> "resync"
 
 let reliable t = t.dseq >= 0
@@ -96,7 +93,6 @@ let bytes ?(snapshot_bytes = 0) t =
   | Ack _ -> 8
   | Snapshot_offer _ -> 16 + snapshot_bytes
   | Snapshot_done _ -> 8
-  | Failover _ -> 8
   | Resync _ -> 8
 
 let pp fmt t =
@@ -119,7 +115,5 @@ let pp fmt t =
     Format.fprintf fmt "[#%d snapshot-offer epoch=%d]" t.seq epoch
   | Snapshot_done { epoch } ->
     Format.fprintf fmt "[#%d snapshot-done epoch=%d]" t.seq epoch
-  | Failover { epoch } ->
-    Format.fprintf fmt "[#%d failover epoch=%d]" t.seq epoch
   | Resync { upto } ->
     Format.fprintf fmt "[#%d resync upto=%d]" t.seq upto

@@ -42,11 +42,6 @@ type body =
       (** reintegration: a state snapshot follows *)
   | Snapshot_done of { epoch : int }
       (** reintegration: the new backup restored the snapshot *)
-  | Failover of { epoch : int }
-      (** chain extension (t = 2): a promoting backup tells its
-          downstream backup which epoch was the failover epoch, so the
-          downstream performs the same P6/P7 delivery and re-homes to
-          the new primary without promoting itself *)
   | Resync of { upto : int }
       (** recovery extension: sent (unreliably) by a node that has just
           completed a microreboot.  [upto] is its receive cursor; the
@@ -80,7 +75,7 @@ val completion_digest : int -> relayed_completion -> int
 
 val body_kind : body -> string
 (** Short stable tag for observability ("intr", "env", "tme", "end",
-    "ack", "snap-offer", "snap-done", "failover", "resync"). *)
+    "ack", "snap-offer", "snap-done", "resync"). *)
 
 val reliable : t -> bool
 (** [dseq >= 0]: the message is part of the acknowledged,

@@ -19,7 +19,6 @@ type t = {
   workload : Hft_guest.Workload.t;
   primary_ : Hypervisor.t;
   backup_ : Hypervisor.t;
-  backup2_ : Hypervisor.t option;
   disk_ : Disk.t;
   console_ : Console.t;
   ch_pb : Message.t Channel.t;
@@ -70,8 +69,7 @@ let record_boundary ls ~epoch ~hash =
     end
 
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
-    ?(second_backup = false) ?(obs = Hft_obs.Recorder.null) ?recycle ~workload
-    () =
+    ?(obs = Hft_obs.Recorder.null) ?recycle ~workload () =
   let workload =
     match params.Params.epoch_mechanism with
     | Params.Recovery_register -> workload
@@ -160,49 +158,8 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   in
   Channel.set_hasher ch_pb Message.hash;
   Channel.set_hasher ch_bp Message.hash;
-  (* chain extension (t = 2): a second backup hangs off the first,
-     which forwards the whole coordination stream *)
-  let backup2_ =
-    if not second_backup then None
-    else begin
-      let clock_b2 =
-        Clock.create ~engine
-          ~skew:(Time.scale params.Params.backup_clock_skew 2)
-          ()
-      in
-      (* the downstream backup must outlast the first backup's
-         detection and takeover before suspecting the whole chain *)
-      let params2 =
-        {
-          (backend_for `Backup (params_for (snd seeds))) with
-          Params.detector_timeout = Time.scale params.Params.detector_timeout 3;
-        }
-      in
-      let b2 =
-        Hypervisor.create ~name:"backup2" ~role:Hypervisor.Backup ~port:2
-          ~engine ~params:params2 ~workload ~disk:disk_ ~console:console_
-          ~clock:clock_b2 ~obs ()
-      in
-      let ch_b1b2 =
-        Channel.create ~engine ~link:params.Params.link ~name:"backup->backup2"
-          ~actor:"backup2" ~obs ()
-      in
-      let ch_b2b1 =
-        Channel.create ~engine ~link:params.Params.link ~name:"backup2->backup"
-          ~actor:"backup" ~obs ()
-      in
-      Channel.set_hasher ch_b1b2 Message.hash;
-      Channel.set_hasher ch_b2b1 Message.hash;
-      Hypervisor.connect backup_ ~tx_ack:ch_bp ~tx_data:ch_b1b2 ~peer:primary_;
-      Hypervisor.connect b2 ~tx_ack:ch_b2b1 ~peer:backup_;
-      Channel.connect ch_b1b2 (fun msg -> Hypervisor.on_message b2 msg);
-      Channel.connect ch_b2b1 (fun msg -> Hypervisor.on_message backup_ msg);
-      Some b2
-    end
-  in
-  Hypervisor.connect primary_ ~tx_data:ch_pb ~peer:backup_;
-  if backup2_ = None then
-    Hypervisor.connect backup_ ~tx_ack:ch_bp ~peer:primary_;
+  Hypervisor.connect primary_ ~tx:ch_pb ~peer:backup_;
+  Hypervisor.connect backup_ ~tx:ch_bp ~peer:primary_;
   Channel.connect ch_pb (fun msg -> Hypervisor.on_message backup_ msg);
   Channel.connect ch_bp (fun msg -> Hypervisor.on_message primary_ msg);
   let ls =
@@ -215,9 +172,6 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   in
   Hypervisor.set_on_epoch_boundary primary_ (record_boundary ls);
   Hypervisor.set_on_epoch_boundary backup_ (record_boundary ls);
-  Option.iter
-    (fun b2 -> Hypervisor.set_on_epoch_boundary b2 (record_boundary ls))
-    backup2_;
   let t =
     {
       engine;
@@ -225,7 +179,6 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       workload;
       primary_;
       backup_;
-      backup2_;
       disk_;
       console_;
       ch_pb;
@@ -250,15 +203,11 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
           (Engine.after engine ~label:"reintegrate" delay (fun () ->
                Hypervisor.revive_as_backup t.primary_;
                Hypervisor.request_reintegration t.backup_)));
-  (match backup2_ with
-  | Some b2 -> Hypervisor.set_on_promote b2 (fun _ -> t.failover_ <- true)
-  | None -> ());
   t
 
 let engine t = t.engine
 let primary t = t.primary_
 let backup t = t.backup_
-let backup2 t = t.backup2_
 let disk t = t.disk_
 let console t = t.console_
 let channel_to_backup t = t.ch_pb
@@ -338,11 +287,6 @@ let fingerprint t =
   let h = mix Fnv.basis (Hft_sim.Time.to_ns (Engine.now t.engine)) in
   let h = mix h (Hypervisor.fingerprint t.primary_) in
   let h = mix h (Hypervisor.fingerprint t.backup_) in
-  let h =
-    match t.backup2_ with
-    | Some b2 -> mix (mix h 1) (Hypervisor.fingerprint b2)
-    | None -> mix h 0
-  in
   let h = mix h (Channel.fingerprint t.ch_pb) in
   let h = mix h (Channel.fingerprint t.ch_bp) in
   let h = mix h (Disk.fingerprint t.disk_) in
@@ -350,9 +294,6 @@ let fingerprint t =
   Fnv.bool (mix h (Engine.pending_fingerprint t.engine)) t.failover_
 
 let reintegrate_after_failover t ~delay =
-  if t.backup2_ <> None then
-    invalid_arg
-      "System.reintegrate_after_failover: not supported with a backup chain";
   t.reintegration_delay <- Some delay;
   (* the actorless reintegration event is scheduled [delay] after the
      promotion handler that arms it *)
@@ -376,8 +317,7 @@ type outcome = {
 
 let start t =
   Hypervisor.start t.primary_;
-  Hypervisor.start t.backup_;
-  match t.backup2_ with Some b2 -> Hypervisor.start b2 | None -> ()
+  Hypervisor.start t.backup_
 
 let drive ?(limit = 200_000_000) t =
   Engine.run ~limit t.engine;
@@ -391,11 +331,6 @@ let drive ?(limit = 200_000_000) t =
     then Some (`Primary, t.primary_)
     else if Hypervisor.alive t.backup_ && Hypervisor.halted t.backup_ then
       Some (`Promoted_backup, t.backup_)
-    else if
-      match t.backup2_ with
-      | Some b2 -> Hypervisor.halted b2
-      | None -> false
-    then Some (`Promoted_backup, Option.get t.backup2_)
     else if Hypervisor.alive t.primary_ && Hypervisor.halted t.primary_ then
       Some (`Primary, t.primary_)
     else None
@@ -430,12 +365,7 @@ let run ?limit t =
 
 (* ---------- snapshot and restore ---------- *)
 
-let no_chain fn t =
-  if t.backup2_ <> None then
-    invalid_arg ("System." ^ fn ^ ": not supported with a backup chain")
-
 let snapshot t =
-  no_chain "snapshot" t;
   let like part = Option.map part t.last in
   let hashes =
     match t.last with
@@ -481,7 +411,6 @@ let snapshot t =
   s
 
 let restore t s =
-  no_chain "restore" t;
   Hypervisor.restore t.primary_ s.sn_primary;
   Hypervisor.restore t.backup_ s.sn_backup;
   Engine.restore t.engine s.sn_engine;

@@ -19,7 +19,6 @@ val create :
   ?params:Params.t ->
   ?disk_seed:int ->
   ?tlb_seeds:int * int ->
-  ?second_backup:bool ->
   ?obs:Hft_obs.Recorder.t ->
   ?recycle:t ->
   workload:Hft_guest.Workload.t ->
@@ -35,26 +34,19 @@ val create :
     compares the replicas' state hashes at each epoch boundary (see
     {!outcome}); the disk starts filled with its pattern
     ({!Hft_devices.Disk.fill}).
-    [second_backup] (default false) chains a second backup behind the
-    first for 2-fault tolerance (failures tolerated in role order).
+    Each hypervisor sends everything on its own channel to its one
+    peer: the primary on {!channel_to_backup}, the backup on
+    {!channel_to_primary}, whatever their roles become.
     [recycle] is a finished system whose primary and backup guest
     memories the new one resets and reuses instead of allocating
     ({!Hypervisor.create}); the new system behaves exactly like a
-    fresh one.  The recycled system must not be used again.  A
-    second backup is always built fresh. *)
+    fresh one.  The recycled system must not be used again. *)
 
 val engine : t -> Hft_sim.Engine.t
 
 val primary : t -> Hypervisor.t
 
 val backup : t -> Hypervisor.t
-
-val backup2 : t -> Hypervisor.t option
-(** The chained second backup, when the system was created with
-    [~second_backup:true] (a 2-fault-tolerant virtual machine: the
-    first backup forwards the coordination stream; failures are
-    tolerated in order — the primary first, then the promoted
-    backup). *)
 
 val disk : t -> Hft_devices.Disk.t
 val console : t -> Hft_devices.Console.t
@@ -115,8 +107,7 @@ val fingerprint : t -> int
     reorderings never advance the clock); states differing only by a
     time shift stay distinct, since pending timers fire on the
     absolute clock.  The model checker uses this to prune revisited
-    states.  The chained second backup's private
-    channels are not covered — checker scenarios are two-replica. *)
+    states. *)
 
 val reintegrate_after_failover : t -> delay:Hft_sim.Time.t -> unit
 (** After a promotion, wait [delay], revive the failed processor as a
@@ -173,9 +164,7 @@ val snapshot : t -> snapshot
     the chunks written since this system's previous snapshot or
     restore, sharing the rest, disk blocks are shared copy-on-write,
     and other unchanged parts are shared with the previous snapshot,
-    so a snapshot mostly costs its protocol state.
-    @raise Invalid_argument on a system with a chained second
-    backup. *)
+    so a snapshot mostly costs its protocol state. *)
 
 val restore : t -> snapshot -> unit
 (** Put the system back in place to a snapshot of it — any one, any

@@ -43,8 +43,6 @@ type t =
   | Halt of { epoch : int }
   | Detector_fired of { blocked : string }
   | Promoted of { epoch : int; relayed : int; synthesized : int }
-  | Failover_followed of { epoch : int; relayed : int; synthesized : int }
-  | Upstream_failover of { epoch : int }
   (* reintegration handshake *)
   | Reintegration_offer of { epoch : int; bytes : int }
   | Snapshot_restored of { epoch : int }
@@ -86,8 +84,6 @@ let tag = function
   | Halt _ -> "halt"
   | Detector_fired _ -> "detector-fired"
   | Promoted _ -> "promoted"
-  | Failover_followed _ -> "failover-followed"
-  | Upstream_failover _ -> "upstream-failover"
   | Reintegration_offer _ -> "reintegration-offer"
   | Snapshot_restored _ -> "snapshot-restored"
   | Reintegration_done _ -> "reintegration-done"
@@ -137,14 +133,12 @@ let fields = function
   | Crash -> []
   | Halt { epoch } -> [ ("epoch", Int epoch) ]
   | Detector_fired { blocked } -> [ ("blocked", Str blocked) ]
-  | Promoted { epoch; relayed; synthesized }
-  | Failover_followed { epoch; relayed; synthesized } ->
+  | Promoted { epoch; relayed; synthesized } ->
     [
       ("epoch", Int epoch);
       ("relayed", Int relayed);
       ("synthesized", Int synthesized);
     ]
-  | Upstream_failover { epoch } -> [ ("epoch", Int epoch) ]
   | Reintegration_offer { epoch; bytes } ->
     [ ("epoch", Int epoch); ("bytes", Int bytes) ]
   | Snapshot_restored { epoch } | Reintegration_done { epoch } ->

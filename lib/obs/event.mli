@@ -51,8 +51,6 @@ type t =
   | Halt of { epoch : int }
   | Detector_fired of { blocked : string }
   | Promoted of { epoch : int; relayed : int; synthesized : int }
-  | Failover_followed of { epoch : int; relayed : int; synthesized : int }
-  | Upstream_failover of { epoch : int }
   | Reintegration_offer of { epoch : int; bytes : int }
   | Snapshot_restored of { epoch : int }
   | Reintegration_done of { epoch : int }

@@ -45,7 +45,6 @@ let lane_of_cat = function
 let build_tracks entries =
   let tbl = Hashtbl.create 16 in
   let next = Hashtbl.create 4 in
-  Hashtbl.replace next 1 3;
   Hashtbl.replace next 2 0;
   Hashtbl.replace next 3 0;
   let assign s =
@@ -54,7 +53,6 @@ let build_tracks entries =
         match s with
         | "primary" -> (1, 0)
         | "backup" -> (1, 1)
-        | "backup2" -> (1, 2)
         | _ when String.contains s '>' -> (2, -1)
         | _ -> (3, -1)
       in

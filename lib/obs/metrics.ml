@@ -229,8 +229,7 @@ let observe t (e : Recorder.entry) =
   | Event.Recovery_escalated _ -> incr (counter sc "recovery_escalations")
   | Event.Ch_send _ | Event.Ch_deliver _ | Event.Ch_drop _
   | Event.Dispatch _ | Event.Note _ | Event.Halt _
-  | Event.Detector_fired _ | Event.Failover_followed _
-  | Event.Upstream_failover _ | Event.Reintegration_offer _
+  | Event.Detector_fired _ | Event.Reintegration_offer _
   | Event.Snapshot_restored _ | Event.Reintegration_done _
   | Event.Hv_detected _ ->
     ()

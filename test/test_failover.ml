@@ -257,6 +257,41 @@ let reintegration_tests =
         check int "ops" 6 o.System.results.Guest_results.ops;
         check bool "disk consistent" true o.System.disk_consistent;
         check_final_disk sys ~seed:0x1234 ~range:64 ~ops:6);
+    test_case "pinned reintegration run: traffic in both directions" `Quick
+      (fun () ->
+        (* `hftsim run -w write --crash 40 --reintegrate 10`.  Each node
+           sends everything on its own channel, so the two channels'
+           counts cover every message of the run.  After reintegration
+           the revived ex-primary echoes each reliable message it
+           receives (1059 tme + 1059 end + 24 intr); deleting the echo
+           re-pins [echoed] to 0 and the channel counts with it. *)
+        let after = ref false and echoed = ref 0 in
+        let tap (e : Hft_obs.Recorder.entry) =
+          match e.Hft_obs.Recorder.ev with
+          | Hft_obs.Event.Reintegration_done _ -> after := true
+          | Hft_obs.Event.Msg_send _
+            when !after && e.Hft_obs.Recorder.source = "primary" ->
+            incr echoed
+          | _ -> ()
+        in
+        let obs = Hft_obs.Recorder.create ~capacity:1 ~tap () in
+        let sys =
+          System.create ~obs ~workload:(Workload.disk_write ~ops:24 ()) ()
+        in
+        System.crash_primary_at sys (Hft_sim.Time.of_ms 40);
+        System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 10);
+        let o = System.run sys in
+        let traffic ch =
+          [ Hft_net.Channel.messages_sent ch; Hft_net.Channel.bytes_sent ch ]
+        in
+        check (list int) "primary->backup messages, bytes" [ 4383; 149312 ]
+          (traffic (System.channel_to_backup sys));
+        check (list int) "backup->primary messages, bytes" [ 4383; 411072 ]
+          (traffic (System.channel_to_primary sys));
+        check (list int) "outcome reports primary->backup" [ 4383; 149312 ]
+          [ o.System.messages_sent; o.System.bytes_sent ];
+        check int "sent by the revived node after reintegration" 2142
+          !echoed);
   ]
 
 (* Property: crash at a random time, the workload still completes with
