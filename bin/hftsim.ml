@@ -335,7 +335,7 @@ let emit_artifacts ?(trace_out = []) ?(events = 0) ?(metrics = false)
 
 (* ---------- run ---------- *)
 
-let print_outcome (o : System.outcome) =
+let print_outcome sys (o : System.outcome) =
   Format.printf "completed by   : %s@."
     (match o.System.completed_by with
     | `Primary -> "primary"
@@ -344,8 +344,13 @@ let print_outcome (o : System.outcome) =
   Format.printf "guest results  : %a@." Guest_results.pp o.System.results;
   Format.printf "epochs         : %d (primary)@."
     o.System.primary_stats.Stats.epochs;
-  Format.printf "messages       : %d (%d bytes)@." o.System.messages_sent
-    o.System.bytes_sent;
+  (* each node sends on its own channel, named for its first role *)
+  let to_primary = System.channel_to_primary sys in
+  Format.printf
+    "messages       : %d (%d bytes) from primary, %d (%d bytes) from backup@."
+    o.System.messages_sent o.System.bytes_sent
+    (Hft_net.Channel.messages_sent to_primary)
+    (Hft_net.Channel.bytes_sent to_primary);
   Hft_harness.Report.channel_hardening
     [ o.System.primary_stats; o.System.backup_stats ];
   Hft_harness.Report.recovery
@@ -493,7 +498,7 @@ let run_cmd =
       if not quiet then
         Format.printf "replicated system (%a)@." Params.pp params;
       let o = System.run sys in
-      if not quiet then print_outcome o;
+      if not quiet then print_outcome sys o;
       emit_artifacts ~trace_out ~events ~metrics ~metrics_out ~registry obs;
       `Ok ()
     end

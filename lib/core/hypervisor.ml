@@ -18,6 +18,18 @@ type buffered_intr =
    is excluded from fingerprints, like the stamp itself. *)
 type stamped = { bi : buffered_intr; since : Time.t; obs_id : int }
 
+(* The protocol's tables are immutable maps, and its queues lists, held
+   in mutable fields, so a save holds them by reference.  [env_vals] is
+   keyed by (epoch, index). *)
+module IM = Map.Make (Int)
+
+module EM = Map.Make (struct
+  type t = int * int
+
+  let compare (e, i) (e', i') =
+    match Int.compare e e' with 0 -> Int.compare i i' | c -> c
+end)
+
 (* What the actor is waiting for.  While blocked the VM makes no
    progress; message arrivals (or the failure detector) resume it. *)
 type blocked =
@@ -88,9 +100,10 @@ let hv_fault_kind = function
    volatile and reconciled afresh; and the protocol state a corruption
    can damage — the protected slots (epoch counters, ack bookkeeping)
    and the retransmission queue — is mirrored into the recovery block
-   ([t.rb], [t.rb_rtx]), committed at the end of every event-handling
-   quantum and restored wholesale by the reboot.  The protected slots
-   come first, so the block is the array's prefix [0, S.protected). *)
+   ([t.rb], and [t.rb_rtx], which shares the queue's list), committed
+   at the end of every event-handling quantum and restored wholesale
+   by the reboot.  The protected slots come first, so the block is the
+   array's prefix [0, S.protected). *)
 type slot = {
   name : string;
   init : int;
@@ -145,10 +158,6 @@ module S = struct
 
   (* pairs an interrupt's buffered and delivered observability events *)
   let next_intr_id = slot ~fingerprinted:false "next_intr_id"
-
-  (* [rtx_queue] changed since [persist] last mirrored it; the queue
-     and the mirror are both fingerprinted *)
-  let rtx_dirty = slot ~fingerprinted:false "rtx_dirty"
 
   (* Arrival stamps: the start of the current ack wait, the halt, and
      the injection of the current hypervisor fault.  They feed timing
@@ -205,20 +214,21 @@ type t = {
   mutable peer : t option;
   mutable blocked : blocked;
   mutable detector : Engine.handle option;
-  (* messaging *)
-  rcv_hold : (int, Message.body) Hashtbl.t;
-      (* reliable messages that arrived ahead of a gap, held until the
-         gap fills (restores sender order over a fair-lossy link) *)
-  rtx_queue : rtx_entry Queue.t; (* sent but not yet acknowledged *)
+  (* messaging; every queue is a list, oldest first *)
+  mutable rcv_hold : Message.body IM.t;
+      (* reliable messages that arrived ahead of a gap, by [dseq], held
+         until the gap fills (restores sender order over a fair-lossy
+         link) *)
+  mutable rtx_queue : rtx_entry list; (* sent but not yet acknowledged *)
   mutable rtx_timer : Engine.handle option;
   (* interrupt buffering *)
   mutable buffered_current : stamped list; (* primary, reversed *)
-  buffered_by_epoch : (int, stamped list ref) Hashtbl.t; (* backup *)
-  env_vals : (int * int, Word.t) Hashtbl.t;
-  tmes : (int, Word.t * int) Hashtbl.t;
-  ends : (int, unit) Hashtbl.t;
+  mutable buffered_by_epoch : stamped list IM.t; (* backup, each reversed *)
+  mutable env_vals : Word.t EM.t;
+  mutable tmes : (Word.t * int) IM.t;
+  mutable ends : unit IM.t;
   mutable pending_delivery : stamped list;
-  outstanding : io_req Queue.t;
+  mutable outstanding : io_req list;
   (* reintegration: the snapshot the new primary left for this node *)
   mutable snapshot_box : snapshot option;
   (* hypervisor-failure recovery (ReHype extension) *)
@@ -355,16 +365,16 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     peer = None;
     blocked = Not_blocked;
     detector = None;
-    rcv_hold = Hashtbl.create 16;
-    rtx_queue = Queue.create ();
+    rcv_hold = IM.empty;
+    rtx_queue = [];
     rtx_timer = None;
     buffered_current = [];
-    buffered_by_epoch = Hashtbl.create 64;
-    env_vals = Hashtbl.create 64;
-    tmes = Hashtbl.create 64;
-    ends = Hashtbl.create 64;
+    buffered_by_epoch = IM.empty;
+    env_vals = EM.empty;
+    tmes = IM.empty;
+    ends = IM.empty;
     pending_delivery = [];
-    outstanding = Queue.create ();
+    outstanding = [];
     snapshot_box = None;
     health = Healthy;
     missed = [];
@@ -444,8 +454,7 @@ and cancel_rtx t =
 
 and clear_rtx t =
   cancel_rtx t;
-  Queue.clear t.rtx_queue;
-  set_flag t S.rtx_dirty true;
+  t.rtx_queue <- [];
   t.s.(S.rtx_backoff) <- 0
 
 (* Timeout before resending the oldest unacknowledged message: the
@@ -454,7 +463,7 @@ and clear_rtx t =
    backlog term a busy link (a burst of relayed read completions can
    queue for milliseconds) would trigger spurious retransmissions. *)
 and rtx_delay t =
-  let e = Queue.peek t.rtx_queue in
+  let e = List.hd t.rtx_queue in
   let backoff = 1 lsl min t.s.(S.rtx_backoff) 2 in
   let base = Time.scale t.p.Params.rtx_timeout backoff in
   let transfer = Hft_net.Link.transfer_time t.p.Params.link ~bytes:e.r_bytes in
@@ -471,7 +480,7 @@ and rtx_delay t =
 and arm_rtx t =
   if
     t.p.Params.retransmit && flag t S.alive && t.rtx_timer = None
-    && not (Queue.is_empty t.rtx_queue)
+    && t.rtx_queue <> []
   then
     t.rtx_timer <-
       Some
@@ -485,7 +494,7 @@ and arm_rtx t =
    messages); only an ack covering the queue — or the give-up bound —
    lets the simulation drain. *)
 and rtx_fire t =
-  if flag t S.alive && not (Queue.is_empty t.rtx_queue) then begin
+  if flag t S.alive && t.rtx_queue <> [] then begin
     if not (flag t S.peer_alive) then clear_rtx t
     else if t.s.(S.rtx_backoff) >= t.p.Params.rtx_give_up then begin
       emit t (Ev.Rtx_give_up { rounds = t.s.(S.rtx_backoff) });
@@ -498,7 +507,7 @@ and rtx_fire t =
     end
     else begin
       t.s.(S.rtx_backoff) <- t.s.(S.rtx_backoff) + 1;
-      let n = Queue.length t.rtx_queue in
+      let n = List.length t.rtx_queue in
       resend_all t;
       t.st.Stats.retransmits <- t.st.Stats.retransmits + n;
       emit t (Ev.Rtx_round { round = t.s.(S.rtx_backoff); count = n });
@@ -510,7 +519,7 @@ and resend_all t =
   match t.tx with
   | None -> ()
   | Some ch ->
-    Queue.iter
+    List.iter
       (fun e ->
         transmit t ch ?snapshot_bytes:e.r_snapshot_bytes ~dseq:e.r_dseq
           e.r_body)
@@ -527,15 +536,16 @@ and send_msg ?snapshot_bytes t body =
     t.s.(S.data_sent) <- t.s.(S.data_sent) + 1;
     let bytes = Message.bytes ?snapshot_bytes (Message.make ~seq:0 ~dseq body) in
     emit t (Ev.Msg_send { dseq; kind = Message.body_kind body; bytes });
-    Queue.add
-      {
-        r_dseq = dseq;
-        r_body = body;
-        r_snapshot_bytes = snapshot_bytes;
-        r_bytes = bytes;
-      }
-      t.rtx_queue;
-    set_flag t S.rtx_dirty true;
+    t.rtx_queue <-
+      t.rtx_queue
+      @ [
+          {
+            r_dseq = dseq;
+            r_body = body;
+            r_snapshot_bytes = snapshot_bytes;
+            r_bytes = bytes;
+          };
+        ];
     transmit t ch ?snapshot_bytes ~dseq body;
     arm_rtx t
 
@@ -598,9 +608,9 @@ and deliver_one_interrupt t { bi; since; obs_id } =
     | Some (addr, data) -> Memory.blit_in (Cpu.mem t.vm) ~addr data
     | None -> ());
     Disk_ctl.set_status t.ctl rc.Message.status;
-    (match Queue.take_opt t.outstanding with
-    | Some _ -> ()
-    | None ->
+    (match t.outstanding with
+    | _ :: rest -> t.outstanding <- rest
+    | [] ->
       t.st.Stats.spurious_completions <- t.st.Stats.spurious_completions + 1;
       emit t (Ev.Note "disk completion with no outstanding op"));
     set_vcr t Isa.Cr_scratch0 Layout.intr_kind_disk
@@ -808,9 +818,9 @@ and sim_env_backup t i =
     complete_simulated t
   | Isa.Rdtod _ | Isa.Rdtmr _ | Isa.Wrtmr _ -> (
     let key = (t.s.(S.epoch), t.s.(S.env_idx)) in
-    match Hashtbl.find_opt t.env_vals key with
+    match EM.find_opt key t.env_vals with
     | Some v ->
-      Hashtbl.remove t.env_vals key;
+      t.env_vals <- EM.remove key t.env_vals;
       apply_env_value t i v;
       t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
       complete_simulated t
@@ -899,7 +909,7 @@ and handle_doorbell t req =
   | Backup ->
     (* case (i) of section 2.2: suppress, but remember the initiation
        so a failover can synthesize its uncertain completion (P7) *)
-    Queue.add req t.outstanding;
+    t.outstanding <- t.outstanding @ [ req ];
     t.st.Stats.io_suppressed <- t.st.Stats.io_suppressed + 1;
     emit t
       (Ev.Io_suppressed
@@ -933,7 +943,7 @@ and issue_io t req =
         }
     else Disk.Read { block = req.block }
   in
-  Queue.add req t.outstanding;
+  t.outstanding <- t.outstanding @ [ req ];
   t.st.Stats.io_submitted <- t.st.Stats.io_submitted + 1;
   let dma = req.dma in
   let op_id =
@@ -1098,7 +1108,7 @@ and check_virtual_timer t ~tod =
    end.  P6/P7 take over if the primary has been declared dead. *)
 and backup_boundary t =
   let e = t.s.(S.epoch) in
-  match Hashtbl.find_opt t.tmes e with
+  match IM.find_opt e t.tmes with
   | None ->
     if flag t S.peer_alive then begin
       t.blocked <- B_tme;
@@ -1106,7 +1116,7 @@ and backup_boundary t =
     end
     else promote t
   | Some (tod, deadline) ->
-    if not (Hashtbl.mem t.ends e) then begin
+    if not (IM.mem e t.ends) then begin
       if flag t S.peer_alive then begin
         t.blocked <- B_end;
         arm_detector t
@@ -1114,7 +1124,9 @@ and backup_boundary t =
       else promote t
     end
     else begin
-      (* Tme_b := Tme_p *)
+      (* Tme_b := Tme_p; epoch [e]'s entries are used up *)
+      t.tmes <- IM.remove e t.tmes;
+      t.ends <- IM.remove e t.ends;
       t.s.(S.vtod_us) <- tod;
       t.s.(S.vtimer_deadline_us) <- deadline;
       check_virtual_timer_backup t ~tod;
@@ -1145,26 +1157,25 @@ and check_virtual_timer_backup t ~tod =
   let dl = t.s.(S.vtimer_deadline_us) in
   if dl >= 0 && dl <= tod then begin
     t.s.(S.vtimer_deadline_us) <- -1;
-    let r = buffered_ref t t.s.(S.epoch) in
-    r := stamp t Bi_timer ~epoch:t.s.(S.epoch) :: !r;
+    buffer t t.s.(S.epoch) Bi_timer;
     t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1
   end
 
-and buffered_ref t e =
-  match Hashtbl.find_opt t.buffered_by_epoch e with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.replace t.buffered_by_epoch e r;
-    r
+(* Buffer an interrupt for delivery at epoch [e]'s end. *)
+and buffer t e bi =
+  let s = stamp t bi ~epoch:e in
+  t.buffered_by_epoch <-
+    IM.update e
+      (fun l -> Some (s :: Option.value l ~default:[]))
+      t.buffered_by_epoch
 
 and take_buffered t e =
   let l =
-    match Hashtbl.find_opt t.buffered_by_epoch e with
-    | Some r -> List.rev !r
+    match IM.find_opt e t.buffered_by_epoch with
+    | Some l -> List.rev l
     | None -> []
   in
-  Hashtbl.remove t.buffered_by_epoch e;
+  t.buffered_by_epoch <- IM.remove e t.buffered_by_epoch;
   l
 
 (* P6 and P7: the failover epoch.  Deliver what was relayed, then an
@@ -1173,7 +1184,7 @@ and take_buffered t e =
 and promote t =
   let e = t.s.(S.epoch) in
   let tod =
-    match Hashtbl.find_opt t.tmes e with
+    match IM.find_opt e t.tmes with
     | Some (tod, deadline) ->
       t.s.(S.vtod_us) <- tod;
       t.s.(S.vtimer_deadline_us) <- deadline;
@@ -1191,7 +1202,7 @@ and promote t =
            match bi with Bi_disk _ -> true | Bi_timer -> false)
          deliver_set)
   in
-  let to_synthesize = max 0 (Queue.length t.outstanding - relayed_disk) in
+  let to_synthesize = max 0 (List.length t.outstanding - relayed_disk) in
   let synths =
     List.init to_synthesize (fun _ ->
         stamp t
@@ -1319,13 +1330,13 @@ and handle_frame t msg =
         send_ack t
       end
       else if d > t.s.(S.data_recvd) then begin
-        if Hashtbl.mem t.rcv_hold d then begin
+        if IM.mem d t.rcv_hold then begin
           t.st.Stats.duplicates_dropped <- t.st.Stats.duplicates_dropped + 1;
           emit t
             (Ev.Frame_dropped
                { wire_seq = msg.Message.seq; reason = Ev.Duplicate })
         end
-        else Hashtbl.replace t.rcv_hold d msg.Message.body;
+        else t.rcv_hold <- IM.add d msg.Message.body t.rcv_hold;
         (* a gap separates this message from the delivered prefix; the
            cumulative ack doubles as a gap signal, prompting the sender
            to retransmit the missing middle without waiting out its
@@ -1339,9 +1350,9 @@ and handle_frame t msg =
           t.s.(S.data_recvd) <- t.s.(S.data_recvd) + 1;
           handle_body t body;
           if flag t S.alive then
-            match Hashtbl.find_opt t.rcv_hold t.s.(S.data_recvd) with
+            match IM.find_opt t.s.(S.data_recvd) t.rcv_hold with
             | Some b ->
-              Hashtbl.remove t.rcv_hold t.s.(S.data_recvd);
+              t.rcv_hold <- IM.remove t.s.(S.data_recvd) t.rcv_hold;
               drain b
             | None -> ()
         in
@@ -1354,14 +1365,13 @@ and handle_frame t msg =
 and apply_ack t upto =
   if upto > t.s.(S.acked) then begin
     t.s.(S.acked) <- upto;
-    while
-      (not (Queue.is_empty t.rtx_queue))
-      && (Queue.peek t.rtx_queue).r_dseq < t.s.(S.acked)
-    do
-      let e = Queue.pop t.rtx_queue in
-      set_flag t S.rtx_dirty true;
-      emit t (Ev.Msg_acked { dseq = e.r_dseq })
-    done;
+    let rec retire = function
+      | e :: rest when e.r_dseq < upto ->
+        emit t (Ev.Msg_acked { dseq = e.r_dseq });
+        retire rest
+      | q -> q
+    in
+    t.rtx_queue <- retire t.rtx_queue;
     (* progress restarts the retransmission clock *)
     t.s.(S.rtx_backoff) <- 0;
     cancel_rtx t;
@@ -1394,7 +1404,7 @@ and handle_body t body =
        and re-ack our own cursor so a sender stranded in an ack wait
        by the outage is released without waiting out a timeout. *)
     apply_ack t upto;
-    let n = Queue.length t.rtx_queue in
+    let n = List.length t.rtx_queue in
     if n > 0 then begin
       resend_all t;
       t.st.Stats.retransmits <- t.st.Stats.retransmits + n;
@@ -1404,14 +1414,13 @@ and handle_body t body =
   | body ->
     (match body with
     | Message.Intr { epoch; completion } ->
-      let r = buffered_ref t epoch in
-      r := stamp t (Bi_disk completion) ~epoch :: !r;
+      buffer t epoch (Bi_disk completion);
       t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1
     | Message.Env_val { epoch; idx; value } ->
-      Hashtbl.replace t.env_vals (epoch, idx) value
+      t.env_vals <- EM.add (epoch, idx) value t.env_vals
     | Message.Tme { epoch; tod_us; timer_deadline_us } ->
-      Hashtbl.replace t.tmes epoch (tod_us, timer_deadline_us)
-    | Message.Epoch_end { epoch } -> Hashtbl.replace t.ends epoch ()
+      t.tmes <- IM.add epoch (tod_us, timer_deadline_us) t.tmes
+    | Message.Epoch_end { epoch } -> t.ends <- IM.add epoch () t.ends
     | Message.Snapshot_offer { epoch; code_hash } ->
       receive_snapshot t ~epoch ~code_hash
     | Message.Snapshot_done { epoch = _ } -> (
@@ -1448,7 +1457,7 @@ and handle_body t body =
       t.blocked <- Not_blocked;
       backup_boundary t
     | B_env ->
-      if Hashtbl.mem t.env_vals (t.s.(S.epoch), t.s.(S.env_idx)) then begin
+      if EM.mem (t.s.(S.epoch), t.s.(S.env_idx)) t.env_vals then begin
         cancel_detector t;
         t.blocked <- Not_blocked;
         continue_after_env_retry t
@@ -1468,7 +1477,7 @@ and take_snapshot t =
     s_cpu;
     s_vcrs = Array.copy t.vcrs;
     s_ctl = ctl;
-    s_outstanding = List.of_seq (Queue.to_seq t.outstanding);
+    s_outstanding = t.outstanding;
     s_pending = t.pending_delivery;
     s_vtimer = t.s.(S.vtimer_deadline_us);
     s_vtod = read_vtod t;
@@ -1488,7 +1497,7 @@ and start_reintegration t =
     t.s.(S.acked) <- 0;
     t.s.(S.data_recvd) <- 0;
     clear_rtx t;
-    Hashtbl.reset t.rcv_hold;
+    t.rcv_hold <- IM.empty;
     let snap = take_snapshot t in
     peer.snapshot_box <- Some snap;
     let mem_bytes = 4 * Memory.size (Cpu.mem t.vm) in
@@ -1523,8 +1532,7 @@ and receive_snapshot t ~epoch ~code_hash =
     Array.blit snap.s_vcrs 0 t.vcrs 0 Array.(length t.vcrs);
     apply_vstatus t;
     Disk_ctl.copy_state_from t.ctl snap.s_ctl;
-    Queue.clear t.outstanding;
-    List.iter (fun r -> Queue.add r t.outstanding) snap.s_outstanding;
+    t.outstanding <- snap.s_outstanding;
     t.s.(S.vtimer_deadline_us) <- snap.s_vtimer;
     t.s.(S.vtod_us) <- snap.s_vtod;
     t.s.(S.epoch) <- epoch;
@@ -1535,10 +1543,10 @@ and receive_snapshot t ~epoch ~code_hash =
     t.blocked <- Not_blocked;
     t.pending_delivery <- snap.s_pending;
     t.buffered_current <- [];
-    Hashtbl.reset t.buffered_by_epoch;
-    Hashtbl.reset t.env_vals;
-    Hashtbl.reset t.tmes;
-    Hashtbl.reset t.ends;
+    t.buffered_by_epoch <- IM.empty;
+    t.env_vals <- EM.empty;
+    t.tmes <- IM.empty;
+    t.ends <- IM.empty;
     (match t.p.Params.epoch_mechanism with
     | Params.Recovery_register -> Cpu.set_recovery t.vm t.p.Params.epoch_length
     | Params.Code_rewriting -> Cpu.disable_recovery t.vm);
@@ -1563,10 +1571,7 @@ and hv_healthy t = match t.health with Healthy -> true | _ -> false
    fault can be injected. *)
 and persist t =
   copy t.s 0 t.rb 0 S.protected;
-  if flag t S.rtx_dirty then begin
-    t.rb_rtx <- List.of_seq (Queue.to_seq t.rtx_queue);
-    set_flag t S.rtx_dirty false
-  end
+  t.rb_rtx <- t.rtx_queue
 
 (* Every hypervisor-owned event handler enters through this guard.
    Healthy: pat the heartbeat (the out-of-band watchdog's only view of
@@ -1598,8 +1603,7 @@ and scramble t target =
   List.iter (fun (i, d) -> t.s.(i) <- t.s.(i) + d) (scramble_offsets target);
   if target = C_rtx then begin
     (* the in-flight bookkeeping is lost wholesale *)
-    Queue.clear t.rtx_queue;
-    set_flag t S.rtx_dirty true;
+    t.rtx_queue <- [];
     t.s.(S.rtx_backoff) <- 0
   end
 
@@ -1691,9 +1695,7 @@ and complete_microreboot t =
     (* 1. protected counters come back from the recovery block; this
        also heals whatever a corruption fault scrambled *)
     copy t.rb 0 t.s 0 S.protected;
-    Queue.clear t.rtx_queue;
-    List.iter (fun e -> Queue.add e t.rtx_queue) t.rb_rtx;
-    set_flag t S.rtx_dirty true;
+    t.rtx_queue <- t.rb_rtx;
     (* 2. volatile state did not survive: stale timer handles are
        cancelled (safe on already-fired events), interrupt-level debt
        is void, and the receive-side reassembly window restarts — its
@@ -1702,8 +1704,8 @@ and complete_microreboot t =
     cancel_rtx t;
     t.s.(S.rtx_backoff) <- 0;
     set_time t S.debt Time.zero;
-    let held = Hashtbl.length t.rcv_hold in
-    Hashtbl.reset t.rcv_hold;
+    let held = IM.cardinal t.rcv_hold in
+    t.rcv_hold <- IM.empty;
     let msgs = held + t.s.(S.dropped_while_down) in
     t.s.(S.dropped_while_down) <- 0;
     t.st.Stats.reconciled_msgs <- t.st.Stats.reconciled_msgs + msgs;
@@ -1786,7 +1788,7 @@ let revive_as_backup t =
   t.s.(S.acked) <- 0;
   t.s.(S.data_recvd) <- 0;
   clear_rtx t;
-  Hashtbl.reset t.rcv_hold;
+  t.rcv_hold <- IM.empty;
   t.health <- Healthy;
   t.s.(S.heartbeat) <- 0;
   t.missed <- [];
@@ -1815,7 +1817,7 @@ let start t =
 
 (* ---------- model-checker accessors ---------- *)
 
-let outstanding_io t = Queue.length t.outstanding
+let outstanding_io t = List.length t.outstanding
 
 let slots = Array.to_list S.table
 let slot t i = t.s.(i)
@@ -1838,6 +1840,13 @@ let fingerprint t =
   let io h r = mix (mix (mix h r.cmd) r.block) r.dma in
   let body h dseq b = Message.body_checksum (mix h dseq) b in
   let rtx h e = body h e.r_dseq e.r_body in
+  (* a map mixes its size, then every binding in key order; an empty
+     one allocates no closure (a fingerprint is taken at every explored
+     state, and most maps are empty) *)
+  let map f h m =
+    if IM.is_empty m then mix h 0
+    else IM.fold (fun k v h -> f h k v) m (mix h (IM.cardinal m))
+  in
   let h = ref (vm_state_hash t) in
   for k = 0 to Array.length S.fingerprinted - 1 do
     h := mix !h t.s.(S.fingerprinted.(k))
@@ -1858,17 +1867,22 @@ let fingerprint t =
     | B_env -> mix h 5
     | B_snapshot -> mix h 6
   in
-  let h = Fnv.queue rtx h t.rtx_queue in
-  let h = Fnv.table body h t.rcv_hold in
+  let h = Fnv.list rtx h t.rtx_queue in
+  let h = map body h t.rcv_hold in
   let h = Fnv.list stamped h t.buffered_current in
   let h = Fnv.list stamped h t.pending_delivery in
   let h =
-    Fnv.table (fun h e r -> Fnv.list stamped (mix h e) !r) h t.buffered_by_epoch
+    map (fun h e l -> Fnv.list stamped (mix h e) l) h t.buffered_by_epoch
   in
-  let h = Fnv.table (fun h (e, i) v -> mix (mix (mix h e) i) v) h t.env_vals in
-  let h = Fnv.table (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h t.tmes in
-  let h = Fnv.table (fun h e () -> mix h e) h t.ends in
-  let h = Fnv.queue io h t.outstanding in
+  let h =
+    EM.fold
+      (fun (e, i) v h -> mix (mix (mix h e) i) v)
+      t.env_vals
+      (mix h (EM.cardinal t.env_vals))
+  in
+  let h = map (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h t.tmes in
+  let h = map (fun h e () -> mix h e) h t.ends in
+  let h = Fnv.list io h t.outstanding in
   let h = mix h (match t.snapshot_box with None -> -1 | Some s -> s.s_epoch) in
   let h = flag (flag h (t.detector <> None)) (t.rtx_timer <> None) in
   (* the recovery block's list is summarised by its [dseq]s (the
@@ -1891,11 +1905,11 @@ let fingerprint t =
    The state table, the recovery block and the virtual control
    registers go into one int array, and the statistics into a
    [Stats.t]; both are recycled from a released save, so a save in
-   steady state allocates neither.  The remaining fields hold immutable
-   values (lists, options, variants, events, closures) and are saved by
-   reference; the containers the record holds directly are saved by
-   value beside them, shared with [like]'s where unchanged.  Everything
-   is restored in place. *)
+   steady state allocates neither.  Every other field holds an
+   immutable value — the tables are maps and the queues lists, beside
+   options, variants, events and closures — and is saved by reference;
+   only the disk controller's registers are copied, shared with
+   [like]'s while unchanged.  Everything is restored in place. *)
 
 type saved = {
   sv_of : t;
@@ -1914,12 +1928,12 @@ type saved = {
   sv_rb_rtx : rtx_entry list;
   sv_on_epoch_boundary : epoch:int -> hash:int -> unit;
   sv_ctl : Disk_ctl.t;
-  sv_rcv_hold : (int * Message.body) list;
+  sv_rcv_hold : Message.body IM.t;
   sv_rtx : rtx_entry list;
-  sv_buffered : (int * stamped list) list;
-  sv_env_vals : ((int * int) * Word.t) list;
-  sv_tmes : (int * (Word.t * int)) list;
-  sv_ends : (int * unit) list;
+  sv_buffered : stamped list IM.t;
+  sv_env_vals : Word.t EM.t;
+  sv_tmes : (Word.t * int) IM.t;
+  sv_ends : unit IM.t;
   sv_outstanding : io_req list;
 }
 
@@ -1932,44 +1946,7 @@ type spare = { sp_ints : int array; sp_st : Stats.t; sp_cpu : int array }
 let spare s =
   { sp_ints = s.sv_ints; sp_st = s.sv_st; sp_cpu = Cpu.ints s.sv_vm }
 
-let bindings tbl =
-  if Hashtbl.length tbl = 0 then []
-  else Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-
-let elements q = if Queue.is_empty q then [] else List.of_seq (Queue.to_seq q)
-
-(* [tbl] holds exactly [l]'s bindings (keys are unique: every table is
-   written with [replace]), checked without building a list *)
-let rec holds_all tbl get = function
-  | [] -> true
-  | (k, v) :: tl ->
-    Hashtbl.mem tbl k && get (Hashtbl.find tbl k) = v && holds_all tbl get tl
-
-let holds tbl get l =
-  match l with
-  | [] -> Hashtbl.length tbl = 0
-  | _ -> Hashtbl.length tbl = List.length l && holds_all tbl get l
-
-let refill tbl l =
-  if Hashtbl.length tbl > 0 || l <> [] then begin
-    Hashtbl.reset tbl;
-    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) l
-  end
-
-let refill_queue q l =
-  Queue.clear q;
-  List.iter (fun x -> Queue.add x q) l
-
-(* [like]'s part while the live one equals it (structurally: none of
-   these holds a closure), else a fresh copy *)
-let table like tbl get fresh =
-  match like with Some l when holds tbl get l -> l | _ -> fresh (bindings tbl)
-
-let queue like q =
-  match like with Some l when elements q = l -> l | _ -> elements q
-
 let save ?like ?into t =
-  let part f = Option.map f like in
   let ints, st =
     match into with
     | Some sp -> (sp.sp_ints, sp.sp_st)
@@ -1983,7 +1960,7 @@ let save ?like ?into t =
     sv_of = t;
     sv_vm =
       Cpu.save
-        ?like:(part (fun l -> l.sv_vm))
+        ?like:(Option.map (fun l -> l.sv_vm) like)
         ?into:(Option.map (fun sp -> sp.sp_cpu) into)
         t.vm;
     sv_ints = ints;
@@ -2003,19 +1980,13 @@ let save ?like ?into t =
       (match like with
       | Some l when l.sv_ctl = t.ctl -> l.sv_ctl
       | _ -> Disk_ctl.save t.ctl);
-    sv_rcv_hold =
-      table (part (fun l -> l.sv_rcv_hold)) t.rcv_hold Fun.id Fun.id;
-    sv_rtx = queue (part (fun l -> l.sv_rtx)) t.rtx_queue;
-    sv_buffered =
-      table
-        (part (fun l -> l.sv_buffered))
-        t.buffered_by_epoch ( ! )
-        (List.map (fun (k, r) -> (k, !r)));
-    sv_env_vals =
-      table (part (fun l -> l.sv_env_vals)) t.env_vals Fun.id Fun.id;
-    sv_tmes = table (part (fun l -> l.sv_tmes)) t.tmes Fun.id Fun.id;
-    sv_ends = table (part (fun l -> l.sv_ends)) t.ends Fun.id Fun.id;
-    sv_outstanding = queue (part (fun l -> l.sv_outstanding)) t.outstanding;
+    sv_rcv_hold = t.rcv_hold;
+    sv_rtx = t.rtx_queue;
+    sv_buffered = t.buffered_by_epoch;
+    sv_env_vals = t.env_vals;
+    sv_tmes = t.tmes;
+    sv_ends = t.ends;
+    sv_outstanding = t.outstanding;
   }
 
 let restore t s =
@@ -2027,14 +1998,13 @@ let restore t s =
   copy s.sv_ints (S.count + S.protected) t.vcrs 0 Isa.num_crs;
   Stats.blit ~src:s.sv_st ~dst:t.st;
   Disk_ctl.copy_state_from t.ctl s.sv_ctl;
-  refill t.rcv_hold s.sv_rcv_hold;
-  refill_queue t.rtx_queue s.sv_rtx;
-  refill t.buffered_by_epoch
-    (List.map (fun (k, l) -> (k, ref l)) s.sv_buffered);
-  refill t.env_vals s.sv_env_vals;
-  refill t.tmes s.sv_tmes;
-  refill t.ends s.sv_ends;
-  refill_queue t.outstanding s.sv_outstanding;
+  t.rcv_hold <- s.sv_rcv_hold;
+  t.rtx_queue <- s.sv_rtx;
+  t.buffered_by_epoch <- s.sv_buffered;
+  t.env_vals <- s.sv_env_vals;
+  t.tmes <- s.sv_tmes;
+  t.ends <- s.sv_ends;
+  t.outstanding <- s.sv_outstanding;
   t.role_ <- s.sv_role;
   t.blocked <- s.sv_blocked;
   t.detector <- s.sv_detector;

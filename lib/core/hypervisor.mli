@@ -135,10 +135,9 @@ val fingerprint : t -> int
     registers, and every piece of protocol state
     (role, liveness, blocking, reliable-stream counters and queues,
     held and buffered messages, forwarded values, virtual clocks,
-    recovery state).  Queues and lists mix their length first; hash
-    tables mix the xor of per-entry digests, so their bucket order
-    does not matter.  Timing {e statistics} and arrival stamps are
-    excluded, so two runs that reach behaviourally identical states by
+    recovery state).  Queues and lists mix their length first; tables
+    are maps and mix their size, then every binding in key order.
+    Timing {e statistics} and arrival stamps are excluded, so two runs that reach behaviourally identical states by
     different schedules fingerprint alike.  Used with
     {!Hft_sim.Engine.pending_fingerprint} and the channel/disk
     fingerprints to prune the model checker's state graph. *)
@@ -151,10 +150,11 @@ val fingerprint : t -> int
 type saved
 (** The whole node: its CPU ({!Hft_machine.Cpu.save}); one int array
     holding every slot of the state table, the recovery block and the
-    virtual control registers; disk controller registers, statistics,
-    every other protocol field, table and queue, and the epoch-boundary
-    hook.  The wiring {!connect} and {!set_on_promote} install is set
-    once and not saved.
+    virtual control registers; disk controller registers and
+    statistics; and by reference every other protocol field — the
+    tables and queues are immutable maps and lists — and the
+    epoch-boundary hook.  The wiring {!connect} and {!set_on_promote}
+    install is set once and not saved.
     Timer handles are saved as the engine events they name, which
     {!Hft_sim.Engine.restore} brings back. *)
 
@@ -165,9 +165,10 @@ type spare
 val spare : saved -> spare
 
 val save : ?like:saved -> ?into:spare -> t -> saved
-(** Parts equal to [like]'s are shared with it rather than copied.
-    With [into], the integer state and statistics are written there
-    instead of into fresh storage. *)
+(** The CPU's parts and the disk controller registers equal to
+    [like]'s are shared with it rather than copied.  With [into], the
+    integer state and statistics are written there instead of into
+    fresh storage. *)
 
 val restore : t -> saved -> unit
 (** Put the node back in place to a {!save} of it.

@@ -59,6 +59,8 @@ type pending = { p_port : int; p_op : op; p_id : int; p_done : completion -> uni
    hypervisor's microreboot drains it. *)
 type parked = { k_done : completion -> unit; k_completion : completion }
 
+module IM = Map.Make (Int)
+
 type t = {
   engine : Engine.t;
   prm : params;
@@ -72,8 +74,8 @@ type t = {
          [restore], so no saved state shares it and a write may go in
          place *)
   mutable filled : bool;
-  queue : pending Queue.t;
-  deferred : (int, parked list) Hashtbl.t;
+  mutable queue : pending list; (* oldest first *)
+  mutable deferred : parked list IM.t;
       (* port -> parked completions, newest first; a port bound here
          has its completion interrupts masked *)
   mutable busy_ : bool;
@@ -101,8 +103,8 @@ let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
     storage = Array.make prm.blocks [||];
     owned = Array.make prm.blocks true;
     filled = false;
-    queue = Queue.create ();
-    deferred = Hashtbl.create 2;
+    queue = [];
+    deferred = IM.empty;
     busy_ = false;
     next_op_id = 0;
     next_log_seq = 0;
@@ -117,7 +119,7 @@ let check_block t block =
     invalid_arg (Printf.sprintf "Disk: bad block %d" block)
 
 let busy t = t.busy_
-let queue_depth t = Queue.length t.queue + if t.busy_ then 1 else 0
+let queue_depth t = List.length t.queue + if t.busy_ then 1 else 0
 
 (* Blocks are built with [Array.make] and typed stores: [Array.init]
    and [Array.copy] of a block past the minor-heap limit pay a write
@@ -188,9 +190,10 @@ let log t ~port ~op_id ~op ~status ~performed =
   t.log_rev <- entry :: t.log_rev
 
 let rec start_next t =
-  match Queue.take_opt t.queue with
-  | None -> t.busy_ <- false
-  | Some p ->
+  match t.queue with
+  | [] -> t.busy_ <- false
+  | p :: rest ->
+    t.queue <- rest;
     t.busy_ <- true;
     let latency =
       match p.p_op with
@@ -228,10 +231,12 @@ and complete t p =
   let c =
     { op_id = p.p_id; port = p.p_port; op = p.p_op; status; performed; data }
   in
-  (match Hashtbl.find_opt t.deferred p.p_port with
+  (match IM.find_opt p.p_port t.deferred with
   | Some parked ->
-    Hashtbl.replace t.deferred p.p_port
-      ({ k_done = p.p_done; k_completion = c } :: parked)
+    t.deferred <-
+      IM.add p.p_port
+        ({ k_done = p.p_done; k_completion = c } :: parked)
+        t.deferred
   | None -> p.p_done c);
   start_next t
 
@@ -244,40 +249,40 @@ let submit t ~port op ~on_complete =
       invalid_arg "Disk.submit: wrong block size");
   let id = t.next_op_id in
   t.next_op_id <- id + 1;
-  Queue.add { p_port = port; p_op = op; p_id = id; p_done = on_complete } t.queue;
+  t.queue <-
+    t.queue @ [ { p_port = port; p_op = op; p_id = id; p_done = on_complete } ];
   if not t.busy_ then start_next t;
   id
 
 let defer_port t ~port =
-  if not (Hashtbl.mem t.deferred port) then Hashtbl.replace t.deferred port []
+  if not (IM.mem port t.deferred) then t.deferred <- IM.add port [] t.deferred
 
 let release_port t ~port =
-  match Hashtbl.find_opt t.deferred port with
+  match IM.find_opt port t.deferred with
   | None -> 0
   | Some parked ->
-    Hashtbl.remove t.deferred port;
+    t.deferred <- IM.remove port t.deferred;
     (* oldest first, the order the interrupts would have arrived in *)
     let parked = List.rev parked in
     List.iter (fun k -> k.k_done k.k_completion) parked;
     List.length parked
 
 let drop_port t ~port =
-  match Hashtbl.find_opt t.deferred port with
+  match IM.find_opt port t.deferred with
   | None -> 0
   | Some parked ->
-    Hashtbl.remove t.deferred port;
+    t.deferred <- IM.remove port t.deferred;
     List.length parked
 
 let storage_hash t = t.storage_hash_
 
-(* Blocks are shared with the save, copy-on-write; the log is an
-   immutable list and the queued and parked records are immutable
-   too. *)
+(* Blocks are shared with the save, copy-on-write; the queue, the
+   parked table and the log are immutable values, held by reference. *)
 type saved = {
   sv_storage : Hft_machine.Word.t array array;
   sv_filled : bool;
   sv_queue : pending list;
-  sv_deferred : (int * parked list) list;
+  sv_deferred : parked list IM.t;
   sv_busy : bool;
   sv_next_op_id : int;
   sv_next_log_seq : int;
@@ -286,30 +291,17 @@ type saved = {
   sv_rng : Rng.saved;
 }
 
-(* [like]'s storage and queues are shared when they hold the same
-   records (which carry closures, so they compare physically). *)
+(* [like]'s storage array is shared while it holds the same blocks. *)
 let save ?like t =
   Array.fill t.owned 0 t.prm.blocks false;
-  let same a b = List.equal ( == ) a b in
-  let keep part eq fresh =
-    match like with Some l when eq (part l) fresh -> part l | _ -> fresh
-  in
   {
     sv_storage =
       (match like with
       | Some l when Array.for_all2 ( == ) l.sv_storage t.storage -> l.sv_storage
       | _ -> Array.copy t.storage);
     sv_filled = t.filled;
-    sv_queue =
-      keep
-        (fun l -> l.sv_queue)
-        same
-        (List.of_seq (Queue.to_seq t.queue));
-    sv_deferred =
-      keep
-        (fun l -> l.sv_deferred)
-        (List.equal (fun (k, a) (k', b) -> k = k' && same a b))
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.deferred []);
+    sv_queue = t.queue;
+    sv_deferred = t.deferred;
     sv_busy = t.busy_;
     sv_next_op_id = t.next_op_id;
     sv_next_log_seq = t.next_log_seq;
@@ -322,10 +314,8 @@ let restore t s =
   Array.blit s.sv_storage 0 t.storage 0 t.prm.blocks;
   Array.fill t.owned 0 t.prm.blocks false;
   t.filled <- s.sv_filled;
-  Queue.clear t.queue;
-  List.iter (fun p -> Queue.add p t.queue) s.sv_queue;
-  Hashtbl.reset t.deferred;
-  List.iter (fun (k, v) -> Hashtbl.replace t.deferred k v) s.sv_deferred;
+  t.queue <- s.sv_queue;
+  t.deferred <- s.sv_deferred;
   t.busy_ <- s.sv_busy;
   t.next_op_id <- s.sv_next_op_id;
   t.next_log_seq <- s.sv_next_log_seq;
@@ -341,7 +331,7 @@ let fingerprint t =
   in
   let status h s = mix h (match s with Ok -> 0 | Uncertain -> 1) in
   let h = flag (flag (mix Fnv.basis t.storage_hash_) t.filled) t.busy_ in
-  let h = Fnv.queue (fun h p -> op (mix h p.p_port) p.p_op) h t.queue in
+  let h = Fnv.list (fun h p -> op (mix h p.p_port) p.p_op) h t.queue in
   (* Log entries without their seq, op_id and completion times: those
      encode when things happened, not what the environment observed. *)
   let h =
@@ -354,13 +344,14 @@ let fingerprint t =
   (* Parked completions are protocol-visible state: two global states
      that differ only in what waits in the controller ring must not
      fingerprint alike. *)
-  Fnv.table
-    (fun h port parked ->
+  IM.fold
+    (fun port parked h ->
       Fnv.list
         (fun h { k_completion = c; _ } ->
           flag (status (op h c.op) c.status) c.performed)
         (mix h port) parked)
-    h t.deferred
+    t.deferred
+    (mix h (IM.cardinal t.deferred))
 
 module Log = struct
   type entry = log_entry = {

@@ -188,9 +188,12 @@ end
 type saved
 (** Contents, queue, parked completions, log, counters and the fault
     generator's position.  Blocks are shared with the live disk and
-    copied on its next write to them, so a save costs no block copy. *)
+    copied on its next write to them, so a save costs no block copy;
+    the queue, the parked completions and the log are immutable values
+    and are held by reference. *)
 
 val save : ?like:saved -> t -> saved
-(** Parts equal to [like]'s are shared with it rather than copied. *)
+(** The array of blocks is shared with [like]'s while it holds the
+    same blocks. *)
 
 val restore : t -> saved -> unit

@@ -20,11 +20,5 @@ val int : int -> int -> int
 val bool : int -> bool -> int
 val string : int -> string -> int (** the length, then every byte *)
 
-(** A list or queue mixes its length, then each element with the given
-    step.  A table mixes the xor of its entries' digests [f basis k v],
-    so bucket order does not matter; an empty one mixes 0 without
-    walking its buckets. *)
-
 val list : (int -> 'a -> int) -> int -> 'a list -> int
-val queue : (int -> 'a -> int) -> int -> 'a Queue.t -> int
-val table : (int -> 'k -> 'v -> int) -> int -> ('k, 'v) Hashtbl.t -> int
+(** A list mixes its length, then each element with the given step. *)

@@ -177,57 +177,113 @@ let max_states_exact () =
   Alcotest.(check int) "states" 100 r.Checker.r_stats.Checker.states;
   Alcotest.(check bool) "incomplete" false r.Checker.r_complete
 
-(* Every table of the backup's protocol state reaches the fingerprint.
-   No pinned count depends on them, so each gets a direct check: a
-   fresh handoff system's backup receives one reliable message that
-   lands in exactly one table, in two versions differing in one field;
-   both the node's and the system's fingerprints must tell them
-   apart. *)
+(* Every table and queue of a node's protocol state reaches the
+   fingerprint and comes back from a save.  No pinned count depends on
+   them, so each gets a direct check: a fresh handoff system's node
+   receives reliable messages that land in exactly one container, in
+   two versions differing in one field; both the node's and the
+   system's fingerprints must tell them apart.  In every version a
+   [Hypervisor.save] taken before the messages, restored after them,
+   gives back the earlier node fingerprint.
+
+   The retransmission queue is filled by the revived ex-primary, which
+   sends every reliable message it receives back to its peer (the echo
+   in [handle_body]): two values arriving in either order leave the
+   same forwarded-value table and counters and differ only in which
+   [dseq] carries which value.  The suppressed-I/O record fills only at
+   the guest's own doorbell, together with the controller registers and
+   the pc that issued it, so it has no two-version case; a crash-write
+   backup stepped to its first suppressed write checks that the
+   fingerprint moves and that the save from the step before brings the
+   empty record back. *)
 let tables_fingerprinted () =
   let module M = Hft_core.Message in
+  let module H = Hft_core.Hypervisor in
+  let module System = Hft_core.System in
   let module Layout = Hft_guest.Layout in
-  let sc = find_scenario "handoff" in
-  let fingerprints ~dseq body =
-    let sys =
-      Hft_core.System.create ~params:sc.Scenarios.sc_params
-        ~workload:sc.Scenarios.sc_workload ()
-    in
-    let b = Hft_core.System.backup sys in
-    Hft_core.Hypervisor.on_message b (M.make ~seq:0 ~dseq body);
-    (Hft_core.Hypervisor.fingerprint b, Hft_core.System.fingerprint sys)
+  let system name =
+    let sc = find_scenario name in
+    System.create ~params:sc.Scenarios.sc_params
+      ~workload:sc.Scenarios.sc_workload ()
+  in
+  let unrestored = ref [] in
+  let restores table n saved before =
+    H.restore n saved;
+    if H.fingerprint n <> before then unrestored := table :: !unrestored
+  in
+  let fingerprints table node msgs =
+    let sys = system "handoff" in
+    let n = node sys in
+    let saved = H.save n and before = H.fingerprint n in
+    List.iter
+      (fun (dseq, body) -> H.on_message n (M.make ~seq:0 ~dseq body))
+      msgs;
+    let after = (H.fingerprint n, System.fingerprint sys) in
+    restores table n saved before;
+    after
+  in
+  let backup = System.backup in
+  let ex_primary sys =
+    let p = System.primary sys in
+    H.revive_as_backup p;
+    p
   in
   let tme tod = M.Tme { epoch = 3; tod_us = tod; timer_deadline_us = -1 } in
   let intr status =
     M.Intr { epoch = 1; completion = { M.status; dma = None } }
   in
-  let blind (table, dseq, a, b) =
-    let node_a, sys_a = fingerprints ~dseq a
-    and node_b, sys_b = fingerprints ~dseq b in
+  let env idx value = M.Env_val { epoch = 1; idx; value } in
+  let blind (table, node, a, b) =
+    let node_a, sys_a = fingerprints table node a
+    and node_b, sys_b = fingerprints table node b in
     List.filter_map Fun.id
       [
         (if node_a = node_b then Some (table ^ " (node)") else None);
         (if sys_a = sys_b then Some (table ^ " (system)") else None);
       ]
   in
+  let one dseq body = [ (dseq, body) ] in
   let cases =
     [
-      ("tmes", 0, tme 100, tme 101);
-      ("ends", 0, M.Epoch_end { epoch = 1 }, M.Epoch_end { epoch = 2 });
-      ( "env_vals",
-        0,
-        M.Env_val { epoch = 1; idx = 0; value = 7 },
-        M.Env_val { epoch = 1; idx = 0; value = 8 } );
+      ("tmes", backup, one 0 (tme 100), one 0 (tme 101));
+      ( "ends",
+        backup,
+        one 0 (M.Epoch_end { epoch = 1 }),
+        one 0 (M.Epoch_end { epoch = 2 }) );
+      ("env_vals", backup, one 0 (env 0 7), one 0 (env 0 8));
       ( "buffered_by_epoch",
-        0,
-        intr Layout.status_ok,
-        intr Layout.status_uncertain );
+        backup,
+        one 0 (intr Layout.status_ok),
+        one 0 (intr Layout.status_uncertain) );
       (* dseq 2 arrives ahead of 0 and 1, so it is held *)
-      ("rcv_hold", 2, tme 100, tme 101);
+      ("rcv_hold", backup, one 2 (tme 100), one 2 (tme 101));
+      ( "rtx_queue",
+        ex_primary,
+        [ (0, env 0 7); (1, env 1 8) ],
+        [ (0, env 1 8); (1, env 0 7) ] );
     ]
   in
   Alcotest.(check (list string))
     "tables whose two versions fingerprint alike" []
-    (List.concat_map blind cases)
+    (List.concat_map blind cases);
+  (* outstanding *)
+  let sys = system "crash-write" in
+  let b = System.backup sys in
+  System.start sys;
+  let rec to_first_write () =
+    let saved = H.save b and before = H.fingerprint b in
+    if not (Hft_sim.Engine.step (System.engine sys)) then
+      Alcotest.fail "crash-write's backup never suppressed a write"
+    else if H.outstanding_io b = 0 then to_first_write ()
+    else (saved, before)
+  in
+  let saved, before = to_first_write () in
+  Alcotest.(check bool) "outstanding moves the fingerprint" true
+    (H.fingerprint b <> before);
+  restores "outstanding" b saved before;
+  Alcotest.(check int) "outstanding restored empty" 0 (H.outstanding_io b);
+  Alcotest.(check (list string))
+    "containers a restore did not bring back" [] !unrestored
 
 (* Every slot of the hypervisor's state table is held to its
    declaration, on an hv-crash backup part-way through its run.

@@ -523,8 +523,7 @@ let lookahead_exactness_property =
 
 (* The one hashing primitive.  A step reads only its input's low 62
    bits, so it agrees with the unmasked FNV loops behind every printed
-   hash; strings mix their length; a table's digest ignores bucket
-   order. *)
+   hash; strings mix their length. *)
 let fnv_tests =
   let open Alcotest in
   let mix = Fnv.int in
@@ -539,16 +538,6 @@ let fnv_tests =
     test_case "strings mix their length" `Quick (fun () ->
         let two a b = Fnv.string (Fnv.string Fnv.basis a) b in
         check bool "ab|c vs a|bc" false (two "ab" "c" = two "a" "bc"));
-    test_case "tables ignore bucket order" `Quick (fun () ->
-        let small = Hashtbl.create 1 and large = Hashtbl.create 64 in
-        for k = 1 to 100 do
-          Hashtbl.replace small k (k * k);
-          Hashtbl.replace large (101 - k) ((101 - k) * (101 - k))
-        done;
-        let entry h k v = mix (mix h k) v in
-        check int "same entries" (Fnv.table entry 7 small)
-          (Fnv.table entry 7 large);
-        check int "empty" (mix 7 0) (Fnv.table entry 7 (Hashtbl.create 1)));
   ]
 
 let () =

@@ -462,6 +462,29 @@ let test_profiler_fuel_slices () =
     "totals equal under 7-instruction slices"
     (Cpu.profile_total interp) (Cpu.profile_total threaded)
 
+(* [Cpu.save_ints] and [Cpu.restore_ints] walk the registers, the pc,
+   the counters, the validator's scalars and the translation's counters
+   by position, so they must agree on the order.  On a CPU with both a
+   validator and a translation every position is live: a distinct
+   value written into each position of a save, restored and saved
+   again, must come back in the same place. *)
+let test_saved_ints_round_trip () =
+  let code = compute_loop.Asm.code in
+  let m = Manifest.of_code code in
+  let c = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:false c;
+  (match Manifest.install_translation m ~deprivileged:false c with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "translation refused: %s" e);
+  Alcotest.(check bool) "validator and translation present" true
+    (Cpu.validator_active c && Cpu.translation c <> None);
+  let s = Cpu.save c in
+  let ints = Cpu.ints s in
+  Array.iteri (fun i _ -> ints.(i) <- 1000 + i) ints;
+  Cpu.restore_saved c s;
+  Alcotest.(check (array int)) "every position comes back" ints
+    (Cpu.ints (Cpu.save c))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "hft_translate"
@@ -479,6 +502,11 @@ let () =
             test_profiler_exactness;
           Alcotest.test_case "cold-exit refunds survive tiny fuel slices"
             `Quick test_profiler_fuel_slices;
+        ] );
+      ( "save",
+        [
+          Alcotest.test_case "every saved integer comes back in its place"
+            `Quick test_saved_ints_round_trip;
         ] );
       ( "fallback",
         [
