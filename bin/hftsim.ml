@@ -361,12 +361,26 @@ let print_outcome sys (o : System.outcome) =
     [ o.System.primary_stats; o.System.backup_stats ];
   Hft_harness.Report.translation
     [ o.System.primary_stats; o.System.backup_stats ];
+  Format.printf "lockstep       : %d epoch pairs compared, %d mismatches%s@."
+    o.System.epochs_compared
+    (List.length o.System.lockstep_mismatches)
+    (match o.System.lockstep_mismatches with
+    | [] -> ""
+    | e :: _ -> Printf.sprintf " (first at epoch %d)" e);
   Format.printf "disk history   : %s@."
     (if o.System.disk_consistent then "single-processor consistent"
      else "INCONSISTENT");
   List.iter (fun e -> Format.printf "  error: %s@." e) o.System.disk_errors;
   if o.System.console <> "" then
     Format.printf "console        : %S@." o.System.console
+
+(* A replicated run fails when its replicas diverged or its disk
+   history is not one a single processor could have produced. *)
+let run_verdict (o : System.outcome) =
+  if o.System.lockstep_mismatches <> [] then `Error (false, "lockstep mismatch")
+  else if not o.System.disk_consistent then
+    `Error (false, "inconsistent disk history")
+  else `Ok ()
 
 let run_bare ~params workload =
   let b = Bare.create ~params ~workload () in
@@ -500,7 +514,7 @@ let run_cmd =
       let o = System.run sys in
       if not quiet then print_outcome sys o;
       emit_artifacts ~trace_out ~events ~metrics ~metrics_out ~registry obs;
-      `Ok ()
+      run_verdict o
     end
   in
   let term =
@@ -514,7 +528,9 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Run one workload, bare or replicated; a replicated run can inject \
-          faults and export its protocol timeline.")
+          faults and export its protocol timeline.  A replicated run exits \
+          124 when an epoch's state hashes differ between the replicas or \
+          the disk history is not single-processor consistent.")
     term
 
 (* ---------- validate ---------- *)

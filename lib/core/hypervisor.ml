@@ -58,9 +58,7 @@ type snapshot = {
   s_ctl : Disk_ctl.t;
   s_outstanding : io_req list;
   s_pending : stamped list;
-  s_vtimer : int;
-  s_vtod : int;
-  s_epoch : int;
+  s_slots : int array; (* the state table; the peer reads [S.carried] *)
 }
 
 (* ---------- hypervisor-failure model (ReHype extension) ---------- *)
@@ -89,10 +87,11 @@ let hv_fault_kind = function
    Every protocol scalar of a node lives in one int array, [t.s], at a
    slot declared below exactly once: counters as they are, flags as 0
    or 1, times in nanoseconds.  A declaration gives the slot's value at
-   [create] and two properties, and every bookkeeping site walks the
+   [create] and three properties, and every bookkeeping site walks the
    declarations instead of naming fields: {!fingerprint} mixes each
    fingerprinted slot, the checker's [save]/[restore] copy the array
-   whole, and the recovery block mirrors the protected ones.
+   whole, the recovery block mirrors the protected ones, and a
+   reintegration snapshot hands the carried ones to the revived peer.
 
    The microreboot's state partition.  Guest memory, CPU state and the
    device-facing structures survive a reboot in place (they live in
@@ -103,27 +102,31 @@ let hv_fault_kind = function
    ([t.rb], and [t.rb_rtx], which shares the queue's list), committed
    at the end of every event-handling quantum and restored wholesale
    by the reboot.  The protected slots come first, so the block is the
-   array's prefix [0, S.protected). *)
+   array's prefix [0, S.protected).  The carried slots are the
+   per-epoch state a revived backup must share with the primary: the
+   epoch counters and the virtual clocks. *)
 type slot = {
   name : string;
   init : int;
   fingerprinted : bool;
   protected : bool;
+  carried : bool;
 }
 
 module S = struct
   let decls = ref [] (* newest first *)
 
-  let slot ?(init = 0) ?(fingerprinted = true) ?(protected = false) name =
+  let slot ?(init = 0) ?(fingerprinted = true) ?(protected = false)
+      ?(carried = false) name =
     if protected && List.exists (fun d -> not d.protected) !decls then
       invalid_arg ("Hypervisor.S: protected slot after the range: " ^ name);
-    decls := { name; init; fingerprinted; protected } :: !decls;
+    decls := { name; init; fingerprinted; protected; carried } :: !decls;
     List.length !decls - 1
 
   (* protected *)
-  let epoch = slot ~protected:true "epoch"
-  let relay_epoch = slot ~protected:true "relay_epoch"
-  let env_idx = slot ~protected:true "env_idx"
+  let epoch = slot ~protected:true ~carried:true "epoch"
+  let relay_epoch = slot ~protected:true ~carried:true "relay_epoch"
+  let env_idx = slot ~protected:true ~carried:true "env_idx"
   let send_seq = slot ~protected:true "send_seq" (* wire, all messages *)
   let data_sent = slot ~protected:true "data_sent" (* what acks cover *)
   let acked = slot ~protected:true "acked"
@@ -144,8 +147,8 @@ module S = struct
   let boundary_tod = slot "boundary_tod"
 
   (* virtual-TOD us; -1 = unarmed *)
-  let vtimer_deadline_us = slot ~init:(-1) "vtimer_deadline_us"
-  let vtod_us = slot "vtod_us" (* backup: last synchronised TOD *)
+  let vtimer_deadline_us = slot ~init:(-1) ~carried:true "vtimer_deadline_us"
+  let vtod_us = slot ~carried:true "vtod_us" (* backup: last synced TOD *)
   let vtod_offset_us = slot "vtod_offset_us" (* promoted: clock correction *)
   let halted = slot "halted"
   let reintegrate_requested = slot "reintegrate_requested"
@@ -179,9 +182,12 @@ module S = struct
   let initial = Array.map (fun d -> d.init) table
   let protected = List.length (List.filter (fun d -> d.protected) !decls)
 
-  let fingerprinted =
-    List.filter (fun i -> table.(i).fingerprinted) (List.init count Fun.id)
+  let indices p =
+    List.filter (fun i -> p table.(i)) (List.init count Fun.id)
     |> Array.of_list
+
+  let fingerprinted = indices (fun d -> d.fingerprinted)
+  let carried = indices (fun d -> d.carried)
 end
 
 (* The wild writes a corruption fault makes, as (slot, offset) pairs.
@@ -457,6 +463,16 @@ and clear_rtx t =
   t.rtx_queue <- [];
   t.s.(S.rtx_backoff) <- 0
 
+(* A fresh messaging epoch: cumulative acknowledgements only make sense
+   if both ends of the reliable stream restart from zero. *)
+and fresh_stream t =
+  t.s.(S.send_seq) <- 0;
+  t.s.(S.data_sent) <- 0;
+  t.s.(S.acked) <- 0;
+  t.s.(S.data_recvd) <- 0;
+  clear_rtx t;
+  t.rcv_hold <- IM.empty
+
 (* Timeout before resending the oldest unacknowledged message: the
    exponential backoff plus a round trip for that message plus
    whatever is already serializing on the outgoing link — without the
@@ -637,6 +653,17 @@ and arm_epoch t =
   | Params.Code_rewriting -> ()
 
 (* ---------- main execution loop ---------- *)
+
+(* Deliver a pending interrupt if the guest takes one now, and run on. *)
+and resume_vm t =
+  deliver_pending_if_possible t;
+  continue_vm t
+
+(* [resume_vm] once [d] of hypervisor work has passed *)
+and resume_vm_after t ~label d =
+  ignore
+    (Engine.after t.engine ~label ~actor:t.name_ d
+       (guarded t ~label `Work (fun () -> if flag t S.alive then resume_vm t)))
 
 and resume_after t d =
   ignore
@@ -1068,20 +1095,13 @@ and primary_boundary_phase2 t ~tod =
   let ended = t.s.(S.epoch) in
   let deliver_set = List.rev t.buffered_current in
   t.buffered_current <- [];
-  t.s.(S.relay_epoch) <- t.s.(S.epoch) + 1;
-  emit t
-    (Ev.Epoch_end { epoch = ended; interrupts = List.length deliver_set });
-  emit t (Ev.Epoch_begin { epoch = ended + 1 });
-  t.s.(S.epoch) <- t.s.(S.epoch) + 1;
-  t.s.(S.env_idx) <- 0;
-  t.st.Stats.epochs <- t.st.Stats.epochs + 1;
-  t.pending_delivery <- t.pending_delivery @ deliver_set;
+  advance_epoch t deliver_set;
+  t.s.(S.relay_epoch) <- t.s.(S.epoch);
   let cost =
     Time.add t.p.Params.hv_send_setup
       (Time.scale t.p.Params.hv_intr_deliver (List.length deliver_set))
   in
   Stats.add_time t.st `Boundary cost;
-  arm_epoch t;
   ignore
     (Engine.after t.engine ~label:"epoch-end" ~actor:t.name_ cost
        (guarded t ~label:"epoch-end" `Work (fun () ->
@@ -1089,11 +1109,21 @@ and primary_boundary_phase2 t ~tod =
            if flag t S.peer_alive then
              send_msg t (Message.Epoch_end { epoch = ended });
            if flag t S.reintegrate_requested then start_reintegration t
-           else begin
-             deliver_pending_if_possible t;
-             continue_vm t
-           end
+           else resume_vm t
          end)))
+
+(* End epoch E and begin E + 1, the steps every boundary shares: P2's
+   at the primary, P5's at the backup and P6's at a promotion.
+   [delivered] joins the interrupts awaiting delivery. *)
+and advance_epoch t delivered =
+  let e = t.s.(S.epoch) in
+  emit t (Ev.Epoch_end { epoch = e; interrupts = List.length delivered });
+  emit t (Ev.Epoch_begin { epoch = e + 1 });
+  t.s.(S.epoch) <- e + 1;
+  t.s.(S.env_idx) <- 0;
+  t.st.Stats.epochs <- t.st.Stats.epochs + 1;
+  t.pending_delivery <- t.pending_delivery @ delivered;
+  arm_epoch t
 
 and check_virtual_timer t ~tod =
   let dl = t.s.(S.vtimer_deadline_us) in
@@ -1131,26 +1161,13 @@ and backup_boundary t =
       t.s.(S.vtimer_deadline_us) <- deadline;
       check_virtual_timer_backup t ~tod;
       let deliver_set = take_buffered t e in
-      emit t
-        (Ev.Epoch_end { epoch = e; interrupts = List.length deliver_set });
-      emit t (Ev.Epoch_begin { epoch = e + 1 });
-      t.s.(S.epoch) <- e + 1;
-      t.s.(S.env_idx) <- 0;
-      t.st.Stats.epochs <- t.st.Stats.epochs + 1;
-      t.pending_delivery <- t.pending_delivery @ deliver_set;
+      advance_epoch t deliver_set;
       let cost =
         Time.add t.p.Params.hv_epoch_local
           (Time.scale t.p.Params.hv_intr_deliver (List.length deliver_set))
       in
       Stats.add_time t.st `Boundary cost;
-      arm_epoch t;
-      ignore
-        (Engine.after t.engine ~label:"boundary-resume" ~actor:t.name_ cost
-           (guarded t ~label:"boundary-resume" `Work (fun () ->
-             if flag t S.alive then begin
-               deliver_pending_if_possible t;
-               continue_vm t
-             end)))
+      resume_vm_after t ~label:"boundary-resume" cost
     end
 
 and check_virtual_timer_backup t ~tod =
@@ -1213,28 +1230,16 @@ and promote t =
     t.st.Stats.uncertain_synthesized + to_synthesize;
   let relayed = List.length deliver_set in
   emit t (Ev.Promoted { epoch = e; relayed; synthesized = to_synthesize });
-  emit t (Ev.Epoch_end { epoch = e; interrupts = relayed + to_synthesize });
-  emit t (Ev.Epoch_begin { epoch = e + 1 });
   t.role_ <- Promoted;
   set_flag t S.peer_alive false;
-  t.s.(S.epoch) <- e + 1;
+  advance_epoch t (deliver_set @ synths);
   t.s.(S.relay_epoch) <- t.s.(S.epoch);
-  t.s.(S.env_idx) <- 0;
-  t.st.Stats.epochs <- t.st.Stats.epochs + 1;
-  t.pending_delivery <- t.pending_delivery @ deliver_set @ synths;
   let cost =
     Time.add t.p.Params.hv_epoch_local
       (Time.scale t.p.Params.hv_intr_deliver (List.length t.pending_delivery))
   in
-  arm_epoch t;
   t.on_promote t;
-  ignore
-    (Engine.after t.engine ~label:"failover-resume" ~actor:t.name_ cost
-       (guarded t ~label:"failover-resume" `Work (fun () ->
-         if flag t S.alive then begin
-           deliver_pending_if_possible t;
-           continue_vm t
-         end)))
+  resume_vm_after t ~label:"failover-resume" cost
 
 (* ---------- failure detection ---------- *)
 
@@ -1274,8 +1279,7 @@ and detector_fired t =
     | B_snapshot ->
       t.blocked <- Not_blocked;
       set_flag t S.reintegrate_requested false;
-      deliver_pending_if_possible t;
-      continue_vm t
+      resume_vm t
     | Not_blocked -> ()
   end
 
@@ -1437,8 +1441,7 @@ and handle_body t body =
         set_flag t S.peer_alive true;
         set_flag t S.reintegrate_requested false;
         emit t (Ev.Reintegration_done { epoch = t.s.(S.epoch) });
-        deliver_pending_if_possible t;
-        continue_vm t
+        resume_vm t
       | _ -> ())
     | Message.Ack _ | Message.Resync _ -> assert false);
     (* A known echo, kept only because the benchmark pins the state
@@ -1473,31 +1476,25 @@ and take_snapshot t =
   t.st.Stats.snapshot_delta_bytes <-
     t.st.Stats.snapshot_delta_bytes
     + (Cpu.snapshot_bytes_copied t.vm - bytes_before);
+  (* a primary reads its time of day from the clock, not the slot *)
+  let s_slots = Array.copy t.s in
+  s_slots.(S.vtod_us) <- read_vtod t;
   {
     s_cpu;
     s_vcrs = Array.copy t.vcrs;
     s_ctl = ctl;
     s_outstanding = t.outstanding;
     s_pending = t.pending_delivery;
-    s_vtimer = t.s.(S.vtimer_deadline_us);
-    s_vtod = read_vtod t;
-    s_epoch = t.s.(S.epoch);
+    s_slots;
   }
 
 and start_reintegration t =
   match t.peer with
   | None -> ()
   | Some peer ->
-    (* fresh messaging epoch: the counters still reflect this node's
-       previous career (as the backup, every ack it sent bumped
-       send_seq), and cumulative acknowledgements only make sense if
-       both sides restart from zero *)
-    t.s.(S.send_seq) <- 0;
-    t.s.(S.data_sent) <- 0;
-    t.s.(S.acked) <- 0;
-    t.s.(S.data_recvd) <- 0;
-    clear_rtx t;
-    t.rcv_hold <- IM.empty;
+    (* the counters still reflect this node's previous career (as the
+       backup, every ack it sent bumped send_seq) *)
+    fresh_stream t;
     let snap = take_snapshot t in
     peer.snapshot_box <- Some snap;
     let mem_bytes = 4 * Memory.size (Cpu.mem t.vm) in
@@ -1533,14 +1530,8 @@ and receive_snapshot t ~epoch ~code_hash =
     apply_vstatus t;
     Disk_ctl.copy_state_from t.ctl snap.s_ctl;
     t.outstanding <- snap.s_outstanding;
-    t.s.(S.vtimer_deadline_us) <- snap.s_vtimer;
-    t.s.(S.vtod_us) <- snap.s_vtod;
-    t.s.(S.epoch) <- epoch;
-    t.s.(S.relay_epoch) <- epoch;
-    t.s.(S.env_idx) <- 0;
-    t.role_ <- Backup;
-    set_flag t S.peer_alive true;
-    t.blocked <- Not_blocked;
+    Array.iter (fun i -> t.s.(i) <- snap.s_slots.(i)) S.carried;
+    become_backup t;
     t.pending_delivery <- snap.s_pending;
     t.buffered_current <- [];
     t.buffered_by_epoch <- IM.empty;
@@ -1555,11 +1546,13 @@ and receive_snapshot t ~epoch ~code_hash =
     send_msg t (Message.Snapshot_done { epoch });
     emit t (Ev.Snapshot_restored { epoch });
     emit t (Ev.Epoch_begin { epoch });
-    ignore
-      (Engine.after t.engine ~label:"reintegrated" ~actor:t.name_ Time.zero
-         (guarded t ~label:"reintegrated" `Work (fun () ->
-              deliver_pending_if_possible t;
-              continue_vm t)))
+    resume_vm_after t ~label:"reintegrated" Time.zero
+
+(* the backup role, with a live peer and nothing awaited *)
+and become_backup t =
+  t.role_ <- Backup;
+  set_flag t S.peer_alive true;
+  t.blocked <- Not_blocked
 
 (* ---------- hypervisor-failure recovery (ReHype extension) ---------- *)
 
@@ -1779,16 +1772,9 @@ let request_reintegration t =
 let revive_as_backup t =
   set_flag t S.alive true;
   set_flag t S.halted false;
-  t.role_ <- Backup;
-  set_flag t S.peer_alive true;
-  t.blocked <- Not_blocked;
+  become_backup t;
   set_time t S.debt Time.zero;
-  t.s.(S.send_seq) <- 0;
-  t.s.(S.data_sent) <- 0;
-  t.s.(S.acked) <- 0;
-  t.s.(S.data_recvd) <- 0;
-  clear_rtx t;
-  t.rcv_hold <- IM.empty;
+  fresh_stream t;
   t.health <- Healthy;
   t.s.(S.heartbeat) <- 0;
   t.missed <- [];
@@ -1883,7 +1869,10 @@ let fingerprint t =
   let h = map (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h t.tmes in
   let h = map (fun h e () -> mix h e) h t.ends in
   let h = Fnv.list io h t.outstanding in
-  let h = mix h (match t.snapshot_box with None -> -1 | Some s -> s.s_epoch) in
+  let h =
+    mix h
+      (match t.snapshot_box with None -> -1 | Some s -> s.s_slots.(S.epoch))
+  in
   let h = flag (flag h (t.detector <> None)) (t.rtx_timer <> None) in
   (* the recovery block's list is summarised by its [dseq]s (the
      bodies are determined by the live queue at persist time) *)

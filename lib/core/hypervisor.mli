@@ -240,18 +240,23 @@ val hv_health : t -> hv_health
     Every protocol scalar of a node — the epoch counters, the reliable
     stream's cursors, liveness flags (0 or 1), virtual clocks, arrival
     stamps (nanoseconds) and recovery counters — is one slot of an int
-    array, declared once with its value at {!create} and two
+    array, declared once with its value at {!create} and three
     properties.  A {e fingerprinted} slot reaches {!fingerprint}.  A
     {e protected} slot is mirrored into the ReHype recovery block at
     the end of every event-handling quantum and restored from it by a
-    microreboot; the protected slots are the first ones.  {!save} and
-    {!restore} copy every slot and the recovery block. *)
+    microreboot; the protected slots are the first ones.  A {e carried}
+    slot travels in the reintegration snapshot: the revived backup
+    takes the new primary's value at the offer (for [vtod_us], the
+    primary's time-of-day reading) and keeps its own for every other
+    slot.  {!save} and {!restore} copy every slot and the recovery
+    block. *)
 
 type slot = {
   name : string;
   init : int;  (** the value {!create} gives it *)
   fingerprinted : bool;
   protected : bool;
+  carried : bool;
 }
 
 val slots : slot list

@@ -1,9 +1,12 @@
 open Hft_sim
 open Hft_devices
 module Channel = Hft_net.Channel
+module IM = Map.Make (Int)
 
 type lockstep = {
-  hashes : (int, int) Hashtbl.t;  (* epoch -> first reporter's hash *)
+  mutable hashes : int IM.t;
+      (* epoch -> first reporter's hash; immutable, so a snapshot holds
+         it by reference *)
   mutable compared : int;
   mutable mismatches : int list;  (* reversed *)
   fail_fast : bool;
@@ -45,7 +48,7 @@ and snapshot = {
   sn_console : Console.saved;
   sn_pb : Message.t Channel.saved;
   sn_bp : Message.t Channel.saved;
-  sn_hashes : (int * int) list;
+  sn_hashes : int IM.t;
   sn_compared : int;
   sn_mismatches : int list;
   sn_failover : bool;
@@ -54,8 +57,8 @@ and snapshot = {
 }
 
 let record_boundary ls ~epoch ~hash =
-  match Hashtbl.find_opt ls.hashes epoch with
-  | None -> Hashtbl.replace ls.hashes epoch hash
+  match IM.find_opt epoch ls.hashes with
+  | None -> ls.hashes <- IM.add epoch hash ls.hashes
   | Some other ->
     ls.compared <- ls.compared + 1;
     if other <> hash then begin
@@ -164,7 +167,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   Channel.connect ch_bp (fun msg -> Hypervisor.on_message primary_ msg);
   let ls =
     {
-      hashes = Hashtbl.create 16;
+      hashes = IM.empty;
       compared = 0;
       mismatches = [];
       fail_fast = params.Params.exec_backend = Params.Differential;
@@ -367,16 +370,6 @@ let run ?limit t =
 
 let snapshot t =
   let like part = Option.map part t.last in
-  let hashes =
-    match t.last with
-    | Some l
-      when Hashtbl.length t.ls.hashes = List.length l.sn_hashes
-           && List.for_all
-                (fun (e, h) -> Hashtbl.find_opt t.ls.hashes e = Some h)
-                l.sn_hashes ->
-      l.sn_hashes
-    | _ -> Hashtbl.fold (fun e h acc -> (e, h) :: acc) t.ls.hashes []
-  in
   let into =
     match t.spares with
     | sp :: rest ->
@@ -399,7 +392,7 @@ let snapshot t =
       sn_console = Console.save ?like:(like (fun l -> l.sn_console)) t.console_;
       sn_pb = Channel.save ?like:(like (fun l -> l.sn_pb)) t.ch_pb;
       sn_bp = Channel.save ?like:(like (fun l -> l.sn_bp)) t.ch_bp;
-      sn_hashes = hashes;
+      sn_hashes = t.ls.hashes;
       sn_compared = t.ls.compared;
       sn_mismatches = t.ls.mismatches;
       sn_failover = t.failover_;
@@ -418,8 +411,7 @@ let restore t s =
   Console.restore t.console_ s.sn_console;
   Channel.restore t.ch_pb s.sn_pb;
   Channel.restore t.ch_bp s.sn_bp;
-  Hashtbl.reset t.ls.hashes;
-  List.iter (fun (e, h) -> Hashtbl.replace t.ls.hashes e h) s.sn_hashes;
+  t.ls.hashes <- s.sn_hashes;
   t.ls.compared <- s.sn_compared;
   t.ls.mismatches <- s.sn_mismatches;
   t.failover_ <- s.sn_failover;

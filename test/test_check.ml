@@ -377,6 +377,58 @@ let slots_held_to_declaration () =
           if not d.H.protected then fail i d "scrambled but not protected")
         (H.scramble_offsets target))
     [ H.C_epoch; H.C_acks; H.C_rtx ];
+  (* Reintegration: the revived node takes each carried slot from the
+     new primary as it stood at the offer (for [vtod_us], the primary's
+     clock reading, so not its slot), and the snapshot writes no other
+     slot.  The offer's delivery itself moves the receive side's
+     [heartbeat] and [data_recvd], and the [Snapshot_done] reply the
+     send side's [data_sent] and [send_seq]. *)
+  let stream = [ "heartbeat"; "data_recvd"; "data_sent"; "send_seq" ] in
+  let system = ref None in
+  let at_offer = ref [] and delivered = ref [] and restored = ref None in
+  let values hv = List.map (fun (i, _) -> H.slot hv i) slots in
+  let tap (e : Hft_obs.Recorder.entry) =
+    match !system with
+    | None -> ()
+    | Some sys -> (
+      match e.Hft_obs.Recorder.ev with
+      | Hft_obs.Event.Reintegration_offer _ ->
+        at_offer := values (System.backup sys)
+      | Hft_obs.Event.Ch_deliver _
+        when e.Hft_obs.Recorder.source = "backup->primary" ->
+        delivered := values (System.primary sys)
+      | Hft_obs.Event.Snapshot_restored _ ->
+        restored := Some (!delivered, values (System.primary sys))
+      | _ -> ())
+  in
+  let sys =
+    Scenarios.instantiate
+      (find_scenario "reintegration-loss")
+      ~variant:Scenarios.correct ~crash_epoch:1
+      ~obs:(Hft_obs.Recorder.create ~capacity:1 ~tap ())
+      ()
+  in
+  system := Some sys;
+  ignore (System.run sys);
+  let delivered, restored =
+    match !restored with
+    | Some r -> r
+    | None -> Alcotest.fail "no snapshot was restored"
+  in
+  List.iteri
+    (fun k (i, (d : H.slot)) ->
+      let offer = List.nth !at_offer k
+      and before = List.nth delivered k
+      and after = List.nth restored k in
+      if d.H.carried then begin
+        if d.H.name <> "vtod_us" && after <> offer then
+          fail i d "not carried by the snapshot"
+      end
+      else if after <> before && not (List.mem d.H.name stream) then
+        fail i d "written by the snapshot but not carried")
+    slots;
+  Alcotest.(check bool) "the snapshot moved the epoch" true
+    (List.nth delivered 0 <> List.nth restored 0);
   Alcotest.(check (list string)) "slots off their declaration" []
     (List.rev !failures)
 

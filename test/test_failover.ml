@@ -264,10 +264,32 @@ let reintegration_tests =
            counts cover every message of the run.  After reintegration
            the revived ex-primary echoes each reliable message it
            receives (1059 tme + 1059 end + 24 intr); deleting the echo
-           re-pins [echoed] to 0 and the channel counts with it. *)
+           re-pins [echoed] to 0 and the channel counts with it.  Every
+           recorded event — time, source, tag and fields — is folded
+           into one digest, so the run's whole timeline (what
+           `--trace-out -` prints) is pinned too. *)
         let after = ref false and echoed = ref 0 in
+        let events = ref 0 and digest = ref Hft_sim.Fnv.basis in
+        let field h (name, v) =
+          let h = Hft_sim.Fnv.string h name in
+          match v with
+          | Hft_obs.Event.Int i -> Hft_sim.Fnv.int h i
+          | Hft_obs.Event.Str s -> Hft_sim.Fnv.string h s
+          | Hft_obs.Event.Bool b -> Hft_sim.Fnv.bool h b
+        in
         let tap (e : Hft_obs.Recorder.entry) =
-          match e.Hft_obs.Recorder.ev with
+          let ev = e.Hft_obs.Recorder.ev in
+          incr events;
+          digest :=
+            Hft_sim.Fnv.list field
+              (Hft_sim.Fnv.string
+                 (Hft_sim.Fnv.string
+                    (Hft_sim.Fnv.int !digest
+                       (Hft_sim.Time.to_ns e.Hft_obs.Recorder.time))
+                    e.Hft_obs.Recorder.source)
+                 (Hft_obs.Event.tag ev))
+              (Hft_obs.Event.fields ev);
+          match ev with
           | Hft_obs.Event.Reintegration_done _ -> after := true
           | Hft_obs.Event.Msg_send _
             when !after && e.Hft_obs.Recorder.source = "primary" ->
@@ -291,7 +313,10 @@ let reintegration_tests =
         check (list int) "outcome reports primary->backup" [ 4383; 149312 ]
           [ o.System.messages_sent; o.System.bytes_sent ];
         check int "sent by the revived node after reintegration" 2142
-          !echoed);
+          !echoed;
+        check (pair int int) "events recorded, their digest"
+          (33_151, 4_611_388_733_651_224_038)
+          (!events, !digest));
   ]
 
 (* Property: crash at a random time, the workload still completes with
