@@ -296,7 +296,11 @@ let stamp t bi ~epoch =
   { bi; since = Engine.now t.engine; obs_id = id }
 
 let vm_state_hash t =
-  Array.fold_left Fnv.int (Cpu.state_hash ~include_tlb:false t.vm) t.vcrs
+  let h = ref (Cpu.state_hash ~include_tlb:false t.vm) in
+  for i = 0 to Array.length t.vcrs - 1 do
+    h := Fnv.int !h t.vcrs.(i)
+  done;
+  !h
 
 (* The analysis knobs [params] selects: rewritten, random TLB, MMIO
    base. *)
@@ -1238,6 +1242,7 @@ and promote t =
     Time.add t.p.Params.hv_epoch_local
       (Time.scale t.p.Params.hv_intr_deliver (List.length t.pending_delivery))
   in
+  Stats.add_time t.st `Boundary cost;
   t.on_promote t;
   resume_vm_after t ~label:"failover-resume" cost
 

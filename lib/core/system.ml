@@ -293,7 +293,7 @@ let fingerprint t =
   let h = mix h (Channel.fingerprint t.ch_pb) in
   let h = mix h (Channel.fingerprint t.ch_bp) in
   let h = mix h (Disk.fingerprint t.disk_) in
-  let h = Fnv.string h (Console.contents t.console_) in
+  let h = mix h (Console.fingerprint t.console_) in
   Fnv.bool (mix h (Engine.pending_fingerprint t.engine)) t.failover_
 
 let reintegrate_after_failover t ~delay =
@@ -389,7 +389,7 @@ let snapshot t =
           ?like:(like (fun l -> l.sn_backup))
           ?into:(Option.map snd into) t.backup_;
       sn_disk = Disk.save ?like:(like (fun l -> l.sn_disk)) t.disk_;
-      sn_console = Console.save ?like:(like (fun l -> l.sn_console)) t.console_;
+      sn_console = Console.save t.console_;
       sn_pb = Channel.save ?like:(like (fun l -> l.sn_pb)) t.ch_pb;
       sn_bp = Channel.save ?like:(like (fun l -> l.sn_bp)) t.ch_bp;
       sn_hashes = t.ls.hashes;

@@ -1,26 +1,50 @@
-type t = { buf : Buffer.t }
+module Fnv = Hft_sim.Fnv
 
-let create () = { buf = Buffer.create 256 }
+type saved = { text : string; digest : int }
 
-let put t w = Buffer.add_char t.buf (Char.chr (w land 0xFF))
+(* what [same_as] holds when no save is known to match *)
+let unsaved = { text = ""; digest = -1 }
+
+type t = {
+  buf : Buffer.t;
+  mutable digest : int; (* the bytes of [buf], folded as they arrive *)
+  mutable same_as : saved;
+      (* the save or restore [buf] has not changed since, whose text is
+         [buf]'s contents, or [unsaved] *)
+}
+
+let create () =
+  { buf = Buffer.create 256; digest = Fnv.basis; same_as = unsaved }
+
+let put t w =
+  let c = w land 0xFF in
+  Buffer.add_char t.buf (Char.chr c);
+  t.digest <- Fnv.int t.digest c;
+  t.same_as <- unsaved
 
 let contents t = Buffer.contents t.buf
 
 let length t = Buffer.length t.buf
 
-let clear t = Buffer.clear t.buf
+let fingerprint t = Fnv.int t.digest (Buffer.length t.buf)
 
-type saved = string
+let clear t =
+  Buffer.clear t.buf;
+  t.digest <- Fnv.basis;
+  t.same_as <- unsaved
 
-let rec holds t s i =
-  i = String.length s || (s.[i] = Buffer.nth t.buf i && holds t s (i + 1))
-
-(* [like] itself while nothing was written since it was taken *)
-let save ?like t =
-  match like with
-  | Some l when String.length l = Buffer.length t.buf && holds t l 0 -> l
-  | _ -> contents t
+let save t =
+  if t.same_as != unsaved then t.same_as
+  else begin
+    let s = { text = contents t; digest = t.digest } in
+    t.same_as <- s;
+    s
+  end
 
 let restore t s =
-  Buffer.clear t.buf;
-  Buffer.add_string t.buf s
+  if t.same_as != s then begin
+    Buffer.clear t.buf;
+    Buffer.add_string t.buf s.text;
+    t.digest <- s.digest;
+    t.same_as <- s
+  end

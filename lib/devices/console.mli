@@ -18,11 +18,18 @@ val contents : t -> string
 
 val length : t -> int
 
+val fingerprint : t -> int
+(** {!Hft_sim.Fnv} digest of the contents, kept up to date as
+    characters arrive, so taking it reads no buffered byte.  Equal
+    contents give equal fingerprints. *)
+
 val clear : t -> unit
 
 type saved
 
-val save : ?like:saved -> t -> saved
-(** [like] itself while nothing was written since it was taken. *)
+val save : t -> saved
+(** The previous save or restore itself while nothing was written
+    since: sharing rests on that proof, never on equal
+    fingerprints. *)
 
 val restore : t -> saved -> unit

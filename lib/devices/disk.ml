@@ -51,13 +51,25 @@ let hash_content (data : int array) =
   done;
   !h
 
-type pending = { p_port : int; p_op : op; p_id : int; p_done : completion -> unit }
+(* [p_hash] is a write's [hash_content], taken once at submission for
+   the log, the storage hash and the fingerprint; 0 for a read. *)
+type pending = {
+  p_port : int;
+  p_op : op;
+  p_id : int;
+  p_hash : int;
+  p_done : completion -> unit;
+}
 
 (* A completion whose interrupt is masked because the submitting
    port's hypervisor is down: the device performed (and logged) the
    operation, but delivery waits in the controller ring until the
-   hypervisor's microreboot drains it. *)
-type parked = { k_done : completion -> unit; k_completion : completion }
+   hypervisor's microreboot drains it.  [k_hash] is its [p_hash]. *)
+type parked = {
+  k_done : completion -> unit;
+  k_completion : completion;
+  k_hash : int;
+}
 
 module IM = Map.Make (Int)
 
@@ -87,9 +99,9 @@ type t = {
          pristine image, so a fresh or freshly filled disk hashes to 0 *)
 }
 
-(* Position-dependent per-block digest; the whole-storage hash is
-   maintained incrementally at each write. *)
-let block_hash b data = Fnv.int (Fnv.int Fnv.basis b) (hash_content data)
+(* Position-dependent per-block digest, from the block's content hash;
+   the whole-storage hash is maintained incrementally at each write. *)
+let block_hash b content_hash = Fnv.int (Fnv.int Fnv.basis b) content_hash
 
 let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
   if prm.blocks <= 0 || prm.block_words <= 0 then
@@ -146,7 +158,8 @@ let read_block_now t block =
     Hft_machine.Memory.blit_words data 0 copy 0 t.prm.block_words;
     copy
 
-let store t block data =
+(* [hash] is [hash_content data] *)
+let store t block data ~hash =
   let old = t.storage.(block) in
   let first = Array.length old = 0 in
   (* a first write takes the block out of the pristine image; a block
@@ -158,20 +171,20 @@ let store t block data =
   in
   t.storage.(block) <- cur;
   t.owned.(block) <- true;
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block old;
+  t.storage_hash_ <- t.storage_hash_ lxor block_hash block (hash_content old);
   Hft_machine.Memory.blit_words data 0 cur 0 t.prm.block_words;
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block cur
+  t.storage_hash_ <- t.storage_hash_ lxor block_hash block hash
 
 let write_block_now t block data =
   check_block t block;
   if Array.length data <> t.prm.block_words then
     invalid_arg "Disk.write_block_now: wrong block size";
-  store t block data
+  store t block data ~hash:(hash_content data)
 
 let op_block = function Read { block } -> block | Write { block; _ } -> block
 let op_is_write = function Read _ -> false | Write _ -> true
 
-let log t ~port ~op_id ~op ~status ~performed =
+let log t ~port ~op_id ~op ~content_hash ~status ~performed =
   let entry =
     {
       seq = t.next_log_seq;
@@ -182,8 +195,7 @@ let log t ~port ~op_id ~op ~status ~performed =
       is_write = op_is_write op;
       status;
       performed;
-      content_hash =
-        (match op with Write { data; _ } -> hash_content data | Read _ -> 0);
+      content_hash;
     }
   in
   t.next_log_seq <- t.next_log_seq + 1;
@@ -211,13 +223,14 @@ and complete t p =
   let data =
     match p.p_op with
     | Write { block; data } ->
-      if performed then store t block data;
+      if performed then store t block data ~hash:p.p_hash;
       None
     | Read { block } ->
       if performed && not uncertain then Some (read_block_now t block)
       else None
   in
-  log t ~port:p.p_port ~op_id:p.p_id ~op:p.p_op ~status ~performed;
+  log t ~port:p.p_port ~op_id:p.p_id ~op:p.p_op ~content_hash:p.p_hash
+    ~status ~performed;
   if Hft_obs.Recorder.enabled t.obs then
     Hft_obs.Recorder.emit t.obs ~time:(Engine.now t.engine) ~source:"disk"
       (Hft_obs.Event.Io_complete
@@ -235,7 +248,7 @@ and complete t p =
   | Some parked ->
     t.deferred <-
       IM.add p.p_port
-        ({ k_done = p.p_done; k_completion = c } :: parked)
+        ({ k_done = p.p_done; k_completion = c; k_hash = p.p_hash } :: parked)
         t.deferred
   | None -> p.p_done c);
   start_next t
@@ -249,8 +262,12 @@ let submit t ~port op ~on_complete =
       invalid_arg "Disk.submit: wrong block size");
   let id = t.next_op_id in
   t.next_op_id <- id + 1;
+  let p_hash =
+    match op with Write { data; _ } -> hash_content data | Read _ -> 0
+  in
   t.queue <-
-    t.queue @ [ { p_port = port; p_op = op; p_id = id; p_done = on_complete } ];
+    t.queue
+    @ [ { p_port = port; p_op = op; p_id = id; p_hash; p_done = on_complete } ];
   if not t.busy_ then start_next t;
   id
 
@@ -325,13 +342,14 @@ let restore t s =
 
 let fingerprint t =
   let mix = Fnv.int and flag = Fnv.bool in
-  let op h = function
+  let op h o hash =
+    match o with
     | Read { block } -> mix (mix h 0) block
-    | Write { block; data } -> mix (mix (mix h 1) block) (hash_content data)
+    | Write { block; _ } -> mix (mix (mix h 1) block) hash
   in
   let status h s = mix h (match s with Ok -> 0 | Uncertain -> 1) in
   let h = flag (flag (mix Fnv.basis t.storage_hash_) t.filled) t.busy_ in
-  let h = Fnv.list (fun h p -> op (mix h p.p_port) p.p_op) h t.queue in
+  let h = Fnv.list (fun h p -> op (mix h p.p_port) p.p_op p.p_hash) h t.queue in
   (* Log entries without their seq, op_id and completion times: those
      encode when things happened, not what the environment observed. *)
   let h =
@@ -347,8 +365,8 @@ let fingerprint t =
   IM.fold
     (fun port parked h ->
       Fnv.list
-        (fun h { k_completion = c; _ } ->
-          flag (status (op h c.op) c.status) c.performed)
+        (fun h { k_completion = c; k_hash; _ } ->
+          flag (status (op h c.op k_hash) c.status) c.performed)
         (mix h port) parked)
     t.deferred
     (mix h (IM.cardinal t.deferred))

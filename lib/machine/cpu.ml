@@ -1016,17 +1016,21 @@ let deliver_trap ?(badvaddr = 0) t ~cause ~epc =
 let instructions_retired t = t.retired
 
 let state_hash ?(include_tlb = false) ?(full = false) t =
-  let h = ref 0x3bf29ce484222325 in
-  let mix v = h := Hft_sim.Fnv.int !h v in
-  mix t.pc_;
-  Array.iter mix t.regs;
-  Array.iter mix t.crs;
+  let h = ref (Hft_sim.Fnv.int 0x3bf29ce484222325 t.pc_) in
+  for i = 0 to Array.length t.regs - 1 do
+    h := Hft_sim.Fnv.int !h t.regs.(i)
+  done;
+  for i = 0 to Array.length t.crs - 1 do
+    h := Hft_sim.Fnv.int !h t.crs.(i)
+  done;
   (* [digest] and [full_digest] are equal by construction, so the two
      schemes produce the same state hash — replicas need not agree on
      which one they use *)
-  mix (if full then Memory.full_digest t.memory else Memory.digest t.memory);
-  if include_tlb then h := Tlb.hash_into t.tlb_state !h;
-  !h
+  let h =
+    Hft_sim.Fnv.int !h
+      (if full then Memory.full_digest t.memory else Memory.digest t.memory)
+  in
+  if include_tlb then Tlb.hash_into t.tlb_state h else h
 
 type snapshot = {
   s_regs : int array;
@@ -1087,82 +1091,79 @@ type saved = {
   sv_prof : int array option;
 }
 
-let n_ints = Isa.num_regs + Isa.num_crs + 3 + 10 + 9
+(* [save_ints] and [restore_ints] lay out the same fields at the same
+   offsets; an absent validator or translation saves zeros. *)
+let o_pc = Isa.num_regs + Isa.num_crs
+let o_validator = o_pc + 3
+let o_trans = o_validator + 10
+let n_ints = o_trans + 9
 
-(* [save_ints] and [restore_ints] walk the same fields in the same
-   order; an absent validator or translation saves zeros. *)
 let save_ints t a =
-  let i = ref 0 in
-  let put v =
-    a.(!i) <- v;
-    incr i
-  in
-  Array.iter put t.regs;
-  Array.iter put t.crs;
-  put t.pc_;
-  put t.retired;
-  put t.snap_bytes;
+  Memory.blit_words t.regs 0 a 0 Isa.num_regs;
+  Memory.blit_words t.crs 0 a Isa.num_regs Isa.num_crs;
+  a.(o_pc) <- t.pc_;
+  a.(o_pc + 1) <- t.retired;
+  a.(o_pc + 2) <- t.snap_bytes;
   (match t.validator with
   | Some v ->
-    put v.v_skip_from;
-    put v.v_skip_until;
-    put v.v_open_at;
-    put v.v_written;
-    put v.v_cur_region;
-    put v.v_rcount;
-    put v.v_cur_loop;
-    put v.v_lcount;
-    put v.v_covered;
-    put v.v_checked
-  | None -> for _ = 1 to 10 do put 0 done);
+    let o = o_validator in
+    a.(o) <- v.v_skip_from;
+    a.(o + 1) <- v.v_skip_until;
+    a.(o + 2) <- v.v_open_at;
+    a.(o + 3) <- v.v_written;
+    a.(o + 4) <- v.v_cur_region;
+    a.(o + 5) <- v.v_rcount;
+    a.(o + 6) <- v.v_cur_loop;
+    a.(o + 7) <- v.v_lcount;
+    a.(o + 8) <- v.v_covered;
+    a.(o + 9) <- v.v_checked
+  | None -> Array.fill a o_validator 10 0);
   match t.trans with
   | Some tx ->
-    put tx.Translate.entries_taken;
-    put tx.Translate.threaded_instrs;
-    put tx.Translate.fb_budget;
-    put tx.Translate.fb_priv;
-    put tx.Translate.fb_link;
-    put tx.Translate.fb_indirect;
-    put tx.Translate.fb_bail;
-    put tx.Translate.fb_stop;
-    put tx.Translate.state.Translate.x_hoist_saved
-  | None -> for _ = 1 to 9 do put 0 done
+    let o = o_trans in
+    a.(o) <- tx.Translate.entries_taken;
+    a.(o + 1) <- tx.Translate.threaded_instrs;
+    a.(o + 2) <- tx.Translate.fb_budget;
+    a.(o + 3) <- tx.Translate.fb_priv;
+    a.(o + 4) <- tx.Translate.fb_link;
+    a.(o + 5) <- tx.Translate.fb_indirect;
+    a.(o + 6) <- tx.Translate.fb_bail;
+    a.(o + 7) <- tx.Translate.fb_stop;
+    a.(o + 8) <- tx.Translate.state.Translate.x_hoist_saved
+  | None -> Array.fill a o_trans 9 0
 
 let restore_ints t a =
-  let i = ref 0 in
-  let get () =
-    incr i;
-    a.(!i - 1)
-  in
-  Array.iteri (fun j _ -> t.regs.(j) <- get ()) t.regs;
-  Array.iteri (fun j _ -> t.crs.(j) <- get ()) t.crs;
-  t.pc_ <- get ();
-  t.retired <- get ();
-  t.snap_bytes <- get ();
+  Memory.blit_words a 0 t.regs 0 Isa.num_regs;
+  Memory.blit_words a Isa.num_regs t.crs 0 Isa.num_crs;
+  t.pc_ <- a.(o_pc);
+  t.retired <- a.(o_pc + 1);
+  t.snap_bytes <- a.(o_pc + 2);
   (match t.validator with
   | Some v ->
-    v.v_skip_from <- get ();
-    v.v_skip_until <- get ();
-    v.v_open_at <- get ();
-    v.v_written <- get ();
-    v.v_cur_region <- get ();
-    v.v_rcount <- get ();
-    v.v_cur_loop <- get ();
-    v.v_lcount <- get ();
-    v.v_covered <- get ();
-    v.v_checked <- get ()
-  | None -> i := !i + 10);
+    let o = o_validator in
+    v.v_skip_from <- a.(o);
+    v.v_skip_until <- a.(o + 1);
+    v.v_open_at <- a.(o + 2);
+    v.v_written <- a.(o + 3);
+    v.v_cur_region <- a.(o + 4);
+    v.v_rcount <- a.(o + 5);
+    v.v_cur_loop <- a.(o + 6);
+    v.v_lcount <- a.(o + 7);
+    v.v_covered <- a.(o + 8);
+    v.v_checked <- a.(o + 9)
+  | None -> ());
   match t.trans with
   | Some tx ->
-    tx.Translate.entries_taken <- get ();
-    tx.Translate.threaded_instrs <- get ();
-    tx.Translate.fb_budget <- get ();
-    tx.Translate.fb_priv <- get ();
-    tx.Translate.fb_link <- get ();
-    tx.Translate.fb_indirect <- get ();
-    tx.Translate.fb_bail <- get ();
-    tx.Translate.fb_stop <- get ();
-    tx.Translate.state.Translate.x_hoist_saved <- get ()
+    let o = o_trans in
+    tx.Translate.entries_taken <- a.(o);
+    tx.Translate.threaded_instrs <- a.(o + 1);
+    tx.Translate.fb_budget <- a.(o + 2);
+    tx.Translate.fb_priv <- a.(o + 3);
+    tx.Translate.fb_link <- a.(o + 4);
+    tx.Translate.fb_indirect <- a.(o + 5);
+    tx.Translate.fb_bail <- a.(o + 6);
+    tx.Translate.fb_stop <- a.(o + 7);
+    tx.Translate.state.Translate.x_hoist_saved <- a.(o + 8)
   | None -> ()
 
 (* the observed maxima, as [prev] itself while none has grown *)

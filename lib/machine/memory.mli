@@ -1,18 +1,22 @@
-(** Physical data memory: a flat array of 32-bit words, with per-page
-    dirty tracking for incremental hashing and delta snapshots.
+(** Physical data memory: a flat array of 32-bit words, with write
+    tracking per page and per chunk for incremental hashing and delta
+    snapshots.
 
     Addresses are word indices.  The region at and above the MMIO base
     (see {!Cpu.config}) is not backed by this array; accesses there are
     routed to devices by the executor.
 
-    Every mutation ([write]/[blit_in]/[load]) marks the containing
-    page(s) dirty for three independent consumers: the cached per-page
-    FNV digest used by {!digest}; {!dirty_pages}/{!clear_dirty}, so
-    reintegration snapshots can count the pages written since the
-    previous snapshot; and {!save}, which copies only the pages written
-    since the previous {!save}, {!restore} or {!adopt}.  A save is the
-    one way memory is captured: the model checker restores it into the
-    same memory, reintegration adopts it into the peer's. *)
+    Memory is tracked in pages of [2{^page_shift}] words, each split
+    into chunks of [min 32 2{^page_shift}] words.  Every mutation
+    ([write]/[write_fast]/[blit_in]/[load]) marks the containing
+    page(s) and chunk(s) for three independent consumers: the cached
+    digests used by {!digest}, which re-hashes only the written chunks;
+    {!dirty_pages}/{!clear_dirty}, so reintegration snapshots can count
+    the pages written since the previous snapshot; and {!save}, which
+    compares and copies only the chunks written since the previous
+    {!save}, {!restore} or {!adopt}.  A save is the one way memory is
+    captured: the model checker restores it into the same memory,
+    reintegration adopts it into the peer's. *)
 
 type t
 
@@ -20,14 +24,15 @@ val create : ?page_shift:int -> words:int -> unit -> t
 (** Zero-initialised memory of [words] words, tracked in pages of
     [2{^page_shift}] words (default 10, matching
     {!Cpu.default_config}).  The last page may be partial when [words]
-    is not a multiple of the page size.  The page-digest cache starts
-    out holding the all-zero page digests, so the first {!digest}
-    hashes only pages written since. *)
+    is not a multiple of the page size, and the last chunk when it is
+    not a multiple of the chunk size.  The digest caches start out
+    holding the all-zero digests, so the first {!digest} hashes only
+    chunks written since. *)
 
 val reset : t -> unit
 (** Return the memory to exactly the state {!create} gives it: zero
-    words, zero-page digests cached, every page snapshot-dirty, work
-    counters at zero.  Only pages that may hold nonzero words are
+    words, zero digests cached, every page snapshot-dirty, work
+    counters at zero.  Only chunks that may hold nonzero words are
     zeroed — those written since the last save, restore or adopt, and
     those it left nonzero — so recycling a mostly untouched memory
     costs far less than allocating a new one. *)
@@ -60,7 +65,7 @@ val read_fast : t -> int -> Word.t
 val write_fast : t -> int -> Word.t -> unit
 (** Unchecked write for the translated-code engine: same address
     obligation as {!read_fast}, plus the value must already be a
-    masked 32-bit word (register values are).  Dirty-page tracking is
+    masked 32-bit word (register values are).  Write tracking is
     identical to {!write}. *)
 
 val blit_words : Word.t array -> int -> Word.t array -> int -> int -> unit
@@ -81,20 +86,30 @@ val equal : t -> t -> bool
     not compared). *)
 
 val digest : t -> int
-(** FNV digest of the whole contents, computed incrementally: only
-    pages written since the last call are re-hashed, the rest fold in
-    their cached page digests.  A pure function of the contents —
-    always equal to {!full_digest}. *)
+(** FNV digest of the whole contents, computed incrementally.  A chunk
+    digest folds the chunk's words, a page digest its chunk digests,
+    and the memory digest its page digests.  Only chunks written since
+    their digest was last computed are re-hashed (and, after a
+    {!restore} or {!adopt}, the chunks it rewrote), only pages holding
+    one are refolded, and the rest fold in their cached page digests.
+    A pure function of the contents — always equal to
+    {!full_digest}. *)
 
 val full_digest : t -> int
 (** The same digest computed from scratch, ignoring (and not
-    updating) the page-digest cache; the reference implementation the
+    updating) the digest caches; the reference implementation the
     incremental path is checked against. *)
 
 val take_hash_work : t -> int * int
 (** [(pages hashed, pages skipped)] by digest computations since the
-    last call; resets both counters.  Skipped pages are those whose
-    cached digest was reused. *)
+    last call; resets both counters.  A page counts as hashed when its
+    digest was recomputed, however few of its chunks were re-hashed,
+    and as skipped when its cached digest was reused. *)
+
+val words_hashed : unit -> int
+(** Words hashed by every memory's {!digest} and {!full_digest} since
+    the program started: a deterministic count of hashing work, for
+    tests that gate it. *)
 
 val dirty_pages : t -> int list
 (** Pages written since the last {!clear_dirty}, ascending.  All pages
@@ -108,27 +123,31 @@ val load : t -> addr:int -> Word.t list -> unit
 (** {2 Save and restore} *)
 
 type saved
-(** The whole memory — contents, digest caches, dirty flags, work
+(** The whole memory — contents, page digests, page flags, work
     counters — at the time of a {!save}; immutable.  Contents are held
-    in chunks of 32 words: pages not written since the previous
-    {!save}, {!restore} or {!adopt} of the same memory, and unchanged
-    chunks of the pages that were, are shared with it rather than
-    copied. *)
+    in chunks: pages not written since the previous {!save},
+    {!restore} or {!adopt} of the same memory, and the chunks of the
+    pages that were that are unwritten or unchanged, are shared with it
+    rather than copied. *)
 
 val save : t -> saved
+(** Compares and copies only the chunks written since the previous
+    save, restore or adopt, and returns that one's save itself when
+    nothing was written, hashed or counted since. *)
 
 val restore : t -> saved -> unit
 (** Put the memory back in place to a {!save} of it (any one, in any
-    order, any number of times).  Rewrites only the pages written since
-    the last save, restore or adopt, and the chunks in which that one
-    and the target differ.
+    order, any number of times).  Rewrites only the chunks written
+    since the last save, restore or adopt, and those in which that one
+    and the target differ; the cached digest of a rewritten chunk
+    counts as unknown until the next {!digest} needs it.
     @raise Invalid_argument if the save is of a memory of another size
     or page size. *)
 
 val adopt : t -> saved -> unit
 (** Take in a {!save} of another memory of the same geometry (or of
     this one), as a peer reintegrating from a snapshot does: the same
-    page walk as {!restore}, but this memory keeps its own work
+    chunk walk as {!restore}, but this memory keeps its own work
     counters ({!take_hash_work}) and every page becomes
     snapshot-dirty ({!dirty_pages}).
     @raise Invalid_argument if the save is of a memory of another size

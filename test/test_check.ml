@@ -87,6 +87,33 @@ let counts_pinned () =
       ignore (check_pinned ~what:"pinned" (find_scenario name) pin))
     pins
 
+(* Hashing work in deterministic units, the gate on chunk-grained write
+   tracking: the words the guest-memory digests hash over one
+   [check --all] round and over one [run -w cpu] (both replicas).
+   Tracking writes per 1024-word page, they hashed 2 143 232 and
+   1 024 000. *)
+let words_hashed_pinned () =
+  let hashed f =
+    let before = Hft_machine.Memory.words_hashed () in
+    f ();
+    Hft_machine.Memory.words_hashed () - before
+  in
+  let round =
+    hashed (fun () ->
+        List.iter
+          (fun sc -> ignore (Checker.explore sc ~variant:Scenarios.correct))
+          Scenarios.all)
+  in
+  let cpu =
+    hashed (fun () ->
+        let workload = Hft_guest.Workload.dhrystone ~iterations:20_000 in
+        let params = Hft_core.Params.default in
+        let sys = Hft_core.System.create ~params ~workload () in
+        ignore (Hft_core.System.run sys))
+  in
+  Alcotest.(check (list int))
+    "check --all, run -w cpu" [ 57472; 32192 ] [ round; cpu ]
+
 (* Digest soundness at scale: crash-write crossed with one loss on each
    channel reaches 60 001 distinct states.  The checker prunes on the
    state digest alone, so a digest narrow enough to collide silently
@@ -641,6 +668,8 @@ let () =
             limits_survive_restore;
           test_case "--max-states N visits exactly N states" `Quick
             max_states_exact;
+          test_case "words hashed by check --all and run -w cpu pinned"
+            `Quick words_hashed_pinned;
         ] );
       ( "counterexamples",
         [

@@ -400,11 +400,55 @@ let misc_device_tests =
         check bool "empty again" true (Interrupt.Pending.is_empty p));
   ]
 
+(* The console's running fingerprint against its contents: equal
+   exactly when the contents are, over any mix of writes, clears,
+   saves and restores of earlier saves.  Two letters (one also written
+   with a high bit the console masks off) make equal contents recur
+   along different histories. *)
+let console_fingerprint_prop =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun w -> `Put w) (oneofl [ 0x61; 0x62; 0x161 ]));
+        (1, return `Clear);
+        (2, return `Save);
+        (2, map (fun i -> `Restore i) nat);
+      ]
+  in
+  QCheck.Test.make ~name:"console fingerprint equal exactly when contents are"
+    ~count:300
+    (QCheck.make (list_size (int_range 1 60) op))
+    (fun ops ->
+      let c = Console.create () in
+      let saves = ref [] and seen = ref [] and ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | `Put w -> Console.put c w
+          | `Clear -> Console.clear c
+          | `Save -> saves := (Console.save c, Console.contents c) :: !saves
+          | `Restore i ->
+            if !saves <> [] then begin
+              let s, text = List.nth !saves (i mod List.length !saves) in
+              Console.restore c s;
+              if Console.contents c <> text then ok := false
+            end);
+          seen := (Console.contents c, Console.fingerprint c) :: !seen)
+        ops;
+      !ok
+      && List.for_all
+           (fun (t1, f1) ->
+             List.for_all (fun (t2, f2) -> (t1 = t2) = (f1 = f2)) !seen)
+           !seen)
+
 let () =
   Alcotest.run "hft_devices"
     [
       ("disk", disk_tests @ [ QCheck_alcotest.to_alcotest disk_model_prop ]);
       ("disk-log", log_tests);
       ("disk-ctl", disk_ctl_tests);
-      ("misc", misc_device_tests);
+      ( "misc",
+        misc_device_tests
+        @ [ QCheck_alcotest.to_alcotest console_fingerprint_prop ] );
     ]

@@ -179,6 +179,27 @@ let failover_tests =
         check int "halted when the crash-free run did"
           (Hft_sim.Time.to_ns clean.System.time)
           (Hft_sim.Time.to_ns o.System.time));
+    test_case "a promotion's boundary time is counted" `Quick (fun () ->
+        (* with free sends and deliveries every boundary costs exactly
+           [hv_epoch_local], whether the node ends its epoch as backup,
+           by promotion or as primary *)
+        let params =
+          {
+            small_params with
+            Params.hv_send_setup = Hft_sim.Time.zero;
+            hv_intr_deliver = Hft_sim.Time.zero;
+          }
+        in
+        let w = Workload.dhrystone ~iterations:20_000 in
+        let sys = System.create ~params ~workload:w () in
+        System.crash_primary_on_epoch sys 30;
+        let o = System.run sys in
+        let st = o.System.backup_stats in
+        check bool "failover" true o.System.failover;
+        check int "boundary time, ns"
+          (Hft_sim.Time.to_ns
+             (Hft_sim.Time.scale params.Params.hv_epoch_local st.Stats.epochs))
+          (Hft_sim.Time.to_ns st.Stats.boundary));
   ]
 
 let timer_failover_tests =

@@ -694,28 +694,107 @@ let memory_tests =
 
 (* -------- dirty-page tracking and incremental digests -------- *)
 
+(* A page-level reference model of what a memory's caller can observe
+   besides its words: which pages the next digest must re-hash
+   ([stale]), which are snapshot-dirty ([snap]), whether anything was
+   written since the last digest ([clean]), and the hash-work
+   counters.  Chunk-grained tracking must be invisible at this level. *)
+type model = {
+  truth : int array;
+  stale : bool array;
+  snap : bool array;
+  mutable clean : bool;
+  mutable hashed : int;
+  mutable skipped : int;
+}
+
+let model ~page_shift ~words =
+  let pages = ((words - 1) lsr page_shift) + 1 in
+  {
+    truth = Array.make words 0;
+    stale = Array.make pages false;
+    snap = Array.make pages true;
+    clean = false;
+    hashed = 0;
+    skipped = 0;
+  }
+
+let model_copy md =
+  {
+    md with
+    truth = Array.copy md.truth;
+    stale = Array.copy md.stale;
+    snap = Array.copy md.snap;
+  }
+
+(* the page-level state of [src], into [md] *)
+let model_load md src =
+  Array.blit src.truth 0 md.truth 0 (Array.length md.truth);
+  Array.blit src.stale 0 md.stale 0 (Array.length md.stale);
+  Array.blit src.snap 0 md.snap 0 (Array.length md.snap);
+  md.clean <- src.clean
+
+let model_write md ~page_shift a block =
+  Array.blit block 0 md.truth a (Array.length block);
+  for p = a lsr page_shift to (a + Array.length block - 1) lsr page_shift do
+    md.stale.(p) <- true;
+    md.snap.(p) <- true
+  done;
+  md.clean <- false
+
+let model_digest md =
+  if md.clean then md.skipped <- md.skipped + Array.length md.stale
+  else
+    Array.iteri
+      (fun p stale ->
+        if stale then md.hashed <- md.hashed + 1
+        else md.skipped <- md.skipped + 1;
+        md.stale.(p) <- false)
+      md.stale;
+  md.clean <- true
+
+let model_reset md =
+  Array.fill md.truth 0 (Array.length md.truth) 0;
+  Array.fill md.stale 0 (Array.length md.stale) false;
+  Array.fill md.snap 0 (Array.length md.snap) true;
+  md.clean <- false;
+  md.hashed <- 0;
+  md.skipped <- 0
+
+let model_dirty md =
+  List.filter (fun p -> md.snap.(p)) (List.init (Array.length md.snap) Fun.id)
+
 (* The incremental digest must be indistinguishable from a from-scratch
    re-hash after any interleaving of writes, DMA blits in and out (an
    outbound blit must read back the model's words), digest reads (which
-   build the page cache), dirty-bit clears, save/restore roundtrips,
-   and adopting a save of a twin memory (written and digested on its
-   own). *)
+   build the caches), dirty-bit clears, resets, saves, restores of any
+   earlier save, and adopting a save of a twin memory (written and
+   digested on its own).  Throughout, a restore brings back the saved
+   words, and the hash work and the snapshot-dirty set are those of
+   the page-level [model].  Sizes are not multiples of a page or of a
+   chunk, and pages run from one word to larger than the memory. *)
 let digest_equiv_prop =
   let open QCheck.Gen in
-  (* page-multiple and ragged sizes, including a memory smaller than
-     one page *)
-  let geometry = pair (oneofl [ 0; 8; 10; 16 ]) (oneofl [ 1; 700; 1024; 4096; 5000 ]) in
+  let geometry =
+    pair
+      (oneof [ int_range 0 10; return 16 ])
+      (oneofl [ 1; 5; 31; 33; 700; 1000; 1024; 1025; 4096; 5000 ])
+  in
   let anywhere = int_bound 1_000_000 in
+  let value = int_range 0 1_000_000 in
   let op =
     frequency
       [
-        (6, map2 (fun a v -> `Write (a, v)) anywhere (int_range 0 1_000_000));
+        (4, map2 (fun a v -> `Write (a, v)) anywhere value);
+        (2, map2 (fun a v -> `Write_fast (a, v)) anywhere value);
         (2, map2 (fun a len -> `Blit (a, len)) anywhere (int_range 1 64));
         (1, map2 (fun a len -> `Blit_out (a, len)) anywhere (int_range 1 64));
         (2, return `Digest);
+        (1, return `Full_digest);
         (1, return `Clear);
-        (1, return `Save);
-        (1, return `Restore);
+        (1, return `Reset);
+        (2, return `Save);
+        (2, map (fun i -> `Restore i) nat);
         ( 2,
           map2 (fun a v -> `Twin_write (a, v)) anywhere (int_bound 1_000_000) );
         (1, return `Twin_digest);
@@ -723,62 +802,96 @@ let digest_equiv_prop =
       ]
   in
   let gen = pair geometry (list_size (int_range 1 120) op) in
-  QCheck.Test.make ~name:"incremental digest equals full re-hash" ~count:200
+  QCheck.Test.make ~name:"incremental digest equals full re-hash" ~count:300
     (QCheck.make gen) (fun ((page_shift, words), ops) ->
       let m = Memory.create ~page_shift ~words () in
-      (* fresh memory: the cached zero-page digests are already right,
-         so the first digest hashes nothing *)
+      let md = model ~page_shift ~words in
+      (* fresh memory: the cached zero digests are already right, so
+         the first digest hashes nothing *)
       let d0 = Memory.digest m in
+      model_digest md;
       let fresh_ok =
         Memory.take_hash_work m = (0, Memory.pages m)
         && d0 = Memory.full_digest m
       in
-      let truth = Array.make words 0 in
-      let saved = ref (Memory.save m) in
-      let truth_saved = ref (Array.copy truth) in
+      ignore (Memory.take_hash_work m);
+      md.skipped <- 0;
+      let saves = ref [ (Memory.save m, model_copy md) ] in
       let twin = Memory.create ~page_shift ~words () in
-      let twin_truth = Array.make words 0 in
+      let twin_md = model ~page_shift ~words in
       let ok = ref fresh_ok in
+      let expect b = if not b then ok := false in
+      (* the hash work and dirty set the model predicts *)
+      let agrees () =
+        Memory.take_hash_work m = (md.hashed, md.skipped)
+        && Memory.dirty_pages m = model_dirty md
+        && (md.hashed <- 0;
+            md.skipped <- 0;
+            true)
+      in
       List.iter
         (fun op ->
           match op with
           | `Write (a, v) ->
             let a = a mod words in
             Memory.write m a v;
-            truth.(a) <- Word.mask v
+            model_write md ~page_shift a [| Word.mask v |]
+          | `Write_fast (a, v) ->
+            let a = a mod words in
+            Memory.write_fast m a (Word.mask v);
+            model_write md ~page_shift a [| Word.mask v |]
           | `Blit (a, len) ->
             let a = a mod words in
             let len = min len (words - a) in
             let block = Array.init len (fun i -> Word.mask (a + (i * 37))) in
             Memory.blit_in m ~addr:a block;
-            Array.blit block 0 truth a len
+            model_write md ~page_shift a block
           | `Blit_out (a, len) ->
             let a = a mod words in
             let len = min len (words - a) in
-            if Memory.blit_out m ~addr:a ~len <> Array.sub truth a len then
-              ok := false
-          | `Digest -> if Memory.digest m <> Memory.full_digest m then ok := false
-          | `Clear -> Memory.clear_dirty m
-          | `Save ->
-            saved := Memory.save m;
-            truth_saved := Array.copy truth
-          | `Restore ->
-            Memory.restore m !saved;
-            Array.blit !truth_saved 0 truth 0 words
+            expect (Memory.blit_out m ~addr:a ~len = Array.sub md.truth a len)
+          | `Digest ->
+            let d = Memory.digest m in
+            model_digest md;
+            expect (d = Memory.full_digest m);
+            md.hashed <- md.hashed + Memory.pages m;
+            expect (agrees ())
+          | `Full_digest ->
+            ignore (Memory.full_digest m);
+            md.hashed <- md.hashed + Memory.pages m
+          | `Clear ->
+            Memory.clear_dirty m;
+            Array.fill md.snap 0 (Array.length md.snap) false
+          | `Reset ->
+            Memory.reset m;
+            model_reset md
+          | `Save -> saves := (Memory.save m, model_copy md) :: !saves
+          | `Restore i ->
+            let s, smd = List.nth !saves (i mod List.length !saves) in
+            Memory.restore m s;
+            model_load md smd;
+            md.hashed <- smd.hashed;
+            md.skipped <- smd.skipped;
+            expect (Memory.blit_out m ~addr:0 ~len:words = smd.truth)
           | `Twin_write (a, v) ->
             let a = a mod words in
             Memory.write twin a v;
-            twin_truth.(a) <- Word.mask v
-          | `Twin_digest -> ignore (Memory.digest twin)
+            model_write twin_md ~page_shift a [| Word.mask v |]
+          | `Twin_digest ->
+            ignore (Memory.digest twin);
+            model_digest twin_md
           | `Adopt_twin ->
             Memory.adopt m (Memory.save twin);
-            Array.blit twin_truth 0 truth 0 words)
+            model_load md twin_md;
+            Array.fill md.snap 0 (Array.length md.snap) true)
         ops;
       let fresh = Memory.create ~page_shift ~words () in
-      Memory.blit_in fresh ~addr:0 truth;
-      !ok
-      && Memory.digest m = Memory.full_digest m
-      && Memory.digest m = Memory.digest fresh
+      Memory.blit_in fresh ~addr:0 md.truth;
+      let d = Memory.digest m in
+      model_digest md;
+      !ok && agrees ()
+      && d = Memory.full_digest m
+      && d = Memory.digest fresh
       && Memory.equal m fresh)
 
 (* Recycling is exact: after any mix of the mutation paths a reset
