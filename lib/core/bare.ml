@@ -176,9 +176,9 @@ and handle_stop t stop =
       ignore (Cpu.tick_recovery t.cpu);
       schedule_step t t.p.Params.instr_time
     | Cpu.Mmio_write { paddr; value } ->
-      (match Disk_ctl.write t.ctl ~paddr ~value with
-      | Disk_ctl.Plain -> ()
-      | Disk_ctl.Doorbell db -> submit_io t db);
+      if Disk_ctl.is_doorbell ~paddr then
+        submit_io t (Disk_ctl.ring t.ctl ~value)
+      else Disk_ctl.write t.ctl ~paddr ~value;
       Cpu.advance_pc t.cpu;
       ignore (Cpu.tick_recovery t.cpu);
       schedule_step t t.p.Params.instr_time

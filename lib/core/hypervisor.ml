@@ -669,11 +669,15 @@ and resume_vm_after t ~label d =
     (Engine.after t.engine ~label ~actor:t.name_ d
        (guarded t ~label `Work (fun () -> if flag t S.alive then resume_vm t)))
 
-and resume_after t d =
+and resume_after t d = resume_at t (Time.add (Engine.now t.engine) d)
+
+and resume_at t at =
   ignore
-    (Engine.after t.engine ~label:"resume" ~actor:t.name_ d
+    (Engine.at t.engine ~label:"resume" ~actor:t.name_ at
        (guarded t ~label:"resume" `Work (fun () -> continue_vm t)))
 
+(* Run the guest on from now ([run_burst]), unless interrupt-level work
+   is still to be paid for or a protocol wait holds it. *)
 and continue_vm t =
   if flag t S.alive && not (flag t S.halted) then begin
     if t.s.(S.debt) > 0 then begin
@@ -685,42 +689,75 @@ and continue_vm t =
     else
       match t.blocked with
       | Not_blocked ->
-        let fuel =
-          Params.burst_fuel t.p ~now:(Engine.now t.engine)
-            (Engine.horizon t.engine ~actor:t.name_)
-        in
-        let res = Cpu.run t.vm ~fuel in
-        t.st.Stats.instructions <-
-          t.st.Stats.instructions + res.Cpu.executed;
-        (* the coverage counters are cumulative over the CPU's
-           lifetime, so overwrite rather than accumulate; [create]
-           installs a validator on every hypervisor's CPU *)
-        let cov = Cpu.validator_coverage t.vm in
-        t.st.Stats.certified_instructions <- cov.Cpu.covered;
-        t.st.Stats.validated_instructions <- cov.Cpu.checked;
-        (match Cpu.translation t.vm with
-        | Some tx ->
-          t.st.Stats.blocks_translated <- tx.Translate.translated_blocks;
-          t.st.Stats.superinstructions_fused <- tx.Translate.fused;
-          t.st.Stats.threaded_instrs <- tx.Translate.threaded_instrs;
-          t.st.Stats.threaded_entries <- tx.Translate.entries_taken;
-          t.st.Stats.loops_hoisted <- tx.Translate.hoisted_loops;
-          t.st.Stats.hoisted_decrements <-
-            tx.Translate.state.Translate.x_hoist_saved;
-          t.st.Stats.fallback_budget <- tx.Translate.fb_budget;
-          t.st.Stats.fallback_priv <- tx.Translate.fb_priv;
-          t.st.Stats.fallback_link <- tx.Translate.fb_link;
-          t.st.Stats.fallback_indirect <- tx.Translate.fb_indirect;
-          t.st.Stats.fallback_bail <- tx.Translate.fb_bail;
-          t.st.Stats.fallback_stop <- tx.Translate.fb_stop
-        | None -> ());
-        let dt = Time.scale t.p.Params.instr_time res.Cpu.executed in
-        ignore
-          (Engine.after t.engine ~label:"stop" ~actor:t.name_ dt
-             (guarded t ~label:"stop" `Work (fun () ->
-                  handle_stop t res.Cpu.stop)))
+        run_burst t
+          ~horizon:(Engine.horizon t.engine ~actor:t.name_)
+          ~ran:0 (Engine.now t.engine)
       | _ -> () (* a resume path will reschedule us *)
   end
+
+(* Run the guest from [from] and schedule its [stop] event.  Without a
+   scheduler hook, a stop on a plain controller-register write does not
+   end the dispatch: the write is simulated at once and the next burst
+   runs from [stop + hsim], sized against the same [horizon].  The
+   write touches only this replica's controller shadow and CPU, a
+   burst's effects are applied at dispatch anyway, and nothing can
+   reach the replica before [horizon], so this is the modelled timeline
+   of the stop/resume pair it replaces.  The chain hands back to the
+   engine with exactly the event that pair would schedule: [stop] for
+   any other stop (the doorbell included), [epoch] when the write
+   expires the recovery counter, and [resume] once the next burst would
+   start at or past [horizon] or the chain has run [Params.max_burst]
+   instructions (so a guest spinning on register writes still
+   dispatches events).  Under a hook every dispatch is a checker state,
+   so there each write keeps its two events. *)
+and run_burst t ~horizon ~ran from =
+  let res = Cpu.run t.vm ~fuel:(Params.burst_fuel t.p ~now:from horizon) in
+  count_burst t res;
+  let stop_at =
+    Time.add from (Time.scale t.p.Params.instr_time res.Cpu.executed)
+  in
+  match res.Cpu.stop with
+  | Cpu.Mmio_write { paddr; value }
+    when (not (Disk_ctl.is_doorbell ~paddr))
+         && not (Engine.has_scheduler t.engine) ->
+    let expired = plain_write t ~paddr ~value in
+    let next = Time.add stop_at (hsim t) in
+    let ran = ran + res.Cpu.executed in
+    let room =
+      match horizon with Some h -> Time.(next < h) | None -> true
+    in
+    if expired || ran >= Params.max_burst || not room then
+      after_simulated t ~expired next
+    else run_burst t ~horizon ~ran next
+  | stop ->
+    ignore
+      (Engine.at t.engine ~label:"stop" ~actor:t.name_ stop_at
+         (guarded t ~label:"stop" `Work (fun () -> handle_stop t stop)))
+
+and count_burst t res =
+  t.st.Stats.instructions <- t.st.Stats.instructions + res.Cpu.executed;
+  (* the coverage counters are cumulative over the CPU's lifetime, so
+     overwrite rather than accumulate; [create] installs a validator on
+     every hypervisor's CPU *)
+  let cov = Cpu.validator_coverage t.vm in
+  t.st.Stats.certified_instructions <- cov.Cpu.covered;
+  t.st.Stats.validated_instructions <- cov.Cpu.checked;
+  match Cpu.translation t.vm with
+  | Some tx ->
+    t.st.Stats.blocks_translated <- tx.Translate.translated_blocks;
+    t.st.Stats.superinstructions_fused <- tx.Translate.fused;
+    t.st.Stats.threaded_instrs <- tx.Translate.threaded_instrs;
+    t.st.Stats.threaded_entries <- tx.Translate.entries_taken;
+    t.st.Stats.loops_hoisted <- tx.Translate.hoisted_loops;
+    t.st.Stats.hoisted_decrements <-
+      tx.Translate.state.Translate.x_hoist_saved;
+    t.st.Stats.fallback_budget <- tx.Translate.fb_budget;
+    t.st.Stats.fallback_priv <- tx.Translate.fb_priv;
+    t.st.Stats.fallback_link <- tx.Translate.fb_link;
+    t.st.Stats.fallback_indirect <- tx.Translate.fb_indirect;
+    t.st.Stats.fallback_bail <- tx.Translate.fb_bail;
+    t.st.Stats.fallback_stop <- tx.Translate.fb_stop
+  | None -> ()
 
 and handle_stop t stop =
   if flag t S.alive && not (flag t S.halted) then
@@ -778,19 +815,30 @@ and handle_stop t stop =
       failwith
         (Printf.sprintf "%s: certificate violation at %d: %s" t.name_ addr msg)
 
-(* An instruction the hypervisor simulated has completed: advance
-   (unless the simulation moved the pc itself), count it against the
-   recovery counter, and resume after the simulation cost. *)
-and complete_simulated ?(advance = true) ?(extra = Time.zero) t =
+(* Retire an instruction the hypervisor simulated: count it, advance
+   past it (unless the simulation moved the pc itself) and tick the
+   recovery counter; [true] when that expires the epoch. *)
+and retire_simulated ?(advance = true) t =
   t.st.Stats.simulated <- t.st.Stats.simulated + 1;
   if advance then Cpu.advance_pc t.vm;
-  let expired = Cpu.tick_recovery t.vm in
-  let d = Time.add (hsim t) extra in
+  Cpu.tick_recovery t.vm
+
+(* What follows a simulated instruction, once its cost has passed at
+   [at]: the epoch boundary if it expired the recovery counter, else
+   the next burst. *)
+and after_simulated t ~expired at =
   if expired then
     ignore
-      (Engine.after t.engine ~label:"epoch" ~actor:t.name_ d
+      (Engine.at t.engine ~label:"epoch" ~actor:t.name_ at
          (guarded t ~label:"epoch" `Work (fun () -> epoch_boundary t)))
-  else resume_after t d
+  else resume_at t at
+
+(* An instruction the hypervisor simulated has completed: retire it and
+   go on after the simulation cost. *)
+and complete_simulated ?advance ?(extra = Time.zero) t =
+  let expired = retire_simulated ?advance t in
+  after_simulated t ~expired
+    (Time.add (Engine.now t.engine) (Time.add (hsim t) extra))
 
 (* ---------- environment instructions ---------- *)
 
@@ -927,13 +975,21 @@ and sim_mmio_read t ~paddr ~reg =
   complete_simulated t
 
 and sim_mmio_write t ~paddr ~value =
-  match Disk_ctl.write t.ctl ~paddr ~value with
-  | Disk_ctl.Plain -> complete_simulated t
-  | Disk_ctl.Doorbell db ->
-    let req =
+  if Disk_ctl.is_doorbell ~paddr then
+    let db = Disk_ctl.ring t.ctl ~value in
+    handle_doorbell t
       { cmd = db.Disk_ctl.cmd; block = db.Disk_ctl.block; dma = db.Disk_ctl.dma }
-    in
-    handle_doorbell t req
+  else
+    let expired = plain_write t ~paddr ~value in
+    after_simulated t ~expired (Time.add (Engine.now t.engine) (hsim t))
+
+(* A write to a plain controller register: latch it in the shadow and
+   retire the instruction; [true] when that expires the epoch.  The
+   [stop] handler and a burst running on through the write
+   ([run_burst]) both take this path. *)
+and plain_write t ~paddr ~value =
+  Disk_ctl.write t.ctl ~paddr ~value;
+  retire_simulated t
 
 and handle_doorbell t req =
   match t.role_ with

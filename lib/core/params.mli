@@ -140,10 +140,16 @@ val default : t
 val hsim : t -> Hft_sim.Time.t
 (** [hv_entry_exit + hv_work] = 15.12 us with defaults. *)
 
+val max_burst : int
+(** 2 000 000: a burst's instruction budget.  It caps one burst's fuel,
+    and a hypervisor stops running bursts on through plain
+    controller-register writes within one dispatch once they have
+    retired this many instructions. *)
+
 val burst_fuel : t -> now:Hft_sim.Time.t -> Hft_sim.Time.t option -> int
 (** Instructions one execution burst starting at [now] may retire
     before [horizon], the instant the next event could touch the
-    executing machine: at least 1, at most 2 000 000 (the cap when
+    executing machine: at least 1, at most {!max_burst} (the cap when
     nothing is pending).  Both executors size their bursts with it. *)
 
 val with_epoch_length : t -> int -> t

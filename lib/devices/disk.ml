@@ -44,8 +44,10 @@ type log_entry = {
   content_hash : int;
 }
 
+let content_basis = 0x1ff29ce484222325
+
 let hash_content (data : int array) =
-  let h = ref 0x1ff29ce484222325 in
+  let h = ref content_basis in
   for i = 0 to Array.length data - 1 do
     h := Fnv.int !h data.(i)
   done;
@@ -73,14 +75,20 @@ type parked = {
 
 module IM = Map.Make (Int)
 
+(* A written block: its words and their [hash_content].  A save shares
+   the record, so the hash travels with the words it describes. *)
+type block = { words : Hft_machine.Word.t array; hash : int }
+
+(* marks a block never written since [create] or the last [fill]: its
+   contents are [pristine] *)
+let unwritten = { words = [||]; hash = 0 }
+
 type t = {
   engine : Engine.t;
   prm : params;
   rng : Rng.t;
   obs : Hft_obs.Recorder.t;
-  storage : Hft_machine.Word.t array array;
-      (* [[||]] marks a pristine block: never written since [create] or
-         the last [fill], its contents are [pristine] *)
+  storage : block array;
   owned : bool array;
       (* the block's array was allocated since the last [save] or
          [restore], so no saved state shares it and a write may go in
@@ -97,6 +105,10 @@ type t = {
   mutable storage_hash_ : int;
       (* xor over written blocks of their digest delta against the
          pristine image, so a fresh or freshly filled disk hashes to 0 *)
+  pristine_hashes : int array;
+      (* [hash_content] of block [b]'s pristine contents at [2b] (zeros)
+         and [2b + 1] (the fill pattern), taken on first need; -1 until
+         then *)
 }
 
 (* Position-dependent per-block digest, from the block's content hash;
@@ -112,7 +124,7 @@ let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
     prm;
     rng;
     obs;
-    storage = Array.make prm.blocks [||];
+    storage = Array.make prm.blocks unwritten;
     owned = Array.make prm.blocks true;
     filled = false;
     queue = [];
@@ -122,6 +134,7 @@ let create ~engine ?rng ?(obs = Hft_obs.Recorder.null) prm =
     next_log_seq = 0;
     log_rev = [];
     storage_hash_ = 0;
+    pristine_hashes = Array.make (2 * prm.blocks) (-1);
   }
 
 let params t = t.prm
@@ -133,6 +146,8 @@ let check_block t block =
 let busy t = t.busy_
 let queue_depth t = List.length t.queue + if t.busy_ then 1 else 0
 
+let pattern block i = Hft_machine.Word.mask ((block * 0x01000193) + i)
+
 (* Blocks are built with [Array.make] and typed stores: [Array.init]
    and [Array.copy] of a block past the minor-heap limit pay a write
    barrier per word. *)
@@ -140,40 +155,55 @@ let pristine t block =
   let data = Array.make t.prm.block_words 0 in
   if t.filled then
     for i = 0 to t.prm.block_words - 1 do
-      data.(i) <- Hft_machine.Word.mask ((block * 0x01000193) + i)
+      data.(i) <- pattern block i
     done;
   data
 
+(* [hash_content (pristine t block)], folded from the pattern without
+   building the block *)
+let pristine_hash t block =
+  let k = (2 * block) + Bool.to_int t.filled in
+  let h = t.pristine_hashes.(k) in
+  if h >= 0 then h
+  else begin
+    let h = ref content_basis in
+    for i = 0 to t.prm.block_words - 1 do
+      h := Fnv.int !h (if t.filled then pattern block i else 0)
+    done;
+    t.pristine_hashes.(k) <- !h;
+    !h
+  end
+
 let fill t =
-  Array.fill t.storage 0 t.prm.blocks [||];
+  Array.fill t.storage 0 t.prm.blocks unwritten;
   t.filled <- true;
   t.storage_hash_ <- 0
 
 let read_block_now t block =
   check_block t block;
-  match t.storage.(block) with
-  | [||] -> pristine t block
-  | data ->
+  let b = t.storage.(block) in
+  if b == unwritten then pristine t block
+  else begin
     let copy = Array.make t.prm.block_words 0 in
-    Hft_machine.Memory.blit_words data 0 copy 0 t.prm.block_words;
+    Hft_machine.Memory.blit_words b.words 0 copy 0 t.prm.block_words;
     copy
+  end
 
-(* [hash] is [hash_content data] *)
+(* [hash] is [hash_content data].  A block a save shares is replaced
+   rather than written. *)
 let store t block data ~hash =
   let old = t.storage.(block) in
-  let first = Array.length old = 0 in
-  (* a first write takes the block out of the pristine image; a block
-     a save shares is replaced rather than written *)
-  let old = if first then pristine t block else old in
-  let cur =
-    if first || t.owned.(block) then old
+  let first = old == unwritten in
+  let words =
+    if (not first) && t.owned.(block) then old.words
     else Array.make t.prm.block_words 0
   in
-  t.storage.(block) <- cur;
+  Hft_machine.Memory.blit_words data 0 words 0 t.prm.block_words;
+  t.storage.(block) <- { words; hash };
   t.owned.(block) <- true;
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block (hash_content old);
-  Hft_machine.Memory.blit_words data 0 cur 0 t.prm.block_words;
-  t.storage_hash_ <- t.storage_hash_ lxor block_hash block hash
+  let old_hash = if first then pristine_hash t block else old.hash in
+  t.storage_hash_ <-
+    t.storage_hash_ lxor block_hash block old_hash lxor block_hash block hash
 
 let write_block_now t block data =
   check_block t block;
@@ -296,7 +326,7 @@ let storage_hash t = t.storage_hash_
 (* Blocks are shared with the save, copy-on-write; the queue, the
    parked table and the log are immutable values, held by reference. *)
 type saved = {
-  sv_storage : Hft_machine.Word.t array array;
+  sv_storage : block array;
   sv_filled : bool;
   sv_queue : pending list;
   sv_deferred : parked list IM.t;

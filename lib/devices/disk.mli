@@ -112,7 +112,9 @@ val drop_port : t -> port:int -> int
     is not built up front: a block stays {e pristine} — no backing
     array — until its first performed write, and reads and DMA of a
     pristine block build its contents on demand.  A run pays only for
-    the blocks it writes. *)
+    the blocks it writes.  Each written block keeps its content digest
+    beside its words, and a pristine block's digest is folded from the
+    pattern, once per block and fill state, without building it. *)
 
 val fill : t -> unit
 (** Reset every block to the fill pattern: word [i] of block [b] is
@@ -128,7 +130,9 @@ val storage_hash : t -> int
     its pristine contents.  It is [0] on a fresh or freshly filled
     disk, equal for two disks of the same fill state whose contents
     match (whatever their write histories), and maintained
-    incrementally: each write re-hashes only the block it touches. *)
+    incrementally: a write hashes only the data it stores, once, at
+    submission, and takes the replaced block's term from its kept
+    digest. *)
 
 val fingerprint : t -> int
 (** Canonical 62-bit {!Hft_sim.Fnv} digest of the device state for the
@@ -187,10 +191,10 @@ end
 
 type saved
 (** Contents, queue, parked completions, log, counters and the fault
-    generator's position.  Blocks are shared with the live disk and
-    copied on its next write to them, so a save costs no block copy;
-    the queue, the parked completions and the log are immutable values
-    and are held by reference. *)
+    generator's position.  Blocks, with their digests, are shared with
+    the live disk and copied on its next write to them, so a save
+    costs no block copy; the queue, the parked completions and the log
+    are immutable values and are held by reference. *)
 
 val save : ?like:saved -> t -> saved
 (** The array of blocks is shared with [like]'s while it holds the

@@ -17,8 +17,6 @@ type t = {
   mutable r_pad : int;
 }
 
-type write_effect = Plain | Doorbell of doorbell
-
 let create () = { r_block = 0; r_dma = 0; r_status = 0; r_pad = 0 }
 
 let read t ~paddr =
@@ -29,20 +27,17 @@ let read t ~paddr =
   | n when n = reg_pad -> t.r_pad
   | _ -> 0
 
+let is_doorbell ~paddr = paddr - base = reg_cmd
+
 let write t ~paddr ~value =
   match paddr - base with
-  | n when n = reg_cmd ->
-    Doorbell { cmd = value; block = t.r_block; dma = t.r_dma }
-  | n when n = reg_block ->
-    t.r_block <- value;
-    Plain
-  | n when n = reg_dma ->
-    t.r_dma <- value;
-    Plain
-  | n when n = reg_pad ->
-    t.r_pad <- value;
-    Plain
-  | _ -> Plain
+  | n when n = reg_cmd -> invalid_arg "Disk_ctl.write: the doorbell"
+  | n when n = reg_block -> t.r_block <- value
+  | n when n = reg_dma -> t.r_dma <- value
+  | n when n = reg_pad -> t.r_pad <- value
+  | _ -> ()
+
+let ring t ~value = { cmd = value; block = t.r_block; dma = t.r_dma }
 
 let set_status t s = t.r_status <- s
 

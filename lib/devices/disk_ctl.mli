@@ -8,17 +8,12 @@
     handler) return identical values in both replicas — MMIO state is
     part of the virtual-machine state the protocol keeps in lockstep.
 
-    A write to the command register is the doorbell: it returns the
-    decoded operation for the executor to act on (issue to the real
-    device, or record-and-suppress at the backup). *)
+    A write to the command register is the doorbell ({!ring}); every
+    other register write is plain ({!write}). *)
 
 type t
 
 type doorbell = { cmd : int; block : int; dma : int }
-
-type write_effect =
-  | Plain         (** register updated, nothing to do *)
-  | Doorbell of doorbell
 
 val create : unit -> t
 
@@ -26,9 +21,21 @@ val read : t -> paddr:int -> Hft_machine.Word.t
 (** Read a controller register.  Unknown registers in the device page
     read as zero. *)
 
-val write : t -> paddr:int -> value:Hft_machine.Word.t -> write_effect
-(** Write a controller register; a write to the command register
-    latches the doorbell. *)
+val is_doorbell : paddr:int -> bool
+(** Whether a write to [paddr] rings the doorbell (the command
+    register).  Every other write is {e plain}: it changes only this
+    register file, which is what lets the hypervisor simulate it
+    inside a burst without ending it. *)
+
+val write : t -> paddr:int -> value:Hft_machine.Word.t -> unit
+(** A plain write: latch a register; unknown registers ignore it.
+    Raises [Invalid_argument] on the doorbell, which is {!ring}. *)
+
+val ring : t -> value:Hft_machine.Word.t -> doorbell
+(** A write of the command [value] to the doorbell: the operation it
+    starts, with the block and DMA registers latched so far, for the
+    executor to act on (issue to the real device, or record and
+    suppress at the backup). *)
 
 val set_status : t -> int -> unit
 (** Executor hook: record a completion status for the guest to read

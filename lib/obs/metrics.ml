@@ -26,6 +26,16 @@ type window = {
       (** simulated time within the window with no live primary *)
 }
 
+(* What the tap keeps per event source: the counter handles it has
+   bumped, by the name literal it bumped them under, and its
+   open-interval pairing state. *)
+type source = {
+  src : string;
+  mutable handles : (string * counter) list;
+  mutable epoch_open : int;  (** begin ns of the open epoch; -1 if none *)
+  mutable ack_open : int;  (** likewise for an ack wait *)
+}
+
 type t = {
   mutable window_ns : int;
   max_windows : int;
@@ -34,9 +44,7 @@ type t = {
   mutable cur : window option;
   mutable cur_end_ns : int;
   counters : (string * string, counter) Hashtbl.t;
-  (* open-interval pairing state *)
-  epoch_open : (string, int) Hashtbl.t;  (** source -> begin ns *)
-  ack_open : (string, int) Hashtbl.t;
+  mutable sources : source list;
   mutable primary : string;
   mutable down_since : int option;
 }
@@ -54,8 +62,7 @@ let create ?(window_ns = 10_000_000) ?(max_windows = 64) () =
     cur = None;
     cur_end_ns = 0;
     counters = Hashtbl.create 32;
-    epoch_open = Hashtbl.create 4;
-    ack_open = Hashtbl.create 4;
+    sources = [];
     primary = "primary";
     down_since = None;
   }
@@ -179,54 +186,74 @@ let mark_up t now =
     w.w_down_ns <- w.w_down_ns + (now - max since w.w_t0_ns);
     t.down_since <- None
 
+(* Sources are few and their names are usually the same physical
+   strings, so a list scan on [==] finds one without hashing. *)
+let rec find_source t src = function
+  | s :: rest ->
+    if s.src == src || String.equal s.src src then s
+    else find_source t src rest
+  | [] ->
+    let s = { src; handles = []; epoch_open = -1; ack_open = -1 } in
+    t.sources <- s :: t.sources;
+    s
+
+(* [s]'s handle for counter [name], resolved on first use.  Each name
+   is a literal at one call site of [observe], so [==] finds it. *)
+let rec handle t s name = function
+  | (n, c) :: rest -> if n == name then c else handle t s name rest
+  | [] ->
+    let c = counter (scope t s.src) name in
+    s.handles <- (name, c) :: s.handles;
+    c
+
+let bump t s name = incr (handle t s name s.handles)
+
+let since t0 now = Time.of_ns (if now > t0 then now - t0 else 0)
+
 let observe t (e : Recorder.entry) =
   let now = Time.to_ns e.Recorder.time in
   let w = roll t now in
-  let sc = scope t e.Recorder.source in
+  let s = find_source t e.Recorder.source t.sources in
   match e.Recorder.ev with
-  | Event.Epoch_begin _ -> Hashtbl.replace t.epoch_open e.Recorder.source now
-  | Event.Epoch_end _ -> (
-    incr (counter sc "epochs");
-    match Hashtbl.find_opt t.epoch_open e.Recorder.source with
-    | Some t0 ->
-      Hashtbl.remove t.epoch_open e.Recorder.source;
-      let d = Time.of_ns (if now > t0 then now - t0 else 0) in
-      Hist.add w.w_epoch d;
+  | Event.Epoch_begin _ -> s.epoch_open <- now
+  | Event.Epoch_end _ ->
+    bump t s "epochs";
+    if s.epoch_open >= 0 then begin
+      Hist.add w.w_epoch (since s.epoch_open now);
+      s.epoch_open <- -1;
       w.w_epochs <- w.w_epochs + 1
-    | None -> ())
-  | Event.Ack_wait_begin _ -> Hashtbl.replace t.ack_open e.Recorder.source now
-  | Event.Ack_wait_end _ -> (
-    incr (counter sc "ack_waits");
-    match Hashtbl.find_opt t.ack_open e.Recorder.source with
-    | Some t0 ->
-      Hashtbl.remove t.ack_open e.Recorder.source;
-      let d = Time.of_ns (if now > t0 then now - t0 else 0) in
-      Hist.add w.w_ack d
-    | None -> ())
-  | Event.Msg_send _ -> incr (counter sc "msgs_sent")
-  | Event.Msg_acked _ -> incr (counter sc "msgs_acked")
-  | Event.Rtx_round _ -> incr (counter sc "rtx_rounds")
-  | Event.Rtx_give_up _ -> incr (counter sc "rtx_give_ups")
-  | Event.Frame_dropped _ -> incr (counter sc "frames_dropped")
-  | Event.Intr_buffered _ -> incr (counter sc "intrs_buffered")
-  | Event.Intr_delivered _ -> incr (counter sc "intrs_delivered")
-  | Event.Io_submit _ -> incr (counter sc "io_submits")
-  | Event.Io_complete _ -> incr (counter sc "io_completes")
-  | Event.Io_suppressed _ -> incr (counter sc "io_suppressed")
+    end
+  | Event.Ack_wait_begin _ -> s.ack_open <- now
+  | Event.Ack_wait_end _ ->
+    bump t s "ack_waits";
+    if s.ack_open >= 0 then begin
+      Hist.add w.w_ack (since s.ack_open now);
+      s.ack_open <- -1
+    end
+  | Event.Msg_send _ -> bump t s "msgs_sent"
+  | Event.Msg_acked _ -> bump t s "msgs_acked"
+  | Event.Rtx_round _ -> bump t s "rtx_rounds"
+  | Event.Rtx_give_up _ -> bump t s "rtx_give_ups"
+  | Event.Frame_dropped _ -> bump t s "frames_dropped"
+  | Event.Intr_buffered _ -> bump t s "intrs_buffered"
+  | Event.Intr_delivered _ -> bump t s "intrs_delivered"
+  | Event.Io_submit _ -> bump t s "io_submits"
+  | Event.Io_complete _ -> bump t s "io_completes"
+  | Event.Io_suppressed _ -> bump t s "io_suppressed"
   | Event.Crash ->
-    incr (counter sc "crashes");
+    bump t s "crashes";
     if e.Recorder.source = t.primary then mark_down t now
   | Event.Promoted _ ->
-    incr (counter sc "promotions");
+    bump t s "promotions";
     t.primary <- e.Recorder.source;
     mark_up t now
   | Event.Hv_fault _ ->
-    incr (counter sc "hv_faults");
+    bump t s "hv_faults";
     if e.Recorder.source = t.primary then mark_down t now
   | Event.Microreboot_done _ ->
-    incr (counter sc "microreboots");
+    bump t s "microreboots";
     if e.Recorder.source = t.primary then mark_up t now
-  | Event.Recovery_escalated _ -> incr (counter sc "recovery_escalations")
+  | Event.Recovery_escalated _ -> bump t s "recovery_escalations"
   | Event.Ch_send _ | Event.Ch_deliver _ | Event.Ch_drop _
   | Event.Dispatch _ | Event.Note _ | Event.Halt _
   | Event.Detector_fired _ | Event.Reintegration_offer _
@@ -234,7 +261,7 @@ let observe t (e : Recorder.entry) =
   | Event.Hv_detected _ ->
     ()
 
-let tap t = observe t
+let tap = observe
 
 (* ---------- derived summaries ---------- *)
 

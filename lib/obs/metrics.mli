@@ -58,7 +58,9 @@ val observe : t -> Recorder.entry -> unit
     pairs close into the windowed histograms; crash/promotion and
     hypervisor fault/microreboot events open and close downtime for
     the availability fraction; most other events bump a per-actor
-    counter. *)
+    counter.  Each source's counter handles are resolved once, so
+    folding a counted event from a source seen before allocates
+    nothing. *)
 
 val tap : t -> Recorder.entry -> unit
 (** [Recorder.create ~tap:(Metrics.tap m) ()] — alias of {!observe}

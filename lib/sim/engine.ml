@@ -231,6 +231,7 @@ let pending t = t.live
 
 let set_scheduler t f = t.sched <- Some f
 let clear_scheduler t = t.sched <- None
+let has_scheduler t = Option.is_some t.sched
 
 let set_observer t f = t.observer <- Some f
 

@@ -125,6 +125,12 @@ val set_scheduler : t -> (choice array -> int) -> unit
 
 val clear_scheduler : t -> unit
 
+val has_scheduler : t -> bool
+(** Whether a hook is installed.  An actor that folds several of its
+    own steps into one dispatch (the hypervisor running a burst on
+    through a plain controller-register write) does so only without
+    one: under a hook every dispatch is a state the checker sees. *)
+
 val set_observer : t -> (Time.t -> label:string -> actor:string -> unit) -> unit
 (** Install a dispatch observer: called for every dispatched event
     that carries a non-empty label, before its handler runs.  Unlike

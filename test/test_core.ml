@@ -901,6 +901,61 @@ let burst_cost_tests =
         if words > budget then
           Alcotest.failf "Cpu.run ~fuel:1 allocated %.0f minor words, budget %.0f"
             words budget);
+    (* Work gates: a burst runs on through the driver's plain register
+       writes, so a CLI run dispatches about one event per doorbell,
+       epoch and message rather than two per write (16 883 and 111 286
+       with a stop/resume pair per write). *)
+    Alcotest.test_case "run -w mixed and -w write dispatch counts pinned"
+      `Quick (fun () ->
+        List.iter
+          (fun (w, expected) ->
+            let sys, _ = run_sys ~params:Params.default w in
+            Alcotest.(check int)
+              (w.Workload.name ^ " dispatches")
+              expected
+              (Hft_sim.Engine.events_dispatched (System.engine sys)))
+          [
+            (Workload.mixed ~compute:100 ~ops:12 (), 7_798);
+            (Workload.disk_write ~ops:24 (), 20_446);
+          ]);
+    (* Alone (its primary crashed) and with an epoch longer than the
+       test could run, the backup's burst is bounded by nothing but the
+       per-dispatch budget, so only that keeps the event limit in
+       reach. *)
+    Alcotest.test_case "a guest spinning on a register write hits the limit"
+      `Quick (fun () ->
+        let open Hft_machine.Asm in
+        let w =
+          {
+            Workload.name = "pad-spin";
+            description = "writes the controller's pad register forever";
+            program =
+              Kernel.program
+                ~main:
+                  [
+                    ldi 6 Layout.disk_pad;
+                    label "spin";
+                    st 5 6 0;
+                    jmp (lbl "spin");
+                  ];
+            config = [];
+            instructions_per_iteration = 2;
+          }
+        in
+        let params = Params.with_epoch_length Params.default (1 lsl 30) in
+        let sys = System.create ~params ~workload:w () in
+        System.crash_primary_at sys (Hft_sim.Time.of_us 100);
+        System.start sys;
+        let engine = System.engine sys in
+        Hft_sim.Engine.run_until engine (Hft_sim.Time.of_us 100);
+        let limit = Hft_sim.Engine.events_dispatched engine + 2 in
+        match System.drive ~limit sys with
+        | _ -> Alcotest.fail "the run ended"
+        | exception Hft_sim.Engine.Runaway n ->
+          Alcotest.(check int) "limit" limit n;
+          let b = Hypervisor.stats (System.backup sys) in
+          if b.Stats.simulated < Params.max_burst / 2 then
+            Alcotest.failf "the backup simulated only %d writes" b.Stats.simulated);
   ]
 
 (* the node's (epoch, hash) at every boundary, newest first, chained
@@ -1153,16 +1208,19 @@ let modelled (s : Stats.t) =
     fallback_stop = 0;
   }
 
-let observe ~failover ~params ~per_dispatch (w : Workload.t) =
+let observe ~faults ~params ~per_dispatch (w : Workload.t) =
   let obs = Hft_obs.Recorder.create ~capacity:(1 lsl 20) () in
   let sys = System.create ~params ~obs ~workload:w () in
   let hp = record_hashes (System.primary sys)
   and hb = record_hashes (System.backup sys) in
-  if failover then begin
-    System.crash_primary_at sys (Hft_sim.Time.of_ms 40);
-    System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 10)
-  end;
+  faults sys;
   if per_dispatch then Hft_sim.Engine.set_scheduler (System.engine sys) (fun _ -> 0);
+  (* how bursts are cut shows only in [stop] and [resume] dispatches *)
+  let handlers = Hashtbl.create 16 in
+  Hft_sim.Engine.set_observer (System.engine sys) (fun _ ~label ~actor ->
+      if label <> "stop" && label <> "resume" then
+        Hashtbl.replace handlers (actor, label)
+          (1 + Option.value ~default:0 (Hashtbl.find_opt handlers (actor, label))));
   let o = System.run sys in
   let events =
     List.map
@@ -1172,6 +1230,7 @@ let observe ~failover ~params ~per_dispatch (w : Workload.t) =
     |> List.stable_sort (fun (t1, s1, _) (t2, s2, _) ->
            compare (t1, s1) (t2, s2))
   in
+  let handlers = List.sort compare (List.of_seq (Hashtbl.to_seq handlers)) in
   ( {
       o with
       System.primary_stats = modelled o.System.primary_stats;
@@ -1179,7 +1238,8 @@ let observe ~failover ~params ~per_dispatch (w : Workload.t) =
     },
     Hft_devices.Disk.Log.entries (System.disk sys),
     (List.rev !hp, List.rev !hb),
-    events )
+    events,
+    handlers )
 
 let configurations =
   List.concat_map
@@ -1197,13 +1257,17 @@ let configurations =
         [ Params.Original; Params.Revised ])
     [ Params.Interp; Params.Threaded ]
 
-let lookahead_case ?(failover = false) (w : Workload.t) =
+let lookahead_case ?(label = "") ?epoch_length ?(faults = ignore)
+    ?(reaches = ("", fun _ -> true)) (w : Workload.t) =
   let open Alcotest in
-  test_case
-    (w.Workload.name ^ if failover then " with failover" else "")
-    `Quick (fun () ->
+  test_case (w.Workload.name ^ label) `Quick (fun () ->
       List.iter
         (fun params ->
+          let params =
+            match epoch_length with
+            | Some el -> Params.with_epoch_length params el
+            | None -> params
+          in
           let name =
             Format.asprintf "%a/%a/%s" Params.pp_backend
               params.Params.exec_backend Params.pp_protocol
@@ -1212,8 +1276,8 @@ let lookahead_case ?(failover = false) (w : Workload.t) =
               | Params.Recovery_register -> "recovery"
               | Params.Code_rewriting -> "rewriting")
           in
-          let o1, d1, h1, e1 = observe ~failover ~params ~per_dispatch:false w in
-          let o2, d2, h2, e2 = observe ~failover ~params ~per_dispatch:true w in
+          let o1, d1, h1, e1, x1 = observe ~faults ~params ~per_dispatch:false w in
+          let o2, d2, h2, e2, x2 = observe ~faults ~params ~per_dispatch:true w in
           check int (name ^ ": completion time")
             (Hft_sim.Time.to_ns o2.System.time)
             (Hft_sim.Time.to_ns o1.System.time);
@@ -1226,8 +1290,27 @@ let lookahead_case ?(failover = false) (w : Workload.t) =
           check bool (name ^ ": disk log") true (d1 = d2);
           check bool (name ^ ": epoch hashes") true (h1 = h2);
           check int (name ^ ": event count") (List.length e2) (List.length e1);
-          check bool (name ^ ": event stream") true (e1 = e2))
+          check bool (name ^ ": event stream") true (e1 = e2);
+          check bool (name ^ ": dispatches but stop and resume") true (x1 = x2);
+          check bool (name ^ ": " ^ fst reaches) true (snd reaches o1))
         configurations)
+
+(* Free-running, a replica also runs its burst on through plain
+   controller-register writes (the scheduler hook turns that off too),
+   so the I/O cases compare fused against unfused bursts; these add
+   the fault paths around them. *)
+let failover sys =
+  System.crash_primary_at sys (Hft_sim.Time.of_ms 40);
+  System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 10)
+
+let lossy_failover sys =
+  System.install_fault_model sys ~rng:(Hft_sim.Rng.create 17)
+    { Hft_net.Channel.loss = 0.1; duplicate = 0.05; corrupt = 0.05; delay_us = 40 };
+  System.crash_primary_on_epoch sys 5;
+  System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 2)
+
+let backup_hv_crash sys =
+  System.hv_fault_on_epoch sys ~target:`Backup ~kind:Hypervisor.Hv_crash 3
 
 (* The phase-lock regression: before lookahead each replica's burst
    ended at its peer's pending stop, so at long epochs the two took
@@ -1274,7 +1357,27 @@ let () =
         List.map lookahead_case cpu_workloads @ [ lookahead_regression_test ] );
       ( "lookahead-io",
         List.map lookahead_case io_workloads
-        @ [ lookahead_case ~failover:true (Workload.disk_write ~ops:3 ()) ] );
+        @ [
+            lookahead_case ~label:" with failover" ~faults:failover
+              (Workload.disk_write ~ops:3 ());
+            (* epochs short enough that some expire on a pad write *)
+            lookahead_case ~label:" at EL 97" ~epoch_length:97
+              (Workload.mixed ~compute:100 ~ops:3 ());
+            lookahead_case ~label:" over a lossy channel with failover"
+              ~faults:lossy_failover
+              ~reaches:
+                ( "reintegrated after failover",
+                  fun o ->
+                    o.System.failover
+                    && o.System.backup_stats.Stats.snapshot_delta_bytes > 0 )
+              (Workload.mixed ~compute:100 ~ops:3 ());
+            lookahead_case ~label:" with a backup hypervisor crash"
+              ~faults:backup_hv_crash
+              ~reaches:
+                ( "microrebooted",
+                  fun o -> o.System.backup_stats.Stats.microreboots = 1 )
+              (Workload.mixed ~compute:100 ~ops:3 ());
+          ] );
       ( "random-lockstep",
         [
           QCheck_alcotest.to_alcotest random_lockstep_prop;

@@ -225,6 +225,88 @@ let disk_model_prop =
       let fresh = mk (mk_engine ()) ~fault_rate:0.0 ~filled:!filled in
       !ok && same_hash && Disk.storage_hash d = Disk.storage_hash fresh)
 
+(* The incremental storage hash against a fold from scratch: per block,
+   the digest of its contents xor the digest of its pristine contents,
+   each position-mixed as [Disk.storage_hash] documents.  Saves share
+   blocks with the live disk and restores bring back earlier ones, so
+   a hash cached with the wrong block, or a pristine hash of the wrong
+   fill state, shows up here. *)
+let storage_hash_prop =
+  let open QCheck.Gen in
+  let blocks = 5 and bw = 3 in
+  let blk = int_range 0 (blocks - 1) in
+  let op =
+    frequency
+      [
+        (1, return `Fill);
+        (4, map2 (fun b v -> `Write_now (b, v)) blk (int_range 0 9));
+        (1, map (fun b -> `Pattern_now b) blk);
+        (3, map2 (fun b v -> `Submit_write (b, v)) blk (int_range 0 9));
+        (2, return `Drain);
+        (2, return `Save);
+        (2, map (fun i -> `Restore i) (int_range 0 7));
+      ]
+  in
+  let pristine ~filled b =
+    Array.init bw (fun i ->
+        if filled then Hft_machine.Word.mask ((b * 0x01000193) + i) else 0)
+  in
+  let data v = Array.init bw (fun i -> Hft_machine.Word.mask ((v * 31) + i)) in
+  let hash_content = Array.fold_left Fnv.int 0x1ff29ce484222325 in
+  let block_hash b words = Fnv.int (Fnv.int Fnv.basis b) (hash_content words) in
+  let from_scratch d ~filled =
+    let h = ref 0 in
+    for b = 0 to blocks - 1 do
+      h :=
+        !h
+        lxor block_hash b (Disk.read_block_now d b)
+        lxor block_hash b (pristine ~filled b)
+    done;
+    !h
+  in
+  QCheck.Test.make ~name:"storage hash equals a fold from scratch" ~count:300
+    (QCheck.make (pair bool (list_size (int_range 1 60) op)))
+    (fun (filled0, ops) ->
+      let e = mk_engine () in
+      let d =
+        Disk.create ~engine:e ~rng:(Rng.create 5)
+          { Disk.default_params with Disk.blocks; block_words = bw }
+      in
+      if filled0 then Disk.fill d;
+      let filled = ref filled0 and saves = ref [] and ok = ref true in
+      let check () =
+        if Disk.storage_hash d <> from_scratch d ~filled:!filled then
+          ok := false
+      in
+      List.iter
+        (fun o ->
+          (match o with
+          | `Fill ->
+            Disk.fill d;
+            filled := true
+          | `Write_now (b, v) -> Disk.write_block_now d b (data v)
+          | `Pattern_now b -> Disk.write_block_now d b (pristine ~filled:!filled b)
+          | `Submit_write (b, v) ->
+            ignore
+              (Disk.submit d ~port:0
+                 (Disk.Write { block = b; data = data v })
+                 ~on_complete:ignore)
+          | `Drain -> Engine.run e
+          | `Save ->
+            let like = match !saves with (s, _) :: _ -> Some s | [] -> None in
+            saves := (Disk.save ?like d, !filled) :: !saves
+          | `Restore i -> (
+            match List.nth_opt !saves i with
+            | Some (s, f) ->
+              Disk.restore d s;
+              filled := f
+            | None -> ()));
+          check ())
+        ops;
+      Engine.run e;
+      check ();
+      !ok)
+
 let log_tests =
   let open Alcotest in
   let run_ops e d ops =
@@ -305,12 +387,13 @@ let disk_ctl_tests =
   [
     test_case "registers latch and doorbell fires" `Quick (fun () ->
         let c = Disk_ctl.create () in
-        check bool "plain" true
-          (Disk_ctl.write c ~paddr:0xF0001 ~value:5 = Disk_ctl.Plain);
-        check bool "plain" true
-          (Disk_ctl.write c ~paddr:0xF0002 ~value:0x800 = Disk_ctl.Plain);
-        (match Disk_ctl.write c ~paddr:0xF0000 ~value:2 with
-        | Disk_ctl.Doorbell { cmd = 2; block = 5; dma = 0x800 } -> ()
+        check bool "plain" false (Disk_ctl.is_doorbell ~paddr:0xF0001);
+        Disk_ctl.write c ~paddr:0xF0001 ~value:5;
+        check bool "plain" false (Disk_ctl.is_doorbell ~paddr:0xF0002);
+        Disk_ctl.write c ~paddr:0xF0002 ~value:0x800;
+        check bool "doorbell" true (Disk_ctl.is_doorbell ~paddr:0xF0000);
+        (match Disk_ctl.ring c ~value:2 with
+        | { Disk_ctl.cmd = 2; block = 5; dma = 0x800 } -> ()
         | _ -> fail "doorbell");
         check int "block readback" 5 (Disk_ctl.read c ~paddr:0xF0001));
     test_case "status latch" `Quick (fun () ->
@@ -445,7 +528,12 @@ let console_fingerprint_prop =
 let () =
   Alcotest.run "hft_devices"
     [
-      ("disk", disk_tests @ [ QCheck_alcotest.to_alcotest disk_model_prop ]);
+      ( "disk",
+        disk_tests
+        @ [
+            QCheck_alcotest.to_alcotest disk_model_prop;
+            QCheck_alcotest.to_alcotest storage_hash_prop;
+          ] );
       ("disk-log", log_tests);
       ("disk-ctl", disk_ctl_tests);
       ( "misc",

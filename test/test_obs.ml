@@ -346,6 +346,50 @@ let metrics_tests =
         | ws -> failf "expected one open window, got %d" (List.length ws));
         check int "crash counted" 1
           (Metrics.value (Metrics.counter (Metrics.scope m "primary") "crashes")));
+    test_case "tapping a known source's counted events allocates nothing"
+      `Quick (fun () ->
+        let m = Metrics.create () in
+        (* one source name arrives as a different string each time *)
+        let sources = [| "primary"; "backup"; String.concat "" [ "pri"; "mary" ] |] in
+        let events =
+          [|
+            Event.Msg_send { dseq = 1; kind = "tme"; bytes = 64 };
+            Event.Msg_acked { dseq = 1 };
+            Event.Epoch_begin { epoch = 3 };
+            Event.Epoch_end { epoch = 3; interrupts = 0 };
+            Event.Ack_wait_begin { upto = 2; at_io = true };
+            Event.Ack_wait_end { upto = 2; released = Event.By_ack };
+            Event.Io_submit { op_id = 1; block = 2; write = true };
+            Event.Intr_buffered { id = 1; kind = "disk"; epoch = 3 };
+            Event.Intr_delivered { id = 1; kind = "disk" };
+          |]
+        in
+        let n = 10_000 in
+        (* the first 27 entries are every (source, event) pair *)
+        let entries =
+          Array.init n (fun i ->
+              mk_ns ~source:sources.(i mod 3) i events.(i / 3 mod 9))
+        in
+        Array.iter (Metrics.tap m) (Array.sub entries 0 27);
+        let before = Gc.minor_words () in
+        for i = 0 to n - 1 do
+          Metrics.tap m entries.(i)
+        done;
+        let words = Gc.minor_words () -. before in
+        check (float 0.) "minor words" 0. words;
+        check int "one window" 1 (List.length (Metrics.windows m));
+        let sent = ref 0 in
+        (* the first 27 were tapped twice *)
+        Array.iteri
+          (fun i (e : Recorder.entry) ->
+            match e.Recorder.ev with
+            | Event.Msg_send _ when e.Recorder.source <> "backup" ->
+              sent := !sent + if i < 27 then 2 else 1
+            | _ -> ())
+          entries;
+        check int "msgs_sent counted under one name" !sent
+          (Metrics.value
+             (Metrics.counter (Metrics.scope m "primary") "msgs_sent")));
   ]
 
 (* ---------- metrics/2 schema and validator ---------- *)
