@@ -527,6 +527,11 @@ type run_result =
   | R_violation of string
   | R_aborted  (* pruned, slept or truncated: no verdict, no new leaf *)
 
+(* The last exploration's system, which the next one's first build
+   recycles ([System.create]).  Emptied when an exploration starts and
+   refilled only by one that returns, like [Campaign.spare]. *)
+let spare = ref None
+
 let explore ?(options = default_options) sc ~variant =
   let opts = options in
   let st = fresh_stats () in
@@ -539,9 +544,10 @@ let explore ?(options = default_options) sc ~variant =
       len = 0;
       held = Array.make retained 0;
       snaps = 0;
-      sys = None;
+      sys = !spare;
     }
   in
+  spare := None;
   (* the current run: the root assignment's digest, [check_step]'s
      bookkeeping, the next scheduler call's frame index, and the frame
      the run resumed at *)
@@ -738,6 +744,7 @@ let explore ?(options = default_options) sc ~variant =
     if opts.shrink then List.map (shrink_violation sc ~variant ~reference) vs
     else vs
   in
+  spare := path.sys;
   {
     r_scenario = sc;
     r_variant = variant;

@@ -17,10 +17,12 @@ type t = {
   mutable halt_time : Time.t;
 }
 
-let create ?(params = Params.default) ?(disk_seed = 42) ~workload () =
+let create ?(params = Params.default) ?(disk_seed = 42) ?recycle ~workload ()
+    =
   let engine = Engine.create () in
   let cpu =
     Cpu.create ~config:params.Params.cpu_config
+      ?recycle:(Option.map (fun old -> old.cpu) recycle)
       ~code:workload.Hft_guest.Workload.program.Asm.code ()
   in
   let manifest = Hypervisor.manifest_for ~params workload in

@@ -22,9 +22,14 @@ type outcome = {
 val create :
   ?params:Params.t ->
   ?disk_seed:int ->
+  ?recycle:t ->
   workload:Hft_guest.Workload.t ->
   unit ->
   t
+(** [recycle] is a finished machine whose CPU, guest memory included,
+    the new one resets and reuses instead of allocating
+    ({!Hft_machine.Cpu.create}); the new machine behaves exactly like a
+    fresh one.  The recycled machine must not be used again. *)
 
 val engine : t -> Hft_sim.Engine.t
 val cpu : t -> Hft_machine.Cpu.t

@@ -7,8 +7,6 @@ module Ev = Hft_obs.Event
 
 type role = Primary | Backup | Promoted
 
-type io_req = { cmd : int; block : int; dma : int }
-
 type buffered_intr =
   | Bi_disk of Message.relayed_completion
   | Bi_timer
@@ -30,6 +28,28 @@ module EM = Map.Make (struct
     match Int.compare e e' with 0 -> Int.compare i i' | c -> c
 end)
 
+(* The five tables the protocol fills as it runs: the interrupts
+   buffered for delivery at an epoch's end, and the environment values,
+   [Tme]s and [end]s forwarded by the peer.  One immutable value, so a
+   save holds it by reference, and a fresh node and a reintegrated one
+   both start from [no_tables]. *)
+type tables = {
+  buffered_current : stamped list; (* primary, reversed *)
+  buffered_by_epoch : stamped list IM.t; (* backup, each reversed *)
+  env_vals : Word.t EM.t;
+  tmes : (Word.t * int) IM.t;
+  ends : unit IM.t;
+}
+
+let no_tables =
+  {
+    buffered_current = [];
+    buffered_by_epoch = IM.empty;
+    env_vals = EM.empty;
+    tmes = IM.empty;
+    ends = IM.empty;
+  }
+
 (* What the actor is waiting for.  While blocked the VM makes no
    progress; message arrivals (or the failure detector) resume it. *)
 type blocked =
@@ -40,7 +60,7 @@ type blocked =
   | B_env
   | B_snapshot
 
-and ack_resume = R_boundary | R_io of io_req
+and ack_resume = R_boundary | R_io of Disk_ctl.doorbell
 
 (* A reliable message awaiting acknowledgement.  A node's reliable
    traffic flows to its one peer, so one stream of [dseq] numbers
@@ -56,7 +76,7 @@ type snapshot = {
   s_cpu : Cpu.snapshot;
   s_vcrs : int array;
   s_ctl : Disk_ctl.t;
-  s_outstanding : io_req list;
+  s_outstanding : Disk_ctl.doorbell list;
   s_pending : stamped list;
   s_slots : int array; (* the state table; the peer reads [S.carried] *)
 }
@@ -227,14 +247,10 @@ type t = {
          link) *)
   mutable rtx_queue : rtx_entry list; (* sent but not yet acknowledged *)
   mutable rtx_timer : Engine.handle option;
-  (* interrupt buffering *)
-  mutable buffered_current : stamped list; (* primary, reversed *)
-  mutable buffered_by_epoch : stamped list IM.t; (* backup, each reversed *)
-  mutable env_vals : Word.t EM.t;
-  mutable tmes : (Word.t * int) IM.t;
-  mutable ends : unit IM.t;
+  (* interrupt buffering and forwarded values *)
+  mutable tb : tables;
   mutable pending_delivery : stamped list;
-  mutable outstanding : io_req list;
+  mutable outstanding : Disk_ctl.doorbell list;
   (* reintegration: the snapshot the new primary left for this node *)
   mutable snapshot_box : snapshot option;
   (* hypervisor-failure recovery (ReHype extension) *)
@@ -378,11 +394,7 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     rcv_hold = IM.empty;
     rtx_queue = [];
     rtx_timer = None;
-    buffered_current = [];
-    buffered_by_epoch = IM.empty;
-    env_vals = EM.empty;
-    tmes = IM.empty;
-    ends = IM.empty;
+    tb = no_tables;
     pending_delivery = [];
     outstanding = [];
     snapshot_box = None;
@@ -897,9 +909,9 @@ and sim_env_backup t i =
     complete_simulated t
   | Isa.Rdtod _ | Isa.Rdtmr _ | Isa.Wrtmr _ -> (
     let key = (t.s.(S.epoch), t.s.(S.env_idx)) in
-    match EM.find_opt key t.env_vals with
+    match EM.find_opt key t.tb.env_vals with
     | Some v ->
-      t.env_vals <- EM.remove key t.env_vals;
+      t.tb <- { t.tb with env_vals = EM.remove key t.tb.env_vals };
       apply_env_value t i v;
       t.s.(S.env_idx) <- t.s.(S.env_idx) + 1;
       complete_simulated t
@@ -976,9 +988,7 @@ and sim_mmio_read t ~paddr ~reg =
 
 and sim_mmio_write t ~paddr ~value =
   if Disk_ctl.is_doorbell ~paddr then
-    let db = Disk_ctl.ring t.ctl ~value in
-    handle_doorbell t
-      { cmd = db.Disk_ctl.cmd; block = db.Disk_ctl.block; dma = db.Disk_ctl.dma }
+    handle_doorbell t (Disk_ctl.ring t.ctl ~value)
   else
     let expired = plain_write t ~paddr ~value in
     after_simulated t ~expired (Time.add (Engine.now t.engine) (hsim t))
@@ -991,7 +1001,7 @@ and plain_write t ~paddr ~value =
   Disk_ctl.write t.ctl ~paddr ~value;
   retire_simulated t
 
-and handle_doorbell t req =
+and handle_doorbell t (req : Disk_ctl.doorbell) =
   match t.role_ with
   | Backup ->
     (* case (i) of section 2.2: suppress, but remember the initiation
@@ -1018,7 +1028,7 @@ and handle_doorbell t req =
     end
     else issue_io t req
 
-and issue_io t req =
+and issue_io t (req : Disk_ctl.doorbell) =
   let op =
     if req.cmd = Layout.cmd_write then
       Disk.Write
@@ -1058,8 +1068,8 @@ and primary_completion t ~dma (c : Disk.completion) =
           | _ -> None);
       }
     in
-    t.buffered_current <-
-      stamp t (Bi_disk rc) ~epoch:t.s.(S.relay_epoch) :: t.buffered_current;
+    let s = stamp t (Bi_disk rc) ~epoch:t.s.(S.relay_epoch) in
+    t.tb <- { t.tb with buffered_current = s :: t.tb.buffered_current };
     t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1;
     set_time t S.debt (Time.add (time t S.debt) t.p.Params.hv_intr_receive);
     if flag t S.peer_alive then begin
@@ -1153,8 +1163,8 @@ and primary_boundary_phase1 t =
 and primary_boundary_phase2 t ~tod =
   check_virtual_timer t ~tod;
   let ended = t.s.(S.epoch) in
-  let deliver_set = List.rev t.buffered_current in
-  t.buffered_current <- [];
+  let deliver_set = List.rev t.tb.buffered_current in
+  t.tb <- { t.tb with buffered_current = [] };
   advance_epoch t deliver_set;
   t.s.(S.relay_epoch) <- t.s.(S.epoch);
   let cost =
@@ -1189,8 +1199,8 @@ and check_virtual_timer t ~tod =
   let dl = t.s.(S.vtimer_deadline_us) in
   if dl >= 0 && dl <= tod then begin
     t.s.(S.vtimer_deadline_us) <- -1;
-    t.buffered_current <-
-      stamp t Bi_timer ~epoch:t.s.(S.epoch) :: t.buffered_current;
+    let s = stamp t Bi_timer ~epoch:t.s.(S.epoch) in
+    t.tb <- { t.tb with buffered_current = s :: t.tb.buffered_current };
     t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1
   end
 
@@ -1198,7 +1208,7 @@ and check_virtual_timer t ~tod =
    end.  P6/P7 take over if the primary has been declared dead. *)
 and backup_boundary t =
   let e = t.s.(S.epoch) in
-  match IM.find_opt e t.tmes with
+  match IM.find_opt e t.tb.tmes with
   | None ->
     if flag t S.peer_alive then begin
       t.blocked <- B_tme;
@@ -1206,7 +1216,7 @@ and backup_boundary t =
     end
     else promote t
   | Some (tod, deadline) ->
-    if not (IM.mem e t.ends) then begin
+    if not (IM.mem e t.tb.ends) then begin
       if flag t S.peer_alive then begin
         t.blocked <- B_end;
         arm_detector t
@@ -1215,8 +1225,12 @@ and backup_boundary t =
     end
     else begin
       (* Tme_b := Tme_p; epoch [e]'s entries are used up *)
-      t.tmes <- IM.remove e t.tmes;
-      t.ends <- IM.remove e t.ends;
+      t.tb <-
+        {
+          t.tb with
+          tmes = IM.remove e t.tb.tmes;
+          ends = IM.remove e t.tb.ends;
+        };
       t.s.(S.vtod_us) <- tod;
       t.s.(S.vtimer_deadline_us) <- deadline;
       check_virtual_timer_backup t ~tod;
@@ -1241,18 +1255,22 @@ and check_virtual_timer_backup t ~tod =
 (* Buffer an interrupt for delivery at epoch [e]'s end. *)
 and buffer t e bi =
   let s = stamp t bi ~epoch:e in
-  t.buffered_by_epoch <-
-    IM.update e
-      (fun l -> Some (s :: Option.value l ~default:[]))
-      t.buffered_by_epoch
+  t.tb <-
+    {
+      t.tb with
+      buffered_by_epoch =
+        IM.update e
+          (fun l -> Some (s :: Option.value l ~default:[]))
+          t.tb.buffered_by_epoch;
+    }
 
 and take_buffered t e =
   let l =
-    match IM.find_opt e t.buffered_by_epoch with
+    match IM.find_opt e t.tb.buffered_by_epoch with
     | Some l -> List.rev l
     | None -> []
   in
-  t.buffered_by_epoch <- IM.remove e t.buffered_by_epoch;
+  t.tb <- { t.tb with buffered_by_epoch = IM.remove e t.tb.buffered_by_epoch };
   l
 
 (* P6 and P7: the failover epoch.  Deliver what was relayed, then an
@@ -1261,7 +1279,7 @@ and take_buffered t e =
 and promote t =
   let e = t.s.(S.epoch) in
   let tod =
-    match IM.find_opt e t.tmes with
+    match IM.find_opt e t.tb.tmes with
     | Some (tod, deadline) ->
       t.s.(S.vtod_us) <- tod;
       t.s.(S.vtimer_deadline_us) <- deadline;
@@ -1482,10 +1500,15 @@ and handle_body t body =
       buffer t epoch (Bi_disk completion);
       t.st.Stats.interrupts_buffered <- t.st.Stats.interrupts_buffered + 1
     | Message.Env_val { epoch; idx; value } ->
-      t.env_vals <- EM.add (epoch, idx) value t.env_vals
+      t.tb <- { t.tb with env_vals = EM.add (epoch, idx) value t.tb.env_vals }
     | Message.Tme { epoch; tod_us; timer_deadline_us } ->
-      t.tmes <- IM.add epoch (tod_us, timer_deadline_us) t.tmes
-    | Message.Epoch_end { epoch } -> t.ends <- IM.add epoch () t.ends
+      t.tb <-
+        {
+          t.tb with
+          tmes = IM.add epoch (tod_us, timer_deadline_us) t.tb.tmes;
+        }
+    | Message.Epoch_end { epoch } ->
+      t.tb <- { t.tb with ends = IM.add epoch () t.tb.ends }
     | Message.Snapshot_offer { epoch; code_hash } ->
       receive_snapshot t ~epoch ~code_hash
     | Message.Snapshot_done { epoch = _ } -> (
@@ -1521,7 +1544,7 @@ and handle_body t body =
       t.blocked <- Not_blocked;
       backup_boundary t
     | B_env ->
-      if EM.mem (t.s.(S.epoch), t.s.(S.env_idx)) t.env_vals then begin
+      if EM.mem (t.s.(S.epoch), t.s.(S.env_idx)) t.tb.env_vals then begin
         cancel_detector t;
         t.blocked <- Not_blocked;
         continue_after_env_retry t
@@ -1594,11 +1617,7 @@ and receive_snapshot t ~epoch ~code_hash =
     Array.iter (fun i -> t.s.(i) <- snap.s_slots.(i)) S.carried;
     become_backup t;
     t.pending_delivery <- snap.s_pending;
-    t.buffered_current <- [];
-    t.buffered_by_epoch <- IM.empty;
-    t.env_vals <- EM.empty;
-    t.tmes <- IM.empty;
-    t.ends <- IM.empty;
+    t.tb <- no_tables;
     (match t.p.Params.epoch_mechanism with
     | Params.Recovery_register -> Cpu.set_recovery t.vm t.p.Params.epoch_length
     | Params.Code_rewriting -> Cpu.disable_recovery t.vm);
@@ -1884,7 +1903,7 @@ let fingerprint t =
     | Bi_timer -> mix h 0
     | Bi_disk c -> Message.completion_digest (mix h 1) c
   in
-  let io h r = mix (mix (mix h r.cmd) r.block) r.dma in
+  let io h (r : Disk_ctl.doorbell) = mix (mix (mix h r.cmd) r.block) r.dma in
   let body h dseq b = Message.body_checksum (mix h dseq) b in
   let rtx h e = body h e.r_dseq e.r_body in
   (* a map mixes its size, then every binding in key order; an empty
@@ -1916,19 +1935,20 @@ let fingerprint t =
   in
   let h = Fnv.list rtx h t.rtx_queue in
   let h = map body h t.rcv_hold in
-  let h = Fnv.list stamped h t.buffered_current in
+  let tb = t.tb in
+  let h = Fnv.list stamped h tb.buffered_current in
   let h = Fnv.list stamped h t.pending_delivery in
   let h =
-    map (fun h e l -> Fnv.list stamped (mix h e) l) h t.buffered_by_epoch
+    map (fun h e l -> Fnv.list stamped (mix h e) l) h tb.buffered_by_epoch
   in
   let h =
     EM.fold
       (fun (e, i) v h -> mix (mix (mix h e) i) v)
-      t.env_vals
-      (mix h (EM.cardinal t.env_vals))
+      tb.env_vals
+      (mix h (EM.cardinal tb.env_vals))
   in
-  let h = map (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h t.tmes in
-  let h = map (fun h e () -> mix h e) h t.ends in
+  let h = map (fun h e (v, dl) -> mix (mix (mix h e) v) dl) h tb.tmes in
+  let h = map (fun h e () -> mix h e) h tb.ends in
   let h = Fnv.list io h t.outstanding in
   let h =
     mix h
@@ -1970,7 +1990,6 @@ type saved = {
   sv_blocked : blocked;
   sv_detector : Engine.handle option;
   sv_rtx_timer : Engine.handle option;
-  sv_buffered_current : stamped list;
   sv_pending_delivery : stamped list;
   sv_snapshot_box : snapshot option;
   sv_health : hv_health;
@@ -1980,11 +1999,8 @@ type saved = {
   sv_ctl : Disk_ctl.t;
   sv_rcv_hold : Message.body IM.t;
   sv_rtx : rtx_entry list;
-  sv_buffered : stamped list IM.t;
-  sv_env_vals : Word.t EM.t;
-  sv_tmes : (Word.t * int) IM.t;
-  sv_ends : unit IM.t;
-  sv_outstanding : io_req list;
+  sv_tb : tables;
+  sv_outstanding : Disk_ctl.doorbell list;
 }
 
 (* [t.s], then [t.rb], then [t.vcrs] *)
@@ -2019,7 +2035,6 @@ let save ?like ?into t =
     sv_blocked = t.blocked;
     sv_detector = t.detector;
     sv_rtx_timer = t.rtx_timer;
-    sv_buffered_current = t.buffered_current;
     sv_pending_delivery = t.pending_delivery;
     sv_snapshot_box = t.snapshot_box;
     sv_health = t.health;
@@ -2032,10 +2047,7 @@ let save ?like ?into t =
       | _ -> Disk_ctl.save t.ctl);
     sv_rcv_hold = t.rcv_hold;
     sv_rtx = t.rtx_queue;
-    sv_buffered = t.buffered_by_epoch;
-    sv_env_vals = t.env_vals;
-    sv_tmes = t.tmes;
-    sv_ends = t.ends;
+    sv_tb = t.tb;
     sv_outstanding = t.outstanding;
   }
 
@@ -2050,16 +2062,12 @@ let restore t s =
   Disk_ctl.copy_state_from t.ctl s.sv_ctl;
   t.rcv_hold <- s.sv_rcv_hold;
   t.rtx_queue <- s.sv_rtx;
-  t.buffered_by_epoch <- s.sv_buffered;
-  t.env_vals <- s.sv_env_vals;
-  t.tmes <- s.sv_tmes;
-  t.ends <- s.sv_ends;
+  t.tb <- s.sv_tb;
   t.outstanding <- s.sv_outstanding;
   t.role_ <- s.sv_role;
   t.blocked <- s.sv_blocked;
   t.detector <- s.sv_detector;
   t.rtx_timer <- s.sv_rtx_timer;
-  t.buffered_current <- s.sv_buffered_current;
   t.pending_delivery <- s.sv_pending_delivery;
   t.snapshot_box <- s.sv_snapshot_box;
   t.health <- s.sv_health;

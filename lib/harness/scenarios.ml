@@ -171,12 +171,22 @@ let apply_variant v p =
 
 let params sc ~variant = apply_variant variant sc.sc_params
 
+(* The last reference run's machine, whose guest memory the next one
+   resets instead of allocating its own.  Emptied before each build and
+   refilled only by a run that returns, like [Campaign.spare]. *)
+let spare = ref None
+
 let reference sc ~variant =
+  let recycle = !spare in
+  spare := None;
   let b =
-    Bare.create ~params:(params sc ~variant) ~workload:sc.sc_workload ()
+    Bare.create ~params:(params sc ~variant) ?recycle ~workload:sc.sc_workload
+      ()
   in
   Bare.init_disk_blocks b;
-  Bare.run b
+  let o = Bare.run b in
+  spare := Some b;
+  o
 
 let instantiate sc ~variant ?crash_epoch ?backup_crash_epoch ?loss_pb ?loss_bp
     ?hv_fault ?obs ?recycle () =

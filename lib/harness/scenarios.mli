@@ -70,8 +70,9 @@ val apply_variant : variant -> Hft_core.Params.t -> Hft_core.Params.t
 val params : bounded -> variant:variant -> Hft_core.Params.t
 
 val reference : bounded -> variant:variant -> Campaign.reference
-(** Bare-machine outcome this scenario's trials are compared
-    against. *)
+(** Bare-machine outcome this scenario's trials are compared against.
+    The run recycles the previous call's machine ({!Hft_core.Bare.create}),
+    so repeated calls allocate no fresh guest memory. *)
 
 val instantiate :
   bounded ->

@@ -158,6 +158,15 @@ let reset_validator v =
    registers, memory and TLB, so it is kept only when all three were
    adopted and it was compiled without profiling hooks. *)
 let create ?(config = default_config) ?recycle ~code () =
+  (* a CPU whose memory has another geometry has nothing to lend *)
+  let recycle =
+    match recycle with
+    | Some old
+      when Memory.size old.memory = config.mem_words
+           && Memory.page_shift old.memory = config.page_shift ->
+      recycle
+    | _ -> None
+  in
   let memory, tlb_state, regs, crs =
     match recycle with
     | None ->
@@ -167,10 +176,6 @@ let create ?(config = default_config) ?recycle ~code () =
         Array.make Isa.num_crs 0 )
     | Some old ->
       let m = old.memory in
-      if
-        Memory.size m <> config.mem_words
-        || Memory.page_shift m <> config.page_shift
-      then invalid_arg "Cpu.create: recycled memory geometry mismatch";
       Memory.reset m;
       let tlb =
         match (old.cfg.tlb_policy, config.tlb_policy) with

@@ -84,9 +84,9 @@ val create :
     hooks.  The result is indistinguishable from a fresh CPU,
     including the bytes its first {!snapshot} counts.  The recycled
     CPU must not be used again, and a code image must not be mutated
-    in place once a CPU runs it.
-    @raise Invalid_argument if the recycled memory's size or page
-    size differs from [config]'s. *)
+    in place once a CPU runs it.  A recycled CPU whose memory's size or
+    page size differs from [config]'s lends nothing: the new CPU is
+    built fresh. *)
 
 val code_hash : t -> int
 (** [Encode.program_hash (code t)], computed once per code image. *)

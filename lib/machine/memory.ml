@@ -2,63 +2,65 @@
 
    The lockstep protocol hashes the whole guest memory at every epoch
    boundary, the model checker fingerprints and saves it at every state
-   it explores, and reintegration snapshots copy it.  All three costs
-   are proportional to memory size, not to how much the guest actually
-   wrote — at the paper's EL=1024 the simulator would spend far more
-   host time hashing than executing.  So memory tracks writes at two
-   grains, both keyed to the page size of the owning CPU's config.
+   it explores, and reintegration snapshots copy it.  Done naively, all
+   three cost the memory's size, not what the guest wrote — at the
+   paper's EL=1024 the simulator would spend far more host time hashing
+   than executing.  So memory is tracked in chunks of [min 32 page]
+   words, and each of the three costs what was written since it last
+   ran.
 
-   Per page, flags packed into one int so a write sets all of them with
-   a single store:
+   The digest is a position-keyed sum (mod 2^62) of chunk digests:
+   chunk [c] with digest [d] contributes [term c d], an FNV mix of the
+   two, so changing one chunk moves the sum by one term, and only the
+   chunks written since the last digest are re-hashed.  The cached sum
+   always equals the sum over the cached chunk digests, whether or not
+   those are current; a digest brings the stale ones up to date.  A
+   chunk digest folds its words, so the incremental result is always
+   equal to a from-scratch [full_digest] — that equivalence is what
+   keeps primary and backup comparable whichever scheme each side
+   uses.
 
-   - [stale] invalidates the cached page digest; [digest] refolds only
-     stale pages and reuses the cached digests of the rest.
-   - [snap] records pages written since the last [clear_dirty], which
-     the CPU snapshot path uses to count the delta since the previous
-     snapshot.
-   - [saved] records pages written since the last [save], [restore] or
-     [adopt].
+   Per chunk, four bits in a byte:
 
-   Per chunk of [min 32 page] words, two bits in a byte:
+   - [c_listed]: written since the last [digest], and on [listed].  A
+     digest counts the pages these chunks lie in as hashed.
+   - [c_unknown]: the cached chunk digest is out of date.  Only a
+     listed chunk can be; [digest] re-hashes it, and so does a [save]
+     that copies it.
+   - [c_saved]: written since the last [save], [restore] or [adopt],
+     and on [unsaved].  Every other chunk holds exactly what [head]
+     holds, which is what [save] compares and copies and what
+     [restore] and [adopt] rewrite.
+   - [c_snap]: set only while its page is snapshot-dirty (written
+     since the last [clear_dirty]), so a write need not mark the page.
 
-   - [c_stale]: the cached chunk digest is unknown.  A stale page is
-     refolded from its chunk digests, and only its stale chunks are
-     re-hashed, so one written word costs one chunk's hashing.
-   - [c_saved]: the chunk was written since the last [save], [restore]
-     or [adopt].  Every other chunk holds exactly what [head] holds,
-     which is what [save] compares and copies, what [restore] and
-     [adopt] rewrite, and how [reset] finds the chunks that may hold
-     nonzero words.
+   A write that finds all four set stores nothing more; the first write
+   to a chunk since it lost one pushes it on the lists and marks its
+   page, so the lists hold each chunk at most once. *)
 
-   The digest is a pure function of the word contents (a chunk digest
-   folds its words, a page digest its chunk digests, the memory digest
-   its page digests, each in a fixed order), so the incremental result
-   is always equal to a from-scratch [full_digest] — that equivalence
-   is what keeps primary and backup comparable whichever scheme each
-   side uses. *)
+let c_listed = 1
+let c_unknown = 2
+let c_saved = 4
+let c_snap = 8
 
-let f_stale = 1
-let f_snap = 2
-let f_saved = 4
+(* what a write leaves *)
+let c_written = c_listed lor c_unknown lor c_saved lor c_snap
+let c_written_char = Char.chr c_written
 
-(* what a write sets: the page is stale, snapshot-dirty and unsaved *)
-let f_written = f_stale lor f_snap lor f_saved
+(* A saved chunk: its words ([[||]] if zero) and their digest.  Saved
+   chunks are immutable and always carry their digest, so a chunk a
+   [restore] rewrites needs no re-hashing. *)
+type chunk = { data : int array; hash : int }
 
-let c_stale = 1
-let c_saved = 2
-let c_written = c_stale lor c_saved
-
-(* A [save]: every page's contents in chunks (see [save]), plus the
-   page-level tracking state.  Chunk digests are not saved: a chunk a
-   [restore] rewrites has its digest recomputed when next needed. *)
+(* A [save]: every page as an array of its chunks ([[||]] for a page of
+   zero chunks), the listed chunks, the snapshot-dirty pages and the
+   work counters. *)
 type saved = {
   sv_words : int;
   sv_shift : int;
-  sv_pages : int array array array;
-  sv_flags : int array;
-  sv_digests : int array;
-  sv_clean : bool;
-  sv_digest_cache : int;
+  sv_pages : chunk array array;
+  sv_listed : int array;
+  sv_snap : Bytes.t;
   sv_hashed : int;
   sv_skipped : int;
 }
@@ -67,22 +69,29 @@ type t = {
   words : int array;
   page_shift : int;
   chunk_shift : int; (* [min 5 page_shift] *)
+  page_chunk_shift : int; (* [page_shift - chunk_shift] *)
   pages : int;
   chunks : int;
-  page_digests : int array;
-  flags : int array; (* per page, [f_*] bits *)
-  chunk_digests : int array;
-  chunk_flags : Bytes.t; (* per chunk, [c_*] bits *)
-  zero_chunk : int; (* digest of an all-zero chunk *)
-  zero_chunk_tail : int; (* of the last chunk, which may be partial *)
-  zero_page : int; (* of an all-zero page *)
-  zero_tail : int; (* of the last page, which may be partial *)
-  mutable clean : bool; (* no write since [digest_cache] was computed *)
-  mutable digest_cache : int;
-  root : saved; (* all-zero pages: what [init] leaves *)
+  digests : int array; (* per chunk; current unless [c_unknown] *)
+  flags : Bytes.t; (* per chunk, [c_*] bits *)
+  mutable sum : int; (* sum of [term c digests.(c)] over every chunk *)
+  listed : int array; (* the [c_listed] chunks, in [0, n_listed) *)
+  mutable n_listed : int;
+  unsaved : int array; (* the [c_saved] chunks, in [0, n_unsaved) *)
+  mutable n_unsaved : int;
+  mutable snap : Bytes.t;
+      (* per page, nonzero when snapshot-dirty; replaced, never
+         written in place, since saves hold it *)
+  zero : chunk; (* an all-zero chunk *)
+  zero_tail : chunk; (* the last chunk all zero; it may be partial *)
+  all_snap : Bytes.t; (* every page snapshot-dirty *)
+  no_snap : Bytes.t;
+  counted : int array; (* per page, the last [gen] that counted it *)
+  mutable gen : int; (* digests computed with something listed *)
+  root : saved; (* what [create] leaves *)
   mutable head : saved;
-      (* the last [save] or [restore]: every chunk without [c_saved]
-         holds exactly [head]'s contents *)
+      (* the last [save], [restore] or [adopt]: every chunk without
+         [c_saved] holds exactly [head]'s contents *)
   (* cumulative work counters, drained by [take_hash_work] *)
   mutable pages_hashed : int;
   mutable pages_skipped : int;
@@ -93,16 +102,21 @@ let max_chunk_shift = 5
 
 module Fnv = Hft_sim.Fnv
 
-(* distinct bases for the word-level, chunk-level and page-level folds,
-   so a digest at one level can never be mistaken for a fold at another *)
+(* distinct bases for the word-level fold and the position keys, so a
+   chunk digest can never be mistaken for a term *)
 let chunk_basis = 0x3bf29ce484222325
-let page_basis = 0x2545f4914f6cdd1d
 let digest_basis = 0x27d4eb2f165667c5
 
-(* words hashed by every memory since the program started *)
+(* chunk [c]'s share of the digest when its digest is [d] *)
+let[@inline] term c d = Fnv.int (Fnv.int digest_basis c) d
+
+(* words hashed, and words moved by saves and restores, by every
+   memory since the program started *)
 let hashed_words = ref 0
+let copied_words = ref 0
 
 let words_hashed () = !hashed_words
+let words_copied () = !copied_words
 
 (* the digest of [n] zero words, which is what [hash_chunk] computes
    for an untouched chunk of [n] words *)
@@ -113,35 +127,26 @@ let zero_chunk_digest n =
   done;
   !h
 
-(* the digest of an untouched page of [n] words: whole chunks, then
-   a partial one if [n] is not a multiple of [chunk_words] *)
-let zero_page_digest ~chunk_words n =
-  let whole = zero_chunk_digest chunk_words in
-  let h = ref page_basis in
-  for _ = 1 to n / chunk_words do
-    h := Fnv.int !h whole
-  done;
-  if n mod chunk_words = 0 then !h
-  else Fnv.int !h (zero_chunk_digest (n mod chunk_words))
+let[@inline] flag t c = Char.code (Bytes.unsafe_get t.flags c)
+let[@inline] set_flag t c f = Bytes.unsafe_set t.flags c (Char.unsafe_chr f)
 
-(* Fresh memory is all zeros, so every digest is known without reading
-   a word: seed the caches with the zero digests (the trailing partial
-   chunk and page get their own) and mark nothing stale.  Every write
-   path marks its page and chunk stale, so [digest = full_digest] holds
-   from the first call on.  [create] and [reset] share this, so fresh
-   state is defined once. *)
-let init t =
-  Array.fill t.page_digests 0 t.pages t.zero_page;
-  t.page_digests.(t.pages - 1) <- t.zero_tail;
-  Array.fill t.chunk_digests 0 t.chunks t.zero_chunk;
-  t.chunk_digests.(t.chunks - 1) <- t.zero_chunk_tail;
-  Array.fill t.flags 0 t.pages f_snap;
-  Bytes.fill t.chunk_flags 0 t.chunks '\000';
-  t.clean <- false;
-  t.digest_cache <- 0;
-  t.head <- t.root;
-  t.pages_hashed <- 0;
-  t.pages_skipped <- 0
+(* words in chunk [c]: fewer than [2^chunk_shift] only for the last *)
+let chunk_len t c =
+  min (1 lsl t.chunk_shift) (Array.length t.words - (c lsl t.chunk_shift))
+
+(* page [p]'s first chunk and its number of chunks *)
+let first_chunk t p = p lsl t.page_chunk_shift
+
+let page_chunks t p =
+  min (1 lsl t.page_chunk_shift) (t.chunks - first_chunk t p)
+
+(* chunk [c] of [page], a saved page holding it *)
+let chunk_of t page c =
+  if Array.length page = 0 then
+    if c = t.chunks - 1 then t.zero_tail else t.zero
+  else page.(c - first_chunk t (c lsr t.page_chunk_shift))
+
+let saved_chunk t s c = chunk_of t s.sv_pages.(c lsr t.page_chunk_shift) c
 
 let create ?(page_shift = default_page_shift) ~words () =
   if words <= 0 then invalid_arg "Memory.create: size must be positive";
@@ -152,46 +157,55 @@ let create ?(page_shift = default_page_shift) ~words () =
   let chunk_words = 1 lsl chunk_shift in
   let pages = (words + page - 1) lsr page_shift in
   let chunks = (words + chunk_words - 1) lsr chunk_shift in
+  let zero = { data = [||]; hash = zero_chunk_digest (min chunk_words words) }
+  and zero_tail =
+    {
+      data = [||];
+      hash = zero_chunk_digest (words - ((chunks - 1) lsl chunk_shift));
+    }
+  in
+  let digests = Array.make chunks zero.hash in
+  digests.(chunks - 1) <- zero_tail.hash;
+  let sum = ref 0 in
+  Array.iteri (fun c d -> sum := (!sum + term c d) land Fnv.mask) digests;
+  let all_snap = Bytes.make pages '\001' in
   let root =
     {
       sv_words = words;
       sv_shift = page_shift;
       sv_pages = Array.make pages [||];
-      sv_flags = [||];
-      sv_digests = [||];
-      sv_clean = false;
-      sv_digest_cache = 0;
+      sv_listed = [||];
+      sv_snap = all_snap;
       sv_hashed = 0;
       sv_skipped = 0;
     }
   in
-  let t =
-    {
-      words = Array.make words 0;
-      page_shift;
-      chunk_shift;
-      pages;
-      chunks;
-      page_digests = Array.make pages 0;
-      flags = Array.make pages 0;
-      chunk_digests = Array.make chunks 0;
-      chunk_flags = Bytes.make chunks '\000';
-      zero_chunk = zero_chunk_digest (min chunk_words words);
-      zero_chunk_tail =
-        zero_chunk_digest (words - ((chunks - 1) lsl chunk_shift));
-      zero_page = zero_page_digest ~chunk_words (min page words);
-      zero_tail =
-        zero_page_digest ~chunk_words (words - ((pages - 1) lsl page_shift));
-      clean = false;
-      digest_cache = 0;
-      root;
-      head = root;
-      pages_hashed = 0;
-      pages_skipped = 0;
-    }
-  in
-  init t;
-  t
+  {
+    words = Array.make words 0;
+    page_shift;
+    chunk_shift;
+    page_chunk_shift = page_shift - chunk_shift;
+    pages;
+    chunks;
+    digests;
+    flags = Bytes.make chunks (Char.chr c_snap);
+    sum = !sum;
+    listed = Array.make chunks 0;
+    n_listed = 0;
+    unsaved = Array.make chunks 0;
+    n_unsaved = 0;
+    snap = all_snap;
+    zero;
+    zero_tail;
+    all_snap;
+    no_snap = Bytes.make pages '\000';
+    counted = Array.make pages 0;
+    gen = 0;
+    root;
+    head = root;
+    pages_hashed = 0;
+    pages_skipped = 0;
+  }
 
 let size t = Array.length t.words
 let page_shift t = t.page_shift
@@ -201,39 +215,25 @@ let page_words t p =
   if p < 0 || p >= t.pages then invalid_arg "Memory.page_words: bad page";
   min (1 lsl t.page_shift) (Array.length t.words - (p lsl t.page_shift))
 
-let[@inline] chunk_flag t c = Char.code (Bytes.unsafe_get t.chunk_flags c)
-
-let[@inline] set_chunk_flag t c f =
-  Bytes.unsafe_set t.chunk_flags c (Char.unsafe_chr f)
-
-(* words in chunk [c]: fewer than [2^chunk_shift] only for the last *)
-let chunk_len t c =
-  min (1 lsl t.chunk_shift) (Array.length t.words - (c lsl t.chunk_shift))
-
-(* page [p]'s first chunk and its number of chunks *)
-let first_chunk t p = p lsl (t.page_shift - t.chunk_shift)
-
-let page_chunks t p =
-  min (1 lsl (t.page_shift - t.chunk_shift)) (t.chunks - first_chunk t p)
-
-(* the [i]th chunk of a saved page, [[||]] if zero *)
-let chunk page i = if Array.length page = 0 then [||] else page.(i)
-
-(* A chunk may hold nonzero words only if it was written since [head]
-   or [head] holds it as nonzero. *)
-let reset t =
-  for p = 0 to t.pages - 1 do
-    let hp = t.head.sv_pages.(p) in
-    if t.flags.(p) land f_saved <> 0 || Array.length hp <> 0 then begin
-      let c0 = first_chunk t p in
-      for i = 0 to page_chunks t p - 1 do
-        let c = c0 + i in
-        if chunk_flag t c land c_saved <> 0 || Array.length (chunk hp i) <> 0
-        then Array.fill t.words (c lsl t.chunk_shift) (chunk_len t c) 0
-      done
-    end
-  done;
-  init t
+(* The first write to chunk [c] since it lost one of its bits. *)
+let[@inline never] mark_chunk t c =
+  let f = flag t c in
+  if f land c_listed = 0 then begin
+    t.listed.(t.n_listed) <- c;
+    t.n_listed <- t.n_listed + 1
+  end;
+  if f land c_saved = 0 then begin
+    t.unsaved.(t.n_unsaved) <- c;
+    t.n_unsaved <- t.n_unsaved + 1
+  end;
+  (if f land c_snap = 0 then
+     let p = c lsr t.page_chunk_shift in
+     if Bytes.get t.snap p = '\000' then begin
+       let b = Bytes.copy t.snap in
+       Bytes.set b p '\001';
+       t.snap <- b
+     end);
+  set_flag t c c_written
 
 let[@inline] in_range t addr = addr >= 0 && addr < Array.length t.words
 
@@ -245,9 +245,8 @@ let[@inline] read t addr =
   t.words.(addr)
 
 let[@inline] mark t addr =
-  t.flags.(addr lsr t.page_shift) <- f_written;
-  set_chunk_flag t (addr lsr t.chunk_shift) c_written;
-  t.clean <- false
+  let c = addr lsr t.chunk_shift in
+  if Bytes.unsafe_get t.flags c <> c_written_char then mark_chunk t c
 
 let[@inline] write t addr v =
   if not (in_range t addr) then oob "write" addr;
@@ -263,20 +262,13 @@ let[@inline] read_fast t addr = Array.unsafe_get t.words addr
 
 let[@inline] write_fast t addr v =
   Array.unsafe_set t.words addr v;
-  Array.unsafe_set t.flags (addr lsr t.page_shift) f_written;
-  set_chunk_flag t (addr lsr t.chunk_shift) c_written;
-  t.clean <- false
+  mark t addr
 
 let mark_range t ~addr ~len =
-  if len > 0 then begin
-    let first = addr lsr t.page_shift
-    and last = (addr + len - 1) lsr t.page_shift in
-    Array.fill t.flags first (last - first + 1) f_written;
-    let first = addr lsr t.chunk_shift
-    and last = (addr + len - 1) lsr t.chunk_shift in
-    Bytes.fill t.chunk_flags first (last - first + 1) (Char.chr c_written);
-    t.clean <- false
-  end
+  if len > 0 then
+    for c = addr lsr t.chunk_shift to (addr + len - 1) lsr t.chunk_shift do
+      if Bytes.unsafe_get t.flags c <> c_written_char then mark_chunk t c
+    done
 
 (* [Array.blit] for words: typed [int] stores.  The polymorphic
    runtime copies ([Array.blit], [Array.copy], [Array.sub]) cannot know
@@ -331,55 +323,45 @@ let hash_chunk t c =
   hashed_words := !hashed_words + n;
   !h
 
-(* Page [p]'s digest from its chunk digests, re-hashing the stale
-   chunks and caching what they hash to. *)
-let refold_page t p =
-  let c0 = first_chunk t p in
-  let h = ref page_basis in
-  for c = c0 to c0 + page_chunks t p - 1 do
-    let f = chunk_flag t c in
-    if f land c_stale <> 0 then begin
-      t.chunk_digests.(c) <- hash_chunk t c;
-      set_chunk_flag t c (f land lnot c_stale)
-    end;
-    h := Fnv.int !h t.chunk_digests.(c)
-  done;
-  t.page_digests.(p) <- !h
+(* Cache [d] as chunk [c]'s digest, moving the sum by the difference
+   of the two terms. *)
+let set_digest t c d =
+  let old = t.digests.(c) in
+  if d <> old then begin
+    t.sum <- (t.sum + term c d - term c old) land Fnv.mask;
+    t.digests.(c) <- d
+  end
 
 let digest t =
-  if t.clean then begin
-    t.pages_skipped <- t.pages_skipped + t.pages;
-    t.digest_cache
-  end
+  let n = t.n_listed in
+  if n = 0 then t.pages_skipped <- t.pages_skipped + t.pages
   else begin
-    let h = ref digest_basis in
-    for p = 0 to t.pages - 1 do
-      let f = t.flags.(p) in
-      if f land f_stale <> 0 then begin
-        refold_page t p;
-        t.flags.(p) <- f land lnot f_stale;
-        t.pages_hashed <- t.pages_hashed + 1
+    t.gen <- t.gen + 1;
+    let hashed = ref 0 in
+    for k = 0 to n - 1 do
+      let c = t.listed.(k) in
+      let f = flag t c in
+      if f land c_unknown <> 0 then set_digest t c (hash_chunk t c);
+      set_flag t c (f land lnot (c_listed lor c_unknown));
+      let p = c lsr t.page_chunk_shift in
+      if t.counted.(p) <> t.gen then begin
+        t.counted.(p) <- t.gen;
+        incr hashed
       end
-      else t.pages_skipped <- t.pages_skipped + 1;
-      h := Fnv.int !h t.page_digests.(p)
     done;
-    t.digest_cache <- !h;
-    t.clean <- true;
-    !h
-  end
+    t.n_listed <- 0;
+    t.pages_hashed <- t.pages_hashed + !hashed;
+    t.pages_skipped <- t.pages_skipped + t.pages - !hashed
+  end;
+  t.sum
 
 let full_digest t =
-  let h = ref digest_basis in
-  for p = 0 to t.pages - 1 do
-    let c0 = first_chunk t p in
-    let hp = ref page_basis in
-    for c = c0 to c0 + page_chunks t p - 1 do
-      hp := Fnv.int !hp (hash_chunk t c)
-    done;
-    h := Fnv.int !h !hp
+  let sum = ref 0 in
+  for c = 0 to t.chunks - 1 do
+    sum := (!sum + term c (hash_chunk t c)) land Fnv.mask
   done;
   t.pages_hashed <- t.pages_hashed + t.pages;
-  !h
+  !sum
 
 let take_hash_work t =
   let r = (t.pages_hashed, t.pages_skipped) in
@@ -390,29 +372,39 @@ let take_hash_work t =
 let dirty_pages t =
   let acc = ref [] in
   for p = t.pages - 1 downto 0 do
-    if t.flags.(p) land f_snap <> 0 then acc := p :: !acc
+    if Bytes.get t.snap p <> '\000' then acc := p :: !acc
   done;
   !acc
 
-let clear_dirty t =
-  for p = 0 to t.pages - 1 do
-    t.flags.(p) <- t.flags.(p) land lnot f_snap
-  done
+(* Make [b] the snapshot-dirty set.  A chunk whose page stops being
+   dirty loses [c_snap], so its next write marks the page again. *)
+let set_snap t b =
+  if b != t.snap then begin
+    for p = 0 to t.pages - 1 do
+      if Bytes.get t.snap p <> '\000' && Bytes.get b p = '\000' then
+        for c = first_chunk t p to first_chunk t p + page_chunks t p - 1 do
+          set_flag t c (flag t c land lnot c_snap)
+        done
+    done;
+    t.snap <- b
+  end
+
+let clear_dirty t = set_snap t t.no_snap
 
 let load t ~addr words = blit_in t ~addr (Array.of_list words)
 
 (* ---------- save and restore ----------
 
-   A [save] holds every page as an array of its chunks ([[||]] for a
-   zero page or chunk).  Only the chunks written since the previous
-   [save], [restore] or [adopt] are compared with it, and only those
-   that changed are copied; everything else is shared, so a saved
-   value needs nothing else alive to be restored, and a chain of saves
-   costs about one chunk per chunk written along it.  Chunks are small
-   enough to be allocated on the minor heap.  A [restore] or [adopt]
-   rewrites the chunks written since [head] and those where [head] and
-   the target differ (a pointer compare per chunk of a page they do
-   not share). *)
+   A [save] holds every page as an array of its saved chunks.  Only
+   the chunks written since the previous [save], [restore] or [adopt]
+   are compared with it, and only those that changed are copied;
+   everything else is shared, so a saved value needs nothing else alive
+   to be restored, and a chain of saves costs about one chunk per chunk
+   written along it.  Chunks are small enough to be allocated on the
+   minor heap.  A [restore] or [adopt] rewrites the chunks written
+   since [head] and those where [head] and the target differ (a pointer
+   compare per chunk of a page they do not share), each with the
+   digest its saved chunk carries. *)
 
 let same_words words lo (ch : int array) len =
   let i = ref 0 in
@@ -426,76 +418,77 @@ let same_words words lo (ch : int array) len =
     done;
   !i = len
 
-(* page [p]'s live contents, sharing [prev] itself when no written
-   chunk changed and every unwritten or unchanged chunk otherwise *)
-let save_page t p prev =
-  let c0 = first_chunk t p and n = page_chunks t p in
-  let page = ref prev in
-  for i = 0 to n - 1 do
-    let c = c0 + i in
-    let f = chunk_flag t c in
-    if f land c_saved <> 0 then begin
-      set_chunk_flag t c (f land lnot c_saved);
-      let off = c lsl t.chunk_shift and len = chunk_len t c in
-      if not (same_words t.words off (chunk prev i) len) then begin
-        if !page == prev then
-          page :=
-            if Array.length prev = 0 then Array.make n [||]
-            else Array.copy prev;
-        !page.(i) <- sub_words t.words off len
-      end
+(* The pages of a save: [head]'s, with every written chunk that changed
+   copied along with its digest (hashed now if it is out of date).  A
+   written chunk that did not change takes [head]'s chunk, digest
+   included. *)
+let save_pages t head =
+  let pages = ref head.sv_pages in
+  for k = 0 to t.n_unsaved - 1 do
+    let c = t.unsaved.(k) in
+    let f = flag t c land lnot c_saved in
+    let p = c lsr t.page_chunk_shift in
+    let prev = chunk_of t head.sv_pages.(p) c in
+    let off = c lsl t.chunk_shift and len = chunk_len t c in
+    if same_words t.words off prev.data len then begin
+      if f land c_unknown <> 0 then set_digest t c prev.hash;
+      set_flag t c (f land lnot c_unknown)
+    end
+    else begin
+      if f land c_unknown <> 0 then set_digest t c (hash_chunk t c);
+      set_flag t c (f land lnot c_unknown);
+      if !pages == head.sv_pages then pages := Array.copy head.sv_pages;
+      let page = !pages.(p) in
+      let page =
+        if page != head.sv_pages.(p) then page
+        else begin
+          let c0 = first_chunk t p in
+          let fresh =
+            Array.init (page_chunks t p) (fun i -> chunk_of t page (c0 + i))
+          in
+          !pages.(p) <- fresh;
+          fresh
+        end
+      in
+      copied_words := !copied_words + len;
+      page.(c - first_chunk t p) <-
+        { data = sub_words t.words off len; hash = t.digests.(c) }
     end
   done;
-  !page
+  t.n_unsaved <- 0;
+  !pages
 
-(* [a]'s contents, as [prev] itself when they are equal *)
-let share (prev : int array) (a : int array) =
-  let n = Array.length a in
-  if Array.length prev = n && same_words a 0 prev n then prev
-  else sub_words a 0 n
-
-(* Nothing written or rehashed since [head], and the same counters:
-   [head] itself is the save. *)
-let unchanged t =
-  let h = t.head in
-  let rec pages p =
-    p = t.pages
-    || t.flags.(p) land f_saved = 0
-       && t.flags.(p) = h.sv_flags.(p)
-       && t.page_digests.(p) = h.sv_digests.(p)
-       && pages (p + 1)
-  in
-  h != t.root && h.sv_clean = t.clean
-  && h.sv_digest_cache = t.digest_cache
-  && h.sv_hashed = t.pages_hashed
-  && h.sv_skipped = t.pages_skipped
-  && pages 0
+(* the listed chunks, as [prev] itself when they are the same *)
+let save_listed t prev =
+  let n = t.n_listed in
+  if n = 0 then [||]
+  else if
+    Array.length prev = n
+    &&
+    let i = ref 0 in
+    while !i < n && prev.(!i) = t.listed.(!i) do
+      incr i
+    done;
+    !i = n
+  then prev
+  else Array.sub t.listed 0 n
 
 let save t =
-  if unchanged t then t.head
+  let head = t.head in
+  let listed = save_listed t head.sv_listed in
+  if
+    t.n_unsaved = 0 && listed == head.sv_listed && t.snap == head.sv_snap
+    && t.pages_hashed = head.sv_hashed
+    && t.pages_skipped = head.sv_skipped
+  then head
   else begin
-    let head = t.head in
-    let pages = ref head.sv_pages in
-    for p = 0 to t.pages - 1 do
-      let f = t.flags.(p) in
-      if f land f_saved <> 0 then begin
-        let prev = head.sv_pages.(p) in
-        let page = save_page t p prev in
-        if page != prev then begin
-          if !pages == head.sv_pages then pages := Array.copy head.sv_pages;
-          !pages.(p) <- page
-        end;
-        t.flags.(p) <- f land lnot f_saved
-      end
-    done;
     let s =
       {
         head with
-        sv_pages = !pages;
-        sv_flags = share head.sv_flags t.flags;
-        sv_digests = share head.sv_digests t.page_digests;
-        sv_clean = t.clean;
-        sv_digest_cache = t.digest_cache;
+        sv_pages =
+          (if t.n_unsaved = 0 then head.sv_pages else save_pages t head);
+        sv_listed = listed;
+        sv_snap = t.snap;
         sv_hashed = t.pages_hashed;
         sv_skipped = t.pages_skipped;
       }
@@ -508,43 +501,68 @@ let check_geometry op t s =
   if s.sv_words <> Array.length t.words || s.sv_shift <> t.page_shift then
     invalid_arg ("Memory." ^ op ^ ": geometry mismatch")
 
-(* The chunk walk [restore] and [adopt] share.  Chunks are immutable
-   once saved, so the pointer compare against [head] holds for a save
-   of another memory too.  A rewritten chunk's cached digest is unknown
-   (saves hold page digests only); every other chunk keeps its words,
-   so its cached digest stays right. *)
+(* chunk [c] back to the saved chunk [ch], digest and all *)
+let put t c ch =
+  let off = c lsl t.chunk_shift and len = chunk_len t c in
+  if Array.length ch.data = 0 then Array.fill t.words off len 0
+  else blit_words ch.data 0 t.words off len;
+  copied_words := !copied_words + len;
+  set_digest t c ch.hash;
+  set_flag t c (flag t c land lnot (c_unknown lor c_saved))
+
+(* The chunk walk [restore] and [adopt] share.  Saved chunks are
+   immutable, and each nonzero one has words of its own, so comparing
+   their words by pointer holds for a save of another memory too (zero
+   chunks all share [[||]]).  Afterwards every cached digest is current,
+   and the listed chunks are [s]'s. *)
 let rewrite t s =
   let cur = t.head.sv_pages in
-  for p = 0 to t.pages - 1 do
-    let page = s.sv_pages.(p) and old = cur.(p) in
-    if t.flags.(p) land f_saved <> 0 || page != old then begin
-      let c0 = first_chunk t p in
-      for i = 0 to page_chunks t p - 1 do
-        let c = c0 + i and ch = chunk page i in
-        if chunk_flag t c land c_saved <> 0 || ch != chunk old i then begin
-          let off = c lsl t.chunk_shift in
-          if Array.length ch = 0 then Array.fill t.words off (chunk_len t c) 0
-          else blit_words ch 0 t.words off (Array.length ch);
-          set_chunk_flag t c c_stale
-        end
-      done
-    end
+  if s.sv_pages != cur then
+    for p = 0 to t.pages - 1 do
+      let page = s.sv_pages.(p) and old = cur.(p) in
+      if page != old then
+        for c = first_chunk t p to first_chunk t p + page_chunks t p - 1 do
+          let ch = chunk_of t page c in
+          if ch.data != (chunk_of t old c).data then put t c ch
+        done
+    done;
+  (* [put] cleared [c_saved] on the chunks it already rewrote *)
+  for k = 0 to t.n_unsaved - 1 do
+    let c = t.unsaved.(k) in
+    if flag t c land c_saved <> 0 then put t c (saved_chunk t s c)
   done;
-  blit_words s.sv_digests 0 t.page_digests 0 t.pages;
-  t.clean <- s.sv_clean;
-  t.digest_cache <- s.sv_digest_cache;
+  t.n_unsaved <- 0;
+  (* a listed chunk [put] did not rewrite holds [s]'s words already *)
+  for k = 0 to t.n_listed - 1 do
+    let c = t.listed.(k) in
+    let f = flag t c in
+    if f land c_unknown <> 0 then set_digest t c (saved_chunk t s c).hash;
+    set_flag t c (f land lnot (c_listed lor c_unknown))
+  done;
+  let l = s.sv_listed in
+  for k = 0 to Array.length l - 1 do
+    set_flag t l.(k) (flag t l.(k) lor c_listed);
+    t.listed.(k) <- l.(k)
+  done;
+  t.n_listed <- Array.length l;
   t.head <- s
 
 let restore t s =
   check_geometry "restore" t s;
   rewrite t s;
-  blit_words s.sv_flags 0 t.flags 0 t.pages;
+  set_snap t s.sv_snap;
   t.pages_hashed <- s.sv_hashed;
   t.pages_skipped <- s.sv_skipped
 
 let adopt t s =
   check_geometry "adopt" t s;
   rewrite t s;
-  for p = 0 to t.pages - 1 do
-    t.flags.(p) <- s.sv_flags.(p) lor f_snap
-  done
+  set_snap t t.all_snap
+
+(* [root] is what [create] leaves, so returning to it is a reset: only
+   chunks that may hold nonzero words are rewritten.  That zero-fills
+   rather than moves saved words, so [words_copied] leaves it out. *)
+let reset t =
+  let copied = !copied_words in
+  restore t t.root;
+  copied_words := copied

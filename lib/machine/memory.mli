@@ -1,6 +1,5 @@
 (** Physical data memory: a flat array of 32-bit words, with write
-    tracking per page and per chunk for incremental hashing and delta
-    snapshots.
+    tracking per chunk for incremental hashing and delta snapshots.
 
     Addresses are word indices.  The region at and above the MMIO base
     (see {!Cpu.config}) is not backed by this array; accesses there are
@@ -9,12 +8,13 @@
     Memory is tracked in pages of [2{^page_shift}] words, each split
     into chunks of [min 32 2{^page_shift}] words.  Every mutation
     ([write]/[write_fast]/[blit_in]/[load]) marks the containing
-    page(s) and chunk(s) for three independent consumers: the cached
-    digests used by {!digest}, which re-hashes only the written chunks;
+    chunk(s) for three independent consumers: {!digest}, which
+    re-hashes only the chunks written since it last ran;
     {!dirty_pages}/{!clear_dirty}, so reintegration snapshots can count
     the pages written since the previous snapshot; and {!save}, which
     compares and copies only the chunks written since the previous
-    {!save}, {!restore} or {!adopt}.  A save is the one way memory is
+    {!save}, {!restore} or {!adopt}.  Each of the three costs what was
+    written, not the memory's size.  A save is the one way memory is
     captured: the model checker restores it into the same memory,
     reintegration adopts it into the peer's. *)
 
@@ -32,10 +32,11 @@ val create : ?page_shift:int -> words:int -> unit -> t
 val reset : t -> unit
 (** Return the memory to exactly the state {!create} gives it: zero
     words, zero digests cached, every page snapshot-dirty, work
-    counters at zero.  Only chunks that may hold nonzero words are
-    zeroed — those written since the last save, restore or adopt, and
-    those it left nonzero — so recycling a mostly untouched memory
-    costs far less than allocating a new one. *)
+    counters at zero.  This is a {!restore} of the save {!create}
+    starts from: only chunks that may hold nonzero words are zeroed —
+    those written since the last save, restore or adopt, and those it
+    left nonzero — so recycling a mostly untouched memory costs far
+    less than allocating a new one. *)
 
 val size : t -> int
 
@@ -86,13 +87,13 @@ val equal : t -> t -> bool
     not compared). *)
 
 val digest : t -> int
-(** FNV digest of the whole contents, computed incrementally.  A chunk
-    digest folds the chunk's words, a page digest its chunk digests,
-    and the memory digest its page digests.  Only chunks written since
-    their digest was last computed are re-hashed (and, after a
-    {!restore} or {!adopt}, the chunks it rewrote), only pages holding
-    one are refolded, and the rest fold in their cached page digests.
-    A pure function of the contents — always equal to
+(** Digest of the whole contents, computed incrementally.  A chunk
+    digest is an FNV fold of the chunk's words, and the memory digest
+    is the sum, modulo [2{^62}], of one term per chunk that mixes the
+    chunk's position with its digest.  Only chunks written since the
+    last digest are re-hashed, each moving the cached sum by the
+    difference of its old and new terms, so a digest costs what was
+    written.  A pure function of the contents — always equal to
     {!full_digest}. *)
 
 val full_digest : t -> int
@@ -102,14 +103,23 @@ val full_digest : t -> int
 
 val take_hash_work : t -> int * int
 (** [(pages hashed, pages skipped)] by digest computations since the
-    last call; resets both counters.  A page counts as hashed when its
-    digest was recomputed, however few of its chunks were re-hashed,
-    and as skipped when its cached digest was reused. *)
+    last call; resets both counters.  A {!digest} counts a page as
+    hashed when it holds a chunk written since the previous digest,
+    however few, and as skipped otherwise; a {!full_digest} counts
+    every page as hashed. *)
 
 val words_hashed : unit -> int
 (** Words hashed by every memory's {!digest} and {!full_digest} since
-    the program started: a deterministic count of hashing work, for
+    the program started, a {!save} that copies a chunk whose digest is
+    out of date included: a deterministic count of hashing work, for
     tests that gate it. *)
+
+val words_copied : unit -> int
+(** Words moved by every memory's {!save}, {!restore} and {!adopt}
+    since the program started: the words of each chunk a save copies
+    out and of each chunk a restore or adopt rewrites (zero-filled ones
+    included; a {!reset} is not counted).  A deterministic count of
+    snapshot work, for tests that gate it. *)
 
 val dirty_pages : t -> int list
 (** Pages written since the last {!clear_dirty}, ascending.  All pages
@@ -123,24 +133,26 @@ val load : t -> addr:int -> Word.t list -> unit
 (** {2 Save and restore} *)
 
 type saved
-(** The whole memory — contents, page digests, page flags, work
-    counters — at the time of a {!save}; immutable.  Contents are held
-    in chunks: pages not written since the previous {!save},
-    {!restore} or {!adopt} of the same memory, and the chunks of the
-    pages that were that are unwritten or unchanged, are shared with it
-    rather than copied. *)
+(** The whole memory — contents, the chunks written since the last
+    digest, the snapshot-dirty pages, work counters — at the time of a
+    {!save}; immutable.  Contents are held in chunks, each carrying its
+    digest: pages not written since the previous {!save}, {!restore}
+    or {!adopt} of the same memory, and the chunks of the pages that
+    were that are unwritten or unchanged, are shared with it rather
+    than copied. *)
 
 val save : t -> saved
 (** Compares and copies only the chunks written since the previous
-    save, restore or adopt, and returns that one's save itself when
-    nothing was written, hashed or counted since. *)
+    save, restore or adopt (hashing a copied chunk whose digest is out
+    of date), and returns that one's save itself when nothing was
+    written, hashed or counted since. *)
 
 val restore : t -> saved -> unit
 (** Put the memory back in place to a {!save} of it (any one, in any
     order, any number of times).  Rewrites only the chunks written
     since the last save, restore or adopt, and those in which that one
-    and the target differ; the cached digest of a rewritten chunk
-    counts as unknown until the next {!digest} needs it.
+    and the target differ, each with the digest its saved chunk
+    carries, so nothing is re-hashed.
     @raise Invalid_argument if the save is of a memory of another size
     or page size. *)
 

@@ -5,6 +5,9 @@ type event = {
   actor : string;
   fn : unit -> unit;
   mutable cancelled : bool;
+  mutable tag : int;
+      (* digest of (actor, label), 0 until {!pending_fingerprint} first
+         needs it *)
 }
 
 type handle = event
@@ -45,6 +48,7 @@ let vacant =
     actor = "";
     fn = ignore;
     cancelled = true;
+    tag = 0;
   }
 
 let create () =
@@ -165,7 +169,9 @@ let at t ?(label = "") ?(actor = "") time fn =
       (Format.asprintf
          "Engine.at: %s schedules %S for %S at %a, inside the lookahead %a"
          t.running label actor Time.pp time Time.pp t.lookahead);
-  let ev = { time; seq = t.next_seq; label; actor; fn; cancelled = false } in
+  let ev =
+    { time; seq = t.next_seq; label; actor; fn; cancelled = false; tag = 0 }
+  in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
   push t ev;
@@ -235,8 +241,20 @@ let has_scheduler t = Option.is_some t.sched
 
 let set_observer t f = t.observer <- Some f
 
+(* An event's (actor, label) digest, hashed once per event: an event
+   stays pending across many fingerprints, and a restore brings back
+   the very same record.  Hashing at first use rather than in [at]
+   keeps the cost off runs that never fingerprint. *)
+let tag ev =
+  if ev.tag <> 0 then ev.tag
+  else begin
+    let h = Fnv.string (Fnv.string Fnv.basis ev.actor) ev.label in
+    ev.tag <- h;
+    h
+  end
+
 (* Order-insensitive digest of the pending event set: each live event
-   contributes (time since now, actor, label) — but not its sequence
+   contributes (actor, label, time since now) — but not its sequence
    number, which depends on the allocation order of earlier instants
    and would make otherwise-identical states hash apart.  Used by the
    model checker's state fingerprint. *)
@@ -245,8 +263,7 @@ let pending_fingerprint t =
   for i = 0 to t.size - 1 do
     let ev = t.queue.(i) in
     if not ev.cancelled then
-      let h = Fnv.int Fnv.basis (Time.to_ns (Time.diff ev.time t.clock)) in
-      acc := !acc lxor Fnv.string (Fnv.string h ev.actor) ev.label
+      acc := !acc lxor Fnv.int (tag ev) (Time.to_ns (Time.diff ev.time t.clock))
   done;
   !acc
 

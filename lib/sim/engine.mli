@@ -140,10 +140,12 @@ val set_observer : t -> (Time.t -> label:string -> actor:string -> unit) -> unit
 
 val pending_fingerprint : t -> int
 (** Order-insensitive 62-bit digest of the live pending events: the
-    xor of one {!Fnv} digest per event over (delay from now, actor,
-    label).  Sequence numbers and absolute times are excluded so runs
-    that reach the same state by different interleavings hash alike.
-    Part of the checker's state fingerprint. *)
+    xor of one {!Fnv} digest per event over (actor, label, delay from
+    now).  Each event's (actor, label) digest is computed once, the
+    first time a fingerprint needs it.  Sequence numbers and absolute
+    times are excluded so runs that reach the same state by different
+    interleavings hash alike.  Part of the checker's state
+    fingerprint. *)
 
 val run : ?limit:int -> t -> unit
 (** Dispatch events until the queue is empty, or until {!events_dispatched}

@@ -1,11 +1,16 @@
 (** The simulator's one hashing primitive: a 62-bit FNV-1a step.
 
-    Every digest — guest pages and memories, CPU state, code images,
-    wire checksums, disk contents and the model checker's state
-    fingerprints — mixes its fields one at a time into a running
-    62-bit value, from a basis of its own.  The checker compares
-    states by fingerprint alone, so over [n] states about [n² / 2^63]
-    pairs collide (Holzmann's [n² / 2^(b+1)] with [b = 62]). *)
+    Every digest — guest memory chunks, CPU state, code images, wire
+    checksums, disk contents and the model checker's state
+    fingerprints — is built from these steps, each from a basis of its
+    own.  Most mix their fields one at a time into a running 62-bit
+    value.  Two combine per-part digests so that one part can change
+    without the rest being re-mixed: a guest memory's digest is the sum
+    modulo [2^62] of one term per chunk (the chunk's position mixed
+    with its digest), and the engine's pending-event digest the xor of
+    one digest per event.  The checker compares states by fingerprint
+    alone, so over [n] states about [n² / 2^63] pairs collide
+    (Holzmann's [n² / 2^(b+1)] with [b = 62]). *)
 
 val mask : int
 (** [2^62 - 1]: every digest is a non-negative 62-bit value. *)

@@ -87,16 +87,22 @@ let counts_pinned () =
       ignore (check_pinned ~what:"pinned" (find_scenario name) pin))
     pins
 
-(* Hashing work in deterministic units, the gate on chunk-grained write
-   tracking: the words the guest-memory digests hash over one
-   [check --all] round and over one [run -w cpu] (both replicas).
-   Tracking writes per 1024-word page, they hashed 2 143 232 and
-   1 024 000. *)
+(* Hashing and snapshot work in deterministic units, the gate on
+   chunk-grained write tracking: the words the guest-memory digests hash
+   over one [check --all] round and over one [run -w cpu] (both
+   replicas), and the words the round's memory saves and restores move.
+   Tracking writes per 1024-word page, the digests hashed 2 143 232 and
+   1 024 000.  When saves held page digests instead of chunk digests,
+   a restore left the chunks it rewrote to be hashed again (the round
+   hashed 57 472 words), and the saves and restores moved 772 992 words
+   of per-page flags and digests besides the same chunk words. *)
 let words_hashed_pinned () =
+  let module Memory = Hft_machine.Memory in
+  let copied = Memory.words_copied () in
   let hashed f =
-    let before = Hft_machine.Memory.words_hashed () in
+    let before = Memory.words_hashed () in
     f ();
-    Hft_machine.Memory.words_hashed () - before
+    Memory.words_hashed () - before
   in
   let round =
     hashed (fun () ->
@@ -104,6 +110,7 @@ let words_hashed_pinned () =
           (fun sc -> ignore (Checker.explore sc ~variant:Scenarios.correct))
           Scenarios.all)
   in
+  let copied = Memory.words_copied () - copied in
   let cpu =
     hashed (fun () ->
         let workload = Hft_guest.Workload.dhrystone ~iterations:20_000 in
@@ -112,7 +119,82 @@ let words_hashed_pinned () =
         ignore (Hft_core.System.run sys))
   in
   Alcotest.(check (list int))
-    "check --all, run -w cpu" [ 57472; 32192 ] [ round; cpu ]
+    "hashed by check --all, run -w cpu; copied by check --all"
+    [ 55424; 32192; 108576 ] [ round; cpu; copied ]
+
+(* An exploration's first build recycles the previous exploration's
+   system, whatever scenario that explored.  Each scenario explored
+   right after another one must report exactly what it reports on
+   fresh machines: every counter of the search, the verdict and the
+   violations, and it must hash and copy as many guest-memory words
+   (a memory that kept anything of its last run would not).  A fresh
+   build is forced by exploring, just before, a few states of a
+   scenario whose guest memory has another size, which nothing can
+   recycle. *)
+let recycled_exploration () =
+  let variant = Scenarios.correct in
+  let other_geometry =
+    let sc = Scenarios.handoff in
+    let p = sc.Scenarios.sc_params in
+    let cpu = p.Hft_core.Params.cpu_config in
+    {
+      sc with
+      Scenarios.sc_name = "handoff-double-memory";
+      sc_params =
+        {
+          p with
+          Hft_core.Params.cpu_config =
+            {
+              cpu with
+              Hft_machine.Cpu.mem_words = 2 * cpu.Hft_machine.Cpu.mem_words;
+            };
+        };
+    }
+  in
+  let observe sc =
+    let module Memory = Hft_machine.Memory in
+    let hashed = Memory.words_hashed () and copied = Memory.words_copied () in
+    let r = Checker.explore sc ~variant in
+    let s = r.Checker.r_stats in
+    ( [
+        Memory.words_hashed () - hashed;
+        Memory.words_copied () - copied;
+        s.Checker.runs; s.Checker.states; s.Checker.transitions;
+        s.Checker.executed; s.Checker.snapshots; s.Checker.fingerprints;
+        s.Checker.pruned_visited; s.Checker.sleep_skipped;
+        s.Checker.sleep_pruned; s.Checker.truncated_runs; s.Checker.max_depth;
+      ],
+      r.Checker.r_complete,
+      List.map
+        (fun v -> (v.Checker.v_reason, v.Checker.v_roots, v.Checker.v_choices))
+        r.Checker.r_violations )
+  in
+  let all = Array.of_list Scenarios.all in
+  let n = Array.length all in
+  Array.iteri
+    (fun i sc ->
+      ignore
+        (Checker.explore
+           ~options:{ Checker.default_options with Checker.max_states = Some 1 }
+           other_geometry ~variant);
+      let fresh = observe sc in
+      let before = all.((i + n - 1) mod n) in
+      ignore (Checker.explore before ~variant);
+      let name =
+        Printf.sprintf "%s after %s" sc.Scenarios.sc_name
+          before.Scenarios.sc_name
+      in
+      let stats, complete, violations = observe sc in
+      let fstats, fcomplete, fviolations = fresh in
+      Alcotest.(check (list int)) (name ^ ": stats") fstats stats;
+      Alcotest.(check bool) (name ^ ": complete") fcomplete complete;
+      Alcotest.(check int)
+        (name ^ ": violations")
+        (List.length fviolations) (List.length violations);
+      Alcotest.(check bool)
+        (name ^ ": same violations")
+        true (fviolations = violations))
+    all
 
 (* Digest soundness at scale: crash-write crossed with one loss on each
    channel reaches 60 001 distinct states.  The checker prunes on the
@@ -670,6 +752,8 @@ let () =
             max_states_exact;
           test_case "words hashed by check --all and run -w cpu pinned"
             `Quick words_hashed_pinned;
+          test_case "an exploration after another scenario's equals a fresh one"
+            `Quick recycled_exploration;
         ] );
       ( "counterexamples",
         [

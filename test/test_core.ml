@@ -775,7 +775,7 @@ let incremental_hashing_tests =
 (* -------- creation cost -------- *)
 
 (* The initial state is a pure function of the parameters: a pristine
-   disk and zero-filled memory with known page digests cost nothing to
+   disk and zero-filled memory with known chunk digests cost nothing to
    build or hash.  Pinned deterministically as major-heap words, which
    counts the two guest memories (about [2 x mem_words]) but nothing
    proportional to the disk or to a hashing pass over memory. *)
