@@ -811,6 +811,17 @@ let chaos_cmd =
     (* written so that NaN, which fails every comparison, is bad *)
     let bad_rate r = not (r >= 0. && r < 1.) in
     let bad_epoch = function Some e -> e < 0 | None -> false in
+    let exact_only =
+      List.filter_map
+        (fun (given, flag) -> if given then Some flag else None)
+        [
+          (crash_epoch <> None, "--crash-epoch");
+          (backup_crash_epoch <> None, "--backup-crash-epoch");
+          (reintegrate, "--reintegrate");
+          (hv_fault_list <> [], "--hv-fault");
+          (trace_out <> [], "--trace-out");
+        ]
+    in
     if bad_rate loss || bad_rate dup || bad_rate corrupt || delay_us < 0 then
       `Error
         ( true,
@@ -819,6 +830,13 @@ let chaos_cmd =
     else if bad_epoch crash_epoch || bad_epoch backup_crash_epoch then
       `Error (true, "--crash-epoch and --backup-crash-epoch must be >= 0")
     else if trials < 0 then `Error (true, "--trials must be >= 0")
+    else if (not exact) && exact_only <> [] then
+      `Error
+        ( true,
+          Printf.sprintf
+            "a campaign samples its own fault schedule, so %s cannot apply \
+             without --exact"
+            (String.concat ", " exact_only) )
     else begin
     let params =
       params_of ~backend ~epoch ~protocol ~link
@@ -863,10 +881,6 @@ let chaos_cmd =
       else `Error (false, "invariant violation")
     end
     else begin
-      if trace_out <> [] then
-        Format.printf
-          "note: --trace-out records a single trial; combine it with \
-           --exact (ignored here)@.";
       Format.printf
         "chaos campaign: %d trials of %s, seed %d, retransmit %s%s@."
         trials workload.Hft_guest.Workload.name seed
@@ -1629,7 +1643,12 @@ let check_cmd =
       save_replay compare_naive no_retransmit no_ack_wait
       max_violations no_shrink trace_out backend =
     writes @@ fun () ->
-    if list_scenarios then begin
+    if replay = None && trace_out <> [] then
+      `Error
+        ( true,
+          "an exploration records no single run, so --trace-out cannot \
+           apply without --replay" )
+    else if list_scenarios then begin
       List.iter
         (fun sc ->
           Format.printf "%-20s %s@." sc.Hft_harness.Scenarios.sc_name
@@ -1836,17 +1855,6 @@ let bench_cmd =
              bench holds 2x; CI's quick smoke gates 1.5x, since quick \
              budgets are noisier).")
   in
-  let min_loop_hoist =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-loop-hoist-speedup" ] ~docv:"R"
-          ~doc:
-            "Fail (exit non-zero) unless spending loop-bound certificates \
-             (batched budget prologues) beats the non-hoisted threaded \
-             backend on the loop workload by at least this factor (CI \
-             gates 1.15x).")
-  in
   let max_metrics_overhead =
     Arg.(
       value
@@ -1859,8 +1867,19 @@ let bench_cmd =
              stay under 5%%).")
   in
   let action json_path quick min_speedup max_overhead min_threaded
-      min_loop_hoist max_metrics_overhead =
+      max_metrics_overhead =
     writes @@ fun () ->
+    (* written so that NaN, which fails every comparison, is bad *)
+    let bad_ratio = function Some r -> not (r > 0.) | None -> false in
+    if
+      List.exists bad_ratio
+        [ min_speedup; max_overhead; min_threaded; max_metrics_overhead ]
+    then
+      `Error
+        ( true,
+          "--min-speedup, --max-hash-overhead, --min-threaded-speedup and \
+           --max-metrics-overhead must be > 0" )
+    else
     let b = Hft_harness.Bench_core.run ~quick () in
     Hft_harness.Bench_core.report b;
     (match json_path with
@@ -1880,38 +1899,34 @@ let bench_cmd =
          is architecturally wrong and every threaded number is invalid"
     else if not b.Hft_harness.Bench_core.loop_digest_match then
       fail
-        "hoisted-loop and interpreter state digests diverged on the loop \
-         workload — the batched budget accounting is wrong and the hoist \
-         speedup is invalid"
+        "threaded and interpreter state digests diverged on the loop \
+         workload — the translation is architecturally wrong"
     else if not b.Hft_harness.Bench_core.profile_totals_match then
       fail
         "interpreter and threaded per-block retirement counts diverged — \
          the profiler's exactness contract is broken and every hftsim \
          profile attribution is suspect"
     else
+      (* each gate is written so that a NaN measurement fails it *)
       match
-        (min_speedup, max_overhead, min_threaded, min_loop_hoist,
-         max_metrics_overhead)
+        (min_speedup, max_overhead, min_threaded, max_metrics_overhead)
       with
-      | Some r, _, _, _, _ when p.Hft_harness.Bench_core.speedup < r ->
+      | Some r, _, _, _ when not (p.Hft_harness.Bench_core.speedup >= r) ->
         fail
           "incremental hashing speedup %.2fx at EL=1024 is below the %.2fx \
            guard"
           p.Hft_harness.Bench_core.speedup r
-      | _, Some r, _, _, _ when p.Hft_harness.Bench_core.hash_overhead > r ->
+      | _, Some r, _, _
+        when not (p.Hft_harness.Bench_core.hash_overhead <= r) ->
         fail
           "lockstep hashing overhead %.2fx at EL=1024 exceeds the %.2fx guard"
           p.Hft_harness.Bench_core.hash_overhead r
-      | _, _, Some r, _, _ when b.Hft_harness.Bench_core.threaded_speedup < r
-        ->
+      | _, _, Some r, _
+        when not (b.Hft_harness.Bench_core.threaded_speedup >= r) ->
         fail "threaded speedup %.2fx is below the %.2fx guard"
           b.Hft_harness.Bench_core.threaded_speedup r
-      | _, _, _, Some r, _ when b.Hft_harness.Bench_core.loop_hoist_speedup < r
-        ->
-        fail "loop-hoist speedup %.2fx is below the %.2fx guard"
-          b.Hft_harness.Bench_core.loop_hoist_speedup r
-      | _, _, _, _, Some r when b.Hft_harness.Bench_core.metrics_overhead > r
-        ->
+      | _, _, _, Some r
+        when not (b.Hft_harness.Bench_core.metrics_overhead <= r) ->
         fail "windowed-metrics overhead %.2fx exceeds the %.2fx guard"
           b.Hft_harness.Bench_core.metrics_overhead r
       | _ -> `Ok ()
@@ -1927,7 +1942,7 @@ let bench_cmd =
     Term.(
       ret
         (const action $ json_path $ quick $ min_speedup $ max_overhead
-       $ min_threaded $ min_loop_hoist $ max_metrics_overhead))
+       $ min_threaded $ max_metrics_overhead))
 
 (* ---------- disasm ---------- *)
 
@@ -2058,6 +2073,10 @@ let profile_cmd =
   in
   let action workload image flame min_coverage limit =
     writes @@ fun () ->
+    (* written so that NaN, which fails every comparison, is bad *)
+    if not (min_coverage >= 0. && min_coverage <= 1.) then
+      `Error (true, "--min-coverage must lie in [0, 1]")
+    else
     let workload =
       match image with
       | Some (path, program, _embedded) ->
@@ -2122,7 +2141,7 @@ let profile_cmd =
       if path <> "-" then Format.printf "wrote %s@." path);
     if halted_i && halted_t && not agree then
       `Error (false, "the two backends disagree on retirement counts")
-    else if Obs.Profile.coverage report < min_coverage then
+    else if not (Obs.Profile.coverage report >= min_coverage) then
       `Error
         ( false,
           Printf.sprintf "attribution coverage %.1f%% below the %.1f%% floor"

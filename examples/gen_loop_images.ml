@@ -1,9 +1,8 @@
 (* Generates the loop-heavy example images shipped in
-   [examples/images/]: a counted single-block loop (fully bounded, and
-   hoistable by the threaded translator), a two-level nest (inner
-   bounded, outer deliberately defeating inference so the manifest
-   carries a witness path), and a guarded scan with an early exit (a
-   multi-block bounded loop).  Each image embeds its hftsim-manifest/2
+   [examples/images/]: a counted single-block loop (fully bounded), a
+   two-level nest (inner bounded, outer deliberately defeating
+   inference so the manifest carries a witness path), and a guarded
+   scan with an early exit (a multi-block bounded loop).  Each image embeds its hftsim-manifest/2
    compilation manifest so loaders can validate certificates against
    the code before running.
 

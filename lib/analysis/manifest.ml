@@ -274,10 +274,10 @@ let validate_cpu cpu t =
 
 (* What armed a CPU: a recycled CPU re-arms its predecessor's tables or
    translation only when they were built from this very manifest
-   (physically — manifests are immutable) with the same knobs. *)
+   (physically — manifests are immutable) with the same [deprivileged]. *)
 type Cpu.origin +=
   | Validator_of of { manifest : t; deprivileged : bool }
-  | Translation_of of { manifest : t; deprivileged : bool; hoist_loops : bool }
+  | Translation_of of { manifest : t; deprivileged : bool }
 
 (* Hand the certificates to the interpreter's runtime validator.
    [Priv0] is a {e virtual}-level property; under the hypervisor's
@@ -381,21 +381,10 @@ let install t ~deprivileged cpu =
    members' [Priv0] masks — entering at any other level falls back to
    the interpreter, whose per-instruction validator enforces the exact
    per-block certificate. *)
-let plan t ~deprivileged ~hoist_loops =
+let plan t ~deprivileged =
   let priv0_mask = if deprivileged then 1 lsl 1 else 1 in
   let block_tbl = Hashtbl.create 64 in
   List.iter (fun b -> Hashtbl.replace block_tbl b.leader b) t.blocks;
-  (* hoistable loops: single-block self-loops with a certified trip
-     bound — the shape the translator can batch *)
-  let hoistable = Hashtbl.create 8 in
-  if hoist_loops then
-    List.iter
-      (fun l ->
-        match (l.l_blocks, l.l_bound) with
-        | [ ldr ], Some b when ldr = l.l_header ->
-          Hashtbl.replace hoistable ldr b
-        | _ -> ())
-      t.loops;
   List.filter (fun s -> s.certified) t.superblocks
   |> List.map (fun s ->
          let members = List.filter_map (Hashtbl.find_opt block_tbl) s.members in
@@ -412,34 +401,25 @@ let plan t ~deprivileged ~hoist_loops =
                (fun b -> { Translate.pb_leader = b.leader; pb_len = b.len })
                members;
            pr_priv_mask = mask;
-           pr_loops =
-             List.filter_map
-               (fun b ->
-                 match Hashtbl.find_opt hoistable b.leader with
-                 | Some bound ->
-                   Some { Translate.pl_leader = b.leader; pl_bound = bound }
-                 | None -> None)
-               members;
          })
 
 (* Hand the certified superblocks to the direct-threaded translator.
    Unlike {!install} this returns the staleness check as a result: a
    stale manifest must not abort the run, it must leave the CPU on the
    full-interpreter path (the executor logs and carries on). *)
-let install_translation ?(hoist_loops = true) t ~deprivileged cpu =
+let install_translation t ~deprivileged cpu =
   match validate_cpu cpu t with
   | Error msg -> Error msg
   | Ok () ->
     let same = function
       | Translation_of o ->
         o.manifest == t && o.deprivileged = deprivileged
-        && o.hoist_loops = hoist_loops
       | _ -> false
     in
     if not (Cpu.rearm_translation cpu same) then
       Cpu.install_translation cpu
-        ~origin:(Translation_of { manifest = t; deprivileged; hoist_loops })
-        (plan t ~deprivileged ~hoist_loops);
+        ~origin:(Translation_of { manifest = t; deprivileged })
+        (plan t ~deprivileged);
     let translated =
       match Cpu.translation cpu with
       | Some tx -> tx.Translate.translated_regions

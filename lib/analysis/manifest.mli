@@ -138,7 +138,6 @@ val install : t -> deprivileged:bool -> Hft_machine.Cpu.t -> unit
     code image. *)
 
 val install_translation :
-  ?hoist_loops:bool ->
   t ->
   deprivileged:bool ->
   Hft_machine.Cpu.t ->
@@ -150,11 +149,8 @@ val install_translation :
     fatal: it returns [Error] and the CPU stays on the full-interpreter
     path — the safe fallback the threaded backend degrades to.
     [deprivileged] maps [Priv0] entry prechecks exactly as in
-    {!install}.  [hoist_loops] (default [true]) spends loop-bound
-    certificates: single-block loops with a certified trip count
-    compile as batched unrolls that pay one budget prologue per batch
-    instead of per iteration.  As with {!install}, a CPU recycled from
-    one this manifest translated with the same knobs re-arms that
+    {!install}.  As with {!install}, a CPU recycled from one this
+    manifest translated with the same [deprivileged] re-arms that
     translation when {!Hft_machine.Cpu.rearm_translation} allows. *)
 
 val certified_blocks : t -> int

@@ -760,9 +760,6 @@ and count_burst t res =
     t.st.Stats.superinstructions_fused <- tx.Translate.fused;
     t.st.Stats.threaded_instrs <- tx.Translate.threaded_instrs;
     t.st.Stats.threaded_entries <- tx.Translate.entries_taken;
-    t.st.Stats.loops_hoisted <- tx.Translate.hoisted_loops;
-    t.st.Stats.hoisted_decrements <-
-      tx.Translate.state.Translate.x_hoist_saved;
     t.st.Stats.fallback_budget <- tx.Translate.fb_budget;
     t.st.Stats.fallback_priv <- tx.Translate.fb_priv;
     t.st.Stats.fallback_link <- tx.Translate.fb_link;

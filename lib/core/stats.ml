@@ -32,8 +32,6 @@ type t = {
   mutable superinstructions_fused : int;
   mutable threaded_instrs : int;
   mutable threaded_entries : int;
-  mutable loops_hoisted : int;
-  mutable hoisted_decrements : int;
   mutable fallback_budget : int;
   mutable fallback_priv : int;
   mutable fallback_link : int;
@@ -79,8 +77,6 @@ let create () =
     superinstructions_fused = 0;
     threaded_instrs = 0;
     threaded_entries = 0;
-    loops_hoisted = 0;
-    hoisted_decrements = 0;
     fallback_budget = 0;
     fallback_priv = 0;
     fallback_link = 0;
@@ -125,8 +121,6 @@ let blit ~src ~dst =
   dst.superinstructions_fused <- src.superinstructions_fused;
   dst.threaded_instrs <- src.threaded_instrs;
   dst.threaded_entries <- src.threaded_entries;
-  dst.loops_hoisted <- src.loops_hoisted;
-  dst.hoisted_decrements <- src.hoisted_decrements;
   dst.fallback_budget <- src.fallback_budget;
   dst.fallback_priv <- src.fallback_priv;
   dst.fallback_link <- src.fallback_link;
@@ -170,9 +164,8 @@ let pp fmt t =
      detected@ hashing: %d pages hashed, %d skipped@ snapshot bytes: %d@ \
      recovery: %d hv faults, %d microreboots, %d ios + %d msgs reconciled@ \
      certified: %d of %d validated instructions%s@ \
-     threaded: %d instrs%s over %d entries (%d blocks, %d fused, %d loops \
-     hoisted, %d decrements avoided); fallbacks: \
-     %d budget, %d priv, %d link, %d indirect, %d bail, %d stop@ \
+     threaded: %d instrs%s over %d entries (%d blocks, %d fused); \
+     fallbacks: %d budget, %d priv, %d link, %d indirect, %d bail, %d stop@ \
      ack wait: %a@ boundary: %a@ idle: %a@ mean intr delay: %.1fus@]"
     t.instructions t.simulated t.epochs t.interrupts_buffered
     t.interrupts_delivered t.env_values t.io_submitted t.io_suppressed
@@ -189,7 +182,6 @@ let pp fmt t =
     | Some f -> Printf.sprintf " (%.1f%%)" (100.0 *. f)
     | None -> "")
     t.threaded_entries t.blocks_translated t.superinstructions_fused
-    t.loops_hoisted t.hoisted_decrements
     t.fallback_budget t.fallback_priv t.fallback_link t.fallback_indirect
     t.fallback_bail t.fallback_stop
     Time.pp t.ack_wait

@@ -73,12 +73,6 @@ type t = {
       (** instructions completed inside translated superblocks *)
   mutable threaded_entries : int;
       (** dispatch-loop entries into translated code *)
-  mutable loops_hoisted : int;
-      (** certified counted loops compiled as batched unrolls — the
-          loop-bound certificate spent at translation time *)
-  mutable hoisted_decrements : int;
-      (** per-iteration recovery-counter budget decrements avoided by
-          those batches ({!Hft_machine.Translate.st.x_hoist_saved}) *)
   mutable fallback_budget : int;
       (** threaded exits/refusals: block would overrun fuel or the
           recovery counter *)

@@ -41,12 +41,9 @@ type t = {
          certificate cache leaves of the old ~29% per-instruction cost *)
   digest_match : bool;  (* interp and threaded agree after a fixed run *)
   loop_bound_coverage : float;  (* loops of the loop workload with bounds *)
-  hoisted_loops : int;  (* loop blocks compiled as batched unrolls *)
   loop_interp_per_sec : float;
-  loop_threaded_per_sec : float;  (* translation armed, hoisting off *)
-  loop_hoisted_per_sec : float;   (* translation armed, hoisting on *)
-  loop_hoist_speedup : float;  (* hoisted rate over non-hoisted threaded *)
-  loop_digest_match : bool;  (* interp vs hoisted after a fixed run *)
+  loop_threaded_per_sec : float;  (* translation armed *)
+  loop_digest_match : bool;  (* interp vs threaded after a fixed run *)
   metrics_epochs_per_sec : float;  (* epoch driving, registry tap armed *)
   metrics_overhead : float;  (* no-metrics epoch rate / metrics rate *)
   profiled_instrs_per_sec : float;  (* interpreter, retirement counters on *)
@@ -79,10 +76,9 @@ let workload_code =
 let fresh_cpu () = Cpu.create ~code:workload_code ()
 
 (* The loop-heavy phase: a counted 100-trip self-loop (exactly the
-   shape the loop-bound inference certifies and the translator
-   batches) restarted forever by an unbounded outer loop, so half the
-   loops are bounded — the coverage number is meaningful, not 1.0 by
-   construction. *)
+   shape the loop-bound inference certifies) restarted forever by an
+   unbounded outer loop, so half the loops are bounded — the coverage
+   number is meaningful, not 1.0 by construction. *)
 let loop_workload_code =
   Isa.
     [|
@@ -121,15 +117,44 @@ let rate ~budget step =
   let w = budget /. 3.0 in
   max (window w) (max (window w) (window w))
 
-let bench_interpreter ~budget =
-  let cpu = fresh_cpu () in
-  let fuel = 100_000 in
+(* Instructions per second of [cpu] in fixed 100 000-instruction
+   slices, each of which must run out of fuel. *)
+let fuel_rate ~budget cpu =
   rate ~budget (fun () ->
-      let r = Cpu.run cpu ~fuel in
+      let r = Cpu.run cpu ~fuel:100_000 in
       (match r.Cpu.stop with
       | Cpu.Fuel -> ()
       | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
       r.Cpu.executed)
+
+let translated m cpu =
+  (match Hft_analysis.Manifest.install_translation m ~deprivileged:false cpu with
+  | Ok _ -> ()
+  | Error e -> Fmt.failwith "bench: translation refused: %s" e);
+  cpu
+
+(* Differential digest over a fixed, fuel-sliced run: an interpreting
+   and a threaded CPU built by [fresh] must land in the identical
+   architectural state after every slice. *)
+let digests_agree m fresh =
+  let ci = fresh () in
+  let ct = translated m (fresh ()) in
+  let ok = ref true in
+  for _ = 1 to 50 do
+    ignore (Cpu.run ci ~fuel:9973);
+    let rec drive need =
+      if need > 0 then begin
+        let r = Cpu.run ct ~fuel:need in
+        drive (need - r.Cpu.executed)
+      end
+    in
+    drive 9973;
+    if Cpu.state_hash ~full:true ci <> Cpu.state_hash ~full:true ct then
+      ok := false
+  done;
+  !ok
+
+let bench_interpreter ~budget = fuel_rate ~budget (fresh_cpu ())
 
 type hash_mode = No_hash | Incremental | Full_rehash
 
@@ -160,15 +185,7 @@ let bench_certification ~budget =
   let m = Hft_analysis.Manifest.of_code workload_code in
   let cpu = fresh_cpu () in
   Hft_analysis.Manifest.install m ~deprivileged:false cpu;
-  let fuel = 100_000 in
-  let validated_rate =
-    rate ~budget (fun () ->
-        let r = Cpu.run cpu ~fuel in
-        (match r.Cpu.stop with
-        | Cpu.Fuel -> ()
-        | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-        r.Cpu.executed)
-  in
+  let validated_rate = fuel_rate ~budget cpu in
   if not (Cpu.validator_active cpu) then
     Fmt.failwith "bench: validator not installed";
   let { Cpu.covered; checked } = Cpu.validator_coverage cpu in
@@ -186,19 +203,9 @@ let bench_certification ~budget =
 let bench_translation ~budget ~interp_rate m =
   let cpu = fresh_cpu () in
   let t0 = Sys.time () in
-  (match Hft_analysis.Manifest.install_translation m ~deprivileged:false cpu with
-  | Ok _ -> ()
-  | Error e -> Fmt.failwith "bench: translation refused: %s" e);
+  ignore (translated m cpu : Cpu.t);
   let translate_us = (Sys.time () -. t0) *. 1e6 in
-  let fuel = 100_000 in
-  let threaded_rate =
-    rate ~budget (fun () ->
-        let r = Cpu.run cpu ~fuel in
-        (match r.Cpu.stop with
-        | Cpu.Fuel -> ()
-        | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-        r.Cpu.executed)
-  in
+  let threaded_rate = fuel_rate ~budget cpu in
   let tx =
     match Cpu.translation cpu with
     | Some tx -> tx
@@ -209,133 +216,25 @@ let bench_translation ~budget ~interp_rate m =
     if total = 0 then 0.0
     else float_of_int tx.Translate.threaded_instrs /. float_of_int total
   in
-  (* differential digest over a fixed, fuel-sliced run *)
-  let digest_match =
-    let ci = fresh_cpu () in
-    let ct = fresh_cpu () in
-    (match
-       Hft_analysis.Manifest.install_translation m ~deprivileged:false ct
-     with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "bench: translation refused: %s" e);
-    let ok = ref true in
-    for _ = 1 to 50 do
-      ignore (Cpu.run ci ~fuel:9973);
-      let rec drive need =
-        if need > 0 then begin
-          let r = Cpu.run ct ~fuel:need in
-          drive (need - r.Cpu.executed)
-        end
-      in
-      drive 9973;
-      if Cpu.state_hash ~full:true ci <> Cpu.state_hash ~full:true ct then
-        ok := false
-    done;
-    !ok
-  in
   ( translate_us,
     tx.Translate.translated_blocks,
     tx.Translate.fused,
     threaded_rate,
     threaded_rate /. interp_rate,
     fraction,
-    digest_match )
+    digests_agree m fresh_cpu )
 
-(* The loop-hoisting measurement: same fuel, three backends on the
-   loop workload — interpreter, threaded with hoisting disabled (the
-   prior PR's translator), threaded with the loop-bound certificates
-   spent as batched unrolls.  The hoist speedup is the ratio of the
-   two threaded rates, so it prices exactly the batching and nothing
-   else; the differential digest against the interpreter keeps the
-   number honest. *)
-let bench_loop_hoisting ~budget =
+(* The loop workload: the interpreter and the threaded backend at the
+   same fuel, with the differential digest keeping the threaded rate
+   honest. *)
+let bench_loop ~budget =
   let m = Hft_analysis.Manifest.of_code loop_workload_code in
-  let fuel = 100_000 in
-  let measure cpu =
-    rate ~budget (fun () ->
-        let r = Cpu.run cpu ~fuel in
-        (match r.Cpu.stop with
-        | Cpu.Fuel -> ()
-        | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-        r.Cpu.executed)
-  in
-  let interp_rate = measure (fresh_loop_cpu ()) in
-  let armed ~hoist_loops =
-    let cpu = fresh_loop_cpu () in
-    (match
-       Hft_analysis.Manifest.install_translation ~hoist_loops m
-         ~deprivileged:false cpu
-     with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "bench: translation refused: %s" e);
-    cpu
-  in
-  let plain_cpu = armed ~hoist_loops:false in
-  let hoisted_cpu = armed ~hoist_loops:true in
-  (* the hoist speedup is a ratio of two rates; measuring them in two
-     sequential blocks lets host-load drift between the blocks forge
-     (or mask) a speedup.  Interleave short windows of the two
-     backends instead, and let each side's best window stand — the
-     same peak-wins estimator [rate] uses, but with both sides exposed
-     to the same load pattern. *)
-  let plain_rate, hoisted_rate =
-    let window cpu budget =
-      let t0 = Sys.time () in
-      let units = ref 0 in
-      let elapsed = ref 0.0 in
-      while !elapsed < budget do
-        let r = Cpu.run cpu ~fuel in
-        (match r.Cpu.stop with
-        | Cpu.Fuel -> ()
-        | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-        units := !units + r.Cpu.executed;
-        elapsed := Sys.time () -. t0
-      done;
-      float_of_int !units /. !elapsed
-    in
-    let w = budget /. 6.0 in
-    let best_plain = ref 0.0 and best_hoisted = ref 0.0 in
-    for _ = 1 to 6 do
-      best_plain := max !best_plain (window plain_cpu w);
-      best_hoisted := max !best_hoisted (window hoisted_cpu w)
-    done;
-    (!best_plain, !best_hoisted)
-  in
-  let hoisted_loops =
-    match Cpu.translation hoisted_cpu with
-    | Some tx -> tx.Translate.hoisted_loops
-    | None -> Fmt.failwith "bench: translation not installed"
-  in
-  let digest_match =
-    let ci = fresh_loop_cpu () in
-    let ct = fresh_loop_cpu () in
-    (match
-       Hft_analysis.Manifest.install_translation m ~deprivileged:false ct
-     with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "bench: translation refused: %s" e);
-    let ok = ref true in
-    for _ = 1 to 50 do
-      ignore (Cpu.run ci ~fuel:9973);
-      let rec drive need =
-        if need > 0 then begin
-          let r = Cpu.run ct ~fuel:need in
-          drive (need - r.Cpu.executed)
-        end
-      in
-      drive 9973;
-      if Cpu.state_hash ~full:true ci <> Cpu.state_hash ~full:true ct then
-        ok := false
-    done;
-    !ok
-  in
+  let interp_rate = fuel_rate ~budget (fresh_loop_cpu ()) in
+  let threaded_rate = fuel_rate ~budget (translated m (fresh_loop_cpu ())) in
   ( Hft_analysis.Manifest.loop_bound_coverage m,
-    hoisted_loops,
     interp_rate,
-    plain_rate,
-    hoisted_rate,
-    hoisted_rate /. plain_rate,
-    digest_match )
+    threaded_rate,
+    digests_agree m fresh_loop_cpu )
 
 (* The observability phase prices the PR's two collectors.
 
@@ -377,28 +276,13 @@ let bench_metrics ~budget ~el =
   (metrics_rate, plain /. metrics_rate)
 
 let bench_profiler ~budget ~interp_rate ~threaded_rate m =
-  let fuel = 100_000 in
-  let measure cpu =
-    rate ~budget (fun () ->
-        let r = Cpu.run cpu ~fuel in
-        (match r.Cpu.stop with
-        | Cpu.Fuel -> ()
-        | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-        r.Cpu.executed)
-  in
-  let profiled_rate =
+  let profiled () =
     let cpu = fresh_cpu () in
     Cpu.install_profile cpu;
-    measure cpu
+    cpu
   in
-  let threaded_profiled_rate =
-    let cpu = fresh_cpu () in
-    Cpu.install_profile cpu;
-    (match Hft_analysis.Manifest.install_translation m ~deprivileged:false cpu with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "bench: translation refused: %s" e);
-    measure cpu
-  in
+  let profiled_rate = fuel_rate ~budget (profiled ()) in
+  let threaded_profiled_rate = fuel_rate ~budget (translated m (profiled ())) in
   (* the exactness contract: identical totals and identical per-block
      retirement counts from both backends over the same fixed
      fuel-sliced run.  (Per block, not per address: the interpreter
@@ -407,13 +291,8 @@ let bench_profiler ~budget ~interp_rate ~threaded_rate m =
      agree exactly at block granularity, which is what [hftsim
      profile] attributes.) *)
   let totals_match =
-    let ci = fresh_cpu () in
-    Cpu.install_profile ci;
-    let ct = fresh_cpu () in
-    Cpu.install_profile ct;
-    (match Hft_analysis.Manifest.install_translation m ~deprivileged:false ct with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "bench: translation refused: %s" e);
+    let ci = profiled () in
+    let ct = translated m (profiled ()) in
     let rec drive cpu need =
       if need > 0 then begin
         let r = Cpu.run cpu ~fuel:need in
@@ -497,13 +376,10 @@ let run ?(quick = false) () =
     bench_translation ~budget ~interp_rate:instrs_per_sec manifest
   in
   let ( loop_bound_coverage,
-        hoisted_loops,
         loop_interp_per_sec,
         loop_threaded_per_sec,
-        loop_hoisted_per_sec,
-        loop_hoist_speedup,
         loop_digest_match ) =
-    bench_loop_hoisting ~budget
+    bench_loop ~budget
   in
   let metrics_epochs_per_sec, metrics_overhead =
     bench_metrics ~budget ~el:4096
@@ -536,11 +412,8 @@ let run ?(quick = false) () =
     validator_overhead = instrs_per_sec /. validated_instrs_per_sec;
     digest_match;
     loop_bound_coverage;
-    hoisted_loops;
     loop_interp_per_sec;
     loop_threaded_per_sec;
-    loop_hoisted_per_sec;
-    loop_hoist_speedup;
     loop_digest_match;
     metrics_epochs_per_sec;
     metrics_overhead;
@@ -559,7 +432,7 @@ let to_json t =
   let e = J.significant 5 and f = J.fixed in
   J.Obj
     [
-      ("schema", J.Str "hftsim-bench-core/5");
+      ("schema", J.Str "hftsim-bench-core/6");
       ("quick", J.Bool t.quick);
       ("interpreter", J.Obj [ ("instrs_per_sec", e t.instrs_per_sec) ]);
       ( "epoch_boundaries",
@@ -603,11 +476,8 @@ let to_json t =
         J.Obj
           [
             ("loop_bound_coverage", f 4 t.loop_bound_coverage);
-            ("hoisted_loops", J.int t.hoisted_loops);
             ("interp_instrs_per_sec", e t.loop_interp_per_sec);
             ("threaded_instrs_per_sec", e t.loop_threaded_per_sec);
-            ("hoisted_instrs_per_sec", e t.loop_hoisted_per_sec);
-            ("loop_hoist_speedup", f 2 t.loop_hoist_speedup);
             ("digest_match", J.Bool t.loop_digest_match);
           ] );
       ( "observability",
@@ -667,14 +537,11 @@ let report ?out t =
     (100.0 *. t.threaded_fraction)
     (if t.digest_match then "match" else "DIVERGED");
   Format.fprintf out
-    "loop workload  : %.1f%% bounds, %d hoisted; %.1f M interp, %.1f M \
-     threaded, %.1f M hoisted instrs/sec (%.2fx hoist speedup), digests %s@."
+    "loop workload  : %.1f%% bounds; %.1f M interp, %.1f M threaded \
+     instrs/sec, digests %s@."
     (100.0 *. t.loop_bound_coverage)
-    t.hoisted_loops
     (t.loop_interp_per_sec /. 1e6)
     (t.loop_threaded_per_sec /. 1e6)
-    (t.loop_hoisted_per_sec /. 1e6)
-    t.loop_hoist_speedup
     (if t.loop_digest_match then "match" else "DIVERGED");
   Format.fprintf out
     "observability  : metrics %.0f epochs/sec (%.2fx overhead); profiler \

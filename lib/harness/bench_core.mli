@@ -68,21 +68,12 @@ type t = {
   loop_bound_coverage : float;
       (** fraction of the loop workload's natural loops with a
           certified trip bound (one of its two loops, by design) *)
-  hoisted_loops : int;
-      (** loop blocks the translator compiled as batched unrolls *)
   loop_interp_per_sec : float;
   loop_threaded_per_sec : float;
-      (** loop-workload rate with translation armed but loop hoisting
-          off — the prior translator on this shape *)
-  loop_hoisted_per_sec : float;
-      (** same with the loop-bound certificates spent: one budget
-          prologue per batch instead of per iteration *)
-  loop_hoist_speedup : float;
-      (** [loop_hoisted_per_sec / loop_threaded_per_sec]; CI gates
-          this >= 1.15 *)
+      (** loop-workload rate with the translation cache armed *)
   loop_digest_match : bool;
-      (** interpreter vs hoisted backend after a fixed fuel-sliced
-          run; [false] invalidates the hoist speedup and fails CI *)
+      (** interpreter vs threaded backend on the loop workload after a
+          fixed fuel-sliced run; [false] fails CI *)
   metrics_epochs_per_sec : float;
       (** epoch-boundary driving rate with a recorder tapped into the
           windowed metrics registry and an epoch event pair emitted
@@ -96,8 +87,7 @@ type t = {
   profiler_overhead : float;
       (** [instrs_per_sec / profiled_instrs_per_sec] *)
   threaded_profiled_instrs_per_sec : float;
-      (** threaded rate with profiling armed (block-entry credits,
-          loop hoisting disabled) *)
+      (** threaded rate with profiling armed (block-entry credits) *)
   profiler_threaded_overhead : float;
       (** [threaded_instrs_per_sec / threaded_profiled_instrs_per_sec] *)
   profile_totals_match : bool;
@@ -117,7 +107,7 @@ val point : t -> int -> epoch_point option
 (** The measurement at a given epoch length, if it was taken. *)
 
 val to_json : t -> Hft_obs.Json.t
-(** The [hftsim-bench-core/5] document ([hftsim bench --json]). *)
+(** The [hftsim-bench-core/6] document ([hftsim bench --json]). *)
 
 val report : ?out:Format.formatter -> t -> unit
 (** Human-readable rendering via {!Report.table}. *)

@@ -171,13 +171,6 @@ let translation ?(out = std) stats =
       (sum (fun s -> s.Hft_core.Stats.threaded_entries))
       (sum (fun s -> s.Hft_core.Stats.blocks_translated))
       (sum (fun s -> s.Hft_core.Stats.superinstructions_fused));
-    let hoisted = sum (fun s -> s.Hft_core.Stats.loops_hoisted) in
-    if hoisted > 0 then
-      Format.fprintf out
-        "  loop hoisting: %d loops batched, %d per-iteration decrements \
-         avoided@."
-        hoisted
-        (sum (fun s -> s.Hft_core.Stats.hoisted_decrements));
     Format.fprintf out
       "  fallbacks    : %d budget, %d priv, %d link, %d indirect, %d bail, \
        %d stop@."

@@ -1101,7 +1101,7 @@ type saved = {
 let o_pc = Isa.num_regs + Isa.num_crs
 let o_validator = o_pc + 3
 let o_trans = o_validator + 10
-let n_ints = o_trans + 9
+let n_ints = o_trans + 8
 
 let save_ints t a =
   Memory.blit_words t.regs 0 a 0 Isa.num_regs;
@@ -1133,9 +1133,8 @@ let save_ints t a =
     a.(o + 4) <- tx.Translate.fb_link;
     a.(o + 5) <- tx.Translate.fb_indirect;
     a.(o + 6) <- tx.Translate.fb_bail;
-    a.(o + 7) <- tx.Translate.fb_stop;
-    a.(o + 8) <- tx.Translate.state.Translate.x_hoist_saved
-  | None -> Array.fill a o_trans 9 0
+    a.(o + 7) <- tx.Translate.fb_stop
+  | None -> Array.fill a o_trans 8 0
 
 let restore_ints t a =
   Memory.blit_words a 0 t.regs 0 Isa.num_regs;
@@ -1167,8 +1166,7 @@ let restore_ints t a =
     tx.Translate.fb_link <- a.(o + 4);
     tx.Translate.fb_indirect <- a.(o + 5);
     tx.Translate.fb_bail <- a.(o + 6);
-    tx.Translate.fb_stop <- a.(o + 7);
-    tx.Translate.state.Translate.x_hoist_saved <- a.(o + 8)
+    tx.Translate.fb_stop <- a.(o + 7)
   | None -> ()
 
 (* the observed maxima, as [prev] itself while none has grown *)

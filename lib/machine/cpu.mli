@@ -252,8 +252,7 @@ val install_profile : t -> unit
     leader and the cold exits debit refunds, so the two backends
     produce identical totals on identical runs.  If a translation is
     already installed it is recompiled from its stored plan (profiling
-    specialises block prologues and disables loop hoisting), so arming
-    order does not matter. *)
+    specialises block prologues), so arming order does not matter. *)
 
 val clear_profile : t -> unit
 (** Drop the counters (recompiling any installed translation without

@@ -1,11 +1,9 @@
 type plan_block = { pb_leader : int; pb_len : int }
-type plan_loop = { pl_leader : int; pl_bound : int }
 
 type plan_region = {
   pr_head : int;
   pr_blocks : plan_block list;
   pr_priv_mask : int;
-  pr_loops : plan_loop list;
 }
 
 type stop =
@@ -34,8 +32,6 @@ type st = {
   mutable x_spriv : int;
   mutable x_stop : stop option;
   mutable x_exit : int;
-  mutable x_hoist_saved : int;
-      (* per-block budget decrements avoided by loop hoisting *)
   x_prof : int array;
       (* per-address retirement counters, length 0 when profiling is
          off.  Blocks credit their full length at the leader on entry;
@@ -67,7 +63,6 @@ type t = {
   translated_blocks : int;
   translated_instrs : int;
   fused : int;
-  hoisted_loops : int;  (* loop blocks compiled as batched unrolls *)
   listing : region_listing list;
   untranslated : (int * string) list;
   mutable entries_taken : int;
@@ -446,103 +441,6 @@ let br_closure (regs : int array) c r1 r2 taken fall =
     fun () ->
       if not (Word.lt_unsigned regs.(r1) regs.(r2)) then taken () else fall ()
 
-(* Store-forward superinstruction for the hoisted-loop copies: a load
-   that immediately re-reads the address a store just wrote ([St (rv,
-   rb, off); Ld (rd, rb, off)], nothing between them) collapses into
-   the store plus a register copy.  Exactness: the store's success
-   path proves translation, protection, the MMIO window and the
-   memory bound for exactly the address the load would use (the base
-   register is untouched between them, and a store never changes MMU
-   or TLB state), so the load cannot stop and must read back the
-   word just written.  [Tlb.lookup]'s only mutation is its host-side
-   last-hit memo, which the store leaves pointing at the same page.
-   If the store stops, [refund] covers both instructions and the
-   interpreter resumes at the store — the pair has not happened. *)
-let st_ld_forward st ~at ~refund (rv, rb, off) rd =
-  let regs = st.x_regs in
-  let ov = Word.of_signed off in
-  let mem = st.x_mem in
-  let mmio = st.x_mmio_base in
-  let msize = Memory.size mem in
-  let build k () =
-    let vaddr = Word.add (Array.unsafe_get regs rb) ov in
-    let v = Array.unsafe_get regs rv in
-    if not st.x_smmu then begin
-      if vaddr >= mmio then
-        stop_at st refund at (X_mmio_write { paddr = vaddr; value = v })
-      else if vaddr >= msize then stop_at st refund at (X_fault_store vaddr)
-      else begin
-        Memory.write_fast mem vaddr v;
-        if rd <> 0 then Array.unsafe_set regs rd v;
-        k ()
-      end
-    end
-    else begin
-      let vpage = vaddr lsr st.x_page_shift in
-      match Tlb.lookup st.x_tlb ~vpage with
-      | None -> stop_at st refund at (X_tlb_miss { vaddr; write = true })
-      | Some e ->
-        if (st.x_spriv = 3 && not e.Tlb.user_ok) || not e.Tlb.writable then
-          stop_at st refund at (X_protection { vaddr; write = true })
-        else
-          let paddr =
-            (e.Tlb.ppage lsl st.x_page_shift)
-            lor (vaddr land ((1 lsl st.x_page_shift) - 1))
-          in
-          if paddr >= mmio then
-            stop_at st refund at (X_mmio_write { paddr; value = v })
-          else if paddr >= msize then
-            stop_at st refund at (X_fault_store paddr)
-          else begin
-            Memory.write_fast mem paddr v;
-            if rd <> 0 then Array.unsafe_set regs rd v;
-            k ()
-          end
-    end
-  in
-  Mem (build, Printf.sprintf "st + ld (store-forward)")
-
-(* Unchecked variant for the hoisted-loop copies: the compile-time
-   [max_reg] guard on the back branch is what licenses the unsafe
-   reads, exactly as in [classify]. *)
-let br_closure_unsafe (regs : int array) c r1 r2 taken fall =
-  match (c : Isa.cond) with
-  | Isa.Eq ->
-    fun () ->
-      if Array.unsafe_get regs r1 = Array.unsafe_get regs r2 then taken ()
-      else fall ()
-  | Isa.Ne ->
-    fun () ->
-      if Array.unsafe_get regs r1 <> Array.unsafe_get regs r2 then taken ()
-      else fall ()
-  | Isa.Lt ->
-    fun () ->
-      if Word.lt_signed (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-      then taken ()
-      else fall ()
-  | Isa.Ge ->
-    fun () ->
-      if
-        not
-          (Word.lt_signed (Array.unsafe_get regs r1)
-             (Array.unsafe_get regs r2))
-      then taken ()
-      else fall ()
-  | Isa.Ltu ->
-    fun () ->
-      if
-        Word.lt_unsigned (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-      then taken ()
-      else fall ()
-  | Isa.Geu ->
-    fun () ->
-      if
-        not
-          (Word.lt_unsigned (Array.unsafe_get regs r1)
-             (Array.unsafe_get regs r2))
-      then taken ()
-      else fall ()
-
 let def_of (i : Isa.instr) =
   match i with
   | Isa.Ldi (rd, _)
@@ -668,122 +566,6 @@ let compile_block st code targets counter ~leader ~len =
   in
   (blk, defm, { l_leader = leader; l_len = len; l_ops = names })
 
-(* Loop hoisting: a single-block counted loop whose certified trip
-   bound licenses batching the per-iteration budget prologue.  The
-   body is unrolled [k = min (bound, max_unroll)] times with the
-   copies chained directly, so a batch pays one budget compare and one
-   decrement where the plain block pays one per iteration.  Exactness
-   survives every exit: the batch charges [k * len] up front, the
-   loop-exit edge of copy [j] refunds the [k-1-j] unexecuted copies,
-   and memory stops or bails inside copy [j] refund from their own
-   offset — the dispatch loop's [budget - x_remaining] derivation of
-   the completed count never drifts.  When the remaining budget cannot
-   cover a whole batch the group entry falls back to the plain
-   one-iteration block, which drains the tail one prologue at a time.
-
-   The certificate is what makes this safe to *plan*, not what makes
-   it correct: even a wrong bound only mis-sizes the batch, it cannot
-   corrupt the accounting.  Hoisting simply spends the certificate
-   where it pays — bounded loops are where block-granular budget
-   checks cluster. *)
-let max_unroll = 16
-
-let compile_hoisted_block st code targets counter ~leader ~len ~bound =
-  let last = leader + len - 1 in
-  match code.(last) with
-  | Isa.Br (c, r1, r2, tgt)
-    when tgt = leader && bound >= 2
-         && max_reg code.(last) < Array.length st.x_regs ->
-    let plain_blk, defm, listing =
-      compile_block st code targets counter ~leader ~len
-    in
-    let k = min bound max_unroll in
-    let fall_target = goto st targets (leader + len) in
-    let reenter = goto st targets leader in
-    (* copy fusions would k-plicate the [fused] stat; count the plain
-       block's only *)
-    let scratch = ref 0 in
-    let build_copy j next =
-      (* the copy-to-copy edge is a direct call — nothing happens on
-         it at runtime; the batch entry credits the [k - 1] avoided
-         prologues and the (cold) early-exit edges debit the ones
-         that did not happen after all *)
-      let taken = match next with Some body -> body | None -> reenter in
-      let fall =
-        if j = k - 1 then fall_target
-        else begin
-          let refund = (k - 1 - j) * len in
-          let unchained = k - 1 - j in
-          fun () ->
-            st.x_remaining <- st.x_remaining + refund;
-            st.x_hoist_saved <- st.x_hoist_saved - unchained;
-            fall_target ()
-        end
-      in
-      let term = br_closure_unsafe st.x_regs c r1 r2 taken fall in
-      let nregs = Array.length st.x_regs in
-      let rec body_ops idx =
-        if idx >= len - 1 then []
-        else
-          let refund = ((k - j) * len) - idx in
-          match code.(leader + idx) with
-          | Isa.St (rv, rb, off)
-            when idx + 1 < len - 1
-                 && (match code.(leader + idx + 1) with
-                    | Isa.Ld (_, rb', off') -> rb' = rb && off' = off
-                    | _ -> false)
-                 && max_reg code.(leader + idx) < nregs
-                 && max_reg code.(leader + idx + 1) < nregs ->
-            let rd =
-              match code.(leader + idx + 1) with
-              | Isa.Ld (rd, _, _) -> rd
-              | _ -> assert false
-            in
-            st_ld_forward st ~at:(leader + idx) ~refund (rv, rb, off) rd
-            :: body_ops (idx + 2)
-          | i ->
-            classify st ~at:(leader + idx) ~refund i :: body_ops (idx + 1)
-      in
-      let ops = body_ops 0 in
-      let ops = fuse scratch ops in
-      let ops, term =
-        match List.rev ops with
-        | (Simple (b, _) | Mem (b, _)) :: rev_rest ->
-          (List.rev rev_rest, b term)
-        | _ -> (ops, term)
-      in
-      List.fold_left
-        (fun kont op ->
-          match op with
-          | Simple (build, _) | Mem (build, _) -> build kont
-          | Bail (b, _) -> b)
-        term (List.rev ops)
-    in
-    let rec chain j =
-      if j = k - 1 then build_copy j None
-      else build_copy j (Some (chain (j + 1)))
-    in
-    let copy0 = chain 0 in
-    let batch = k * len in
-    let group () =
-      if st.x_remaining < batch then plain_blk ()
-      else begin
-        st.x_remaining <- st.x_remaining - batch;
-        st.x_hoist_saved <- st.x_hoist_saved + (k - 1);
-        copy0 ()
-      end
-    in
-    Some
-      ( group,
-        defm,
-        {
-          listing with
-          l_ops =
-            listing.l_ops
-            @ [ Printf.sprintf "loop hoisted: %d-way batch (bound %d)" k bound ];
-        } )
-  | _ -> None
-
 let compile_region st code counter (r : plan_region) =
   let n = Array.length code in
   if
@@ -813,33 +595,12 @@ let compile_region st code counter (r : plan_region) =
           (fun b -> Hashtbl.replace targets b.pb_leader (ref nothing))
           r.pr_blocks;
         let region_def = ref 0 in
-        let hoisted = ref 0 in
         let blocks =
           List.map
             (fun b ->
-              (* hoisting batches k iterations under one prologue; its
-                 mid-batch refund paths would need per-copy leader
-                 bookkeeping to stay exact, so profiling simply
-                 disables it — exactness beats speed while measuring *)
-              let hoist =
-                if Array.length st.x_prof <> 0 then None
-                else
-                  List.find_opt
-                    (fun pl -> pl.pl_leader = b.pb_leader)
-                    r.pr_loops
-              in
               let blk, defm, l =
-                match
-                  Option.bind hoist (fun pl ->
-                      compile_hoisted_block st code targets counter
-                        ~leader:b.pb_leader ~len:b.pb_len ~bound:pl.pl_bound)
-                with
-                | Some res ->
-                  incr hoisted;
-                  res
-                | None ->
-                  compile_block st code targets counter ~leader:b.pb_leader
-                    ~len:b.pb_len
+                compile_block st code targets counter ~leader:b.pb_leader
+                  ~len:b.pb_len
               in
               region_def := !region_def lor defm;
               (match Hashtbl.find_opt targets b.pb_leader with
@@ -877,8 +638,7 @@ let compile_region st code counter (r : plan_region) =
               l_cost = head_blk.pb_len;
               l_priv_mask = r.pr_priv_mask;
               l_blocks = blocks;
-            },
-            !hoisted )
+            } )
       end
 
 let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
@@ -896,7 +656,6 @@ let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
       x_spriv = 0;
       x_stop = None;
       x_exit = exit_budget;
-      x_hoist_saved = 0;
       x_prof = (match profile with Some p -> p | None -> [||]);
       x_prof_leader = 0;
     }
@@ -904,7 +663,6 @@ let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
   let entries = Array.make (max n 1) None in
   let counter = ref 0 in
   let regions = ref 0 and blocks = ref 0 and instrs = ref 0 in
-  let hoisted = ref 0 in
   let listing = ref [] and untranslated = ref [] in
   List.iter
     (fun (r : plan_region) ->
@@ -913,13 +671,12 @@ let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
       else
         match compile_region st code counter r with
         | Error reason -> untranslated := (r.pr_head, reason) :: !untranslated
-        | Ok (entry_points, rl, h) ->
+        | Ok (entry_points, rl) ->
           List.iter (fun (leader, e) -> entries.(leader) <- Some e) entry_points;
           incr regions;
           blocks := !blocks + List.length r.pr_blocks;
           instrs :=
             !instrs + List.fold_left (fun a b -> a + b.pb_len) 0 r.pr_blocks;
-          hoisted := !hoisted + h;
           listing := rl :: !listing)
     plan;
   {
@@ -929,7 +686,6 @@ let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
     translated_blocks = !blocks;
     translated_instrs = !instrs;
     fused = !counter;
-    hoisted_loops = !hoisted;
     listing = List.rev !listing;
     untranslated = List.rev !untranslated;
     entries_taken = 0;
@@ -950,7 +706,6 @@ let reset t =
   st.x_spriv <- 0;
   st.x_stop <- None;
   st.x_exit <- exit_budget;
-  st.x_hoist_saved <- 0;
   st.x_prof_leader <- 0;
   t.entries_taken <- 0;
   t.threaded_instrs <- 0;
@@ -979,9 +734,8 @@ let pp_priv_mask fmt m =
 let pp_listing fmt t =
   Format.fprintf fmt
     "translation: %d superblocks, %d blocks, %d instructions, %d fused \
-     superinstructions, %d hoisted loops@."
-    t.translated_regions t.translated_blocks t.translated_instrs t.fused
-    t.hoisted_loops;
+     superinstructions@."
+    t.translated_regions t.translated_blocks t.translated_instrs t.fused;
   List.iter
     (fun r ->
       Format.fprintf fmt

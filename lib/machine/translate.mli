@@ -23,14 +23,6 @@
 (** One basic block of a certified superblock, by leader address. *)
 type plan_block = { pb_leader : int; pb_len : int }
 
-(** A member block that is a single-block counted loop with a
-    certified trip bound ([pl_bound] worst-case header visits per
-    entry): license to batch the per-iteration budget prologue by
-    unrolling the body (see the loop-hoisting notes in the
-    implementation).  The bound sizes the batch; correctness of the
-    accounting never depends on it. *)
-type plan_loop = { pl_leader : int; pl_bound : int }
-
 (** One certified superblock: the head is the unique entry; the
     privilege mask is the bitmask of {e real} privilege levels the
     whole region is certified for ([-1] when unconstrained). *)
@@ -38,7 +30,6 @@ type plan_region = {
   pr_head : int;
   pr_blocks : plan_block list;
   pr_priv_mask : int;
-  pr_loops : plan_loop list;
 }
 
 (** Stop conditions translated code can produce mid-block.  These
@@ -87,20 +78,13 @@ type st = {
   mutable x_spriv : int;
   mutable x_stop : stop option;
   mutable x_exit : int;
-  mutable x_hoist_saved : int;
-      (** cumulative per-iteration budget decrements avoided by
-          hoisted loop batches (one per direct copy-to-copy chain) —
-          credited at batch entry and debited on early loop exits, so
-          the hot edge carries no accounting; a memory stop mid-batch
-          can leave a small overcount (reporting only) *)
   x_prof : int array;
       (** per-address retirement counters when profiling, length 0
           otherwise.  Block prologues credit the whole block at the
           leader; the cold exit paths debit the refund, so the net
           charge equals the completed instructions on every path and
           agrees exactly with the interpreter's per-instruction
-          counts.  Loop hoisting is disabled while profiling to keep
-          the refunds per-block exact. *)
+          counts. *)
   mutable x_prof_leader : int;
       (** leader currently holding the profiling credit *)
 }
@@ -135,9 +119,6 @@ type t = {
   translated_blocks : int;
   translated_instrs : int;
   fused : int;  (** superinstructions formed *)
-  hoisted_loops : int;
-      (** loop blocks compiled as batched unrolls (one per certified
-          single-block loop the plan carried) *)
   listing : region_listing list;
   untranslated : (int * string) list;
       (** region head, reason it was left to the interpreter *)
@@ -169,7 +150,7 @@ val compile :
     [?profile] supplies a per-address retirement counter array (same
     length as [code]): compiled blocks then maintain it exactly (see
     [x_prof]) at the cost of one store and one counter bump per block
-    entry, and loop hoisting is disabled. *)
+    entry. *)
 
 val reset : t -> unit
 (** Return the translation's per-run state to what {!compile} leaves:

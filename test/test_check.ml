@@ -542,8 +542,8 @@ let slots_held_to_declaration () =
     (List.rev !failures)
 
 (* Observability neutrality: arming the guest hot-spot profiler
-   (which recompiles translated blocks with counting prologues and
-   disables loop hoisting) must not perturb any architectural state
+   (which recompiles translated blocks with counting prologues) must
+   not perturb any architectural state
    the lockstep protocol hashes.  Each scenario's exploration must
    reach the same pinned counts as without profiling — a drift here
    means the profiler leaked into System.fingerprint. *)

@@ -918,6 +918,38 @@ let burst_cost_tests =
             (Workload.mixed ~compute:100 ~ops:12 (), 7_798);
             (Workload.disk_write ~ops:24 (), 20_446);
           ]);
+    (* The threaded backend's translated work on [run -w cpu --backend
+       threaded], summed over both replicas: instructions run threaded,
+       entries, blocks, fusions, then the budget, priv, link, indirect,
+       bail and stop fallbacks.  The block prologue's budget check is
+       the only thing that decides where a burst leaves translated code,
+       so a change to it moves these counts. *)
+    Alcotest.test_case "run -w cpu threaded translation work pinned" `Quick
+      (fun () ->
+        let params = Params.with_exec_backend Params.default Params.Threaded in
+        let sys, _ =
+          run_sys ~params (Workload.dhrystone ~iterations:20_000)
+        in
+        let st = [ System.primary sys; System.backup sys ] in
+        let sum f =
+          List.fold_left (fun a h -> a + f (Hypervisor.stats h)) 0 st
+        in
+        Alcotest.(check (list int))
+          "translated work"
+          [ 2_800_178; 42_690; 60; 72; 1_613; 0; 940; 39_947; 948; 4 ]
+          (List.map sum
+             [
+               (fun s -> s.Stats.threaded_instrs);
+               (fun s -> s.Stats.threaded_entries);
+               (fun s -> s.Stats.blocks_translated);
+               (fun s -> s.Stats.superinstructions_fused);
+               (fun s -> s.Stats.fallback_budget);
+               (fun s -> s.Stats.fallback_priv);
+               (fun s -> s.Stats.fallback_link);
+               (fun s -> s.Stats.fallback_indirect);
+               (fun s -> s.Stats.fallback_bail);
+               (fun s -> s.Stats.fallback_stop);
+             ]));
     (* Alone (its primary crashed) and with an epoch longer than the
        test could run, the backup's burst is bounded by nothing but the
        per-dispatch budget, so only that keeps the event limit in
@@ -1198,8 +1230,6 @@ let modelled (s : Stats.t) =
     superinstructions_fused = 0;
     threaded_instrs = 0;
     threaded_entries = 0;
-    loops_hoisted = 0;
-    hoisted_decrements = 0;
     fallback_budget = 0;
     fallback_priv = 0;
     fallback_link = 0;

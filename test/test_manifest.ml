@@ -254,16 +254,16 @@ let test_rearm_validator_only_for_same_knobs () =
 
 (* A recycled CPU keeps its translation exactly when the closures'
    aliases survive and nothing else changed: same code, same manifest
-   and knobs, round-robin TLB, no profiler. *)
+   and deprivileging, round-robin TLB, no profiler. *)
 let test_rearm_translation_only_when_exact () =
   let w = Hft_guest.Workload.dhrystone ~iterations:20 in
   let code = w.Hft_guest.Workload.program.Asm.code in
   let m = Manifest.of_program w.Hft_guest.Workload.program in
-  let arm ?config ?recycle ?(profile = false) ?(hoist_loops = true) () =
+  let arm ?config ?recycle ?(profile = false) ?(deprivileged = false) () =
     let c = Cpu.create ?config ?recycle ~code () in
     Manifest.install m ~deprivileged:false c;
     if profile then Cpu.install_profile c;
-    (match Manifest.install_translation ~hoist_loops m ~deprivileged:false c with
+    (match Manifest.install_translation m ~deprivileged c with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "translation refused: %s" e);
     ignore (Cpu.run c ~fuel:2_000);
@@ -274,8 +274,8 @@ let test_rearm_translation_only_when_exact () =
   let ta = tx a in
   let b = arm ~recycle:a () in
   Alcotest.(check bool) "re-armed" true (tx b == ta);
-  let c = arm ~recycle:b ~hoist_loops:false () in
-  Alcotest.(check bool) "other knobs recompile" false (tx c == ta);
+  let c = arm ~recycle:b ~deprivileged:true () in
+  Alcotest.(check bool) "other deprivileging recompiles" false (tx c == ta);
   let tc = tx c in
   let d = arm ~recycle:c ~profile:true () in
   Alcotest.(check bool) "profiler recompiles" false (tx d == tc);

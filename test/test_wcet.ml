@@ -1,6 +1,6 @@
 (* Epoch-cost certification: loop-bound inference over value-set
    strides, WCET soundness against the dynamic oracle (the static
-   bound must dominate what actually runs), hoisted-loop digest parity
+   bound must dominate what actually runs), threaded-loop digest parity
    under adversarial fuel slicing, the validator's loop-iteration
    trap on an under-bounded manifest, and the widening-ladder
    regression (a many-iteration loop must not cost a [Deterministic]
@@ -234,7 +234,7 @@ let prop_wcet_sound =
           (visits * body_cost)
       | None -> QCheck.Test.fail_report "bounded loop without a WCET");
       (* dynamic oracle: a validated interpreter run is silent, and the
-         hoisted threaded backend retires the same instructions into
+         threaded backend retires the same instructions into
          the same architectural state *)
       let interp = Cpu.create ~code () in
       Manifest.install m ~deprivileged:false interp;
@@ -255,50 +255,30 @@ let prop_wcet_sound =
       then QCheck.Test.fail_report "architectural state diverged";
       true)
 
-(* ---------- hoisted loops: parity and accounting ---------- *)
+(* ---------- threaded loops: parity and fuel slicing ---------- *)
 
-let test_hoist_parity_and_savings () =
-  let code, head, visits = gen_loop ~init:0 ~limit:120 ~step:1 ~body:4 in
-  ignore head;
+let test_loop_parity () =
+  let code, _, _ = gen_loop ~init:0 ~limit:120 ~step:1 ~body:4 in
   let m = Manifest.of_code code in
   let interp = Cpu.create ~code () in
   run_to_halt interp;
-  let check_backend ~hoist_loops name =
-    let c = Cpu.create ~code () in
-    Manifest.install m ~deprivileged:false c;
-    (match Manifest.install_translation ~hoist_loops m ~deprivileged:false c with
-    | Ok n -> Alcotest.(check bool) (name ^ ": translated") true (n > 0)
-    | Error e -> Alcotest.failf "%s: translation refused: %s" name e);
-    run_to_halt c;
-    Alcotest.(check int)
-      (name ^ ": retired")
-      (Cpu.instructions_retired interp)
-      (Cpu.instructions_retired c);
-    Alcotest.(check int)
-      (name ^ ": state")
-      (Cpu.state_hash ~full:true interp)
-      (Cpu.state_hash ~full:true c);
-    match Cpu.translation c with
-    | None -> Alcotest.fail "translation cache missing"
-    | Some tx -> tx
-  in
-  let plain = check_backend ~hoist_loops:false "plain" in
-  Alcotest.(check int)
-    "hoisting off compiles no batches" 0 plain.Translate.hoisted_loops;
-  let hoisted = check_backend ~hoist_loops:true "hoisted" in
-  Alcotest.(check bool)
-    "loop block compiled as a batch" true
-    (hoisted.Translate.hoisted_loops > 0);
-  Alcotest.(check bool)
-    "budget decrements actually avoided" true
-    (hoisted.Translate.state.Translate.x_hoist_saved > 0);
-  Alcotest.(check bool)
-    "savings bounded by iterations" true
-    (hoisted.Translate.state.Translate.x_hoist_saved < visits)
+  let c = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:false c;
+  (match Manifest.install_translation m ~deprivileged:false c with
+  | Ok n -> Alcotest.(check bool) "translated" true (n > 0)
+  | Error e -> Alcotest.failf "translation refused: %s" e);
+  run_to_halt c;
+  Alcotest.(check int) "retired"
+    (Cpu.instructions_retired interp)
+    (Cpu.instructions_retired c);
+  Alcotest.(check int) "state"
+    (Cpu.state_hash ~full:true interp)
+    (Cpu.state_hash ~full:true c)
 
-let test_hoist_fuel_slicing () =
-  (* adversarial fuel slices land mid-batch; exact refund accounting
-     must keep hoisted execution instruction-exact at every stop *)
+let test_loop_fuel_slicing () =
+  (* adversarial fuel slices end before a block fits the budget; the
+     per-block budget check hands the rest to the interpreter, and
+     execution must stay instruction-exact at every stop *)
   let code, _, _ = gen_loop ~init:0 ~limit:100 ~step:1 ~body:3 in
   let m = Manifest.of_code code in
   let interp = Cpu.create ~code () in
@@ -413,12 +393,12 @@ let () =
         ] );
       ( "soundness",
         [ q prop_wcet_sound ] );
-      ( "hoisting",
+      ( "threaded",
         [
-          Alcotest.test_case "parity and decrement savings" `Quick
-            test_hoist_parity_and_savings;
+          Alcotest.test_case "parity with the interpreter" `Quick
+            test_loop_parity;
           Alcotest.test_case "fuel slicing stays instruction-exact" `Quick
-            test_hoist_fuel_slicing;
+            test_loop_fuel_slicing;
         ] );
       ( "validator",
         [
