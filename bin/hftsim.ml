@@ -1866,19 +1866,35 @@ let bench_cmd =
              epoch rate (CI gates 1.05x — aggregation-first metrics must \
              stay under 5%%).")
   in
+  let max_validator_overhead =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-validator-overhead" ] ~docv:"R"
+          ~doc:
+            "Fail (exit non-zero) if the plain interpreter runs more than R \
+             times as fast as the interpreter with the runtime certificate \
+             validator armed, the two measured in alternating windows.")
+  in
   let action json_path quick min_speedup max_overhead min_threaded
-      max_metrics_overhead =
+      max_metrics_overhead max_validator_overhead =
     writes @@ fun () ->
     (* written so that NaN, which fails every comparison, is bad *)
     let bad_ratio = function Some r -> not (r > 0.) | None -> false in
     if
       List.exists bad_ratio
-        [ min_speedup; max_overhead; min_threaded; max_metrics_overhead ]
+        [
+          min_speedup;
+          max_overhead;
+          min_threaded;
+          max_metrics_overhead;
+          max_validator_overhead;
+        ]
     then
       `Error
         ( true,
-          "--min-speedup, --max-hash-overhead, --min-threaded-speedup and \
-           --max-metrics-overhead must be > 0" )
+          "--min-speedup, --max-hash-overhead, --min-threaded-speedup, \
+           --max-metrics-overhead and --max-validator-overhead must be > 0" )
     else
     let b = Hft_harness.Bench_core.run ~quick () in
     Hft_harness.Bench_core.report b;
@@ -1909,26 +1925,34 @@ let bench_cmd =
     else
       (* each gate is written so that a NaN measurement fails it *)
       match
-        (min_speedup, max_overhead, min_threaded, max_metrics_overhead)
+        ( min_speedup,
+          max_overhead,
+          min_threaded,
+          max_metrics_overhead,
+          max_validator_overhead )
       with
-      | Some r, _, _, _ when not (p.Hft_harness.Bench_core.speedup >= r) ->
+      | Some r, _, _, _, _ when not (p.Hft_harness.Bench_core.speedup >= r) ->
         fail
           "incremental hashing speedup %.2fx at EL=1024 is below the %.2fx \
            guard"
           p.Hft_harness.Bench_core.speedup r
-      | _, Some r, _, _
+      | _, Some r, _, _, _
         when not (p.Hft_harness.Bench_core.hash_overhead <= r) ->
         fail
           "lockstep hashing overhead %.2fx at EL=1024 exceeds the %.2fx guard"
           p.Hft_harness.Bench_core.hash_overhead r
-      | _, _, Some r, _
+      | _, _, Some r, _, _
         when not (b.Hft_harness.Bench_core.threaded_speedup >= r) ->
         fail "threaded speedup %.2fx is below the %.2fx guard"
           b.Hft_harness.Bench_core.threaded_speedup r
-      | _, _, _, Some r
+      | _, _, _, Some r, _
         when not (b.Hft_harness.Bench_core.metrics_overhead <= r) ->
         fail "windowed-metrics overhead %.2fx exceeds the %.2fx guard"
           b.Hft_harness.Bench_core.metrics_overhead r
+      | _, _, _, _, Some r
+        when not (b.Hft_harness.Bench_core.validator_overhead <= r) ->
+        fail "validator overhead %.2fx exceeds the %.2fx guard"
+          b.Hft_harness.Bench_core.validator_overhead r
       | _ -> `Ok ()
   in
   Cmd.v
@@ -1942,7 +1966,7 @@ let bench_cmd =
     Term.(
       ret
         (const action $ json_path $ quick $ min_speedup $ max_overhead
-       $ min_threaded $ max_metrics_overhead))
+       $ min_threaded $ max_metrics_overhead $ max_validator_overhead))
 
 (* ---------- disasm ---------- *)
 

@@ -283,9 +283,8 @@ type Cpu.origin +=
    [Priv0] is a {e virtual}-level property; under the hypervisor's
    deprivileging (section 3.1) virtual level 0 runs at real level 1,
    so the allowed real-privilege mask maps through [deprivileged]. *)
-let arm_validator t ~deprivileged cpu =
+let build_tables t ~deprivileged code =
   let n = t.instructions in
-  let code = Cpu.code cpu in
   let priv_ok = Array.make n (-1) in
   let det = Array.make n false in
   let uses = Array.make n 0 in
@@ -344,7 +343,7 @@ let arm_validator t ~deprivileged cpu =
     |> List.sort (fun a b -> compare (span a) (span b))
   in
   let nl = List.length bounded in
-  let loop_of = Array.make (max n 1) (-1) in
+  let loop_of = Array.make n (-1) in
   let lhead = Array.make nl 0 in
   let lbound = Array.make nl 0 in
   List.iteri
@@ -361,10 +360,46 @@ let arm_validator t ~deprivileged cpu =
             done)
         l.l_blocks)
     bounded;
+  Cpu.validator_tables ~blk_end ~loop_of ~lhead ~lbound ~code ~priv_ok ~det
+    ~uses ~def ~region ~rhead ~rbound ~random_tlb:t.random_tlb ()
+
+(* The tables depend on nothing but the manifest (whose image hash pins
+   the code) and the deprivileging, so every CPU armed from the same
+   pair shares one: both replicas, and every trial's and exploration's
+   machines.  They are found by the manifest's identity and held
+   weakly, one slot per deprivileging, so tables no armed CPU holds any
+   more are collected (a model-checking session passes through several
+   images) and built again on the next arming. *)
+module By_manifest = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let tables_memo : Cpu.vtables Weak.t By_manifest.t = By_manifest.create 8
+
+let arm_validator t ~deprivileged cpu =
+  let slots =
+    match By_manifest.find_opt tables_memo t with
+    | Some slots -> slots
+    | None ->
+      let slots = Weak.create 2 in
+      By_manifest.replace tables_memo t slots;
+      slots
+  in
+  let slot = Bool.to_int deprivileged in
+  let tables =
+    match Weak.get slots slot with
+    | Some tables -> tables
+    | None ->
+      let tables = build_tables t ~deprivileged (Cpu.code cpu) in
+      Weak.set slots slot (Some tables);
+      tables
+  in
   Cpu.install_validator cpu
     ~origin:(Validator_of { manifest = t; deprivileged })
-    ~blk_end ~loop_of ~lhead ~lbound ~priv_ok ~det ~uses ~def ~region ~rhead
-    ~rbound ~random_tlb:t.random_tlb
+    tables
 
 let install t ~deprivileged cpu =
   (match validate_cpu cpu t with

@@ -25,6 +25,12 @@ type epoch_point = {
 type t = {
   quick : bool;
   instrs_per_sec : float;
+      (** plain interpreter (no validator, no translation): the best
+          window over the three paired measurements below.  Each of
+          [validator_overhead], [threaded_speedup] and
+          [profiler_overhead] divides by the plain rate measured in
+          windows alternating with its own other side (A B A B A B),
+          not by this number *)
   epoch_points : epoch_point list;
   snapshot_first_bytes : int;
   snapshot_delta_bytes : int;
@@ -52,15 +58,16 @@ type t = {
           validator off — the tentpole number; compare against
           [instrs_per_sec] *)
   threaded_speedup : float;
-      (** [threaded_instrs_per_sec / instrs_per_sec]; the full bench
-          commits this >= 2, CI's quick mode gates >= 1.5 *)
+      (** threaded rate over the paired plain interpreter rate; CI's
+          quick mode gates >= 1.5 *)
   threaded_fraction : float;
       (** share of the threaded run's instructions that actually
           executed inside translated superblocks *)
   validator_overhead : float;
-      (** [instrs_per_sec / validated_instrs_per_sec]: the residue of
-          the old ~29% per-instruction validator cost after the
-          per-block certificate cache *)
+      (** paired plain interpreter rate over
+          [validated_instrs_per_sec]: what the validator costs the
+          interpreter once its deferred windows run as tight loops; CI
+          gates it with [--max-validator-overhead] *)
   digest_match : bool;
       (** the interpreter and the threaded backend landed in the
           identical architectural state after a fixed fuel-sliced run;
@@ -85,7 +92,8 @@ type t = {
       (** interpreter rate with the per-address retirement counters
           armed ({!Hft_machine.Cpu.install_profile}) *)
   profiler_overhead : float;
-      (** [instrs_per_sec / profiled_instrs_per_sec] *)
+      (** paired plain interpreter rate over
+          [profiled_instrs_per_sec] *)
   threaded_profiled_instrs_per_sec : float;
       (** threaded rate with profiling armed (block-entry credits) *)
   profiler_threaded_overhead : float;

@@ -36,35 +36,194 @@ type origin = ..
 
 type coverage = { mutable covered : int; mutable checked : int }
 
+(* ---------- the decoded image ----------
+
+   Each code image is decoded once into one operation per address,
+   named by its constructor alone: the ALU operator and the branch
+   condition are folded in, immediates and offsets are pre-masked to
+   words, and a write to r0 decodes to no write ([Nop], [Jmp], [Ld0]).
+   Everything that is not an ordinary instruction keeps its [Isa] form
+   under [Sys] and runs on [run]'s out-of-line path. *)
+type op =
+  | Nop
+  | Ldi of int * int
+  | Add of int * int * int
+  | Sub of int * int * int
+  | Mul of int * int * int
+  | Divu of int * int * int
+  | Remu of int * int * int
+  | And of int * int * int
+  | Or of int * int * int
+  | Xor of int * int * int
+  | Sll of int * int * int
+  | Srl of int * int * int
+  | Sra of int * int * int
+  | Slt of int * int * int
+  | Sltu of int * int * int
+  | Addi of int * int * int
+  | Subi of int * int * int
+  | Muli of int * int * int
+  | Divui of int * int * int
+  | Remui of int * int * int
+  | Andi of int * int * int
+  | Ori of int * int * int
+  | Xori of int * int * int
+  | Slli of int * int * int
+  | Srli of int * int * int
+  | Srai of int * int * int
+  | Slti of int * int * int
+  | Sltui of int * int * int
+  | Ld of int * int * int
+  | Ld0 of int * int  (* a load into r0: translation and stops only *)
+  | St of int * int * int
+  | Beq of int * int * int
+  | Bne of int * int * int
+  | Blt of int * int * int
+  | Bge of int * int * int
+  | Bltu of int * int * int
+  | Bgeu of int * int * int
+  | Jmp of int
+  | Jal of int * int
+  | Jr of int
+  | Probe of int
+  | Sys of Isa.instr  (* Halt, Wfi, environment, trap call, privileged *)
+
+let decode (i : Isa.instr) =
+  match i with
+  | Nop | Ldi (0, _) | Alu (_, 0, _, _) | Alui (_, 0, _, _) | Probe 0 -> Nop
+  | Ldi (rd, v) -> Ldi (rd, Word.mask v)
+  | Alu (op, rd, a, b) -> (
+    match op with
+    | Add -> Add (rd, a, b)
+    | Sub -> Sub (rd, a, b)
+    | Mul -> Mul (rd, a, b)
+    | Divu -> Divu (rd, a, b)
+    | Remu -> Remu (rd, a, b)
+    | And -> And (rd, a, b)
+    | Or -> Or (rd, a, b)
+    | Xor -> Xor (rd, a, b)
+    | Sll -> Sll (rd, a, b)
+    | Srl -> Srl (rd, a, b)
+    | Sra -> Sra (rd, a, b)
+    | Slt -> Slt (rd, a, b)
+    | Sltu -> Sltu (rd, a, b))
+  | Alui (op, rd, a, imm) -> (
+    let k = Word.of_signed imm in
+    match op with
+    | Add -> Addi (rd, a, k)
+    | Sub -> Subi (rd, a, k)
+    | Mul -> Muli (rd, a, k)
+    | Divu -> Divui (rd, a, k)
+    | Remu -> Remui (rd, a, k)
+    | And -> Andi (rd, a, k)
+    | Or -> Ori (rd, a, k)
+    | Xor -> Xori (rd, a, k)
+    | Sll -> Slli (rd, a, k)
+    | Srl -> Srli (rd, a, k)
+    | Sra -> Srai (rd, a, k)
+    | Slt -> Slti (rd, a, k)
+    | Sltu -> Sltui (rd, a, k))
+  | Ld (0, rs, off) -> Ld0 (rs, Word.of_signed off)
+  | Ld (rd, rs, off) -> Ld (rd, rs, Word.of_signed off)
+  | St (rv, rb, off) -> St (rv, rb, Word.of_signed off)
+  | Br (c, a, b, tgt) -> (
+    match c with
+    | Eq -> Beq (a, b, tgt)
+    | Ne -> Bne (a, b, tgt)
+    | Lt -> Blt (a, b, tgt)
+    | Ge -> Bge (a, b, tgt)
+    | Ltu -> Bltu (a, b, tgt)
+    | Geu -> Bgeu (a, b, tgt))
+  | Jmp tgt | Jal (0, tgt) -> Jmp tgt
+  | Jal (rd, tgt) -> Jal (rd, tgt)
+  | Jr rs -> Jr rs
+  | Probe rd -> Probe rd
+  | Halt | Wfi | Rdtod _ | Rdtmr _ | Wrtmr _ | Out _ | Trapc _ | Mfcr _
+  | Mtcr _ | Tlbw _ | Rfi ->
+    Sys i
+
+(* One per code image, shared by every CPU over it: both replicas, and
+   the recycled trial and checker machines.  Images are looked up by
+   identity, which is sound because an image is never mutated once a
+   CPU runs it. *)
+type image = {
+  i_ops : op array;
+  mutable i_hash : int option;  (* [Encode.program_hash], once *)
+}
+
+module Images = Ephemeron.K1.Make (struct
+  type t = Isa.instr array
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let images : image Images.t = Images.create 8
+
+let image_of code =
+  match Images.find_opt images code with
+  | Some im -> im
+  | None ->
+    let im = { i_ops = Array.map decode code; i_hash = None } in
+    Images.replace images code im;
+    im
+
+(* ---------- the validator's tables ----------
+
+   One immutable record per code address holds everything the
+   validator reads there: the address's own certificates, its basic
+   block's straight-line run from the address to the block's end, and
+   its region's and loop's head and bound.  Built once per manifest and
+   deprivileging and shared by every CPU armed from them, so it is
+   packed: flags in one word, and each pair of 16-register masks in
+   one word, the registers read in the low half and those written in
+   the high half. *)
+type vrec = {
+  r_flags : int;
+      (* the allowed real-privilege bitmask in bits 0-3, then the
+         [f_*] bits below *)
+  r_regs : int;  (* registers the instruction reads, and writes (r0 excluded) *)
+  r_run_regs : int;
+      (* registers the run [a, end) reads before writing them, and
+         every register it writes *)
+  r_end : int;  (* exclusive end of the basic block *)
+  r_straight : int;
+      (* end of the run's prefix of ordinary instructions: how far a
+         tight window may execute from here *)
+  r_region : int;  (* certified superblock id, -1 outside *)
+  r_rbound : int;  (* the superblock's instruction bound, max_int if none *)
+  r_loop : int;  (* innermost bounded-loop id, -1 outside *)
+  r_lbound : int;  (* the loop's certified max header visits *)
+}
+
+let f_det = 0x10  (* inside a [Deterministic]-certified block *)
+
+let f_window = 0x20
+(* a window may open here: the run [a, end) is longer than one
+   instruction and its strict suffix holds no hazard *)
+
+let f_rhead = 0x40  (* the address is its superblock's head *)
+let f_lhead = 0x80  (* the address is its loop's header *)
+
+(* the hazards, which need their own check inside a Deterministic
+   block: a Probe, and a Tlbw under random replacement *)
+let f_probe = 0x100
+let f_tlbw = 0x200
+
+let[@inline] has r f = r.r_flags land f <> 0
+let[@inline] reads m = m land 0xFFFF
+let[@inline] writes m = m lsr 16
+
+type vtables = { vt_recs : vrec array; vt_regions : int; vt_loops : int }
+
 (* Runtime certificate validator (the dynamic oracle for the static
-   analyzer's compilation manifest).  All per-address tables are
-   indexed by code address; region tables by certified-superblock id.
-   Every hypervisor and bare machine installs it at boot; the hot loop
-   pays one [match] on the hoisted option, absent only on a CPU built
-   without a manifest. *)
+   analyzer's compilation manifest): shared tables plus this CPU's run
+   state.  Every hypervisor and bare machine installs it at boot; the
+   hot loop pays one [match] on the hoisted option, absent only on a
+   CPU built without a manifest. *)
 type validator = {
   v_origin : origin option;  (* what built the tables, for [rearm_validator] *)
-  v_priv_ok : int array;  (* allowed real-privilege bitmask *)
-  v_det : bool array;     (* inside a [Deterministic]-certified block *)
-  v_uses : int array;     (* registers read (bitmask, r0 excluded) *)
-  v_def : int array;      (* registers written (bitmask, r0 excluded) *)
-  v_region : int array;   (* certified superblock id, -1 outside *)
-  v_rhead : int array;    (* region id -> head address *)
-  v_rbound : int array;   (* region id -> instruction bound, max_int if none *)
-  v_loop_of : int array;  (* innermost bounded-loop id, -1 outside *)
-  v_lhead : int array;    (* loop id -> header leader address *)
-  v_lbound : int array;   (* loop id -> certified max header visits *)
-  v_random_tlb : bool;
-  (* per-block hoisting of the pre-dispatch checks: [v_run_end.(a)] is
-     the exclusive end of a's basic block (a+1 when block structure is
-     unknown), [v_run_ubd.(a)] the registers read before being written
-     on the straight-line run [a, end), and [v_run_hazard.(a)] whether
-     that run's strict suffix contains an instruction needing its own
-     per-address check (Probe, or Tlbw under random replacement) *)
-  v_run_end : int array;
-  v_run_ubd : int array;
-  v_run_def : int array;  (* registers written anywhere on the run [a, end) *)
-  v_run_hazard : bool array;
+  v_tab : vtables;
   (* observed maxima, the dynamic side of the WCET-slack join: highest
      in-region instruction count per superblock and highest header
      visit count per bounded loop actually seen.  Same undercounting
@@ -86,25 +245,30 @@ type validator = {
   mutable v_lcount : int;       (* header visits since entering it *)
   mutable v_covered : int;      (* completed instrs inside certified regions *)
   mutable v_checked : int;      (* completed instrs while validating *)
+  mutable v_windows : int;      (* deferred windows opened *)
+  mutable v_window_instrs : int;  (* instructions retired by tight windows *)
   v_cov : coverage;  (* [validator_coverage]'s view of the two *)
 }
 
 (* [run]'s per-burst state that its out-of-line helpers share: the
    status flags hoisted out of [Cr_status], the executed count the
-   recovery counter was last synchronised at, and the count at which
-   it expires ([max_int] while disabled).  One per CPU, so a burst
-   allocates none of it. *)
+   recovery counter was last synchronised at, the count at which it
+   expires ([max_int] while disabled), and the tight window running.
+   One per CPU, so a burst allocates none of it. *)
 type scratch = {
   mutable s_priv : int;
   mutable s_mmu : bool;
   mutable s_rc : bool;
   mutable s_rc_base : int;
   mutable s_expire : int;
+  mutable s_window : int;
+      (* the head of the tight window running, -1 outside one *)
 }
 
 type t = {
   cfg : config;
   code : Isa.instr array;
+  image : image;
   memory : Memory.t;
   tlb_state : Tlb.t;
   regs : int array;
@@ -124,7 +288,6 @@ type t = {
       (* last installed translation plan, kept so toggling the
          profiler can recompile the translation with matching hooks *)
   mutable trans_origin : origin option;
-  mutable code_hash : int option;  (* [Encode.program_hash code], once *)
   mutable spare_validator : validator option;
   mutable spare_trans :
     (Translate.t * Translate.plan_region list * origin) option;
@@ -147,16 +310,18 @@ let reset_validator v =
   v.v_cur_loop <- -1;
   v.v_lcount <- 0;
   v.v_covered <- 0;
-  v.v_checked <- 0
+  v.v_checked <- 0;
+  v.v_windows <- 0;
+  v.v_window_instrs <- 0
 
 (* A recycled CPU adopts the old one's state objects, each reset to
    exactly what a fresh CPU allocates: its memory, its register files,
    and its TLB when the replacement policy is round-robin (a random
    policy brings its own stream, so the TLB is new).  Over the same
-   code image it also keeps the image hash and, as spares, the
-   validator and the translation: the translation's closures alias the
-   registers, memory and TLB, so it is kept only when all three were
-   adopted and it was compiled without profiling hooks. *)
+   code image it also keeps, as spares, the validator and the
+   translation: the translation's closures alias the registers, memory
+   and TLB, so it is kept only when all three were adopted and it was
+   compiled without profiling hooks. *)
 let create ?(config = default_config) ?recycle ~code () =
   (* a CPU whose memory has another geometry has nothing to lend *)
   let recycle =
@@ -189,10 +354,16 @@ let create ?(config = default_config) ?recycle ~code () =
       Array.fill old.crs 0 (Array.length old.crs) 0;
       (m, tlb, old.regs, old.crs)
   in
+  let image =
+    match recycle with
+    | Some old when old.code == code -> old.image
+    | _ -> image_of code
+  in
   let t =
     {
       cfg = config;
       code;
+      image;
       memory;
       tlb_state;
       regs;
@@ -205,17 +376,15 @@ let create ?(config = default_config) ?recycle ~code () =
       prof = None;
       plan = None;
       trans_origin = None;
-      code_hash = None;
       spare_validator = None;
       spare_trans = None;
       sc =
         { s_priv = 0; s_mmu = false; s_rc = false; s_rc_base = 0;
-          s_expire = max_int };
+          s_expire = max_int; s_window = -1 };
     }
   in
   (match recycle with
   | Some old when old.code == code -> (
-    t.code_hash <- old.code_hash;
     (match old.validator with
     | Some v ->
       reset_validator v;
@@ -232,90 +401,116 @@ let create ?(config = default_config) ?recycle ~code () =
   t
 
 let code_hash t =
-  match t.code_hash with
+  match t.image.i_hash with
   | Some h -> h
   | None ->
     let h = Encode.program_hash t.code in
-    t.code_hash <- Some h;
+    t.image.i_hash <- Some h;
     h
 
-let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) t
-    ~priv_ok ~det ~uses ~def ~region ~rhead ~rbound ~random_tlb =
-  let n = Array.length t.code in
+let validator_tables ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) ~code
+    ~priv_ok ~det ~uses ~def ~region ~rhead ~rbound ~random_tlb () =
+  let n = Array.length code in
   if
     Array.length priv_ok <> n || Array.length det <> n
     || Array.length uses <> n || Array.length def <> n
     || Array.length region <> n
-  then invalid_arg "Cpu.install_validator: table length mismatch";
+  then invalid_arg "Cpu.validator_tables: table length mismatch";
   let loop_of =
     match loop_of with
     | Some l ->
       if Array.length l <> n then
-        invalid_arg "Cpu.install_validator: loop_of length mismatch";
+        invalid_arg "Cpu.validator_tables: loop_of length mismatch";
       l
-    | None -> Array.make (max n 1) (-1)
+    | None -> Array.make n (-1)
   in
   if Array.length lhead <> Array.length lbound then
-    invalid_arg "Cpu.install_validator: loop table length mismatch";
+    invalid_arg "Cpu.validator_tables: loop table length mismatch";
+  if Array.length rhead <> Array.length rbound then
+    invalid_arg "Cpu.validator_tables: region table length mismatch";
   let run_end =
     match blk_end with
     | Some e ->
       if Array.length e <> n then
-        invalid_arg "Cpu.install_validator: blk_end length mismatch";
+        invalid_arg "Cpu.validator_tables: blk_end length mismatch";
       e
     | None ->
       (* no block structure: every window is a singleton, which makes
          the hoisted path behave exactly like per-instruction checks *)
       Array.init n (fun a -> a + 1)
   in
-  (* straight-line suffix summaries, computed backwards inside each
-     block: uses-before-def feeding the one-shot window check, the defs
-     a deferred window credits at once, and a hazard flag forcing
-     per-address checks when the suffix contains a Probe (or a Tlbw
-     under random replacement) *)
-  let run_ubd = Array.make (max n 1) 0 in
-  let run_def = Array.make (max n 1) 0 in
-  let run_hazard = Array.make (max n 1) false in
-  let hazardous a =
-    match t.code.(a) with
-    | Isa.Probe _ -> true
-    | Isa.Tlbw _ -> random_tlb
-    | _ -> false
+  let check_mask m =
+    if m land lnot 0xFFFF <> 0 then
+      invalid_arg "Cpu.validator_tables: register mask beyond 16 registers"
   in
+  Array.iter check_mask uses;
+  Array.iter check_mask def;
+  let hazard a =
+    match code.(a) with
+    | Isa.Probe _ -> f_probe
+    | Isa.Tlbw _ when random_tlb -> f_tlbw
+    | _ -> 0
+  in
+  let ordinary a = Isa.classify code.(a) = Isa.Ordinary in
+  (* straight-line suffix summaries, built backwards inside each block:
+     uses-before-def feeding the one-shot window check, the defs a
+     deferred window credits at once, whether the strict suffix holds
+     a hazard forcing per-address checks, and where the prefix of
+     ordinary instructions a tight window may execute ends *)
+  let ubd = Array.make n 0 and run_def = Array.make n 0 in
+  let run_hazard = Array.make n false and straight = Array.make n 0 in
   for a = n - 1 downto 0 do
-    if a + 1 < run_end.(a) then begin
-      run_ubd.(a) <- uses.(a) lor (run_ubd.(a + 1) land lnot def.(a));
+    let e = run_end.(a) in
+    if a + 1 < e then begin
+      ubd.(a) <- uses.(a) lor (ubd.(a + 1) land lnot def.(a));
       run_def.(a) <- def.(a) lor run_def.(a + 1);
-      run_hazard.(a) <- run_hazard.(a + 1) || hazardous (a + 1)
+      run_hazard.(a) <- run_hazard.(a + 1) || hazard (a + 1) <> 0;
+      straight.(a) <- (if ordinary a then min e straight.(a + 1) else a)
     end
     else begin
-      run_ubd.(a) <- uses.(a);
+      ubd.(a) <- uses.(a);
       run_def.(a) <- def.(a);
-      run_hazard.(a) <- false
+      straight.(a) <- (if ordinary a then a + 1 else a)
     end
   done;
+  let record a =
+    let e = run_end.(a) and rg = region.(a) and l = loop_of.(a) in
+    let flag b f = if b then f else 0 in
+    {
+      r_flags =
+        priv_ok.(a) land 0xF
+        lor flag det.(a) f_det
+        lor flag (e > a + 1 && not run_hazard.(a)) f_window
+        lor flag (rg >= 0 && rhead.(rg) = a) f_rhead
+        lor flag (l >= 0 && lhead.(l) = a) f_lhead
+        lor hazard a;
+      r_regs = uses.(a) lor (def.(a) lsl 16);
+      r_run_regs = ubd.(a) lor (run_def.(a) lsl 16);
+      r_end = e;
+      r_straight = straight.(a);
+      r_region = rg;
+      r_rbound = (if rg >= 0 then rbound.(rg) else max_int);
+      r_loop = l;
+      r_lbound = (if l >= 0 then lbound.(l) else 0);
+    }
+  in
+  {
+    vt_recs = Array.init n record;
+    vt_regions = Array.length rhead;
+    vt_loops = Array.length lhead;
+  }
+
+let install_validator ?origin t tables =
+  if Array.length tables.vt_recs <> Array.length t.code then
+    invalid_arg "Cpu.install_validator: tables are for another image";
   t.spare_validator <- None;
   t.validator <-
     Some
       {
         v_origin = origin;
-        v_priv_ok = priv_ok;
-        v_det = det;
-        v_uses = uses;
-        v_def = def;
-        v_region = region;
-        v_rhead = rhead;
-        v_rbound = rbound;
-        v_loop_of = loop_of;
-        v_lhead = lhead;
-        v_lbound = lbound;
-        v_random_tlb = random_tlb;
-        v_run_end = run_end;
-        v_run_ubd = run_ubd;
-        v_run_def = run_def;
-        v_run_hazard = run_hazard;
-        v_rmax = Array.make (max (Array.length rhead) 1) 0;
-        v_lmax = Array.make (max (Array.length lhead) 1) 0;
+        v_tab = tables;
+        v_rmax = Array.make (max tables.vt_regions 1) 0;
+        v_lmax = Array.make (max tables.vt_loops 1) 0;
         v_skip_from = 0;
         v_skip_until = 0;
         v_open_at = -1;
@@ -326,6 +521,8 @@ let install_validator ?origin ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||])
         v_lcount = 0;
         v_covered = 0;
         v_checked = 0;
+        v_windows = 0;
+        v_window_instrs = 0;
         v_cov = { covered = 0; checked = 0 };
       }
 
@@ -354,15 +551,19 @@ let validator_coverage t =
     v.v_cov.checked <- v.v_checked;
     v.v_cov
 
+let windows_opened t =
+  match t.validator with None -> 0 | Some v -> v.v_windows
+
+let window_instrs t =
+  match t.validator with None -> 0 | Some v -> v.v_window_instrs
+
 let observed_bounds t =
   match t.validator with
   | None -> None
   | Some v ->
-    let n_regions = Array.length v.v_rhead in
-    let n_loops = Array.length v.v_lhead in
     Some
-      ( Array.sub v.v_rmax 0 n_regions,
-        Array.sub v.v_lmax 0 n_loops )
+      ( Array.sub v.v_rmax 0 v.v_tab.vt_regions,
+        Array.sub v.v_lmax 0 v.v_tab.vt_loops )
 
 (* The architectural events that legitimately reset the validator's
    path-sensitive state: trap delivery enters a root whose context the
@@ -496,49 +697,30 @@ let deliver_trap_impl t ~cause ~badvaddr ~epc =
 
 exception Stop_exec of stop
 
+(* A stop leaves the pc at the instruction that raised it.  A tight
+   window keeps its pc in a register, so the raising paths store it. *)
+let[@inline never] raise_at t pc e =
+  t.pc_ <- pc;
+  raise e
+
 (* MMU-on address translation for the hot loop: raises the [Tlb_miss]
    or [Protection] stop instead of allocating a [result]. *)
-let[@inline] translate_exn t ~write ~priv vaddr =
+let[@inline] translate_at t pc ~write ~priv vaddr =
   let shift = t.cfg.page_shift in
   match Tlb.lookup t.tlb_state ~vpage:(vaddr lsr shift) with
-  | None -> raise (Stop_exec (Tlb_miss { vaddr; write }))
+  | None -> raise_at t pc (Stop_exec (Tlb_miss { vaddr; write }))
   | Some e ->
     if (priv = 3 && not e.Tlb.user_ok) || (write && not e.Tlb.writable) then
-      raise (Stop_exec (Protection { vaddr; write }))
+      raise_at t pc (Stop_exec (Protection { vaddr; write }))
     else (e.Tlb.ppage lsl shift) lor (vaddr land ((1 lsl shift) - 1))
 
 let translate t ~write vaddr =
   let s = status t in
   if not (Isa.status_mmu_enable s) then Ok vaddr
   else
-    match translate_exn t ~write ~priv:(Isa.status_priv s) vaddr with
+    match translate_at t t.pc_ ~write ~priv:(Isa.status_priv s) vaddr with
     | paddr -> Ok paddr
     | exception Stop_exec st -> Error st
-
-let[@inline] alu op a b =
-  match (op : Isa.alu_op) with
-  | Add -> Word.add a b
-  | Sub -> Word.sub a b
-  | Mul -> Word.mul a b
-  | Divu -> Word.divu a b
-  | Remu -> Word.remu a b
-  | And -> Word.logand a b
-  | Or -> Word.logor a b
-  | Xor -> Word.logxor a b
-  | Sll -> Word.shift_left a b
-  | Srl -> Word.shift_right_logical a b
-  | Sra -> Word.shift_right_arith a b
-  | Slt -> if Word.lt_signed a b then 1 else 0
-  | Sltu -> if Word.lt_unsigned a b then 1 else 0
-
-let[@inline] cond_holds c a b =
-  match (c : Isa.cond) with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> Word.lt_signed a b
-  | Ge -> not (Word.lt_signed a b)
-  | Ltu -> Word.lt_unsigned a b
-  | Geu -> not (Word.lt_unsigned a b)
 
 (* Fault messages are built off the hot path: these never run on the
    instructions-per-second-critical loop iterations. *)
@@ -553,37 +735,213 @@ let[@inline never] fault_store paddr =
 
 let[@inline never] cert_viol addr msg = Stop_exec (Cert_violation { addr; msg })
 
-(* Pre-dispatch certificate checks: run at the privilege level the
+(* The load and store paths: translation while the MMU is on, then the
+   MMIO window, then the memory bound. *)
+let[@inline] load t s memory mmio_base pc vaddr rd =
+  let paddr =
+    if s.s_mmu then translate_at t pc ~write:false ~priv:s.s_priv vaddr
+    else vaddr
+  in
+  if paddr >= mmio_base then
+    raise_at t pc (Stop_exec (Mmio_read { paddr; reg = rd }))
+  else if not (Memory.in_range memory paddr) then
+    raise_at t pc (fault_load paddr)
+  else Memory.read_fast memory paddr
+
+let[@inline] store t s memory mmio_base pc vaddr value =
+  let paddr =
+    if s.s_mmu then translate_at t pc ~write:true ~priv:s.s_priv vaddr
+    else vaddr
+  in
+  if paddr >= mmio_base then
+    raise_at t pc (Stop_exec (Mmio_write { paddr; value }))
+  else if not (Memory.in_range memory paddr) then
+    raise_at t pc (fault_store paddr)
+  else Memory.write_fast memory paddr value
+
+(* The semantics of every decoded ordinary instruction, written once
+   and inlined into both of [run]'s loops: execute the operation at
+   [pc] and return the next pc.  Results are words already, so they
+   are stored unmasked.  [Sys] operations never get here. *)
+let[@inline always] step t s regs memory mmio_base pc op =
+  match op with
+  | Nop -> pc + 1
+  | Ldi (rd, k) ->
+    regs.(rd) <- k;
+    pc + 1
+  | Add (rd, a, b) ->
+    regs.(rd) <- Word.add regs.(a) regs.(b);
+    pc + 1
+  | Sub (rd, a, b) ->
+    regs.(rd) <- Word.sub regs.(a) regs.(b);
+    pc + 1
+  | Mul (rd, a, b) ->
+    regs.(rd) <- Word.mul regs.(a) regs.(b);
+    pc + 1
+  | Divu (rd, a, b) ->
+    regs.(rd) <- Word.divu regs.(a) regs.(b);
+    pc + 1
+  | Remu (rd, a, b) ->
+    regs.(rd) <- Word.remu regs.(a) regs.(b);
+    pc + 1
+  | And (rd, a, b) ->
+    regs.(rd) <- regs.(a) land regs.(b);
+    pc + 1
+  | Or (rd, a, b) ->
+    regs.(rd) <- regs.(a) lor regs.(b);
+    pc + 1
+  | Xor (rd, a, b) ->
+    regs.(rd) <- regs.(a) lxor regs.(b);
+    pc + 1
+  | Sll (rd, a, b) ->
+    regs.(rd) <- Word.shift_left regs.(a) regs.(b);
+    pc + 1
+  | Srl (rd, a, b) ->
+    regs.(rd) <- Word.shift_right_logical regs.(a) regs.(b);
+    pc + 1
+  | Sra (rd, a, b) ->
+    regs.(rd) <- Word.shift_right_arith regs.(a) regs.(b);
+    pc + 1
+  | Slt (rd, a, b) ->
+    regs.(rd) <- Bool.to_int (Word.lt_signed regs.(a) regs.(b));
+    pc + 1
+  | Sltu (rd, a, b) ->
+    regs.(rd) <- Bool.to_int (regs.(a) < regs.(b));
+    pc + 1
+  | Addi (rd, a, k) ->
+    regs.(rd) <- Word.add regs.(a) k;
+    pc + 1
+  | Subi (rd, a, k) ->
+    regs.(rd) <- Word.sub regs.(a) k;
+    pc + 1
+  | Muli (rd, a, k) ->
+    regs.(rd) <- Word.mul regs.(a) k;
+    pc + 1
+  | Divui (rd, a, k) ->
+    regs.(rd) <- Word.divu regs.(a) k;
+    pc + 1
+  | Remui (rd, a, k) ->
+    regs.(rd) <- Word.remu regs.(a) k;
+    pc + 1
+  | Andi (rd, a, k) ->
+    regs.(rd) <- regs.(a) land k;
+    pc + 1
+  | Ori (rd, a, k) ->
+    regs.(rd) <- regs.(a) lor k;
+    pc + 1
+  | Xori (rd, a, k) ->
+    regs.(rd) <- regs.(a) lxor k;
+    pc + 1
+  | Slli (rd, a, k) ->
+    regs.(rd) <- Word.shift_left regs.(a) k;
+    pc + 1
+  | Srli (rd, a, k) ->
+    regs.(rd) <- Word.shift_right_logical regs.(a) k;
+    pc + 1
+  | Srai (rd, a, k) ->
+    regs.(rd) <- Word.shift_right_arith regs.(a) k;
+    pc + 1
+  | Slti (rd, a, k) ->
+    regs.(rd) <- Bool.to_int (Word.lt_signed regs.(a) k);
+    pc + 1
+  | Sltui (rd, a, k) ->
+    regs.(rd) <- Bool.to_int (regs.(a) < k);
+    pc + 1
+  | Ld (rd, rs, off) ->
+    regs.(rd) <- load t s memory mmio_base pc (Word.add regs.(rs) off) rd;
+    pc + 1
+  | Ld0 (rs, off) ->
+    ignore (load t s memory mmio_base pc (Word.add regs.(rs) off) 0 : int);
+    pc + 1
+  | St (rv, rb, off) ->
+    store t s memory mmio_base pc (Word.add regs.(rb) off) regs.(rv);
+    pc + 1
+  | Beq (a, b, tgt) -> if regs.(a) = regs.(b) then tgt else pc + 1
+  | Bne (a, b, tgt) -> if regs.(a) <> regs.(b) then tgt else pc + 1
+  | Blt (a, b, tgt) -> if Word.lt_signed regs.(a) regs.(b) then tgt else pc + 1
+  | Bge (a, b, tgt) -> if Word.lt_signed regs.(a) regs.(b) then pc + 1 else tgt
+  | Bltu (a, b, tgt) -> if regs.(a) < regs.(b) then tgt else pc + 1
+  | Bgeu (a, b, tgt) -> if regs.(a) < regs.(b) then pc + 1 else tgt
+  | Jmp tgt -> tgt
+  | Jal (rd, tgt) ->
+    (* branch-and-link privilege quirk (section 3.1): the return
+       address carries the privilege level in its two low bits *)
+    regs.(rd) <- Word.mask (((pc + 1) lsl 2) lor s.s_priv);
+    tgt
+  | Jr rs ->
+    (* a computed target may lie inside the current block, which [Cfg]
+       does not see as a leader: end the window here so the next pc
+       closes it, whatever that pc is *)
+    (match t.validator with None -> () | Some v -> v.v_skip_until <- 0);
+    regs.(rs) lsr 2
+  | Probe rd ->
+    regs.(rd) <- s.s_priv;
+    pc + 1
+  | Sys _ -> assert false
+
+(* ---------- the validator's checks ----------
+
+   The pre-dispatch certificate checks run at the privilege level the
    instruction is about to execute at, before any state mutates (safe
-   to re-run on a TLB-miss retry of the same instruction). *)
-let[@inline never] validate_pre v pc (instr : Isa.instr) spriv =
-  if v.v_priv_ok.(pc) land (1 lsl spriv) = 0 then
+   to re-run on a TLB-miss retry of the same instruction).  The fast
+   test is one expression over the address's record; a failure raises
+   out of line, the first broken certificate in a fixed order. *)
+let[@inline never] validate_fail r pc spriv written =
+  if r.r_flags land (1 lsl spriv) = 0 then
     raise
       (cert_viol pc
          (Printf.sprintf
             "Priv0-certified block executes at real privilege level %d" spriv));
-  if v.v_det.(pc) then begin
-    let missing = v.v_uses.(pc) land lnot v.v_written in
-    if missing <> 0 then
-      raise
-        (cert_viol pc
-           (Printf.sprintf
-              "Deterministic-certified block reads register mask 0x%x before \
-               any write reaches it"
-              missing));
-    match instr with
-    | Isa.Probe _ ->
-      raise
-        (cert_viol pc
-           "Probe (environment-state read) inside a Deterministic-certified \
-            block")
-    | Isa.Tlbw _ when v.v_random_tlb ->
-      raise
-        (cert_viol pc
-           "TLB insertion under random replacement inside a \
-            Deterministic-certified block")
-    | _ -> ()
-  end
+  let missing = reads r.r_regs land lnot written in
+  if missing <> 0 then
+    raise
+      (cert_viol pc
+         (Printf.sprintf
+            "Deterministic-certified block reads register mask 0x%x before \
+             any write reaches it"
+            missing));
+  if has r f_probe then
+    raise
+      (cert_viol pc
+         "Probe (environment-state read) inside a Deterministic-certified \
+          block")
+  else
+    raise
+      (cert_viol pc
+         "TLB insertion under random replacement inside a \
+          Deterministic-certified block")
+
+let[@inline] validate v r pc spriv =
+  if
+    r.r_flags land (1 lsl spriv) = 0
+    || has r f_det
+       && (reads r.r_regs land lnot v.v_written <> 0
+          || has r (f_probe lor f_tlbw))
+  then validate_fail r pc spriv v.v_written
+
+let[@inline never] region_exceeded pc0 r count =
+  raise
+    (cert_viol pc0
+       (Printf.sprintf
+          "Epoch_bounded certificate exceeded: %d instructions inside a \
+           superblock bounded at %d"
+          count r.r_rbound))
+
+let[@inline never] loop_exceeded pc0 r count =
+  raise
+    (cert_viol pc0
+       (Printf.sprintf
+          "loop-bound certificate exceeded: %d iterations of a loop bounded \
+           at %d"
+          count r.r_lbound))
+
+(* the registers a window closed early wrote *)
+let[@inline never] prefix_def recs pc0 n =
+  let d = ref 0 in
+  for a = pc0 to pc0 + n - 1 do
+    d := !d lor writes recs.(a).r_regs
+  done;
+  !d
 
 (* Post-completion bookkeeping for [n] consecutive completions starting
    at [pc0] inside one basic block: definition tracking, coverage, the
@@ -596,72 +954,63 @@ let[@inline never] validate_pre v pc (instr : Isa.instr) spriv =
    at all), and region heads and loop headers are block leaders (so
    inside the run only [pc0] can be one).  Arms that stop the processor
    raise before the shared completion point and are charged by their
-   executor instead — undercounting the region, never overcounting. *)
-let[@inline never] credit v pc0 n =
+   executor instead — undercounting the region, never overcounting.
+
+   Loop-bound certificates count header visits for as long as the pc
+   stays inside one bounded loop.  Leaving the loop (or moving to a
+   different innermost loop) resets the count, so re-entries and
+   outer-loop iterations each get a fresh allowance — undercounting
+   like the region check, never overcounting. *)
+let[@inline] credit v pc0 n =
+  let recs = v.v_tab.vt_recs in
+  let r = recs.(pc0) in
   v.v_checked <- v.v_checked + n;
-  let d =
-    if pc0 + n = v.v_run_end.(pc0) then v.v_run_def.(pc0)
-    else begin
-      let d = ref 0 in
-      for a = pc0 to pc0 + n - 1 do
-        d := !d lor v.v_def.(a)
-      done;
-      !d
-    end
-  in
-  if d <> 0 then v.v_written <- v.v_written lor d;
-  let r = v.v_region.(pc0) in
-  if r < 0 then v.v_cur_region <- -1
+  v.v_written <-
+    v.v_written
+    lor
+      (if pc0 + n = r.r_end then writes r.r_run_regs
+       else prefix_def recs pc0 n);
+  let rg = r.r_region in
+  if rg < 0 then v.v_cur_region <- -1
   else begin
-    if r <> v.v_cur_region || pc0 = v.v_rhead.(r) then begin
-      v.v_cur_region <- r;
+    if rg <> v.v_cur_region || has r f_rhead then begin
+      v.v_cur_region <- rg;
       v.v_rcount <- 0
     end;
-    v.v_rcount <- v.v_rcount + n;
+    let c = v.v_rcount + n in
+    v.v_rcount <- c;
     v.v_covered <- v.v_covered + n;
-    if v.v_rcount > v.v_rmax.(r) then v.v_rmax.(r) <- v.v_rcount;
-    if v.v_rcount > v.v_rbound.(r) then
-      raise
-        (cert_viol pc0
-           (Printf.sprintf
-              "Epoch_bounded certificate exceeded: %d instructions inside a \
-               superblock bounded at %d"
-              v.v_rcount v.v_rbound.(r)))
+    if c > v.v_rmax.(rg) then v.v_rmax.(rg) <- c;
+    if c > r.r_rbound then region_exceeded pc0 r c
   end;
-  (* loop-bound certificates: count header visits for as long as the
-     pc stays inside one bounded loop.  Leaving the loop (or moving to
-     a different innermost loop) resets the count, so re-entries and
-     outer-loop iterations each get a fresh allowance — undercounting
-     like the region check, never overcounting. *)
-  let l = v.v_loop_of.(pc0) in
+  let l = r.r_loop in
   if l < 0 then v.v_cur_loop <- -1
   else begin
     if l <> v.v_cur_loop then begin
       v.v_cur_loop <- l;
       v.v_lcount <- 0
     end;
-    if pc0 = v.v_lhead.(l) then begin
-      v.v_lcount <- v.v_lcount + 1;
-      if v.v_lcount > v.v_lmax.(l) then v.v_lmax.(l) <- v.v_lcount;
-      if v.v_lcount > v.v_lbound.(l) then
-        raise
-          (cert_viol pc0
-             (Printf.sprintf
-                "loop-bound certificate exceeded: %d iterations of a loop \
-                 bounded at %d"
-                v.v_lcount v.v_lbound.(l)))
+    if has r f_lhead then begin
+      let c = v.v_lcount + 1 in
+      v.v_lcount <- c;
+      if c > v.v_lmax.(l) then v.v_lmax.(l) <- c;
+      if c > r.r_lbound then loop_exceeded pc0 r c
     end
   end
+
+let[@inline never] credit_one v pc = credit v pc 1
 
 (* Close a deferred window at the run's current executed count: credit
    the instructions completed since it opened, all consecutive from its
    head because a window never extends past its basic block. *)
-let close_window v executed =
+let[@inline] close_window v executed =
   if v.v_open_at >= 0 then begin
     let n = executed - v.v_open_at in
     v.v_open_at <- -1;
     if n > 0 then credit v v.v_skip_from n
   end
+
+let[@inline never] close_window_slow v executed = close_window v executed
 
 (* Per-block hoisting of the certificate checks: close the previous
    window, validate the current address exactly as before, then try to
@@ -670,8 +1019,8 @@ let close_window v executed =
    written-register set only ever grows between status changes, and
    blocks are single-entry, so once the suffix's uses-before-def mask
    is covered and the suffix holds no per-address hazard, every later
-   address in the block would pass [validate_pre] too — the loop then
-   skips the call while the pc stays strictly inside the window.
+   address in the block would pass [validate] too — the loop then skips
+   it while the pc stays strictly inside the window.
 
    The window's post side is deferred to its close too when no
    completion inside it can raise: the region count after the
@@ -683,32 +1032,41 @@ let close_window v executed =
    the end of [run]; a [Jr] ends it, so a computed jump into the middle
    of its own block closes it too.  Every close therefore credits at
    most the window's length, so closing a deferred window never
-   raises. *)
-let[@inline never] validate_pre_block v pc (instr : Isa.instr) spriv executed =
+   raises.
+
+   Returns where a tight run of the window may end: the end of its
+   ordinary prefix when the window was deferred, else [pc]. *)
+let[@inline] enter_block v pc spriv executed =
   close_window v executed;
-  validate_pre v pc instr spriv;
-  let e = v.v_run_end.(pc) in
+  let r = Array.unsafe_get v.v_tab.vt_recs pc in
+  validate v r pc spriv;
   if
-    e > pc + 1
-    && (not v.v_run_hazard.(pc))
-    && ((not v.v_det.(pc)) || v.v_run_ubd.(pc) land lnot v.v_written = 0)
+    has r f_window
+    && ((not (has r f_det)) || reads r.r_run_regs land lnot v.v_written = 0)
   then begin
+    let e = r.r_end in
     v.v_skip_from <- pc;
     v.v_skip_until <- e;
-    let r = v.v_region.(pc) and l = v.v_loop_of.(pc) in
     let rcount =
-      if r < 0 || r <> v.v_cur_region || pc = v.v_rhead.(r) then 0
-      else v.v_rcount
+      if r.r_region <> v.v_cur_region || has r f_rhead then 0 else v.v_rcount
     in
-    let lcount = if l <> v.v_cur_loop then 0 else v.v_lcount in
+    let lcount = if r.r_loop <> v.v_cur_loop then 0 else v.v_lcount in
+    (* outside a region the bound is [max_int], outside a bounded loop
+       no address is a header *)
     if
-      (r < 0 || rcount + (e - pc) <= v.v_rbound.(r))
-      && (l < 0 || pc <> v.v_lhead.(l) || lcount < v.v_lbound.(l))
-    then v.v_open_at <- executed
+      rcount + (e - pc) <= r.r_rbound
+      && ((not (has r f_lhead)) || lcount < r.r_lbound)
+    then begin
+      v.v_open_at <- executed;
+      v.v_windows <- v.v_windows + 1;
+      r.r_straight
+    end
+    else pc
   end
   else begin
     v.v_skip_from <- 0;
-    v.v_skip_until <- 0
+    v.v_skip_until <- 0;
+    pc
   end
 
 let convert_stop : Translate.stop -> stop = function
@@ -755,6 +1113,42 @@ let sync_rc t executed =
       t.crs.(rc_index) <- Word.of_signed (Word.signed t.crs.(rc_index) - ticks);
     s.s_rc_base <- executed
   end
+
+(* Everything but [Wfi] that decodes to [Sys]: a stop, or, at privilege
+   level 0, a privileged instruction that completes in the loop. *)
+let[@inline never] exec_sys t (i : Isa.instr) pc executed =
+  match i with
+  | Halt -> raise (Stop_exec Stop_halt)
+  | Rdtod _ | Rdtmr _ | Wrtmr _ | Out _ -> raise (Stop_exec (Env i))
+  | Trapc code -> raise (Stop_exec (Syscall code))
+  | (Mfcr _ | Mtcr _ | Tlbw _ | Rfi) when t.sc.s_priv <> 0 ->
+    raise (Stop_exec (Priv i))
+  (* The counter must be architecturally accurate before any
+     control-register read or write.  Refreshing the status closes any
+     deferred window before this instruction, which the completion
+     point then credits on its own. *)
+  | Mfcr (rd, c) ->
+    sync_rc t executed;
+    if rd <> 0 then t.regs.(rd) <- Word.mask (cr t c);
+    t.pc_ <- pc + 1;
+    refresh_status t executed
+  | Mtcr (c, rs) ->
+    sync_rc t executed;
+    set_cr t c t.regs.(rs);
+    t.pc_ <- pc + 1;
+    refresh_status t executed
+  | Tlbw (r1, r2) ->
+    sync_rc t executed;
+    let vpage = t.regs.(r1) in
+    Tlb.insert t.tlb_state (Tlb.decode_entry_word ~vpage t.regs.(r2));
+    t.pc_ <- pc + 1;
+    refresh_status t executed
+  | Rfi ->
+    sync_rc t executed;
+    set_cr t Isa.Cr_status (cr t Isa.Cr_istatus);
+    t.pc_ <- cr t Isa.Cr_epc;
+    refresh_status t executed
+  | _ -> assert false
 
 (* Enter a translated superblock at [executed] completed instructions:
    charge the whole head block (and every block chained after it)
@@ -810,29 +1204,73 @@ let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
     d
   end
 
-(* The hot loop avoids per-instruction work that only rarely matters:
+(* A tight window: the decoded operations of [pc0, limit) back to back,
+   with no test of the window, the credit, the profile or the recovery
+   counter between them.  [limit] stops short of the end of the
+   window's ordinary prefix, the fuel and the recovery expiry; a
+   control transfer ends the run early.  Returns how many instructions
+   completed.  A stop raised inside leaves the pc at the stopping
+   instruction, so [run] counts the instructions before it by their
+   distance from [pc0]. *)
+let run_window t pc0 limit =
+  let ops = t.image.i_ops and regs = t.regs and memory = t.memory in
+  let mmio_base = t.cfg.mmio_base and s = t.sc in
+  let pc = ref pc0 in
+  let next =
+    ref (step t s regs memory mmio_base pc0 (Array.unsafe_get ops pc0))
+  in
+  while !next = !pc + 1 && !next < limit do
+    pc := !next;
+    next := step t s regs memory mmio_base !pc (Array.unsafe_get ops !pc)
+  done;
+  t.pc_ <- !next;
+  !pc + 1 - pc0
 
+(* The instructions of a tight window are counted, and profiled one
+   address each. *)
+let[@inline] retire_window vd prof pc0 n =
+  (match vd with
+  | None -> ()
+  | Some v -> v.v_window_instrs <- v.v_window_instrs + n);
+  match prof with
+  | None -> ()
+  | Some p ->
+    for a = pc0 to pc0 + n - 1 do
+      p.(a) <- p.(a) + 1
+    done
+
+(* The interpreter keeps per-instruction work off the common path:
+
+   - each code image is decoded once ([image_of]), so an instruction
+     costs one dispatch on its operation;
+   - a deferred window (a clean basic block whose credit waits for its
+     close, [enter_block]) runs its straight-line prefix as one tight
+     loop ([run_window]); the window is opened and the previous one
+     closed inline, over the address's one validator record, and the
+     profile is bumped once per window;
    - the status-register flags (privilege, MMU enable, recovery-counter
-     enable) are hoisted into [t.sc] and refreshed only when the
-     privileged arm — the sole in-loop writer of [Cr_status] — runs;
+     enable) are hoisted into [t.sc] and refreshed only when a
+     privileged instruction — the sole in-loop writer of [Cr_status] —
+     runs;
    - the recovery counter is not decremented per instruction; instead
      the instruction count at which it will expire is computed once and
      compared against, and the in-register value is written back
      ([sync_rc]) on every exit and before any instruction that could
      observe or modify it;
    - loads and stores skip the translation function entirely while the
-     MMU is off (translation is the identity there);
-   - the validator checks and credits a basic block once where it can
-     ([validate_pre_block]).
+     MMU is off (translation is the identity there).
 
+   Everything else — an instruction inside a window that must be
+   credited one by one, outside any window, or not ordinary — takes the
+   per-instruction path, and certificate failures raise out of line.
    A burst allocates nothing but its result (and the exception that
    carries a stop): the helpers are top-level functions over [t.sc]
    that take the executed count as an argument, so no closure captures
    [pc] or [executed] and both stay in registers. *)
 let run t ~fuel =
   if fuel <= 0 then invalid_arg "Cpu.run: fuel must be positive";
-  let code = t.code in
-  let code_len = Array.length code in
+  let ops = t.image.i_ops in
+  let code_len = Array.length ops in
   let regs = t.regs in
   let memory = t.memory in
   let mmio_base = t.cfg.mmio_base in
@@ -842,6 +1280,7 @@ let run t ~fuel =
   let tr = t.trans in
   let prof = t.prof in
   refresh_status t 0;
+  s.s_window <- -1;
   let stop_reason = ref Fuel in
   (try
      while !executed < fuel do
@@ -873,124 +1312,67 @@ let run t ~fuel =
              end)
        in
        if not threaded then begin
-       let instr = Array.unsafe_get code pc in
-       (match vd with
-       | None -> ()
-       | Some v ->
-         if pc > v.v_skip_from && pc < v.v_skip_until then ()
-         else validate_pre_block v pc instr s.s_priv !executed);
-       (match instr with
-       | Isa.Nop -> t.pc_ <- pc + 1
-       | Isa.Ldi (rd, v) ->
-         if rd <> 0 then regs.(rd) <- Word.mask v;
-         t.pc_ <- pc + 1
-       | Isa.Alu (op, rd, r1, r2) ->
-         if rd <> 0 then regs.(rd) <- Word.mask (alu op regs.(r1) regs.(r2));
-         t.pc_ <- pc + 1
-       | Isa.Alui (op, rd, rs, imm) ->
-         if rd <> 0 then
-           regs.(rd) <- Word.mask (alu op regs.(rs) (Word.of_signed imm));
-         t.pc_ <- pc + 1
-       | Isa.Ld (rd, rs, off) ->
-         let vaddr = Word.add regs.(rs) (Word.of_signed off) in
-         let paddr =
-           if s.s_mmu then translate_exn t ~write:false ~priv:s.s_priv vaddr
-           else vaddr
+         let straight_end =
+           match vd with
+           | None -> pc
+           | Some v ->
+             if pc > v.v_skip_from && pc < v.v_skip_until then pc
+             else enter_block v pc s.s_priv !executed
          in
-         if paddr >= mmio_base then
-           raise (Stop_exec (Mmio_read { paddr; reg = rd }))
-         else if not (Memory.in_range memory paddr) then
-           raise (fault_load paddr)
-         else begin
-           if rd <> 0 then regs.(rd) <- Memory.read_fast memory paddr;
-           t.pc_ <- pc + 1
+         if straight_end > pc then begin
+           let budget =
+             (if fuel < s.s_expire then fuel else s.s_expire) - !executed
+           in
+           let limit =
+             if straight_end - pc < budget then straight_end else pc + budget
+           in
+           s.s_window <- pc;
+           let n = run_window t pc limit in
+           s.s_window <- -1;
+           executed := !executed + n;
+           retire_window vd prof pc n
          end
-       | Isa.St (rv, rb, off) ->
-         let vaddr = Word.add regs.(rb) (Word.of_signed off) in
-         let paddr =
-           if s.s_mmu then translate_exn t ~write:true ~priv:s.s_priv vaddr
-           else vaddr
-         in
-         if paddr >= mmio_base then
-           raise (Stop_exec (Mmio_write { paddr; value = regs.(rv) }))
-         else if not (Memory.in_range memory paddr) then
-           raise (fault_store paddr)
          else begin
-           Memory.write_fast memory paddr regs.(rv);
-           t.pc_ <- pc + 1
+           (match Array.unsafe_get ops pc with
+           | Sys Isa.Wfi ->
+             (* Completes (counts against the recovery counter), then
+                relinquishes the processor — without post-validation,
+                so a deferred window is credited only up to it. *)
+             (match vd with
+             | None -> ()
+             | Some v -> close_window_slow v !executed);
+             t.pc_ <- pc + 1;
+             incr executed;
+             (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
+             if !executed = s.s_expire then stop_reason := Recovery
+             else stop_reason := Stop_wfi;
+             raise (Stop_exec !stop_reason)
+           | Sys i -> exec_sys t i pc !executed
+           | op -> t.pc_ <- step t s regs memory mmio_base pc op);
+           (* every arm that does not complete the instruction raises,
+              so falling through here means one more completed
+              instruction *)
+           incr executed;
+           (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
+           match vd with
+           | Some v when v.v_open_at < 0 -> credit_one v pc
+           | _ -> ()
+         end;
+         if !executed = s.s_expire then begin
+           stop_reason := Recovery;
+           raise (Stop_exec Recovery)
          end
-       | Isa.Br (c, r1, r2, tgt) ->
-         if cond_holds c regs.(r1) regs.(r2) then t.pc_ <- tgt
-         else t.pc_ <- pc + 1
-       | Isa.Jmp tgt -> t.pc_ <- tgt
-       | Isa.Jal (rd, tgt) ->
-         (* branch-and-link privilege quirk (section 3.1): the return
-            address carries the privilege level in its two low bits *)
-         if rd <> 0 then regs.(rd) <- Word.mask (((pc + 1) lsl 2) lor s.s_priv);
-         t.pc_ <- tgt
-       | Isa.Jr rs ->
-         t.pc_ <- regs.(rs) lsr 2;
-         (* a computed target may lie inside the current block, which
-            [Cfg] does not see as a leader: end the window here so the
-            next pc closes it, whatever that pc is *)
-         (match vd with None -> () | Some v -> v.v_skip_until <- 0)
-       | Isa.Probe rd ->
-         if rd <> 0 then regs.(rd) <- s.s_priv;
-         t.pc_ <- pc + 1
-       | Isa.Halt -> raise (Stop_exec Stop_halt)
-       | Isa.Wfi ->
-         (* Completes (counts against the recovery counter), then
-            relinquishes the processor — without post-validation, so a
-            deferred window is credited only up to it. *)
-         (match vd with None -> () | Some v -> close_window v !executed);
-         t.pc_ <- pc + 1;
-         incr executed;
-         (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
-         if !executed = s.s_expire then stop_reason := Recovery
-         else stop_reason := Stop_wfi;
-         raise (Stop_exec !stop_reason)
-       | Isa.(Rdtod _ | Rdtmr _ | Wrtmr _ | Out _) as i ->
-         raise (Stop_exec (Env i))
-       | Isa.Trapc code -> raise (Stop_exec (Syscall code))
-       | Isa.(Mfcr _ | Mtcr _ | Tlbw _ | Rfi) as i ->
-         if s.s_priv <> 0 then raise (Stop_exec (Priv i))
-         else begin
-           (* the counter must be architecturally accurate before any
-              control-register read or write *)
-           sync_rc t !executed;
-           (match i with
-           | Isa.Mfcr (rd, c) ->
-             if rd <> 0 then regs.(rd) <- Word.mask (cr t c);
-             t.pc_ <- pc + 1
-           | Isa.Mtcr (c, rs) ->
-             set_cr t c regs.(rs);
-             t.pc_ <- pc + 1
-           | Isa.Tlbw (r1, r2) ->
-             let vpage = regs.(r1) in
-             Tlb.insert t.tlb_state (Tlb.decode_entry_word ~vpage regs.(r2));
-             t.pc_ <- pc + 1
-           | Isa.Rfi ->
-             set_cr t Isa.Cr_status (cr t Isa.Cr_istatus);
-             t.pc_ <- cr t Isa.Cr_epc
-           | _ -> assert false);
-           (* closes any deferred window before this instruction, which
-              the completion point below then credits on its own *)
-           refresh_status t !executed
-         end);
-       (* every arm that does not complete the instruction raises, so
-          falling through here means one more completed instruction *)
-       incr executed;
-       (match prof with None -> () | Some p -> p.(pc) <- p.(pc) + 1);
-       (match vd with
-       | Some v when v.v_open_at < 0 -> credit v pc 1
-       | _ -> ());
-       if !executed = s.s_expire then begin
-         stop_reason := Recovery;
-         raise (Stop_exec Recovery)
-       end
        end
      done
    with Stop_exec st ->
+     if s.s_window >= 0 then begin
+       (* raised inside a tight window, whose instructions before the
+          stopping one completed *)
+       let n = t.pc_ - s.s_window in
+       executed := !executed + n;
+       retire_window vd prof s.s_window n;
+       s.s_window <- -1
+     end;
      stop_reason :=
        (* An MMIO load reached from a Deterministic-certified block is
           itself a certificate violation: the static pass claimed the
@@ -1000,8 +1382,8 @@ let run t ~fuel =
           legitimately target the MMIO window. *)
        (match (vd, st) with
        | Some v, Mmio_read _
-         when (not s.s_mmu) && t.pc_ >= 0 && t.pc_ < code_len && v.v_det.(t.pc_)
-         ->
+         when (not s.s_mmu) && t.pc_ >= 0 && t.pc_ < code_len
+              && has v.v_tab.vt_recs.(t.pc_) f_det ->
          Cert_violation
            {
              addr = t.pc_;
@@ -1010,7 +1392,7 @@ let run t ~fuel =
                 static address bound was wrong";
            }
        | _ -> st));
-  (match vd with None -> () | Some v -> close_window v !executed);
+  (match vd with None -> () | Some v -> close_window_slow v !executed);
   sync_rc t !executed;
   t.retired <- t.retired + !executed;
   { executed = !executed; stop = !stop_reason }
@@ -1100,7 +1482,7 @@ type saved = {
    offsets; an absent validator or translation saves zeros. *)
 let o_pc = Isa.num_regs + Isa.num_crs
 let o_validator = o_pc + 3
-let o_trans = o_validator + 10
+let o_trans = o_validator + 12
 let n_ints = o_trans + 8
 
 let save_ints t a =
@@ -1121,8 +1503,10 @@ let save_ints t a =
     a.(o + 6) <- v.v_cur_loop;
     a.(o + 7) <- v.v_lcount;
     a.(o + 8) <- v.v_covered;
-    a.(o + 9) <- v.v_checked
-  | None -> Array.fill a o_validator 10 0);
+    a.(o + 9) <- v.v_checked;
+    a.(o + 10) <- v.v_windows;
+    a.(o + 11) <- v.v_window_instrs
+  | None -> Array.fill a o_validator 12 0);
   match t.trans with
   | Some tx ->
     let o = o_trans in
@@ -1154,7 +1538,9 @@ let restore_ints t a =
     v.v_cur_loop <- a.(o + 6);
     v.v_lcount <- a.(o + 7);
     v.v_covered <- a.(o + 8);
-    v.v_checked <- a.(o + 9)
+    v.v_checked <- a.(o + 9);
+    v.v_windows <- a.(o + 10);
+    v.v_window_instrs <- a.(o + 11)
   | None -> ());
   match t.trans with
   | Some tx ->

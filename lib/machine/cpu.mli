@@ -71,14 +71,16 @@ type origin = ..
 
 val create :
   ?config:config -> ?recycle:t -> code:Isa.instr array -> unit -> t
-(** A CPU at reset: zero registers, pc 0, zero memory.  [recycle] is a
-    finished CPU whose memory (after {!Memory.reset}) and register
-    files the new one adopts instead of allocating its own, and its
-    TLB too under round-robin replacement (flushed; a random policy
-    brings its own stream, so the TLB is new).  When [code] is
-    physically the recycled CPU's code image, the new CPU also keeps
-    its {!code_hash} and, reset to their fresh state, its validator
-    and translation as spares for {!rearm_validator} and
+(** A CPU at reset: zero registers, pc 0, zero memory.  The code image
+    is decoded once, by its first CPU: every later CPU over the same
+    image (physically) shares its decoded form and its {!code_hash}.
+    [recycle] is a finished CPU whose memory (after {!Memory.reset})
+    and register files the new one adopts instead of allocating its
+    own, and its TLB too under round-robin replacement (flushed; a
+    random policy brings its own stream, so the TLB is new).  When
+    [code] is physically the recycled CPU's code image, the new CPU
+    also keeps, reset to their fresh state, its validator and
+    translation as spares for {!rearm_validator} and
     {!rearm_translation} — the translation only when its registers,
     memory and TLB were all adopted and it carries no profiling
     hooks.  The result is indistinguishable from a fresh CPU,
@@ -131,13 +133,17 @@ val run : t -> fuel:int -> run_result
     burst allocates nothing beyond its result (and the exception that
     carries a stop internally). *)
 
-val install_validator :
-  ?origin:origin ->
+type vtables
+(** The runtime certificate validator's tables for one code image: one
+    immutable record per address.  They hold no run state, so every
+    CPU over the image may share them. *)
+
+val validator_tables :
   ?blk_end:int array ->
   ?loop_of:int array ->
   ?lhead:int array ->
   ?lbound:int array ->
-  t ->
+  code:Isa.instr array ->
   priv_ok:int array ->
   det:bool array ->
   uses:int array ->
@@ -146,35 +152,31 @@ val install_validator :
   rhead:int array ->
   rbound:int array ->
   random_tlb:bool ->
-  unit
-(** Arm the runtime certificate validator (the dynamic oracle for the
-    static compilation manifest — see [Hft_analysis.Manifest]).  The
-    first five tables are indexed by code address and must match the
-    code length; [rhead]/[rbound] are indexed by certified-superblock
-    id.  [priv_ok] is the bitmask of {e real} privilege levels allowed
-    at the address (callers map a [Priv0] certificate through the
+  unit ->
+  vtables
+(** Build the tables of the runtime certificate validator (the dynamic
+    oracle for the static compilation manifest — see
+    [Hft_analysis.Manifest]) for [code].  The first five tables are
+    indexed by code address and must match the code length;
+    [rhead]/[rbound] are indexed by certified-superblock id.
+    [priv_ok] is the bitmask of {e real} privilege levels allowed at
+    the address (callers map a [Priv0] certificate through the
     hypervisor's deprivileging); [det] marks addresses inside
     [Deterministic]-certified blocks, whose register reads are checked
     against the runtime written set and whose loads must stay below
     the MMIO window; [region]/[rhead]/[rbound] drive the
-    [Epoch_bounded] per-superblock instruction count.  {!run} stops
-    with {!stop.Cert_violation} on the first breach.  Trap delivery
-    and {!restore} reset the written set (trap roots start fully
-    initialized; snapshot registers are replicated state).
+    [Epoch_bounded] per-superblock instruction count.
 
     [blk_end] maps each address to the exclusive end of its basic
     block; when given, the per-instruction pre-dispatch checks hoist
     into one per-block check that certifies a skip window over the
     block's straight-line run, and a window whose completions cannot
-    trip a region or loop bound is credited once, when it closes (the
-    cost is [validator_overhead] in BENCH_core.json).  That is exact
-    only if region and loop ids are uniform per block and every
-    region head and loop header is a block leader, as the manifest's
-    tables are.  Without [blk_end] every window is a singleton and
-    checking is exactly per-instruction.
-
-    [origin] names what the tables were built from; only a validator
-    installed with one can be re-armed on a recycled successor.
+    trip a region or loop bound is credited once, when it closes, and
+    its ordinary instructions run as one tight loop.  That is exact
+    only if region and loop ids are uniform per block and every region
+    head and loop header is a block leader, as the manifest's tables
+    are.  Without [blk_end] every window is a singleton and checking
+    is exactly per-instruction.
 
     [loop_of]/[lhead]/[lbound] arm the loop-bound certificates:
     [loop_of] maps each address to its innermost {e bounded} loop (or
@@ -183,7 +185,21 @@ val install_validator :
     counts header visits while the pc stays inside one loop's
     addresses — any excursion resets the count, so the dynamic check
     undercounts and never falsely trips — and stops with
-    {!stop.Cert_violation} when a count exceeds its bound. *)
+    {!stop.Cert_violation} when a count exceeds its bound.
+    @raise Invalid_argument on a table length mismatch, or a register
+    mask with a bit beyond the 16 registers. *)
+
+val install_validator : ?origin:origin -> t -> vtables -> unit
+(** Arm the runtime certificate validator with [tables], which must
+    have been built for this CPU's code image, and fresh run state.
+    {!run} stops with {!stop.Cert_violation} on the first breach.
+    Trap delivery and {!restore} reset the written set (trap roots
+    start fully initialized; snapshot registers are replicated
+    state).  [origin] names what the tables were built from; only a
+    validator installed with one can be re-armed on a recycled
+    successor.
+    @raise Invalid_argument when the tables are for another image
+    length. *)
 
 val rearm_validator : t -> (origin -> bool) -> bool
 (** [rearm_validator t same] arms the validator inherited from the
@@ -212,10 +228,19 @@ val validator_coverage : t -> coverage
     the values of the latest call.  Both are zero when no validator is
     installed ({!validator_active} tells the cases apart). *)
 
+val windows_opened : t -> int
+(** Deferred windows the validator has opened over the CPU's lifetime
+    (see {!validator_tables}); 0 without a validator. *)
+
+val window_instrs : t -> int
+(** Instructions retired inside tight windows over the CPU's lifetime:
+    the share of the interpreter's work that ran without
+    per-instruction checks. *)
+
 val observed_bounds : t -> (int array * int array) option
 (** Per-certified-superblock and per-bounded-loop observed maxima, in
     the same index order as [rhead]/[rbound] and [lhead]/[lbound] were
-    supplied to {!install_validator}: the largest per-entry instruction
+    supplied to {!validator_tables}: the largest per-entry instruction
     count each superblock actually reached, and the largest header-visit
     count each bounded loop actually reached.  Joined against the static
     WCET certificates this yields the per-region slack report.  The

@@ -950,6 +950,28 @@ let burst_cost_tests =
                (fun s -> s.Stats.fallback_bail);
                (fun s -> s.Stats.fallback_stop);
              ]));
+    (* The interpreter's work on [run -w cpu], summed over both
+       replicas: deferred validator windows opened, the instructions
+       retired inside their tight loops, and every instruction the
+       validator checked.  A change that falls back to per-instruction
+       checking moves the first two. *)
+    Alcotest.test_case "run -w cpu interpreter window work pinned" `Quick
+      (fun () ->
+        let sys, _ =
+          run_sys ~params:Params.default (Workload.dhrystone ~iterations:20_000)
+        in
+        let cpus =
+          List.map Hypervisor.cpu [ System.primary sys; System.backup sys ]
+        in
+        let sum f = List.fold_left (fun a c -> a + f c) 0 cpus in
+        Alcotest.(check (list int))
+          "windows, window instructions, checked"
+          [ 482_581; 2_725_177; 2_805_706 ]
+          [
+            sum Hft_machine.Cpu.windows_opened;
+            sum Hft_machine.Cpu.window_instrs;
+            sum (fun c -> (Hft_machine.Cpu.validator_coverage c).checked);
+          ]);
     (* Alone (its primary crashed) and with an epoch longer than the
        test could run, the backup's burst is bounded by nothing but the
        per-dispatch budget, so only that keeps the event limit in

@@ -70,9 +70,23 @@ let test_workloads_certify () =
       if Manifest.static_coverage m <= 0.0 then
         Alcotest.failf "%s: zero certified coverage" name;
       (* the manifest matches the image it was computed from *)
-      match Manifest.validate ~code:p.Asm.code m with
+      (match Manifest.validate ~code:p.Asm.code m with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: self-validation failed: %s" name e)
+      | Error e -> Alcotest.failf "%s: self-validation failed: %s" name e);
+      (* translation entries sit only at block leaders, so the
+         interpreter's tight windows, which run a block's straight-line
+         instructions without looking for an entry, never skip one *)
+      let cpu = Cpu.create ~code:p.Asm.code () in
+      (match Manifest.install_translation m ~deprivileged:true cpu with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: translation refused: %s" name e);
+      let tx = Option.get (Cpu.translation cpu) in
+      let leaders = List.map (fun b -> b.Manifest.leader) m.Manifest.blocks in
+      Array.iteri
+        (fun a e ->
+          if e <> None && not (List.mem a leaders) then
+            Alcotest.failf "%s: translation entry at %d is not a leader" name a)
+        tx.Translate.entries)
     (shipped_images ())
 
 let test_json_round_trip () =
@@ -495,9 +509,10 @@ let test_validator_priv_violation () =
   let len = Array.length code in
   let region, rhead, rbound = no_regions len in
   Cpu.install_validator c
-    ~priv_ok:(Array.make len 1) (* level 0 only *)
-    ~det:(Array.make len false) ~uses:(Array.make len 0)
-    ~def:(Array.make len 0) ~region ~rhead ~rbound ~random_tlb:false;
+    (Cpu.validator_tables ~code
+       ~priv_ok:(Array.make len 1) (* level 0 only *)
+       ~det:(Array.make len false) ~uses:(Array.make len 0)
+       ~def:(Array.make len 0) ~region ~rhead ~rbound ~random_tlb:false ());
   match (Cpu.run c ~fuel:10).Cpu.stop with
   | Cpu.Cert_violation { addr; msg } ->
     Alcotest.(check int) "traps at the deprivileged instruction" 2 addr;
@@ -510,11 +525,12 @@ let test_validator_uninit_read () =
   let c = Cpu.create ~code () in
   let region, rhead, rbound = no_regions 2 in
   Cpu.install_validator c
-    ~priv_ok:(Array.make 2 0xf)
-    ~det:(Array.make 2 true)
-    ~uses:[| 1 lsl 1; 0 |]
-    ~def:[| 1 lsl 2; 0 |]
-    ~region ~rhead ~rbound ~random_tlb:false;
+    (Cpu.validator_tables ~code
+       ~priv_ok:(Array.make 2 0xf)
+       ~det:(Array.make 2 true)
+       ~uses:[| 1 lsl 1; 0 |]
+       ~def:[| 1 lsl 2; 0 |]
+       ~region ~rhead ~rbound ~random_tlb:false ());
   match (Cpu.run c ~fuel:10).Cpu.stop with
   | Cpu.Cert_violation { addr; msg } ->
     Alcotest.(check int) "traps at the uninitialized read" 0 addr;
@@ -528,9 +544,10 @@ let test_validator_epoch_bound () =
   let code = Isa.[| Alui (Add, 1, 1, 1); Jmp 0 |] in
   let c = Cpu.create ~code () in
   Cpu.install_validator c
-    ~priv_ok:(Array.make 2 0xf)
-    ~det:(Array.make 2 false) ~uses:(Array.make 2 0) ~def:(Array.make 2 0)
-    ~region:[| 0; 0 |] ~rhead:[| 0 |] ~rbound:[| 1 |] ~random_tlb:false;
+    (Cpu.validator_tables ~code
+       ~priv_ok:(Array.make 2 0xf)
+       ~det:(Array.make 2 false) ~uses:(Array.make 2 0) ~def:(Array.make 2 0)
+       ~region:[| 0; 0 |] ~rhead:[| 0 |] ~rbound:[| 1 |] ~random_tlb:false ());
   match (Cpu.run c ~fuel:10).Cpu.stop with
   | Cpu.Cert_violation { msg; _ } ->
     Alcotest.(check bool) "names the bound" true
@@ -582,9 +599,10 @@ let test_validator_amnesty_on_trap () =
   let uses = Array.make len 0 in
   uses.(8) <- 1 lsl 2;
   Cpu.install_validator c
-    ~priv_ok:(Array.make len 0xf)
-    ~det:(Array.make len true) ~uses ~def:(Array.make len 0) ~region ~rhead
-    ~rbound ~random_tlb:false;
+    (Cpu.validator_tables ~code
+       ~priv_ok:(Array.make len 0xf)
+       ~det:(Array.make len true) ~uses ~def:(Array.make len 0) ~region ~rhead
+       ~rbound ~random_tlb:false ());
   (* run to the Trapc stop, deliver the trap, continue into the
      handler: the read of r2 at 8 must pass via amnesty *)
   (match (Cpu.run c ~fuel:10).Cpu.stop with
@@ -602,13 +620,20 @@ let stop_name s = Format.asprintf "%a" Cpu.pp_stop s
 (* Arm two CPUs with the same hand-built tables, one with the block
    structure and one without it (every window a single instruction,
    i.e. per-instruction accounting), and run them in the same fuel
-   slices.  MMIO accesses are completed as a hypervisor would: the load
-   gets a fixed value and the pc moves on.  After every slice the two
-   must agree on the stop, the pc, the retired count, the full state
-   hash, the coverage and the observed maxima.  Returns the terminal
-   stop and the observed maxima. *)
+   slices.  Stops are completed as a hypervisor would: an MMIO load
+   gets a fixed value and the pc moves on, an MMIO store and a
+   protection stop are skipped, a TLB miss inserts [map vpage] and
+   retries, and an expired recovery counter is re-armed with [rc].
+   [setup] prepares both CPUs (privilege, MMU) and [profile] arms the
+   retirement profiler on both.  After every slice the two must agree
+   on the stop, the pc, the retired count, the full state hash, the
+   coverage, the observed maxima and the per-address profile; at the
+   end the blocked CPU must have run tight windows.  Returns the
+   terminal stop and the observed maxima. *)
 let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
-    ?lbound ~slices () =
+    ?lbound ?config ?(setup = ignore) ?rc ?(profile = false)
+    ?(map = fun vpage -> { Tlb.vpage; ppage = vpage; user_ok = true;
+                           writable = true }) ~slices () =
   let n = Array.length code in
   let det = match det with Some d -> d | None -> Array.make n true in
   let mask =
@@ -619,13 +644,18 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
     Array.map (fun i -> mask (Option.to_list (Determinism.def i))) code
   in
   let arm ?blk_end () =
-    let c = Cpu.create ~code () in
-    Cpu.install_validator c ?blk_end ?loop_of ?lhead ?lbound
-      ~priv_ok:(Array.make n 0xf) ~det ~uses ~def ~region ~rhead ~rbound
-      ~random_tlb:false;
+    let c = Cpu.create ?config ~code () in
+    Cpu.install_validator c
+      (Cpu.validator_tables ?blk_end ?loop_of ?lhead ?lbound ~code
+         ~priv_ok:(Array.make n 0xf) ~det ~uses ~def ~region ~rhead ~rbound
+         ~random_tlb:false ());
+    setup c;
+    Option.iter (Cpu.set_recovery c) rc;
+    if profile then Cpu.install_profile c;
     c
   in
   let blocked = arm ~blk_end () and single = arm () in
+  let both f = List.iter f [ blocked; single ] in
   let rec go k =
     if k >= 1000 then Alcotest.fail "twins never reached a terminal stop";
     let fuel = List.nth slices (k mod List.length slices) in
@@ -647,19 +677,27 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
       (what ^ "observed maxima")
       (Cpu.observed_bounds single)
       (Cpu.observed_bounds blocked);
+    Alcotest.(check (option (array int))) (what ^ "profile")
+      (Cpu.profile single) (Cpu.profile blocked);
     match a.Cpu.stop with
     | Cpu.(Stop_halt | Cert_violation _ | Fault _) ->
+      if Cpu.window_instrs blocked = 0 then
+        Alcotest.fail "the blocked twin never ran a tight window";
       (a.Cpu.stop, Option.get (Cpu.observed_bounds blocked))
     | Cpu.Mmio_read { reg; _ } ->
-      List.iter
-        (fun c ->
+      both (fun c ->
           Cpu.set_reg c reg 7;
-          Cpu.advance_pc c)
-        [ blocked; single ];
+          Cpu.advance_pc c);
       go (k + 1)
-    | Cpu.Mmio_write _ ->
-      Cpu.advance_pc blocked;
-      Cpu.advance_pc single;
+    | Cpu.(Mmio_write _ | Protection _) ->
+      both Cpu.advance_pc;
+      go (k + 1)
+    | Cpu.Tlb_miss { vaddr; _ } ->
+      let shift = (Cpu.config blocked).Cpu.page_shift in
+      both (fun c -> Tlb.insert (Cpu.tlb c) (map (vaddr lsr shift)));
+      go (k + 1)
+    | Cpu.Recovery ->
+      both (fun c -> Option.iter (Cpu.set_recovery c) rc);
       go (k + 1)
     | _ -> go (k + 1)
   in
@@ -708,6 +746,10 @@ let test_deferred_loop_bound () =
   expect_violation "loop bound" r ~addr:2
     ~msg:"4 iterations of a loop bounded at 3"
 
+(* enough memory for the twins' stores, small enough to hash after
+   every slice *)
+let small_memory = { Cpu.default_config with Cpu.mem_words = 1 lsl 12 }
+
 let test_deferred_odd_slices () =
   (* a counted loop over a store, under generous region and loop
      bounds, in fuel slices that keep ending mid-block *)
@@ -726,17 +768,26 @@ let test_deferred_odd_slices () =
       |]
   in
   let loop_of = [| -1; -1; -1; 0; 0; 0; 0; -1; -1 |] in
+  (* every slice length up to the loop block's 4, and recovery counters
+     that expire at every offset inside it, with and without the
+     profiler *)
   List.iter
-    (fun slices ->
+    (fun (slices, rc, profile) ->
       let stop, (rmax, lmax) =
         run_twins ~code ~blk_end:[| 3; 3; 3; 7; 7; 7; 7; 9; 9 |]
           ~region:(Array.make 9 0) ~rhead:[| 0 |] ~rbound:[| 1000 |] ~loop_of
-          ~lhead:[| 3 |] ~lbound:[| 10 |] ~slices ()
+          ~lhead:[| 3 |] ~lbound:[| 10 |] ~config:small_memory ?rc ~profile
+          ~slices ()
       in
       Alcotest.(check string) "halts" "halt" (stop_name stop);
       Alcotest.(check (array int)) "region maximum" [| 44 |] rmax;
       Alcotest.(check (array int)) "loop maximum" [| 10 |] lmax)
-    [ [ 1; 2; 3; 5; 7; 11 ]; [ 4 ]; [ 1000 ] ]
+    (List.concat_map
+       (fun slices ->
+         List.concat_map
+           (fun rc -> [ (slices, rc, false); (slices, rc, true) ])
+           [ None; Some 1; Some 2; Some 3; Some 5; Some 6 ])
+       [ [ 1; 2; 3; 5; 7; 11 ]; [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 1000 ] ])
 
 let test_deferred_mmio_wfi_mfcr () =
   (* one 10-instruction block (not Deterministic, so the MMIO load is a
@@ -766,7 +817,75 @@ let test_deferred_mmio_wfi_mfcr () =
       Alcotest.(check string) "halts" "halt" (stop_name stop);
       (* the MMIO accesses and the Wfi are not post-validated *)
       Alcotest.(check (array int)) "region maximum" [| 6 |] rmax)
-    [ [ 100 ]; [ 1; 2 ]; [ 3 ] ]
+    [ [ 100 ]; [ 1; 2 ]; [ 3 ] ];
+  (* every memory stop inside one 9-instruction loop block, with the
+     MMU off and on: a load and a store through a read-only page (a
+     protection stop under the MMU), a page a 2-entry TLB keeps
+     evicting (TLB misses), an MMIO load and store, and after the loop
+     a load past the end of memory, which ends the run *)
+  let code =
+    Isa.
+      [|
+        Ldi (1, 0x400);
+        Ldi (2, 0x800);
+        Ldi (5, 0xF0000);
+        Ldi (6, 0);
+        Ldi (7, 3);
+        (* loop: *)
+        Alui (Add, 6, 6, 1);
+        Ld (3, 1, 0);
+        St (6, 1, 1);
+        Ld (4, 2, 0);
+        Ld (8, 5, 0);
+        St (6, 5, 1);
+        Alu (Add, 9, 3, 4);
+        St (9, 2, 2);
+        Br (Ne, 6, 7, 5);
+        Ldi (10, 0x20000);
+        Ld (11, 10, 0);
+        Halt;
+      |]
+  in
+  let config =
+    { Cpu.default_config with Cpu.mem_words = 1 lsl 13; tlb_entries = 2 }
+  in
+  let mmu_on c =
+    Cpu.set_cr c Isa.Cr_status
+      (Isa.status_with_mmu_enable (Cpu.cr c Isa.Cr_status) true);
+    Cpu.set_priv c 3
+  in
+  let map vpage =
+    { Tlb.vpage; ppage = vpage; user_ok = true; writable = vpage <> 1 }
+  in
+  List.iter
+    (fun ((mmu, setup), rc, profile, slices) ->
+      let stop, (rmax, lmax) =
+        run_twins ~code
+          ~blk_end:[| 5; 5; 5; 5; 5; 14; 14; 14; 14; 14; 14; 14; 14; 14; 17;
+                      17; 17 |]
+          ~det:(Array.make 17 false) ~region:(Array.make 17 0) ~rhead:[| 0 |]
+          ~rbound:[| 100 |]
+          ~loop_of:(Array.init 17 (fun a -> if a >= 5 && a < 14 then 0 else -1))
+          ~lhead:[| 5 |] ~lbound:[| 3 |] ~config ~setup ~map ?rc ~profile
+          ~slices ()
+      in
+      Alcotest.(check string) (mmu ^ ": ends past memory")
+        "fault(load from bad address 0x20000)" (stop_name stop);
+      Alcotest.(check (array int)) (mmu ^ ": three header visits") [| 3 |]
+        lmax;
+      Alcotest.(check bool) (mmu ^ ": region counted") true (rmax.(0) > 0))
+    (List.concat_map
+       (fun mmu ->
+         List.concat_map
+           (fun rc ->
+             List.concat_map
+               (fun profile ->
+                 List.map
+                   (fun slices -> (mmu, rc, profile, slices))
+                   [ [ 100 ]; [ 1 ]; [ 2; 3 ]; [ 4 ]; [ 9 ] ])
+               [ false; true ])
+           [ None; Some 1; Some 2; Some 3; Some 7 ])
+       [ ("MMU off", ignore); ("MMU on", mmu_on) ])
 
 let test_deferred_self_loop_header () =
   (* [2,5) branches back to its own head, the loop header: every pass

@@ -363,10 +363,57 @@ let prop_differential_oracle =
       && Hypervisor.vm_state_hash (System.primary sys)
          = Hypervisor.vm_state_hash (System.backup sys))
 
+(* Every instruction shape the interpreter decodes, folded into the
+   checksum register: each ALU operator, register and immediate forms,
+   with a negative operand and a divide by zero, the same into r0, each
+   branch condition taken and not taken, and loads, links and probes
+   into r0. *)
+let every_shape_main =
+  let open Asm in
+  (* a multiply by an odd constant is a bijection on words, so no
+     result is ever shifted out of the checksum *)
+  let fold rd = [ xor r1 r1 rd; muli r1 r1 31 ] in
+  let alu op =
+    insn Isa.(Alu (op, 5, 2, 3))
+    :: insn Isa.(Alu (op, 5, 3, 2))
+    :: insn Isa.(Alu (op, 6, 2, 4))
+    :: insn Isa.(Alui (op, 7, 2, -3))
+    :: insn Isa.(Alui (op, 8, 3, 0))
+    :: insn Isa.(Alu (op, 0, 2, 3))
+    :: insn Isa.(Alui (op, 0, 2, 1))
+    :: List.concat_map fold [ r5; r6; r7; r8 ]
+  in
+  let branch n br =
+    List.concat_map
+      (fun (k, a, b) ->
+        let l = Printf.sprintf "shape_%d_%d" n k in
+        [ ldi r8 1; br a b (lbl l); ldi r8 2; label l ] @ fold r8)
+      [ (0, r2, r3); (1, r3, r2); (2, r2, r2) ]
+  in
+  [ ldi r1 0; ldi r2 (-13); ldi r3 5; ldi r4 0 ]
+  @ List.concat_map alu
+      Isa.[ Add; Sub; Mul; Divu; Remu; And; Or; Xor; Sll; Srl; Sra; Slt; Sltu ]
+  @ List.concat (List.mapi branch [ beq; bne; blt; bge; bltu; bgeu ])
+  @ [
+      insn Isa.(Ldi (0, 9));
+      st r3 0 0x1200;
+      insn Isa.(Ld (0, 0, 0x1200));
+      insn Isa.(Probe 0);
+      jal r0 (lbl "shape_link");
+      label "shape_link";
+      jal r8 (lbl "shape_linked");
+      label "shape_linked";
+    ]
+  @ fold r8
+  @ [ st r1 r0 Layout.res_checksum; halt ]
+
 let prop_bare_backends_agree =
   QCheck.Test.make
     ~name:"random programs: bare interp and threaded outcomes identical"
-    ~count:15 (QCheck.make structured_main_gen) (fun main ->
+    ~count:15
+    (QCheck.make
+       (QCheck.Gen.graft_corners structured_main_gen [ every_shape_main ] ()))
+    (fun main ->
       let w = workload_of_main main in
       let oi, hi, _ = bare_outcome Params.Interp w in
       let ot, ht, _ = bare_outcome Params.Threaded w in
