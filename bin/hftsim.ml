@@ -967,7 +967,7 @@ let chaos_cmd =
           schedules.")
     term
 
-(* ---------- profiling drivers (shared by profile and lint) ---------- *)
+(* ---------- profiling drivers ---------- *)
 
 (* Wrap a loaded image file in a workload record so the bare executor
    can drive it.  No configuration words: an image carries none. *)
@@ -980,13 +980,13 @@ let workload_of_program ~name program =
     instructions_per_iteration = 70;
   }
 
-(* Run a workload to completion on the bare machine, optionally with
-   the retirement profiler armed.  Returns the CPU (for its profile
-   and observed-bounds arrays) and whether the guest halted within the
-   fuel limit; a partial run still yields usable counters. *)
-let driven_bare ?(profile = false) ~params ~limit workload =
+(* Run a workload to completion on the bare machine with the
+   retirement profiler armed.  Returns the CPU (for its profile array)
+   and whether the guest halted within the fuel limit; a partial run
+   still yields usable counters. *)
+let driven_bare ~params ~limit workload =
   let b = Bare.create ~params ~workload () in
-  if profile then Hft_machine.Cpu.install_profile (Bare.cpu b);
+  Hft_machine.Cpu.install_profile (Bare.cpu b);
   Bare.init_disk_blocks b;
   let halted =
     try ignore (Bare.run ~limit b) ; true
@@ -1071,8 +1071,8 @@ let lint_cmd =
       & info [ "json" ] ~docv:"PATH"
           ~doc:
             "Write the findings as machine-readable JSON \
-             (schema hftsim-lint/3, including a per-image compilation \
-             manifest summary with loop-bound coverage) to PATH; \
+             (schema hftsim-lint/4, including a per-image compilation \
+             manifest summary) to PATH; \
              $(b,-) writes JSON to stdout and suppresses the human \
              report.")
   in
@@ -1104,7 +1104,7 @@ let lint_cmd =
       & info [ "manifest-out" ] ~docv:"PATH"
           ~doc:
             "Write the compilation manifest(s) as JSON: schema \
-             hftsim-manifest/2 for a single image, hftsim-manifest-set/1 \
+             hftsim-manifest/3 for a single image, hftsim-manifest-set/1 \
              (one manifest per analyzed image) with $(b,--all).")
   in
   let manifest_baseline_arg =
@@ -1117,7 +1117,7 @@ let lint_cmd =
              baseline: exit non-zero if any image in both sets lost \
              certified blocks, certified superblocks, or static coverage.")
   in
-  let lint_one ~quiet ~title ~rewritten ~rewrite_el ~data_init ?embedded ?drive
+  let lint_one ~quiet ~title ~rewritten ~rewrite_el ~data_init ?embedded
       program =
     let program, rewritten =
       match rewrite_el with
@@ -1149,7 +1149,7 @@ let lint_cmd =
               ~code:program.Hft_machine.Asm.code em)
         embedded
     in
-    (title, fs, manifest, embedded_status, drive)
+    (title, fs, manifest, embedded_status)
   in
   let module J = Obs.Json in
   let module F = Hft_analysis.Finding in
@@ -1169,9 +1169,6 @@ let lint_cmd =
           ("jr_unresolved", J.int m.M.jr_unresolved);
           ("jr_resolved_by_vsa", J.int m.M.jr_resolved_by_vsa);
           ("fixpoint_iterations", J.int m.M.fixpoint_iterations);
-          ("loops", J.int (M.loop_count m));
-          ("bounded_loops", J.int (M.bounded_loops m));
-          ("loop_bound_coverage", J.fixed 4 (M.loop_bound_coverage m));
         ]
     in
     let finding (f : F.t) =
@@ -1184,14 +1181,14 @@ let lint_cmd =
           ("message", J.Str f.F.message);
         ]
     in
-    let all = List.concat_map (fun (_, fs, _, _, _) -> fs) runs in
+    let all = List.concat_map (fun (_, fs, _, _) -> fs) runs in
     J.Obj
       [
-        ("schema", J.Str "hftsim-lint/3");
+        ("schema", J.Str "hftsim-lint/4");
         ( "images",
           J.Arr
             (List.map
-               (fun (title, fs, manifest, _, _) ->
+               (fun (title, fs, manifest, _) ->
                  J.Obj
                    [
                      ("title", J.Str title);
@@ -1222,7 +1219,7 @@ let lint_cmd =
     let rules =
       List.sort_uniq compare
         (List.concat_map
-           (fun (_, fs, _, _, _) -> List.map (fun (f : F.t) -> f.F.checker) fs)
+           (fun (_, fs, _, _) -> List.map (fun (f : F.t) -> f.F.checker) fs)
            runs)
     in
     let text t = J.Obj [ ("text", J.Str t) ] in
@@ -1254,7 +1251,7 @@ let lint_cmd =
         ]
     in
     let results =
-      List.concat_map (fun (title, fs, _, _, _) -> List.map (result title) fs) runs
+      List.concat_map (fun (title, fs, _, _) -> List.map (result title) fs) runs
     in
     J.Obj
       [
@@ -1292,12 +1289,8 @@ let lint_cmd =
     @ check "certified superblocks"
         (M.certified_superblocks old)
         (M.certified_superblocks m)
-    @ check "bounded loops" (M.bounded_loops old) (M.bounded_loops m)
     @ check_ratio "static coverage" (M.static_coverage old)
         (M.static_coverage m)
-    @ check_ratio "loop-bound coverage"
-        (M.loop_bound_coverage old)
-        (M.loop_bound_coverage m)
   in
   let baseline_regressions ~path runs =
     let bad fmt =
@@ -1312,10 +1305,10 @@ let lint_cmd =
       | Some title, None -> bad "%s: no manifest" title
       | Some title, Some (Error err) -> bad "%s: %s" title err
       | Some title, Some (Ok old) -> (
-        match List.find_opt (fun (t, _, _, _, _) -> t = title) runs with
+        match List.find_opt (fun (t, _, _, _) -> t = title) runs with
         | None ->
           [ Printf.sprintf "%s: present in baseline, not analyzed" title ]
-        | Some (_, _, m, _, _) -> regressed title old m)
+        | Some (_, _, m, _) -> regressed title old m)
     in
     match J.parse (In_channel.with_open_bin path In_channel.input_all) with
     | Error e -> bad "parse error: %s" e
@@ -1339,7 +1332,7 @@ let lint_cmd =
         ( "images",
           J.Arr
             (List.map
-               (fun (title, _, m, _, _) ->
+               (fun (title, _, m, _) ->
                  J.Obj [ ("title", J.Str title); ("manifest", M.to_json m) ])
                runs) );
       ]
@@ -1357,7 +1350,7 @@ let lint_cmd =
             let el = Params.default.Params.epoch_length in
             let plain =
               lint_one ~quiet ~title:(name ^ " (as assembled)")
-                ~rewritten:false ~rewrite_el:None ~data_init ~drive:w
+                ~rewritten:false ~rewrite_el:None ~data_init
                 w.Hft_guest.Workload.program
             in
             let rewritten =
@@ -1373,58 +1366,25 @@ let lint_cmd =
         | Some (path, program, embedded) ->
           [
             lint_one ~quiet ~title:path ~rewritten ~rewrite_el ~data_init:[]
-              ?embedded
-              ?drive:
-                (if rewritten || rewrite_el <> None then None
-                 else Some (workload_of_program ~name:path program))
-              program;
+              ?embedded program;
           ]
         | None ->
           [
             lint_one ~quiet ~title:workload.Hft_guest.Workload.name ~rewritten
               ~rewrite_el
               ~data_init:(List.map fst workload.Hft_guest.Workload.config)
-              ?drive:
-                (if rewritten || rewrite_el <> None then None
-                 else Some workload)
               workload.Hft_guest.Workload.program;
           ]
     in
     if manifest && not quiet then
       List.iter
-        (fun (title, _, m, embedded, drive) ->
+        (fun (title, _, m, embedded) ->
           Format.printf "%s: %a@." title Hft_analysis.Manifest.pp_summary m;
-          (* unbounded loops: print the header-to-latch witness path so
-             the reader can retrace why inference gave up *)
-          List.iter
-            (fun (l : Hft_analysis.Manifest.loop_info) ->
-              if l.Hft_analysis.Manifest.l_bound = None then
-                Format.printf
-                  "%s:   loop @%d unbounded; witness path: %s@." title
-                  l.Hft_analysis.Manifest.l_header
-                  (String.concat " -> "
-                     (List.map string_of_int
-                        l.Hft_analysis.Manifest.l_witness)))
-            m.Hft_analysis.Manifest.loops;
-          (match embedded with
+          match embedded with
           | None -> ()
           | Some (Ok ()) -> Format.printf "%s: embedded manifest valid@." title
           | Some (Error e) ->
-            Format.printf "%s: embedded manifest STALE: %s@." title e);
-          (* WCET-vs-actual: drive the image briefly on the bare
-             machine with the certificate validator armed and join the
-             observed maxima back against the certified bounds *)
-          match drive with
-          | None -> ()
-          | Some w -> (
-            let params = Params.default in
-            let cpu, _halted = driven_bare ~params ~limit:10_000_000 w in
-            match
-              Hft_analysis.Slack.of_cpu (Hypervisor.manifest_for ~params w)
-                ~symbol:(symbolizer w) cpu
-            with
-            | Some slack -> Hft_harness.Report.wcet_slack slack
-            | None -> ()))
+            Format.printf "%s: embedded manifest STALE: %s@." title e)
         runs;
     let emit path doc =
       write_json path doc;
@@ -1436,7 +1396,7 @@ let lint_cmd =
       (fun path ->
         emit path
           (match runs with
-          | [ (_, _, m, _, _) ] -> M.to_json m
+          | [ (_, _, m, _) ] -> M.to_json m
           | _ -> manifest_set_json runs))
       manifest_out;
     let regressions =
@@ -1446,10 +1406,10 @@ let lint_cmd =
     in
     if (not quiet) && regressions <> [] then
       List.iter (fun r -> Format.eprintf "regression: %s@." r) regressions;
-    let findings = List.concat_map (fun (_, fs, _, _, _) -> fs) runs in
+    let findings = List.concat_map (fun (_, fs, _, _) -> fs) runs in
     let stale =
       List.filter_map
-        (fun (title, _, _, e, _) ->
+        (fun (title, _, _, e) ->
           match e with Some (Error _) -> Some title | _ -> None)
         runs
     in
@@ -1487,10 +1447,9 @@ let lint_cmd =
          "Statically analyze a guest image against the paper's assumptions: \
           privilege/virtualizability (section 3.1), determinism of replica \
           inputs, and epoch-counting safety (section 2.1).  Also certifies \
-          the image into a compilation manifest (hftsim-manifest/2): \
+          the image into a compilation manifest (hftsim-manifest/3): \
           per-block Deterministic/Priv0/Epoch_bounded certificates over \
-          VSA-refined control flow and superblocks, plus per-loop trip \
-          bounds and worst-case costs \
+          VSA-refined control flow and superblocks \
           ($(b,--manifest)/$(b,--manifest-out)/$(b,--manifest-baseline)).  \
           Exits non-zero if any error-severity finding is reported, an \
           embedded manifest is stale, or certification regressed against \
@@ -1993,7 +1952,7 @@ let disasm_cmd =
       & info [ "embed-manifest" ]
           ~doc:
             "Analyze the image and embed its compilation manifest \
-             (hftsim-manifest/2) in the saved file's $(b,M) line, so \
+             (hftsim-manifest/3) in the saved file's $(b,M) line, so \
              loaders can validate it against the code before running.")
   in
   let translated_flag =
@@ -2109,11 +2068,10 @@ let profile_cmd =
     in
     let run backend =
       let params = Params.with_exec_backend Params.default backend in
-      driven_bare ~profile:true ~params ~limit workload
+      driven_bare ~params ~limit workload
     in
-    (* interpreter first (its validator records the observed WCET
-       maxima), then the direct-threaded backend over the identical
-       run — the per-block counts must agree exactly *)
+    (* the interpreter, then the direct-threaded backend over the
+       identical run — the per-block counts must agree exactly *)
     let ci, halted_i = run Params.Interp in
     let ct, halted_t = run Params.Threaded in
     if not (halted_i && halted_t) then
@@ -2155,9 +2113,6 @@ let profile_cmd =
       ti tt
       (if agree then "identical per block (exactness contract holds)"
        else "DIVERGED");
-    (match Hft_analysis.Slack.of_cpu m ~symbol ci with
-    | Some slack -> Hft_harness.Report.wcet_slack slack
-    | None -> ());
     (match flame with
     | None -> ()
     | Some path ->
@@ -2178,11 +2133,10 @@ let profile_cmd =
        ~doc:
          "Run a workload (or a saved image) under both CPU backends with the \
           exact per-block retirement profiler armed, print the symbolized \
-          hot-spot heat table and the WCET-slack report (certified bound vs \
-          observed maximum per certified superblock and bounded loop), and \
-          optionally write collapsed-stack flamegraph text.  Exits non-zero \
-          if the backends disagree on per-block retirement counts or \
-          attribution coverage falls below $(b,--min-coverage).")
+          hot-spot heat table, and optionally write collapsed-stack \
+          flamegraph text.  Exits non-zero if the backends disagree on \
+          per-block retirement counts or attribution coverage falls below \
+          $(b,--min-coverage).")
     Term.(
       ret
         (const action $ workload_arg $ image_arg $ flame_arg $ min_coverage_arg

@@ -1,8 +1,9 @@
 (* Generates the loop-heavy example images shipped in
-   [examples/images/]: a counted single-block loop (fully bounded), a
-   two-level nest (inner bounded, outer deliberately defeating
-   inference so the manifest carries a witness path), and a guarded
-   scan with an early exit (a multi-block bounded loop).  Each image embeds its hftsim-manifest/2
+   [examples/images/]: a counted single-block loop, a two-level nest,
+   and a guarded scan with an early exit (a multi-block loop).  They
+   give the profiler and the direct-threaded translator loop shapes
+   beyond the workloads' own (CI's profile-smoke job runs each under
+   both backends).  Each image embeds its hftsim-manifest/3
    compilation manifest so loaders can validate certificates against
    the code before running.
 

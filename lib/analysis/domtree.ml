@@ -1,5 +1,5 @@
 (* Dominator tree at basic-block granularity (Cooper–Harvey–Kennedy
-   iterative algorithm) plus natural-loop recovery.  Every CFG edge
+   iterative algorithm).  Every CFG edge
    targets a block leader by construction of {!Cfg.blocks}, so the
    block graph is recovered from the last instruction of each block. *)
 
@@ -9,9 +9,7 @@ type t = {
   block_of : int array;
   bsuccs : int list array;
   bpreds : int list array;
-  broots : int list;
   idom : int array;
-  rpo : int array;
   nblocks : int;
 }
 
@@ -105,7 +103,7 @@ let build (cfg : Cfg.t) =
         end)
       order
   done;
-  { leaders; lens; block_of; bsuccs; bpreds; broots; idom; rpo; nblocks = nb }
+  { leaders; lens; block_of; bsuccs; bpreds; idom; nblocks = nb }
 
 (* [dominates t a b]: does block [a] dominate block [b]?  Walks [b]'s
    idom chain; the virtual root terminates every chain. *)
@@ -113,15 +111,3 @@ let dominates t a b =
   let vr = virtual_root t in
   let rec up b = if b = a then true else if b = vr || b < 0 then false else up t.idom.(b) in
   up b
-
-let back_edges t =
-  let acc = ref [] in
-  Array.iteri
-    (fun u ss ->
-      if u < t.nblocks && t.rpo.(u) <> max_int then
-        List.iter (fun h -> if dominates t h u then acc := (u, h) :: !acc) ss)
-    t.bsuccs;
-  List.rev !acc
-
-let loop_headers t =
-  List.map snd (back_edges t) |> List.sort_uniq Int.compare

@@ -1,5 +1,4 @@
-(** Dominator tree and natural-loop recovery at basic-block
-    granularity, over the block graph induced by {!Cfg.blocks}.
+(** Dominator tree at basic-block granularity, over the block graph induced by {!Cfg.blocks}.
 
     Every CFG edge targets a block leader (a leader is a root, branch
     target, or fall-through of a control transfer), so the block graph
@@ -20,11 +19,9 @@ type t = {
   block_of : int array;     (** address -> block id, [-1] off-block *)
   bsuccs : int list array;  (** block graph successors *)
   bpreds : int list array;
-  broots : int list;        (** block ids of the CFG roots *)
   idom : int array;
       (** immediate dominator; roots point at {!virtual_root}, blocks
           unreachable in the block graph hold [-1] *)
-  rpo : int array;          (** reverse-postorder rank; [max_int] unreachable *)
   nblocks : int;
 }
 
@@ -35,9 +32,3 @@ val build : Cfg.t -> t
 
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: block [a] dominates block [b] (reflexive). *)
-
-val back_edges : t -> (int * int) list
-(** Block edges [(u, h)] where [h] dominates [u] — each closes a
-    natural loop with header [h]. *)
-
-val loop_headers : t -> int list

@@ -1,6 +1,6 @@
 open Hft_machine
 
-let schema = "hftsim-manifest/2"
+let schema = "hftsim-manifest/3"
 
 type cert = Deterministic | Priv0 | Epoch_bounded of int
 
@@ -11,21 +11,8 @@ type superblock = {
   head : int;
   members : int list;
   bound : int option;
-  wcet : int option;
   certified : bool;
 }
-
-type loop_info = {
-  l_header : int;
-  l_latches : int list;
-  l_blocks : int list;
-  l_bound : int option;
-  l_body_cost : int option;
-  l_wcet : int option;
-  l_witness : int list;
-}
-
-type func_info = { f_entry : int; f_cost : Wcet.func_cost }
 
 type t = {
   image_hash : int;
@@ -35,8 +22,6 @@ type t = {
   mmio_base : int;
   blocks : block list;
   superblocks : superblock list;
-  loops : loop_info list;
-  functions : func_info list;
   fixpoint_iterations : int;
   jr_sites : int;
   jr_unresolved : int;
@@ -68,14 +53,6 @@ let certified_blocks t =
 
 let certified_superblocks t =
   List.length (List.filter (fun s -> s.certified) t.superblocks)
-
-let loop_count t = List.length t.loops
-let bounded_loops t = List.length (List.filter (fun l -> l.l_bound <> None) t.loops)
-
-let loop_bound_coverage t =
-  match t.loops with
-  | [] -> 1.0
-  | ls -> float_of_int (bounded_loops t) /. float_of_int (List.length ls)
 
 (* Fraction of the reachable instructions covered by certified
    superblocks: what the runtime coverage counters converge to on a
@@ -136,18 +113,7 @@ let of_solved ?(random_tlb = false)
       | _ -> priv0_ok.(b) <- false)
     done
   done;
-  let lb = Loopbound.analyze cfg dom vsa in
-  let wc = Wcet.analyze cfg dom sb lb in
-  (* the loop-free per-pass bound where one exists; otherwise the
-     loop-collapsed WCET rescues regions with bounded interior loops *)
-  let bounds =
-    Array.mapi
-      (fun i r ->
-        match Superblock.bound dom r with
-        | Some b -> Some b
-        | None -> wc.Wcet.region_wcet.(i))
-      sb.Superblock.regions
-  in
+  let bounds = Array.map (Superblock.bound dom) sb.Superblock.regions in
   let cert_list b =
     let r = sb.Superblock.region_of.(b) in
     List.concat
@@ -177,27 +143,9 @@ let of_solved ?(random_tlb = false)
              members =
                List.map (fun b -> dom.Domtree.leaders.(b)) r.Superblock.blocks;
              bound = bounds.(r.Superblock.id);
-             wcet = wc.Wcet.region_wcet.(r.Superblock.id);
              certified =
                List.for_all (fun b -> cert_list b <> []) r.Superblock.blocks;
            })
-  in
-  let leader_of b = dom.Domtree.leaders.(b) in
-  let loops =
-    Array.to_list lb.Loopbound.loops
-    |> List.map (fun (l : Loopbound.loop) ->
-           {
-             l_header = leader_of l.Loopbound.header;
-             l_latches = List.map leader_of l.Loopbound.latches;
-             l_blocks = List.map leader_of l.Loopbound.blocks;
-             l_bound = l.Loopbound.bound;
-             l_body_cost = wc.Wcet.loop_iter.(l.Loopbound.id);
-             l_wcet = wc.Wcet.loop_total.(l.Loopbound.id);
-             l_witness = List.map leader_of l.Loopbound.witness;
-           })
-  in
-  let functions =
-    List.map (fun (entry, c) -> { f_entry = entry; f_cost = c }) wc.Wcet.functions
   in
   let jr_sites =
     let n = ref 0 in
@@ -217,8 +165,6 @@ let of_solved ?(random_tlb = false)
     mmio_base;
     blocks;
     superblocks;
-    loops;
-    functions;
     fixpoint_iterations;
     jr_sites;
     jr_unresolved = List.length cfg.Cfg.jr_unresolved;
@@ -327,41 +273,8 @@ let build_tables t ~deprivileged code =
         | None -> ()
       done)
     t.blocks;
-  (* loop-bound certificates, renumbered over the bounded loops only;
-     smallest span first so nested loops claim their addresses from
-     the innermost outwards *)
-  let block_len = Hashtbl.create 64 in
-  List.iter (fun b -> Hashtbl.replace block_len b.leader b.len) t.blocks;
-  let span l =
-    List.fold_left
-      (fun acc ldr ->
-        acc + (match Hashtbl.find_opt block_len ldr with Some v -> v | None -> 0))
-      0 l.l_blocks
-  in
-  let bounded =
-    List.filter (fun l -> l.l_bound <> None) t.loops
-    |> List.sort (fun a b -> compare (span a) (span b))
-  in
-  let nl = List.length bounded in
-  let loop_of = Array.make n (-1) in
-  let lhead = Array.make nl 0 in
-  let lbound = Array.make nl 0 in
-  List.iteri
-    (fun k l ->
-      lhead.(k) <- l.l_header;
-      lbound.(k) <- (match l.l_bound with Some b -> b | None -> 0);
-      List.iter
-        (fun ldr ->
-          match Hashtbl.find_opt block_len ldr with
-          | None -> ()
-          | Some len ->
-            for a = ldr to min (n - 1) (ldr + len - 1) do
-              if loop_of.(a) < 0 then loop_of.(a) <- k
-            done)
-        l.l_blocks)
-    bounded;
-  Cpu.validator_tables ~blk_end ~loop_of ~lhead ~lbound ~code ~priv_ok ~det
-    ~uses ~def ~region ~rhead ~rbound ~random_tlb:t.random_tlb ()
+  Cpu.validator_tables ~blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
+    ~rbound ~random_tlb:t.random_tlb ()
 
 (* The tables depend on nothing but the manifest (whose image hash pins
    the code) and the deprivileging, so every CPU armed from the same
@@ -488,9 +401,6 @@ let to_json t =
       ("certified_blocks", J.int (certified_blocks t));
       ("certified_superblocks", J.int (certified_superblocks t));
       ("static_coverage", J.fixed 4 (static_coverage t));
-      ("loops", J.int (loop_count t));
-      ("bounded_loops", J.int (bounded_loops t));
-      ("loop_bound_coverage", J.fixed 4 (loop_bound_coverage t));
       ( "blocks",
         J.Arr
           (List.map
@@ -514,40 +424,10 @@ let to_json t =
                    ("id", J.int s.sid);
                    ("head", J.int s.head);
                    ("bound", opt s.bound);
-                   ("wcet", opt s.wcet);
                    ("certified", J.Bool s.certified);
                    ("blocks", ints s.members);
                  ])
              t.superblocks) );
-      ( "loop_info",
-        J.Arr
-          (List.map
-             (fun l ->
-               J.Obj
-                 [
-                   ("header", J.int l.l_header);
-                   ("latches", ints l.l_latches);
-                   ("blocks", ints l.l_blocks);
-                   ("bound", opt l.l_bound);
-                   ("body_cost", opt l.l_body_cost);
-                   ("wcet", opt l.l_wcet);
-                   ("witness", ints l.l_witness);
-                 ])
-             t.loops) );
-      ( "functions",
-        J.Arr
-          (List.map
-             (fun f ->
-               J.Obj
-                 [
-                   ("entry", J.int f.f_entry);
-                   ( "cost",
-                     match f.f_cost with
-                     | Wcet.Fwcet c -> J.int c
-                     | Wcet.Frecursive -> J.Str "recursive"
-                     | Wcet.Funbounded -> J.Str "unbounded" );
-                 ])
-             t.functions) );
     ]
 
 
@@ -648,44 +528,9 @@ let of_json j =
             head;
             certified;
             bound = jopt "bound" sj;
-            wcet = jopt "wcet" sj;
             members;
           })
       "superblocks" j
-  in
-  let* loops =
-    jmap
-      (fun lj ->
-        let* l_header = jint "header" lj in
-        let* l_latches = jints "latches" lj in
-        let* l_blocks = jints "blocks" lj in
-        let* l_witness = jints "witness" lj in
-        Ok
-          {
-            l_header;
-            l_latches;
-            l_blocks;
-            l_bound = jopt "bound" lj;
-            l_body_cost = jopt "body_cost" lj;
-            l_wcet = jopt "wcet" lj;
-            l_witness;
-          })
-      "loop_info" j
-  in
-  let* functions =
-    jmap
-      (fun fj ->
-        let* f_entry = jint "entry" fj in
-        let* f_cost =
-          match J.member "cost" fj with
-          | Some (J.Str "recursive") -> Ok Wcet.Frecursive
-          | Some (J.Str "unbounded") -> Ok Wcet.Funbounded
-          | Some (J.Num f) -> Ok (Wcet.Fwcet (int_of_float f))
-          | Some _ -> Error "manifest: bad function cost"
-          | None -> Error "manifest: missing function cost"
-        in
-        Ok { f_entry; f_cost })
-      "functions" j
   in
   Ok
     {
@@ -696,8 +541,6 @@ let of_json j =
       mmio_base;
       blocks;
       superblocks;
-      loops;
-      functions;
       fixpoint_iterations;
       jr_sites;
       jr_unresolved;
@@ -711,11 +554,8 @@ let of_string s =
 let pp_summary fmt t =
   Format.fprintf fmt
     "%d/%d blocks certified, %d/%d superblocks (coverage %.1f%%), %d/%d \
-     indirect jumps unresolved (%d resolved by value-set analysis), %d/%d \
-     loops bounded (loop coverage %.1f%%)"
+     indirect jumps unresolved (%d resolved by value-set analysis)"
     (certified_blocks t) (List.length t.blocks) (certified_superblocks t)
     (List.length t.superblocks)
     (100. *. static_coverage t)
-    t.jr_unresolved t.jr_sites t.jr_resolved_by_vsa (bounded_loops t)
-    (loop_count t)
-    (100. *. loop_bound_coverage t)
+    t.jr_unresolved t.jr_sites t.jr_resolved_by_vsa

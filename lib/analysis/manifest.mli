@@ -1,8 +1,7 @@
-(** The compilation manifest: a versioned ([hftsim-manifest/2]),
-    machine-readable certification of a guest image, per basic block,
-    per superblock, and per natural loop — what a threaded-code engine
-    needs to know to pre-decode guest code without breaking the
-    paper's assumptions.
+(** The compilation manifest: a versioned ([hftsim-manifest/3]),
+    machine-readable certification of a guest image, per basic block
+    and per superblock — what a threaded-code engine needs to know to
+    pre-decode guest code without breaking the paper's assumptions.
 
     Certificates:
     - [Deterministic]: every register read is written on every path
@@ -15,18 +14,10 @@
       reasons (under the hypervisor's deprivileging virtual 0 runs at
       real 1);
     - [Epoch_bounded n]: one entry of the block's superblock (at its
-      head) completes at most [n] instructions — the loop-free pass
-      bound where one exists, else the loop-collapsed WCET — so the
-      section 4 recovery counter can be charged per superblock instead
-      of per instruction.
-
-    Version 2 adds the loop layer: {!loop_info} records every natural
-    loop with its inferred trip bound ({!Loopbound}), per-iteration
-    and total worst-case instruction costs ({!Wcet}), and — for loops
-    that defeat inference — a header-to-latch witness path.  The
-    bounds are spent twice: {!install_translation} batches the budget
-    prologue of bounded single-block loops, and {!install} arms the
-    validator's iteration counter against the certified bound.
+      head) completes at most [n] instructions
+      ({!Superblock.bound}: the region is acyclic below its head), so
+      the section 4 recovery counter can be charged per superblock
+      instead of per instruction.
 
     A superblock is {e certified} when every member block carries at
     least one certificate.  {!install} arms the interpreter's runtime
@@ -49,27 +40,10 @@ type superblock = {
   head : int;         (** leader address of the unique entry block *)
   members : int list; (** member leader addresses *)
   bound : int option;
-      (** worst-case instructions per entry: the loop-free pass bound
-          when the region is acyclic below its head, else the
-          loop-collapsed WCET when every interior loop is bounded *)
-  wcet : int option;  (** the loop-collapsed WCET itself *)
+      (** worst-case instructions per entry, when the region is
+          acyclic below its head *)
   certified : bool;
 }
-
-(** A natural loop, by leader addresses ({!Loopbound} lifted out of
-    block ids so the manifest round-trips through JSON). *)
-type loop_info = {
-  l_header : int;
-  l_latches : int list;
-  l_blocks : int list;
-  l_bound : int option;     (** worst-case header visits per entry *)
-  l_body_cost : int option; (** one-iteration WCET, children collapsed *)
-  l_wcet : int option;      (** [bound * body_cost] *)
-  l_witness : int list;
-      (** for unbounded loops, a header-to-latch path to retrace *)
-}
-
-type func_info = { f_entry : int; f_cost : Wcet.func_cost }
 
 type t = {
   image_hash : int;   (** {!Hft_machine.Encode.program_hash} of the image *)
@@ -79,8 +53,6 @@ type t = {
   mmio_base : int;
   blocks : block list;
   superblocks : superblock list;
-  loops : loop_info list;
-  functions : func_info list; (** [Jal]-entry WCET summaries, reporting only *)
   fixpoint_iterations : int;
   jr_sites : int;         (** reachable indirect jumps *)
   jr_unresolved : int;    (** still unresolved after value-set analysis *)
@@ -156,13 +128,6 @@ val install_translation :
 val certified_blocks : t -> int
 val certified_superblocks : t -> int
 
-val loop_count : t -> int
-val bounded_loops : t -> int
-
-val loop_bound_coverage : t -> float
-(** Fraction of natural loops with a certified trip bound; [1.0] when
-    the image has no loops. *)
-
 val static_coverage : t -> float
 (** Fraction of reachable instructions inside certified superblocks. *)
 
@@ -170,7 +135,7 @@ val cert_name : cert -> string
 val cert_of_name : string -> (cert, string) result
 
 val to_json : t -> Hft_obs.Json.t
-(** The [hftsim-manifest/2] document; its compact form is the image's
+(** The [hftsim-manifest/3] document; its compact form is the image's
     embedded [M] line.  Coverage ratios are rounded to 4 decimals, so
     [to_json] of [of_json j] gives back a committed [j]. *)
 

@@ -279,16 +279,6 @@ let value_at t ~addr ~reg =
   else
     match t.states.(addr) with None -> Top | Some s -> s.(reg)
 
-(* Out-state value of [reg] after the instruction at [addr]: the
-   in-state pushed through one transfer.  Loop-bound inference reads
-   loop-entry values off each preheader's out edge this way. *)
-let out_value_at t ~code ~addr ~reg =
-  if reg = 0 then fin1 0
-  else
-    match t.states.(addr) with
-    | None -> Top
-    | Some s -> get (transfer addr code.(addr) s) reg
-
 (* Unsigned range of [v + off] when provably wrap-free, else None. *)
 let addr_range v off =
   let bounds = function

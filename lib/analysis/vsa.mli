@@ -35,12 +35,6 @@ val solve : ?stats:Finding.stats -> Cfg.t -> t
 val value_at : t -> addr:int -> reg:int -> value
 (** In-state value of [reg] at [addr]; [Top] when unreachable. *)
 
-val out_value_at :
-  t -> code:Hft_machine.Isa.instr array -> addr:int -> reg:int -> value
-(** Out-state value of [reg] {e after} the instruction at [addr] (the
-    in-state pushed through one transfer) — how loop-bound inference
-    reads an induction variable's entry value off a preheader edge. *)
-
 val addr_range : value -> int -> (int * int) option
 (** [addr_range v off]: unsigned range of [v + off] when provably
     wrap-free, [None] otherwise. *)

@@ -40,7 +40,6 @@ type t = {
       (* interpreter rate over validated rate: what the per-block
          certificate cache leaves of the old ~29% per-instruction cost *)
   digest_match : bool;  (* interp and threaded agree after a fixed run *)
-  loop_bound_coverage : float;  (* loops of the loop workload with bounds *)
   loop_interp_per_sec : float;
   loop_threaded_per_sec : float;  (* translation armed *)
   loop_digest_match : bool;  (* interp vs threaded after a fixed run *)
@@ -75,10 +74,8 @@ let workload_code =
 
 let fresh_cpu () = Cpu.create ~code:workload_code ()
 
-(* The loop-heavy phase: a counted 100-trip self-loop (exactly the
-   shape the loop-bound inference certifies) restarted forever by an
-   unbounded outer loop, so half the loops are bounded — the coverage
-   number is meaningful, not 1.0 by construction. *)
+(* The loop-heavy phase: a counted 100-trip self-loop restarted
+   forever by an outer loop. *)
 let loop_workload_code =
   Isa.
     [|
@@ -109,25 +106,28 @@ let window budget step =
   done;
   float_of_int !units /. !elapsed
 
-(* The budget is split into three windows and the fastest wins: on a
-   shared host, competing load only ever makes a window slower, so the
-   peak is the least-disturbed estimate. *)
-let rate ~budget step =
+(* The rates of [steps], each over [budget] split into three windows
+   taken in rotation (A B C A B C A B C), the fastest window of each
+   winning: on a shared host competing load only ever makes a window
+   slower, so the peak is the least-disturbed estimate, and load that
+   comes and goes lands on every side alike instead of becoming a
+   ratio between them. *)
+let rates ~budget steps =
   let w = budget /. 3.0 in
-  max (window w step) (max (window w step) (window w step))
-
-(* The two sides of a ratio, measured in alternating windows (A B A B
-   A B) with the fastest window of each side winning, so load that
-   comes and goes on the host lands on both sides alike instead of
-   becoming the ratio. *)
-let rate_pair ~budget step_a step_b =
-  let w = budget /. 3.0 in
-  let a = ref 0.0 and b = ref 0.0 in
+  let best = Array.make (Array.length steps) 0.0 in
   for _ = 1 to 3 do
-    a := Float.max !a (window w step_a);
-    b := Float.max !b (window w step_b)
+    Array.iteri
+      (fun i step -> best.(i) <- Float.max best.(i) (window w step))
+      steps
   done;
-  (!a, !b)
+  best
+
+let rate ~budget step = (rates ~budget [| step |]).(0)
+
+(* The two sides of a ratio, in alternating windows (A B A B A B). *)
+let rate_pair ~budget step_a step_b =
+  let r = rates ~budget [| step_a; step_b |] in
+  (r.(0), r.(1))
 
 (* Run [cpu] in a fixed 100 000-instruction slice, which must run out
    of fuel, and return the instructions completed. *)
@@ -175,23 +175,25 @@ let digests_agree m fresh =
 
 type hash_mode = No_hash | Incremental | Full_rehash
 
-let bench_epochs ~budget ~el mode =
+(* One epoch of [el] instructions on a CPU of its own, hashed as [mode]
+   says, per call. *)
+let epoch_step ~el mode =
   let cpu = fresh_cpu () in
   Cpu.set_recovery cpu el;
   (* warm the page-digest cache so the incremental numbers reflect the
      steady state, not the first-ever hash *)
   ignore (Cpu.state_hash cpu : int);
-  rate ~budget (fun () ->
-      let r = Cpu.run cpu ~fuel:(el + 8) in
-      (match r.Cpu.stop with
-      | Cpu.Recovery -> ()
-      | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-      (match mode with
-      | No_hash -> ()
-      | Incremental -> ignore (Cpu.state_hash cpu : int)
-      | Full_rehash -> ignore (Cpu.state_hash ~full:true cpu : int));
-      Cpu.set_recovery cpu el;
-      1)
+  fun () ->
+    let r = Cpu.run cpu ~fuel:(el + 8) in
+    (match r.Cpu.stop with
+    | Cpu.Recovery -> ()
+    | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
+    (match mode with
+    | No_hash -> ()
+    | Incremental -> ignore (Cpu.state_hash cpu : int)
+    | Full_rehash -> ignore (Cpu.state_hash ~full:true cpu : int));
+    Cpu.set_recovery cpu el;
+    1
 
 (* Certify the bench workload and replay it under the runtime
    certificate validator: [certified_coverage] is the fraction of
@@ -243,16 +245,15 @@ let bench_translation ~budget plain m =
     digests_agree m fresh_cpu )
 
 (* The loop workload: the interpreter and the threaded backend at the
-   same fuel, with the differential digest keeping the threaded rate
-   honest. *)
+   same fuel in alternating windows, with the differential digest
+   keeping the threaded rate honest. *)
 let bench_loop ~budget =
   let m = Hft_analysis.Manifest.of_code loop_workload_code in
-  let interp_rate = fuel_rate ~budget (fresh_loop_cpu ()) in
-  let threaded_rate = fuel_rate ~budget (translated m (fresh_loop_cpu ())) in
-  ( Hft_analysis.Manifest.loop_bound_coverage m,
-    interp_rate,
-    threaded_rate,
-    digests_agree m fresh_loop_cpu )
+  let interp_rate, threaded_rate =
+    fuel_rate_pair ~budget (fresh_loop_cpu ())
+      (translated m (fresh_loop_cpu ()))
+  in
+  (interp_rate, threaded_rate, digests_agree m fresh_loop_cpu)
 
 (* The observability phase prices the PR's two collectors.
 
@@ -263,10 +264,10 @@ let bench_loop ~budget =
    per-instruction work is untouched by design.  Profiling overhead
    *is* per-instruction (one array bump in the interpreter, one
    credit per block entry threaded), so those are instruction rates
-   against the matching unprofiled backend. *)
+   against the matching unprofiled backend.  The plain and the metrics
+   epoch rates are measured in alternating windows. *)
 let bench_metrics ~budget ~el =
-  let plain = bench_epochs ~budget ~el No_hash in
-  let metrics_rate =
+  let metrics_step =
     let cpu = fresh_cpu () in
     Cpu.set_recovery cpu el;
     let registry = Hft_obs.Metrics.create () in
@@ -276,20 +277,23 @@ let bench_metrics ~budget ~el =
     in
     let epoch = ref 0 in
     let epoch_ns = el * 20 in
-    rate ~budget (fun () ->
-        let time = Hft_sim.Time.of_ns (!epoch * epoch_ns) in
-        Hft_obs.Recorder.emit rec_ ~time ~source:"primary"
-          (Hft_obs.Event.Epoch_begin { epoch = !epoch });
-        let r = Cpu.run cpu ~fuel:(el + 8) in
-        (match r.Cpu.stop with
-        | Cpu.Recovery -> ()
-        | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
-        let time = Hft_sim.Time.of_ns (((!epoch + 1) * epoch_ns) - 1) in
-        Hft_obs.Recorder.emit rec_ ~time ~source:"primary"
-          (Hft_obs.Event.Epoch_end { epoch = !epoch; interrupts = 0 });
-        incr epoch;
-        Cpu.set_recovery cpu el;
-        1)
+    fun () ->
+      let time = Hft_sim.Time.of_ns (!epoch * epoch_ns) in
+      Hft_obs.Recorder.emit rec_ ~time ~source:"primary"
+        (Hft_obs.Event.Epoch_begin { epoch = !epoch });
+      let r = Cpu.run cpu ~fuel:(el + 8) in
+      (match r.Cpu.stop with
+      | Cpu.Recovery -> ()
+      | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
+      let time = Hft_sim.Time.of_ns (((!epoch + 1) * epoch_ns) - 1) in
+      Hft_obs.Recorder.emit rec_ ~time ~source:"primary"
+        (Hft_obs.Event.Epoch_end { epoch = !epoch; interrupts = 0 });
+      incr epoch;
+      Cpu.set_recovery cpu el;
+      1
+  in
+  let plain, metrics_rate =
+    rate_pair ~budget (epoch_step ~el No_hash) metrics_step
   in
   (metrics_rate, plain /. metrics_rate)
 
@@ -367,9 +371,17 @@ let run ?(quick = false) () =
   let epoch_points =
     List.map
       (fun el ->
-        let no_hash = bench_epochs ~budget ~el No_hash in
-        let incremental = bench_epochs ~budget ~el Incremental in
-        let full = bench_epochs ~budget ~el Full_rehash in
+        (* the three modes in rotation, so each ratio's two sides
+           alternate *)
+        let r =
+          rates ~budget
+            [|
+              epoch_step ~el No_hash;
+              epoch_step ~el Incremental;
+              epoch_step ~el Full_rehash;
+            |]
+        in
+        let no_hash = r.(0) and incremental = r.(1) and full = r.(2) in
         let ns per_sec = 1e9 /. per_sec in
         {
           el;
@@ -398,10 +410,7 @@ let run ?(quick = false) () =
         digest_match ) =
     bench_translation ~budget plain manifest
   in
-  let ( loop_bound_coverage,
-        loop_interp_per_sec,
-        loop_threaded_per_sec,
-        loop_digest_match ) =
+  let loop_interp_per_sec, loop_threaded_per_sec, loop_digest_match =
     bench_loop ~budget
   in
   let metrics_epochs_per_sec, metrics_overhead =
@@ -435,7 +444,6 @@ let run ?(quick = false) () =
     threaded_fraction;
     validator_overhead = interp_v /. validated_instrs_per_sec;
     digest_match;
-    loop_bound_coverage;
     loop_interp_per_sec;
     loop_threaded_per_sec;
     loop_digest_match;
@@ -456,7 +464,7 @@ let to_json t =
   let e = J.significant 5 and f = J.fixed in
   J.Obj
     [
-      ("schema", J.Str "hftsim-bench-core/6");
+      ("schema", J.Str "hftsim-bench-core/7");
       ("quick", J.Bool t.quick);
       ("interpreter", J.Obj [ ("instrs_per_sec", e t.instrs_per_sec) ]);
       ( "epoch_boundaries",
@@ -499,7 +507,6 @@ let to_json t =
       ( "loop_workload",
         J.Obj
           [
-            ("loop_bound_coverage", f 4 t.loop_bound_coverage);
             ("interp_instrs_per_sec", e t.loop_interp_per_sec);
             ("threaded_instrs_per_sec", e t.loop_threaded_per_sec);
             ("digest_match", J.Bool t.loop_digest_match);
@@ -561,9 +568,7 @@ let report ?out t =
     (100.0 *. t.threaded_fraction)
     (if t.digest_match then "match" else "DIVERGED");
   Format.fprintf out
-    "loop workload  : %.1f%% bounds; %.1f M interp, %.1f M threaded \
-     instrs/sec, digests %s@."
-    (100.0 *. t.loop_bound_coverage)
+    "loop workload  : %.1f M interp, %.1f M threaded instrs/sec, digests %s@."
     (t.loop_interp_per_sec /. 1e6)
     (t.loop_threaded_per_sec /. 1e6)
     (if t.loop_digest_match then "match" else "DIVERGED");

@@ -8,6 +8,9 @@
     changes can show their speedup or regression against this PR's
     trajectory. *)
 
+(** The three hashing modes at one epoch length, each rate the best of
+    three windows taken in rotation with the other two modes' (A B C A
+    B C A B C), so both ratios below compare interleaved sides. *)
 type epoch_point = {
   el : int;
   no_hash_per_sec : float;
@@ -72,12 +75,10 @@ type t = {
       (** the interpreter and the threaded backend landed in the
           identical architectural state after a fixed fuel-sliced run;
           a [false] here invalidates the speedup and fails CI *)
-  loop_bound_coverage : float;
-      (** fraction of the loop workload's natural loops with a
-          certified trip bound (one of its two loops, by design) *)
   loop_interp_per_sec : float;
   loop_threaded_per_sec : float;
-      (** loop-workload rate with the translation cache armed *)
+      (** loop-workload rate with the translation cache armed, in
+          windows alternating with [loop_interp_per_sec]'s *)
   loop_digest_match : bool;
       (** interpreter vs threaded backend on the loop workload after a
           fixed fuel-sliced run; [false] fails CI *)
@@ -86,8 +87,9 @@ type t = {
           windowed metrics registry and an epoch event pair emitted
           per boundary — the aggregated-metrics deployment shape *)
   metrics_overhead : float;
-      (** plain no-hash epoch rate over [metrics_epochs_per_sec]; CI
-          gates this <= 1.05 (metrics must cost <= 5%) *)
+      (** plain no-hash epoch rate over [metrics_epochs_per_sec], the
+          two measured in alternating windows; CI gates this <= 1.05
+          (metrics must cost <= 5%) *)
   profiled_instrs_per_sec : float;
       (** interpreter rate with the per-address retirement counters
           armed ({!Hft_machine.Cpu.install_profile}) *)
@@ -115,7 +117,7 @@ val point : t -> int -> epoch_point option
 (** The measurement at a given epoch length, if it was taken. *)
 
 val to_json : t -> Hft_obs.Json.t
-(** The [hftsim-bench-core/6] document ([hftsim bench --json]). *)
+(** The [hftsim-bench-core/7] document ([hftsim bench --json]). *)
 
 val report : ?out:Format.formatter -> t -> unit
 (** Human-readable rendering via {!Report.table}. *)

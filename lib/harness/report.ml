@@ -191,14 +191,6 @@ let heat ?(out = std) r =
     r.Hft_obs.Profile.attributed r.Hft_obs.Profile.total
     (100.0 *. Hft_obs.Profile.coverage r)
 
-let wcet_slack ?(out = std) slack =
-  let open Hft_analysis in
-  table ~out ~title:"WCET slack (certified bound vs observed max)"
-    ~header:Slack.table_header (Slack.table_rows slack);
-  List.iter
-    (fun v -> Format.fprintf out "VIOLATION: %s@." v)
-    (Slack.violations slack)
-
 let certification ?(out = std) stats =
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
   let covered = sum (fun s -> s.Hft_core.Stats.certified_instructions) in

@@ -79,13 +79,6 @@ val heat : ?out:Format.formatter -> Hft_obs.Profile.report -> unit
 (** The guest hot-spot table ({!Hft_obs.Profile.heat_table}) plus an
     attribution-coverage line.  Used by [hftsim profile]. *)
 
-val wcet_slack : ?out:Format.formatter -> Hft_analysis.Slack.t -> unit
-(** The WCET-vs-actual table ({!Hft_analysis.Slack.table_rows}) —
-    certified bound, observed max, slack and used fraction per
-    certified superblock and bounded loop — followed by one VIOLATION
-    line per observed-exceeds-certified breach (none on a valid
-    manifest). *)
-
 val certification : ?out:Format.formatter -> Hft_core.Stats.t list -> unit
 (** One line summing the runtime certificate validator's coverage
     (instructions executed inside certified superblocks vs all

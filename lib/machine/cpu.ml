@@ -173,7 +173,7 @@ let image_of code =
    One immutable record per code address holds everything the
    validator reads there: the address's own certificates, its basic
    block's straight-line run from the address to the block's end, and
-   its region's and loop's head and bound.  Built once per manifest and
+   its region's head and bound.  Built once per manifest and
    deprivileging and shared by every CPU armed from them, so it is
    packed: flags in one word, and each pair of 16-register masks in
    one word, the registers read in the low half and those written in
@@ -192,8 +192,6 @@ type vrec = {
          tight window may execute from here *)
   r_region : int;  (* certified superblock id, -1 outside *)
   r_rbound : int;  (* the superblock's instruction bound, max_int if none *)
-  r_loop : int;  (* innermost bounded-loop id, -1 outside *)
-  r_lbound : int;  (* the loop's certified max header visits *)
 }
 
 let f_det = 0x10  (* inside a [Deterministic]-certified block *)
@@ -203,7 +201,6 @@ let f_window = 0x20
    instruction and its strict suffix holds no hazard *)
 
 let f_rhead = 0x40  (* the address is its superblock's head *)
-let f_lhead = 0x80  (* the address is its loop's header *)
 
 (* the hazards, which need their own check inside a Deterministic
    block: a Probe, and a Tlbw under random replacement *)
@@ -214,7 +211,7 @@ let[@inline] has r f = r.r_flags land f <> 0
 let[@inline] reads m = m land 0xFFFF
 let[@inline] writes m = m lsr 16
 
-type vtables = { vt_recs : vrec array; vt_regions : int; vt_loops : int }
+type vtables = { vt_recs : vrec array; vt_regions : int }
 
 (* Runtime certificate validator (the dynamic oracle for the static
    analyzer's compilation manifest): shared tables plus this CPU's run
@@ -224,14 +221,12 @@ type vtables = { vt_recs : vrec array; vt_regions : int; vt_loops : int }
 type validator = {
   v_origin : origin option;  (* what built the tables, for [rearm_validator] *)
   v_tab : vtables;
-  (* observed maxima, the dynamic side of the WCET-slack join: highest
-     in-region instruction count per superblock and highest header
-     visit count per bounded loop actually seen.  Same undercounting
-     stance as the checks themselves — threaded excursions reset the
-     running counts, so the recorded maxima never exceed what the
-     interpreter demonstrably executed. *)
+  (* observed maxima: the highest in-region instruction count per
+     superblock actually seen.  Same undercounting stance as the check
+     itself — threaded excursions reset the running count, so the
+     recorded maxima never exceed what the interpreter demonstrably
+     executed. *)
   v_rmax : int array;
-  v_lmax : int array;
   mutable v_skip_from : int;    (* current validated window, [from, until) *)
   mutable v_skip_until : int;
   mutable v_open_at : int;
@@ -241,8 +236,6 @@ type validator = {
   mutable v_written : int;      (* registers written since boot/trap/restore *)
   mutable v_cur_region : int;
   mutable v_rcount : int;
-  mutable v_cur_loop : int;     (* loop the pc has stayed inside, -1 none *)
-  mutable v_lcount : int;       (* header visits since entering it *)
   mutable v_covered : int;      (* completed instrs inside certified regions *)
   mutable v_checked : int;      (* completed instrs while validating *)
   mutable v_windows : int;      (* deferred windows opened *)
@@ -300,15 +293,12 @@ type t = {
    would start a fresh CPU with. *)
 let reset_validator v =
   Array.fill v.v_rmax 0 (Array.length v.v_rmax) 0;
-  Array.fill v.v_lmax 0 (Array.length v.v_lmax) 0;
   v.v_skip_from <- 0;
   v.v_skip_until <- 0;
   v.v_open_at <- -1;
   v.v_written <- 1;
   v.v_cur_region <- -1;
   v.v_rcount <- 0;
-  v.v_cur_loop <- -1;
-  v.v_lcount <- 0;
   v.v_covered <- 0;
   v.v_checked <- 0;
   v.v_windows <- 0;
@@ -408,24 +398,14 @@ let code_hash t =
     t.image.i_hash <- Some h;
     h
 
-let validator_tables ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) ~code
-    ~priv_ok ~det ~uses ~def ~region ~rhead ~rbound ~random_tlb () =
+let validator_tables ?blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
+    ~rbound ~random_tlb () =
   let n = Array.length code in
   if
     Array.length priv_ok <> n || Array.length det <> n
     || Array.length uses <> n || Array.length def <> n
     || Array.length region <> n
   then invalid_arg "Cpu.validator_tables: table length mismatch";
-  let loop_of =
-    match loop_of with
-    | Some l ->
-      if Array.length l <> n then
-        invalid_arg "Cpu.validator_tables: loop_of length mismatch";
-      l
-    | None -> Array.make n (-1)
-  in
-  if Array.length lhead <> Array.length lbound then
-    invalid_arg "Cpu.validator_tables: loop table length mismatch";
   if Array.length rhead <> Array.length rbound then
     invalid_arg "Cpu.validator_tables: region table length mismatch";
   let run_end =
@@ -474,7 +454,7 @@ let validator_tables ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) ~code
     end
   done;
   let record a =
-    let e = run_end.(a) and rg = region.(a) and l = loop_of.(a) in
+    let e = run_end.(a) and rg = region.(a) in
     let flag b f = if b then f else 0 in
     {
       r_flags =
@@ -482,7 +462,6 @@ let validator_tables ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) ~code
         lor flag det.(a) f_det
         lor flag (e > a + 1 && not run_hazard.(a)) f_window
         lor flag (rg >= 0 && rhead.(rg) = a) f_rhead
-        lor flag (l >= 0 && lhead.(l) = a) f_lhead
         lor hazard a;
       r_regs = uses.(a) lor (def.(a) lsl 16);
       r_run_regs = ubd.(a) lor (run_def.(a) lsl 16);
@@ -490,15 +469,9 @@ let validator_tables ?blk_end ?loop_of ?(lhead = [||]) ?(lbound = [||]) ~code
       r_straight = straight.(a);
       r_region = rg;
       r_rbound = (if rg >= 0 then rbound.(rg) else max_int);
-      r_loop = l;
-      r_lbound = (if l >= 0 then lbound.(l) else 0);
     }
   in
-  {
-    vt_recs = Array.init n record;
-    vt_regions = Array.length rhead;
-    vt_loops = Array.length lhead;
-  }
+  { vt_recs = Array.init n record; vt_regions = Array.length rhead }
 
 let install_validator ?origin t tables =
   if Array.length tables.vt_recs <> Array.length t.code then
@@ -510,15 +483,12 @@ let install_validator ?origin t tables =
         v_origin = origin;
         v_tab = tables;
         v_rmax = Array.make (max tables.vt_regions 1) 0;
-        v_lmax = Array.make (max tables.vt_loops 1) 0;
         v_skip_from = 0;
         v_skip_until = 0;
         v_open_at = -1;
         v_written = 1;
         v_cur_region = -1;
         v_rcount = 0;
-        v_cur_loop = -1;
-        v_lcount = 0;
         v_covered = 0;
         v_checked = 0;
         v_windows = 0;
@@ -560,10 +530,7 @@ let window_instrs t =
 let observed_bounds t =
   match t.validator with
   | None -> None
-  | Some v ->
-    Some
-      ( Array.sub v.v_rmax 0 v.v_tab.vt_regions,
-        Array.sub v.v_lmax 0 v.v_tab.vt_loops )
+  | Some v -> Some (Array.sub v.v_rmax 0 v.v_tab.vt_regions)
 
 (* The architectural events that legitimately reset the validator's
    path-sensitive state: trap delivery enters a root whose context the
@@ -574,8 +541,7 @@ let validator_amnesty t =
   | None -> ()
   | Some v ->
     v.v_written <- -1;
-    v.v_cur_region <- -1;
-    v.v_cur_loop <- -1
+    v.v_cur_region <- -1
 
 let compile_translation t plan =
   t.plan <- Some plan;
@@ -927,14 +893,6 @@ let[@inline never] region_exceeded pc0 r count =
            superblock bounded at %d"
           count r.r_rbound))
 
-let[@inline never] loop_exceeded pc0 r count =
-  raise
-    (cert_viol pc0
-       (Printf.sprintf
-          "loop-bound certificate exceeded: %d iterations of a loop bounded \
-           at %d"
-          count r.r_lbound))
-
 (* the registers a window closed early wrote *)
 let[@inline never] prefix_def recs pc0 n =
   let d = ref 0 in
@@ -944,23 +902,17 @@ let[@inline never] prefix_def recs pc0 n =
   !d
 
 (* Post-completion bookkeeping for [n] consecutive completions starting
-   at [pc0] inside one basic block: definition tracking, coverage, the
-   per-superblock instruction bound and the loop-bound header count.
-   The per-instruction path credits [n = 1]; a deferred window credits
-   its whole completed prefix when it closes.  Crediting a run at once
-   equals crediting it instruction by instruction because of two facts
-   [Manifest.arm_validator] guarantees: region and loop ids are uniform
-   per block (so the region and loop transitions happen at [pc0] or not
-   at all), and region heads and loop headers are block leaders (so
-   inside the run only [pc0] can be one).  Arms that stop the processor
-   raise before the shared completion point and are charged by their
-   executor instead — undercounting the region, never overcounting.
-
-   Loop-bound certificates count header visits for as long as the pc
-   stays inside one bounded loop.  Leaving the loop (or moving to a
-   different innermost loop) resets the count, so re-entries and
-   outer-loop iterations each get a fresh allowance — undercounting
-   like the region check, never overcounting. *)
+   at [pc0] inside one basic block: definition tracking, coverage and
+   the per-superblock instruction bound.  The per-instruction path
+   credits [n = 1]; a deferred window credits its whole completed
+   prefix when it closes.  Crediting a run at once equals crediting it
+   instruction by instruction because of two facts
+   [Manifest.arm_validator] guarantees: region ids are uniform per
+   block (so the region transition happens at [pc0] or not at all),
+   and region heads are block leaders (so inside the run only [pc0] can
+   be one).  Arms that stop the processor raise before the shared
+   completion point and are charged by their executor instead —
+   undercounting the region, never overcounting. *)
 let[@inline] credit v pc0 n =
   let recs = v.v_tab.vt_recs in
   let r = recs.(pc0) in
@@ -982,20 +934,6 @@ let[@inline] credit v pc0 n =
     v.v_covered <- v.v_covered + n;
     if c > v.v_rmax.(rg) then v.v_rmax.(rg) <- c;
     if c > r.r_rbound then region_exceeded pc0 r c
-  end;
-  let l = r.r_loop in
-  if l < 0 then v.v_cur_loop <- -1
-  else begin
-    if l <> v.v_cur_loop then begin
-      v.v_cur_loop <- l;
-      v.v_lcount <- 0
-    end;
-    if has r f_lhead then begin
-      let c = v.v_lcount + 1 in
-      v.v_lcount <- c;
-      if c > v.v_lmax.(l) then v.v_lmax.(l) <- c;
-      if c > r.r_lbound then loop_exceeded pc0 r c
-    end
   end
 
 let[@inline never] credit_one v pc = credit v pc 1
@@ -1025,11 +963,10 @@ let[@inline never] close_window_slow v executed = close_window v executed
    The window's post side is deferred to its close too when no
    completion inside it can raise: the region count after the
    transition at [pc] plus the window length stays within the region
-   bound, and one more header visit (only [pc] can be the header) stays
-   within the loop bound.  Otherwise the loop credits each completion
-   on its own.  A window is closed when the pc leaves it or comes back
-   to its head, and by status changes, threaded entries, a [Wfi] and
-   the end of [run]; a [Jr] ends it, so a computed jump into the middle
+   bound.  Otherwise the loop credits each completion on its own.  A
+   window is closed when the pc leaves it or comes back to its head,
+   and by status changes, threaded entries, a [Wfi] and the end of
+   [run]; a [Jr] ends it, so a computed jump into the middle
    of its own block closes it too.  Every close therefore credits at
    most the window's length, so closing a deferred window never
    raises.
@@ -1050,13 +987,8 @@ let[@inline] enter_block v pc spriv executed =
     let rcount =
       if r.r_region <> v.v_cur_region || has r f_rhead then 0 else v.v_rcount
     in
-    let lcount = if r.r_loop <> v.v_cur_loop then 0 else v.v_lcount in
-    (* outside a region the bound is [max_int], outside a bounded loop
-       no address is a header *)
-    if
-      rcount + (e - pc) <= r.r_rbound
-      && ((not (has r f_lhead)) || lcount < r.r_lbound)
-    then begin
+    (* outside a region the bound is [max_int] *)
+    if rcount + (e - pc) <= r.r_rbound then begin
       v.v_open_at <- executed;
       v.v_windows <- v.v_windows + 1;
       r.r_straight
@@ -1198,7 +1130,6 @@ let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
       v.v_covered <- v.v_covered + d;
       v.v_written <- v.v_written lor e.Translate.e_def;
       v.v_cur_region <- -1;
-      v.v_cur_loop <- -1;
       v.v_skip_from <- 0;
       v.v_skip_until <- 0);
     d
@@ -1474,7 +1405,7 @@ type saved = {
          then the validator's scalars and the translation's counters *)
   sv_mem : Memory.saved;
   sv_tlb : Tlb.saved;
-  sv_vmax : int array;  (* the validator's [v_rmax], then its [v_lmax] *)
+  sv_vmax : int array;  (* the validator's [v_rmax] *)
   sv_prof : int array option;
 }
 
@@ -1482,7 +1413,7 @@ type saved = {
    offsets; an absent validator or translation saves zeros. *)
 let o_pc = Isa.num_regs + Isa.num_crs
 let o_validator = o_pc + 3
-let o_trans = o_validator + 12
+let o_trans = o_validator + 10
 let n_ints = o_trans + 8
 
 let save_ints t a =
@@ -1500,13 +1431,11 @@ let save_ints t a =
     a.(o + 3) <- v.v_written;
     a.(o + 4) <- v.v_cur_region;
     a.(o + 5) <- v.v_rcount;
-    a.(o + 6) <- v.v_cur_loop;
-    a.(o + 7) <- v.v_lcount;
-    a.(o + 8) <- v.v_covered;
-    a.(o + 9) <- v.v_checked;
-    a.(o + 10) <- v.v_windows;
-    a.(o + 11) <- v.v_window_instrs
-  | None -> Array.fill a o_validator 12 0);
+    a.(o + 6) <- v.v_covered;
+    a.(o + 7) <- v.v_checked;
+    a.(o + 8) <- v.v_windows;
+    a.(o + 9) <- v.v_window_instrs
+  | None -> Array.fill a o_validator 10 0);
   match t.trans with
   | Some tx ->
     let o = o_trans in
@@ -1535,12 +1464,10 @@ let restore_ints t a =
     v.v_written <- a.(o + 3);
     v.v_cur_region <- a.(o + 4);
     v.v_rcount <- a.(o + 5);
-    v.v_cur_loop <- a.(o + 6);
-    v.v_lcount <- a.(o + 7);
-    v.v_covered <- a.(o + 8);
-    v.v_checked <- a.(o + 9);
-    v.v_windows <- a.(o + 10);
-    v.v_window_instrs <- a.(o + 11)
+    v.v_covered <- a.(o + 6);
+    v.v_checked <- a.(o + 7);
+    v.v_windows <- a.(o + 8);
+    v.v_window_instrs <- a.(o + 9)
   | None -> ());
   match t.trans with
   | Some tx ->
@@ -1559,14 +1486,11 @@ let restore_ints t a =
 let save_vmax prev = function
   | None -> [||]
   | Some v ->
-    let nr = Array.length v.v_rmax in
     let rec same i =
-      i = Array.length prev
-      || prev.(i) = (if i < nr then v.v_rmax.(i) else v.v_lmax.(i - nr))
-         && same (i + 1)
+      i = Array.length prev || (prev.(i) = v.v_rmax.(i) && same (i + 1))
     in
-    if Array.length prev = nr + Array.length v.v_lmax && same 0 then prev
-    else Array.append v.v_rmax v.v_lmax
+    if Array.length prev = Array.length v.v_rmax && same 0 then prev
+    else Array.copy v.v_rmax
 
 let save ?like ?into t =
   let ints = match into with Some a -> a | None -> Array.make n_ints 0 in
@@ -1590,10 +1514,7 @@ let restore_saved t s =
   Tlb.restore t.tlb_state s.sv_tlb;
   (match t.validator with
   | None -> ()
-  | Some v ->
-    let nr = Array.length v.v_rmax in
-    Array.blit s.sv_vmax 0 v.v_rmax 0 nr;
-    Array.blit s.sv_vmax nr v.v_lmax 0 (Array.length v.v_lmax));
+  | Some v -> Array.blit s.sv_vmax 0 v.v_rmax 0 (Array.length v.v_rmax));
   match (t.prof, s.sv_prof) with
   | Some p, Some sp -> Array.blit sp 0 p 0 (Array.length p)
   | _ -> ()

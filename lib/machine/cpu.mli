@@ -140,9 +140,6 @@ type vtables
 
 val validator_tables :
   ?blk_end:int array ->
-  ?loop_of:int array ->
-  ?lhead:int array ->
-  ?lbound:int array ->
   code:Isa.instr array ->
   priv_ok:int array ->
   det:bool array ->
@@ -171,21 +168,11 @@ val validator_tables :
     block; when given, the per-instruction pre-dispatch checks hoist
     into one per-block check that certifies a skip window over the
     block's straight-line run, and a window whose completions cannot
-    trip a region or loop bound is credited once, when it closes, and
-    its ordinary instructions run as one tight loop.  That is exact
-    only if region and loop ids are uniform per block and every region
-    head and loop header is a block leader, as the manifest's tables
-    are.  Without [blk_end] every window is a singleton and checking
-    is exactly per-instruction.
-
-    [loop_of]/[lhead]/[lbound] arm the loop-bound certificates:
-    [loop_of] maps each address to its innermost {e bounded} loop (or
-    [-1]), [lhead] that loop's header address and [lbound] its
-    certified worst-case header visits per entry.  The validator
-    counts header visits while the pc stays inside one loop's
-    addresses — any excursion resets the count, so the dynamic check
-    undercounts and never falsely trips — and stops with
-    {!stop.Cert_violation} when a count exceeds its bound.
+    trip a region bound is credited once, when it closes, and its
+    ordinary instructions run as one tight loop.  That is exact only if
+    region ids are uniform per block and every region head is a block
+    leader, as the manifest's tables are.  Without [blk_end] every
+    window is a singleton and checking is exactly per-instruction.
     @raise Invalid_argument on a table length mismatch, or a register
     mask with a bit beyond the 16 registers. *)
 
@@ -204,7 +191,7 @@ val install_validator : ?origin:origin -> t -> vtables -> unit
 val rearm_validator : t -> (origin -> bool) -> bool
 (** [rearm_validator t same] arms the validator inherited from the
     CPU [t] was recycled from, with fresh per-run state (written set,
-    region and loop counters, observed maxima, coverage), when [same]
+    region counter, observed maxima, coverage), when [same]
     accepts the origin it was installed with; returns whether it did.
     The inheritance is spent either way: a later call returns
     [false]. *)
@@ -237,16 +224,13 @@ val window_instrs : t -> int
     the share of the interpreter's work that ran without
     per-instruction checks. *)
 
-val observed_bounds : t -> (int array * int array) option
-(** Per-certified-superblock and per-bounded-loop observed maxima, in
-    the same index order as [rhead]/[rbound] and [lhead]/[lbound] were
-    supplied to {!validator_tables}: the largest per-entry instruction
-    count each superblock actually reached, and the largest header-visit
-    count each bounded loop actually reached.  Joined against the static
-    WCET certificates this yields the per-region slack report.  The
-    dynamic counters undercount by design (excursions reset them), so
-    observed [<=] certified always holds on a valid manifest.  [None]
-    when no validator is installed. *)
+val observed_bounds : t -> int array option
+(** Per-certified-superblock observed maxima, in the same index order
+    as [rhead]/[rbound] were supplied to {!validator_tables}: the
+    largest per-entry instruction count each superblock actually
+    reached.  The dynamic counter undercounts by design (excursions
+    reset it), so observed [<=] certified always holds on a valid
+    manifest.  [None] when no validator is installed. *)
 
 val install_translation :
   ?origin:origin -> t -> Translate.plan_region list -> unit

@@ -1,5 +1,6 @@
 (* Static analyzer tests: CFG recovery, the three checkers
-   (privilege, determinism, epoch), symbol/srcline survival through
+   (privilege, determinism, epoch), value-set widening on a
+   many-iteration loop, symbol/srcline survival through
    rewriting and the image format, and a seeded encoder round-trip
    property. *)
 
@@ -349,6 +350,50 @@ let test_encode_roundtrip () =
   Alcotest.(check bool) "program round trip" true
     (Array.for_all2 Isa.equal prog back)
 
+(* ---------- widening ---------- *)
+
+let test_widening_keeps_determinism () =
+  (* 4000 iterations of a load through a pointer that is itself the
+     guarded induction variable: under the old fixed iteration cap the
+     solver gave up before the range converged and the pointer's value
+     set snapped to the extremes, the load could no longer be proven
+     below the MMIO window, and the block lost [Deterministic].
+     Branch-edge refinement pins the back-edge range below the limit
+     and the threshold ladder converges without the cap. *)
+  let iters = 4_000 in
+  let base = 0x1000 in
+  let code =
+    Isa.
+      [|
+        Ldi (4, base);
+        Ldi (3, base + iters);
+        Ld (5, 4, 0);
+        Alui (Add, 4, 4, 1);
+        Br (Ltu, 4, 3, 2);
+        Halt;
+      |]
+  in
+  let m = Manifest.of_code code in
+  let body =
+    match
+      List.find_opt (fun (b : Manifest.block) -> b.leader = 2) m.blocks
+    with
+    | Some b -> b
+    | None -> Alcotest.fail "loop body block missing"
+  in
+  Alcotest.(check bool)
+    "load through the advancing pointer stays Deterministic" true
+    (List.mem Manifest.Deterministic body.Manifest.certs);
+  (* and the dynamic oracle agrees: a full validated run is silent *)
+  let c = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:false c;
+  (match (Cpu.run c ~fuel:1_000_000).Cpu.stop with
+  | Cpu.Stop_halt -> ()
+  | s -> Alcotest.failf "unexpected stop %a" Cpu.pp_stop s);
+  Alcotest.(check int)
+    "ran to completion" (base + iters)
+    (Word.signed (Cpu.reg c 4))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -365,6 +410,11 @@ let () =
         ] );
       ( "absint",
         [ Alcotest.test_case "constant folding" `Quick test_const_fold ] );
+      ( "widening",
+        [
+          Alcotest.test_case "many-iteration loop keeps Deterministic" `Quick
+            test_widening_keeps_determinism;
+        ] );
       ( "checkers",
         [
           Alcotest.test_case "deliberately broken image" `Quick

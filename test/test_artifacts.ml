@@ -111,13 +111,13 @@ let test_every_emitter d =
         (what ^ ": schema") (Some expected) (str_member "schema" v)
     | [] -> Alcotest.failf "%s: empty" what
   in
-  schema "lint/3" `Pretty "lint.json" "hftsim-lint/3";
-  schema "manifest/2" `Pretty "manifest.json" "hftsim-manifest/2";
+  schema "lint/4" `Pretty "lint.json" "hftsim-lint/4";
+  schema "manifest/3" `Pretty "manifest.json" "hftsim-manifest/3";
   schema "manifest-set/1" `Pretty "set.json" "hftsim-manifest-set/1";
   schema "chaos/1" `Pretty "chaos.json" "hftsim-chaos/1";
   schema "metrics/2" `Pretty "metrics.json" "hftsim-metrics/2";
   schema "trace/1" `Lines "trace.jsonl" "hftsim-trace/1";
-  schema "bench-core/6" `Pretty "bench.json" "hftsim-bench-core/6";
+  schema "bench-core/7" `Pretty "bench.json" "hftsim-bench-core/7";
   (match round_trip "SARIF" `Pretty (read (f "lint.sarif")) with
   | [ v ] ->
     Alcotest.(check (option string)) "SARIF version" (Some "2.1.0")
@@ -161,11 +161,11 @@ let test_hostile_title d =
       (Some v) path
     |> Fun.flip Option.bind Json.to_string_opt
   in
-  (match round_trip "lint/3" `Pretty (read json) with
+  (match round_trip "lint/4" `Pretty (read json) with
   | [ v ] ->
     Alcotest.(check (option string)) "lint title" (Some img)
       (title_of [ `M "images"; `First; `M "title" ] v)
-  | _ -> Alcotest.fail "lint/3: not one document");
+  | _ -> Alcotest.fail "lint/4: not one document");
   match round_trip "SARIF" `Pretty (read sarif) with
   | [ v ] ->
     Alcotest.(check (option string)) "SARIF artifact uri" (Some img)
@@ -178,6 +178,8 @@ let test_hostile_title d =
   | _ -> Alcotest.fail "SARIF: not one document"
 
 let fixed_point what j =
+  Alcotest.(check (option string)) (what ^ ": schema")
+    (Some "hftsim-manifest/3") (str_member "schema" j);
   match Manifest.of_json j with
   | Error e -> Alcotest.failf "%s: of_json: %s" what e
   | Ok m ->

@@ -222,15 +222,15 @@ let test_rearm_shares_no_run_state () =
         (covered, checked)
     | None -> Alcotest.failf "%s: validator not armed" how);
     match Cpu.observed_bounds c with
-    | Some (rmax, lmax) ->
+    | Some rmax ->
       Alcotest.(check bool) (how ^ ": observed bounds") true
-        (Array.for_all (( = ) 0) rmax && Array.for_all (( = ) 0) lmax)
+        (Array.for_all (( = ) 0) rmax)
     | None -> Alcotest.failf "%s: validator not armed" how
   in
   let a = armed () and b = armed () in
   ignore (Cpu.run a ~fuel:5_000);
   (match Cpu.observed_bounds a with
-  | Some (rmax, _) when Array.exists (fun x -> x > 0) rmax -> ()
+  | Some rmax when Array.exists (fun x -> x > 0) rmax -> ()
   | _ -> Alcotest.fail "the run observed no region");
   zero "idle twin" b;
   let r = Cpu.create ~recycle:a ~code () in
@@ -388,15 +388,17 @@ let test_domtree_loop () =
         [ ldi r1 4; label "lp"; subi r1 r1 1; bne r1 r0 (lbl "lp"); halt ])
   in
   let _cfg, dom, _sb = analyze p in
-  let header = dom.Domtree.block_of.(1) in
-  Alcotest.(check (list int)) "one natural-loop header" [ header ]
-    (Domtree.loop_headers dom);
-  match Domtree.back_edges dom with
-  | [ (u, h) ] ->
-    Alcotest.(check int) "back edge targets the header" header h;
-    Alcotest.(check bool) "header dominates the latch" true
-      (Domtree.dominates dom h u)
-  | es -> Alcotest.failf "expected one back edge, got %d" (List.length es)
+  (* the loop is one block, [1, 3), that branches back to itself *)
+  let b_of a = dom.Domtree.block_of.(a) in
+  let entry = b_of 0 and header = b_of 1 and exit = b_of 3 in
+  Alcotest.(check int) "the latch is the header" header (b_of 2);
+  Alcotest.(check bool) "the back edge is a block edge" true
+    (List.mem header dom.Domtree.bsuccs.(header));
+  Alcotest.(check int) "idom(header) = entry" entry dom.Domtree.idom.(header);
+  Alcotest.(check bool) "header dominates the exit" true
+    (Domtree.dominates dom header exit);
+  Alcotest.(check bool) "the exit does not dominate the header" false
+    (Domtree.dominates dom exit header)
 
 (* ---------- value-set analysis ---------- *)
 
@@ -630,8 +632,8 @@ let stop_name s = Format.asprintf "%a" Cpu.pp_stop s
    coverage, the observed maxima and the per-address profile; at the
    end the blocked CPU must have run tight windows.  Returns the
    terminal stop and the observed maxima. *)
-let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
-    ?lbound ?config ?(setup = ignore) ?rc ?(profile = false)
+let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?config
+    ?(setup = ignore) ?rc ?(profile = false)
     ?(map = fun vpage -> { Tlb.vpage; ppage = vpage; user_ok = true;
                            writable = true }) ~slices () =
   let n = Array.length code in
@@ -646,9 +648,8 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
   let arm ?blk_end () =
     let c = Cpu.create ?config ~code () in
     Cpu.install_validator c
-      (Cpu.validator_tables ?blk_end ?loop_of ?lhead ?lbound ~code
-         ~priv_ok:(Array.make n 0xf) ~det ~uses ~def ~region ~rhead ~rbound
-         ~random_tlb:false ());
+      (Cpu.validator_tables ?blk_end ~code ~priv_ok:(Array.make n 0xf) ~det
+         ~uses ~def ~region ~rhead ~rbound ~random_tlb:false ());
     setup c;
     Option.iter (Cpu.set_recovery c) rc;
     if profile then Cpu.install_profile c;
@@ -673,7 +674,7 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?loop_of ?lhead
       (Cpu.state_hash ~full:true blocked);
     Alcotest.(check (option (pair int int))) (what ^ "coverage")
       (coverage single) (coverage blocked);
-    Alcotest.(check (option (pair (array int) (array int))))
+    Alcotest.(check (option (array int)))
       (what ^ "observed maxima")
       (Cpu.observed_bounds single)
       (Cpu.observed_bounds blocked);
@@ -736,23 +737,13 @@ let test_deferred_region_bound () =
   expect_violation "region bound" r ~addr:4
     ~msg:"9 instructions inside a superblock bounded at 8"
 
-let test_deferred_loop_bound () =
-  let r =
-    run_twins ~code:twin_loop_code ~blk_end:twin_loop_blk_end
-      ~region:(Array.make 6 (-1)) ~rhead:[||] ~rbound:[||]
-      ~loop_of:[| -1; -1; 0; 0; 0; 0 |] ~lhead:[| 2 |] ~lbound:[| 3 |]
-      ~slices:[ 100 ] ()
-  in
-  expect_violation "loop bound" r ~addr:2
-    ~msg:"4 iterations of a loop bounded at 3"
-
 (* enough memory for the twins' stores, small enough to hash after
    every slice *)
 let small_memory = { Cpu.default_config with Cpu.mem_words = 1 lsl 12 }
 
 let test_deferred_odd_slices () =
-  (* a counted loop over a store, under generous region and loop
-     bounds, in fuel slices that keep ending mid-block *)
+  (* a counted loop over a store, under a generous region bound, in
+     fuel slices that keep ending mid-block *)
   let code =
     Isa.
       [|
@@ -767,21 +758,18 @@ let test_deferred_odd_slices () =
         Halt;
       |]
   in
-  let loop_of = [| -1; -1; -1; 0; 0; 0; 0; -1; -1 |] in
   (* every slice length up to the loop block's 4, and recovery counters
      that expire at every offset inside it, with and without the
      profiler *)
   List.iter
     (fun (slices, rc, profile) ->
-      let stop, (rmax, lmax) =
+      let stop, rmax =
         run_twins ~code ~blk_end:[| 3; 3; 3; 7; 7; 7; 7; 9; 9 |]
-          ~region:(Array.make 9 0) ~rhead:[| 0 |] ~rbound:[| 1000 |] ~loop_of
-          ~lhead:[| 3 |] ~lbound:[| 10 |] ~config:small_memory ?rc ~profile
-          ~slices ()
+          ~region:(Array.make 9 0) ~rhead:[| 0 |] ~rbound:[| 1000 |]
+          ~config:small_memory ?rc ~profile ~slices ()
       in
       Alcotest.(check string) "halts" "halt" (stop_name stop);
-      Alcotest.(check (array int)) "region maximum" [| 44 |] rmax;
-      Alcotest.(check (array int)) "loop maximum" [| 10 |] lmax)
+      Alcotest.(check (array int)) "region maximum" [| 44 |] rmax)
     (List.concat_map
        (fun slices ->
          List.concat_map
@@ -810,7 +798,7 @@ let test_deferred_mmio_wfi_mfcr () =
   in
   List.iter
     (fun slices ->
-      let stop, (rmax, _) =
+      let stop, rmax =
         run_twins ~code ~blk_end:(Array.make 10 10) ~det:(Array.make 10 false)
           ~region:(Array.make 10 0) ~rhead:[| 0 |] ~rbound:[| 100 |] ~slices ()
       in
@@ -859,20 +847,15 @@ let test_deferred_mmio_wfi_mfcr () =
   in
   List.iter
     (fun ((mmu, setup), rc, profile, slices) ->
-      let stop, (rmax, lmax) =
+      let stop, rmax =
         run_twins ~code
           ~blk_end:[| 5; 5; 5; 5; 5; 14; 14; 14; 14; 14; 14; 14; 14; 14; 17;
                       17; 17 |]
           ~det:(Array.make 17 false) ~region:(Array.make 17 0) ~rhead:[| 0 |]
-          ~rbound:[| 100 |]
-          ~loop_of:(Array.init 17 (fun a -> if a >= 5 && a < 14 then 0 else -1))
-          ~lhead:[| 5 |] ~lbound:[| 3 |] ~config ~setup ~map ?rc ~profile
-          ~slices ()
+          ~rbound:[| 100 |] ~config ~setup ~map ?rc ~profile ~slices ()
       in
       Alcotest.(check string) (mmu ^ ": ends past memory")
         "fault(load from bad address 0x20000)" (stop_name stop);
-      Alcotest.(check (array int)) (mmu ^ ": three header visits") [| 3 |]
-        lmax;
       Alcotest.(check bool) (mmu ^ ": region counted") true (rmax.(0) > 0))
     (List.concat_map
        (fun mmu ->
@@ -888,8 +871,8 @@ let test_deferred_mmio_wfi_mfcr () =
        [ ("MMU off", ignore); ("MMU on", mmu_on) ])
 
 let test_deferred_self_loop_header () =
-  (* [2,5) branches back to its own head, the loop header: every pass
-     closes the window and counts one header visit *)
+  (* [2,5) branches back to its own head: every pass closes the window
+     and opens the next *)
   let code =
     Isa.
       [|
@@ -903,15 +886,12 @@ let test_deferred_self_loop_header () =
   in
   List.iter
     (fun slices ->
-      let stop, (rmax, lmax) =
+      let stop, rmax =
         run_twins ~code ~blk_end:[| 2; 2; 5; 5; 5; 6 |]
-          ~region:(Array.make 6 0) ~rhead:[| 0 |] ~rbound:[| 100 |]
-          ~loop_of:[| -1; -1; 0; 0; 0; -1 |] ~lhead:[| 2 |] ~lbound:[| 6 |]
-          ~slices ()
+          ~region:(Array.make 6 0) ~rhead:[| 0 |] ~rbound:[| 100 |] ~slices ()
       in
       Alcotest.(check string) "halts" "halt" (stop_name stop);
-      Alcotest.(check (array int)) "region maximum" [| 20 |] rmax;
-      Alcotest.(check (array int)) "six header visits" [| 6 |] lmax)
+      Alcotest.(check (array int)) "region maximum" [| 20 |] rmax)
     [ [ 100 ]; [ 2; 5 ] ]
 
 let test_deferred_jr_into_own_block () =
@@ -1045,8 +1025,6 @@ let () =
             test_validator_amnesty_on_trap;
           Alcotest.test_case "deferred window: region bound" `Quick
             test_deferred_region_bound;
-          Alcotest.test_case "deferred window: loop bound" `Quick
-            test_deferred_loop_bound;
           Alcotest.test_case "deferred window: odd fuel slices" `Quick
             test_deferred_odd_slices;
           Alcotest.test_case "deferred window: MMIO, Wfi, Mfcr" `Quick

@@ -532,6 +532,120 @@ let test_saved_ints_round_trip () =
   Alcotest.(check (array int)) "every position comes back" ints
     (Cpu.ints (Cpu.save c))
 
+(* ---------- generated counted loops ---------- *)
+
+(* One counted loop: [body] ALU/memory ops, then the induction step and
+   the back branch. *)
+let gen_loop ~init ~limit ~step ~body =
+  let prologue =
+    Isa.[ Ldi (2, init); Ldi (3, limit); Ldi (4, 0x1000); Ldi (5, 1) ]
+  in
+  let head = List.length prologue in
+  let ops =
+    List.init body (fun i ->
+        match i mod 4 with
+        | 0 -> Isa.Alu (Isa.Xor, 5, 5, 2)
+        | 1 -> Isa.St (5, 4, 0)
+        | 2 -> Isa.Ld (6, 4, 0)
+        | _ -> Isa.Alu (Isa.Add, 5, 5, 6))
+  in
+  Array.of_list
+    (prologue @ ops @ Isa.[ Alui (Add, 2, 2, step); Br (Ltu, 2, 3, head); Halt ])
+
+(* A validated interpreter and a validated, translated CPU over the
+   same loop retire the same instructions into the same architectural
+   state. *)
+let prop_generated_loops =
+  QCheck.Test.make ~count:60 ~name:"generated loops retire alike"
+    QCheck.(
+      quad (int_range 0 20) (int_range 1 180) (int_range 1 3) (int_range 1 9))
+    (fun (init, span, step, body) ->
+      let code = gen_loop ~init ~limit:(init + span) ~step ~body in
+      let m = Manifest.of_code code in
+      let interp = Cpu.create ~code () in
+      Manifest.install m ~deprivileged:false interp;
+      run_to_halt interp;
+      let threaded = Cpu.create ~code () in
+      Manifest.install m ~deprivileged:false threaded;
+      (match Manifest.install_translation m ~deprivileged:false threaded with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "translation refused: %s" e);
+      run_to_halt threaded;
+      if Cpu.instructions_retired interp <> Cpu.instructions_retired threaded
+      then
+        QCheck.Test.fail_reportf "retired %d interp vs %d threaded"
+          (Cpu.instructions_retired interp)
+          (Cpu.instructions_retired threaded);
+      if
+        Cpu.state_hash ~full:true interp <> Cpu.state_hash ~full:true threaded
+      then QCheck.Test.fail_report "architectural state diverged";
+      true)
+
+let test_loop_parity () =
+  let code = gen_loop ~init:0 ~limit:120 ~step:1 ~body:4 in
+  let m = Manifest.of_code code in
+  let interp = Cpu.create ~code () in
+  run_to_halt interp;
+  let c = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:false c;
+  (match Manifest.install_translation m ~deprivileged:false c with
+  | Ok n -> Alcotest.(check bool) "translated" true (n > 0)
+  | Error e -> Alcotest.failf "translation refused: %s" e);
+  run_to_halt c;
+  Alcotest.(check int) "retired"
+    (Cpu.instructions_retired interp)
+    (Cpu.instructions_retired c);
+  Alcotest.(check int) "state"
+    (Cpu.state_hash ~full:true interp)
+    (Cpu.state_hash ~full:true c)
+
+let test_loop_fuel_slicing () =
+  (* adversarial fuel slices end before a block fits the budget; the
+     per-block budget check hands the rest to the interpreter, and
+     execution must stay instruction-exact at every stop *)
+  let code = gen_loop ~init:0 ~limit:100 ~step:1 ~body:3 in
+  let m = Manifest.of_code code in
+  let interp = Cpu.create ~code () in
+  let threaded = Cpu.create ~code () in
+  Manifest.install m ~deprivileged:false threaded;
+  (match Manifest.install_translation m ~deprivileged:false threaded with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "translation refused: %s" e);
+  let rec go i =
+    if i > 5_000 then Alcotest.fail "guest did not halt" else
+    let fuel = 1 + (i * 7 mod 13) in
+    let ri = Cpu.run interp ~fuel in
+    let rec catch_up need =
+      if need > 0 then begin
+        let rt = Cpu.run threaded ~fuel:need in
+        (match rt.Cpu.stop with
+        | Cpu.Fuel | Cpu.Recovery -> ()
+        | Cpu.Stop_halt ->
+          if ri.Cpu.stop <> Cpu.Stop_halt then
+            Alcotest.fail "threaded halted early"
+        | s -> Alcotest.failf "unexpected threaded stop %a" Cpu.pp_stop s);
+        catch_up (need - rt.Cpu.executed)
+      end
+    in
+    match ri.Cpu.stop with
+    | Cpu.Stop_halt ->
+      catch_up ri.Cpu.executed;
+      Alcotest.(check int) "state at halt"
+        (Cpu.state_hash ~full:true interp)
+        (Cpu.state_hash ~full:true threaded)
+    | Cpu.Fuel | Cpu.Recovery ->
+      catch_up ri.Cpu.executed;
+      if
+        Cpu.instructions_retired interp
+        <> Cpu.instructions_retired threaded
+        || Cpu.state_hash ~full:true interp
+           <> Cpu.state_hash ~full:true threaded
+      then Alcotest.failf "diverged after slice %d" i;
+      go (i + 1)
+    | s -> Alcotest.failf "unexpected stop %a" Cpu.pp_stop s
+  in
+  go 0
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "hft_translate"
@@ -542,6 +656,14 @@ let () =
             `Quick test_raw_cpu_lockstep;
           Alcotest.test_case "odd fuel slices keep instruction-exact agreement"
             `Quick test_fuel_slicing_matches;
+        ] );
+      ( "threaded",
+        [
+          Alcotest.test_case "parity with the interpreter" `Quick
+            test_loop_parity;
+          Alcotest.test_case "fuel slicing stays instruction-exact" `Quick
+            test_loop_fuel_slicing;
+          q prop_generated_loops;
         ] );
       ( "profiler",
         [
