@@ -394,11 +394,10 @@ let run_bare ~params workload =
   | Some tx when tx.Hft_machine.Translate.threaded_instrs > 0 ->
     Format.printf
       "translation    : %d instructions direct-threaded, %d entries over %d \
-       blocks (%d fused)@."
+       blocks@."
       tx.Hft_machine.Translate.threaded_instrs
       tx.Hft_machine.Translate.entries_taken
       tx.Hft_machine.Translate.translated_blocks
-      tx.Hft_machine.Translate.fused
   | _ -> ());
   if o.Bare.console <> "" then
     Format.printf "console        : %S@." o.Bare.console
@@ -1961,9 +1960,9 @@ let disasm_cmd =
       & info [ "translated" ]
           ~doc:
             "Also print the direct-threaded translation listing: every \
-             certified superblock's fused superinstruction chains and \
-             entry prechecks, plus the reason any certified superblock \
-             was left to the interpreter.")
+             certified superblock's entry prechecks and translated \
+             instructions, plus the reason any certified superblock was \
+             left to the interpreter.")
   in
   let action workload rewrite_el translated save_path embed_manifest =
     writes @@ fun () ->

@@ -757,7 +757,6 @@ and count_burst t res =
   match Cpu.translation t.vm with
   | Some tx ->
     t.st.Stats.blocks_translated <- tx.Translate.translated_blocks;
-    t.st.Stats.superinstructions_fused <- tx.Translate.fused;
     t.st.Stats.threaded_instrs <- tx.Translate.threaded_instrs;
     t.st.Stats.threaded_entries <- tx.Translate.entries_taken;
     t.st.Stats.fallback_budget <- tx.Translate.fb_budget;

@@ -29,7 +29,6 @@ type t = {
   mutable certified_instructions : int;
   mutable validated_instructions : int;
   mutable blocks_translated : int;
-  mutable superinstructions_fused : int;
   mutable threaded_instrs : int;
   mutable threaded_entries : int;
   mutable fallback_budget : int;
@@ -74,7 +73,6 @@ let create () =
     certified_instructions = 0;
     validated_instructions = 0;
     blocks_translated = 0;
-    superinstructions_fused = 0;
     threaded_instrs = 0;
     threaded_entries = 0;
     fallback_budget = 0;
@@ -118,7 +116,6 @@ let blit ~src ~dst =
   dst.certified_instructions <- src.certified_instructions;
   dst.validated_instructions <- src.validated_instructions;
   dst.blocks_translated <- src.blocks_translated;
-  dst.superinstructions_fused <- src.superinstructions_fused;
   dst.threaded_instrs <- src.threaded_instrs;
   dst.threaded_entries <- src.threaded_entries;
   dst.fallback_budget <- src.fallback_budget;
@@ -164,7 +161,7 @@ let pp fmt t =
      detected@ hashing: %d pages hashed, %d skipped@ snapshot bytes: %d@ \
      recovery: %d hv faults, %d microreboots, %d ios + %d msgs reconciled@ \
      certified: %d of %d validated instructions%s@ \
-     threaded: %d instrs%s over %d entries (%d blocks, %d fused); \
+     threaded: %d instrs%s over %d entries (%d blocks); \
      fallbacks: %d budget, %d priv, %d link, %d indirect, %d bail, %d stop@ \
      ack wait: %a@ boundary: %a@ idle: %a@ mean intr delay: %.1fus@]"
     t.instructions t.simulated t.epochs t.interrupts_buffered
@@ -181,7 +178,7 @@ let pp fmt t =
     (match threaded_fraction t with
     | Some f -> Printf.sprintf " (%.1f%%)" (100.0 *. f)
     | None -> "")
-    t.threaded_entries t.blocks_translated t.superinstructions_fused
+    t.threaded_entries t.blocks_translated
     t.fallback_budget t.fallback_priv t.fallback_link t.fallback_indirect
     t.fallback_bail t.fallback_stop
     Time.pp t.ack_wait

@@ -67,8 +67,6 @@ type t = {
   mutable blocks_translated : int;
       (** basic blocks compiled into the direct-threaded translation
           cache at boot; 0 under the [Interp] backend *)
-  mutable superinstructions_fused : int;
-      (** adjacent instruction pairs fused into one closure *)
   mutable threaded_instrs : int;
       (** instructions completed inside translated superblocks *)
   mutable threaded_entries : int;

@@ -32,7 +32,6 @@ type t = {
   validated_instrs_per_sec : float;
   translate_us : float;  (* wall time to compile the bench image *)
   translated_blocks : int;
-  fused_superinstructions : int;
   threaded_instrs_per_sec : float;  (* translation cache armed, no validator *)
   threaded_speedup : float;  (* threaded rate over interpreter rate *)
   threaded_fraction : float;  (* share of instructions executed threaded *)
@@ -48,7 +47,8 @@ type t = {
   profiled_instrs_per_sec : float;  (* interpreter, retirement counters on *)
   profiler_overhead : float;  (* interp rate / profiled interp rate *)
   threaded_profiled_instrs_per_sec : float;
-  profiler_threaded_overhead : float;  (* threaded rate / profiled threaded *)
+  profiler_threaded_overhead : float;
+      (* threaded rate / profiled threaded rate, in alternating windows *)
   profile_totals_match : bool;
       (* interp and threaded per-address retirement arrays identical
          after the same fixed fuel-sliced run *)
@@ -122,8 +122,6 @@ let rates ~budget steps =
   done;
   best
 
-let rate ~budget step = (rates ~budget [| step |]).(0)
-
 (* The two sides of a ratio, in alternating windows (A B A B A B). *)
 let rate_pair ~budget step_a step_b =
   let r = rates ~budget [| step_a; step_b |] in
@@ -138,13 +136,9 @@ let fuel_step cpu () =
   | s -> Fmt.failwith "bench: unexpected stop %a" Cpu.pp_stop s);
   r.Cpu.executed
 
-(* Instructions per second of [cpu]. *)
-let fuel_rate ~budget cpu = rate ~budget (fuel_step cpu)
-
-(* Instructions per second of the plain interpreter [plain] and of
-   [cpu], in alternating windows. *)
-let fuel_rate_pair ~budget plain cpu =
-  rate_pair ~budget (fuel_step plain) (fuel_step cpu)
+(* Instructions per second of [a] and of [b], in alternating
+   windows. *)
+let fuel_rate_pair ~budget a b = rate_pair ~budget (fuel_step a) (fuel_step b)
 
 let translated m cpu =
   (match Hft_analysis.Manifest.install_translation m ~deprivileged:false cpu with
@@ -238,7 +232,6 @@ let bench_translation ~budget plain m =
   ( interp_rate,
     translate_us,
     tx.Translate.translated_blocks,
-    tx.Translate.fused,
     threaded_rate,
     threaded_rate /. interp_rate,
     fraction,
@@ -264,8 +257,8 @@ let bench_loop ~budget =
    per-instruction work is untouched by design.  Profiling overhead
    *is* per-instruction (one array bump in the interpreter, one
    credit per block entry threaded), so those are instruction rates
-   against the matching unprofiled backend.  The plain and the metrics
-   epoch rates are measured in alternating windows. *)
+   against the matching unprofiled backend.  Each overhead's two sides
+   are measured in alternating windows. *)
 let bench_metrics ~budget ~el =
   let metrics_step =
     let cpu = fresh_cpu () in
@@ -297,7 +290,7 @@ let bench_metrics ~budget ~el =
   in
   (metrics_rate, plain /. metrics_rate)
 
-let bench_profiler ~budget plain ~threaded_rate m =
+let bench_profiler ~budget plain m =
   let profiled () =
     let cpu = fresh_cpu () in
     Cpu.install_profile cpu;
@@ -306,7 +299,11 @@ let bench_profiler ~budget plain ~threaded_rate m =
   let interp_rate, profiled_rate =
     fuel_rate_pair ~budget plain (profiled ())
   in
-  let threaded_profiled_rate = fuel_rate ~budget (translated m (profiled ())) in
+  let threaded_rate, threaded_profiled_rate =
+    fuel_rate_pair ~budget
+      (translated m (fresh_cpu ()))
+      (translated m (profiled ()))
+  in
   (* the exactness contract: identical totals and identical per-block
      retirement counts from both backends over the same fixed
      fuel-sliced run.  (Per block, not per address: the interpreter
@@ -403,7 +400,6 @@ let run ?(quick = false) () =
   let ( interp_t,
         translate_us,
         translated_blocks,
-        fused_superinstructions,
         threaded_instrs_per_sec,
         threaded_speedup,
         threaded_fraction,
@@ -422,8 +418,7 @@ let run ?(quick = false) () =
         threaded_profiled_instrs_per_sec,
         profiler_threaded_overhead,
         profile_totals_match ) =
-    bench_profiler ~budget plain ~threaded_rate:threaded_instrs_per_sec
-      manifest
+    bench_profiler ~budget plain manifest
   in
   {
     quick;
@@ -438,7 +433,6 @@ let run ?(quick = false) () =
     validated_instrs_per_sec;
     translate_us;
     translated_blocks;
-    fused_superinstructions;
     threaded_instrs_per_sec;
     threaded_speedup;
     threaded_fraction;
@@ -464,7 +458,7 @@ let to_json t =
   let e = J.significant 5 and f = J.fixed in
   J.Obj
     [
-      ("schema", J.Str "hftsim-bench-core/7");
+      ("schema", J.Str "hftsim-bench-core/8");
       ("quick", J.Bool t.quick);
       ("interpreter", J.Obj [ ("instrs_per_sec", e t.instrs_per_sec) ]);
       ( "epoch_boundaries",
@@ -498,7 +492,6 @@ let to_json t =
           [
             ("translate_us", f 1 t.translate_us);
             ("translated_blocks", J.int t.translated_blocks);
-            ("fused_superinstructions", J.int t.fused_superinstructions);
             ("threaded_instrs_per_sec", e t.threaded_instrs_per_sec);
             ("threaded_speedup", f 2 t.threaded_speedup);
             ("threaded_fraction", f 4 t.threaded_fraction);
@@ -559,10 +552,9 @@ let report ?out t =
     (t.validated_instrs_per_sec /. 1e6)
     t.validator_overhead;
   Format.fprintf out
-    "translation    : %.1f us to compile %d blocks (%d fused), %.1f M \
-     instrs/sec threaded (%.2fx over interpreter, %.1f%% threaded), digests \
-     %s@."
-    t.translate_us t.translated_blocks t.fused_superinstructions
+    "translation    : %.1f us to compile %d blocks, %.1f M instrs/sec \
+     threaded (%.2fx over interpreter, %.1f%% threaded), digests %s@."
+    t.translate_us t.translated_blocks
     (t.threaded_instrs_per_sec /. 1e6)
     t.threaded_speedup
     (100.0 *. t.threaded_fraction)

@@ -54,8 +54,6 @@ type t = {
       (** wall time to compile the bench image's certified superblocks
           into direct-threaded closure chains *)
   translated_blocks : int;
-  fused_superinstructions : int;
-      (** adjacent instruction pairs merged into one closure *)
   threaded_instrs_per_sec : float;
       (** execution rate with the translation cache armed and the
           validator off — the tentpole number; compare against
@@ -99,7 +97,8 @@ type t = {
   threaded_profiled_instrs_per_sec : float;
       (** threaded rate with profiling armed (block-entry credits) *)
   profiler_threaded_overhead : float;
-      (** [threaded_instrs_per_sec / threaded_profiled_instrs_per_sec] *)
+      (** a plain threaded rate over [threaded_profiled_instrs_per_sec],
+          the two measured in alternating windows *)
   profile_totals_match : bool;
       (** both backends produced identical per-address retirement
           arrays over the same fixed fuel-sliced run — the exactness
@@ -117,7 +116,7 @@ val point : t -> int -> epoch_point option
 (** The measurement at a given epoch length, if it was taken. *)
 
 val to_json : t -> Hft_obs.Json.t
-(** The [hftsim-bench-core/7] document ([hftsim bench --json]). *)
+(** The [hftsim-bench-core/8] document ([hftsim bench --json]). *)
 
 val report : ?out:Format.formatter -> t -> unit
 (** Human-readable rendering via {!Report.table}. *)

@@ -166,11 +166,10 @@ let translation ?(out = std) stats =
     in
     Format.fprintf out
       "translation    : %d of %d instructions direct-threaded (%.1f%%), %d \
-       entries over %d blocks (%d fused)@."
+       entries over %d blocks@."
       threaded total pct
       (sum (fun s -> s.Hft_core.Stats.threaded_entries))
-      (sum (fun s -> s.Hft_core.Stats.blocks_translated))
-      (sum (fun s -> s.Hft_core.Stats.superinstructions_fused));
+      (sum (fun s -> s.Hft_core.Stats.blocks_translated));
     Format.fprintf out
       "  fallbacks    : %d budget, %d priv, %d link, %d indirect, %d bail, \
        %d stop@."

@@ -70,7 +70,7 @@ val host_hashing :
 val translation : ?out:Format.formatter -> Hft_core.Stats.t list -> unit
 (** Two lines summing the direct-threaded execution counters
     (instructions run inside translated superblocks, dispatch entries,
-    compiled blocks, fused superinstructions, and the fallback-exit
+    compiled blocks, and the fallback-exit
     taxonomy) over the given per-hypervisor stats.  Prints nothing
     when no instruction ran threaded — in particular under the
     [Interp] backend. *)

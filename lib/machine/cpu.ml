@@ -38,116 +38,14 @@ type coverage = { mutable covered : int; mutable checked : int }
 
 (* ---------- the decoded image ----------
 
-   Each code image is decoded once into one operation per address,
-   named by its constructor alone: the ALU operator and the branch
-   condition are folded in, immediates and offsets are pre-masked to
-   words, and a write to r0 decodes to no write ([Nop], [Jmp], [Ld0]).
-   Everything that is not an ordinary instruction keeps its [Isa] form
-   under [Sys] and runs on [run]'s out-of-line path. *)
-type op =
-  | Nop
-  | Ldi of int * int
-  | Add of int * int * int
-  | Sub of int * int * int
-  | Mul of int * int * int
-  | Divu of int * int * int
-  | Remu of int * int * int
-  | And of int * int * int
-  | Or of int * int * int
-  | Xor of int * int * int
-  | Sll of int * int * int
-  | Srl of int * int * int
-  | Sra of int * int * int
-  | Slt of int * int * int
-  | Sltu of int * int * int
-  | Addi of int * int * int
-  | Subi of int * int * int
-  | Muli of int * int * int
-  | Divui of int * int * int
-  | Remui of int * int * int
-  | Andi of int * int * int
-  | Ori of int * int * int
-  | Xori of int * int * int
-  | Slli of int * int * int
-  | Srli of int * int * int
-  | Srai of int * int * int
-  | Slti of int * int * int
-  | Sltui of int * int * int
-  | Ld of int * int * int
-  | Ld0 of int * int  (* a load into r0: translation and stops only *)
-  | St of int * int * int
-  | Beq of int * int * int
-  | Bne of int * int * int
-  | Blt of int * int * int
-  | Bge of int * int * int
-  | Bltu of int * int * int
-  | Bgeu of int * int * int
-  | Jmp of int
-  | Jal of int * int
-  | Jr of int
-  | Probe of int
-  | Sys of Isa.instr  (* Halt, Wfi, environment, trap call, privileged *)
-
-let decode (i : Isa.instr) =
-  match i with
-  | Nop | Ldi (0, _) | Alu (_, 0, _, _) | Alui (_, 0, _, _) | Probe 0 -> Nop
-  | Ldi (rd, v) -> Ldi (rd, Word.mask v)
-  | Alu (op, rd, a, b) -> (
-    match op with
-    | Add -> Add (rd, a, b)
-    | Sub -> Sub (rd, a, b)
-    | Mul -> Mul (rd, a, b)
-    | Divu -> Divu (rd, a, b)
-    | Remu -> Remu (rd, a, b)
-    | And -> And (rd, a, b)
-    | Or -> Or (rd, a, b)
-    | Xor -> Xor (rd, a, b)
-    | Sll -> Sll (rd, a, b)
-    | Srl -> Srl (rd, a, b)
-    | Sra -> Sra (rd, a, b)
-    | Slt -> Slt (rd, a, b)
-    | Sltu -> Sltu (rd, a, b))
-  | Alui (op, rd, a, imm) -> (
-    let k = Word.of_signed imm in
-    match op with
-    | Add -> Addi (rd, a, k)
-    | Sub -> Subi (rd, a, k)
-    | Mul -> Muli (rd, a, k)
-    | Divu -> Divui (rd, a, k)
-    | Remu -> Remui (rd, a, k)
-    | And -> Andi (rd, a, k)
-    | Or -> Ori (rd, a, k)
-    | Xor -> Xori (rd, a, k)
-    | Sll -> Slli (rd, a, k)
-    | Srl -> Srli (rd, a, k)
-    | Sra -> Srai (rd, a, k)
-    | Slt -> Slti (rd, a, k)
-    | Sltu -> Sltui (rd, a, k))
-  | Ld (0, rs, off) -> Ld0 (rs, Word.of_signed off)
-  | Ld (rd, rs, off) -> Ld (rd, rs, Word.of_signed off)
-  | St (rv, rb, off) -> St (rv, rb, Word.of_signed off)
-  | Br (c, a, b, tgt) -> (
-    match c with
-    | Eq -> Beq (a, b, tgt)
-    | Ne -> Bne (a, b, tgt)
-    | Lt -> Blt (a, b, tgt)
-    | Ge -> Bge (a, b, tgt)
-    | Ltu -> Bltu (a, b, tgt)
-    | Geu -> Bgeu (a, b, tgt))
-  | Jmp tgt | Jal (0, tgt) -> Jmp tgt
-  | Jal (rd, tgt) -> Jal (rd, tgt)
-  | Jr rs -> Jr rs
-  | Probe rd -> Probe rd
-  | Halt | Wfi | Rdtod _ | Rdtmr _ | Wrtmr _ | Out _ | Trapc _ | Mfcr _
-  | Mtcr _ | Tlbw _ | Rfi ->
-    Sys i
-
-(* One per code image, shared by every CPU over it: both replicas, and
-   the recycled trial and checker machines.  Images are looked up by
+   Each code image is decoded once into one [Op.t] per address, which
+   both [run] and the translation execute.  One per code image, shared
+   by every CPU over it: both replicas, and the recycled trial and
+   checker machines.  Images are looked up by
    identity, which is sound because an image is never mutated once a
    CPU runs it. *)
 type image = {
-  i_ops : op array;
+  i_ops : Op.t array;
   mutable i_hash : int option;  (* [Encode.program_hash], once *)
 }
 
@@ -164,7 +62,7 @@ let image_of code =
   match Images.find_opt images code with
   | Some im -> im
   | None ->
-    let im = { i_ops = Array.map decode code; i_hash = None } in
+    let im = { i_ops = Array.map Op.decode code; i_hash = None } in
     Images.replace images code im;
     im
 
@@ -211,7 +109,7 @@ let[@inline] has r f = r.r_flags land f <> 0
 let[@inline] reads m = m land 0xFFFF
 let[@inline] writes m = m lsr 16
 
-type vtables = { vt_recs : vrec array; vt_regions : int }
+type vtables = vrec array
 
 (* Runtime certificate validator (the dynamic oracle for the static
    analyzer's compilation manifest): shared tables plus this CPU's run
@@ -221,12 +119,6 @@ type vtables = { vt_recs : vrec array; vt_regions : int }
 type validator = {
   v_origin : origin option;  (* what built the tables, for [rearm_validator] *)
   v_tab : vtables;
-  (* observed maxima: the highest in-region instruction count per
-     superblock actually seen.  Same undercounting stance as the check
-     itself — threaded excursions reset the running count, so the
-     recorded maxima never exceed what the interpreter demonstrably
-     executed. *)
-  v_rmax : int array;
   mutable v_skip_from : int;    (* current validated window, [from, until) *)
   mutable v_skip_until : int;
   mutable v_open_at : int;
@@ -292,7 +184,6 @@ type t = {
 (* The per-run half of a validator: everything [install_validator]
    would start a fresh CPU with. *)
 let reset_validator v =
-  Array.fill v.v_rmax 0 (Array.length v.v_rmax) 0;
   v.v_skip_from <- 0;
   v.v_skip_until <- 0;
   v.v_open_at <- -1;
@@ -471,10 +362,10 @@ let validator_tables ?blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
       r_rbound = (if rg >= 0 then rbound.(rg) else max_int);
     }
   in
-  { vt_recs = Array.init n record; vt_regions = Array.length rhead }
+  Array.init n record
 
 let install_validator ?origin t tables =
-  if Array.length tables.vt_recs <> Array.length t.code then
+  if Array.length tables <> Array.length t.code then
     invalid_arg "Cpu.install_validator: tables are for another image";
   t.spare_validator <- None;
   t.validator <-
@@ -482,7 +373,6 @@ let install_validator ?origin t tables =
       {
         v_origin = origin;
         v_tab = tables;
-        v_rmax = Array.make (max tables.vt_regions 1) 0;
         v_skip_from = 0;
         v_skip_until = 0;
         v_open_at = -1;
@@ -527,11 +417,6 @@ let windows_opened t =
 let window_instrs t =
   match t.validator with None -> 0 | Some v -> v.v_window_instrs
 
-let observed_bounds t =
-  match t.validator with
-  | None -> None
-  | Some v -> Some (Array.sub v.v_rmax 0 v.v_tab.vt_regions)
-
 (* The architectural events that legitimately reset the validator's
    path-sensitive state: trap delivery enters a root whose context the
    static analysis models as fully initialized, and a snapshot restore
@@ -547,8 +432,8 @@ let compile_translation t plan =
   t.plan <- Some plan;
   t.trans <-
     Some
-      (Translate.compile ~code:t.code ~regs:t.regs ~mem:t.memory
-         ~tlb:t.tlb_state ~mmio_base:t.cfg.mmio_base
+      (Translate.compile ~code:t.code ~ops:t.image.i_ops ~regs:t.regs
+         ~mem:t.memory ~tlb:t.tlb_state ~mmio_base:t.cfg.mmio_base
          ~page_shift:t.cfg.page_shift ?profile:t.prof plan)
 
 let install_translation ?origin t plan =
@@ -729,7 +614,7 @@ let[@inline] store t s memory mmio_base pc vaddr value =
    and inlined into both of [run]'s loops: execute the operation at
    [pc] and return the next pc.  Results are words already, so they
    are stored unmasked.  [Sys] operations never get here. *)
-let[@inline always] step t s regs memory mmio_base pc op =
+let[@inline always] step t s regs memory mmio_base pc (op : Op.t) =
   match op with
   | Nop -> pc + 1
   | Ldi (rd, k) ->
@@ -914,7 +799,7 @@ let[@inline never] prefix_def recs pc0 n =
    completion point and are charged by their executor instead —
    undercounting the region, never overcounting. *)
 let[@inline] credit v pc0 n =
-  let recs = v.v_tab.vt_recs in
+  let recs = v.v_tab in
   let r = recs.(pc0) in
   v.v_checked <- v.v_checked + n;
   v.v_written <-
@@ -932,7 +817,6 @@ let[@inline] credit v pc0 n =
     let c = v.v_rcount + n in
     v.v_rcount <- c;
     v.v_covered <- v.v_covered + n;
-    if c > v.v_rmax.(rg) then v.v_rmax.(rg) <- c;
     if c > r.r_rbound then region_exceeded pc0 r c
   end
 
@@ -975,7 +859,7 @@ let[@inline never] close_window_slow v executed = close_window v executed
    ordinary prefix when the window was deferred, else [pc]. *)
 let[@inline] enter_block v pc spriv executed =
   close_window v executed;
-  let r = Array.unsafe_get v.v_tab.vt_recs pc in
+  let r = Array.unsafe_get v.v_tab pc in
   validate v r pc spriv;
   if
     has r f_window
@@ -1000,16 +884,6 @@ let[@inline] enter_block v pc spriv executed =
     v.v_skip_until <- 0;
     pc
   end
-
-let convert_stop : Translate.stop -> stop = function
-  | Translate.X_mmio_read { paddr; reg } -> Mmio_read { paddr; reg }
-  | Translate.X_mmio_write { paddr; value } -> Mmio_write { paddr; value }
-  | Translate.X_tlb_miss { vaddr; write } -> Tlb_miss { vaddr; write }
-  | Translate.X_protection { vaddr; write } -> Protection { vaddr; write }
-  | Translate.X_fault_load paddr ->
-    Fault (Printf.sprintf "load from bad address 0x%x" paddr)
-  | Translate.X_fault_store paddr ->
-    Fault (Printf.sprintf "store to bad address 0x%x" paddr)
 
 (* Re-read the status flags into [t.sc] after [Cr_status] may have
    changed, and restart the recovery counter's accounting at
@@ -1088,7 +962,7 @@ let[@inline never] exec_sys t (i : Isa.instr) pc executed =
    counter, run the closure chain, then fold the results back into the
    interpreter's accounting.  Returns how many instructions completed,
    or -1 when the entry prechecks refuse; the caller adds the count and
-   then raises the stop the chain left pending, if any. *)
+   then hands back the load or store the chain stopped at, if any. *)
 let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
   let s = t.sc in
   let budget = (if fuel < s.s_expire then fuel else s.s_expire) - executed in
@@ -1107,7 +981,6 @@ let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
     st.Translate.x_remaining <- budget;
     st.Translate.x_smmu <- s.s_mmu;
     st.Translate.x_spriv <- s.s_priv;
-    st.Translate.x_stop <- None;
     st.Translate.x_exit <- Translate.exit_budget;
     e.Translate.e_run ();
     (* blocks only ever decrement the budget (exits refund the
@@ -1134,6 +1007,19 @@ let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
       v.v_skip_until <- 0);
     d
   end
+
+(* A translated load or store runs only its fast path; any other access
+   (an MMIO address, an address past memory, a TLB miss, a protection
+   fault) exits at it with the instruction refunded.  The interpreter's
+   own [step] then runs that one instruction and raises the stop, so it
+   never returns here. *)
+let[@inline never] hand_back t =
+  let pc = t.pc_ in
+  ignore
+    (step t t.sc t.regs t.memory t.cfg.mmio_base pc
+       (Array.unsafe_get t.image.i_ops pc)
+      : int);
+  assert false
 
 (* A tight window: the decoded operations of [pc0, limit) back to back,
    with no test of the window, the credit, the profile or the recovery
@@ -1236,9 +1122,8 @@ let run t ~fuel =
                  stop_reason := Recovery;
                  raise (Stop_exec Recovery)
                end;
-               (match tx.Translate.state.Translate.x_stop with
-               | Some st -> raise (Stop_exec (convert_stop st))
-               | None -> ());
+               if tx.Translate.state.Translate.x_exit = Translate.exit_stop
+               then hand_back t;
                d > 0
              end)
        in
@@ -1314,7 +1199,7 @@ let run t ~fuel =
        (match (vd, st) with
        | Some v, Mmio_read _
          when (not s.s_mmu) && t.pc_ >= 0 && t.pc_ < code_len
-              && has v.v_tab.vt_recs.(t.pc_) f_det ->
+              && has v.v_tab.(t.pc_) f_det ->
          Cert_violation
            {
              addr = t.pc_;
@@ -1405,7 +1290,6 @@ type saved = {
          then the validator's scalars and the translation's counters *)
   sv_mem : Memory.saved;
   sv_tlb : Tlb.saved;
-  sv_vmax : int array;  (* the validator's [v_rmax] *)
   sv_prof : int array option;
 }
 
@@ -1482,16 +1366,6 @@ let restore_ints t a =
     tx.Translate.fb_stop <- a.(o + 7)
   | None -> ()
 
-(* the observed maxima, as [prev] itself while none has grown *)
-let save_vmax prev = function
-  | None -> [||]
-  | Some v ->
-    let rec same i =
-      i = Array.length prev || (prev.(i) = v.v_rmax.(i) && same (i + 1))
-    in
-    if Array.length prev = Array.length v.v_rmax && same 0 then prev
-    else Array.copy v.v_rmax
-
 let save ?like ?into t =
   let ints = match into with Some a -> a | None -> Array.make n_ints 0 in
   save_ints t ints;
@@ -1499,10 +1373,6 @@ let save ?like ?into t =
     sv_ints = ints;
     sv_mem = Memory.save t.memory;
     sv_tlb = Tlb.save ?like:(Option.map (fun l -> l.sv_tlb) like) t.tlb_state;
-    sv_vmax =
-      save_vmax
-        (match like with Some l -> l.sv_vmax | None -> [||])
-        t.validator;
     sv_prof = Option.map Array.copy t.prof;
   }
 
@@ -1512,9 +1382,6 @@ let restore_saved t s =
   restore_ints t s.sv_ints;
   Memory.restore t.memory s.sv_mem;
   Tlb.restore t.tlb_state s.sv_tlb;
-  (match t.validator with
-  | None -> ()
-  | Some v -> Array.blit s.sv_vmax 0 v.v_rmax 0 (Array.length v.v_rmax));
   match (t.prof, s.sv_prof) with
   | Some p, Some sp -> Array.blit sp 0 p 0 (Array.length p)
   | _ -> ()

@@ -191,7 +191,7 @@ val install_validator : ?origin:origin -> t -> vtables -> unit
 val rearm_validator : t -> (origin -> bool) -> bool
 (** [rearm_validator t same] arms the validator inherited from the
     CPU [t] was recycled from, with fresh per-run state (written set,
-    region counter, observed maxima, coverage), when [same]
+    region counter, coverage), when [same]
     accepts the origin it was installed with; returns whether it did.
     The inheritance is spent either way: a later call returns
     [false]. *)
@@ -224,14 +224,6 @@ val window_instrs : t -> int
     the share of the interpreter's work that ran without
     per-instruction checks. *)
 
-val observed_bounds : t -> int array option
-(** Per-certified-superblock observed maxima, in the same index order
-    as [rhead]/[rbound] were supplied to {!validator_tables}: the
-    largest per-entry instruction count each superblock actually
-    reached.  The dynamic counter undercounts by design (excursions
-    reset it), so observed [<=] certified always holds on a valid
-    manifest.  [None] when no validator is installed. *)
-
 val install_translation :
   ?origin:origin -> t -> Translate.plan_region list -> unit
 (** Compile the plan's certified superblocks to direct-threaded
@@ -241,7 +233,9 @@ val install_translation :
     mask), execution proceeds through the closure chain instead of the
     decode loop, with the recovery-counter charge batched per basic
     block.  Exits, traps, and untranslated code fall back to the
-    interpreter, which remains the semantic oracle.  [origin] names
+    interpreter, which remains the semantic oracle: a translated load
+    or store off its fast path is run by the interpreter, which raises
+    its stop.  [origin] names
     what the plan was built from, as for {!install_validator}. *)
 
 val rearm_translation : t -> (origin -> bool) -> bool

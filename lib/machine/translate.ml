@@ -6,14 +6,6 @@ type plan_region = {
   pr_priv_mask : int;
 }
 
-type stop =
-  | X_mmio_read of { paddr : int; reg : Isa.reg }
-  | X_mmio_write of { paddr : int; value : Word.t }
-  | X_tlb_miss of { vaddr : int; write : bool }
-  | X_protection of { vaddr : int; write : bool }
-  | X_fault_load of int
-  | X_fault_store of int
-
 let exit_budget = 0
 let exit_link = 1
 let exit_indirect = 2
@@ -22,15 +14,10 @@ let exit_stop = 4
 
 type st = {
   x_regs : int array;
-  x_mem : Memory.t;
-  x_tlb : Tlb.t;
-  x_mmio_base : int;
-  x_page_shift : int;
   mutable x_pc : int;
   mutable x_remaining : int;
   mutable x_smmu : bool;
   mutable x_spriv : int;
-  mutable x_stop : stop option;
   mutable x_exit : int;
   x_prof : int array;
       (* per-address retirement counters, length 0 when profiling is
@@ -47,23 +34,14 @@ type entry = {
   e_run : unit -> unit;
 }
 
-type block_listing = { l_leader : int; l_len : int; l_ops : string list }
-
-type region_listing = {
-  l_head : int;
-  l_cost : int;
-  l_priv_mask : int;
-  l_blocks : block_listing list;
-}
-
 type t = {
   entries : entry option array;
   state : st;
   translated_regions : int;
   translated_blocks : int;
   translated_instrs : int;
-  fused : int;
-  listing : region_listing list;
+  code : Isa.instr array;
+  listing : plan_region list;
   untranslated : (int * string) list;
   mutable entries_taken : int;
   mutable threaded_instrs : int;
@@ -75,344 +53,238 @@ type t = {
   mutable fb_stop : int;
 }
 
-let instr_name i = Format.asprintf "%a" Isa.pp i
-
 (* A mid-block exit refunds the instructions that did not complete:
    the block charged its full length on entry, and [refund] covers the
-   failing instruction and everything after it.  [at] is the failing
+   exiting instruction and everything after it.  [at] is that
    instruction's address — the interpreter resumes exactly there.
    The completed-instruction count needs no bookkeeping of its own:
    the dispatch loop derives it as entry budget minus [x_remaining]. *)
-let[@inline never] stop_at st refund at s =
+let[@inline never] exit_at st refund at x =
   st.x_remaining <- st.x_remaining + refund;
   if Array.length st.x_prof <> 0 then
     st.x_prof.(st.x_prof_leader) <- st.x_prof.(st.x_prof_leader) - refund;
   st.x_pc <- at;
-  st.x_stop <- Some s;
-  st.x_exit <- exit_stop
-
-let[@inline never] bail_at st refund at =
-  st.x_remaining <- st.x_remaining + refund;
-  if Array.length st.x_prof <> 0 then
-    st.x_prof.(st.x_prof_leader) <- st.x_prof.(st.x_prof_leader) - refund;
-  st.x_pc <- at;
-  st.x_exit <- exit_bail
-
-(* Staged per-instruction ops, continuation style: every op is a
-   BUILDER that bakes its success continuation in at compile time, so
-   executing one instruction costs exactly one closure call — this is
-   what makes the chain direct-threaded rather than call-threaded.
-   [Simple] ops cannot fail (the budget was charged at block entry),
-   so adjacent runs fuse into one superinstruction by composing
-   builders.  [Mem] ops may stop; their failure paths drop the
-   continuation.  [Bail] ops drop it always. *)
-type sop =
-  | Simple of ((unit -> unit) -> unit -> unit) * string
-  | Mem of ((unit -> unit) -> unit -> unit) * string
-  | Bail of (unit -> unit) * string
+  st.x_exit <- x
 
 let nothing () = ()
-let skip k = k
 
-(* Highest register index the instruction touches.  [classify] refuses
-   (bails) any instruction naming a register outside the actual file,
-   and that compile-time check is what licenses the unchecked register
-   accesses inside the builders below: the interpreter bounds-checks
-   every access, the threaded path proves the bound once instead. *)
-let max_reg (i : Isa.instr) =
-  match i with
-  | Isa.Nop | Isa.Halt | Isa.Wfi | Isa.Rfi | Isa.Trapc _ | Isa.Jmp _ -> 0
-  | Isa.Ldi (rd, _) -> rd
-  | Isa.Alu (_, rd, r1, r2) -> max rd (max r1 r2)
-  | Isa.Alui (_, rd, rs, _) -> max rd rs
-  | Isa.Ld (rd, rs, _) -> max rd rs
-  | Isa.St (rv, rb, _) -> max rv rb
-  | Isa.Br (_, r1, r2, _) -> max r1 r2
-  | Isa.Jal (rd, _) -> rd
-  | Isa.Jr rs -> rs
-  | Isa.Probe rd | Isa.Rdtod rd | Isa.Rdtmr rd -> rd
-  | Isa.Wrtmr rs | Isa.Out rs -> rs
-  | Isa.Mfcr (rd, _) -> rd
-  | Isa.Mtcr (_, rs) -> rs
-  | Isa.Tlbw (r1, r2) -> max r1 r2
+(* the unchecked register accesses [compile_op]'s closures make *)
+let[@inline] get (regs : int array) r = Array.unsafe_get regs r
+let[@inline] set (regs : int array) r v = Array.unsafe_set regs r v
 
-let classify st ~at ~refund (i : Isa.instr) : sop =
-  let regs = st.x_regs in
-  let nm = instr_name i in
-  if max_reg i >= Array.length regs then
-    (* out-of-range register: let the interpreter fault on it *)
-    Bail ((fun () -> bail_at st refund at), nm)
+(* Highest register index the operation names.  [compile_op] bails on
+   any operation naming a register outside the actual file, and that
+   compile-time check is what licenses the unchecked register accesses
+   inside its closures: the interpreter bounds-checks every access,
+   the threaded path proves the bound once instead. *)
+let max_reg (op : Op.t) =
+  match op with
+  | Nop | Jmp _ | Sys _ -> 0
+  | Ldi (d, _) | Ld0 (d, _) | Jal (d, _) | Jr d | Probe d -> d
+  | Add (d, a, b) | Sub (d, a, b) | Mul (d, a, b) | Divu (d, a, b)
+  | Remu (d, a, b) | And (d, a, b) | Or (d, a, b) | Xor (d, a, b)
+  | Sll (d, a, b) | Srl (d, a, b) | Sra (d, a, b) | Slt (d, a, b)
+  | Sltu (d, a, b) ->
+    max d (max a b)
+  | Addi (d, a, _) | Subi (d, a, _) | Muli (d, a, _) | Divui (d, a, _)
+  | Remui (d, a, _) | Andi (d, a, _) | Ori (d, a, _) | Xori (d, a, _)
+  | Slli (d, a, _) | Srli (d, a, _) | Srai (d, a, _) | Slti (d, a, _)
+  | Sltui (d, a, _) | Ld (d, a, _) | St (d, a, _) | Beq (d, a, _)
+  | Bne (d, a, _) | Blt (d, a, _) | Bge (d, a, _) | Bltu (d, a, _)
+  | Bgeu (d, a, _) ->
+    max d a
+
+(* The register an operation writes, as a mask ([Op.decode] already
+   turned every write to r0 into none). *)
+let def_of (op : Op.t) =
+  match op with
+  | Ldi (d, _) | Add (d, _, _) | Sub (d, _, _) | Mul (d, _, _)
+  | Divu (d, _, _) | Remu (d, _, _) | And (d, _, _) | Or (d, _, _)
+  | Xor (d, _, _) | Sll (d, _, _) | Srl (d, _, _) | Sra (d, _, _)
+  | Slt (d, _, _) | Sltu (d, _, _) | Addi (d, _, _) | Subi (d, _, _)
+  | Muli (d, _, _) | Divui (d, _, _) | Remui (d, _, _) | Andi (d, _, _)
+  | Ori (d, _, _) | Xori (d, _, _) | Slli (d, _, _) | Srli (d, _, _)
+  | Srai (d, _, _) | Slti (d, _, _) | Sltui (d, _, _) | Ld (d, _, _)
+  | Jal (d, _) | Probe d ->
+    1 lsl d
+  | Sys (Rdtod d | Rdtmr d | Mfcr (d, _)) when d <> 0 -> 1 lsl d
+  | _ -> 0
+
+(* The fast path of a load or store: the physical address when the
+   access is plain memory the guest may touch, else -1.  [limit] is
+   the lower of the MMIO window's base and the memory size; both are
+   compile-time constants, and masked addresses are non-negative, so
+   one compare stands in for the interpreter's two. *)
+let[@inline] fast_paddr st tlb shift limit ~write vaddr =
+  if not st.x_smmu then if vaddr < limit then vaddr else -1
   else
-  match i with
-  | Isa.Nop -> Simple (skip, nm)
-  | Isa.Ldi (rd, v) ->
-    if rd = 0 then Simple (skip, nm)
-    else
-      let v = Word.mask v in
-      Simple ((fun k () -> Array.unsafe_set regs rd v; k ()), nm)
-  | Isa.Alu (op, rd, r1, r2) ->
-    if rd = 0 then Simple (skip, nm)
-    else
-      (* specialised per operator: [Word] results are already masked *)
-      let build : (unit -> unit) -> unit -> unit =
-        match op with
-        | Isa.Add ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.add (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Sub ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.sub (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Mul ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.mul (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Divu ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.divu (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Remu ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.remu (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-            k ()
-        | Isa.And ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.logand (Array.unsafe_get regs r1)
-                 (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Or ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.logor (Array.unsafe_get regs r1)
-                 (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Xor ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.logxor (Array.unsafe_get regs r1)
-                 (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Sll ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.shift_left (Array.unsafe_get regs r1)
-                 (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Srl ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.shift_right_logical (Array.unsafe_get regs r1)
-                 (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Sra ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.shift_right_arith (Array.unsafe_get regs r1)
-                 (Array.unsafe_get regs r2));
-            k ()
-        | Isa.Slt ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (if
-                 Word.lt_signed (Array.unsafe_get regs r1)
-                   (Array.unsafe_get regs r2)
-               then 1
-               else 0);
-            k ()
-        | Isa.Sltu ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (if
-                 Word.lt_unsigned (Array.unsafe_get regs r1)
-                   (Array.unsafe_get regs r2)
-               then 1
-               else 0);
-            k ()
-      in
-      Simple (build, nm)
-  | Isa.Alui (op, rd, rs, imm) ->
-    if rd = 0 then Simple (skip, nm)
-    else
-      let iv = Word.of_signed imm in
-      let build : (unit -> unit) -> unit -> unit =
-        match op with
-        | Isa.Add ->
-          fun k () ->
-            Array.unsafe_set regs rd (Word.add (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Sub ->
-          fun k () ->
-            Array.unsafe_set regs rd (Word.sub (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Mul ->
-          fun k () ->
-            Array.unsafe_set regs rd (Word.mul (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Divu ->
-          fun k () ->
-            Array.unsafe_set regs rd (Word.divu (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Remu ->
-          fun k () ->
-            Array.unsafe_set regs rd (Word.remu (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.And ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.logand (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Or ->
-          fun k () ->
-            Array.unsafe_set regs rd (Word.logor (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Xor ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.logxor (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Sll ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.shift_left (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Srl ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.shift_right_logical (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Sra ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (Word.shift_right_arith (Array.unsafe_get regs rs) iv);
-            k ()
-        | Isa.Slt ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (if Word.lt_signed (Array.unsafe_get regs rs) iv then 1 else 0);
-            k ()
-        | Isa.Sltu ->
-          fun k () ->
-            Array.unsafe_set regs rd
-              (if Word.lt_unsigned (Array.unsafe_get regs rs) iv then 1 else 0);
-            k ()
-      in
-      Simple (build, nm)
-  | Isa.Probe rd ->
-    if rd = 0 then Simple (skip, nm)
-    else Simple ((fun k () -> Array.unsafe_set regs rd st.x_spriv; k ()), nm)
-  | Isa.Ld (rd, rs, off) ->
-    let ov = Word.of_signed off in
-    let mem = st.x_mem in
-    let mmio = st.x_mmio_base in
-    (* memory never resizes, so the bound is a compile-time constant;
-       masked addresses are non-negative, so one compare replaces the
-       checked [Memory.read] *)
-    let msize = Memory.size mem in
-    let build k () =
-      let vaddr = Word.add (Array.unsafe_get regs rs) ov in
-      if not st.x_smmu then begin
-        (* MMU off: translation is the identity *)
-        if vaddr >= mmio then
-          stop_at st refund at (X_mmio_read { paddr = vaddr; reg = rd })
-        else if vaddr >= msize then
-          stop_at st refund at (X_fault_load vaddr)
-        else begin
-          if rd <> 0 then
-            Array.unsafe_set regs rd (Memory.read_fast mem vaddr);
-          k ()
-        end
-      end
-      else begin
-        let vpage = vaddr lsr st.x_page_shift in
-        match Tlb.lookup st.x_tlb ~vpage with
-        | None -> stop_at st refund at (X_tlb_miss { vaddr; write = false })
-        | Some e ->
-          if st.x_spriv = 3 && not e.Tlb.user_ok then
-            stop_at st refund at (X_protection { vaddr; write = false })
-          else
-            let paddr =
-              (e.Tlb.ppage lsl st.x_page_shift)
-              lor (vaddr land ((1 lsl st.x_page_shift) - 1))
-            in
-            if paddr >= mmio then
-              stop_at st refund at (X_mmio_read { paddr; reg = rd })
-            else if paddr >= msize then
-              stop_at st refund at (X_fault_load paddr)
-            else begin
-              if rd <> 0 then
-                Array.unsafe_set regs rd (Memory.read_fast mem paddr);
-              k ()
-            end
-      end
-    in
-    Mem (build, nm)
-  | Isa.St (rv, rb, off) ->
-    let ov = Word.of_signed off in
-    let mem = st.x_mem in
-    let mmio = st.x_mmio_base in
-    let msize = Memory.size mem in
-    let build k () =
-      let vaddr = Word.add (Array.unsafe_get regs rb) ov in
-      if not st.x_smmu then begin
-        if vaddr >= mmio then
-          stop_at st refund at
-            (X_mmio_write { paddr = vaddr; value = Array.unsafe_get regs rv })
-        else if vaddr >= msize then
-          stop_at st refund at (X_fault_store vaddr)
-        else begin
-          Memory.write_fast mem vaddr (Array.unsafe_get regs rv);
-          k ()
-        end
-      end
-      else begin
-        let vpage = vaddr lsr st.x_page_shift in
-        match Tlb.lookup st.x_tlb ~vpage with
-        | None -> stop_at st refund at (X_tlb_miss { vaddr; write = true })
-        | Some e ->
-          if (st.x_spriv = 3 && not e.Tlb.user_ok) || not e.Tlb.writable then
-            stop_at st refund at (X_protection { vaddr; write = true })
-          else
-            let paddr =
-              (e.Tlb.ppage lsl st.x_page_shift)
-              lor (vaddr land ((1 lsl st.x_page_shift) - 1))
-            in
-            if paddr >= mmio then
-              stop_at st refund at
-                (X_mmio_write { paddr; value = Array.unsafe_get regs rv })
-            else if paddr >= msize then
-              stop_at st refund at (X_fault_store paddr)
-            else begin
-              Memory.write_fast mem paddr (Array.unsafe_get regs rv);
-              k ()
-            end
-      end
-    in
-    Mem (build, nm)
-  | Isa.Br _ | Isa.Jmp _ | Isa.Jal _ | Isa.Jr _
-  (* control mid-block is a plan bug; bailing keeps it correct *)
-  | Isa.Halt | Isa.Wfi
-  | Isa.Rdtod _ | Isa.Rdtmr _ | Isa.Wrtmr _ | Isa.Out _
-  | Isa.Trapc _
-  | Isa.Mfcr _ | Isa.Mtcr _ | Isa.Tlbw _ | Isa.Rfi ->
-    Bail ((fun () -> bail_at st refund at), nm)
+    match Tlb.lookup tlb ~vpage:(vaddr lsr shift) with
+    | Some e
+      when (st.x_spriv <> 3 || e.Tlb.user_ok) && ((not write) || e.Tlb.writable)
+      ->
+      let paddr = (e.Tlb.ppage lsl shift) lor (vaddr land ((1 lsl shift) - 1)) in
+      if paddr < limit then paddr else -1
+    | _ -> -1
 
-(* Superinstruction formation: a whole run of simple ops collapses
-   into one compile-time builder composition — zero dispatch between
-   the member effects at runtime.  The counter records each merged
-   pair, so a run of n simples counts n-1 fusions. *)
-let rec fuse counter = function
-  | Simple (b1, n1) :: Simple (b2, n2) :: rest ->
-    incr counter;
-    fuse counter (Simple ((fun k -> b1 (b2 k)), n1 ^ " + " ^ n2) :: rest)
-  | op :: rest -> op :: fuse counter rest
-  | [] -> []
+(* One body operation, continuation style: a BUILDER that bakes its
+   success continuation in at compile time, so executing one
+   instruction costs exactly one closure call — this is what makes the
+   chain direct-threaded rather than call-threaded.  Register
+   operations cannot fail (the budget was charged at block entry); a
+   load or store that leaves its fast path exits to the interpreter,
+   which raises its stop, and everything else bails. *)
+let compile_op st ~mem ~tlb ~shift ~limit ~at ~refund (op : Op.t) :
+    (unit -> unit) -> unit -> unit =
+  let regs = st.x_regs in
+  if max_reg op >= Array.length regs then
+    (* out-of-range register: let the interpreter fault on it *)
+    fun _ () -> exit_at st refund at exit_bail
+  else
+    match op with
+    | Nop -> Fun.id
+    | Ldi (d, v) ->
+      fun k () ->
+        set regs d v;
+        k ()
+    | Add (d, a, b) ->
+      fun k () ->
+        set regs d (Word.add (get regs a) (get regs b));
+        k ()
+    | Sub (d, a, b) ->
+      fun k () ->
+        set regs d (Word.sub (get regs a) (get regs b));
+        k ()
+    | Mul (d, a, b) ->
+      fun k () ->
+        set regs d (Word.mul (get regs a) (get regs b));
+        k ()
+    | Divu (d, a, b) ->
+      fun k () ->
+        set regs d (Word.divu (get regs a) (get regs b));
+        k ()
+    | Remu (d, a, b) ->
+      fun k () ->
+        set regs d (Word.remu (get regs a) (get regs b));
+        k ()
+    | And (d, a, b) ->
+      fun k () ->
+        set regs d (Word.logand (get regs a) (get regs b));
+        k ()
+    | Or (d, a, b) ->
+      fun k () ->
+        set regs d (Word.logor (get regs a) (get regs b));
+        k ()
+    | Xor (d, a, b) ->
+      fun k () ->
+        set regs d (Word.logxor (get regs a) (get regs b));
+        k ()
+    | Sll (d, a, b) ->
+      fun k () ->
+        set regs d (Word.shift_left (get regs a) (get regs b));
+        k ()
+    | Srl (d, a, b) ->
+      fun k () ->
+        set regs d (Word.shift_right_logical (get regs a) (get regs b));
+        k ()
+    | Sra (d, a, b) ->
+      fun k () ->
+        set regs d (Word.shift_right_arith (get regs a) (get regs b));
+        k ()
+    | Slt (d, a, b) ->
+      fun k () ->
+        set regs d (if Word.lt_signed (get regs a) (get regs b) then 1 else 0);
+        k ()
+    | Sltu (d, a, b) ->
+      fun k () ->
+        set regs d (if Word.lt_unsigned (get regs a) (get regs b) then 1 else 0);
+        k ()
+    | Addi (d, a, v) ->
+      fun k () ->
+        set regs d (Word.add (get regs a) v);
+        k ()
+    | Subi (d, a, v) ->
+      fun k () ->
+        set regs d (Word.sub (get regs a) v);
+        k ()
+    | Muli (d, a, v) ->
+      fun k () ->
+        set regs d (Word.mul (get regs a) v);
+        k ()
+    | Divui (d, a, v) ->
+      fun k () ->
+        set regs d (Word.divu (get regs a) v);
+        k ()
+    | Remui (d, a, v) ->
+      fun k () ->
+        set regs d (Word.remu (get regs a) v);
+        k ()
+    | Andi (d, a, v) ->
+      fun k () ->
+        set regs d (Word.logand (get regs a) v);
+        k ()
+    | Ori (d, a, v) ->
+      fun k () ->
+        set regs d (Word.logor (get regs a) v);
+        k ()
+    | Xori (d, a, v) ->
+      fun k () ->
+        set regs d (Word.logxor (get regs a) v);
+        k ()
+    | Slli (d, a, v) ->
+      fun k () ->
+        set regs d (Word.shift_left (get regs a) v);
+        k ()
+    | Srli (d, a, v) ->
+      fun k () ->
+        set regs d (Word.shift_right_logical (get regs a) v);
+        k ()
+    | Srai (d, a, v) ->
+      fun k () ->
+        set regs d (Word.shift_right_arith (get regs a) v);
+        k ()
+    | Slti (d, a, v) ->
+      fun k () ->
+        set regs d (if Word.lt_signed (get regs a) v then 1 else 0);
+        k ()
+    | Sltui (d, a, v) ->
+      fun k () ->
+        set regs d (if Word.lt_unsigned (get regs a) v then 1 else 0);
+        k ()
+    | Probe d ->
+      fun k () ->
+        set regs d st.x_spriv;
+        k ()
+    | Ld (d, b, off) ->
+      fun k () ->
+        let p =
+          fast_paddr st tlb shift limit ~write:false (Word.add (get regs b) off)
+        in
+        if p >= 0 then begin
+          set regs d (Memory.read_fast mem p);
+          k ()
+        end
+        else exit_at st refund at exit_stop
+    | Ld0 (b, off) ->
+      fun k () ->
+        if
+          fast_paddr st tlb shift limit ~write:false (Word.add (get regs b) off)
+          >= 0
+        then k ()
+        else exit_at st refund at exit_stop
+    | St (v, b, off) ->
+      fun k () ->
+        let p =
+          fast_paddr st tlb shift limit ~write:true (Word.add (get regs b) off)
+        in
+        if p >= 0 then begin
+          Memory.write_fast mem p (get regs v);
+          k ()
+        end
+        else exit_at st refund at exit_stop
+    (* control mid-block is a plan bug; bailing keeps it correct *)
+    | Beq _ | Bne _ | Blt _ | Bge _ | Bltu _ | Bgeu _ | Jmp _ | Jal _ | Jr _
+    | Sys _ ->
+      fun _ () -> exit_at st refund at exit_bail
 
 (* Intra-region control transfer: branch targets that are member
    leaders chain directly (the target block re-checks the budget);
@@ -425,109 +297,75 @@ let goto st targets target =
       st.x_pc <- target;
       st.x_exit <- exit_link
 
-let br_closure (regs : int array) c r1 r2 taken fall =
-  match (c : Isa.cond) with
-  | Isa.Eq -> fun () -> if regs.(r1) = regs.(r2) then taken () else fall ()
-  | Isa.Ne -> fun () -> if regs.(r1) <> regs.(r2) then taken () else fall ()
-  | Isa.Lt ->
-    fun () -> if Word.lt_signed regs.(r1) regs.(r2) then taken () else fall ()
-  | Isa.Ge ->
-    fun () ->
-      if not (Word.lt_signed regs.(r1) regs.(r2)) then taken () else fall ()
-  | Isa.Ltu ->
-    fun () ->
-      if Word.lt_unsigned regs.(r1) regs.(r2) then taken () else fall ()
-  | Isa.Geu ->
-    fun () ->
-      if not (Word.lt_unsigned regs.(r1) regs.(r2)) then taken () else fall ()
+(* A block's control terminator, or [None] when the block falls
+   through into [next]. *)
+let terminator st targets ~last ~next (op : Op.t) =
+  let regs = st.x_regs in
+  let goto = goto st targets in
+  match op with
+  | Beq (a, b, tgt) ->
+    let taken = goto tgt and fall = goto next in
+    Some (fun () -> if regs.(a) = regs.(b) then taken () else fall ())
+  | Bne (a, b, tgt) ->
+    let taken = goto tgt and fall = goto next in
+    Some (fun () -> if regs.(a) <> regs.(b) then taken () else fall ())
+  | Blt (a, b, tgt) ->
+    let taken = goto tgt and fall = goto next in
+    Some
+      (fun () ->
+        if Word.lt_signed regs.(a) regs.(b) then taken () else fall ())
+  | Bge (a, b, tgt) ->
+    let taken = goto tgt and fall = goto next in
+    Some
+      (fun () ->
+        if not (Word.lt_signed regs.(a) regs.(b)) then taken () else fall ())
+  | Bltu (a, b, tgt) ->
+    let taken = goto tgt and fall = goto next in
+    Some
+      (fun () ->
+        if Word.lt_unsigned regs.(a) regs.(b) then taken () else fall ())
+  | Bgeu (a, b, tgt) ->
+    let taken = goto tgt and fall = goto next in
+    Some
+      (fun () ->
+        if not (Word.lt_unsigned regs.(a) regs.(b)) then taken ()
+        else fall ())
+  | Jmp tgt -> Some (goto tgt)
+  | Jal (d, tgt) ->
+    let g = goto tgt in
+    (* branch-and-link privilege quirk: the static part of the link
+       value is precomputed, the privilege bits are live *)
+    let link = Word.mask ((last + 1) lsl 2) in
+    Some
+      (fun () ->
+        regs.(d) <- link lor st.x_spriv;
+        g ())
+  | Jr rs ->
+    Some
+      (fun () ->
+        st.x_pc <- regs.(rs) lsr 2;
+        st.x_exit <- exit_indirect)
+  | _ -> None
 
-let def_of (i : Isa.instr) =
-  match i with
-  | Isa.Ldi (rd, _)
-  | Isa.Alu (_, rd, _, _)
-  | Isa.Alui (_, rd, _, _)
-  | Isa.Ld (rd, _, _)
-  | Isa.Jal (rd, _)
-  | Isa.Probe rd
-  | Isa.Rdtod rd | Isa.Rdtmr rd
-  | Isa.Mfcr (rd, _) ->
-    if rd = 0 then 0 else 1 lsl rd
-  | _ -> 0
-
-let compile_block st code targets counter ~leader ~len =
+let compile_block st ~ops ~mem ~tlb ~shift ~limit targets ~leader ~len =
   let last = leader + len - 1 in
-  let term_instr = code.(last) in
-  let is_control =
-    match term_instr with
-    | Isa.Br _ | Isa.Jmp _ | Isa.Jal _ | Isa.Jr _ -> true
-    | _ -> false
+  let next = leader + len in
+  let term, body_len =
+    match terminator st targets ~last ~next ops.(last) with
+    | Some term -> (term, len - 1)
+    | None -> (goto st targets next, len)
   in
-  let body_len = if is_control then len - 1 else len in
-  let term, term_name, term_fusable =
-    if is_control then begin
-      let nm = instr_name term_instr in
-      match term_instr with
-      | Isa.Br (c, r1, r2, tgt) ->
-        let taken = goto st targets tgt in
-        let fall = goto st targets (leader + len) in
-        (br_closure st.x_regs c r1 r2 taken fall, nm, true)
-      | Isa.Jmp tgt -> (goto st targets tgt, nm, true)
-      | Isa.Jal (rd, tgt) ->
-        let g = goto st targets tgt in
-        if rd = 0 then (g, nm, true)
-        else
-          (* branch-and-link privilege quirk: the static part of the
-             link value is precomputed, the privilege bits are live *)
-          let link = Word.mask ((last + 1) lsl 2) in
-          let regs = st.x_regs in
-          ( (fun () ->
-              regs.(rd) <- link lor st.x_spriv;
-              g ()),
-            nm, true )
-      | Isa.Jr rs ->
-        let regs = st.x_regs in
-        ( (fun () ->
-            st.x_pc <- regs.(rs) lsr 2;
-            st.x_exit <- exit_indirect),
-          nm, false )
-      | _ -> assert false
-    end
-    else
-      ( goto st targets (leader + len),
-        Printf.sprintf "fall-through -> %d" (leader + len),
-        false )
-  in
-  let ops =
-    List.init body_len (fun idx ->
-        classify st ~at:(leader + idx) ~refund:(len - idx) code.(leader + idx))
-  in
-  let ops = fuse counter ops in
-  (* the trailing op fuses into a direct-jump terminator — the
-     compare-and-branch (or load-and-branch) superinstruction; a
-     [Mem]'s failure paths already ignore the continuation, so it
-     composes as safely as a simple op *)
-  let ops, term, term_name =
-    if term_fusable then
-      match List.rev ops with
-      | (Simple (b, nm) | Mem (b, nm)) :: rev_rest ->
-        incr counter;
-        (List.rev rev_rest, b term, nm ^ " + " ^ term_name)
-      | _ -> (ops, term, term_name)
-    else (ops, term, term_name)
-  in
-  let body =
-    List.fold_left
-      (fun k op ->
-        match op with
-        | Simple (build, _) | Mem (build, _) -> build k
-        | Bail (b, _) -> b)
-      term (List.rev ops)
-  in
+  let body = ref term in
+  for idx = body_len - 1 downto 0 do
+    body :=
+      compile_op st ~mem ~tlb ~shift ~limit ~at:(leader + idx)
+        ~refund:(len - idx) ops.(leader + idx) !body
+  done;
+  let body = !body in
   let defm = ref 0 in
   for a = leader to last do
-    defm := !defm lor def_of code.(a)
+    defm := !defm lor def_of ops.(a)
   done;
-  let defm = !defm in
   (* the block prologue is the only per-block overhead on the hot
      path: one budget compare and one decrement.  Written-register and
      completed-count accounting live at the dispatch entry instead.
@@ -560,133 +398,109 @@ let compile_block st code targets counter ~leader ~len =
           body ()
         end
   in
-  let names =
-    List.map (function Simple (_, n) | Mem (_, n) | Bail (_, n) -> n) ops
-    @ [ term_name ]
-  in
-  (blk, defm, { l_leader = leader; l_len = len; l_ops = names })
+  (blk, !defm)
 
-let compile_region st code counter (r : plan_region) =
-  let n = Array.length code in
+let compile_region st ~ops ~mem ~tlb ~shift ~limit (r : plan_region) =
+  let n = Array.length ops in
   if
     not
       (List.for_all
          (fun b -> b.pb_leader >= 0 && b.pb_len > 0 && b.pb_leader + b.pb_len <= n)
          r.pr_blocks)
   then Error "member block outside the code image"
+  else if not (List.exists (fun b -> b.pb_leader = r.pr_head) r.pr_blocks)
+  then Error "head block missing from the member list"
   else
-    match List.find_opt (fun b -> b.pb_leader = r.pr_head) r.pr_blocks with
-    | None -> Error "head block missing from the member list"
-    | Some head_blk ->
-      if
-        match Isa.classify code.(r.pr_head) with
-        | Isa.Ordinary -> false
-        | _ -> true
-      then
-        Error
-          (Printf.sprintf "head begins with non-ordinary instruction %s"
-             (instr_name code.(r.pr_head)))
-      else begin
-        (* two passes: allocate a slot per member leader, then compile
-           each block and back-patch, so intra-region branches chain
-           through the slot without a dispatch round-trip *)
-        let targets = Hashtbl.create (List.length r.pr_blocks * 2) in
-        List.iter
-          (fun b -> Hashtbl.replace targets b.pb_leader (ref nothing))
-          r.pr_blocks;
-        let region_def = ref 0 in
-        let blocks =
-          List.map
-            (fun b ->
-              let blk, defm, l =
-                compile_block st code targets counter ~leader:b.pb_leader
-                  ~len:b.pb_len
-              in
-              region_def := !region_def lor defm;
-              (match Hashtbl.find_opt targets b.pb_leader with
-              | Some slot -> slot := blk
-              | None -> ());
-              l)
-            r.pr_blocks
-        in
-        (* every member leader whose first instruction is ordinary is
-           a dispatch entry point, not just the head: a budget exit
-           parks the pc on a member leader, and the next run must be
-           able to re-enter there instead of interpreting the rest of
-           the region.  The certificate precheck is region-wide, so it
-           holds at any member. *)
-        let entry_points =
-          List.filter_map
-            (fun b ->
-              match Isa.classify code.(b.pb_leader) with
-              | Isa.Ordinary ->
-                Some
-                  ( b.pb_leader,
-                    {
-                      e_cost = b.pb_len;
-                      e_priv_mask = r.pr_priv_mask;
-                      e_def = !region_def;
-                      e_run = !(Hashtbl.find targets b.pb_leader);
-                    } )
-              | _ -> None)
-            r.pr_blocks
-        in
-        Ok
-          ( entry_points,
-            {
-              l_head = r.pr_head;
-              l_cost = head_blk.pb_len;
-              l_priv_mask = r.pr_priv_mask;
-              l_blocks = blocks;
-            } )
-      end
+    match ops.(r.pr_head) with
+    | Op.Sys i ->
+      Error
+        (Format.asprintf "head begins with non-ordinary instruction %a" Isa.pp
+           i)
+    | _ ->
+      (* two passes: allocate a slot per member leader, then compile
+         each block and back-patch, so intra-region branches chain
+         through the slot without a dispatch round-trip *)
+      let targets = Hashtbl.create (List.length r.pr_blocks * 2) in
+      List.iter
+        (fun b -> Hashtbl.replace targets b.pb_leader (ref nothing))
+        r.pr_blocks;
+      let region_def =
+        List.fold_left
+          (fun acc b ->
+            let blk, defm =
+              compile_block st ~ops ~mem ~tlb ~shift ~limit targets
+                ~leader:b.pb_leader ~len:b.pb_len
+            in
+            (match Hashtbl.find_opt targets b.pb_leader with
+            | Some slot -> slot := blk
+            | None -> ());
+            acc lor defm)
+          0 r.pr_blocks
+      in
+      (* every member leader whose first instruction is ordinary is
+         a dispatch entry point, not just the head: a budget exit
+         parks the pc on a member leader, and the next run must be
+         able to re-enter there instead of interpreting the rest of
+         the region.  The certificate precheck is region-wide, so it
+         holds at any member. *)
+      Ok
+        (List.filter_map
+           (fun b ->
+             match ops.(b.pb_leader) with
+             | Op.Sys _ -> None
+             | _ ->
+               Some
+                 ( b.pb_leader,
+                   {
+                     e_cost = b.pb_len;
+                     e_priv_mask = r.pr_priv_mask;
+                     e_def = region_def;
+                     e_run = !(Hashtbl.find targets b.pb_leader);
+                   } ))
+           r.pr_blocks)
 
-let compile ~code ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
-  let n = Array.length code in
+let compile ~code ~ops ~regs ~mem ~tlb ~mmio_base ~page_shift ?profile plan =
+  let n = Array.length ops in
   let st =
     {
       x_regs = regs;
-      x_mem = mem;
-      x_tlb = tlb;
-      x_mmio_base = mmio_base;
-      x_page_shift = page_shift;
       x_pc = 0;
       x_remaining = 0;
       x_smmu = false;
       x_spriv = 0;
-      x_stop = None;
       x_exit = exit_budget;
       x_prof = (match profile with Some p -> p | None -> [||]);
       x_prof_leader = 0;
     }
   in
+  (* memory never resizes, so the fast path's bound is a constant *)
+  let limit = min mmio_base (Memory.size mem) in
   let entries = Array.make (max n 1) None in
-  let counter = ref 0 in
-  let regions = ref 0 and blocks = ref 0 and instrs = ref 0 in
   let listing = ref [] and untranslated = ref [] in
   List.iter
     (fun (r : plan_region) ->
-      if r.pr_head < 0 || r.pr_head >= n then
-        untranslated := (r.pr_head, "head outside the code image") :: !untranslated
-      else
-        match compile_region st code counter r with
-        | Error reason -> untranslated := (r.pr_head, reason) :: !untranslated
-        | Ok (entry_points, rl) ->
-          List.iter (fun (leader, e) -> entries.(leader) <- Some e) entry_points;
-          incr regions;
-          blocks := !blocks + List.length r.pr_blocks;
-          instrs :=
-            !instrs + List.fold_left (fun a b -> a + b.pb_len) 0 r.pr_blocks;
-          listing := rl :: !listing)
+      match
+        if r.pr_head < 0 || r.pr_head >= n then
+          Error "head outside the code image"
+        else
+          compile_region st ~ops ~mem ~tlb ~shift:page_shift ~limit r
+      with
+      | Error reason -> untranslated := (r.pr_head, reason) :: !untranslated
+      | Ok entry_points ->
+        List.iter (fun (leader, e) -> entries.(leader) <- Some e) entry_points;
+        listing := r :: !listing)
     plan;
+  let listing = List.rev !listing in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 listing in
   {
     entries;
     state = st;
-    translated_regions = !regions;
-    translated_blocks = !blocks;
-    translated_instrs = !instrs;
-    fused = !counter;
-    listing = List.rev !listing;
+    translated_regions = List.length listing;
+    translated_blocks = sum (fun r -> List.length r.pr_blocks);
+    translated_instrs =
+      sum (fun r -> List.fold_left (fun a b -> a + b.pb_len) 0 r.pr_blocks);
+    code;
+    listing;
     untranslated = List.rev !untranslated;
     entries_taken = 0;
     threaded_instrs = 0;
@@ -704,7 +518,6 @@ let reset t =
   st.x_remaining <- 0;
   st.x_smmu <- false;
   st.x_spriv <- 0;
-  st.x_stop <- None;
   st.x_exit <- exit_budget;
   st.x_prof_leader <- 0;
   t.entries_taken <- 0;
@@ -733,20 +546,27 @@ let pp_priv_mask fmt m =
 
 let pp_listing fmt t =
   Format.fprintf fmt
-    "translation: %d superblocks, %d blocks, %d instructions, %d fused \
-     superinstructions@."
-    t.translated_regions t.translated_blocks t.translated_instrs t.fused;
+    "translation: %d superblocks, %d blocks, %d instructions@."
+    t.translated_regions t.translated_blocks t.translated_instrs;
   List.iter
     (fun r ->
+      let head_len =
+        (List.find (fun b -> b.pb_leader = r.pr_head) r.pr_blocks).pb_len
+      in
       Format.fprintf fmt
-        "@.superblock @@%d: entry cost %d, entry priv mask %a@." r.l_head
-        r.l_cost pp_priv_mask r.l_priv_mask;
+        "@.superblock @@%d: entry cost %d, entry priv mask %a@." r.pr_head
+        head_len pp_priv_mask r.pr_priv_mask;
       List.iter
         (fun b ->
-          Format.fprintf fmt "  block %d..%d:@." b.l_leader
-            (b.l_leader + b.l_len - 1);
-          List.iter (fun op -> Format.fprintf fmt "    %s@." op) b.l_ops)
-        r.l_blocks)
+          let last = b.pb_leader + b.pb_len - 1 in
+          Format.fprintf fmt "  block %d..%d:@." b.pb_leader last;
+          for a = b.pb_leader to last do
+            Format.fprintf fmt "    %4d  %a@." a Isa.pp t.code.(a)
+          done;
+          match t.code.(last) with
+          | Isa.Br _ | Jmp _ | Jal _ | Jr _ -> ()
+          | _ -> Format.fprintf fmt "    fall-through -> %d@." (last + 1))
+        r.pr_blocks)
     t.listing;
   if t.untranslated <> [] then begin
     Format.fprintf fmt "@.untranslated (interpreter fallback):@.";

@@ -1,24 +1,30 @@
 (** Direct-threaded translation of manifest-certified superblocks.
 
-    The translator pre-decodes each certified superblock into a chain
-    of OCaml closures — one per instruction, with adjacent
-    straight-line pairs fused into superinstructions — so the hot path
-    pays no per-instruction decode, no per-instruction recovery-counter
-    bookkeeping (the charge is batched per basic block against a
-    pre-computed budget), and no per-instruction certificate checks
-    (one privilege precheck at superblock entry stands in for them;
-    the certificates themselves are the static proof).
+    The translator compiles {!Cpu}'s decoded image ({!Op}) of each
+    certified superblock into a chain of OCaml closures, one per
+    instruction, so the hot path pays no per-instruction dispatch on
+    the operation, no per-instruction recovery-counter bookkeeping (the
+    charge is batched per basic block against a pre-computed budget),
+    and no per-instruction certificate checks (one privilege precheck
+    at superblock entry stands in for them; the certificates
+    themselves are the static proof).
 
-    The module is deliberately below {!Cpu} in the dependency order:
-    it defines the execution-state record the closures mutate and the
-    stop conditions they can produce, and {!Cpu.run}'s dispatch loop
-    owns entering translated code and converting exits back into
-    interpreter stops.  Translated execution is semantically identical
-    to the interpreter on the instructions it executes — anything
+    The closures hold only the fast path.  A load or store runs inline
+    only when it reaches plain memory (below both the MMIO window and
+    the memory size, through a permitted TLB hit when the MMU is on);
+    otherwise it exits {e at} the instruction, which {!Cpu.run} hands
+    to the interpreter, and the interpreter raises the stop.  Anything
     whose behaviour is not a pure function of the threaded state
     (environment instructions, privileged instructions, trap calls)
     compiles to a {e bail} exit that hands the program counter back to
-    the interpreter untouched. *)
+    the interpreter untouched.  So every stop is raised by the
+    interpreter, and translated execution is semantically identical to
+    it on the instructions it executes.
+
+    The module is deliberately below {!Cpu} in the dependency order:
+    it defines the execution-state record the closures mutate, and
+    {!Cpu.run}'s dispatch loop owns entering translated code and
+    handing its exits back to the interpreter. *)
 
 (** One basic block of a certified superblock, by leader address. *)
 type plan_block = { pb_leader : int; pb_len : int }
@@ -31,18 +37,6 @@ type plan_region = {
   pr_blocks : plan_block list;
   pr_priv_mask : int;
 }
-
-(** Stop conditions translated code can produce mid-block.  These
-    mirror the memory subset of {!Cpu.stop}; the dispatch loop
-    converts them.  The faulting instruction has {e not} completed —
-    its cost is refunded and [x_pc] points at it. *)
-type stop =
-  | X_mmio_read of { paddr : int; reg : Isa.reg }
-  | X_mmio_write of { paddr : int; value : Word.t }
-  | X_tlb_miss of { vaddr : int; write : bool }
-  | X_protection of { vaddr : int; write : bool }
-  | X_fault_load of int
-  | X_fault_store of int
 
 (** Why translated execution returned to the dispatch loop. *)
 
@@ -59,24 +53,21 @@ val exit_bail : int
 (** a non-ordinary instruction; the interpreter resumes {e at} it *)
 
 val exit_stop : int
-(** a memory stop; [x_stop] holds it *)
+(** a load or store off its fast path; the interpreter runs it {e at}
+    [x_pc] and raises its stop *)
 
 (** Mutable execution state shared between the dispatch loop and the
-    compiled closures.  The register file, memory, and TLB are aliases
-    of the owning CPU's; the rest is (re)initialized per entry. *)
+    compiled closures.  The register file is the owning CPU's (the
+    closures alias its memory and TLB too); the rest is (re)initialized
+    per entry. *)
 type st = {
   x_regs : int array;
-  x_mem : Memory.t;
-  x_tlb : Tlb.t;
-  x_mmio_base : int;
-  x_page_shift : int;
   mutable x_pc : int;
   mutable x_remaining : int;
       (** instruction budget still available; the dispatch loop derives
           the completed count as entry budget minus this *)
   mutable x_smmu : bool;
   mutable x_spriv : int;
-  mutable x_stop : stop option;
   mutable x_exit : int;
   x_prof : int array;
       (** per-address retirement counters when profiling, length 0
@@ -100,15 +91,6 @@ type entry = {
   e_run : unit -> unit;
 }
 
-type block_listing = { l_leader : int; l_len : int; l_ops : string list }
-
-type region_listing = {
-  l_head : int;
-  l_cost : int;
-  l_priv_mask : int;
-  l_blocks : block_listing list;
-}
-
 type t = {
   entries : entry option array;
       (** indexed by code address; [Some] at every translated member
@@ -118,8 +100,8 @@ type t = {
   translated_regions : int;
   translated_blocks : int;
   translated_instrs : int;
-  fused : int;  (** superinstructions formed *)
-  listing : region_listing list;
+  code : Isa.instr array;  (** the image, for the listing *)
+  listing : plan_region list;  (** the regions compiled *)
   untranslated : (int * string) list;
       (** region head, reason it was left to the interpreter *)
   mutable entries_taken : int;
@@ -134,6 +116,7 @@ type t = {
 
 val compile :
   code:Isa.instr array ->
+  ops:Op.t array ->
   regs:int array ->
   mem:Memory.t ->
   tlb:Tlb.t ->
@@ -142,7 +125,7 @@ val compile :
   ?profile:int array ->
   plan_region list ->
   t
-(** Compile every region of the plan.  Regions that cannot make
+(** Compile every region of the plan from [ops], the decoded [code].  Regions that cannot make
     guaranteed progress under translation (a head block opening with a
     non-ordinary instruction) or that fail basic sanity checks are
     recorded in [untranslated] and left to the interpreter.
@@ -166,6 +149,7 @@ val note_exit : t -> unit
 (** Charge the fallback counter matching [state.x_exit] after a run. *)
 
 val pp_listing : Format.formatter -> t -> unit
-(** The [hftsim disasm --translated] listing: per-superblock fused
-    superinstructions, entry prechecks, and per-region fallback
-    reasons for untranslated superblocks. *)
+(** The [hftsim disasm --translated] listing: per superblock, its
+    entry prechecks and every translated instruction once, by address,
+    in its block; then the reason each untranslated superblock was
+    left to the interpreter. *)

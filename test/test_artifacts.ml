@@ -117,7 +117,7 @@ let test_every_emitter d =
   schema "chaos/1" `Pretty "chaos.json" "hftsim-chaos/1";
   schema "metrics/2" `Pretty "metrics.json" "hftsim-metrics/2";
   schema "trace/1" `Lines "trace.jsonl" "hftsim-trace/1";
-  schema "bench-core/7" `Pretty "bench.json" "hftsim-bench-core/7";
+  schema "bench-core/8" `Pretty "bench.json" "hftsim-bench-core/8";
   (match round_trip "SARIF" `Pretty (read (f "lint.sarif")) with
   | [ v ] ->
     Alcotest.(check (option string)) "SARIF version" (Some "2.1.0")

@@ -129,6 +129,132 @@ let test_fuel_slicing_matches () =
   in
   go 0
 
+(* ---------- memory stops: the interpreter raises them ---------- *)
+
+(* Translated loads and stores run only their fast path and hand every
+   other access back to the interpreter, which raises the stop.  One
+   region of blocks [count; access; jump], so each access stops
+   mid-block after a completed instruction: with the MMU off an MMIO
+   read into a register and into r0, an MMIO write, and a load and a
+   store at 0x2000; then the status register turns the MMU on at
+   privilege 3 for a TLB miss on a read and on a write (pages 3 and 4
+   start unmapped) and a protection fault on a read (page 2 is
+   supervisor-only) and on a write (page 1 is read-only). *)
+let handback_image ~mmio =
+  let open Isa in
+  let bodies =
+    [
+      [ Ldi (1, mmio); Ldi (2, 0x2000); Ldi (5, 42); Ldi (10, 0xC00);
+        Ldi (11, 0x1000); Ldi (12, 0x800); Ldi (13, 0x400) ];
+    ]
+    @ List.map
+        (fun access -> [ Alui (Add, 9, 9, 1); access ])
+        [ Ld (3, 1, 0); Ld (0, 1, 0); St (5, 1, 1); Ld (4, 2, 0); St (5, 2, 0) ]
+    @ [ [ Ldi (6, status_with_mmu_enable (status_with_priv 0 3) true);
+          Mtcr (Cr_status, 6) ] ]
+    @ List.map
+        (fun access -> [ Alui (Add, 9, 9, 1); access ])
+        [ Ld (8, 10, 0); St (5, 11, 0); Ld (8, 12, 0); St (5, 13, 0) ]
+  in
+  (* each block jumps to the next, the last to the halt after them *)
+  let code, blocks, _ =
+    List.fold_left
+      (fun (code, blocks, at) body ->
+        let len = List.length body + 1 in
+        ( code @ body @ [ Jmp (at + len) ],
+          { Translate.pb_leader = at; pb_len = len } :: blocks,
+          at + len ))
+      ([], [], 0) bodies
+  in
+  (Array.of_list (code @ [ Halt ]), List.rev blocks)
+
+let test_memory_stops_handed_back () =
+  let map vpage =
+    { Tlb.vpage; ppage = vpage; user_ok = vpage <> 2; writable = vpage <> 1 }
+  in
+  let check_config (name, config, expected) =
+    let code, blocks = handback_image ~mmio:config.Cpu.mmio_base in
+    let arm translate =
+      let c = Cpu.create ~config ~code () in
+      List.iter (fun p -> Tlb.insert (Cpu.tlb c) (map p)) [ 1; 2 ];
+      Cpu.install_profile c;
+      if translate then
+        Cpu.install_translation c
+          [ { Translate.pr_head = 0; pr_blocks = blocks; pr_priv_mask = -1 } ];
+      c
+    in
+    let interp = arm false and threaded = arm true in
+    let both f = List.iter f [ interp; threaded ] in
+    let block_sums c =
+      let p = Option.get (Cpu.profile c) in
+      List.map
+        (fun (b : Translate.plan_block) ->
+          Array.fold_left ( + ) 0 (Array.sub p b.pb_leader b.pb_len))
+        blocks
+    in
+    let rec go k stops =
+      if k > 100 then Alcotest.failf "%s: never halted" name;
+      let ri = Cpu.run interp ~fuel:1000 and rt = Cpu.run threaded ~fuel:1000 in
+      let what = Printf.sprintf "%s, run %d: " name k in
+      let stop = Format.asprintf "%a" Cpu.pp_stop ri.Cpu.stop in
+      Alcotest.(check string) (what ^ "stop") stop
+        (Format.asprintf "%a" Cpu.pp_stop rt.Cpu.stop);
+      Alcotest.(check int) (what ^ "pc") (Cpu.pc interp) (Cpu.pc threaded);
+      Alcotest.(check (list int)) (what ^ "registers")
+        (List.init Isa.num_regs (Cpu.reg interp))
+        (List.init Isa.num_regs (Cpu.reg threaded));
+      Alcotest.(check int) (what ^ "state hash")
+        (Cpu.state_hash ~full:true ~include_tlb:true interp)
+        (Cpu.state_hash ~full:true ~include_tlb:true threaded);
+      Alcotest.(check int) (what ^ "retired")
+        (Cpu.instructions_retired interp)
+        (Cpu.instructions_retired threaded);
+      Alcotest.(check (list int)) (what ^ "per-block profile")
+        (block_sums interp) (block_sums threaded);
+      match ri.Cpu.stop with
+      | Cpu.Stop_halt -> List.rev stops
+      | Cpu.Mmio_read { reg; _ } ->
+        both (fun c ->
+            Cpu.set_reg c reg 7;
+            Cpu.advance_pc c);
+        go (k + 1) (stop :: stops)
+      | Cpu.(Mmio_write _ | Protection _ | Fault _) ->
+        both Cpu.advance_pc;
+        go (k + 1) (stop :: stops)
+      | Cpu.Tlb_miss { vaddr; _ } ->
+        let shift = config.Cpu.page_shift in
+        both (fun c -> Tlb.insert (Cpu.tlb c) (map (vaddr lsr shift)));
+        go (k + 1) (stop :: stops)
+      | s -> Alcotest.failf "%s: unexpected stop %a" name Cpu.pp_stop s
+    in
+    Alcotest.(check (list string)) (name ^ ": stops") expected (go 0 []);
+    let tx = Option.get (Cpu.translation threaded) in
+    Alcotest.(check int) (name ^ ": every stop left translated code")
+      (List.length expected) tx.Translate.fb_stop
+  in
+  let mmu_on =
+    [ "tlb-miss(0xc00, r)"; "tlb-miss(0x1000, w)"; "protection(0x800, r)";
+      "protection(0x400, w)" ]
+  in
+  List.iter check_config
+    [
+      ( "MMIO above memory",
+        { Cpu.default_config with Cpu.mem_words = 0x2000 },
+        [ "mmio-read(0xf0000 -> r3)"; "mmio-read(0xf0000 -> r0)";
+          "mmio-write(0xf0001 <- 0x0000002a)";
+          "fault(load from bad address 0x2000)";
+          "fault(store to bad address 0x2000)" ]
+        @ mmu_on );
+      (* the MMIO window starts inside memory: the fast path's limit is
+         the window's base, not the memory size *)
+      ( "MMIO inside memory",
+        { Cpu.default_config with Cpu.mem_words = 0x2000; mmio_base = 0x1800 },
+        [ "mmio-read(0x1800 -> r3)"; "mmio-read(0x1800 -> r0)";
+          "mmio-write(0x1801 <- 0x0000002a)"; "mmio-read(0x2000 -> r4)";
+          "mmio-write(0x2000 <- 0x0000002a)" ]
+        @ mmu_on );
+    ]
+
 (* ---------- stale manifest: full interpreter fallback ---------- *)
 
 let test_stale_manifest_falls_back () =
@@ -156,9 +282,12 @@ let test_stale_manifest_falls_back () =
   let o = System.run sys in
   Alcotest.(check (list int)) "no mismatches" [] o.System.lockstep_mismatches
 
-(* ---------- listing / fusion sanity ---------- *)
+(* ---------- listing ---------- *)
 
-let test_listing_and_fusion () =
+(* The listing names every translated instruction exactly once, by
+   address, and nothing else as an instruction: its instruction lines
+   are the indented ones other than the fall-through notes. *)
+let test_listing_names_each_instruction_once () =
   let w = Workload.dhrystone ~iterations:10 in
   let code = w.Workload.program.Asm.code in
   let m = Manifest.of_code code in
@@ -169,14 +298,34 @@ let test_listing_and_fusion () =
   match Cpu.translation c with
   | None -> Alcotest.fail "no translation installed"
   | Some tx ->
-    Alcotest.(check bool) "blocks counted" true
-      (tx.Translate.translated_blocks > 0);
-    Alcotest.(check bool) "some pairs fused" true (tx.Translate.fused > 0);
-    let listing = Format.asprintf "%a" Translate.pp_listing tx in
-    Alcotest.(check bool) "listing shows superblocks" true
-      (contains listing "superblock");
-    Alcotest.(check bool) "listing shows fused pairs" true
-      (contains listing " + ")
+    let lines =
+      String.split_on_char '\n'
+        (Format.asprintf "%a" Translate.pp_listing tx)
+    in
+    let translated =
+      List.concat_map
+        (fun (r : Translate.plan_region) ->
+          List.concat_map
+            (fun (b : Translate.plan_block) ->
+              List.init b.pb_len (fun i -> b.pb_leader + i))
+            r.pr_blocks)
+        tx.Translate.listing
+    in
+    Alcotest.(check int) "every translated instruction"
+      tx.Translate.translated_instrs (List.length translated);
+    List.iter
+      (fun a ->
+        let line = Format.asprintf "    %4d  %a" a Isa.pp code.(a) in
+        Alcotest.(check int) line 1
+          (List.length (List.filter (String.equal line) lines)))
+      translated;
+    Alcotest.(check int) "instruction lines" tx.Translate.translated_instrs
+      (List.length
+         (List.filter
+            (fun l ->
+              String.starts_with ~prefix:"    " l
+              && not (contains l "fall-through"))
+            lines))
 
 (* ---------- Bare: backend equivalence over shipped workloads ---------- *)
 
@@ -656,6 +805,8 @@ let () =
             `Quick test_raw_cpu_lockstep;
           Alcotest.test_case "odd fuel slices keep instruction-exact agreement"
             `Quick test_fuel_slicing_matches;
+          Alcotest.test_case "memory stops are raised by the interpreter"
+            `Quick test_memory_stops_handed_back;
         ] );
       ( "threaded",
         [
@@ -684,8 +835,8 @@ let () =
         ] );
       ( "listing",
         [
-          Alcotest.test_case "fusion counts and listing render" `Quick
-            test_listing_and_fusion;
+          Alcotest.test_case "every translated instruction listed once"
+            `Quick test_listing_names_each_instruction_once;
         ] );
       ( "bare",
         [
