@@ -422,7 +422,8 @@ let run_cmd =
       & info [ "reintegrate" ] ~docv:"MS"
           ~doc:
             "After a failover, revive the failed node as a new backup this \
-             many milliseconds later.")
+             many milliseconds later.  Needs $(b,--crash) or \
+             $(b,--hv-fault).")
   in
   let metrics =
     Arg.(
@@ -484,6 +485,13 @@ let run_cmd =
             (String.concat ", " replicated_only) )
     else if negative crash_ms || negative reintegrate_ms then
       `Error (true, "--crash and --reintegrate must be >= 0")
+    else if events < 0 then `Error (true, "--events must be >= 0")
+    else if reintegrate_ms <> None && crash_ms = None && hv_fault_list = []
+    then
+      `Error
+        ( true,
+          "nothing fails without --crash or --hv-fault, so --reintegrate \
+           cannot apply" )
     else if bare then `Ok (run_bare ~params workload)
     else begin
       let registry = Obs.Metrics.create () in
@@ -766,8 +774,9 @@ let chaos_cmd =
       value & flag
       & info [ "reintegrate" ]
           ~doc:
-            "With $(b,--exact): after the failover, revive the crashed \
-             primary as a new backup.")
+            "With $(b,--exact) and $(b,--crash-epoch) or $(b,--hv-fault): \
+             after the failover, revive the crashed primary as a new \
+             backup.")
   in
   let no_shrink =
     Arg.(
@@ -836,6 +845,11 @@ let chaos_cmd =
             "a campaign samples its own fault schedule, so %s cannot apply \
              without --exact"
             (String.concat ", " exact_only) )
+    else if reintegrate && crash_epoch = None && hv_fault_list = [] then
+      `Error
+        ( true,
+          "nothing fails the primary without --crash-epoch or --hv-fault, \
+           so --reintegrate cannot apply" )
     else begin
     let params =
       params_of ~backend ~epoch ~protocol ~link
@@ -1103,7 +1117,7 @@ let lint_cmd =
       & info [ "manifest-out" ] ~docv:"PATH"
           ~doc:
             "Write the compilation manifest(s) as JSON: schema \
-             hftsim-manifest/3 for a single image, hftsim-manifest-set/1 \
+             hftsim-manifest/4 for a single image, hftsim-manifest-set/1 \
              (one manifest per analyzed image) with $(b,--all).")
   in
   let manifest_baseline_arg =
@@ -1446,9 +1460,9 @@ let lint_cmd =
          "Statically analyze a guest image against the paper's assumptions: \
           privilege/virtualizability (section 3.1), determinism of replica \
           inputs, and epoch-counting safety (section 2.1).  Also certifies \
-          the image into a compilation manifest (hftsim-manifest/3): \
-          per-block Deterministic/Priv0/Epoch_bounded certificates over \
-          VSA-refined control flow and superblocks \
+          the image into a compilation manifest (hftsim-manifest/4): \
+          per-block Deterministic/Priv0 certificates over VSA-refined \
+          control flow and superblocks \
           ($(b,--manifest)/$(b,--manifest-out)/$(b,--manifest-baseline)).  \
           Exits non-zero if any error-severity finding is reported, an \
           embedded manifest is stale, or certification regressed against \
@@ -1951,7 +1965,7 @@ let disasm_cmd =
       & info [ "embed-manifest" ]
           ~doc:
             "Analyze the image and embed its compilation manifest \
-             (hftsim-manifest/3) in the saved file's $(b,M) line, so \
+             (hftsim-manifest/4) in the saved file's $(b,M) line, so \
              loaders can validate it against the code before running.")
   in
   let translated_flag =
@@ -2049,7 +2063,7 @@ let profile_cmd =
   let limit_arg =
     Arg.(
       value
-      & opt int 50_000_000
+      & opt positive_int 50_000_000
       & info [ "limit" ] ~docv:"N"
           ~doc:"Instruction fuel per backend run.")
   in

@@ -3,7 +3,7 @@
    and a guarded scan with an early exit (a multi-block loop).  They
    give the profiler and the direct-threaded translator loop shapes
    beyond the workloads' own (CI's profile-smoke job runs each under
-   both backends).  Each image embeds its hftsim-manifest/3
+   both backends).  Each image embeds its hftsim-manifest/4
    compilation manifest so loaders can validate certificates against
    the code before running.
 

@@ -1,8 +1,8 @@
 open Hft_machine
 
-let schema = "hftsim-manifest/3"
+let schema = "hftsim-manifest/4"
 
-type cert = Deterministic | Priv0 | Epoch_bounded of int
+type cert = Deterministic | Priv0
 
 type block = { leader : int; len : int; certs : cert list; region : int }
 
@@ -10,7 +10,6 @@ type superblock = {
   sid : int;
   head : int;
   members : int list;
-  bound : int option;
   certified : bool;
 }
 
@@ -31,28 +30,25 @@ type t = {
 let cert_name = function
   | Deterministic -> "deterministic"
   | Priv0 -> "priv0"
-  | Epoch_bounded n -> Printf.sprintf "epoch_bounded:%d" n
 
-let cert_of_name s =
-  match s with
+let cert_of_name = function
   | "deterministic" -> Ok Deterministic
   | "priv0" -> Ok Priv0
-  | _ -> (
-    match String.index_opt s ':' with
-    | Some i
-      when String.sub s 0 i = "epoch_bounded"
-           && int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-              <> None ->
-      Ok
-        (Epoch_bounded
-           (int_of_string (String.sub s (i + 1) (String.length s - i - 1))))
-    | _ -> Error (Printf.sprintf "unknown certificate %S" s))
+  | s -> Error (Printf.sprintf "unknown certificate %S" s)
 
 let certified_blocks t =
   List.length (List.filter (fun b -> b.certs <> []) t.blocks)
 
 let certified_superblocks t =
   List.length (List.filter (fun s -> s.certified) t.superblocks)
+
+(* Whether a block lies in a certified superblock. *)
+let in_certified t =
+  let sids = Hashtbl.create 16 in
+  List.iter
+    (fun s -> if s.certified then Hashtbl.replace sids s.sid ())
+    t.superblocks;
+  fun b -> b.region >= 0 && Hashtbl.mem sids b.region
 
 (* Fraction of the reachable instructions covered by certified
    superblocks: what the runtime coverage counters converge to on a
@@ -61,15 +57,10 @@ let static_coverage t =
   let reachable = List.fold_left (fun acc b -> acc + b.len) 0 t.blocks in
   if reachable = 0 then 0.
   else begin
-    let in_cert = Hashtbl.create 16 in
-    List.iter
-      (fun s -> if s.certified then Hashtbl.replace in_cert s.sid ())
-      t.superblocks;
+    let in_cert = in_certified t in
     let covered =
       List.fold_left
-        (fun acc b ->
-          if b.region >= 0 && Hashtbl.mem in_cert b.region then acc + b.len
-          else acc)
+        (fun acc b -> if in_cert b then acc + b.len else acc)
         0 t.blocks
     in
     float_of_int covered /. float_of_int reachable
@@ -113,17 +104,9 @@ let of_solved ?(random_tlb = false)
       | _ -> priv0_ok.(b) <- false)
     done
   done;
-  let bounds = Array.map (Superblock.bound dom) sb.Superblock.regions in
   let cert_list b =
-    let r = sb.Superblock.region_of.(b) in
-    List.concat
-      [
-        (if det_ok.(b) then [ Deterministic ] else []);
-        (if priv0_ok.(b) then [ Priv0 ] else []);
-        (match if r >= 0 then bounds.(r) else None with
-        | Some n -> [ Epoch_bounded n ]
-        | None -> []);
-      ]
+    (if det_ok.(b) then [ Deterministic ] else [])
+    @ if priv0_ok.(b) then [ Priv0 ] else []
   in
   let blocks =
     List.init nb (fun b ->
@@ -142,7 +125,6 @@ let of_solved ?(random_tlb = false)
              head = dom.Domtree.leaders.(r.Superblock.head);
              members =
                List.map (fun b -> dom.Domtree.leaders.(b)) r.Superblock.blocks;
-             bound = bounds.(r.Superblock.id);
              certified =
                List.for_all (fun b -> cert_list b <> []) r.Superblock.blocks;
            })
@@ -235,7 +217,7 @@ let build_tables t ~deprivileged code =
   let det = Array.make n false in
   let uses = Array.make n 0 in
   let def = Array.make n 0 in
-  let region = Array.make n (-1) in
+  let certified = Array.make n false in
   Array.iteri
     (fun a i ->
       uses.(a) <-
@@ -248,19 +230,7 @@ let build_tables t ~deprivileged code =
         | _ -> 0))
     code;
   let priv0_mask = if deprivileged then 1 lsl 1 else 1 in
-  let cert_regions =
-    List.filter (fun s -> s.certified) t.superblocks
-    |> List.mapi (fun k s -> (s.sid, k, s))
-  in
-  let rhead = Array.make (List.length cert_regions) 0 in
-  let rbound = Array.make (List.length cert_regions) max_int in
-  List.iter
-    (fun (_, k, s) ->
-      rhead.(k) <- s.head;
-      rbound.(k) <- (match s.bound with Some b -> b | None -> max_int))
-    cert_regions;
-  let region_renumber = Hashtbl.create 8 in
-  List.iter (fun (sid, k, _) -> Hashtbl.replace region_renumber sid k) cert_regions;
+  let in_cert = in_certified t in
   let blk_end = Array.init n (fun a -> a + 1) in
   List.iter
     (fun b ->
@@ -268,13 +238,11 @@ let build_tables t ~deprivileged code =
         blk_end.(a) <- b.leader + b.len;
         if List.mem Deterministic b.certs then det.(a) <- true;
         if List.mem Priv0 b.certs then priv_ok.(a) <- priv0_mask;
-        match Hashtbl.find_opt region_renumber b.region with
-        | Some k -> region.(a) <- k
-        | None -> ()
+        if in_cert b then certified.(a) <- true
       done)
     t.blocks;
-  Cpu.validator_tables ~blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
-    ~rbound ~random_tlb:t.random_tlb ()
+  Cpu.validator_tables ~blk_end ~code ~priv_ok ~det ~uses ~def ~certified
+    ~random_tlb:t.random_tlb ()
 
 (* The tables depend on nothing but the manifest (whose image hash pins
    the code) and the deprivileging, so every CPU armed from the same
@@ -381,7 +349,6 @@ module J = Hft_obs.Json
 
 let to_json t =
   let ints l = J.Arr (List.map J.int l) in
-  let opt = function Some n -> J.int n | None -> J.Null in
   J.Obj
     [
       ("schema", J.Str schema);
@@ -423,7 +390,6 @@ let to_json t =
                  [
                    ("id", J.int s.sid);
                    ("head", J.int s.head);
-                   ("bound", opt s.bound);
                    ("certified", J.Bool s.certified);
                    ("blocks", ints s.members);
                  ])
@@ -442,8 +408,6 @@ let jbool name j =
   match J.member name j with
   | Some (J.Bool v) -> Ok v
   | _ -> Error (Printf.sprintf "manifest: missing bool %S" name)
-
-let jopt name j = Option.map int_of_float (Option.bind (J.member name j) J.to_float_opt)
 
 (* [f] over each element of the array field [name], in order, stopping
    at the first error. *)
@@ -522,14 +486,7 @@ let of_json j =
         let* head = jint "head" sj in
         let* certified = jbool "certified" sj in
         let* members = jints "blocks" sj in
-        Ok
-          {
-            sid;
-            head;
-            certified;
-            bound = jopt "bound" sj;
-            members;
-          })
+        Ok { sid; head; certified; members })
       "superblocks" j
   in
   Ok

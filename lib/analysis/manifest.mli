@@ -1,4 +1,4 @@
-(** The compilation manifest: a versioned ([hftsim-manifest/3]),
+(** The compilation manifest: a versioned ([hftsim-manifest/4]),
     machine-readable certification of a guest image, per basic block
     and per superblock — what a threaded-code engine needs to know to
     pre-decode guest code without breaking the paper's assumptions.
@@ -12,12 +12,12 @@
     - [Priv0]: the block never executes above virtual privilege level
       0, so privileged instructions in it never trap for privilege
       reasons (under the hypervisor's deprivileging virtual 0 runs at
-      real 1);
-    - [Epoch_bounded n]: one entry of the block's superblock (at its
-      head) completes at most [n] instructions
-      ({!Superblock.bound}: the region is acyclic below its head), so
-      the section 4 recovery counter can be charged per superblock
-      instead of per instruction.
+      real 1).
+
+    No certificate bounds a superblock's instruction count: an epoch
+    ends where the recovery counter expires (or, under object-code
+    editing, at a counting site on every cycle), and the threaded
+    backend charges each translated block by its own length.
 
     A superblock is {e certified} when every member block carries at
     least one certificate.  {!install} arms the interpreter's runtime
@@ -26,7 +26,7 @@
     dynamic oracle: any [Cert_violation] stop is an analyzer bug or a
     stale manifest. *)
 
-type cert = Deterministic | Priv0 | Epoch_bounded of int
+type cert = Deterministic | Priv0
 
 type block = {
   leader : int;
@@ -39,9 +39,6 @@ type superblock = {
   sid : int;
   head : int;         (** leader address of the unique entry block *)
   members : int list; (** member leader addresses *)
-  bound : int option;
-      (** worst-case instructions per entry, when the region is
-          acyclic below its head *)
   certified : bool;
 }
 
@@ -135,11 +132,14 @@ val cert_name : cert -> string
 val cert_of_name : string -> (cert, string) result
 
 val to_json : t -> Hft_obs.Json.t
-(** The [hftsim-manifest/3] document; its compact form is the image's
+(** The [hftsim-manifest/4] document; its compact form is the image's
     embedded [M] line.  Coverage ratios are rounded to 4 decimals, so
     [to_json] of [of_json j] gives back a committed [j]. *)
 
 val of_json : Hft_obs.Json.t -> (t, string) result
+(** A document of any other schema, an older one included, is an
+    [Error] that names its schema. *)
+
 val of_string : string -> (t, string) result
 
 val pp_summary : Format.formatter -> t -> unit

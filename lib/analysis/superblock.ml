@@ -90,34 +90,3 @@ let discover (cfg : Cfg.t) (dom : Domtree.t) =
     (fun r -> List.iter (fun b -> region_of.(b) <- r.id) r.blocks)
     regions;
   { regions = Array.of_list regions; region_of }
-
-(* Worst-case instruction count through a region entered at its head,
-   ignoring edges back into the head (each entry restarts the count):
-   [None] when the headless subgraph still has a cycle.  Single entry
-   means every executable member is reachable from the head {e within}
-   the region — re-entry after an exit must pass the head again — so
-   longest path from the head bounds every in-region run. *)
-let bound (dom : Domtree.t) (r : region) =
-  let in_region = Hashtbl.create 8 in
-  List.iter (fun b -> Hashtbl.replace in_region b ()) r.blocks;
-  let succs b =
-    List.filter
-      (fun s -> Hashtbl.mem in_region s && s <> r.head)
-      dom.Domtree.bsuccs.(b)
-  in
-  let state = Hashtbl.create 8 in
-  let exception Cycle in
-  let rec longest b =
-    match Hashtbl.find_opt state b with
-    | Some (`Done v) -> v
-    | Some `Active -> raise Cycle
-    | None ->
-      Hashtbl.replace state b `Active;
-      let tail =
-        List.fold_left (fun acc s -> max acc (longest s)) 0 (succs b)
-      in
-      let v = dom.Domtree.lens.(b) + tail in
-      Hashtbl.replace state b (`Done v);
-      v
-  in
-  match longest r.head with v -> Some v | exception Cycle -> None

@@ -1,7 +1,7 @@
 (** Superblock discovery: single-entry multi-block regions of the
     clean blocks (no unresolved indirect jumps, no out-of-range direct
-    targets), the compilation units a threaded-code engine would
-    pre-decode and the unit of per-superblock epoch charging.
+    targets): the unit the threaded-code engine translates and the
+    unit the validator's certification coverage counts.
 
     Seeds are the connected components of the dominator forest
     restricted to clean blocks — a dominator subtree is single-entry
@@ -23,9 +23,3 @@ type t = {
 }
 
 val discover : Cfg.t -> Domtree.t -> t
-
-val bound : Domtree.t -> region -> int option
-(** Static worst-case instruction count for one pass through the
-    region entered at its head (edges back into the head restart the
-    count); [None] when the region minus those edges still contains a
-    cycle, i.e. no static bound exists. *)

@@ -71,7 +71,7 @@ let image_of code =
    One immutable record per code address holds everything the
    validator reads there: the address's own certificates, its basic
    block's straight-line run from the address to the block's end, and
-   its region's head and bound.  Built once per manifest and
+   whether it lies in a certified superblock.  Built once per manifest and
    deprivileging and shared by every CPU armed from them, so it is
    packed: flags in one word, and each pair of 16-register masks in
    one word, the registers read in the low half and those written in
@@ -88,8 +88,6 @@ type vrec = {
   r_straight : int;
       (* end of the run's prefix of ordinary instructions: how far a
          tight window may execute from here *)
-  r_region : int;  (* certified superblock id, -1 outside *)
-  r_rbound : int;  (* the superblock's instruction bound, max_int if none *)
 }
 
 let f_det = 0x10  (* inside a [Deterministic]-certified block *)
@@ -98,7 +96,7 @@ let f_window = 0x20
 (* a window may open here: the run [a, end) is longer than one
    instruction and its strict suffix holds no hazard *)
 
-let f_rhead = 0x40  (* the address is its superblock's head *)
+let f_cert = 0x40  (* inside a certified superblock *)
 
 (* the hazards, which need their own check inside a Deterministic
    block: a Probe, and a Tlbw under random replacement *)
@@ -122,15 +120,12 @@ type validator = {
   mutable v_skip_from : int;    (* current validated window, [from, until) *)
   mutable v_skip_until : int;
   mutable v_open_at : int;
-      (* the run's executed count when the current window's post side
-         was deferred to its close, -1 when it is credited per
-         instruction *)
+      (* the run's executed count when the current window opened, its
+         credit deferred to its close; -1 while none is open *)
   mutable v_written : int;      (* registers written since boot/trap/restore *)
-  mutable v_cur_region : int;
-  mutable v_rcount : int;
-  mutable v_covered : int;      (* completed instrs inside certified regions *)
+  mutable v_covered : int;      (* completed instrs in certified superblocks *)
   mutable v_checked : int;      (* completed instrs while validating *)
-  mutable v_windows : int;      (* deferred windows opened *)
+  mutable v_windows : int;      (* windows opened *)
   mutable v_window_instrs : int;  (* instructions retired by tight windows *)
   v_cov : coverage;  (* [validator_coverage]'s view of the two *)
 }
@@ -188,8 +183,6 @@ let reset_validator v =
   v.v_skip_until <- 0;
   v.v_open_at <- -1;
   v.v_written <- 1;
-  v.v_cur_region <- -1;
-  v.v_rcount <- 0;
   v.v_covered <- 0;
   v.v_checked <- 0;
   v.v_windows <- 0;
@@ -289,16 +282,14 @@ let code_hash t =
     t.image.i_hash <- Some h;
     h
 
-let validator_tables ?blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
-    ~rbound ~random_tlb () =
+let validator_tables ?blk_end ~code ~priv_ok ~det ~uses ~def ~certified
+    ~random_tlb () =
   let n = Array.length code in
   if
     Array.length priv_ok <> n || Array.length det <> n
     || Array.length uses <> n || Array.length def <> n
-    || Array.length region <> n
+    || Array.length certified <> n
   then invalid_arg "Cpu.validator_tables: table length mismatch";
-  if Array.length rhead <> Array.length rbound then
-    invalid_arg "Cpu.validator_tables: region table length mismatch";
   let run_end =
     match blk_end with
     | Some e ->
@@ -325,7 +316,7 @@ let validator_tables ?blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
   let ordinary a = Isa.classify code.(a) = Isa.Ordinary in
   (* straight-line suffix summaries, built backwards inside each block:
      uses-before-def feeding the one-shot window check, the defs a
-     deferred window credits at once, whether the strict suffix holds
+     window credits at once, whether the strict suffix holds
      a hazard forcing per-address checks, and where the prefix of
      ordinary instructions a tight window may execute ends *)
   let ubd = Array.make n 0 and run_def = Array.make n 0 in
@@ -345,21 +336,19 @@ let validator_tables ?blk_end ~code ~priv_ok ~det ~uses ~def ~region ~rhead
     end
   done;
   let record a =
-    let e = run_end.(a) and rg = region.(a) in
+    let e = run_end.(a) in
     let flag b f = if b then f else 0 in
     {
       r_flags =
         priv_ok.(a) land 0xF
         lor flag det.(a) f_det
         lor flag (e > a + 1 && not run_hazard.(a)) f_window
-        lor flag (rg >= 0 && rhead.(rg) = a) f_rhead
+        lor flag certified.(a) f_cert
         lor hazard a;
       r_regs = uses.(a) lor (def.(a) lsl 16);
       r_run_regs = ubd.(a) lor (run_def.(a) lsl 16);
       r_end = e;
       r_straight = straight.(a);
-      r_region = rg;
-      r_rbound = (if rg >= 0 then rbound.(rg) else max_int);
     }
   in
   Array.init n record
@@ -377,8 +366,6 @@ let install_validator ?origin t tables =
         v_skip_until = 0;
         v_open_at = -1;
         v_written = 1;
-        v_cur_region = -1;
-        v_rcount = 0;
         v_covered = 0;
         v_checked = 0;
         v_windows = 0;
@@ -424,9 +411,7 @@ let window_instrs t =
 let validator_amnesty t =
   match t.validator with
   | None -> ()
-  | Some v ->
-    v.v_written <- -1;
-    v.v_cur_region <- -1
+  | Some v -> v.v_written <- -1
 
 let compile_translation t plan =
   t.plan <- Some plan;
@@ -770,14 +755,6 @@ let[@inline] validate v r pc spriv =
           || has r (f_probe lor f_tlbw))
   then validate_fail r pc spriv v.v_written
 
-let[@inline never] region_exceeded pc0 r count =
-  raise
-    (cert_viol pc0
-       (Printf.sprintf
-          "Epoch_bounded certificate exceeded: %d instructions inside a \
-           superblock bounded at %d"
-          count r.r_rbound))
-
 (* the registers a window closed early wrote *)
 let[@inline never] prefix_def recs pc0 n =
   let d = ref 0 in
@@ -787,17 +764,14 @@ let[@inline never] prefix_def recs pc0 n =
   !d
 
 (* Post-completion bookkeeping for [n] consecutive completions starting
-   at [pc0] inside one basic block: definition tracking, coverage and
-   the per-superblock instruction bound.  The per-instruction path
-   credits [n = 1]; a deferred window credits its whole completed
-   prefix when it closes.  Crediting a run at once equals crediting it
-   instruction by instruction because of two facts
-   [Manifest.arm_validator] guarantees: region ids are uniform per
-   block (so the region transition happens at [pc0] or not at all),
-   and region heads are block leaders (so inside the run only [pc0] can
-   be one).  Arms that stop the processor raise before the shared
-   completion point and are charged by their executor instead —
-   undercounting the region, never overcounting. *)
+   at [pc0] inside one basic block: definition tracking and coverage.
+   The per-instruction path credits [n = 1]; a window credits its whole
+   completed prefix when it closes.  Crediting a run at once equals
+   crediting it instruction by instruction because the certified flag
+   is uniform per block, as [Manifest.arm_validator] guarantees.  Arms
+   that stop the processor raise before the shared completion point and
+   are charged by their executor instead — undercounting the coverage,
+   never overcounting. *)
 let[@inline] credit v pc0 n =
   let recs = v.v_tab in
   let r = recs.(pc0) in
@@ -807,22 +781,11 @@ let[@inline] credit v pc0 n =
     lor
       (if pc0 + n = r.r_end then writes r.r_run_regs
        else prefix_def recs pc0 n);
-  let rg = r.r_region in
-  if rg < 0 then v.v_cur_region <- -1
-  else begin
-    if rg <> v.v_cur_region || has r f_rhead then begin
-      v.v_cur_region <- rg;
-      v.v_rcount <- 0
-    end;
-    let c = v.v_rcount + n in
-    v.v_rcount <- c;
-    v.v_covered <- v.v_covered + n;
-    if c > r.r_rbound then region_exceeded pc0 r c
-  end
+  if has r f_cert then v.v_covered <- v.v_covered + n
 
 let[@inline never] credit_one v pc = credit v pc 1
 
-(* Close a deferred window at the run's current executed count: credit
+(* Close the open window at the run's current executed count: credit
    the instructions completed since it opened, all consecutive from its
    head because a window never extends past its basic block. *)
 let[@inline] close_window v executed =
@@ -844,19 +807,15 @@ let[@inline never] close_window_slow v executed = close_window v executed
    address in the block would pass [validate] too — the loop then skips
    it while the pc stays strictly inside the window.
 
-   The window's post side is deferred to its close too when no
-   completion inside it can raise: the region count after the
-   transition at [pc] plus the window length stays within the region
-   bound.  Otherwise the loop credits each completion on its own.  A
-   window is closed when the pc leaves it or comes back to its head,
-   and by status changes, threaded entries, a [Wfi] and the end of
-   [run]; a [Jr] ends it, so a computed jump into the middle
-   of its own block closes it too.  Every close therefore credits at
-   most the window's length, so closing a deferred window never
-   raises.
+   The window's post side, which cannot raise, is deferred to its
+   close.  A window is closed when the pc leaves it or comes back to
+   its head, and by status changes, threaded entries, a [Wfi] and the
+   end of [run]; a [Jr] ends it, so a computed jump into the middle of
+   its own block closes it too.  Every close therefore credits at most
+   the window's length.
 
    Returns where a tight run of the window may end: the end of its
-   ordinary prefix when the window was deferred, else [pc]. *)
+   ordinary prefix when a window opened, else [pc]. *)
 let[@inline] enter_block v pc spriv executed =
   close_window v executed;
   let r = Array.unsafe_get v.v_tab pc in
@@ -865,19 +824,11 @@ let[@inline] enter_block v pc spriv executed =
     has r f_window
     && ((not (has r f_det)) || reads r.r_run_regs land lnot v.v_written = 0)
   then begin
-    let e = r.r_end in
     v.v_skip_from <- pc;
-    v.v_skip_until <- e;
-    let rcount =
-      if r.r_region <> v.v_cur_region || has r f_rhead then 0 else v.v_rcount
-    in
-    (* outside a region the bound is [max_int] *)
-    if rcount + (e - pc) <= r.r_rbound then begin
-      v.v_open_at <- executed;
-      v.v_windows <- v.v_windows + 1;
-      r.r_straight
-    end
-    else pc
+    v.v_skip_until <- r.r_end;
+    v.v_open_at <- executed;
+    v.v_windows <- v.v_windows + 1;
+    r.r_straight
   end
   else begin
     v.v_skip_from <- 0;
@@ -931,7 +882,7 @@ let[@inline never] exec_sys t (i : Isa.instr) pc executed =
     raise (Stop_exec (Priv i))
   (* The counter must be architecturally accurate before any
      control-register read or write.  Refreshing the status closes any
-     deferred window before this instruction, which the completion
+     open window before this instruction, which the completion
      point then credits on its own. *)
   | Mfcr (rd, c) ->
     sync_rc t executed;
@@ -997,12 +948,10 @@ let enter_threaded t tx (e : Translate.entry) epc ~fuel executed =
          entry precheck plus the static certificates stand in for the
          per-instruction checks.  The written set takes the region's
          static def mask (an overapproximation that loses dynamic
-         precision, never soundness), and the region bound restarts —
-         consistent with the undercounting stance above. *)
+         precision, never soundness). *)
       v.v_checked <- v.v_checked + d;
       v.v_covered <- v.v_covered + d;
       v.v_written <- v.v_written lor e.Translate.e_def;
-      v.v_cur_region <- -1;
       v.v_skip_from <- 0;
       v.v_skip_until <- 0);
     d
@@ -1060,8 +1009,8 @@ let[@inline] retire_window vd prof pc0 n =
 
    - each code image is decoded once ([image_of]), so an instruction
      costs one dispatch on its operation;
-   - a deferred window (a clean basic block whose credit waits for its
-     close, [enter_block]) runs its straight-line prefix as one tight
+   - a window (a clean basic block whose credit waits for its close,
+     [enter_block]) runs its straight-line prefix as one tight
      loop ([run_window]); the window is opened and the previous one
      closed inline, over the address's one validator record, and the
      profile is bumped once per window;
@@ -1077,9 +1026,9 @@ let[@inline] retire_window vd prof pc0 n =
    - loads and stores skip the translation function entirely while the
      MMU is off (translation is the identity there).
 
-   Everything else — an instruction inside a window that must be
-   credited one by one, outside any window, or not ordinary — takes the
-   per-instruction path, and certificate failures raise out of line.
+   Everything else — an instruction outside any window, or not
+   ordinary — takes the per-instruction path, and certificate failures
+   raise out of line.
    A burst allocates nothing but its result (and the exception that
    carries a stop): the helpers are top-level functions over [t.sc]
    that take the executed count as an argument, so no closure captures
@@ -1153,7 +1102,7 @@ let run t ~fuel =
            | Sys Isa.Wfi ->
              (* Completes (counts against the recovery counter), then
                 relinquishes the processor — without post-validation,
-                so a deferred window is credited only up to it. *)
+                so an open window is credited only up to it. *)
              (match vd with
              | None -> ()
              | Some v -> close_window_slow v !executed);
@@ -1297,7 +1246,7 @@ type saved = {
    offsets; an absent validator or translation saves zeros. *)
 let o_pc = Isa.num_regs + Isa.num_crs
 let o_validator = o_pc + 3
-let o_trans = o_validator + 10
+let o_trans = o_validator + 8
 let n_ints = o_trans + 8
 
 let save_ints t a =
@@ -1313,13 +1262,11 @@ let save_ints t a =
     a.(o + 1) <- v.v_skip_until;
     a.(o + 2) <- v.v_open_at;
     a.(o + 3) <- v.v_written;
-    a.(o + 4) <- v.v_cur_region;
-    a.(o + 5) <- v.v_rcount;
-    a.(o + 6) <- v.v_covered;
-    a.(o + 7) <- v.v_checked;
-    a.(o + 8) <- v.v_windows;
-    a.(o + 9) <- v.v_window_instrs
-  | None -> Array.fill a o_validator 10 0);
+    a.(o + 4) <- v.v_covered;
+    a.(o + 5) <- v.v_checked;
+    a.(o + 6) <- v.v_windows;
+    a.(o + 7) <- v.v_window_instrs
+  | None -> Array.fill a o_validator 8 0);
   match t.trans with
   | Some tx ->
     let o = o_trans in
@@ -1346,12 +1293,10 @@ let restore_ints t a =
     v.v_skip_until <- a.(o + 1);
     v.v_open_at <- a.(o + 2);
     v.v_written <- a.(o + 3);
-    v.v_cur_region <- a.(o + 4);
-    v.v_rcount <- a.(o + 5);
-    v.v_covered <- a.(o + 6);
-    v.v_checked <- a.(o + 7);
-    v.v_windows <- a.(o + 8);
-    v.v_window_instrs <- a.(o + 9)
+    v.v_covered <- a.(o + 4);
+    v.v_checked <- a.(o + 5);
+    v.v_windows <- a.(o + 6);
+    v.v_window_instrs <- a.(o + 7)
   | None -> ());
   match t.trans with
   | Some tx ->

@@ -145,33 +145,30 @@ val validator_tables :
   det:bool array ->
   uses:int array ->
   def:int array ->
-  region:int array ->
-  rhead:int array ->
-  rbound:int array ->
+  certified:bool array ->
   random_tlb:bool ->
   unit ->
   vtables
 (** Build the tables of the runtime certificate validator (the dynamic
     oracle for the static compilation manifest — see
-    [Hft_analysis.Manifest]) for [code].  The first five tables are
-    indexed by code address and must match the code length;
-    [rhead]/[rbound] are indexed by certified-superblock id.
+    [Hft_analysis.Manifest]) for [code].  Every table is indexed by
+    code address and must match the code length.
     [priv_ok] is the bitmask of {e real} privilege levels allowed at
     the address (callers map a [Priv0] certificate through the
     hypervisor's deprivileging); [det] marks addresses inside
     [Deterministic]-certified blocks, whose register reads are checked
     against the runtime written set and whose loads must stay below
-    the MMIO window; [region]/[rhead]/[rbound] drive the
-    [Epoch_bounded] per-superblock instruction count.
+    the MMIO window; [certified] marks addresses inside certified
+    superblocks, whose completions count as covered
+    ({!validator_coverage}).
 
     [blk_end] maps each address to the exclusive end of its basic
     block; when given, the per-instruction pre-dispatch checks hoist
     into one per-block check that certifies a skip window over the
-    block's straight-line run, and a window whose completions cannot
-    trip a region bound is credited once, when it closes, and its
-    ordinary instructions run as one tight loop.  That is exact only if
-    region ids are uniform per block and every region head is a block
-    leader, as the manifest's tables are.  Without [blk_end] every
+    block's straight-line run; the window is credited once, when it
+    closes, and its ordinary instructions run as one tight loop.  That
+    is exact only if [certified] is uniform per block, as the
+    manifest's tables are.  Without [blk_end] every
     window is a singleton and checking is exactly per-instruction.
     @raise Invalid_argument on a table length mismatch, or a register
     mask with a bit beyond the 16 registers. *)
@@ -191,7 +188,7 @@ val install_validator : ?origin:origin -> t -> vtables -> unit
 val rearm_validator : t -> (origin -> bool) -> bool
 (** [rearm_validator t same] arms the validator inherited from the
     CPU [t] was recycled from, with fresh per-run state (written set,
-    region counter, coverage), when [same]
+    window, coverage), when [same]
     accepts the origin it was installed with; returns whether it did.
     The inheritance is spent either way: a later call returns
     [false]. *)
@@ -199,8 +196,8 @@ val rearm_validator : t -> (origin -> bool) -> bool
 val validator_active : t -> bool
 
 val validator_amnesty : t -> unit
-(** Reset the validator's path-sensitive state (written-register set,
-    current superblock).  {!deliver_trap} and {!restore} call this
+(** Reset the validator's path-sensitive state (the written-register
+    set).  {!deliver_trap} and {!restore} call this
     internally; the hypervisor calls it on {e virtual} trap delivery,
     which enters a trap root without touching the real trap path. *)
 
@@ -216,7 +213,7 @@ val validator_coverage : t -> coverage
     installed ({!validator_active} tells the cases apart). *)
 
 val windows_opened : t -> int
-(** Deferred windows the validator has opened over the CPU's lifetime
+(** Windows the validator has opened over the CPU's lifetime
     (see {!validator_tables}); 0 without a validator. *)
 
 val window_instrs : t -> int

@@ -19,7 +19,7 @@
     reloaded image exactly as on a freshly assembled one.
 
     An image may embed its compilation manifest (an
-    [hftsim-manifest/3] JSON document on one [M] line).  The machine
+    [hftsim-manifest/4] JSON document on one [M] line).  The machine
     layer carries it as an opaque string — parsing, validation against
     the image hash, and certificate installation live in
     [Hft_analysis.Manifest], which this library cannot depend on.

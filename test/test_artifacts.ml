@@ -112,7 +112,7 @@ let test_every_emitter d =
     | [] -> Alcotest.failf "%s: empty" what
   in
   schema "lint/4" `Pretty "lint.json" "hftsim-lint/4";
-  schema "manifest/3" `Pretty "manifest.json" "hftsim-manifest/3";
+  schema "manifest/4" `Pretty "manifest.json" "hftsim-manifest/4";
   schema "manifest-set/1" `Pretty "set.json" "hftsim-manifest-set/1";
   schema "chaos/1" `Pretty "chaos.json" "hftsim-chaos/1";
   schema "metrics/2" `Pretty "metrics.json" "hftsim-metrics/2";
@@ -179,7 +179,7 @@ let test_hostile_title d =
 
 let fixed_point what j =
   Alcotest.(check (option string)) (what ^ ": schema")
-    (Some "hftsim-manifest/3") (str_member "schema" j);
+    (Some Manifest.schema) (str_member "schema" j);
   match Manifest.of_json j with
   | Error e -> Alcotest.failf "%s: of_json: %s" what e
   | Ok m ->
@@ -190,22 +190,23 @@ let fixed_point what j =
       true
       (Json.parse (Json.to_string j') = Ok j)
 
-let test_committed_manifests () =
+(* The committed images: name, code and embedded M line. *)
+let committed_images () =
   let dir = "../examples/images" in
-  let images =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".img")
-    |> List.sort compare
-  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".img")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let text = read (Filename.concat dir f) in
+         match Hft_machine.Image.manifest_of_string text with
+         | None -> Alcotest.failf "%s: no M line" f
+         | Some line ->
+           (f, (Hft_machine.Image.of_string text).Hft_machine.Asm.code, line))
+
+let test_committed_manifests () =
+  let images = committed_images () in
   Alcotest.(check int) "shipped images" 11 (List.length images);
-  List.iter
-    (fun f ->
-      match
-        Hft_machine.Image.manifest_of_string (read (Filename.concat dir f))
-      with
-      | None -> Alcotest.failf "%s: no M line" f
-      | Some line -> fixed_point f (parse_exn f line))
-    images;
+  List.iter (fun (f, _, line) -> fixed_point f (parse_exn f line)) images;
   let baseline = parse_exn "baseline" (read "../MANIFEST_baseline.json") in
   match Option.bind (Json.member "images" baseline) Json.to_list_opt with
   | None | Some [] -> Alcotest.fail "baseline: no images"
@@ -303,6 +304,70 @@ let test_readme_commands () =
    a negative trial count, a negative crash time or epoch and an output
    path that cannot be written are reported errors (exit 124), never an
    uncaught exception (exit 125) or a run that ignores them. *)
+(* An M line of a retired schema is refused, by name, before anything
+   else in it is read. *)
+let test_retired_schemas () =
+  List.iter
+    (fun (f, _, line) ->
+      List.iter
+        (fun old ->
+          let quoted v = "\"" ^ v ^ "\"" in
+          let cur = quoted Manifest.schema in
+          let i = after line cur in
+          let stale =
+            String.sub line 0 (i - String.length cur)
+            ^ quoted old
+            ^ String.sub line i (String.length line - i)
+          in
+          match Manifest.of_string stale with
+          | Ok _ -> Alcotest.failf "%s: a %s manifest was read" f old
+          | Error e -> ignore (after e (quoted old)))
+        [ "hftsim-manifest/3"; "hftsim-manifest/2" ])
+    (committed_images ())
+
+(* The manifest reader is an input boundary.  Whatever an M line holds,
+   [Manifest.of_string] answers [Ok] or [Error], never an exception, and
+   a manifest it reads validates against its image's code without
+   raising either.  The inputs are the committed M lines, truncated,
+   with one bit flipped, or spliced from two of them. *)
+let manifest_fuzz_prop =
+  let images = lazy (Array.of_list (committed_images ())) in
+  let gen =
+    let open QCheck.Gen in
+    let* i = int_bound 10 in
+    let _, _, line = (Lazy.force images).(i) in
+    let n = String.length line in
+    let* mutated =
+      oneof
+        [
+          map (fun k -> String.sub line 0 k) (int_bound n);
+          map2
+            (fun k bit ->
+              String.mapi
+                (fun j c ->
+                  if j = k then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+                line)
+            (int_bound (n - 1)) (int_bound 7);
+          (let* j = int_bound 10 in
+           let _, _, other = (Lazy.force images).(j) in
+           let m = String.length other in
+           map2
+             (fun a b -> String.sub line 0 a ^ String.sub other b (m - b))
+             (int_bound n) (int_bound m));
+        ]
+    in
+    return (i, mutated)
+  in
+  QCheck.Test.make ~name:"mutated M lines read to Ok or Error" ~count:3000
+    (QCheck.make ~print:(fun (i, s) -> Printf.sprintf "image %d: %S" i s) gen)
+    (fun (i, s) ->
+      match Manifest.of_string s with
+      | Error _ -> true
+      | Ok m ->
+        let _, code, _ = (Lazy.force images).(i) in
+        ignore (Manifest.validate ~code m : (unit, string) result);
+        true)
+
 let test_malformed_inputs d =
   let image name text =
     let path = Filename.concat d name in
@@ -351,6 +416,11 @@ let test_malformed_inputs d =
       [ "chaos"; "-w"; "hello"; "--exact"; "--backup-crash-epoch=-2" ];
       [ "run"; "--crash=-5" ];
       [ "run"; "--crash=5"; "--reintegrate=-1" ];
+      [ "run"; "-w"; "hello"; "--reintegrate"; "5" ];
+      [ "run"; "--events=-1" ];
+      [ "chaos"; "-w"; "mixed"; "--exact"; "--reintegrate" ];
+      [ "profile"; "-w"; "cpu"; "--limit=0"; "--min-coverage"; "1" ];
+      [ "profile"; "-w"; "cpu"; "--limit=-1" ];
       [ "check"; "--scenario"; "handoff"; "--json"; nowhere "check.json" ];
       [
         "check"; "--scenario"; "crash-loss"; "--no-retransmit";
@@ -422,6 +492,9 @@ let () =
             (fun () -> with_temp_dir test_hostile_title);
           Alcotest.test_case "committed manifests are fixed points" `Quick
             test_committed_manifests;
+          Alcotest.test_case "retired manifest schemas are refused" `Quick
+            test_retired_schemas;
+          QCheck_alcotest.to_alcotest ~long:false manifest_fuzz_prop;
         ] );
       ( "cli",
         [

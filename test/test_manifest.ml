@@ -321,29 +321,6 @@ let test_superblock_single_entry () =
         sb.Superblock.regions)
     (shipped_images ())
 
-let test_superblock_bounds () =
-  List.iter
-    (fun (name, _, p) ->
-      let _cfg, dom, sb = analyze p in
-      Array.iter
-        (fun (r : Superblock.region) ->
-          match Superblock.bound dom r with
-          | None -> ()
-          | Some n ->
-            let total =
-              List.fold_left
-                (fun acc b -> acc + dom.Domtree.lens.(b))
-                0 r.Superblock.blocks
-            in
-            if n < dom.Domtree.lens.(r.Superblock.head) || n > total then
-              Alcotest.failf
-                "%s: region %d bound %d outside [head len %d, total %d]"
-                name r.Superblock.id n
-                dom.Domtree.lens.(r.Superblock.head)
-                total)
-        sb.Superblock.regions)
-    (shipped_images ())
-
 (* ---------- dominator tree ---------- *)
 
 let test_domtree_diamond () =
@@ -488,11 +465,6 @@ let test_findings_symbolize_through_rewrite () =
 
 (* ---------- runtime certificate validator ---------- *)
 
-let no_regions len =
-  ( Array.make len (-1) (* region *),
-    [||] (* rhead *),
-    [||] (* rbound *) )
-
 let test_validator_priv_violation () =
   (* The code legitimately raises its privilege to 3; a manifest that
      certifies the block Priv0 is wrong and must trap at the first
@@ -502,12 +474,12 @@ let test_validator_priv_violation () =
   in
   let c = Cpu.create ~code () in
   let len = Array.length code in
-  let region, rhead, rbound = no_regions len in
   Cpu.install_validator c
     (Cpu.validator_tables ~code
        ~priv_ok:(Array.make len 1) (* level 0 only *)
        ~det:(Array.make len false) ~uses:(Array.make len 0)
-       ~def:(Array.make len 0) ~region ~rhead ~rbound ~random_tlb:false ());
+       ~def:(Array.make len 0) ~certified:(Array.make len false)
+       ~random_tlb:false ());
   match (Cpu.run c ~fuel:10).Cpu.stop with
   | Cpu.Cert_violation { addr; msg } ->
     Alcotest.(check int) "traps at the deprivileged instruction" 2 addr;
@@ -518,35 +490,18 @@ let test_validator_priv_violation () =
 let test_validator_uninit_read () =
   let code = Isa.[| Alu (Add, 2, 1, 1); Halt |] in
   let c = Cpu.create ~code () in
-  let region, rhead, rbound = no_regions 2 in
   Cpu.install_validator c
     (Cpu.validator_tables ~code
        ~priv_ok:(Array.make 2 0xf)
        ~det:(Array.make 2 true)
        ~uses:[| 1 lsl 1; 0 |]
        ~def:[| 1 lsl 2; 0 |]
-       ~region ~rhead ~rbound ~random_tlb:false ());
+       ~certified:(Array.make 2 false) ~random_tlb:false ());
   match (Cpu.run c ~fuel:10).Cpu.stop with
   | Cpu.Cert_violation { addr; msg } ->
     Alcotest.(check int) "traps at the uninitialized read" 0 addr;
     Alcotest.(check bool) "names determinism" true
       (contains msg "Deterministic")
-  | s -> Alcotest.failf "expected Cert_violation, got %a" Cpu.pp_stop s
-
-let test_validator_epoch_bound () =
-  (* a 2-instruction loop certified with a bound of 1 must trap on the
-     second instruction of the first pass *)
-  let code = Isa.[| Alui (Add, 1, 1, 1); Jmp 0 |] in
-  let c = Cpu.create ~code () in
-  Cpu.install_validator c
-    (Cpu.validator_tables ~code
-       ~priv_ok:(Array.make 2 0xf)
-       ~det:(Array.make 2 false) ~uses:(Array.make 2 0) ~def:(Array.make 2 0)
-       ~region:[| 0; 0 |] ~rhead:[| 0 |] ~rbound:[| 1 |] ~random_tlb:false ());
-  match (Cpu.run c ~fuel:10).Cpu.stop with
-  | Cpu.Cert_violation { msg; _ } ->
-    Alcotest.(check bool) "names the bound" true
-      (contains msg "Epoch_bounded")
   | s -> Alcotest.failf "expected Cert_violation, got %a" Cpu.pp_stop s
 
 let test_validator_clean_run_covers () =
@@ -590,14 +545,13 @@ let test_validator_amnesty_on_trap () =
   in
   let c = Cpu.create ~code () in
   let len = Array.length code in
-  let region, rhead, rbound = no_regions len in
   let uses = Array.make len 0 in
   uses.(8) <- 1 lsl 2;
   Cpu.install_validator c
     (Cpu.validator_tables ~code
        ~priv_ok:(Array.make len 0xf)
-       ~det:(Array.make len true) ~uses ~def:(Array.make len 0) ~region ~rhead
-       ~rbound ~random_tlb:false ());
+       ~det:(Array.make len true) ~uses ~def:(Array.make len 0)
+       ~certified:(Array.make len false) ~random_tlb:false ());
   (* run to the Trapc stop, deliver the trap, continue into the
      handler: the read of r2 at 8 must pass via amnesty *)
   (match (Cpu.run c ~fuel:10).Cpu.stop with
@@ -623,9 +577,11 @@ let stop_name s = Format.asprintf "%a" Cpu.pp_stop s
    retirement profiler on both.  After every slice the two must agree
    on the stop, the pc, the retired count, the full state hash, the
    coverage and the per-address profile; at the end the blocked CPU
-   must have run tight windows.  Returns the terminal stop. *)
-let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?config
-    ?(setup = ignore) ?rc ?(profile = false)
+   must have run tight windows, and when [model] is given
+   ({!window_model}) exactly as many windows, tight instructions and
+   covered instructions as it says.  Returns the terminal stop. *)
+let run_twins ~code ~blk_end ?det ~certified ?config
+    ?(setup = ignore) ?rc ?(profile = false) ?model
     ?(map = fun vpage -> { Tlb.vpage; ppage = vpage; user_ok = true;
                            writable = true }) ~slices () =
   let n = Array.length code in
@@ -641,7 +597,7 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?config
     let c = Cpu.create ?config ~code () in
     Cpu.install_validator c
       (Cpu.validator_tables ?blk_end ~code ~priv_ok:(Array.make n 0xf) ~det
-         ~uses ~def ~region ~rhead ~rbound ~random_tlb:false ());
+         ~uses ~def ~certified ~random_tlb:false ());
     setup c;
     Option.iter (Cpu.set_recovery c) rc;
     if profile then Cpu.install_profile c;
@@ -672,6 +628,15 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?config
     | Cpu.(Stop_halt | Cert_violation _ | Fault _) ->
       if Cpu.window_instrs blocked = 0 then
         Alcotest.fail "the blocked twin never ran a tight window";
+      Option.iter
+        (fun (opened, instrs, covered) ->
+          Alcotest.(check int) "windows opened" opened
+            (Cpu.windows_opened blocked);
+          Alcotest.(check int) "instructions run tight" instrs
+            (Cpu.window_instrs blocked);
+          Alcotest.(check int) "instructions covered" covered
+            (Cpu.validator_coverage blocked).Cpu.covered)
+        model;
       a.Cpu.stop
     | Cpu.Mmio_read { reg; _ } ->
       both (fun c ->
@@ -692,46 +657,52 @@ let run_twins ~code ~blk_end ?det ~region ~rhead ~rbound ?config
   in
   go 0
 
-(* blocks [0,2) and [2,6); [2,6) loops back to itself *)
-let twin_loop_code =
-  Isa.
-    [|
-      Ldi (1, 1);
-      Ldi (2, 0);
-      Alu (Add, 2, 2, 1);
-      Alui (Add, 3, 2, 1);
-      Alu (Xor, 4, 3, 2);
-      Jmp 2;
-    |]
-
-let twin_loop_blk_end = [| 2; 2; 6; 6; 6; 6 |]
-
-let expect_violation what stop ~addr ~msg =
-  match stop with
-  | Cpu.Cert_violation v ->
-    Alcotest.(check int) (what ^ " address") addr v.addr;
-    Alcotest.(check bool) (what ^ " message") true (contains v.msg msg)
-  | s -> Alcotest.failf "expected Cert_violation, got %a" Cpu.pp_stop s
-
-let test_deferred_region_bound () =
-  (* the first pass through [2,6) is deferred (2 + 4 <= 8); the second
-     would overrun, so it is credited per instruction and trips at its
-     third instruction, exactly where per-instruction accounting does *)
-  let r =
-    run_twins ~code:twin_loop_code ~blk_end:twin_loop_blk_end
-      ~region:(Array.make 6 0) ~rhead:[| 0 |] ~rbound:[| 8 |] ~slices:[ 100 ]
-      ()
+(* What the blocked twin must do over [code] in [slices], read off the
+   per-instruction trace of a CPU without a validator: a window opens
+   wherever control reaches an address whose block run is longer than
+   one instruction, other than by falling through inside the open
+   window, and every instruction up to its block's end runs tight; a
+   slice starts with no window open.  Every completion at a [certified]
+   address is covered.  Exact for code of ordinary instructions with no
+   hazard and no unwritten read, that ends in its only stop.  Returns
+   the windows opened, the instructions they ran and the instructions
+   covered. *)
+let window_model ~code ~blk_end ~certified ~slices =
+  let c = Cpu.create ~code () in
+  let opened = ref 0 and tight = ref 0 and covered = ref 0 in
+  let rec slice k =
+    let fuel = List.nth slices (k mod List.length slices) in
+    let rec next i ~prev ~until =
+      if i = fuel then slice (k + 1)
+      else begin
+        let pc = Cpu.pc c in
+        if (Cpu.run c ~fuel:1).Cpu.executed = 1 then begin
+          let until =
+            if pc = prev + 1 && pc < until then until
+            else if blk_end.(pc) > pc + 1 then begin
+              incr opened;
+              blk_end.(pc)
+            end
+            else -1
+          in
+          if until > 0 then incr tight;
+          if certified.(pc) then incr covered;
+          next (i + 1) ~prev:pc ~until
+        end
+      end
+    in
+    next 0 ~prev:(-2) ~until:(-1)
   in
-  expect_violation "region bound" r ~addr:4
-    ~msg:"9 instructions inside a superblock bounded at 8"
+  slice 0;
+  (!opened, !tight, !covered)
 
 (* enough memory for the twins' stores, small enough to hash after
    every slice *)
 let small_memory = { Cpu.default_config with Cpu.mem_words = 1 lsl 12 }
 
 let test_deferred_odd_slices () =
-  (* a counted loop over a store, under a generous region bound, in
-     fuel slices that keep ending mid-block *)
+  (* a counted loop over a store, in fuel slices that keep ending
+     mid-block *)
   let code =
     Isa.
       [|
@@ -753,8 +724,8 @@ let test_deferred_odd_slices () =
     (fun (slices, rc, profile) ->
       let stop =
         run_twins ~code ~blk_end:[| 3; 3; 3; 7; 7; 7; 7; 9; 9 |]
-          ~region:(Array.make 9 0) ~rhead:[| 0 |] ~rbound:[| 1000 |]
-          ~config:small_memory ?rc ~profile ~slices ()
+          ~certified:(Array.make 9 true) ~config:small_memory ?rc ~profile
+          ~slices ()
       in
       Alcotest.(check string) "halts" "halt" (stop_name stop))
     (List.concat_map
@@ -787,7 +758,7 @@ let test_deferred_mmio_wfi_mfcr () =
     (fun slices ->
       let stop =
         run_twins ~code ~blk_end:(Array.make 10 10) ~det:(Array.make 10 false)
-          ~region:(Array.make 10 0) ~rhead:[| 0 |] ~rbound:[| 100 |] ~slices ()
+          ~certified:(Array.make 10 true) ~slices ()
       in
       Alcotest.(check string) "halts" "halt" (stop_name stop))
     [ [ 100 ]; [ 1; 2 ]; [ 3 ] ];
@@ -836,8 +807,8 @@ let test_deferred_mmio_wfi_mfcr () =
         run_twins ~code
           ~blk_end:[| 5; 5; 5; 5; 5; 14; 14; 14; 14; 14; 14; 14; 14; 14; 17;
                       17; 17 |]
-          ~det:(Array.make 17 false) ~region:(Array.make 17 0) ~rhead:[| 0 |]
-          ~rbound:[| 100 |] ~config ~setup ~map ?rc ~profile ~slices ()
+          ~det:(Array.make 17 false) ~certified:(Array.make 17 true) ~config
+          ~setup ~map ?rc ~profile ~slices ()
       in
       Alcotest.(check string) (mmu ^ ": ends past memory")
         "fault(load from bad address 0x20000)" (stop_name stop))
@@ -868,39 +839,48 @@ let test_deferred_self_loop_header () =
         Halt;
       |]
   in
+  let blk_end = [| 2; 2; 5; 5; 5; 6 |] in
+  let certified = Array.make 6 true in
   List.iter
     (fun slices ->
       let stop =
-        run_twins ~code ~blk_end:[| 2; 2; 5; 5; 5; 6 |]
-          ~region:(Array.make 6 0) ~rhead:[| 0 |] ~rbound:[| 100 |] ~slices ()
+        run_twins ~code ~blk_end ~certified ~slices
+          ~model:(window_model ~code ~blk_end ~certified ~slices) ()
       in
       Alcotest.(check string) "halts" "halt" (stop_name stop))
     [ [ 100 ]; [ 2; 5 ] ]
 
 let test_deferred_jr_into_own_block () =
-  (* block [3,7) ends in a computed jump back to its own second
-     instruction, a target [Cfg] would not make a leader: the window
-     must close at the jump, not keep counting past the block's end *)
+  (* block [3,9) ends in a computed jump back to its own second
+     instruction, a target [Cfg] would not make a leader, until r2
+     reaches 10 and the jump goes to the Halt: the jump must end the
+     window, so that the next pass opens one of its own and runs tight
+     instead of counting on inside the old one *)
   let code =
     Isa.
       [|
-        Ldi (5, 4 lsl 2);
         Ldi (1, 0);
         Ldi (2, 0);
+        Ldi (7, 9 lsl 2);
         Alui (Add, 1, 1, 1);
         Alu (Add, 2, 2, 1);
-        Alui (Add, 3, 2, 1);
+        Alui (Sltu, 6, 2, 10);
+        Alui (Mul, 6, 6, 5 lsl 2);
+        Alu (Sub, 5, 7, 6);
         Jr 5;
+        Halt;
       |]
   in
+  let blk_end = [| 3; 3; 3; 9; 9; 9; 9; 9; 9; 10 |] in
+  (* only the looping block lies in a certified superblock *)
+  let certified = Array.init 10 (fun a -> a >= 3 && a < 9) in
   List.iter
     (fun slices ->
-      let r =
-        run_twins ~code ~blk_end:[| 3; 3; 3; 7; 7; 7; 7 |]
-          ~region:(Array.make 7 0) ~rhead:[| 0 |] ~rbound:[| 20 |] ~slices ()
+      let stop =
+        run_twins ~code ~blk_end ~certified ~profile:true ~slices
+          ~model:(window_model ~code ~blk_end ~certified ~slices) ()
       in
-      expect_violation "region bound" r ~addr:5
-        ~msg:"21 instructions inside a superblock bounded at 20")
+      Alcotest.(check string) "halts" "halt" (stop_name stop))
     [ [ 100 ]; [ 5; 7 ]; [ 1 ] ]
 
 (* ---------- image embedding ---------- *)
@@ -974,8 +954,6 @@ let () =
         [
           Alcotest.test_case "single entry" `Quick
             test_superblock_single_entry;
-          Alcotest.test_case "bounds bracket region size" `Quick
-            test_superblock_bounds;
         ] );
       ( "domtree",
         [
@@ -1001,13 +979,10 @@ let () =
             test_validator_priv_violation;
           Alcotest.test_case "uninitialized read" `Quick
             test_validator_uninit_read;
-          Alcotest.test_case "epoch bound" `Quick test_validator_epoch_bound;
           Alcotest.test_case "clean run covers" `Quick
             test_validator_clean_run_covers;
           Alcotest.test_case "amnesty on trap delivery" `Quick
             test_validator_amnesty_on_trap;
-          Alcotest.test_case "deferred window: region bound" `Quick
-            test_deferred_region_bound;
           Alcotest.test_case "deferred window: odd fuel slices" `Quick
             test_deferred_odd_slices;
           Alcotest.test_case "deferred window: MMIO, Wfi, Mfcr" `Quick
