@@ -5,8 +5,9 @@ module IM = Map.Make (Int)
 
 type lockstep = {
   mutable hashes : int IM.t;
-      (* epoch -> first reporter's hash; immutable, so a snapshot holds
-         it by reference *)
+      (* epoch -> first reporter's hash, for the epochs whose other
+         report has not arrived; immutable, so a snapshot holds it by
+         reference *)
   mutable compared : int;
   mutable mismatches : int list;  (* reversed *)
   fail_fast : bool;
@@ -60,6 +61,7 @@ let record_boundary ls ~epoch ~hash =
   match IM.find_opt epoch ls.hashes with
   | None -> ls.hashes <- IM.add epoch hash ls.hashes
   | Some other ->
+    ls.hashes <- IM.remove epoch ls.hashes;
     ls.compared <- ls.compared + 1;
     if other <> hash then begin
       ls.mismatches <- epoch :: ls.mismatches;

@@ -19,6 +19,7 @@ type 'msg t = {
   engine : Engine.t;
   lnk : Link.t;
   name_ : string;
+  deliver_label : string;  (* [name_ ^ " deliver"], built once *)
   actor_ : string;
   obs : Hft_obs.Recorder.t;
   mutable receiver : ('msg -> unit) option;
@@ -44,6 +45,7 @@ let create ~engine ~link ~name ?(actor = "") ?(obs = Hft_obs.Recorder.null) ()
     engine;
     lnk = link;
     name_ = name;
+    deliver_label = name ^ " deliver";
     actor_ = actor;
     obs;
     receiver = None;
@@ -94,7 +96,7 @@ let deliver t ~seq arrival msg =
   t.in_flight_ <- t.in_flight_ + 1;
   t.inflight_hash_ <- t.inflight_hash_ lxor msg_hash t msg;
   ignore
-    (Engine.at t.engine ~label:(t.name_ ^ " deliver") ~actor:t.actor_ arrival
+    (Engine.at t.engine ~label:t.deliver_label ~actor:t.actor_ arrival
        (fun () ->
          t.in_flight_ <- t.in_flight_ - 1;
          t.inflight_hash_ <- t.inflight_hash_ lxor msg_hash t msg;

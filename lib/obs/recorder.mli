@@ -1,10 +1,21 @@
 (** Bounded ring of typed protocol events.
 
     The simulator's one event stream: once [capacity] entries have
-    been recorded the oldest are discarded.  Entries carry an
-    {!Event.t}, so spans, histograms and exporters consume them
-    without parsing.  The ring starts empty and doubles on demand up
-    to [capacity], so a short run pays only for what it records. *)
+    been recorded the oldest are discarded.  {!entries} returns each
+    as an {!Event.t}, so spans, histograms and exporters consume them
+    without parsing.
+
+    The ring itself holds no OCaml value per entry.  An entry is five
+    ints (its time, a header packing the event's tag, flags and
+    source, and three payload ints) in [int array] chunks of 1024
+    entries, allocated on demand up to [capacity] and never copied;
+    {!entries} decodes them back.  Strings (sources, kinds, labels,
+    notes) are interned per recorder: one copy of each distinct
+    string, looked up through a small cache that compares addresses
+    first, so a call site passing the same string each time never
+    hashes it.  A retained entry costs 5 words; without a [tap],
+    recording one allocates nothing on the minor heap and promotes
+    nothing. *)
 
 type entry = { time : Hft_sim.Time.t; source : string; ev : Event.t }
 
@@ -48,7 +59,7 @@ val dropped : t -> int
     [hftsim validate] warns on it. *)
 
 val clear : t -> unit
-(** Forget every entry and release the ring; the recorder stays usable
-    with the same capacity. *)
+(** Forget every entry and interned string and release the ring's
+    chunks; the recorder stays usable with the same capacity. *)
 
 val pp : Format.formatter -> t -> unit

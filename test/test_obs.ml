@@ -61,54 +61,195 @@ let recorder_tests =
         check bool "enabled" false (Recorder.enabled Recorder.null);
         check bool "created is enabled" true
           (Recorder.enabled (Recorder.create ())));
+    test_case "recording allocates and promotes nothing" `Quick (fun () ->
+        (* one source name also arrives as an equal copy *)
+        let sources = [| "primary"; "backup"; String.concat "" [ "pri"; "mary" ] |] in
+        let events =
+          [|
+            Event.Msg_send { dseq = 1; kind = "tme"; bytes = 64 };
+            Event.Ch_drop { seq = -7; bytes = max_int; reason = Event.Corrupt };
+            Event.Intr_buffered { id = 1; kind = "disk"; epoch = 3 };
+            Event.Io_complete
+              { op_id = 4; port = 1; block = min_int; write = true; uncertain = true };
+            Event.Dispatch { label = "primary->backup deliver" };
+            Event.Ack_wait_end { upto = 2; released = Event.By_detector };
+            Event.Epoch_end { epoch = 3; interrupts = 0 };
+          |]
+        in
+        let n = 10_000 and warm = 21 in
+        let entries =
+          Array.init n (fun i ->
+              {
+                Recorder.time = Time.of_ns i;
+                source = sources.(i mod 3);
+                ev = events.(i / 3 mod 7);
+              })
+        in
+        let r = Recorder.create () in
+        (* the first entries are every (source, event) pair: they intern
+           every string *)
+        for i = 0 to warm - 1 do
+          emit_entry r entries.(i)
+        done;
+        (* a float array, so reading the counters into it allocates
+           nothing; in the major heap before the count starts *)
+        let before = Array.make 2 0. in
+        Gc.full_major ();
+        before.(0) <- (Gc.quick_stat ()).Gc.promoted_words;
+        before.(1) <- Gc.minor_words ();
+        for i = 0 to n - 1 do
+          emit_entry r entries.(i)
+        done;
+        let minor = Gc.minor_words () -. before.(1) in
+        let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before.(0) in
+        check (float 0.) "minor words" 0. minor;
+        check (float 0.) "promoted words" 0. promoted;
+        check int "length" (warm + n) (Recorder.length r);
+        check bool "entries decode to what was emitted" true
+          (List.filteri (fun i _ -> i >= warm) (Recorder.entries r)
+          = Array.to_list entries));
   ]
 
-(* The ring against a list model: whatever the capacity (one slot, odd,
-   around a power of two), across the on-demand growth steps and the
-   wraparound, before and after a [clear], it keeps the newest
-   [capacity] entries and counts the rest as dropped. *)
-let recorder_model_prop =
-  let capacities = [| 1; 3; 1000; 1024; 1025 |] in
-  let emit_n r ~from n =
-    for i = from to from + n - 1 do
-      Recorder.emit r ~time:(Time.of_ns i) ~source:"p" (Event.Note "x")
-    done
+(* Ints the ring must carry unchanged: small, negative, extreme, and
+   any. *)
+let ring_int =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-3) 3;
+        oneofl [ min_int; min_int + 1; max_int; max_int - 1; 1 lsl 40; -(1 lsl 40) ];
+        int;
+      ])
+
+(* Strings from a small pool (the empty string, repeats), copies of
+   pool strings (equal, not identical), and random ones. *)
+let ring_string =
+  let pool = [ ""; "tme"; "disk"; "primary"; "primary->backup deliver" ] in
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl pool;
+        map (fun s -> Bytes.to_string (Bytes.of_string s)) (oneofl pool);
+        string_size ~gen:printable (0 -- 6);
+      ])
+
+(* Every constructor of [Event.t]. *)
+let ring_event =
+  let open QCheck.Gen in
+  let i = ring_int and s = ring_string in
+  let reason =
+    oneofl Event.[ Loss_plan; Fault_loss; Corrupt; Duplicate ]
   in
-  let agrees r ~cap ~from n =
+  oneof
+    [
+      map (fun epoch -> Event.Epoch_begin { epoch }) i;
+      map2 (fun epoch interrupts -> Event.Epoch_end { epoch; interrupts }) i i;
+      map2 (fun upto at_io -> Event.Ack_wait_begin { upto; at_io }) i bool;
+      map2
+        (fun upto released -> Event.Ack_wait_end { upto; released })
+        i
+        (oneofl Event.[ By_ack; By_detector ]);
+      map3 (fun dseq kind bytes -> Event.Msg_send { dseq; kind; bytes }) i s i;
+      map (fun dseq -> Event.Msg_acked { dseq }) i;
+      map2 (fun round count -> Event.Rtx_round { round; count }) i i;
+      map (fun rounds -> Event.Rtx_give_up { rounds }) i;
+      map2
+        (fun wire_seq reason -> Event.Frame_dropped { wire_seq; reason })
+        i reason;
+      map3 (fun id kind epoch -> Event.Intr_buffered { id; kind; epoch }) i s i;
+      map2 (fun id kind -> Event.Intr_delivered { id; kind }) i s;
+      map3 (fun op_id block write -> Event.Io_submit { op_id; block; write }) i i bool;
+      map3
+        (fun (op_id, port) block (write, uncertain) ->
+          Event.Io_complete { op_id; port; block; write; uncertain })
+        (pair i i) i (pair bool bool);
+      map2 (fun block write -> Event.Io_suppressed { block; write }) i bool;
+      return Event.Crash;
+      map (fun epoch -> Event.Halt { epoch }) i;
+      map (fun blocked -> Event.Detector_fired { blocked }) s;
+      map3
+        (fun epoch relayed synthesized ->
+          Event.Promoted { epoch; relayed; synthesized })
+        i i i;
+      map2 (fun epoch bytes -> Event.Reintegration_offer { epoch; bytes }) i i;
+      map (fun epoch -> Event.Snapshot_restored { epoch }) i;
+      map (fun epoch -> Event.Reintegration_done { epoch }) i;
+      map (fun kind -> Event.Hv_fault { kind }) s;
+      map (fun by -> Event.Hv_detected { by }) s;
+      map3
+        (fun epoch reconciled_ios reconciled_msgs ->
+          Event.Microreboot_done { epoch; reconciled_ios; reconciled_msgs })
+        i i i;
+      map (fun reason -> Event.Recovery_escalated { reason }) s;
+      map2 (fun seq bytes -> Event.Ch_send { seq; bytes }) i i;
+      map (fun seq -> Event.Ch_deliver { seq }) i;
+      map3 (fun seq bytes reason -> Event.Ch_drop { seq; bytes; reason }) i i reason;
+      map (fun label -> Event.Dispatch { label }) s;
+      map (fun s -> Event.Note s) s;
+    ]
+
+let ring_entry =
+  QCheck.Gen.(
+    map3
+      (fun time source ev -> { Recorder.time = Time.of_ns time; source; ev })
+      (oneof [ int_bound 1000; oneofl [ 0; max_int ]; map (fun x -> x land max_int) int ])
+      ring_string ring_event)
+
+(* The ring against a list model: whatever the capacity (one slot, two,
+   odd, around a chunk, the default), across chunk boundaries and the
+   wraparound, before and after a [clear], [entries] decodes exactly
+   the newest [capacity] entries emitted, oldest first, and the rest
+   count as dropped. *)
+let recorder_model_prop =
+  let capacities = [| Some 1; Some 2; Some 7; Some 1023; Some 1024; Some 1025; None |] in
+  let agrees r ~cap emitted =
+    let n = List.length emitted in
     let kept = min n cap in
-    List.map (fun (e : Recorder.entry) -> Time.to_ns e.Recorder.time)
-      (Recorder.entries r)
-    = List.init kept (fun k -> from + n - kept + k)
+    Recorder.entries r = List.filteri (fun k _ -> k >= n - kept) emitted
     && Recorder.length r = kept
     && Recorder.total_recorded r = n
     && Recorder.dropped r = n - kept
   in
-  (* half the counts sit on a boundary: a growth step, a capacity or
+  (* half the counts sit on a boundary: a chunk or a capacity, or
      twice one, give or take one *)
   let count =
     QCheck.Gen.(
       oneof
         [
           int_range 0 2100;
-          map2 ( + )
-            (oneofl
-               [ 1; 3; 16; 32; 64; 256; 512; 1000; 1024; 1025; 2000; 2048; 2050 ])
-            (int_range (-1) 1);
+          map2 ( + ) (oneofl [ 1; 2; 7; 14; 1023; 1024; 1025; 2048; 2050 ]) (int_range (-1) 1);
         ])
   in
+  let entries = QCheck.Gen.list_size count ring_entry in
+  let print (c, l1, l2) =
+    let pp l =
+      String.concat "; "
+        (List.map
+           (fun (e : Recorder.entry) ->
+             Format.asprintf "%d %S %a" (Time.to_ns e.Recorder.time)
+               e.Recorder.source Event.pp e.Recorder.ev)
+           l)
+    in
+    Printf.sprintf "capacity %s\nfirst: %s\nafter clear: %s"
+      (match capacities.(c) with Some n -> string_of_int n | None -> "default")
+      (pp l1) (pp l2)
+  in
   QCheck.Test.make ~name:"ring matches a list model" ~count:300
-    QCheck.(
-      make ~print:Print.(triple int int int)
-        Gen.(triple (int_bound 4) count count))
-    (fun (c, n1, n2) ->
-      let cap = capacities.(c) in
-      let r = Recorder.create ~capacity:cap () in
-      emit_n r ~from:0 n1;
-      let first = agrees r ~cap ~from:0 n1 in
+    (QCheck.make ~print
+       ~shrink:QCheck.Shrink.(triple nil list list)
+       QCheck.Gen.(triple (int_bound (Array.length capacities - 1)) entries entries))
+    (fun (c, l1, l2) ->
+      let r, cap =
+        match capacities.(c) with
+        | Some cap -> (Recorder.create ~capacity:cap (), cap)
+        | None -> (Recorder.create (), 262_144)
+      in
+      List.iter (emit_entry r) l1;
+      let first = agrees r ~cap l1 in
       Recorder.clear r;
-      let cleared = agrees r ~cap ~from:0 0 in
-      emit_n r ~from:n1 n2;
-      first && cleared && agrees r ~cap ~from:n1 n2)
+      let cleared = agrees r ~cap [] in
+      List.iter (emit_entry r) l2;
+      first && cleared && agrees r ~cap l2)
 
 (* ---------- ring wraparound drop accounting ---------- *)
 
