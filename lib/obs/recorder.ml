@@ -10,14 +10,12 @@ type entry = { time : Time.t; source : string; ev : Event.t }
    carries at most three ints, or at most two and one string; the
    string's id then sits in the last payload int.  Strings are
    interned per recorder, so string storage is one copy per distinct
-   string; a small physical-equality cache in front of the table
-   answers the call sites' stable names without hashing them. *)
+   string. *)
 let stride = 5
 let chunk_bits = 10
 let chunk_mask = (1 lsl chunk_bits) - 1
 let flag_shift = 5
 let src_shift = 9
-let cache_size = 8
 
 type t = {
   capacity : int;
@@ -30,14 +28,7 @@ type t = {
   ids : (string, int) Hashtbl.t;
   mutable strs : string array;  (* id -> string; [nstrs] in use *)
   mutable nstrs : int;
-  cache_s : string array;
-  cache_i : int array;
-  mutable victim : int;  (* the cache slot the next miss replaces *)
 }
-
-(* Fills unused string slots.  No caller holds it, so it never
-   matches an emitted string in the cache. *)
-let vacant = String.make 1 ' '
 
 let make ~capacity ~dispatch ~tap =
   {
@@ -50,9 +41,6 @@ let make ~capacity ~dispatch ~tap =
     ids = Hashtbl.create 16;
     strs = [||];
     nstrs = 0;
-    cache_s = Array.make cache_size vacant;
-    cache_i = Array.make cache_size 0;
-    victim = 0;
   }
 
 let create ?(capacity = 262_144) ?(dispatch = false) ?tap () =
@@ -64,33 +52,20 @@ let null = make ~capacity:0 ~dispatch:false ~tap:None
 let enabled t = t.capacity > 0
 let dispatch_enabled t = t.dispatch
 
-let intern_miss t s =
-  let id =
-    match Hashtbl.find t.ids s with
-    | id -> id
-    | exception Not_found ->
-      let id = t.nstrs in
-      if id = Array.length t.strs then begin
-        let strs = Array.make (max 16 (2 * id)) vacant in
-        Array.blit t.strs 0 strs 0 id;
-        t.strs <- strs
-      end;
-      t.strs.(id) <- s;
-      t.nstrs <- id + 1;
-      Hashtbl.add t.ids s id;
-      id
-  in
-  t.cache_s.(t.victim) <- s;
-  t.cache_i.(t.victim) <- id;
-  t.victim <- (t.victim + 1) land (cache_size - 1);
-  id
-
-let rec probe t s k =
-  if k = cache_size then intern_miss t s
-  else if Array.unsafe_get t.cache_s k == s then Array.unsafe_get t.cache_i k
-  else probe t s (k + 1)
-
-let intern t s = probe t s 0
+let intern t s =
+  match Hashtbl.find t.ids s with
+  | id -> id
+  | exception Not_found ->
+    let id = t.nstrs in
+    if id = Array.length t.strs then begin
+      let strs = Array.make (max 16 (2 * id)) "" in
+      Array.blit t.strs 0 strs 0 id;
+      t.strs <- strs
+    end;
+    t.strs.(id) <- s;
+    t.nstrs <- id + 1;
+    Hashtbl.add t.ids s id;
+    id
 
 let chunk_for t slot =
   let ci = slot lsr chunk_bits in
@@ -122,7 +97,8 @@ let drop_of_code = function
   | 0 -> Event.Loss_plan
   | 1 -> Event.Fault_loss
   | 2 -> Event.Corrupt
-  | _ -> Event.Duplicate
+  | 3 -> Event.Duplicate
+  | n -> invalid_arg (Printf.sprintf "Recorder: bad drop code %d" n)
 
 let store t ~time ~source (ev : Event.t) =
   let c = chunk_for t t.next in
@@ -234,7 +210,8 @@ let load t slot =
     | 27 ->
       Ch_drop { seq = p0; bytes = p1; reason = drop_of_code flags }
     | 28 -> Dispatch { label = t.strs.(p2) }
-    | _ -> Note t.strs.(p2)
+    | 29 -> Note t.strs.(p2)
+    | n -> invalid_arg (Printf.sprintf "Recorder: bad tag %d" n)
   in
   { time = Time.of_ns c.(off); source = t.strs.(hdr lsr src_shift); ev }
 
@@ -270,8 +247,7 @@ let clear t =
   t.total <- 0;
   Hashtbl.reset t.ids;
   t.strs <- [||];
-  t.nstrs <- 0;
-  Array.fill t.cache_s 0 cache_size vacant
+  t.nstrs <- 0
 
 let pp fmt t =
   List.iter

@@ -10,12 +10,10 @@
     source, and three payload ints) in [int array] chunks of 1024
     entries, allocated on demand up to [capacity] and never copied;
     {!entries} decodes them back.  Strings (sources, kinds, labels,
-    notes) are interned per recorder: one copy of each distinct
-    string, looked up through a small cache that compares addresses
-    first, so a call site passing the same string each time never
-    hashes it.  A retained entry costs 5 words; without a [tap],
-    recording one allocates nothing on the minor heap and promotes
-    nothing. *)
+    notes) are interned per recorder in a hash table: one copy of
+    each distinct string.  A retained entry costs 5 words; without a
+    [tap], recording one allocates nothing on the minor heap and
+    promotes nothing. *)
 
 type entry = { time : Hft_sim.Time.t; source : string; ev : Event.t }
 
