@@ -188,12 +188,12 @@ let hv_fault_conv =
 let image_file =
   let parse path =
     Result.bind (Arg.conv_parser Arg.non_dir_file path) (fun path ->
-        match Hft_machine.Image.load_with_manifest ~path with
-        | program, embedded -> Ok (path, program, embedded)
+        match Hft_machine.Image.load ~path with
+        | program -> Ok (path, program)
         | exception Hft_machine.Image.Format_error m ->
           Error (`Msg (Printf.sprintf "%s: malformed image: %s" path m)))
   in
-  Arg.conv (parse, fun fmt (path, _, _) -> Format.pp_print_string fmt path)
+  Arg.conv (parse, fun fmt (path, _) -> Format.pp_print_string fmt path)
 
 exception Unwritable of string
 
@@ -1106,9 +1106,7 @@ let lint_cmd =
       & info [ "manifest" ]
           ~doc:
             "Print each image's compilation-manifest summary (certified \
-             blocks/superblocks, coverage, indirect-jump resolution) and \
-             validate any manifest embedded in a loaded image against the \
-             analyzed code.")
+             blocks/superblocks, coverage, indirect-jump resolution).")
   in
   let manifest_out_arg =
     Arg.(
@@ -1130,8 +1128,7 @@ let lint_cmd =
              baseline: exit non-zero if any image in both sets lost \
              certified blocks, certified superblocks, or static coverage.")
   in
-  let lint_one ~quiet ~title ~rewritten ~rewrite_el ~data_init ?embedded
-      program =
+  let lint_one ~quiet ~title ~rewritten ~rewrite_el ~data_init program =
     let program, rewritten =
       match rewrite_el with
       | Some el -> (Hft_machine.Rewrite.rewrite_program ~every:el program, true)
@@ -1149,20 +1146,7 @@ let lint_cmd =
         solved
     in
     if not quiet then Hft_harness.Report.findings ~title fs;
-    let manifest = Hft_analysis.Manifest.of_solved solved in
-    (* an image file may carry a manifest from an earlier compilation:
-       check it against the code we just analyzed *)
-    let embedded_status =
-      Option.map
-        (fun s ->
-          match Hft_analysis.Manifest.of_string s with
-          | Error e -> Error (Printf.sprintf "unparseable (%s)" e)
-          | Ok em ->
-            Hft_analysis.Manifest.validate
-              ~code:program.Hft_machine.Asm.code em)
-        embedded
-    in
-    (title, fs, manifest, embedded_status)
+    (title, fs, Hft_analysis.Manifest.of_solved solved)
   in
   let module J = Obs.Json in
   let module F = Hft_analysis.Finding in
@@ -1194,14 +1178,14 @@ let lint_cmd =
           ("message", J.Str f.F.message);
         ]
     in
-    let all = List.concat_map (fun (_, fs, _, _) -> fs) runs in
+    let all = List.concat_map (fun (_, fs, _) -> fs) runs in
     J.Obj
       [
         ("schema", J.Str "hftsim-lint/4");
         ( "images",
           J.Arr
             (List.map
-               (fun (title, fs, manifest, _) ->
+               (fun (title, fs, manifest) ->
                  J.Obj
                    [
                      ("title", J.Str title);
@@ -1232,7 +1216,7 @@ let lint_cmd =
     let rules =
       List.sort_uniq compare
         (List.concat_map
-           (fun (_, fs, _, _) -> List.map (fun (f : F.t) -> f.F.checker) fs)
+           (fun (_, fs, _) -> List.map (fun (f : F.t) -> f.F.checker) fs)
            runs)
     in
     let text t = J.Obj [ ("text", J.Str t) ] in
@@ -1264,7 +1248,7 @@ let lint_cmd =
         ]
     in
     let results =
-      List.concat_map (fun (title, fs, _, _) -> List.map (result title) fs) runs
+      List.concat_map (fun (title, fs, _) -> List.map (result title) fs) runs
     in
     J.Obj
       [
@@ -1318,10 +1302,10 @@ let lint_cmd =
       | Some title, None -> bad "%s: no manifest" title
       | Some title, Some (Error err) -> bad "%s: %s" title err
       | Some title, Some (Ok old) -> (
-        match List.find_opt (fun (t, _, _, _) -> t = title) runs with
+        match List.find_opt (fun (t, _, _) -> t = title) runs with
         | None ->
           [ Printf.sprintf "%s: present in baseline, not analyzed" title ]
-        | Some (_, _, m, _) -> regressed title old m)
+        | Some (_, _, m) -> regressed title old m)
     in
     match J.parse (In_channel.with_open_bin path In_channel.input_all) with
     | Error e -> bad "parse error: %s" e
@@ -1345,7 +1329,7 @@ let lint_cmd =
         ( "images",
           J.Arr
             (List.map
-               (fun (title, _, m, _) ->
+               (fun (title, _, m) ->
                  J.Obj [ ("title", J.Str title); ("manifest", M.to_json m) ])
                runs) );
       ]
@@ -1353,6 +1337,37 @@ let lint_cmd =
   let action workload all image rewrite_el rewritten strict json sarif
       manifest manifest_out manifest_baseline =
     writes @@ fun () ->
+    let ignored_by_all =
+      List.filter_map Fun.id
+        [
+          Option.map (fun _ -> "--image") image;
+          (if rewritten then Some "--rewritten" else None);
+          Option.map (fun _ -> "--rewrite") rewrite_el;
+        ]
+    in
+    let has_markers (p : Hft_machine.Asm.program) =
+      Array.exists
+        (function
+          | Hft_machine.Isa.Trapc c ->
+            c = Hft_machine.Rewrite.epoch_marker_code
+          | _ -> false)
+        p.Hft_machine.Asm.code
+    in
+    match (ignored_by_all, image) with
+    | flag :: _, _ when all ->
+      `Error
+        ( true,
+          flag
+          ^ " cannot be combined with --all, which lints every workload as \
+             assembled and rewritten at the default epoch length" )
+    | _, Some (path, program) when rewrite_el <> None && has_markers program ->
+      `Error
+        ( true,
+          Printf.sprintf
+            "--rewrite: %s already carries epoch markers (trapc %d), so it \
+             cannot be rewritten again; lint it with --rewritten"
+            path Hft_machine.Rewrite.epoch_marker_code )
+    | _ ->
     let quiet = json = Some "-" || sarif = Some "-" in
     let runs =
       if all then
@@ -1376,10 +1391,10 @@ let lint_cmd =
           workloads
       else
         match image with
-        | Some (path, program, embedded) ->
+        | Some (path, program) ->
           [
             lint_one ~quiet ~title:path ~rewritten ~rewrite_el ~data_init:[]
-              ?embedded program;
+              program;
           ]
         | None ->
           [
@@ -1391,13 +1406,8 @@ let lint_cmd =
     in
     if manifest && not quiet then
       List.iter
-        (fun (title, _, m, embedded) ->
-          Format.printf "%s: %a@." title Hft_analysis.Manifest.pp_summary m;
-          match embedded with
-          | None -> ()
-          | Some (Ok ()) -> Format.printf "%s: embedded manifest valid@." title
-          | Some (Error e) ->
-            Format.printf "%s: embedded manifest STALE: %s@." title e)
+        (fun (title, _, m) ->
+          Format.printf "%s: %a@." title Hft_analysis.Manifest.pp_summary m)
         runs;
     let emit path doc =
       write_json path doc;
@@ -1409,7 +1419,7 @@ let lint_cmd =
       (fun path ->
         emit path
           (match runs with
-          | [ (_, _, m, _) ] -> M.to_json m
+          | [ (_, _, m) ] -> M.to_json m
           | _ -> manifest_set_json runs))
       manifest_out;
     let regressions =
@@ -1419,13 +1429,7 @@ let lint_cmd =
     in
     if (not quiet) && regressions <> [] then
       List.iter (fun r -> Format.eprintf "regression: %s@." r) regressions;
-    let findings = List.concat_map (fun (_, fs, _, _) -> fs) runs in
-    let stale =
-      List.filter_map
-        (fun (title, _, _, e) ->
-          match e with Some (Error _) -> Some title | _ -> None)
-        runs
-    in
+    let findings = List.concat_map (fun (_, fs, _) -> fs) runs in
     let errors = List.length (Hft_analysis.Finding.errors findings) in
     let warnings = List.length (Hft_analysis.Finding.warnings findings) in
     if (not quiet) && List.length runs > 1 then
@@ -1433,11 +1437,6 @@ let lint_cmd =
         (Hft_analysis.Finding.summary findings);
     if errors > 0 then
       `Error (false, Printf.sprintf "%d lint error(s)" errors)
-    else if stale <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "stale embedded manifest in %s"
-            (String.concat ", " stale) )
     else if regressions <> [] then
       `Error
         ( false,
@@ -1464,9 +1463,8 @@ let lint_cmd =
           per-block Deterministic/Priv0 certificates over VSA-refined \
           control flow and superblocks \
           ($(b,--manifest)/$(b,--manifest-out)/$(b,--manifest-baseline)).  \
-          Exits non-zero if any error-severity finding is reported, an \
-          embedded manifest is stale, or certification regressed against \
-          the baseline.")
+          Exits non-zero if any error-severity finding is reported or \
+          certification regressed against the baseline.")
     term
 
 (* ---------- check ---------- *)
@@ -1959,15 +1957,6 @@ let disasm_cmd =
       & info [ "save" ] ~docv:"FILE"
           ~doc:"Also write the program image to FILE (HFT1 format).")
   in
-  let embed_manifest =
-    Arg.(
-      value & flag
-      & info [ "embed-manifest" ]
-          ~doc:
-            "Analyze the image and embed its compilation manifest \
-             (hftsim-manifest/4) in the saved file's $(b,M) line, so \
-             loaders can validate it against the code before running.")
-  in
   let translated_flag =
     Arg.(
       value & flag
@@ -1978,7 +1967,7 @@ let disasm_cmd =
              instructions, plus the reason any certified superblock was \
              left to the interpreter.")
   in
-  let action workload rewrite_el translated save_path embed_manifest =
+  let action workload rewrite_el translated save_path =
     writes @@ fun () ->
     let program = workload.Hft_guest.Workload.program in
     let program, rewritten =
@@ -2009,17 +1998,8 @@ let disasm_cmd =
     end;
     match save_path with
     | Some path ->
-      let manifest =
-        if embed_manifest then
-          Some
-            (Obs.Json.to_string
-               (Hft_analysis.Manifest.to_json
-                  (Hft_analysis.Manifest.of_program ~rewritten program)))
-        else None
-      in
-      write_file path (Hft_machine.Image.to_string ?manifest program);
-      Format.printf "; image written to %s%s@." path
-        (if embed_manifest then " (manifest embedded)" else "");
+      write_file path (Hft_machine.Image.to_string program);
+      Format.printf "; image written to %s@." path;
       `Ok ()
     | None -> `Ok ()
   in
@@ -2028,8 +2008,8 @@ let disasm_cmd =
        ~doc:"Print a workload's program listing (optionally rewritten).")
     Term.(
       ret
-        (const action $ workload_arg $ rewrite_el $ translated_flag $ save_path
-       $ embed_manifest))
+        (const action $ workload_arg $ rewrite_el $ translated_flag
+       $ save_path))
 
 (* ---------- profile ---------- *)
 
@@ -2075,7 +2055,7 @@ let profile_cmd =
     else
     let workload =
       match image with
-      | Some (path, program, _embedded) ->
+      | Some (path, program) ->
         workload_of_program ~name:(Filename.basename path) program
       | None -> workload
     in

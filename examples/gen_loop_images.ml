@@ -3,22 +3,15 @@
    and a guarded scan with an early exit (a multi-block loop).  They
    give the profiler and the direct-threaded translator loop shapes
    beyond the workloads' own (CI's profile-smoke job runs each under
-   both backends).  Each image embeds its hftsim-manifest/4
-   compilation manifest so loaders can validate certificates against
-   the code before running.
+   both backends).
 
    Run from the repository root:
      dune exec examples/gen_loop_images.exe *)
 
 let save ~name program =
-  let manifest =
-    Hft_obs.Json.to_string
-      (Hft_analysis.Manifest.to_json
-         (Hft_analysis.Manifest.of_program ~rewritten:false program))
-  in
   let path = Filename.concat "examples/images" name in
-  Hft_machine.Image.save ~manifest ~path program;
-  Format.printf "wrote %s (%d instructions, manifest embedded)@." path
+  Hft_machine.Image.save ~path program;
+  Format.printf "wrote %s (%d instructions)@." path
     (Array.length program.Hft_machine.Asm.code)
 
 let counted =

@@ -504,10 +504,6 @@ let of_json j =
       jr_resolved_by_vsa;
     }
 
-let of_string s =
-  let* j = J.parse s in
-  of_json j
-
 let pp_summary fmt t =
   Format.fprintf fmt
     "%d/%d blocks certified, %d/%d superblocks (coverage %.1f%%), %d/%d \

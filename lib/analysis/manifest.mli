@@ -132,15 +132,14 @@ val cert_name : cert -> string
 val cert_of_name : string -> (cert, string) result
 
 val to_json : t -> Hft_obs.Json.t
-(** The [hftsim-manifest/4] document; its compact form is the image's
-    embedded [M] line.  Coverage ratios are rounded to 4 decimals, so
-    [to_json] of [of_json j] gives back a committed [j]. *)
+(** The [hftsim-manifest/4] document that [lint --manifest-out] writes
+    and the [--manifest-baseline] gate reads back.  Coverage ratios are
+    rounded to 4 decimals, so [to_json] of [of_json j] gives back a
+    committed [j]. *)
 
 val of_json : Hft_obs.Json.t -> (t, string) result
 (** A document of any other schema, an older one included, is an
     [Error] that names its schema. *)
-
-val of_string : string -> (t, string) result
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line: certified blocks/superblocks, coverage, [Jr] resolution. *)

@@ -20,22 +20,8 @@ let lint ~params (w : Hft_guest.Workload.t) =
     ~data_init:(List.map fst w.Hft_guest.Workload.config)
     (executed_program ~params w)
 
-let replicated ?manifest ?obs ~params workload =
+let replicated ?obs ~params workload =
   let name = workload.Hft_guest.Workload.name in
-  (match manifest with
-  | None -> ()
-  | Some m -> (
-    let program = executed_program ~params workload in
-    match
-      Hft_analysis.Manifest.validate ~code:program.Hft_machine.Asm.code m
-    with
-    | Ok () -> ()
-    | Error e ->
-      failwith
-        (Printf.sprintf
-           "Scenario.replicated: image %S carries a stale manifest (%s); \
-            regenerate it with hftsim lint --manifest-out"
-           name e)));
   let fs = lint ~params workload in
   if Hft_analysis.Finding.has_errors fs then begin
     Report.findings ~out:Format.err_formatter ~title:name fs;

@@ -20,7 +20,6 @@ val lint :
     workload's [config] addresses count as host-initialized memory. *)
 
 val replicated :
-  ?manifest:Hft_analysis.Manifest.t ->
   ?obs:Hft_obs.Recorder.t ->
   params:Hft_core.Params.t ->
   Hft_guest.Workload.t ->
@@ -33,11 +32,7 @@ val replicated :
     the first diverged epoch, if the replicas' epoch-boundary state
     hashes ever differed: a run that did not execute the same
     instructions with the same effects on both replicas yields no
-    figure.  [manifest] is a compilation manifest claimed to certify
-    this workload (e.g. one embedded in a loaded image): it is checked
-    against the image the run will actually execute and a stale or
-    mismatched manifest raises [Failure] before the system boots.
-    [obs] collects the run's typed protocol events (see
+    figure.  [obs] collects the run's typed protocol events (see
     {!Hft_obs}). *)
 
 (** Standard benchmark workloads at simulation scale.  The paper ran

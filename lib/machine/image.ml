@@ -2,16 +2,10 @@ exception Format_error of string
 
 let magic = "HFT1"
 
-let to_string ?manifest (p : Asm.program) =
+let to_string (p : Asm.program) =
   let buf = Buffer.create (Array.length p.Asm.code * 18) in
   Buffer.add_string buf
     (Printf.sprintf "%s %d\n" magic (Array.length p.Asm.code));
-  (match manifest with
-  | None -> ()
-  | Some m ->
-    if String.contains m '\n' then
-      invalid_arg "Image.to_string: manifest contains a newline";
-    Buffer.add_string buf (Printf.sprintf "M %s\n" m));
   List.iter
     (fun (name, addr) ->
       if String.contains name ' ' || String.contains name '\n' then
@@ -73,9 +67,10 @@ let of_string s =
           | _ -> raise (Format_error ("bad label line: " ^ line))
         end
         else if String.length line > 2 && String.sub line 0 2 = "M " then
-          (* embedded compilation manifest: opaque to the machine
-             layer; [manifest_of_string] extracts it *)
-          ()
+          raise
+            (Format_error
+               "embedded manifest (M line): the feature is retired, the \
+                host certifies the code it loads; delete the line")
         else if String.length line > 2 && String.sub line 0 2 = "R " then begin
           match int_of_string_opt (String.trim (String.sub line 2 (String.length line - 2))) with
           | Some a -> refs := a :: !refs
@@ -142,29 +137,14 @@ let of_string s =
     try Asm.assemble (List.rev !items)
     with Asm.Error msg -> raise (Format_error msg)
 
-let manifest_of_string s =
-  String.split_on_char '\n' s
-  |> List.find_map (fun line ->
-         if String.length line > 2 && String.sub line 0 2 = "M " then
-           Some (String.sub line 2 (String.length line - 2))
-         else None)
-
-let save ?manifest ~path p =
+let save ~path p =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?manifest p))
+    (fun () -> output_string oc (to_string p))
 
 let load ~path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> of_string (In_channel.input_all ic))
-
-let load_with_manifest ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let s = In_channel.input_all ic in
-      (of_string s, manifest_of_string s))

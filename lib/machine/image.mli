@@ -7,7 +7,6 @@
 
     {v
     HFT1 <instruction count>
-    M <json>                  (at most one, embedded manifest)
     L <name> <address>        (zero or more)
     R <address>               (zero or more, relocatable immediates)
     C <address> <text>        (zero or more, comment source lines)
@@ -18,26 +17,21 @@
     analyzers ({!Hft_analysis}) can cite [label+offset] locations on a
     reloaded image exactly as on a freshly assembled one.
 
-    An image may embed its compilation manifest (an
-    [hftsim-manifest/4] JSON document on one [M] line).  The machine
-    layer carries it as an opaque string — parsing, validation against
-    the image hash, and certificate installation live in
-    [Hft_analysis.Manifest], which this library cannot depend on.
+    An image carries code only.  Its certificates are not part of the
+    format: the hypervisor certifies the code it loads
+    ([Hft_analysis.Manifest.of_code_cached]).  An [M] line, which once
+    embedded a compilation manifest, is refused as a retired feature.
 
     Used by the CLI to export and re-import workloads, and by tests to
     round-trip programs through the encoder. *)
 
 exception Format_error of string
 
-val to_string : ?manifest:string -> Asm.program -> string
+val to_string : Asm.program -> string
+
 val of_string : string -> Asm.program
-(** @raise Format_error on a malformed image.
-    @raise Encode.Decode_error on an invalid instruction word. *)
+(** @raise Format_error on a malformed image: a bad line, an invalid
+    instruction word or an [M] line. *)
 
-val manifest_of_string : string -> string option
-(** The embedded manifest line, verbatim, if the image carries one. *)
-
-val save : ?manifest:string -> path:string -> Asm.program -> unit
+val save : path:string -> Asm.program -> unit
 val load : path:string -> Asm.program
-
-val load_with_manifest : path:string -> Asm.program * string option

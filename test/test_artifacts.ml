@@ -1,9 +1,9 @@
 (* Every JSON artifact the CLI writes, taken from real runs, goes
    through the strict reader: it must parse, be exactly the text the
    one printer produces for the parsed value, and survive a second
-   print/parse in both forms.  Every committed manifest (the images'
-   embedded M lines and the manifest-set baseline) must be a fixed
-   point of of_json/to_json. *)
+   print/parse in both forms.  Every manifest in the committed
+   manifest-set baseline must be a fixed point of of_json/to_json, and
+   every committed image must be what its generator writes today. *)
 
 module Json = Hft_obs.Json
 module Manifest = Hft_analysis.Manifest
@@ -190,33 +190,68 @@ let fixed_point what j =
       true
       (Json.parse (Json.to_string j') = Ok j)
 
-(* The committed images: name, code and embedded M line. *)
+(* The committed images: name and text. *)
 let committed_images () =
   let dir = "../examples/images" in
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".img")
   |> List.sort compare
-  |> List.map (fun f ->
-         let text = read (Filename.concat dir f) in
-         match Hft_machine.Image.manifest_of_string text with
-         | None -> Alcotest.failf "%s: no M line" f
-         | Some line ->
-           (f, (Hft_machine.Image.of_string text).Hft_machine.Asm.code, line))
+  |> List.map (fun f -> (f, read (Filename.concat dir f)))
 
-let test_committed_manifests () =
-  let images = committed_images () in
-  Alcotest.(check int) "shipped images" 11 (List.length images);
-  List.iter (fun (f, _, line) -> fixed_point f (parse_exn f line)) images;
+(* The manifests of the committed baseline: title and document. *)
+let baseline_manifests () =
   let baseline = parse_exn "baseline" (read "../MANIFEST_baseline.json") in
   match Option.bind (Json.member "images" baseline) Json.to_list_opt with
   | None | Some [] -> Alcotest.fail "baseline: no images"
   | Some entries ->
-    List.iter
+    List.map
       (fun e ->
         match (str_member "title" e, Json.member "manifest" e) with
-        | Some title, Some m -> fixed_point ("baseline " ^ title) m
+        | Some title, Some m -> (title, m)
         | _ -> Alcotest.fail "baseline: malformed entry")
       entries
+
+let test_committed_manifests () =
+  List.iter
+    (fun (title, m) -> fixed_point ("baseline " ^ title) m)
+    (baseline_manifests ())
+
+(* Each committed image is byte for byte what its generator writes:
+   [disasm -w W --save] for a workload's image (at EL 4096 for
+   cpu_rewritten), gen_loop_images.exe for the three loop images. *)
+let test_images_match_generators d =
+  let images = committed_images () in
+  Alcotest.(check int) "shipped images" 11 (List.length images);
+  let saved args =
+    let path = Filename.concat d "saved.img" in
+    (match output ([ "disasm" ] @ args @ [ "--save"; path ]) with
+    | 0, _ -> ()
+    | code, out ->
+      Alcotest.failf "disasm %s exited %d:\n%s" (String.concat " " args) code
+        out);
+    read path
+  in
+  let loops = Filename.concat d "examples/images" in
+  Sys.mkdir (Filename.dirname loops) 0o755;
+  Sys.mkdir loops 0o755;
+  let gen = Filename.concat (Sys.getcwd ()) "../examples/gen_loop_images.exe" in
+  if
+    Sys.command
+      (Printf.sprintf "cd %s && %s > /dev/null" (Filename.quote d)
+         (Filename.quote gen))
+    <> 0
+  then Alcotest.fail "gen_loop_images.exe failed";
+  List.iter
+    (fun (f, text) ->
+      let regenerated =
+        match Filename.chop_suffix f ".img" with
+        | "cpu_rewritten" -> saved [ "-w"; "cpu"; "--rewrite"; "4096" ]
+        | w when String.starts_with ~prefix:"loop_" w ->
+          read (Filename.concat loops f)
+        | w -> saved [ "-w"; w ]
+      in
+      Alcotest.(check string) (f ^ " matches its generator") regenerated text)
+    images
 
 (* The --workload help names its default and lists every workload; each
    of those names, and each name the parser's own error message offers,
@@ -300,74 +335,69 @@ let test_readme_commands () =
         true (List.mem c listed))
     (List.sort_uniq compare shown)
 
-(* A malformed image, a non-positive epoch length, a NaN fault rate,
-   a negative trial count, a negative crash time or epoch and an output
-   path that cannot be written are reported errors (exit 124), never an
-   uncaught exception (exit 125) or a run that ignores them. *)
-(* An M line of a retired schema is refused, by name, before anything
-   else in it is read. *)
+(* A manifest of a retired schema is refused, by name, before anything
+   else in it is read: the baseline gate reads through [of_json]. *)
 let test_retired_schemas () =
   List.iter
-    (fun (f, _, line) ->
+    (fun (title, m) ->
       List.iter
         (fun old ->
-          let quoted v = "\"" ^ v ^ "\"" in
-          let cur = quoted Manifest.schema in
-          let i = after line cur in
           let stale =
-            String.sub line 0 (i - String.length cur)
-            ^ quoted old
-            ^ String.sub line i (String.length line - i)
+            match m with
+            | Json.Obj kvs ->
+              Json.Obj
+                (List.map
+                   (fun (k, v) -> (k, if k = "schema" then Json.Str old else v))
+                   kvs)
+            | _ -> Alcotest.failf "%s: manifest is not an object" title
           in
-          match Manifest.of_string stale with
-          | Ok _ -> Alcotest.failf "%s: a %s manifest was read" f old
-          | Error e -> ignore (after e (quoted old)))
+          match Manifest.of_json stale with
+          | Ok _ -> Alcotest.failf "%s: a %s manifest was read" title old
+          | Error e -> ignore (after e ("\"" ^ old ^ "\"")))
         [ "hftsim-manifest/3"; "hftsim-manifest/2" ])
-    (committed_images ())
+    (baseline_manifests ())
 
-(* The manifest reader is an input boundary.  Whatever an M line holds,
-   [Manifest.of_string] answers [Ok] or [Error], never an exception, and
-   a manifest it reads validates against its image's code without
-   raising either.  The inputs are the committed M lines, truncated,
-   with one bit flipped, or spliced from two of them. *)
-let manifest_fuzz_prop =
-  let images = lazy (Array.of_list (committed_images ())) in
+(* The image reader is an input boundary.  Whatever a file holds,
+   [Image.of_string] answers a program or [Format_error], never another
+   exception.  The inputs are the committed images, truncated, with one
+   bit flipped, or spliced from two of them. *)
+let image_fuzz_prop =
+  let images = lazy (Array.of_list (List.map snd (committed_images ()))) in
   let gen =
     let open QCheck.Gen in
     let* i = int_bound 10 in
-    let _, _, line = (Lazy.force images).(i) in
-    let n = String.length line in
-    let* mutated =
-      oneof
-        [
-          map (fun k -> String.sub line 0 k) (int_bound n);
-          map2
-            (fun k bit ->
-              String.mapi
-                (fun j c ->
-                  if j = k then Char.chr (Char.code c lxor (1 lsl bit)) else c)
-                line)
-            (int_bound (n - 1)) (int_bound 7);
-          (let* j = int_bound 10 in
-           let _, _, other = (Lazy.force images).(j) in
-           let m = String.length other in
-           map2
-             (fun a b -> String.sub line 0 a ^ String.sub other b (m - b))
-             (int_bound n) (int_bound m));
-        ]
-    in
-    return (i, mutated)
+    let text = (Lazy.force images).(i) in
+    let n = String.length text in
+    oneof
+      [
+        map (fun k -> String.sub text 0 k) (int_bound n);
+        map2
+          (fun k bit ->
+            String.mapi
+              (fun j c ->
+                if j = k then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+              text)
+          (int_bound (n - 1)) (int_bound 7);
+        (let* j = int_bound 10 in
+         let other = (Lazy.force images).(j) in
+         let m = String.length other in
+         map2
+           (fun a b -> String.sub text 0 a ^ String.sub other b (m - b))
+           (int_bound n) (int_bound m));
+      ]
   in
-  QCheck.Test.make ~name:"mutated M lines read to Ok or Error" ~count:3000
-    (QCheck.make ~print:(fun (i, s) -> Printf.sprintf "image %d: %S" i s) gen)
-    (fun (i, s) ->
-      match Manifest.of_string s with
-      | Error _ -> true
-      | Ok m ->
-        let _, code, _ = (Lazy.force images).(i) in
-        ignore (Manifest.validate ~code m : (unit, string) result);
-        true)
+  QCheck.Test.make ~name:"mutated images load or Format_error"
+    ~count:3000 (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun s ->
+      match Hft_machine.Image.of_string s with
+      | (_ : Hft_machine.Asm.program) -> true
+      | exception Hft_machine.Image.Format_error _ -> true)
 
+(* A malformed image, a non-positive epoch length, a NaN fault rate,
+   a negative trial count, a negative crash time or epoch, an output
+   path that cannot be written, a lint flag that --all would ignore and
+   an image that already carries epoch markers under --rewrite are
+   reported errors (exit 124), never an uncaught exception (exit 125)
+   or a run that ignores them. *)
 let test_malformed_inputs d =
   let image name text =
     let path = Filename.concat d name in
@@ -390,7 +420,11 @@ let test_malformed_inputs d =
         Alcotest.failf "%s exited %d, not 124:\n%s" (String.concat " " args)
           code out;
       if List.exists (String.starts_with ~prefix:missing) args then
-        ignore (after out "cannot write "))
+        ignore (after out "cannot write ");
+      if List.mem "--all" args then
+        ignore (after out "cannot be combined with --all");
+      if List.mem "--image" args && List.mem "--rewrite" args then
+        ignore (after out "already carries epoch markers"))
     [
       [ "lint"; "--image"; short ];
       [ "lint"; "--image"; garbled ];
@@ -432,6 +466,13 @@ let test_malformed_inputs d =
       [ "lint"; "--json"; nowhere "lint.json" ];
       [ "profile"; "--flame"; nowhere "flame.txt" ];
       [ "disasm"; "--save"; nowhere "hello.img" ];
+      [
+        "lint"; "--image"; "../examples/images/cpu_rewritten.img"; "--rewrite";
+        "4096";
+      ];
+      [ "lint"; "--all"; "--image"; "../examples/images/hello.img" ];
+      [ "lint"; "--all"; "--rewritten" ];
+      [ "lint"; "--all"; "--rewrite"; "4096" ];
     ]
 
 (* The certification gate reads every entry of its baseline: a baseline
@@ -461,24 +502,36 @@ let test_corrupt_baseline d =
   let numeric_title i e =
     if i = 0 then set "title" (fun _ -> Json.Num 7.) e else e
   in
+  let schema v = set "manifest" (set "schema" (fun _ -> Json.Str v)) in
   let lint path = output [ "lint"; "--all"; "--manifest-baseline"; path ] in
   (match lint "../MANIFEST_baseline.json" with
   | 0, _ -> ()
   | code, out -> Alcotest.failf "intact baseline exited %d:\n%s" code out);
+  (* each row: name, document, and what the gate's output must name *)
   List.iter
-    (fun (name, doc) ->
+    (fun (name, doc, names) ->
       let path = Filename.concat d (name ^ ".json") in
       Out_channel.with_open_bin path (fun oc ->
           output_string oc (Json.to_string doc));
       let code, out = lint path in
       if code = 0 then Alcotest.failf "%s baseline passed the gate" name;
-      ignore (after out "regression: baseline "))
+      ignore (after out ("regression: baseline " ^ path ^ ": "));
+      ignore (after out names))
     [
-      ("empty", Json.Obj []);
+      ("empty", Json.Obj [], "no schema");
       ( "wrong-schema",
-        Json.Obj [ ("schema", Json.Str "x"); ("images", Json.Arr []) ] );
-      ("blocks-oops", with_images (List.map oops entries));
-      ("numeric-title", with_images (List.mapi numeric_title entries));
+        Json.Obj [ ("schema", Json.Str "x"); ("images", Json.Arr []) ],
+        "schema \"x\"" );
+      ("blocks-oops", with_images (List.map oops entries), "\"blocks\"");
+      ( "numeric-title",
+        with_images (List.mapi numeric_title entries),
+        "no string title" );
+      ( "schema-3",
+        with_images (List.map (schema "hftsim-manifest/3") entries),
+        "\"hftsim-manifest/3\"" );
+      ( "schema-2",
+        with_images (List.map (schema "hftsim-manifest/2") entries),
+        "\"hftsim-manifest/2\"" );
     ]
 
 let () =
@@ -494,7 +547,9 @@ let () =
             test_committed_manifests;
           Alcotest.test_case "retired manifest schemas are refused" `Quick
             test_retired_schemas;
-          QCheck_alcotest.to_alcotest ~long:false manifest_fuzz_prop;
+          Alcotest.test_case "committed images match their generators" `Quick
+            (fun () -> with_temp_dir test_images_match_generators);
+          QCheck_alcotest.to_alcotest ~long:false image_fuzz_prop;
         ] );
       ( "cli",
         [

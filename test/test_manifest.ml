@@ -119,25 +119,23 @@ let test_stale_manifest () =
   let c =
     Cpu.create ~code:hello.Hft_guest.Workload.program.Asm.code ()
   in
-  (match Manifest.install m ~deprivileged:false c with
+  match Manifest.install m ~deprivileged:false c with
   | () -> Alcotest.fail "install accepted a stale manifest"
-  | exception Invalid_argument _ -> ());
-  (* and the scenario driver refuses to boot on it *)
-  match
-    Hft_harness.Scenario.replicated ~manifest:m
-      ~params:Hft_core.Params.default hello
-  with
-  | _ -> Alcotest.fail "Scenario.replicated booted on a stale manifest"
-  | exception Failure msg ->
-    if not (contains msg "stale") then
-      Alcotest.failf "unexpected failure message: %s" msg
+  | exception Invalid_argument _ -> ()
 
+(* A manifest of the very code validates and arms a CPU, and a
+   replicated run, whose hypervisors certify the image themselves,
+   boots on it. *)
 let test_fresh_manifest_accepted () =
   let hello = Hft_guest.Workload.console_hello ~text:"hi" in
+  let code = hello.Hft_guest.Workload.program.Asm.code in
   let m = Manifest.of_program hello.Hft_guest.Workload.program in
+  (match Manifest.validate ~code m with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "fresh manifest refused: %s" e);
+  Manifest.install m ~deprivileged:false (Cpu.create ~code ());
   let o =
-    Hft_harness.Scenario.replicated ~manifest:m
-      ~params:Hft_core.Params.default hello
+    Hft_harness.Scenario.replicated ~params:Hft_core.Params.default hello
   in
   ignore (o : Hft_core.System.outcome)
 
@@ -883,31 +881,6 @@ let test_deferred_jr_into_own_block () =
       Alcotest.(check string) "halts" "halt" (stop_name stop))
     [ [ 100 ]; [ 5; 7 ]; [ 1 ] ]
 
-(* ---------- image embedding ---------- *)
-
-let test_image_embeds_manifest () =
-  let w = Hft_guest.Workload.console_hello ~text:"hi" in
-  let p = w.Hft_guest.Workload.program in
-  let m = Manifest.of_program p in
-  let s = Image.to_string ~manifest:(Hft_obs.Json.to_string (Manifest.to_json m)) p in
-  (* the embedded line round-trips and still validates *)
-  (match Image.manifest_of_string s with
-  | None -> Alcotest.fail "no manifest line in the image"
-  | Some j -> (
-    match Manifest.of_string j with
-    | Error e -> Alcotest.failf "embedded manifest unparseable: %s" e
-    | Ok m' -> (
-      match Manifest.validate ~code:p.Asm.code m' with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "embedded manifest stale: %s" e)));
-  (* the program itself is unchanged by the M line *)
-  let p' = Image.of_string s in
-  Alcotest.(check int) "code survives" (Array.length p.Asm.code)
-    (Array.length p'.Asm.code);
-  Alcotest.(check int) "image hash survives"
-    (Encode.program_hash p.Asm.code)
-    (Encode.program_hash p'.Asm.code)
-
 (* ---------- differential: validator armed on a full run ---------- *)
 
 let test_replicated_run_validates () =
@@ -937,8 +910,6 @@ let () =
             test_stale_manifest;
           Alcotest.test_case "fresh manifest boots" `Quick
             test_fresh_manifest_accepted;
-          Alcotest.test_case "image embeds manifest" `Quick
-            test_image_embeds_manifest;
           Alcotest.test_case "cache key covers all of code_refs" `Quick
             test_cache_key_covers_code_refs;
           Alcotest.test_case "re-arming still refuses a stale manifest"
