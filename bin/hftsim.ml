@@ -58,14 +58,21 @@ let workload_conv =
   in
   Arg.conv (workload_of_string, pp)
 
+let default_workload () = List.assoc "cpu" workloads ()
+
+let workload_info ?absent () =
+  Arg.info [ "w"; "workload" ] ?absent ~docv:"NAME"
+    ~doc:
+      (Printf.sprintf "Workload: %s." (String.concat ", " workload_names))
+
 let workload_arg =
+  Arg.(value & opt workload_conv (default_workload ()) & workload_info ())
+
+(* For commands that can analyze something other than a named
+   workload, where a [-w] that would be ignored is an error. *)
+let workload_opt_arg =
   Arg.(
-    value
-    & opt workload_conv (List.assoc "cpu" workloads ())
-    & info [ "w"; "workload" ] ~docv:"NAME"
-        ~doc:
-          (Printf.sprintf "Workload: %s."
-             (String.concat ", " workload_names)))
+    value & opt (some workload_conv) None & workload_info ~absent:"cpu" ())
 
 let positive_int =
   Arg.conv
@@ -1043,7 +1050,7 @@ let lint_cmd =
       & info [ "all" ]
           ~doc:
             "Lint every named workload, as assembled and after object-code \
-             editing at the default epoch length.")
+             editing at the default epoch length; not with $(b,-w).")
   in
   let image_arg =
     Arg.(
@@ -1051,7 +1058,7 @@ let lint_cmd =
       & opt (some image_file) None
       & info [ "image" ] ~docv:"FILE"
           ~doc:"Lint a saved program image (HFT1 format) instead of a \
-                workload.")
+                workload; not with $(b,-w).")
   in
   let rewrite_el =
     Arg.(
@@ -1340,6 +1347,7 @@ let lint_cmd =
     let ignored_by_all =
       List.filter_map Fun.id
         [
+          Option.map (fun _ -> "-w") workload;
           Option.map (fun _ -> "--image") image;
           (if rewritten then Some "--rewritten" else None);
           Option.map (fun _ -> "--rewrite") rewrite_el;
@@ -1360,6 +1368,8 @@ let lint_cmd =
           flag
           ^ " cannot be combined with --all, which lints every workload as \
              assembled and rewritten at the default epoch length" )
+    | _, Some _ when workload <> None ->
+      `Error (true, "-w cannot be combined with --image, which lints the image")
     | _, Some (path, program) when rewrite_el <> None && has_markers program ->
       `Error
         ( true,
@@ -1397,6 +1407,7 @@ let lint_cmd =
               program;
           ]
         | None ->
+          let workload = Option.value workload ~default:(default_workload ()) in
           [
             lint_one ~quiet ~title:workload.Hft_guest.Workload.name ~rewritten
               ~rewrite_el
@@ -1449,7 +1460,7 @@ let lint_cmd =
   let term =
     Term.(
       ret
-        (const action $ workload_arg $ all_arg $ image_arg $ rewrite_el
+        (const action $ workload_opt_arg $ all_arg $ image_arg $ rewrite_el
        $ rewritten_arg $ strict_arg $ json_arg $ sarif_arg $ manifest_arg
        $ manifest_out_arg $ manifest_baseline_arg))
   in
@@ -2019,7 +2030,9 @@ let profile_cmd =
       value
       & opt (some image_file) None
       & info [ "image" ] ~docv:"FILE"
-          ~doc:"Profile a saved image file instead of a built-in workload.")
+          ~doc:
+            "Profile a saved image file instead of a built-in workload; not \
+             with $(b,-w).")
   in
   let flame_arg =
     Arg.(
@@ -2052,12 +2065,15 @@ let profile_cmd =
     (* written so that NaN, which fails every comparison, is bad *)
     if not (min_coverage >= 0. && min_coverage <= 1.) then
       `Error (true, "--min-coverage must lie in [0, 1]")
+    else if image <> None && workload <> None then
+      `Error
+        (true, "-w cannot be combined with --image, which profiles the image")
     else
     let workload =
       match image with
       | Some (path, program) ->
         workload_of_program ~name:(Filename.basename path) program
-      | None -> workload
+      | None -> Option.value workload ~default:(default_workload ())
     in
     let run backend =
       let params = Params.with_exec_backend Params.default backend in
@@ -2132,7 +2148,8 @@ let profile_cmd =
           $(b,--min-coverage).")
     Term.(
       ret
-        (const action $ workload_arg $ image_arg $ flame_arg $ min_coverage_arg
+        (const action $ workload_opt_arg $ image_arg $ flame_arg
+       $ min_coverage_arg
        $ limit_arg))
 
 let () =

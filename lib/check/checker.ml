@@ -21,7 +21,12 @@
      handler mutates only its own node's hypervisor state plus the
      sender side of that node's outgoing channels, and cross-node
      effects always arrive as *future* events because link transfer
-     time is positive.  After exploring [a;b] from a node, [b] is put
+     time is positive.  One handler writes its peer directly: a
+     reintegrating primary leaves the snapshot in the revived peer's
+     box before sending the offer.  That still commutes, because the
+     peer reads the box only when the offer is delivered, strictly
+     later; the system's fingerprint cache is told of the write
+     ({!System.fingerprint}).  After exploring [a;b] from a node, [b] is put
      to sleep under the sibling subtree that starts with [b]'s
      independent peer, so the commuted twin [b;a] is skipped.
 
@@ -532,7 +537,7 @@ type run_result =
    refilled only by one that returns, like [Campaign.spare]. *)
 let spare = ref None
 
-let explore ?(options = default_options) sc ~variant =
+let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
   let opts = options in
   let st = fresh_stats () in
   let visited = Hashtbl.create 8192 in
@@ -557,9 +562,10 @@ let explore ?(options = default_options) sc ~variant =
   (* identical system states reached under different installed crash /
      loss plans must not merge: mix the root assignment into every
      fingerprint *)
-  let fingerprint s =
+  let fingerprint ?(fresh = false) s =
     st.fingerprints <- st.fingerprints + 1;
-    Fnv.int !root_mix (System.fingerprint s)
+    Fnv.int !root_mix
+      ((if fresh then System.fresh_fingerprint else System.fingerprint) s)
   in
   let hold_open s i fp =
     st.snapshots <- st.snapshots + 1;
@@ -575,6 +581,7 @@ let explore ?(options = default_options) sc ~variant =
      the first non-sleeping choice, and snapshot every open branch
      point on the way that has none. *)
   let scheduler s batch =
+    inspect s;
     st.transitions <- st.transitions + 1;
     st.executed <- st.executed + 1;
     check_step s baselines frozen;
@@ -583,8 +590,9 @@ let explore ?(options = default_options) sc ~variant =
     if idx < path.len then begin
       let f = path.frames.(idx) in
       if idx = !resumed then begin
-        (* a restore must land exactly where the run left *)
-        let r = fingerprint s and want = (Option.get f.f_snap).r_fp in
+        (* a restore must land exactly where the run left, whatever
+           the restored cache of node fingerprints says *)
+        let r = fingerprint ~fresh:true s and want = (Option.get f.f_snap).r_fp in
         if r <> want then
           raise
             (Restore_mismatch

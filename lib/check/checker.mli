@@ -84,10 +84,14 @@ exception Restore_mismatch of { depth : int; recorded : int; restored : int }
 
 val explore :
   ?options:options ->
+  ?inspect:(Hft_core.System.t -> unit) ->
   Hft_harness.Scenarios.bounded ->
   variant:Hft_harness.Scenarios.variant ->
   result
 (** Every resumed run checks the fingerprint at its resume point.
+    [inspect] is called with the system at every scheduler call,
+    before the checker looks at it; tests use it to cross-check the
+    system's caches.  It must not change the system.
     @raise Restore_mismatch if a restore was not exact. *)
 
 val run_forced :

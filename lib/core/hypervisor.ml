@@ -263,6 +263,7 @@ type t = {
   (* hooks *)
   mutable on_epoch_boundary : epoch:int -> hash:int -> unit;
   mutable on_promote : t -> unit;
+  mutable on_peer_write : unit -> unit;
 }
 
 let flag t i = t.s.(i) <> 0
@@ -404,6 +405,7 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     rb_rtx = [];
     on_epoch_boundary = (fun ~epoch:_ ~hash:_ -> ());
     on_promote = (fun _ -> ());
+    on_peer_write = ignore;
   }
 
 let connect t ~tx ~peer =
@@ -413,6 +415,7 @@ let connect t ~tx ~peer =
 let set_on_epoch_boundary t f = t.on_epoch_boundary <- f
 let get_on_epoch_boundary t = t.on_epoch_boundary
 let set_on_promote t f = t.on_promote <- f
+let set_on_peer_write t f = t.on_peer_write <- f
 
 (* ---------- virtual clocks ---------- *)
 
@@ -566,7 +569,7 @@ and send_msg ?snapshot_bytes t body =
   | Some ch ->
     let dseq = t.s.(S.data_sent) in
     t.s.(S.data_sent) <- t.s.(S.data_sent) + 1;
-    let bytes = Message.bytes ?snapshot_bytes (Message.make ~seq:0 ~dseq body) in
+    let bytes = Message.body_bytes ?snapshot_bytes body in
     emit t (Ev.Msg_send { dseq; kind = Message.body_kind body; bytes });
     t.rtx_queue <-
       t.rtx_queue
@@ -1576,7 +1579,10 @@ and start_reintegration t =
        backup, every ack it sent bumped send_seq) *)
     fresh_stream t;
     let snap = take_snapshot t in
+    (* the one write to the peer's state: the peer reads the box only
+       when the offer is delivered, strictly later *)
     peer.snapshot_box <- Some snap;
+    t.on_peer_write ();
     let mem_bytes = 4 * Memory.size (Cpu.mem t.vm) in
     send_msg ~snapshot_bytes:mem_bytes t
       (Message.Snapshot_offer
@@ -1885,6 +1891,10 @@ let slots = Array.to_list S.table
 let slot t i = t.s.(i)
 let set_slot t i v = t.s.(i) <- v
 
+(* every node's fingerprints since the program started *)
+let computed = ref 0
+let fingerprints_computed () = !computed
+
 (* Canonical digest of the protocol state, mixed with [Fnv]: every
    fingerprinted slot and the recovery block, then the fields that are
    not slots.  Arrival stamps ([since] here, the slots [S] declares
@@ -1893,6 +1903,7 @@ let set_slot t i v = t.s.(i) <- v
    that cannot diverge.  Message bodies and relayed completions go
    through [Message]'s one body hasher. *)
 let fingerprint t =
+  incr computed;
   let mix = Fnv.int and flag = Fnv.bool in
   let stamped h { bi; _ } =
     match bi with

@@ -142,6 +142,11 @@ val fingerprint : t -> int
     {!Hft_sim.Engine.pending_fingerprint} and the channel/disk
     fingerprints to prune the model checker's state graph. *)
 
+val fingerprints_computed : unit -> int
+(** {!fingerprint}s computed by every node since the program started:
+    the checker's digest work in deterministic units, like
+    {!Hft_machine.Memory.words_hashed}. *)
+
 (** {2 Save and restore}
 
     For the model checker, which resumes schedules from saved states
@@ -185,6 +190,12 @@ val get_on_epoch_boundary : t -> epoch:int -> hash:int -> unit
     chain onto it instead of displacing each other. *)
 
 val set_on_promote : t -> (t -> unit) -> unit
+
+val set_on_peer_write : t -> (unit -> unit) -> unit
+(** Called right after this node writes its peer's state directly,
+    inside its own handler.  The only such write is the reintegration
+    handoff: a reintegrating primary leaves the snapshot in the
+    revived peer's box before it sends the offer. *)
 
 (* Reintegration extension. *)
 

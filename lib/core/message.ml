@@ -80,10 +80,10 @@ let corrupt ~flip t =
    stream sequence number and the checksum. *)
 let header_bytes = 24
 
-let bytes ?(snapshot_bytes = 0) t =
+let body_bytes ?(snapshot_bytes = 0) body =
   header_bytes
   +
-  match t.body with
+  match body with
   | Intr { completion; _ } -> (
     16
     + match completion.dma with None -> 0 | Some (_, data) -> 8 + (4 * Array.length data))
@@ -94,6 +94,8 @@ let bytes ?(snapshot_bytes = 0) t =
   | Snapshot_offer _ -> 16 + snapshot_bytes
   | Snapshot_done _ -> 8
   | Resync _ -> 8
+
+let bytes ?snapshot_bytes t = body_bytes ?snapshot_bytes t.body
 
 let pp fmt t =
   match t.body with

@@ -98,4 +98,9 @@ val bytes : ?snapshot_bytes:int -> t -> int
 (** Wire size.  [snapshot_bytes] sizes a [Snapshot_offer], whose
     payload (the whole VM image) travels with it. *)
 
+val body_bytes : ?snapshot_bytes:int -> body -> int
+(** The wire size of any message carrying this body: the header does
+    not depend on its fields, so no message need be sealed to size
+    it. *)
+
 val pp : Format.formatter -> t -> unit

@@ -39,6 +39,16 @@ type t = {
   mutable spares : (Hypervisor.spare * Hypervisor.spare) list;
       (* storage of snapshots that will not be restored again, which
          the next snapshots overwrite *)
+  (* each hypervisor's last [Hypervisor.fingerprint], kept across
+     steps (see [refresh]) *)
+  mutable fp_primary : int;
+  mutable fp_backup : int;
+  mutable stale : int;
+      (* bit 0: [fp_primary] may be out of date; bit 1: [fp_backup] *)
+  mutable tracked : int;
+      (* the engine dispatches [stale] accounts for: one more per
+         scheduled dispatch, so it trails [Engine.events_dispatched]
+         once the engine has dispatched an event nobody reported *)
 }
 
 and snapshot = {
@@ -55,7 +65,15 @@ and snapshot = {
   sn_failover : bool;
   sn_reintegration_delay : Time.t option;
   sn_hv_faults_armed : int;
+  sn_fp_primary : int;
+  sn_fp_backup : int;
+  sn_stale : int;
+  sn_tracked : int;
 }
+
+let primary_bit = 1
+let backup_bit = 2
+let both_bits = 3
 
 let record_boundary ls ~epoch ~hash =
   match IM.find_opt epoch ls.hashes with
@@ -195,8 +213,28 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       hv_fault_installs = 0;
       last = None;
       spares = (match recycle with Some old -> old.spares | None -> []);
+      fp_primary = 0;
+      fp_backup = 0;
+      stale = both_bits;
+      tracked = 0;
     }
   in
+  (* what can change a node between two fingerprints: a dispatched
+     event of its own or of shared state (actor [""]), [start], a
+     [restore], and the one write a node makes to its peer *)
+  let primary_name = Hypervisor.name primary_ in
+  let backup_name = Hypervisor.name backup_ in
+  Engine.set_on_scheduled_dispatch engine (fun actor ->
+      t.tracked <- t.tracked + 1;
+      t.stale <-
+        t.stale
+        lor
+        if String.equal actor primary_name then primary_bit
+        else if String.equal actor backup_name then backup_bit
+        else both_bits);
+  let mark bit () = t.stale <- t.stale lor bit in
+  Hypervisor.set_on_peer_write primary_ (mark backup_bit);
+  Hypervisor.set_on_peer_write backup_ (mark primary_bit);
   Hypervisor.set_on_promote backup_ (fun _ ->
       t.failover_ <- true;
       match t.reintegration_delay with
@@ -282,7 +320,31 @@ let faults_injected t =
   in
   per t.ch_pb + per t.ch_bp
 
+(* Bring the cached node fingerprints up to date: recompute each node
+   a step since the last one can have changed, or both if the engine
+   dispatched an event that was not reported (a free run). *)
+let refresh t =
+  let dispatched = Engine.events_dispatched t.engine in
+  if t.tracked <> dispatched then begin
+    t.stale <- both_bits;
+    t.tracked <- dispatched
+  end;
+  if t.stale land primary_bit <> 0 then
+    t.fp_primary <- Hypervisor.fingerprint t.primary_;
+  if t.stale land backup_bit <> 0 then
+    t.fp_backup <- Hypervisor.fingerprint t.backup_;
+  t.stale <- 0
+
+let cached_fingerprints t =
+  let up_to_date bit v =
+    if t.stale land bit = 0 && t.tracked = Engine.events_dispatched t.engine
+    then Some v
+    else None
+  in
+  (up_to_date primary_bit t.fp_primary, up_to_date backup_bit t.fp_backup)
+
 let fingerprint t =
+  refresh t;
   let mix = Fnv.int in
   (* the virtual clock: schedule interleavings merge at the same
      instant (same-instant dispatches never advance time), while
@@ -290,13 +352,17 @@ let fingerprint t =
      of an idle polling loop — must NOT merge, because pending timers
      fire relative to the absolute clock *)
   let h = mix Fnv.basis (Hft_sim.Time.to_ns (Engine.now t.engine)) in
-  let h = mix h (Hypervisor.fingerprint t.primary_) in
-  let h = mix h (Hypervisor.fingerprint t.backup_) in
+  let h = mix h t.fp_primary in
+  let h = mix h t.fp_backup in
   let h = mix h (Channel.fingerprint t.ch_pb) in
   let h = mix h (Channel.fingerprint t.ch_bp) in
   let h = mix h (Disk.fingerprint t.disk_) in
   let h = mix h (Console.fingerprint t.console_) in
   Fnv.bool (mix h (Engine.pending_fingerprint t.engine)) t.failover_
+
+let fresh_fingerprint t =
+  t.stale <- both_bits;
+  fingerprint t
 
 let reintegrate_after_failover t ~delay =
   t.reintegration_delay <- Some delay;
@@ -321,6 +387,7 @@ type outcome = {
 }
 
 let start t =
+  t.stale <- both_bits;
   Hypervisor.start t.primary_;
   Hypervisor.start t.backup_
 
@@ -400,6 +467,10 @@ let snapshot t =
       sn_failover = t.failover_;
       sn_reintegration_delay = t.reintegration_delay;
       sn_hv_faults_armed = t.hv_faults_armed;
+      sn_fp_primary = t.fp_primary;
+      sn_fp_backup = t.fp_backup;
+      sn_stale = t.stale;
+      sn_tracked = t.tracked;
     }
   in
   t.last <- Some s;
@@ -419,6 +490,10 @@ let restore t s =
   t.failover_ <- s.sn_failover;
   t.reintegration_delay <- s.sn_reintegration_delay;
   t.hv_faults_armed <- s.sn_hv_faults_armed;
+  t.fp_primary <- s.sn_fp_primary;
+  t.fp_backup <- s.sn_fp_backup;
+  t.stale <- s.sn_stale;
+  t.tracked <- s.sn_tracked;
   t.last <- Some s
 
 let release t s =

@@ -107,7 +107,34 @@ val fingerprint : t -> int
     reorderings never advance the clock); states differing only by a
     time shift stay distinct, since pending timers fire on the
     absolute clock.  The model checker uses this to prune revisited
-    states. *)
+    states.
+
+    Each hypervisor's digest is cached across calls and recomputed
+    only for a node something could have changed since the last one:
+    - an event dispatched through the scheduler hook
+      ({!Hft_sim.Engine.set_scheduler}) whose actor is that node;
+    - such an event with the empty actor (shared state), which
+      changes both;
+    - {!create} and {!start}, which change both;
+    - the reintegration handoff, the one write a node makes to its
+      peer's state ({!Hypervisor.set_on_peer_write});
+    - any dispatch without a scheduler hook: a free run is not
+      tracked, so the next call recomputes both nodes.
+    The cache and its stale bits are part of a {!snapshot}, so a
+    restored run recomputes exactly what the run it repeats did.  A
+    hypervisor changed directly from outside an event handler, after
+    the last call, is not seen: use {!fresh_fingerprint} then. *)
+
+val fresh_fingerprint : t -> int
+(** {!fingerprint} with both nodes recomputed, whatever the cache
+    holds; the results replace it.  The checker uses this after a
+    restore, to check the restore without trusting the cache. *)
+
+val cached_fingerprints : t -> int option * int option
+(** The primary's and the backup's cached digests that {!fingerprint}
+    would use now without recomputing them, [None] for a node it
+    would recompute.  Read-only: for cross-checks of the cache against
+    {!Hypervisor.fingerprint}. *)
 
 val reintegrate_after_failover : t -> delay:Hft_sim.Time.t -> unit
 (** After a promotion, wait [delay], revive the failed processor as a

@@ -36,6 +36,8 @@ type t = {
       (* events popped into [batch] while the scheduler hook runs, 0
          outside it *)
   mutable observer : (Time.t -> label:string -> actor:string -> unit) option;
+  mutable on_scheduled : string -> unit;
+      (* told the actor of every dispatch the scheduler hook chose *)
 }
 
 exception Runaway of int
@@ -67,6 +69,7 @@ let create () =
     batch = [||];
     batch_len = 0;
     observer = None;
+    on_scheduled = ignore;
   }
 
 (* ---------- the event queue ----------
@@ -240,6 +243,7 @@ let clear_scheduler t = t.sched <- None
 let has_scheduler t = Option.is_some t.sched
 
 let set_observer t f = t.observer <- Some f
+let set_on_scheduled_dispatch t f = t.on_scheduled <- f
 
 (* An event's (actor, label) digest, hashed once per event: an event
    stays pending across many fingerprints, and a restore brings back
@@ -321,6 +325,7 @@ let step_scheduled t f =
   let ev = b.(idx) in
   (* the handler may step the engine again, which reuses the buffer *)
   Array.fill b 0 n vacant;
+  t.on_scheduled ev.actor;
   dispatch t ev
 
 (* Dispatch the top; the caller has skipped cancelled events and

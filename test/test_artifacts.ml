@@ -424,7 +424,9 @@ let test_malformed_inputs d =
       if List.mem "--all" args then
         ignore (after out "cannot be combined with --all");
       if List.mem "--image" args && List.mem "--rewrite" args then
-        ignore (after out "already carries epoch markers"))
+        ignore (after out "already carries epoch markers");
+      if List.mem "--image" args && List.mem "-w" args then
+        ignore (after out "cannot be combined with --image"))
     [
       [ "lint"; "--image"; short ];
       [ "lint"; "--image"; garbled ];
@@ -473,6 +475,10 @@ let test_malformed_inputs d =
       [ "lint"; "--all"; "--image"; "../examples/images/hello.img" ];
       [ "lint"; "--all"; "--rewritten" ];
       [ "lint"; "--all"; "--rewrite"; "4096" ];
+      (* [-w] where it would be ignored *)
+      [ "lint"; "--all"; "-w"; "cpu" ];
+      [ "lint"; "--image"; "../examples/images/hello.img"; "-w"; "cpu" ];
+      [ "profile"; "--image"; "../examples/images/hello.img"; "-w"; "cpu" ];
     ]
 
 (* The certification gate reads every entry of its baseline: a baseline
