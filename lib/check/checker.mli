@@ -91,7 +91,10 @@ val explore :
 (** Every resumed run checks the fingerprint at its resume point.
     [inspect] is called with the system at every scheduler call,
     before the checker looks at it; tests use it to cross-check the
-    system's caches.  It must not change the system.
+    system's caches.  It may refresh digest caches and work counters
+    (a [Hypervisor.fingerprint] drains its memory's dirty-chunk list
+    and counts the words it hashes) but must change no state a
+    fingerprint or a handler reads.
     @raise Restore_mismatch if a restore was not exact. *)
 
 val run_forced :

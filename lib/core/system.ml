@@ -45,10 +45,6 @@ type t = {
   mutable fp_backup : int;
   mutable stale : int;
       (* bit 0: [fp_primary] may be out of date; bit 1: [fp_backup] *)
-  mutable tracked : int;
-      (* the engine dispatches [stale] accounts for: one more per
-         scheduled dispatch, so it trails [Engine.events_dispatched]
-         once the engine has dispatched an event nobody reported *)
 }
 
 and snapshot = {
@@ -68,7 +64,6 @@ and snapshot = {
   sn_fp_primary : int;
   sn_fp_backup : int;
   sn_stale : int;
-  sn_tracked : int;
 }
 
 let primary_bit = 1
@@ -216,7 +211,6 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       fp_primary = 0;
       fp_backup = 0;
       stale = both_bits;
-      tracked = 0;
     }
   in
   (* what can change a node between two fingerprints: a dispatched
@@ -224,8 +218,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
      [restore], and the one write a node makes to its peer *)
   let primary_name = Hypervisor.name primary_ in
   let backup_name = Hypervisor.name backup_ in
-  Engine.set_on_scheduled_dispatch engine (fun actor ->
-      t.tracked <- t.tracked + 1;
+  Engine.set_on_dispatch engine (fun actor ->
       t.stale <-
         t.stale
         lor
@@ -321,14 +314,8 @@ let faults_injected t =
   per t.ch_pb + per t.ch_bp
 
 (* Bring the cached node fingerprints up to date: recompute each node
-   a step since the last one can have changed, or both if the engine
-   dispatched an event that was not reported (a free run). *)
+   an event since the last one can have changed. *)
 let refresh t =
-  let dispatched = Engine.events_dispatched t.engine in
-  if t.tracked <> dispatched then begin
-    t.stale <- both_bits;
-    t.tracked <- dispatched
-  end;
   if t.stale land primary_bit <> 0 then
     t.fp_primary <- Hypervisor.fingerprint t.primary_;
   if t.stale land backup_bit <> 0 then
@@ -336,11 +323,7 @@ let refresh t =
   t.stale <- 0
 
 let cached_fingerprints t =
-  let up_to_date bit v =
-    if t.stale land bit = 0 && t.tracked = Engine.events_dispatched t.engine
-    then Some v
-    else None
-  in
+  let up_to_date bit v = if t.stale land bit = 0 then Some v else None in
   (up_to_date primary_bit t.fp_primary, up_to_date backup_bit t.fp_backup)
 
 let fingerprint t =
@@ -470,7 +453,6 @@ let snapshot t =
       sn_fp_primary = t.fp_primary;
       sn_fp_backup = t.fp_backup;
       sn_stale = t.stale;
-      sn_tracked = t.tracked;
     }
   in
   t.last <- Some s;
@@ -493,7 +475,6 @@ let restore t s =
   t.fp_primary <- s.sn_fp_primary;
   t.fp_backup <- s.sn_fp_backup;
   t.stale <- s.sn_stale;
-  t.tracked <- s.sn_tracked;
   t.last <- Some s
 
 let release t s =

@@ -111,15 +111,13 @@ val fingerprint : t -> int
 
     Each hypervisor's digest is cached across calls and recomputed
     only for a node something could have changed since the last one:
-    - an event dispatched through the scheduler hook
-      ({!Hft_sim.Engine.set_scheduler}) whose actor is that node;
-    - such an event with the empty actor (shared state), which
-      changes both;
+    - a dispatched event whose actor is that node
+      ({!Hft_sim.Engine.set_on_dispatch});
+    - a dispatched event of any other actor, the empty one (shared
+      state) included, which changes both;
     - {!create} and {!start}, which change both;
     - the reintegration handoff, the one write a node makes to its
-      peer's state ({!Hypervisor.set_on_peer_write});
-    - any dispatch without a scheduler hook: a free run is not
-      tracked, so the next call recomputes both nodes.
+      peer's state ({!Hypervisor.set_on_peer_write}).
     The cache and its stale bits are part of a {!snapshot}, so a
     restored run recomputes exactly what the run it repeats did.  A
     hypervisor changed directly from outside an event handler, after

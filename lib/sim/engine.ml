@@ -36,8 +36,8 @@ type t = {
       (* events popped into [batch] while the scheduler hook runs, 0
          outside it *)
   mutable observer : (Time.t -> label:string -> actor:string -> unit) option;
-  mutable on_scheduled : string -> unit;
-      (* told the actor of every dispatch the scheduler hook chose *)
+  mutable on_dispatch : string -> unit;
+      (* told the actor of every dispatch *)
 }
 
 exception Runaway of int
@@ -69,7 +69,7 @@ let create () =
     batch = [||];
     batch_len = 0;
     observer = None;
-    on_scheduled = ignore;
+    on_dispatch = ignore;
   }
 
 (* ---------- the event queue ----------
@@ -243,7 +243,7 @@ let clear_scheduler t = t.sched <- None
 let has_scheduler t = Option.is_some t.sched
 
 let set_observer t f = t.observer <- Some f
-let set_on_scheduled_dispatch t f = t.on_scheduled <- f
+let set_on_dispatch t f = t.on_dispatch <- f
 
 (* An event's (actor, label) digest, hashed once per event: an event
    stays pending across many fingerprints, and a restore brings back
@@ -280,6 +280,7 @@ let dispatch t ev =
   | Some f when String.length ev.label > 0 ->
     f t.clock ~label:ev.label ~actor:ev.actor
   | _ -> ());
+  t.on_dispatch ev.actor;
   t.running <- ev.actor;
   ev.fn ();
   t.running <- ""
@@ -325,7 +326,6 @@ let step_scheduled t f =
   let ev = b.(idx) in
   (* the handler may step the engine again, which reuses the buffer *)
   Array.fill b 0 n vacant;
-  t.on_scheduled ev.actor;
   dispatch t ev
 
 (* Dispatch the top; the caller has skipped cancelled events and

@@ -138,12 +138,10 @@ val set_observer : t -> (Time.t -> label:string -> actor:string -> unit) -> unit
     observability layer can mirror dispatches into a structured
     recorder without the engine depending on it. *)
 
-val set_on_scheduled_dispatch : t -> (string -> unit) -> unit
-(** Install a hook told the actor of every event dispatched through
-    the scheduler hook, just before its handler runs.  Free runs (no
-    scheduler installed) never call it, so they pay nothing for it.
-    A component that caches digests of its parts uses it to learn
-    which of them a checker step can have changed. *)
+val set_on_dispatch : t -> (string -> unit) -> unit
+(** Install a hook told the actor of every dispatched event, just
+    before its handler runs.  A component that caches digests of its
+    parts uses it to learn which of them an event can have changed. *)
 
 val pending_fingerprint : t -> int
 (** Order-insensitive 62-bit digest of the live pending events: the
