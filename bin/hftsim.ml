@@ -183,11 +183,9 @@ module Campaign = Hft_harness.Campaign
 let hv_fault_conv =
   Arg.conv
     ( (fun s ->
-        match Campaign.hv_fault_spec_of_string s with
-        | Ok f -> Ok f
-        | Error m -> Error (`Msg m)),
-      fun fmt f ->
-        Format.pp_print_string fmt (Campaign.hv_fault_spec_to_string f) )
+        Result.map_error (fun m -> `Msg m) (Campaign.hv_fault_of_string s)),
+      fun fmt f -> Format.pp_print_string fmt (Campaign.hv_fault_to_string f)
+    )
 
 (* The edge every saved image comes in by, loaded while the command
    line is parsed: a directory or a malformed image is a reported usage
@@ -513,11 +511,7 @@ let run_cmd =
       (match crash_ms with
       | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
       | None -> ());
-      List.iter
-        (fun (f : Campaign.hv_fault_spec) ->
-          System.hv_fault_on_epoch sys ~target:f.Campaign.hf_target
-            ~kind:f.Campaign.hf_kind f.Campaign.hf_epoch)
-        hv_fault_list;
+      List.iter (System.inject sys) hv_fault_list;
       (match reintegrate_ms with
       | Some ms ->
         System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms ms)
@@ -640,7 +634,7 @@ let print_trial (t : Campaign.trial) =
     | [] -> ""
     | fs ->
       " hv["
-      ^ String.concat "," (List.map Campaign.hv_fault_spec_to_string fs)
+      ^ String.concat "," (List.map Campaign.hv_fault_to_string fs)
       ^ "]")
     t.Campaign.faults_injected t.Campaign.retransmits
     t.Campaign.duplicates_dropped t.Campaign.corruptions_detected

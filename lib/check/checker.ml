@@ -178,41 +178,26 @@ let root_frame k width =
     f_snap = None;
   }
 
-let n_dims = 5
-
-(* The root dimensions have heterogeneous element types (the fifth is
-   a hypervisor-fault choice, not an epoch/message index), so the
-   generic view the tree driver and the shrinker need is just each
-   dimension's width and the index of its no-fault option. *)
-let dims (sc : Scenarios.bounded) =
-  let d l =
-    let rec none_idx i = function
-      | [] -> -1
-      | None :: _ -> i
-      | _ :: tl -> none_idx (i + 1) tl
-    in
-    (List.length l, none_idx 0 l)
+(* The index of a root dimension's no-fault option, -1 if it has none. *)
+let none_index options =
+  let rec go i = function
+    | [] -> -1
+    | None :: _ -> i
+    | Some _ :: tl -> go (i + 1) tl
   in
-  [|
-    d sc.Scenarios.sc_crash_epochs;
-    d sc.Scenarios.sc_backup_crash_epochs;
-    d sc.Scenarios.sc_loss_pb;
-    d sc.Scenarios.sc_loss_bp;
-    d sc.Scenarios.sc_hv_faults;
-  |]
+  go 0 options
 
-let build sc ~variant ?obs ?recycle (roots : int array) =
-  let pick l k =
-    let a = Array.of_list l in
-    a.(if roots.(k) >= 0 && roots.(k) < Array.length a then roots.(k) else 0)
+(* The system of one root assignment: one in-range option index per
+   dimension of the scenario, in order.
+   @raise Invalid_argument otherwise. *)
+let build sc ~variant ?obs ?recycle roots =
+  let pick (_, options) r =
+    if r < 0 || r >= List.length options then
+      invalid_arg "Checker.build: root outside its dimension"
+    else Option.to_list (List.nth options r)
   in
-  Scenarios.instantiate sc ~variant
-    ?crash_epoch:(pick sc.Scenarios.sc_crash_epochs 0)
-    ?backup_crash_epoch:(pick sc.Scenarios.sc_backup_crash_epochs 1)
-    ?loss_pb:(pick sc.Scenarios.sc_loss_pb 2)
-    ?loss_bp:(pick sc.Scenarios.sc_loss_bp 3)
-    ?hv_fault:(pick sc.Scenarios.sc_hv_faults 4)
-    ?obs ?recycle ()
+  let faults = List.concat (List.map2 pick sc.Scenarios.sc_roots roots) in
+  Scenarios.instantiate sc ~variant ~faults ?obs ?recycle ()
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
@@ -287,8 +272,7 @@ let end_checks sc ~reference sys o =
   let console =
     if Scenarios.has_crash sc then `Replay_extension else `Exact
   in
-  let vs = Campaign.check_invariants ~console ~reference sys o in
-  vs
+  Campaign.check_invariants ~console ~reference sys o
   @ List.filter_map
       (fun hv ->
         let n = Hypervisor.outstanding_io hv in
@@ -301,14 +285,31 @@ let end_checks sc ~reference sys o =
         else None)
       [ System.primary sys; System.backup sys ]
 
+(* The verdict on one run, which [drive] carries out on [sys]: [None]
+   for a clean run, else the violation — a failed end-of-run check, a
+   step check's, an exhausted event budget, or a run in which no VM
+   completed the workload ([System.drive]'s [Failure]), which like the
+   exhausted budget is a liveness violation.  Other exceptions pass
+   through. *)
+let verdict sc ~reference sys drive =
+  match drive sys with
+  | o -> (
+    match end_checks sc ~reference sys o with
+    | [] -> None
+    | vs -> Some (String.concat "; " vs))
+  | exception Violation_mid msg -> Some msg
+  | exception Engine.Runaway limit -> Some (runaway limit)
+  | exception Failure msg -> Some ("run failed: " ^ msg)
+
 (* ------------------------------------------------------------------ *)
 (* The current path                                                    *)
 
-(* The frames of the schedule being explored, root dimensions first,
-   then one per scheduler call; [held] lists, in ascending order, the
-   indices of the [snaps] frames holding a snapshot, all of them of
-   [sys], the system the runs execute on. *)
+(* The frames of the schedule being explored, the [roots] root
+   dimensions first, then one per scheduler call; [held] lists, in
+   ascending order, the indices of the [snaps] frames holding a
+   snapshot, all of them of [sys], the system the runs execute on. *)
 type path = {
+  roots : int;
   mutable frames : frame array;
   mutable len : int;
   held : int array;
@@ -352,7 +353,7 @@ let hold path i r =
     let h = path.held in
     let gap j =
       (if j + 1 < path.snaps then h.(j + 1) else i)
-      - if j > 0 then h.(j - 1) else n_dims - 1
+      - if j > 0 then h.(j - 1) else path.roots - 1
     in
     let best = ref 0 in
     for j = 1 to path.snaps - 1 do
@@ -436,9 +437,9 @@ let backtrack ~visited path =
 (* The roots and scheduler choices of the first [consumed] frames. *)
 let slice path consumed =
   let chosen i = path.frames.(i).chosen in
-  let n = min consumed path.len in
-  ( List.init (min n n_dims) chosen,
-    List.init (max 0 (n - n_dims)) (fun i -> chosen (n_dims + i)) )
+  let n = min consumed path.len and r = path.roots in
+  ( List.init (min n r) chosen,
+    List.init (max 0 (n - r)) (fun i -> chosen (r + i)) )
 
 (* ------------------------------------------------------------------ *)
 (* Forced replay (used by --replay and the shrinker)                   *)
@@ -449,9 +450,7 @@ let run_forced sc ~variant ?reference ?obs ~roots ~choices () =
     | Some r -> r
     | None -> Scenarios.reference sc ~variant
   in
-  let ra = Array.make n_dims 0 in
-  List.iteri (fun i v -> if i < n_dims then ra.(i) <- v) roots;
-  let sys = build sc ~variant ?obs ra in
+  let sys = build sc ~variant ?obs roots in
   let engine = System.engine sys in
   let baselines = [| 0; 0 |] in
   let frozen = [| None; None |] in
@@ -465,14 +464,7 @@ let run_forced sc ~variant ?reference ?obs ~roots ~choices () =
         let c = ch.(idx) in
         if c < 0 || c >= Array.length batch then 0 else c
       else 0);
-  match System.run ~limit:sc.Scenarios.sc_limit sys with
-  | o -> (
-    match end_checks sc ~reference sys o with
-    | [] -> None
-    | vs -> Some (String.concat "; " vs))
-  | exception Violation_mid msg -> Some msg
-  | exception Engine.Runaway limit -> Some (runaway limit)
-  | exception Failure msg -> Some ("run failed: " ^ msg)
+  verdict sc ~reference sys (System.run ~limit:sc.Scenarios.sc_limit)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -488,17 +480,17 @@ let shrink_violation sc ~variant ~reference v =
   in
   if not (fails v.v_roots v.v_choices) then v
   else begin
-    let d = dims sc in
     let roots = ref v.v_roots and choices = ref v.v_choices in
-    Array.iteri
-      (fun k (_, none_idx) ->
+    List.iteri
+      (fun k (_, options) ->
+        let none_idx = none_index options in
         if none_idx >= 0 && List.nth !roots k <> none_idx then begin
           let cand =
             List.mapi (fun j x -> if j = k then none_idx else x) !roots
           in
           if fails cand !choices then roots := cand
         end)
-      d;
+      sc.Scenarios.sc_roots;
     let budget = ref 256 in
     let changed = ref true in
     while !changed && !budget > 0 do
@@ -542,9 +534,10 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
   let st = fresh_stats () in
   let visited = Hashtbl.create 8192 in
   let reference = Scenarios.reference sc ~variant in
-  let d = dims sc in
+  let n_roots = List.length sc.Scenarios.sc_roots in
   let path =
     {
+      roots = n_roots;
       frames = [||];
       len = 0;
       held = Array.make retained 0;
@@ -558,7 +551,7 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
      the run resumed at *)
   let root_mix = ref Fnv.basis in
   let baselines = [| 0; 0 |] and frozen = [| None; None |] in
-  let cursor = ref n_dims and resumed = ref (-1) in
+  let cursor = ref n_roots and resumed = ref (-1) in
   (* identical system states reached under different installed crash /
      loss plans must not merge: mix the root assignment into every
      fingerprint *)
@@ -596,7 +589,7 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
         if r <> want then
           raise
             (Restore_mismatch
-               { depth = idx - n_dims; recorded = want; restored = r })
+               { depth = idx - n_roots; recorded = want; restored = r })
       end
       else if f.f_snap = None && is_open f then
         hold_open s idx
@@ -608,7 +601,7 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
       (match opts.max_states with
       | Some m when st.states >= m -> raise Cap
       | _ -> ());
-      let depth = idx - n_dims in
+      let depth = idx - n_roots in
       if depth > st.max_depth then st.max_depth <- depth;
       (match opts.depth with
       | Some dmax when depth >= dmax ->
@@ -617,7 +610,7 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
       | _ -> ());
       st.states <- st.states + 1;
       let sleep =
-        if (not opts.dpor) || idx = n_dims then []
+        if (not opts.dpor) || idx = n_roots then []
         else
           let pf = path.frames.(idx - 1) in
           match pf.kind with
@@ -672,22 +665,23 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
      snapshot it holds or else from a fresh (recycled) build.  The
      decisions a resumed run skips still count as transitions. *)
   let execute () =
-    for k = path.len to n_dims - 1 do
-      push path (root_frame k (fst d.(k)))
-    done;
+    List.iteri
+      (fun k (_, options) ->
+        if k >= path.len then push path (root_frame k (List.length options)))
+      sc.Scenarios.sc_roots;
     let s =
       match (resume_point path, path.sys) with
       | Some (k, r), Some s ->
         System.restore s r.r_sys;
         Array.blit r.r_baselines 0 baselines 0 2;
         Array.blit r.r_frozen 0 frozen 0 2;
-        st.transitions <- st.transitions + (k - n_dims);
+        st.transitions <- st.transitions + (k - n_roots);
         cursor := k;
         resumed := k;
         s
       | _ ->
-        let roots = Array.init n_dims (fun k -> path.frames.(k).chosen) in
-        root_mix := Array.fold_left Fnv.int Fnv.basis roots;
+        let roots = List.init n_roots (fun k -> path.frames.(k).chosen) in
+        root_mix := List.fold_left Fnv.int Fnv.basis roots;
         (* this run's system is finished before the next build
            recycles it: every rebuild reuses the same pair of guest
            memories *)
@@ -697,24 +691,18 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
         System.start s;
         Array.fill baselines 0 2 0;
         Array.fill frozen 0 2 None;
-        cursor := n_dims;
+        cursor := n_roots;
         resumed := -1;
         s
     in
     st.runs <- st.runs + 1;
-    let verdict =
-      match System.drive ~limit:sc.Scenarios.sc_limit s with
-      | o -> (
-        match end_checks sc ~reference s o with
-        | [] -> R_ok
-        | vs -> R_violation (String.concat "; " vs))
-      | exception Violation_mid msg -> R_violation msg
+    let outcome =
+      match
+        verdict sc ~reference s (System.drive ~limit:sc.Scenarios.sc_limit)
+      with
+      | None -> R_ok
+      | Some reason -> R_violation reason
       | exception Abort _ -> R_aborted
-      | exception Engine.Runaway limit -> R_violation (runaway limit)
-      | exception Failure msg ->
-        (* "no VM completed the workload", like an exhausted event
-           budget, is a liveness violation *)
-        R_violation ("run failed: " ^ msg)
     in
     (* a node whose last sibling this run took is no longer a branch
        point *)
@@ -722,7 +710,7 @@ let explore ?(options = default_options) ?(inspect = ignore) sc ~variant =
       for j = path.snaps - 1 downto 0 do
         if path.held.(j) = !resumed then release path j
       done;
-    (verdict, !cursor)
+    (outcome, !cursor)
   in
   let violations = ref [] in
   let capped = ref false and exhausted = ref false in
@@ -776,32 +764,30 @@ let schedule_of_violation (r : result) (v : violation) =
     violation = Some v.v_reason;
   }
 
-let dim_names =
-  [| "crash_epochs"; "backup_crash_epochs"; "loss_pb"; "loss_bp"; "hv_faults" |]
-
 (* A replay file's roots and choices must name the schedule exactly:
-   [build] and [run_forced] map an out-of-range index to a default
-   (the shrinker relies on that), which would replay a different
-   schedule than the file records. *)
+   one in-range index per root dimension (a missing one is not the
+   no-fault default, and [build] refuses what is out of range) and no
+   negative scheduler pick. *)
 let check_indices sc (s : Schedule.t) =
-  let d = dims sc in
-  let rec roots k = function
-    | [] -> choices 0 s.Schedule.choices
-    | _ when k >= n_dims ->
+  let rec roots k dims rs =
+    match (dims, rs) with
+    | [], [] -> choices 0 s.Schedule.choices
+    | (name, options) :: _, r :: _ when r < 0 || r >= List.length options ->
+      Error
+        (Printf.sprintf "root %d (%s) is %d, outside its width %d" k name r
+           (List.length options))
+    | _ :: dims, _ :: rs -> roots (k + 1) dims rs
+    | _ ->
       Error
         (Printf.sprintf "%d roots given, the scenario has %d dimensions"
-           (List.length s.Schedule.roots) n_dims)
-    | r :: _ when r < 0 || r >= fst d.(k) ->
-      Error
-        (Printf.sprintf "root %d (%s) is %d, outside its width %d" k
-           dim_names.(k) r (fst d.(k)))
-    | _ :: tl -> roots (k + 1) tl
+           (List.length s.Schedule.roots)
+           (List.length sc.Scenarios.sc_roots))
   and choices i = function
     | [] -> Ok ()
     | c :: _ when c < 0 -> Error (Printf.sprintf "choice %d is negative" i)
     | _ :: tl -> choices (i + 1) tl
   in
-  roots 0 s.Schedule.roots
+  roots 0 sc.Scenarios.sc_roots s.Schedule.roots
 
 (* Replay a serialized schedule.  Returns the violation it reproduces,
    if any. *)

@@ -36,9 +36,8 @@ val default_options : options
 
 type violation = {
   v_roots : int list;
-      (** root-choice indices (crash epochs, losses, hypervisor
-          fault); shorter lists replay with the no-fault default for
-          the missing trailing dimensions *)
+      (** root-choice indices, one per dimension of the scenario's
+          {!Hft_harness.Scenarios.sc_roots}, in order *)
   v_choices : int list;  (** scheduler picks along the failing schedule *)
   v_reason : string;
   v_shrunk : bool;
@@ -110,14 +109,17 @@ val run_forced :
     engine order beyond the recorded prefix.  Returns the violation
     observed, if any.  [obs] records the schedule's typed protocol
     events, so a counterexample replay can emit the same timeline
-    artifacts as a normal run. *)
+    artifacts as a normal run.
+    @raise Invalid_argument unless [roots] holds one in-range index per
+    root dimension ({!replay} checks a file's first). *)
 
 val replay : ?obs:Hft_obs.Recorder.t -> Schedule.t -> (string option, string) Stdlib.result
 (** Replay a serialized counterexample.  [Error] = the file references
-    an unknown scenario, gives more roots than the scenario has
-    dimensions, a root outside its dimension's width, or a negative
-    choice; [Ok None] = the schedule no longer violates anything;
-    [Ok (Some v)] = reproduced violation [v]. *)
+    an unknown scenario, gives more or fewer roots than the scenario
+    has dimensions (none at all included), a root outside its
+    dimension's width, or a negative choice; [Ok None] = the schedule
+    no longer violates anything; [Ok (Some v)] = reproduced violation
+    [v]. *)
 
 val schedule_of_violation : result -> violation -> Schedule.t
 

@@ -369,7 +369,6 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     | _ -> manifest_for ~params workload
   in
   Hft_analysis.Manifest.install manifest ~deprivileged:true vm;
-  if params.Params.profile_guest then Cpu.install_profile vm;
   arm_translation ~params manifest ~deprivileged:true vm;
   {
     name_ = name;
@@ -2002,7 +2001,6 @@ type saved = {
   sv_health : hv_health;
   sv_missed : (string * (unit -> unit)) list;
   sv_rb_rtx : rtx_entry list;
-  sv_on_epoch_boundary : epoch:int -> hash:int -> unit;
   sv_ctl : Disk_ctl.t;
   sv_rcv_hold : Message.body IM.t;
   sv_rtx : rtx_entry list;
@@ -2047,7 +2045,6 @@ let save ?like ?into t =
     sv_health = t.health;
     sv_missed = t.missed;
     sv_rb_rtx = t.rb_rtx;
-    sv_on_epoch_boundary = t.on_epoch_boundary;
     sv_ctl =
       (match like with
       | Some l when l.sv_ctl = t.ctl -> l.sv_ctl
@@ -2079,5 +2076,4 @@ let restore t s =
   t.snapshot_box <- s.sv_snapshot_box;
   t.health <- s.sv_health;
   t.missed <- s.sv_missed;
-  t.rb_rtx <- s.sv_rb_rtx;
-  t.on_epoch_boundary <- s.sv_on_epoch_boundary
+  t.rb_rtx <- s.sv_rb_rtx

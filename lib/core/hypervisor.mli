@@ -186,8 +186,8 @@ val set_on_epoch_boundary : t -> (epoch:int -> hash:int -> unit) -> unit
     the VM state hash at that instruction-stream point. *)
 
 val get_on_epoch_boundary : t -> epoch:int -> hash:int -> unit
-(** The currently installed boundary hook, so fault installers can
-    chain onto it instead of displacing each other. *)
+(** The currently installed boundary hook, so an observer can chain
+    onto it.  A {!save} does not cover it. *)
 
 val set_on_promote : t -> (t -> unit) -> unit
 

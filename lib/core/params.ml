@@ -37,7 +37,6 @@ type t = {
   disk : Hft_devices.Disk.params;
   cpu_config : Hft_machine.Cpu.config;
   exec_backend : exec_backend;
-  profile_guest : bool;
 }
 
 let default =
@@ -70,7 +69,6 @@ let default =
     disk = Hft_devices.Disk.default_params;
     cpu_config = Hft_machine.Cpu.default_config;
     exec_backend = Interp;
-    profile_guest = false;
   }
 
 let hsim t = Time.add t.hv_entry_exit t.hv_work
@@ -93,7 +91,6 @@ let with_link t link = { t with link }
 let with_retransmit t retransmit = { t with retransmit }
 let with_ack_wait t ack_wait = { t with ack_wait }
 let with_exec_backend t exec_backend = { t with exec_backend }
-let with_profile_guest t profile_guest = { t with profile_guest }
 
 let backend_name = function
   | Interp -> "interp"

@@ -124,13 +124,6 @@ type t = {
           manifest's certified superblocks into the CPU's translation
           cache at boot ({!Hft_analysis.Manifest.install_translation});
           a stale manifest logs and degrades to full interpretation. *)
-  profile_guest : bool;
-      (** arm exact guest hot-spot profiling on every virtual machine
-          at boot ({!Hft_machine.Cpu.install_profile}): per-address
-          retirement counters maintained identically by both backends.
-          Off by default.  Profiling must never perturb execution —
-          {!Hft_core.System.fingerprint} is pinned identical with it
-          on and off. *)
 }
 
 val default : t
@@ -158,7 +151,6 @@ val with_link : t -> Hft_net.Link.t -> t
 val with_retransmit : t -> bool -> t
 val with_ack_wait : t -> bool -> t
 val with_exec_backend : t -> exec_backend -> t
-val with_profile_guest : t -> bool -> t
 
 val backend_name : exec_backend -> string
 val backend_of_name : string -> exec_backend option

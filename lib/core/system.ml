@@ -3,6 +3,13 @@ open Hft_devices
 module Channel = Hft_net.Channel
 module IM = Map.Make (Int)
 
+type node = [ `Primary | `Backup ]
+
+type fault =
+  | Crash of node * int
+  | Hv_fault of node * Hypervisor.hv_fault * int
+  | Lose of node * int
+
 type lockstep = {
   mutable hashes : int IM.t;
       (* epoch -> first reporter's hash, for the epochs whose other
@@ -30,9 +37,11 @@ type t = {
   ls : lockstep;
   mutable failover_ : bool;
   mutable reintegration_delay : Time.t option;
+  mutable faults : fault list;
+      (* the injected epoch faults ([Crash], [Hv_fault]), newest first *)
   mutable hv_faults_armed : int;
-      (* bit [k]: the [k]th [hv_fault_on_epoch] has scheduled its fault *)
-  mutable hv_fault_installs : int;
+      (* bit [k]: the [k]th injected epoch fault, a hypervisor fault, has
+         been scheduled *)
   mutable last : snapshot option;
       (* the last snapshot taken or restored, which the next one shares
          unchanged parts with *)
@@ -85,6 +94,32 @@ let record_boundary ls ~epoch ~hash =
               hashed 0x%x, the other 0x%x"
              epoch other hash)
     end
+
+(* Node [node]'s boundary handler.  It walks the epoch faults injected
+   on the node, newest first: a hypervisor fault is scheduled half an
+   epoch's simulated time later, inside the epoch, wherever the node
+   happens to be, and at most once (whether it has fired is system
+   state, which a snapshot covers); a crash fails the node before it
+   completes the boundary, which ends the walk unrecorded.  Then the
+   lockstep hash is recorded. *)
+let on_boundary t node hv ~epoch ~hash =
+  let here n e = n = node && e = epoch && Hypervisor.alive hv in
+  let rec walk k = function
+    | [] -> record_boundary t.ls ~epoch ~hash
+    | Crash (n, e) :: _ when here n e -> Hypervisor.crash hv
+    | Hv_fault (n, kind, e) :: older
+      when here n e && t.hv_faults_armed land (1 lsl k) = 0 ->
+      t.hv_faults_armed <- t.hv_faults_armed lor (1 lsl k);
+      let half =
+        Time.scale t.p.Params.instr_time (t.p.Params.epoch_length / 2)
+      in
+      ignore
+        (Engine.after t.engine ~label:"hv-fault" ~actor:(Hypervisor.name hv)
+           half (fun () -> Hypervisor.inject_hv_fault hv kind));
+      walk (k - 1) older
+    | _ :: older -> walk (k - 1) older
+  in
+  walk (List.length t.faults - 1) t.faults
 
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
     ?(obs = Hft_obs.Recorder.null) ?recycle ~workload () =
@@ -188,8 +223,6 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       fail_fast = params.Params.exec_backend = Params.Differential;
     }
   in
-  Hypervisor.set_on_epoch_boundary primary_ (record_boundary ls);
-  Hypervisor.set_on_epoch_boundary backup_ (record_boundary ls);
   let t =
     {
       engine;
@@ -204,8 +237,8 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       ls;
       failover_ = false;
       reintegration_delay = None;
+      faults = [];
       hv_faults_armed = 0;
-      hv_fault_installs = 0;
       last = None;
       spares = (match recycle with Some old -> old.spares | None -> []);
       fp_primary = 0;
@@ -213,6 +246,8 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
       stale = both_bits;
     }
   in
+  Hypervisor.set_on_epoch_boundary primary_ (on_boundary t `Primary primary_);
+  Hypervisor.set_on_epoch_boundary backup_ (on_boundary t `Backup backup_);
   (* what can change a node between two fingerprints: a dispatched
      event of its own or of shared state (actor [""]), [start], a
      [restore], and the one write a node makes to its peer *)
@@ -254,16 +289,6 @@ let crash_primary_at t time =
     (Engine.at t.engine ~label:"crash" ~actor:"primary" time (fun () ->
          Hypervisor.crash t.primary_))
 
-let crash_on_epoch _t hv target =
-  let previous = Hypervisor.get_on_epoch_boundary hv in
-  Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
-      if epoch = target && Hypervisor.alive hv then Hypervisor.crash hv
-      else previous ~epoch ~hash)
-
-let crash_primary_on_epoch t target = crash_on_epoch t t.primary_ target
-
-let crash_backup_on_epoch t target = crash_on_epoch t t.backup_ target
-
 (* ---------- hypervisor faults (ReHype extension) ---------- *)
 
 let hv_of_target t = function `Primary -> t.primary_ | `Backup -> t.backup_
@@ -274,32 +299,10 @@ let hv_fault_at t ~target ~kind time =
     (Engine.at t.engine ~label:"hv-fault" ~actor:(Hypervisor.name hv) time
        (fun () -> Hypervisor.inject_hv_fault hv kind))
 
-(* Inject mid-epoch, deterministically: the boundary hook fires at the
-   start of epoch [target]'s boundary processing, and the fault lands
-   half an epoch's worth of simulated time later — inside the epoch,
-   between event handlers, wherever the node happens to be.  Hooks
-   chain like [crash_on_epoch]'s so several injections (and the
-   lockstep recorder) coexist. *)
-let hv_fault_on_epoch t ~target ~kind epoch_target =
-  let hv = hv_of_target t target in
-  let previous = Hypervisor.get_on_epoch_boundary hv in
-  (* whether it has fired is system state, which a snapshot covers *)
-  let bit = 1 lsl t.hv_fault_installs in
-  t.hv_fault_installs <- t.hv_fault_installs + 1;
-  Hypervisor.set_on_epoch_boundary hv (fun ~epoch ~hash ->
-      if
-        epoch = epoch_target && Hypervisor.alive hv
-        && t.hv_faults_armed land bit = 0
-      then begin
-        t.hv_faults_armed <- t.hv_faults_armed lor bit;
-        let half =
-          Time.scale t.p.Params.instr_time (t.p.Params.epoch_length / 2)
-        in
-        ignore
-          (Engine.after t.engine ~label:"hv-fault" ~actor:(Hypervisor.name hv)
-             half (fun () -> Hypervisor.inject_hv_fault hv kind))
-      end;
-      previous ~epoch ~hash)
+let inject t = function
+  | Lose (`Primary, n) -> Channel.set_loss_plan t.ch_bp (Int.equal n)
+  | Lose (`Backup, n) -> Channel.set_loss_plan t.ch_pb (Int.equal n)
+  | (Crash _ | Hv_fault _) as f -> t.faults <- f :: t.faults
 
 let install_fault_model t ~rng model =
   let corrupter flip msg = Message.corrupt ~flip msg in

@@ -60,31 +60,45 @@ val channel_to_primary : t -> Message.t Hft_net.Channel.t
 val crash_primary_at : t -> Hft_sim.Time.t -> unit
 (** Schedule a fail-stop of the primary's processor. *)
 
-val crash_primary_on_epoch : t -> int -> unit
-(** Fail the primary exactly when it reaches the given epoch boundary
-    (before completing it — the canonical failover epoch of case (ii),
-    section 2.2). *)
-
-val crash_backup_on_epoch : t -> int -> unit
-(** Fail the backup when it reaches the given epoch boundary; the
-    primary detects the silence (missing acknowledgements) and
-    continues unreplicated. *)
+type node = [ `Primary | `Backup ]
+(** The node a fault strikes: the one created as primary or as
+    backup, whatever role it holds when the fault fires. *)
 
 val hv_fault_at :
-  t ->
-  target:[ `Primary | `Backup ] ->
-  kind:Hypervisor.hv_fault ->
-  Hft_sim.Time.t ->
-  unit
+  t -> target:node -> kind:Hypervisor.hv_fault -> Hft_sim.Time.t -> unit
 (** Schedule a hypervisor fault (ReHype extension) on the given node
     at an absolute time; see {!Hypervisor.inject_hv_fault}. *)
 
-val hv_fault_on_epoch :
-  t -> target:[ `Primary | `Backup ] -> kind:Hypervisor.hv_fault -> int -> unit
-(** Inject a hypervisor fault mid-epoch, deterministically: when the
-    node starts the given epoch's boundary processing, the fault is
-    scheduled half an epoch's simulated time later.  Chains with other
-    boundary hooks ([crash_*_on_epoch], lockstep recording). *)
+(** {2 Faults as data}
+
+    The faults a run injects at protocol points rather than at a time:
+    the model checker's root choices, a chaos schedule's crashes and
+    hypervisor faults, and [hftsim run --hv-fault]. *)
+
+type fault =
+  | Crash of node * int
+      (** fail-stop the node's processor when it reaches this epoch
+          boundary, before it completes it — for the primary, the
+          canonical failover epoch of case (ii), section 2.2 *)
+  | Hv_fault of node * Hypervisor.hv_fault * int
+      (** a hypervisor fault (ReHype extension), struck mid-way
+          through this epoch: when the node starts the epoch's
+          boundary, the fault is scheduled half an epoch's simulated
+          time later, deterministically *)
+  | Lose of node * int
+      (** drop the n-th wire send (0-based) on the channel to the
+          node ({!Hft_net.Channel.set_loss_plan}) *)
+
+val inject : t -> fault -> unit
+(** Install a fault; do it before {!start}.  A [Lose] replaces the
+    loss plan of its channel.  Each node has one epoch-boundary
+    handler, installed by {!create}, which walks that node's [Crash]
+    and [Hv_fault] faults newest first: a hypervisor fault whose epoch
+    has come is scheduled, at most once per injection, and the walk
+    goes on; a crash whose epoch has come stops the node and the walk,
+    so that boundary's hash is not recorded.  A walk that reaches its
+    end records the lockstep hash.  A fault fires only on a live node.
+    A system holds up to 63 epoch faults. *)
 
 val install_fault_model :
   t -> rng:Hft_sim.Rng.t -> Hft_net.Channel.fault_model -> unit

@@ -2,12 +2,6 @@ open Hft_core
 module Rng = Hft_sim.Rng
 module Time = Hft_sim.Time
 
-type hv_fault_spec = {
-  hf_target : [ `Primary | `Backup ];
-  hf_kind : Hypervisor.hv_fault;
-  hf_epoch : int;
-}
-
 type schedule = {
   seed : int;
   loss : float;
@@ -17,7 +11,7 @@ type schedule = {
   crash_epoch : int option;
   backup_crash_epoch : int option;
   reintegrate : bool;
-  hv_faults : hv_fault_spec list;
+  hv_faults : System.fault list;
 }
 
 type config = {
@@ -94,17 +88,19 @@ let generate cfg rng =
              faults on the node that dies anyway: a recovery escalation
              on the *other* node could otherwise leave no survivor, and
              with no survivor there is nothing to check *)
-          let hf_target =
+          let node =
             match (crash_epoch, backup_crash_epoch) with
             | Some _, _ -> `Primary
             | _, Some _ -> `Backup
             | None, None -> if Rng.chance rng 0.5 then `Primary else `Backup
           in
-          let hf_kind =
+          (* drawn in this order: the constructor below evaluates its
+             arguments right to left *)
+          let kind =
             hv_fault_kinds.(Rng.int rng (Array.length hv_fault_kinds))
           in
-          let hf_epoch = 1 + Rng.int rng cfg.max_crash_epoch in
-          { hf_target; hf_kind; hf_epoch })
+          let epoch = 1 + Rng.int rng cfg.max_crash_epoch in
+          System.Hv_fault (node, kind, epoch))
   in
   {
     seed;
@@ -245,19 +241,15 @@ let run_trial ?obs cfg ~reference ~index schedule =
       corrupt = schedule.corrupt;
       delay_us = schedule.delay_us;
     };
-  (match schedule.crash_epoch with
-  | Some e -> System.crash_primary_on_epoch sys e
-  | None -> ());
-  (match schedule.backup_crash_epoch with
-  | Some e -> System.crash_backup_on_epoch sys e
-  | None -> ());
+  Option.iter
+    (fun e -> System.inject sys (System.Crash (`Primary, e)))
+    schedule.crash_epoch;
+  Option.iter
+    (fun e -> System.inject sys (System.Crash (`Backup, e)))
+    schedule.backup_crash_epoch;
   if schedule.reintegrate then
     System.reintegrate_after_failover sys ~delay:(Time.of_ms 2);
-  List.iter
-    (fun f ->
-      System.hv_fault_on_epoch sys ~target:f.hf_target ~kind:f.hf_kind
-        f.hf_epoch)
-    schedule.hv_faults;
+  List.iter (System.inject sys) schedule.hv_faults;
   let stats () =
     let p = Hypervisor.stats (System.primary sys) in
     let b = Hypervisor.stats (System.backup sys) in
@@ -396,41 +388,36 @@ let run ?(shrink_failures = true) ?on_trial cfg =
   in
   { trials; failures }
 
-let hv_fault_spec_to_string f =
-  Printf.sprintf "%s:%s:%d"
-    (match f.hf_target with `Primary -> "primary" | `Backup -> "backup")
-    (Hypervisor.hv_fault_kind f.hf_kind)
-    f.hf_epoch
+let hv_fault_to_string = function
+  | System.Hv_fault (node, kind, epoch) ->
+    Printf.sprintf "%s:%s:%d"
+      (match node with `Primary -> "primary" | `Backup -> "backup")
+      (Hypervisor.hv_fault_kind kind)
+      epoch
+  | System.Crash _ | System.Lose _ ->
+    invalid_arg "Campaign.hv_fault_to_string: not a hypervisor fault"
 
-let hv_fault_spec_of_string s =
-  match String.split_on_char ':' s with
-  | [ target; kind; epoch ] -> (
-    let target =
-      match target with
-      | "primary" -> Some `Primary
-      | "backup" -> Some `Backup
-      | _ -> None
-    in
-    let kind =
-      match kind with
-      | "crash" -> Some Hypervisor.Hv_crash
-      | "hang" -> Some Hypervisor.Hv_hang
-      | "corrupt-epoch" -> Some (Hypervisor.Hv_corrupt Hypervisor.C_epoch)
-      | "corrupt-acks" -> Some (Hypervisor.Hv_corrupt Hypervisor.C_acks)
-      | "corrupt-rtx" -> Some (Hypervisor.Hv_corrupt Hypervisor.C_rtx)
-      | _ -> None
-    in
-    match (target, kind, int_of_string_opt epoch) with
-    | Some hf_target, Some hf_kind, Some hf_epoch when hf_epoch > 0 ->
-      Ok { hf_target; hf_kind; hf_epoch }
-    | _ ->
-      Error
-        (Printf.sprintf
-           "bad hv fault spec %S (want TARGET:KIND:EPOCH, e.g. \
-            primary:crash:3)"
-           s))
-  | _ ->
-    Error
+let hv_fault_of_string s =
+  let node = function
+    | "primary" -> Some `Primary
+    | "backup" -> Some `Backup
+    | _ -> None
+  in
+  let kind k =
+    Array.find_opt
+      (fun f -> String.equal (Hypervisor.hv_fault_kind f) k)
+      hv_fault_kinds
+  in
+  let fault =
+    match String.split_on_char ':' s with
+    | [ n; k; e ] -> (
+      match (node n, kind k, int_of_string_opt e) with
+      | Some n, Some k, Some e when e > 0 -> Some (System.Hv_fault (n, k, e))
+      | _ -> None)
+    | _ -> None
+  in
+  Option.to_result fault
+    ~none:
       (Printf.sprintf
          "bad hv fault spec %S (want TARGET:KIND:EPOCH, e.g. primary:crash:3)"
          s)
@@ -457,5 +444,5 @@ let flags s =
         ]
        @ List.map
            (fun f ->
-             Printf.sprintf "--hv-fault %s" (hv_fault_spec_to_string f))
+             Printf.sprintf "--hv-fault %s" (hv_fault_to_string f))
            s.hv_faults))

@@ -28,15 +28,6 @@
     reproducer by greedily zeroing/halving fault dimensions while the
     failure persists. *)
 
-type hv_fault_spec = {
-  hf_target : [ `Primary | `Backup ];
-  hf_kind : Hft_core.Hypervisor.hv_fault;
-  hf_epoch : int;  (** inject mid-way through this epoch *)
-}
-(** One seeded hypervisor fault (ReHype extension): crash, hang or
-    recovery-block corruption, injected half an epoch after the target
-    node starts the given boundary. *)
-
 type schedule = {
   seed : int;  (** regenerates the channel fault randomness *)
   loss : float;
@@ -46,8 +37,10 @@ type schedule = {
   crash_epoch : int option;  (** fail the primary at this boundary *)
   backup_crash_epoch : int option;
   reintegrate : bool;  (** revive the crashed primary as a backup *)
-  hv_faults : hv_fault_spec list;
-      (** hypervisor faults to seed; each normally heals by in-place
+  hv_faults : Hft_core.System.fault list;
+      (** hypervisor faults to seed ({!Hft_core.System.Hv_fault}:
+          crash, hang or recovery-block corruption, struck mid-way
+          through an epoch); each normally heals by in-place
           microreboot, or escalates to fail-stop on a double fault *)
 }
 
@@ -155,11 +148,15 @@ val run :
 (** Run the whole campaign.  [on_trial] is called after each trial
     (progress reporting). *)
 
-val hv_fault_spec_to_string : hv_fault_spec -> string
-(** ["target:kind:epoch"], e.g. ["primary:crash:3"] — the argument
-    format of [hftsim chaos --hv-fault]. *)
+val hv_fault_to_string : Hft_core.System.fault -> string
+(** ["TARGET:KIND:EPOCH"], e.g. ["primary:crash:3"] — the argument
+    format of [hftsim run --hv-fault] and [hftsim chaos --hv-fault].
+    @raise Invalid_argument unless the fault is a
+    {!Hft_core.System.Hv_fault}. *)
 
-val hv_fault_spec_of_string : string -> (hv_fault_spec, string) result
+val hv_fault_of_string : string -> (Hft_core.System.fault, string) result
+(** The inverse: a {!Hft_core.System.Hv_fault} at an epoch > 0, or an
+    [Error] naming the spec. *)
 
 val flags : schedule -> string
 (** [hftsim chaos] command-line flags that replay this exact schedule

@@ -6,11 +6,7 @@ type bounded = {
   sc_descr : string;
   sc_params : Params.t;
   sc_workload : Hft_guest.Workload.t;
-  sc_crash_epochs : int option list;
-  sc_backup_crash_epochs : int option list;
-  sc_loss_pb : int option list;
-  sc_loss_bp : int option list;
-  sc_hv_faults : Campaign.hv_fault_spec option list;
+  sc_roots : (string * System.fault option list) list;
   sc_reintegrate_ms : int option;
   sc_limit : int;
 }
@@ -24,6 +20,13 @@ let quick_disk =
     read_latency = Time.of_us 40;
     write_latency = Time.of_us 50;
   }
+
+(* Root dimensions: a name and the options, [None] for no fault.  The
+   checker's replay errors name a dimension by it. *)
+let dim name fault options = (name, List.map (Option.map fault) options)
+let crash_epochs = dim "crash_epochs" (fun e -> System.Crash (`Primary, e))
+let loss_pb = dim "loss_pb" (fun n -> System.Lose (`Backup, n))
+let loss_bp = dim "loss_bp" (fun n -> System.Lose (`Primary, n))
 
 let base_params ~epoch_length =
   {
@@ -43,11 +46,7 @@ let handoff =
       "2-replica console workload, optional primary crash at epoch 1 or 2";
     sc_params = base_params ~epoch_length:48;
     sc_workload = Hft_guest.Workload.console_hello ~text:"hft";
-    sc_crash_epochs = [ None; Some 1; Some 2 ];
-    sc_backup_crash_epochs = [ None ];
-    sc_loss_pb = [ None ];
-    sc_loss_bp = [ None ];
-    sc_hv_faults = [ None ];
+    sc_roots = [ crash_epochs [ None; Some 1; Some 2 ] ];
     sc_reintegrate_ms = None;
     sc_limit = 400_000;
   }
@@ -63,11 +62,7 @@ let crash_write =
     sc_params = base_params ~epoch_length:192;
     sc_workload =
       Hft_guest.Workload.disk_write ~pad:8 ~block_range:4 ~spin:4 ~ops:2 ();
-    sc_crash_epochs = [ None; Some 1; Some 2; Some 3 ];
-    sc_backup_crash_epochs = [ None ];
-    sc_loss_pb = [ None ];
-    sc_loss_bp = [ None ];
-    sc_hv_faults = [ None ];
+    sc_roots = [ crash_epochs [ None; Some 1; Some 2; Some 3 ] ];
     sc_reintegrate_ms = None;
     sc_limit = 600_000;
   }
@@ -82,11 +77,12 @@ let crash_loss =
        on either channel";
     sc_params = base_params ~epoch_length:48;
     sc_workload = Hft_guest.Workload.console_hello ~text:"hft";
-    sc_crash_epochs = [ None; Some 2 ];
-    sc_backup_crash_epochs = [ None ];
-    sc_loss_pb = [ None; Some 1; Some 3 ];
-    sc_loss_bp = [ None; Some 0; Some 1 ];
-    sc_hv_faults = [ None ];
+    sc_roots =
+      [
+        crash_epochs [ None; Some 2 ];
+        loss_pb [ None; Some 1; Some 3 ];
+        loss_bp [ None; Some 0; Some 1 ];
+      ];
     sc_reintegrate_ms = None;
     sc_limit = 600_000;
   }
@@ -103,11 +99,12 @@ let reintegration_loss =
        across the handshake";
     sc_params = base_params ~epoch_length:48;
     sc_workload = Hft_guest.Workload.console_hello ~text:"hftsim";
-    sc_crash_epochs = [ Some 1 ];
-    sc_backup_crash_epochs = [ None ];
-    sc_loss_pb = [ None; Some 0; Some 1 ];
-    sc_loss_bp = [ None; Some 4; Some 5; Some 6 ];
-    sc_hv_faults = [ None ];
+    sc_roots =
+      [
+        crash_epochs [ Some 1 ];
+        loss_pb [ None; Some 0; Some 1 ];
+        loss_bp [ None; Some 4; Some 5; Some 6 ];
+      ];
     sc_reintegrate_ms = Some 1;
     sc_limit = 900_000;
   }
@@ -134,25 +131,17 @@ let hv_crash =
        mid-epoch, healed by in-place microreboot";
     sc_params = hv_recovery_params ~epoch_length:48;
     sc_workload = Hft_guest.Workload.console_hello ~text:"hft";
-    sc_crash_epochs = [ None ];
-    sc_backup_crash_epochs = [ None ];
-    sc_loss_pb = [ None ];
-    sc_loss_bp = [ None ];
-    sc_hv_faults =
+    sc_roots =
       [
-        None;
-        Some
-          { Campaign.hf_target = `Primary; hf_kind = Hypervisor.Hv_crash;
-            hf_epoch = 1 };
-        Some
-          { Campaign.hf_target = `Primary; hf_kind = Hypervisor.Hv_hang;
-            hf_epoch = 2 };
-        Some
-          {
-            Campaign.hf_target = `Backup;
-            hf_kind = Hypervisor.Hv_corrupt Hypervisor.C_acks;
-            hf_epoch = 1;
-          };
+        ( "hv_faults",
+          [
+            None;
+            Some (System.Hv_fault (`Primary, Hypervisor.Hv_crash, 1));
+            Some (System.Hv_fault (`Primary, Hypervisor.Hv_hang, 2));
+            Some
+              (System.Hv_fault
+                 (`Backup, Hypervisor.Hv_corrupt Hypervisor.C_acks, 1));
+          ] );
       ];
     sc_reintegrate_ms = None;
     sc_limit = 600_000;
@@ -188,33 +177,21 @@ let reference sc ~variant =
   spare := Some b;
   o
 
-let instantiate sc ~variant ?crash_epoch ?backup_crash_epoch ?loss_pb ?loss_bp
-    ?hv_fault ?obs ?recycle () =
+let instantiate sc ~variant ?(faults = []) ?obs ?recycle () =
   let sys =
     System.create ~params:(params sc ~variant) ?obs ?recycle
       ~workload:sc.sc_workload ()
   in
-  (match crash_epoch with
-  | Some e -> System.crash_primary_on_epoch sys e
-  | None -> ());
-  (match backup_crash_epoch with
-  | Some e -> System.crash_backup_on_epoch sys e
-  | None -> ());
-  (match loss_pb with
-  | Some n ->
-    Hft_net.Channel.set_loss_plan (System.channel_to_backup sys) (Int.equal n)
-  | None -> ());
-  (match loss_bp with
-  | Some n ->
-    Hft_net.Channel.set_loss_plan (System.channel_to_primary sys) (Int.equal n)
-  | None -> ());
-  (match hv_fault with
-  | Some (f : Campaign.hv_fault_spec) ->
-    System.hv_fault_on_epoch sys ~target:f.hf_target ~kind:f.hf_kind f.hf_epoch
-  | None -> ());
+  List.iter (System.inject sys) faults;
   (match sc.sc_reintegrate_ms with
   | Some ms -> System.reintegrate_after_failover sys ~delay:(Time.of_ms ms)
   | None -> ());
   sys
 
-let has_crash sc = List.exists Option.is_some sc.sc_crash_epochs
+let has_crash sc =
+  List.exists
+    (fun (_, options) ->
+      List.exists
+        (function Some (System.Crash (`Primary, _)) -> true | _ -> false)
+        options)
+    sc.sc_roots

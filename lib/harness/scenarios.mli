@@ -3,31 +3,31 @@
 
     A bounded scenario is a small replicated-system configuration plus
     the {e scenario-level} nondeterminism the checker enumerates as
-    root choices: which epoch (if any) the primary or backup crashes
-    at, and which single message (if any) each channel drops.  Every
-    combination, crossed with all schedule interleavings, must satisfy
-    the protocol invariants.  The dimensions are small on purpose —
-    small-scope exhaustive exploration, complementing the chaos
-    campaign's random sampling of much larger fault spaces. *)
+    root choices: which epoch (if any) the primary crashes at, which
+    single message (if any) each channel drops, which hypervisor fault
+    (if any) strikes.  Every combination, crossed with all schedule
+    interleavings, must satisfy the protocol invariants.  The
+    dimensions are small on purpose — small-scope exhaustive
+    exploration, complementing the chaos campaign's random sampling of
+    much larger fault spaces. *)
 
 type bounded = {
   sc_name : string;
   sc_descr : string;
   sc_params : Hft_core.Params.t;
   sc_workload : Hft_guest.Workload.t;
-  sc_crash_epochs : int option list;
-      (** root choice: fail the primary at this boundary ([None] = no
-          crash); always non-empty *)
-  sc_backup_crash_epochs : int option list;
-  sc_loss_pb : int option list;
-      (** root choice: drop the n-th send (wire count) on the
-          primary-to-backup channel *)
-  sc_loss_bp : int option list;
-  sc_hv_faults : Campaign.hv_fault_spec option list;
-      (** root choice: seed this hypervisor fault ([None] = none);
-          always non-empty.  The node must heal by in-place
-          microreboot without the guest, the peer, or the environment
-          noticing. *)
+  sc_roots : (string * Hft_core.System.fault option list) list;
+      (** the root choices: one named dimension per fault axis the
+          scenario varies, each a non-empty list of options, [None] for
+          no fault.  A root assignment picks one option per dimension
+          and injects the faults picked, in dimension order
+          ({!instantiate}).  The shipped scenarios name theirs, in this
+          order: ["crash_epochs"] ({!Hft_core.System.Crash} of the
+          primary), ["loss_pb"] and ["loss_bp"] ({!Hft_core.System.Lose}
+          on the channel to the backup, to the primary), ["hv_faults"]
+          ({!Hft_core.System.Hv_fault}, which the node must heal by
+          in-place microreboot without the guest, the peer or the
+          environment noticing).  A new axis is one more entry. *)
   sc_reintegrate_ms : int option;
       (** revive the crashed primary as a backup this many
           milliseconds after promotion *)
@@ -77,21 +77,18 @@ val reference : bounded -> variant:variant -> Campaign.reference
 val instantiate :
   bounded ->
   variant:variant ->
-  ?crash_epoch:int ->
-  ?backup_crash_epoch:int ->
-  ?loss_pb:int ->
-  ?loss_bp:int ->
-  ?hv_fault:Campaign.hv_fault_spec ->
+  ?faults:Hft_core.System.fault list ->
   ?obs:Hft_obs.Recorder.t ->
   ?recycle:Hft_core.System.t ->
   unit ->
   Hft_core.System.t
 (** Build the system for one assignment of the scenario's root
-    choices.  The caller runs it (directly, or under the model
-    checker's scheduler).  [recycle] is a finished system whose guest
-    memories are reset and reused ({!Hft_core.System.create}); it must
-    not be used again. *)
+    choices: [faults] (default none) are injected in list order
+    ({!Hft_core.System.inject}).  The caller runs it (directly, or
+    under the model checker's scheduler).  [recycle] is a finished
+    system whose guest memories are reset and reused
+    ({!Hft_core.System.create}); it must not be used again. *)
 
 val has_crash : bounded -> bool
-(** Whether any crash option exists — decides the console-output
+(** Whether any root option crashes the primary — decides the console-output
     invariant mode ([`Replay_extension] vs [`Exact]). *)

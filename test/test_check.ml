@@ -213,8 +213,13 @@ let crash_write_loss_sc =
   {
     Scenarios.crash_write with
     Scenarios.sc_name = "crash-write-loss";
-    sc_loss_pb = [ None; Some 0; Some 1; Some 2; Some 3 ];
-    sc_loss_bp = [ None; Some 0; Some 1; Some 2 ];
+    sc_roots =
+      (let lose node n = Some (Hft_core.System.Lose (node, n)) in
+       Scenarios.crash_write.Scenarios.sc_roots
+       @ [
+           ("loss_pb", None :: List.map (lose `Backup) [ 0; 1; 2; 3 ]);
+           ("loss_bp", None :: List.map (lose `Primary) [ 0; 1; 2 ]);
+         ]);
   }
 
 let crash_write_loss () =
@@ -275,7 +280,7 @@ let limits_survive_restore () =
     (List.map
        (fun picks ->
          ( "runaway simulation (event limit 150)",
-           [ 0; 0; 0; 0; 0 ],
+           [ 0 ],
            (150, picks) ))
        [ []; [ 98 ]; [ 96 ] ])
     (List.map
@@ -521,7 +526,8 @@ let slots_held_to_declaration () =
   let sys =
     Scenarios.instantiate
       (find_scenario "reintegration-loss")
-      ~variant:Scenarios.correct ~crash_epoch:1
+      ~variant:Scenarios.correct
+      ~faults:[ Hft_core.System.Crash (`Primary, 1) ]
       ~obs:(Hft_obs.Recorder.create ~capacity:1 ~tap ())
       ()
   in
@@ -548,26 +554,6 @@ let slots_held_to_declaration () =
     (List.nth delivered 0 <> List.nth restored 0);
   Alcotest.(check (list string)) "slots off their declaration" []
     (List.rev !failures)
-
-(* Observability neutrality: arming the guest hot-spot profiler
-   (which recompiles translated blocks with counting prologues) must
-   not perturb any architectural state
-   the lockstep protocol hashes.  Each scenario's exploration must
-   reach the same pinned counts as without profiling — a drift here
-   means the profiler leaked into System.fingerprint. *)
-let profiling_neutral () =
-  List.iter
-    (fun ((name, _, _, _) as pin) ->
-      let sc = find_scenario name in
-      let sc =
-        {
-          sc with
-          Scenarios.sc_params =
-            Hft_core.Params.with_profile_guest sc.Scenarios.sc_params true;
-        }
-      in
-      ignore (check_pinned ~what:"unchanged under profiling" sc pin))
-    pins
 
 (* PR 1's failover-during-reintegration-snapshot bug, pinned
    exhaustively: every single-loss schedule across the reintegration
@@ -615,7 +601,7 @@ let run_forced_fault_free () =
   let sc = find_scenario "handoff" in
   match
     Checker.run_forced sc ~variant:Scenarios.correct
-      ~roots:[ 0; 0; 0; 0 ] ~choices:[] ()
+      ~roots:[ 0 ] ~choices:[] ()
   with
   | None -> ()
   | Some v -> Alcotest.failf "fault-free schedule violated: %s" v
@@ -626,8 +612,8 @@ let run_forced_runaway () =
   let sc = { (find_scenario "handoff") with Scenarios.sc_limit = 50 } in
   Alcotest.(check (option string))
     "typed runaway" (Some "runaway simulation (event limit 50)")
-    (Checker.run_forced sc ~variant:Scenarios.correct ~roots:[ 0; 0; 0; 0 ]
-       ~choices:[] ())
+    (Checker.run_forced sc ~variant:Scenarios.correct ~roots:[ 0 ] ~choices:[]
+       ())
 
 let schedule_round_trip () =
   let check_rt sched =
@@ -643,7 +629,7 @@ let schedule_round_trip () =
       Schedule.scenario = "handoff";
       retransmit = true;
       ack_wait = true;
-      roots = [ 1; 0; 0; 0 ];
+      roots = [ 1 ];
       choices = [ 0; 2; 1 ];
       violation = None;
     };
@@ -652,7 +638,7 @@ let schedule_round_trip () =
       Schedule.scenario = "crash-loss";
       retransmit = false;
       ack_wait = true;
-      roots = [ 0; 0; 0; 1 ];
+      roots = [ 0; 0; 1 ];
       choices = [];
       violation = Some "two live replicas hold a primary role (split brain)";
     }
@@ -664,6 +650,71 @@ let schedule_rejects_garbage () =
   match Schedule.of_string "hftsim-check-replay/1\nroots: x y\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted malformed ints"
+
+(* Replay files and hypervisor-fault specs are input boundaries:
+   whatever the text, the parser answers [Ok] or [Error], never an
+   exception.  The inputs are valid texts truncated, with one bit
+   flipped, or spliced from two of them, like the image fuzzer's. *)
+let mutations corpus =
+  let open QCheck.Gen in
+  let* text = oneofl corpus in
+  let n = String.length text in
+  oneof
+    [
+      map (fun k -> String.sub text 0 k) (int_bound n);
+      map2
+        (fun k bit ->
+          String.mapi
+            (fun j c ->
+              if j = k then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+            text)
+        (int_bound (n - 1)) (int_bound 7);
+      (let* other = oneofl corpus in
+       let m = String.length other in
+       map2
+         (fun a b -> String.sub text 0 a ^ String.sub other b (m - b))
+         (int_bound n) (int_bound m));
+    ]
+
+let parser_fuzz_prop name corpus parse =
+  QCheck.Test.make ~name ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") (mutations corpus))
+    (fun s -> match parse s with Ok _ | Error _ -> true)
+
+let replay_fuzz_prop =
+  parser_fuzz_prop "mutated replay files parse to Ok or Error"
+    (List.map Schedule.to_string
+       [
+         {
+           Schedule.scenario = "crash-loss";
+           retransmit = false;
+           ack_wait = true;
+           roots = [ 0; 0; 1 ];
+           choices = [];
+           violation =
+             Some "two live replicas hold a primary role (split brain)";
+         };
+         {
+           Schedule.scenario = "handoff";
+           retransmit = true;
+           ack_wait = false;
+           roots = [ 2 ];
+           choices = [ 0; 3; 1; 0; 12 ];
+           violation = None;
+         };
+       ])
+    Schedule.of_string
+
+let hv_fault_fuzz_prop =
+  parser_fuzz_prop "mutated hv fault specs parse to Ok or Error"
+    [
+      "primary:crash:3";
+      "backup:hang:12";
+      "primary:corrupt-epoch:1";
+      "backup:corrupt-acks:7";
+      "primary:corrupt-rtx:24";
+    ]
+    Hft_harness.Campaign.hv_fault_of_string
 
 (* A directory opens on Linux but fails on the first read: that must be
    a typed error too, not an escaping Sys_error. *)
@@ -681,7 +732,7 @@ let replay_unknown_scenario () =
       Schedule.scenario = "no-such-scenario";
       retransmit = true;
       ack_wait = true;
-      roots = [ 0; 0; 0; 0 ];
+      roots = [ 0 ];
       choices = [];
       violation = None;
     }
@@ -691,12 +742,14 @@ let replay_unknown_scenario () =
   | Ok _ -> Alcotest.fail "replayed an unknown scenario"
 
 (* Out-of-range indices are refused with a message naming the
-   dimension, never silently replayed as a different schedule (the
-   all-defaults root, for roots 99). *)
+   dimension, and a root list of the wrong length with one naming both
+   counts, never silently replayed as a different schedule (the
+   all-defaults root, for roots 99 or none).  Handoff has one root
+   dimension, crash-loss three. *)
 let replay_rejects_out_of_range () =
-  let sched roots choices =
+  let sched ?(scenario = "handoff") roots choices =
     {
-      Schedule.scenario = "handoff";
+      Schedule.scenario;
       retransmit = true;
       ack_wait = true;
       roots;
@@ -717,10 +770,18 @@ let replay_rejects_out_of_range () =
           Alcotest.failf "%s: %S does not mention %S" what m mention
       | Ok _ -> Alcotest.failf "%s: replayed" what)
     [
-      ("roots 99", sched [ 99; 99; 99; 99; 99 ] [], "crash_epochs");
-      ("six roots", sched [ 0; 0; 0; 0; 0; 0 ] [], "6 roots");
-      ("negative root", sched [ 0; -1 ] [], "backup_crash_epochs");
+      ("roots 99", sched [ 99 ] [], "crash_epochs");
+      ( "six roots",
+        sched [ 0; 0; 0; 0; 0; 0 ] [],
+        "6 roots given, the scenario has 1" );
+      ( "negative root",
+        sched ~scenario:"crash-loss" [ 0; -1; 0 ] [],
+        "root 1 (loss_pb) is -1" );
       ("negative choice", sched [ 0 ] [ 0; -2 ], "choice 1");
+      ("no roots", sched [] [], "0 roots given, the scenario has 1");
+      ( "short roots",
+        sched ~scenario:"crash-loss" [ 0; 1 ] [],
+        "2 roots given, the scenario has 3" );
     ]
 
 (* The system caches each hypervisor's fingerprint across steps and
@@ -798,8 +859,8 @@ let () =
             reintegration_regression;
           test_case "runs, states and transitions pinned" `Quick
             counts_pinned;
-          test_case "profiling leaves every state space untouched" `Slow
-            profiling_neutral;
+          test_case "every protocol table reaches the fingerprint" `Quick
+            tables_fingerprinted;
           test_case "correct variant survives crash-loss" `Quick
             correct_variant_survives;
           test_case "fault-free forced run is clean" `Quick
@@ -812,8 +873,6 @@ let () =
             `Quick transition_cost;
           test_case "crash-write-loss: 60 001 states, none lost to the digest"
             `Quick crash_write_loss;
-          test_case "every protocol table reaches the fingerprint" `Quick
-            tables_fingerprinted;
           test_case "every state slot keeps its declaration" `Quick
             slots_held_to_declaration;
           test_case "a resumed run is held to the event limit" `Quick
@@ -841,5 +900,7 @@ let () =
           test_case "unknown scenario rejected" `Quick replay_unknown_scenario;
           test_case "out-of-range roots and choices rejected" `Quick
             replay_rejects_out_of_range;
+          QCheck_alcotest.to_alcotest replay_fuzz_prop;
+          QCheck_alcotest.to_alcotest hv_fault_fuzz_prop;
         ] );
     ]

@@ -1023,34 +1023,16 @@ let record_hashes hv =
       previous ~epoch ~hash);
   log
 
-(* Every root assignment of a bounded scenario: its crash epochs,
-   losses and hypervisor fault crossed, as [Scenarios.instantiate]
-   arguments. *)
-type roots = {
-  crash : int option;
-  backup_crash : int option;
-  loss_pb : int option;
-  loss_bp : int option;
-  hv : Hft_harness.Campaign.hv_fault_spec option;
-}
-
+(* Every root assignment of a bounded scenario: its root dimensions
+   crossed, each assignment the faults it injects
+   ([Scenarios.instantiate]'s [faults]). *)
 let all_roots (b : Hft_harness.Scenarios.bounded) =
-  let module S = Hft_harness.Scenarios in
-  List.concat_map
-    (fun crash ->
+  List.fold_right
+    (fun (_, options) rest ->
       List.concat_map
-        (fun backup_crash ->
-          List.concat_map
-            (fun loss_pb ->
-              List.concat_map
-                (fun loss_bp ->
-                  List.map
-                    (fun hv -> { crash; backup_crash; loss_pb; loss_bp; hv })
-                    b.S.sc_hv_faults)
-                b.S.sc_loss_bp)
-            b.S.sc_loss_pb)
-        b.S.sc_backup_crash_epochs)
-    b.S.sc_crash_epochs
+        (fun o -> List.map (fun faults -> Option.to_list o @ faults) rest)
+        options)
+    b.Hft_harness.Scenarios.sc_roots [ [] ]
 
 (* Run one root assignment of a bounded scenario on its default
    schedule, recording everything observable: the outcome with its
@@ -1066,23 +1048,20 @@ let all_roots (b : Hft_harness.Scenarios.bounded) =
 let observe (b : Hft_harness.Scenarios.bounded) ?roots ?(resume_at = -1)
     ?recycle () =
   let module S = Hft_harness.Scenarios in
-  let r =
+  let faults =
     match roots with
-    | Some r -> r
+    | Some faults -> faults
     | None ->
-      {
-        crash = List.find_map Fun.id b.S.sc_crash_epochs;
-        backup_crash = None;
-        loss_pb = None;
-        loss_bp = None;
-        hv = None;
-      }
+      (* the first crash option, if there is one *)
+      List.find_map
+        (fun (_, options) ->
+          List.find_map
+            (function Some (System.Crash _ as f) -> Some [ f ] | _ -> None)
+            options)
+        b.S.sc_roots
+      |> Option.value ~default:[]
   in
-  let sys =
-    S.instantiate b ~variant:S.correct ?crash_epoch:r.crash
-      ?backup_crash_epoch:r.backup_crash ?loss_pb:r.loss_pb ?loss_bp:r.loss_bp
-      ?hv_fault:r.hv ?recycle ()
-  in
+  let sys = S.instantiate b ~variant:S.correct ~faults ?recycle () in
   let hp = record_hashes (System.primary sys)
   and hb = record_hashes (System.backup sys) in
   let fps = ref [] and calls = ref 0 and saved = ref None in
@@ -1358,11 +1337,11 @@ let failover sys =
 let lossy_failover sys =
   System.install_fault_model sys ~rng:(Hft_sim.Rng.create 17)
     { Hft_net.Channel.loss = 0.1; duplicate = 0.05; corrupt = 0.05; delay_us = 40 };
-  System.crash_primary_on_epoch sys 5;
+  System.inject sys (System.Crash (`Primary, 5));
   System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 2)
 
 let backup_hv_crash sys =
-  System.hv_fault_on_epoch sys ~target:`Backup ~kind:Hypervisor.Hv_crash 3
+  System.inject sys (System.Hv_fault (`Backup, Hypervisor.Hv_crash, 3))
 
 (* The phase-lock regression: before lookahead each replica's burst
    ended at its peer's pending stop, so at long epochs the two took

@@ -52,7 +52,7 @@ let failover_tests =
         let w = Workload.dhrystone ~iterations:50_000 in
         let bare = Bare.run (Bare.create ~workload:w ()) in
         let sys = System.create ~params:small_params ~workload:w () in
-        System.crash_primary_on_epoch sys 30;
+        System.inject sys (System.Crash (`Primary, 30));
         let o = System.run sys in
         check bool "failover" true o.System.failover;
         check int "checksum preserved"
@@ -192,7 +192,7 @@ let failover_tests =
         in
         let w = Workload.dhrystone ~iterations:20_000 in
         let sys = System.create ~params ~workload:w () in
-        System.crash_primary_on_epoch sys 30;
+        System.inject sys (System.Crash (`Primary, 30));
         let o = System.run sys in
         let st = o.System.backup_stats in
         check bool "failover" true o.System.failover;

@@ -147,10 +147,12 @@ let corruption_healed_invisibly () =
   let workload = Hft_guest.Workload.dhrystone ~iterations:20_000 in
   let sys, o =
     run_sys ~workload (fun sys ->
-        System.hv_fault_on_epoch sys ~target:`Primary
-          ~kind:(Hypervisor.Hv_corrupt Hypervisor.C_acks) 2;
-        System.hv_fault_on_epoch sys ~target:`Backup
-          ~kind:(Hypervisor.Hv_corrupt Hypervisor.C_rtx) 4)
+        let corrupt node target epoch =
+          System.inject sys
+            (System.Hv_fault (node, Hypervisor.Hv_corrupt target, epoch))
+        in
+        corrupt `Primary Hypervisor.C_acks 2;
+        corrupt `Backup Hypervisor.C_rtx 4)
   in
   check_clean ~ops:(Some 20_000) "corruption" o;
   Alcotest.(check bool) "completed by the primary" true
@@ -211,11 +213,10 @@ let fault_spec_round_trip () =
   let open Hft_harness in
   List.iter
     (fun s ->
-      match Campaign.hv_fault_spec_of_string s with
+      match Campaign.hv_fault_of_string s with
       | Error m -> Alcotest.failf "%s: %s" s m
       | Ok f ->
-        Alcotest.(check string) "round-trip" s
-          (Campaign.hv_fault_spec_to_string f))
+        Alcotest.(check string) "round-trip" s (Campaign.hv_fault_to_string f))
     [
       "primary:crash:3";
       "backup:hang:12";
@@ -225,7 +226,7 @@ let fault_spec_round_trip () =
     ];
   List.iter
     (fun s ->
-      match Campaign.hv_fault_spec_of_string s with
+      match Campaign.hv_fault_of_string s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted %S" s)
     [ "primary:crash"; "nobody:crash:3"; "primary:melt:3"; "primary:crash:0" ]
